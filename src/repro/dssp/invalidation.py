@@ -67,11 +67,6 @@ class InvalidationEngine:
             primary/foreign keys (paper Section 4.5).
     """
 
-    #: Bound on the statement-level memo; decisions repeat heavily under
-    #: Zipf-skewed parameters, but a pathological workload with unbounded
-    #: distinct statements must not grow the memo without limit.
-    STATEMENT_MEMO_LIMIT = 65536
-
     def __init__(
         self,
         registry: TemplateRegistry,
@@ -93,13 +88,6 @@ class InvalidationEngine:
         self._used_index = False
         self._used_sweep = False
         self._template_decision: dict[tuple[str, str], bool] = {}
-        #: Memoized ``statement_independent`` outcomes keyed by the pair of
-        #: envelope identities (update opaque id, entry cache key).  Both
-        #: ids encode template + bound parameters, so equal keys mean the
-        #: identical pair of bound statements — the decision is a pure
-        #: function of them (schema and reasoning flags are fixed per
-        #: engine) and never needs re-deriving.
-        self._statement_decision: dict[tuple[str, str], bool] = {}
 
     # -- template-level (TIS) decision, memoized -----------------------------
 
@@ -228,37 +216,17 @@ class InvalidationEngine:
         """Can this entry be proven unaffected, given its exposure level?"""
         if entry.statement is None:
             return False  # entry at 'template' level: IPM entry A → invalidate
-        if self._statements_independent(envelope, entry, stats):
-            return True
-        if entry.view_rows is None:
-            return False  # 'stmt' level: no view to inspect
-        # View decisions are NOT memoized: the rows behind the same cache
-        # key change whenever the entry is refilled after an invalidation.
-        return view_allows_skip(
-            self._schema, envelope.statement, entry.statement, entry.view_rows
-        )
-
-    def _statements_independent(
-        self,
-        envelope: UpdateEnvelope,
-        entry: CacheEntry,
-        stats: DsspStats | None,
-    ) -> bool:
-        memo_key = (envelope.opaque_id, entry.key)
-        cached = self._statement_decision.get(memo_key)
-        if cached is not None:
-            if stats is not None:
-                stats.decision_memo_hits += 1
-            return cached
         if stats is not None:
             stats.invalidation_checks += 1
-        independent = statement_independent(
+        if statement_independent(
             self._schema,
             envelope.statement,
             entry.statement,
             equality_only=self._equality_only,
+        ):
+            return True
+        if entry.view_rows is None:
+            return False  # 'stmt' level: no view to inspect
+        return view_allows_skip(
+            self._schema, envelope.statement, entry.statement, entry.view_rows
         )
-        if len(self._statement_decision) >= self.STATEMENT_MEMO_LIMIT:
-            self._statement_decision.clear()
-        self._statement_decision[memo_key] = independent
-        return independent

@@ -24,9 +24,6 @@ class DsspStats:
     updates: int = 0
     invalidations: int = 0
     invalidation_checks: int = 0
-    #: Statement-level decisions answered from the engine's memo instead of
-    #: re-running interval reasoning.
-    decision_memo_hits: int = 0
     #: Entries dropped by capacity eviction (not by invalidation).
     evictions: int = 0
     #: Predicate-index consultations during invalidation (one per
@@ -55,14 +52,6 @@ class DsspStats:
             return 0.0
         return self.hits / self.lookups
 
-    @property
-    def decision_memo_rate(self) -> float:
-        """Fraction of statement-level decisions served from the memo."""
-        total = self.invalidation_checks + self.decision_memo_hits
-        if not total:
-            return 0.0
-        return self.decision_memo_hits / total
-
     def record_invalidation(self, template_name: str | None, count: int = 1) -> None:
         """Count invalidated entries, attributed to a query template."""
         self.invalidations += count
@@ -86,8 +75,6 @@ class DsspStats:
             "updates": self.updates,
             "invalidations": self.invalidations,
             "invalidation_checks": self.invalidation_checks,
-            "decision_memo_hits": self.decision_memo_hits,
-            "decision_memo_rate": self.decision_memo_rate,
             "evictions": self.evictions,
             "index_lookups": self.index_lookups,
             "index_narrowed": self.index_narrowed,
@@ -113,9 +100,6 @@ class DsspStats:
         registry.gauge("dssp.evictions", lambda: self.evictions)
         registry.gauge("dssp.index_lookups", lambda: self.index_lookups)
         registry.gauge("dssp.index_narrowed", lambda: self.index_narrowed)
-        registry.gauge(
-            "dssp.decision_memo_rate", lambda: self.decision_memo_rate
-        )
 
     def merge(self, other: "DsspStats") -> None:
         """Add another node's counters into this one (fleet aggregation)."""
@@ -124,7 +108,6 @@ class DsspStats:
         self.updates += other.updates
         self.invalidations += other.invalidations
         self.invalidation_checks += other.invalidation_checks
-        self.decision_memo_hits += other.decision_memo_hits
         self.evictions += other.evictions
         self.index_lookups += other.index_lookups
         self.index_narrowed += other.index_narrowed
@@ -143,7 +126,6 @@ class DsspStats:
         self.updates = 0
         self.invalidations = 0
         self.invalidation_checks = 0
-        self.decision_memo_hits = 0
         self.evictions = 0
         self.index_lookups = 0
         self.index_narrowed = 0

@@ -382,8 +382,9 @@ class _PipelinedChannel:
             request_id = new_request_id()  # the pending map needs a key
         timeout_s = self._client._request_timeout_s
         try:
-            await asyncio.wait_for(self._slots.acquire(), timeout_s)
-        except (asyncio.TimeoutError, TimeoutError):
+            async with asyncio.timeout(timeout_s):
+                await self._slots.acquire()
+        except TimeoutError:
             self._client.metrics.counter(
                 "client.pipeline_window_timeouts"
             ).inc()
@@ -418,8 +419,9 @@ class _PipelinedChannel:
                         sent=False,
                     ) from error
             try:
-                return await asyncio.wait_for(future, timeout_s)
-            except (asyncio.TimeoutError, TimeoutError) as error:
+                async with asyncio.timeout(timeout_s):
+                    return await future
+            except TimeoutError as error:
                 raise _ExchangeFailed(
                     NetTimeoutError(
                         f"no response from {self._client.host}:"
@@ -758,9 +760,8 @@ class WireClient:
             await connection.send(frame, request_id=request_id)
             sent = True
             try:
-                response = await asyncio.wait_for(
-                    connection.receive(), self._request_timeout_s
-                )
+                async with asyncio.timeout(self._request_timeout_s):
+                    response = await connection.receive()
             except WireError as error:
                 # A garbled response frame poisons only this connection;
                 # the request's fate is unknown (sent=True), so queries
@@ -774,7 +775,7 @@ class WireClient:
                 ) from error
             discard = False
             return response
-        except (asyncio.TimeoutError, TimeoutError) as error:
+        except TimeoutError as error:
             raise _ExchangeFailed(
                 NetTimeoutError(
                     f"no response from {self.host}:{self.port} within "

@@ -472,12 +472,10 @@ class HomeNetServer(WireServer):
                 frame, request_id, delivered = self._coalesce(entries)
                 send_wall = time.time()
                 send_started = time.perf_counter()
-                await asyncio.wait_for(
-                    self._send(
+                async with asyncio.timeout(self._push_timeout_s):
+                    await self._send(
                         subscriber.context, frame, request_id=request_id
-                    ),
-                    self._push_timeout_s,
-                )
+                    )
                 self._record_push_spans(
                     frame,
                     request_id,
@@ -491,7 +489,7 @@ class HomeNetServer(WireServer):
                 self.metrics.histogram("home.push_batch_size").observe(
                     delivered
                 )
-        except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
+        except (ConnectionError, OSError, TimeoutError):
             self.metrics.counter("home.subscribers_dropped").inc()
             logger.warning(
                 "dropping dead subscriber",

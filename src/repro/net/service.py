@@ -14,7 +14,9 @@ servers with the same operational envelope:
   immediately with ``OVERLOADED`` rather than queued without bound, so a
   slow home server cannot make a DSSP node accumulate unbounded state.
 * **Per-request timeout**: a request that cannot finish within
-  ``request_timeout_s`` is answered with ``TIMEOUT``.
+  ``request_timeout_s`` is cancelled and answered with ``TIMEOUT``.  The
+  deadline is one ``asyncio.timeout`` timer on the request's own task —
+  the request budget is one task, one timer.
 * **Typed error mapping**: library exceptions never cross the wire as
   control flow — they become :class:`~repro.net.wire.ErrorResponse` frames
   with a typed code, and the client maps them back to exceptions.
@@ -45,6 +47,7 @@ from repro.net.wire import (
     StatsResponse,
 )
 from repro.obs import MetricsRegistry, SpanRecorder, envelope_context
+from repro.sql import parser as sql_parser
 
 __all__ = ["ConnectionContext", "WireServer"]
 
@@ -124,6 +127,9 @@ class WireServer:
         self.metrics.gauge(
             "server.connections", lambda: len(self._contexts)
         )
+        # Statement text is parsed at frame decode: report whether the
+        # parser's intern table pays on this node.
+        sql_parser.register_metrics(self.metrics)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -276,7 +282,6 @@ class WireServer:
         self, frame: Frame, context: ConnectionContext
     ) -> Frame | None:
         assert self._in_flight is not None
-        ctx = self._request_ctx(frame, context)
         self.metrics.counter("server.requests").inc()
         # Per-application books (envelope-bearing frames only — STATS and
         # other control frames have no tenant).  Multi-tenant fairness
@@ -292,7 +297,10 @@ class WireServer:
             self.metrics.counter("server.shed").inc()
             if app_id is not None:
                 self.metrics.counter(f"server.app_shed.{app_id}").inc()
-            logger.warning("shedding request under backpressure", extra={"ctx": ctx})
+            logger.warning(
+                "shedding request under backpressure",
+                extra={"ctx": self._request_ctx(frame, context)},
+            )
             return ErrorResponse(
                 ErrorCode.OVERLOADED,
                 f"more than {self._max_in_flight} requests in flight",
@@ -305,15 +313,27 @@ class WireServer:
             async with self._in_flight:
                 in_flight.inc()
                 try:
-                    response = await asyncio.wait_for(
-                        self._handle_with_hook(frame, context),
-                        self.request_timeout_s,
-                    )
-                    logger.debug("request served", extra={"ctx": ctx})
+                    # One deadline timer on this request's own task; the
+                    # hook sits inside it on purpose: a stall long enough
+                    # to blow the deadline is answered with TIMEOUT like
+                    # any slow handler, which is exactly the failure chaos
+                    # wants to provoke.
+                    async with asyncio.timeout(self.request_timeout_s):
+                        if self.fault_hook is not None:
+                            await self.fault_hook(frame, context.request_id)
+                        response = await self.handle(frame, context)
+                    if logger.isEnabledFor(logging.DEBUG):
+                        logger.debug(
+                            "request served",
+                            extra={"ctx": self._request_ctx(frame, context)},
+                        )
                     return response
-                except (asyncio.TimeoutError, TimeoutError):
+                except TimeoutError:
                     self.metrics.counter("server.timeouts").inc()
-                    logger.warning("request timed out", extra={"ctx": ctx})
+                    logger.warning(
+                        "request timed out",
+                        extra={"ctx": self._request_ctx(frame, context)},
+                    )
                     handle_span.set("error", "timeout")
                     return ErrorResponse(
                         ErrorCode.TIMEOUT,
@@ -328,7 +348,9 @@ class WireServer:
                 except HomeUnreachableError as error:
                     self.metrics.counter("server.forward_failures").inc()
                     logger.warning(
-                        "home unreachable: %s", error, extra={"ctx": ctx}
+                        "home unreachable: %s",
+                        error,
+                        extra={"ctx": self._request_ctx(frame, context)},
                     )
                     handle_span.set("error", "home_unreachable")
                     return ErrorResponse(ErrorCode.MISS_FORWARDED, str(error))
@@ -347,7 +369,7 @@ class WireServer:
                         "request failed: %s: %s",
                         type(error).__name__,
                         error,
-                        extra={"ctx": ctx},
+                        extra={"ctx": self._request_ctx(frame, context)},
                     )
                     handle_span.set("error", type(error).__name__)
                     return ErrorResponse(
@@ -359,7 +381,8 @@ class WireServer:
                     # connection as "update never sent".
                     self.metrics.counter("server.internal_errors").inc()
                     logger.exception(
-                        "request handler crashed", extra={"ctx": ctx}
+                        "request handler crashed",
+                        extra={"ctx": self._request_ctx(frame, context)},
                     )
                     handle_span.set("error", type(error).__name__)
                     return ErrorResponse(
@@ -377,16 +400,6 @@ class WireServer:
                             else None
                         ),
                     )
-
-    async def _handle_with_hook(
-        self, frame: Frame, context: ConnectionContext
-    ) -> Frame | None:
-        # Inside the request timeout on purpose: a hook stall long enough
-        # to blow the deadline is answered with TIMEOUT like any slow
-        # handler, which is exactly the failure chaos wants to provoke.
-        if self.fault_hook is not None:
-            await self.fault_hook(frame, context.request_id)
-        return await self.handle(frame, context)
 
     # -- observability -----------------------------------------------------
 

@@ -19,9 +19,10 @@ Design points (Dapper-style, dependency-free):
   root span per request with :meth:`SpanRecorder.trace`; library layers
   (cache, crypto, storage, invalidation) call the module-level
   :func:`span` helper, which attaches a child to whatever span is active
-  in the current asyncio task and is a cheap no-op otherwise.  Library
-  code therefore needs no recorder reference and pays ~one ContextVar
-  read when tracing is off.
+  in the current asyncio task and otherwise returns the shared
+  :data:`NOOP_SPAN`.  Library code therefore needs no recorder reference
+  and pays one ContextVar read, and allocates nothing, when tracing is
+  off.
 * **Exposure-safe attributes by construction.**  Attribute keys and
   values are bounded and restricted to scalars; anything else is
   replaced by its type name.  Callers physically cannot attach a
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -164,12 +165,23 @@ class Span:
 
 
 class _NoopSpan:
-    """Absorbs attribute writes when the trace is unsampled or inactive."""
+    """Absorbs attribute writes when the trace is unsampled or inactive.
+
+    It is its own context manager, so ``with tracer.trace(...)`` on an
+    unsampled request enters and leaves the one shared instance and
+    allocates nothing.
+    """
 
     __slots__ = ()
     recorded = False
 
     def set(self, key: str, value: object) -> None:
+        return None
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
         return None
 
 
@@ -243,8 +255,10 @@ class SpanRecorder:
     """Records spans for one node into one sink, under one sampling rate.
 
     A recorder with no sink (the default on every server and client) is
-    permanently disabled and nearly free: root-span entry is one hash at
-    most, child-span entry one ContextVar read.
+    permanently disabled: :meth:`trace` is then one attribute check that
+    returns the shared :data:`NOOP_SPAN` — no generator, no context
+    manager object, no hash.  With a sink, an unsampled trace id costs
+    one BLAKE2b hash and still allocates nothing.
     """
 
     def __init__(
@@ -272,10 +286,9 @@ class SpanRecorder:
         self._sequence += 1
         return f"{self._sequence:08x}"
 
-    @contextmanager
     def trace(
         self, trace_id: str | None, name: str, **attrs: object
-    ) -> Iterator[Span | _NoopSpan]:
+    ) -> AbstractContextManager[Span | _NoopSpan]:
         """Open a root (or ambient-child) span for ``trace_id``.
 
         The net layer calls this at request entry; if an ambient span of
@@ -284,34 +297,14 @@ class SpanRecorder:
         child so one node's spans form a proper tree.
         """
         if not self.sampled(trace_id):
-            yield NOOP_SPAN
-            return
+            return NOOP_SPAN
         active = _ACTIVE.get()
         parent_id = (
             active[1].span_id
             if active is not None and active[1].trace_id == trace_id
             else None
         )
-        current = Span(
-            trace_id=trace_id,
-            span_id=self._next_span_id(),
-            parent_id=parent_id,
-            name=name,
-            node=self.node_id,
-            start_s=time.time(),
-            attrs=_clean_attrs(attrs) if attrs else {},
-        )
-        token = _ACTIVE.set((self, current))
-        started = time.perf_counter()
-        try:
-            yield current
-        except BaseException:
-            current.status = "error"
-            raise
-        finally:
-            current.duration_s = time.perf_counter() - started
-            _ACTIVE.reset(token)
-            self.sink.emit(current)
+        return _recording(self, trace_id, parent_id, name, attrs)
 
     def record(
         self,
@@ -349,22 +342,18 @@ class SpanRecorder:
 
 
 @contextmanager
-def span(name: str, **attrs: object) -> Iterator[Span | _NoopSpan]:
-    """Attach a child span to whatever trace is active in this task.
-
-    Library layers (cache lookup, crypto seal/open, storage execute,
-    invalidation) use this: they never hold a recorder, and when no
-    sampled trace is active the cost is one ContextVar read.
-    """
-    active = _ACTIVE.get()
-    if active is None:
-        yield NOOP_SPAN
-        return
-    recorder, parent = active
+def _recording(
+    recorder: SpanRecorder,
+    trace_id: str,
+    parent_id: str | None,
+    name: str,
+    attrs: dict,
+) -> Iterator[Span]:
+    """Time one sampled span as the ambient span of this task, then emit."""
     current = Span(
-        trace_id=parent.trace_id,
+        trace_id=trace_id,
         span_id=recorder._next_span_id(),
-        parent_id=parent.span_id,
+        parent_id=parent_id,
         name=name,
         node=recorder.node_id,
         start_s=time.time(),
@@ -381,6 +370,23 @@ def span(name: str, **attrs: object) -> Iterator[Span | _NoopSpan]:
         current.duration_s = time.perf_counter() - started
         _ACTIVE.reset(token)
         recorder.sink.emit(current)
+
+
+def span(
+    name: str, **attrs: object
+) -> AbstractContextManager[Span | _NoopSpan]:
+    """Attach a child span to whatever trace is active in this task.
+
+    Library layers (cache lookup, crypto seal/open, storage execute,
+    invalidation) use this: they never hold a recorder, and when no
+    sampled trace is active the cost is one ContextVar read and the
+    shared :data:`NOOP_SPAN` comes back.
+    """
+    active = _ACTIVE.get()
+    if active is None:
+        return NOOP_SPAN
+    recorder, parent = active
+    return _recording(recorder, parent.trace_id, parent.span_id, name, attrs)
 
 
 def current_trace_id() -> str | None:

@@ -20,6 +20,18 @@ Grammar (keywords case-insensitive)::
 Parameters (``?``) are numbered left-to-right from zero across the whole
 statement, in the same order the tokens appear, so that a bound statement's
 parameter list lines up positionally.
+
+:func:`parse` interns its results by source text.  A statement's text is
+parsed at every trust boundary it crosses (DSSP frame decode, home frame
+decode, the home opening a sealed statement), and a repeated query — the
+cache hit a DSSP exists for — repeats its text; the AST is frozen, slotted
+and tuple-valued, so all of them can share one object.  The table lives here rather than at any one caller
+because the parser is the only place every hop passes through, and because
+equal texts yielding the *same* object is what the identity-keyed memos of
+:mod:`repro.analysis.independence` need in order to hit across requests.
+Failures are never stored: text that does not parse is parsed, and
+rejected, on every attempt, so boundary validation is as strict as without
+the table.
 """
 
 from __future__ import annotations
@@ -46,14 +58,46 @@ from repro.sql.ast import (
 )
 from repro.sql.lexer import Token, TokenType, tokenize
 
-__all__ = ["parse", "parse_query", "parse_update"]
+__all__ = ["parse", "parse_query", "parse_update", "register_metrics"]
 
 _AGG_KEYWORDS = {f.value for f in AggregateFunc}
 
+#: Bound on the intern table; like the repo's other memos it is dropped
+#: whole when full (a re-parse is cheap, LRU bookkeeping per hit is not).
+INTERN_LIMIT = 8192
+
+_interned: dict[str, Statement] = {}
+_intern_hits = 0
+_intern_misses = 0
+
 
 def parse(sql: str) -> Statement:
-    """Parse a statement of any kind; raise :class:`ParseError` on junk."""
-    return _Parser(sql).parse_statement()
+    """Parse a statement of any kind; raise :class:`ParseError` on junk.
+
+    Equal source texts return the *same* (immutable) AST object.
+    """
+    global _intern_hits, _intern_misses
+    statement = _interned.get(sql)
+    if statement is not None:
+        _intern_hits += 1
+        return statement
+    _intern_misses += 1
+    statement = _Parser(sql).parse_statement()  # raises: nothing is stored
+    if len(_interned) >= INTERN_LIMIT:
+        _interned.clear()
+    _interned[sql] = statement
+    return statement
+
+
+def register_metrics(registry) -> None:
+    """Export the intern table's counters as callable gauges.
+
+    The table is per process, so every registry in a process reports the
+    same figures; ``misses`` counts texts that failed to parse as well.
+    """
+    registry.gauge("sql.parse_intern.hits", lambda: _intern_hits)
+    registry.gauge("sql.parse_intern.misses", lambda: _intern_misses)
+    registry.gauge("sql.parse_intern.size", lambda: len(_interned))
 
 
 def parse_query(sql: str) -> Select:

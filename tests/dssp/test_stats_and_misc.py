@@ -37,13 +37,12 @@ class TestDsspStats:
         import json
 
         stats = DsspStats(hits=3, misses=1, invalidation_checks=4)
-        stats.decision_memo_hits = 12
         stats.record_invalidation("Q1", 2)
         snapshot = json.loads(json.dumps(stats.to_dict()))
         assert snapshot["hits"] == 3
         assert snapshot["lookups"] == 4
         assert snapshot["hit_rate"] == 0.75
-        assert snapshot["decision_memo_rate"] == 0.75
+        assert snapshot["invalidation_checks"] == 4
         assert snapshot["per_query_invalidations"] == {"Q1": 2}
 
     def test_merge_sums_per_query_invalidations_disjoint(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.obs import (
     span,
     trace_sampled,
 )
+from repro.obs import trace as trace_module
 from repro.obs.trace import MAX_ATTRS, MAX_VALUE_CHARS, PHASES
 
 
@@ -208,3 +210,85 @@ class TestSink:
         assert "server.handle" in PHASES
         assert "storage.execute" in PHASES
         assert "dssp.stream_apply" in PHASES
+
+
+class TestOffMeansFree:
+    """A disabled or unsampled recorder hands back the one shared no-op."""
+
+    def test_sinkless_trace_is_the_shared_noop(self):
+        recorder = SpanRecorder("node")
+        assert recorder.trace("a" * 16, "server.handle", frame="Q") is NOOP_SPAN
+
+    def test_unsampled_and_idless_traces_are_the_shared_noop(self):
+        recorder = SpanRecorder("node", SpanSink(), sample_rate=0.0)
+        assert recorder.trace("a" * 16, "server.handle") is NOOP_SPAN
+        assert SpanRecorder("node", SpanSink()).trace(None, "x") is NOOP_SPAN
+
+    def test_module_span_outside_a_trace_is_the_shared_noop(self):
+        assert span("dssp.cache_lookup", hit=True) is NOOP_SPAN
+
+    def test_noop_is_its_own_context_manager_and_reraises(self):
+        with NOOP_SPAN as current:
+            assert current is NOOP_SPAN
+        with pytest.raises(RuntimeError):
+            with NOOP_SPAN:
+                raise RuntimeError("boom")
+
+
+#: Span log of the scenario below as written by the generator-based
+#: ``trace()``/``span()`` this module had before they became plain
+#: functions, under the same fake clocks.
+GOLDEN_SPAN_LOG = (
+    '{"trace":"aaaaaaaaaaaaaaaa","span":"00000002","name":"dssp.cache_lookup",'
+    '"node":"dssp-0","ts":1001.0,"dur":0.001,"parent":"00000001",'
+    '"attrs":{"hit":false,"rows":"<tuple>"}}\n'
+    '{"trace":"aaaaaaaaaaaaaaaa","span":"00000004","name":"client.exchange",'
+    '"node":"dssp-0","ts":1003.0,"dur":0.001,"parent":"00000003",'
+    '"attrs":{"attempt":0}}\n'
+    '{"trace":"aaaaaaaaaaaaaaaa","span":"00000003","name":"client.request",'
+    '"node":"dssp-0","ts":1002.0,"dur":0.003,"parent":"00000001"}\n'
+    '{"trace":"aaaaaaaaaaaaaaaa","span":"00000001","name":"server.handle",'
+    '"node":"dssp-0","ts":1000.0,"dur":0.007,'
+    '"attrs":{"frame":"QueryRequest","error":"timeout"}}\n'
+    '{"trace":"bbbbbbbbbbbbbbbb","span":"00000005","name":"server.decode",'
+    '"node":"dssp-0","ts":1004.0,"dur":0.001,"status":"error"}\n'
+    '{"trace":"aaaaaaaaaaaaaaaa","span":"00000006","name":"home.push_send",'
+    '"node":"dssp-0","ts":5.0,"dur":0.25,"attrs":{"batch":2}}\n'
+)
+
+
+class _FakeClock:
+    def __init__(self) -> None:
+        self._wall = itertools.count(1000)
+        self._ticks = itertools.count(0)
+
+    def time(self) -> float:
+        return float(next(self._wall))
+
+    def perf_counter(self) -> float:
+        return next(self._ticks) * 0.001
+
+
+def test_enabled_span_log_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(trace_module, "time", _FakeClock())
+    path = tmp_path / "spans.jsonl"
+    recorder = SpanRecorder("dssp-0", SpanSink(path))
+    rid = "a" * 16
+    with recorder.trace(rid, "server.handle", frame="QueryRequest") as root:
+        with span("dssp.cache_lookup", hit=False) as child:
+            child.set("rows", (1, 2))
+        with recorder.trace(rid, "client.request"):
+            with span("client.exchange", attempt=0):
+                pass
+        root.set("error", "timeout")
+    with pytest.raises(RuntimeError):
+        with recorder.trace("b" * 16, "server.decode"):
+            raise RuntimeError("boom")
+    with recorder.trace(None, "server.handle"):
+        with span("dssp.cache_lookup"):
+            pass
+    recorder.record(
+        rid, "home.push_send", start_s=5.0, duration_s=0.25, batch=2
+    )
+    recorder.close()
+    assert path.read_text() == GOLDEN_SPAN_LOG
