@@ -9,7 +9,8 @@ O(bucket) — while invalidating the *identical* set (the equivalence the
 hypothesis suite proves).
 
 This benchmark measures both arms on the Zipf bookstore workload at
-``stmt`` and ``view`` exposure:
+``stmt`` and ``view`` exposure — the sweep arm is a node whose index
+declines every lookup, so it runs the engine's real fallback branch:
 
 * per-update decision cost (entries visited per update — the fan-out
   the index shrinks) and wall-clock invalidation time;
@@ -30,15 +31,16 @@ from repro.dssp import StrategyClass
 from repro.simulation.scalability import measure_cache_behavior
 
 from benchmarks.conftest import BENCH_PAGES, deploy, once
+from tests.dssp.index_utils import sweep_reference
 
 STRATEGIES = (StrategyClass.MSIS, StrategyClass.MVIS)
 SEED = 5
 
 
-def _measure(strategy: StrategyClass, predicate_index: bool) -> dict:
-    node, home, sampler = deploy(
-        "bookstore", strategy=strategy, predicate_index=predicate_index
-    )
+def _measure(strategy: StrategyClass, sweep: bool) -> dict:
+    node, home, sampler = deploy("bookstore", strategy=strategy)
+    if sweep:
+        sweep_reference(node)
     behavior = measure_cache_behavior(
         node, home, sampler, pages=BENCH_PAGES, seed=SEED
     )
@@ -58,8 +60,8 @@ def _measure(strategy: StrategyClass, predicate_index: bool) -> dict:
 def _experiment() -> dict:
     result: dict = {"pages": BENCH_PAGES, "seed": SEED, "strategies": {}}
     for strategy in STRATEGIES:
-        swept = _measure(strategy, predicate_index=False)
-        indexed = _measure(strategy, predicate_index=True)
+        swept = _measure(strategy, sweep=True)
+        indexed = _measure(strategy, sweep=False)
         result["strategies"][strategy.name] = {
             "sweep": swept,
             "indexed": indexed,

@@ -85,7 +85,6 @@ def deploy(
     seed: int = 1,
     use_integrity_constraints: bool = True,
     equality_only_independence: bool = False,
-    predicate_index: bool = False,
 ):
     """Build (node, home, sampler) for an application under a policy."""
     app = get_application(app_name)
@@ -103,7 +102,6 @@ def deploy(
     node = DsspNode(
         use_integrity_constraints=use_integrity_constraints,
         equality_only_independence=equality_only_independence,
-        predicate_index=predicate_index,
     )
     node.register_application(home)
     return node, home, instance.sampler

@@ -219,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_dssp.add_argument("--no-constraints", action="store_true")
     serve_dssp.add_argument(
-        "--predicate-index",
-        action="store_true",
-        help="index cached views by bound selection values so stmt-level "
-        "invalidation visits only matching entries (O(affected), not "
-        "O(bucket)); off = classic bucket sweep",
-    )
-    serve_dssp.add_argument(
         "--shards",
         default=None,
         metavar="ID,ID,...",
@@ -474,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="virtual nodes per shard (sharded mode)",
-    )
-    chaos.add_argument(
-        "--predicate-index",
-        action="store_true",
-        help="enable the predicate index on every DSSP node (the oracle "
-        "then covers the indexed invalidation path)",
     )
     chaos.add_argument(
         "--seed", type=int, default=1, help="workload/trace seed"
@@ -936,7 +923,6 @@ def _cmd_serve_dssp(args, out) -> int:
     node = DsspNode(
         cache_capacity=args.capacity,
         use_integrity_constraints=not args.no_constraints,
-        predicate_index=args.predicate_index,
     )
     shards = _parse_shards(args.shards)
     server = DsspNetServer(
@@ -1392,12 +1378,11 @@ def _cmd_chaos(args, out) -> int:
             db_path=args.db_path,
             trace_dir=args.span_log,
             trace_sample=args.trace_sample,
-            predicate_index=args.predicate_index,
         )
     )
     print(
         f"app={args.app} strategy={strategy.name} nodes={args.nodes} "
-        f"sharded={args.shards} predicate_index={args.predicate_index} "
+        f"sharded={args.shards} "
         f"clients={args.clients} pipeline={args.pipeline or 1} "
         f"fault_rate={args.fault_rate} kill_every={args.kill_every}"
         + (f" scenario={args.scenario}" if args.scenario else ""),

@@ -21,8 +21,9 @@ Every operation is O(1) in the number of cached entries (amortized):
 * buckets (and index sets) are pruned as they empty, so iteration never
   visits dead structure.
 
-With ``predicate_index=True`` the cache additionally keys each entry by
-the bound values of its statement's indexable selection attributes
+Once an application's :class:`PredicateIndexer` is registered the cache
+additionally keys each of its entries by the bound values of the
+statement's indexable selection attributes
 (:mod:`repro.dssp.predicate_index`), so the invalidation engine can ask
 for the *candidate* entries an update's pinned values could touch instead
 of sweeping the whole bucket.  The posting lists are maintained through
@@ -100,16 +101,12 @@ class ViewCache:
     Args:
         capacity: Max resident entries (None = unbounded); LRU eviction.
         stats: Optional node counters; eviction work is recorded there.
-        predicate_index: Maintain per-bucket posting lists of bound
-            selection-attribute values (requires :meth:`register_indexer`
-            per application before its entries are admitted).
     """
 
     def __init__(
         self,
         capacity: int | None = None,
         stats: DsspStats | None = None,
-        predicate_index: bool = False,
     ) -> None:
         #: Entries in recency order: least recently used first.
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
@@ -117,10 +114,9 @@ class ViewCache:
         self._app_keys: dict[str, set[str]] = {}
         self._capacity = capacity
         self._stats = stats
-        #: None = feature off; else (app, template) → posting lists.
-        self._predicate: dict[tuple[str, str], _PredicateBucket] | None = (
-            {} if predicate_index else None
-        )
+        #: (app, template) → posting lists, for buckets whose application
+        #: has a registered indexer and whose template it accepts.
+        self._predicate: dict[tuple[str, str], _PredicateBucket] = {}
         self._indexers: dict[str, PredicateIndexer] = {}
         #: key → postings to retract on removal: None for always-candidates,
         #: else ((attr, value-or-_NULL), ...).
@@ -130,13 +126,12 @@ class ViewCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def predicate_index_enabled(self) -> bool:
-        """True if this cache maintains the predicate index."""
-        return self._predicate is not None
-
     def register_indexer(self, app_id: str, indexer: PredicateIndexer) -> None:
-        """Attach one application's template analysis to the index."""
+        """Attach one application's template analysis to the index.
+
+        Entries of the application admitted before this call stay
+        unaccounted, which keeps their buckets on the sweep.
+        """
         self._indexers[app_id] = indexer
 
     def index_postings(self) -> int:
@@ -198,15 +193,13 @@ class ViewCache:
     ) -> list[CacheEntry] | None:
         """Entries of a bucket an update with these pins could affect.
 
-        Returns None when the index cannot answer authoritatively (feature
-        off, template refused, entries unaccounted, or no indexed attribute
-        pinned by the update) — the caller must sweep the bucket.  A
-        non-None answer is *exact* with respect to the engine's decision
-        procedure: every omitted entry is provably independent of any
-        update carrying these pins.
+        Returns None when the index cannot answer authoritatively (no
+        indexer registered, template refused, entries unaccounted, or no
+        indexed attribute pinned by the update) — the caller must sweep
+        the bucket.  A non-None answer is *exact* with respect to the
+        engine's decision procedure: every omitted entry is provably
+        independent of any update carrying these pins.
         """
-        if self._predicate is None:
-            return None
         keys = self._buckets.get((app_id, template_name))
         if not keys:
             return []
@@ -301,8 +294,7 @@ class ViewCache:
         self._entries.clear()
         self._buckets.clear()
         self._app_keys.clear()
-        if self._predicate is not None:
-            self._predicate.clear()
+        self._predicate.clear()
         self._postings.clear()
         self._posting_count = 0
 
@@ -313,7 +305,7 @@ class ViewCache:
             (entry.app_id, entry.template_name), set()
         ).add(entry.key)
         self._app_keys.setdefault(entry.app_id, set()).add(entry.key)
-        if self._predicate is not None and entry.template_name is not None:
+        if entry.template_name is not None:
             self._index_predicate(entry)
 
     def _index_predicate(self, entry: CacheEntry) -> None:
@@ -324,7 +316,6 @@ class ViewCache:
         attrs = indexer.query_attributes(entry.template_name)
         if attrs is None:
             return  # refused template (aggregation/group-by/...): sweep
-        assert self._predicate is not None
         posting = self._predicate.get((entry.app_id, entry.template_name))
         if posting is None:
             posting = _PredicateBucket(attrs=attrs)
@@ -375,7 +366,6 @@ class ViewCache:
         if entry.key not in self._postings:
             return
         record = self._postings.pop(entry.key)
-        assert self._predicate is not None
         bucket_id = (entry.app_id, entry.template_name)
         posting = self._predicate.get(bucket_id)
         if posting is None:  # pragma: no cover - postings imply a bucket

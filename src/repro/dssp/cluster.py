@@ -53,7 +53,6 @@ class DsspCluster:
         nodes: int = 2,
         cache_capacity: int | None = None,
         use_integrity_constraints: bool = True,
-        predicate_index: bool = False,
     ) -> None:
         if nodes < 1:
             raise CacheError("a cluster needs at least one node")
@@ -62,7 +61,6 @@ class DsspCluster:
             DsspNode(
                 cache_capacity=cache_capacity,
                 use_integrity_constraints=use_integrity_constraints,
-                predicate_index=predicate_index,
             )
             for _ in range(nodes)
         ]
@@ -183,13 +181,11 @@ class ShardedDsspCluster:
         cache_capacity: int | None = None,
         use_integrity_constraints: bool = True,
         vnodes: int = DEFAULT_VNODES,
-        predicate_index: bool = False,
     ) -> None:
         if nodes < 1:
             raise CacheError("a cluster needs at least one shard")
         self._capacity = cache_capacity
         self._use_constraints = use_integrity_constraints
-        self._predicate_index = predicate_index
         self.ring = HashRing(vnodes=vnodes)
         self._shards: dict[str, DsspNode] = {}
         self._homes: dict[str, HomeServer] = {}
@@ -205,7 +201,6 @@ class ShardedDsspCluster:
         node = DsspNode(
             cache_capacity=self._capacity,
             use_integrity_constraints=self._use_constraints,
-            predicate_index=self._predicate_index,
         )
         for home in self._homes.values():
             node.register_application(home)

@@ -28,7 +28,7 @@ from repro.analysis.exposure import ExposureLevel
 from repro.analysis.independence import statement_independent
 from repro.crypto.envelope import UpdateEnvelope
 from repro.dssp.cache import CacheEntry, ViewCache
-from repro.dssp.predicate_index import update_pinned_values
+from repro.dssp.predicate_index import Attr, update_pinned_values
 from repro.dssp.stats import DsspStats
 from repro.dssp.view_checks import view_allows_skip
 from repro.templates.classify import is_ignorable
@@ -72,13 +72,11 @@ class InvalidationEngine:
         registry: TemplateRegistry,
         use_integrity_constraints: bool = True,
         equality_only_independence: bool = False,
-        predicate_index: bool = False,
     ) -> None:
         self._registry = registry
         self._schema = registry.schema
         self._use_constraints = use_integrity_constraints
         self._equality_only = equality_only_independence
-        self._predicate_index = predicate_index
         #: Which path served the most recent ``process_update`` call:
         #: ``indexed`` (every stmt-visible bucket answered from candidate
         #: lists), ``sweep`` (full bucket scans / bucket drops only),
@@ -133,6 +131,12 @@ class InvalidationEngine:
         total = 0
         update_name = envelope.template_name
         assert update_name is not None
+        # The index lookup key, shared by every bucket of this update.
+        pinned = (
+            update_pinned_values(envelope.statement)
+            if envelope.statement is not None
+            else None
+        )
         for bucket_name in cache.bucket_names(app_id):
             if bucket_name is None:
                 # Blind query entries: template unknown → must invalidate.
@@ -146,7 +150,7 @@ class InvalidationEngine:
             if not self._invalidates_at_template_level(update_name, bucket_name):
                 continue
             total += self._process_bucket(
-                envelope, cache, app_id, bucket_name, stats
+                envelope, cache, app_id, bucket_name, pinned, stats
             )
         if self._used_index:
             self.last_path = "mixed" if self._used_sweep else "indexed"
@@ -160,9 +164,10 @@ class InvalidationEngine:
         cache: ViewCache,
         app_id: str,
         bucket_name: str,
+        pinned: dict[Attr, frozenset] | None,
         stats: DsspStats | None,
     ) -> int:
-        if not envelope.statement_visible:
+        if pinned is None:
             # Update at 'template' exposure: entry A governs every pair.
             count = cache.invalidate_bucket(app_id, bucket_name)
             if stats is not None:
@@ -170,33 +175,25 @@ class InvalidationEngine:
             self._used_sweep = True
             return count
 
-        update_statement = envelope.statement
-        assert update_statement is not None
+        # Visit only the entries whose bound selection values the update's
+        # pins could touch.  A non-candidate provably survives
+        # ``statement_independent``, so the invalidated set is identical
+        # to the bucket sweep's — which is what runs when the index
+        # declines to answer (refused template, unpinned attribute,
+        # unaccounted entries, no indexer).
+        candidates = cache.predicate_candidates(app_id, bucket_name, pinned)
         entries: Iterable[CacheEntry]
-        if self._predicate_index:
-            # Predicate-index fast path: visit only the entries whose
-            # bound selection values the update's pins could touch.  A
-            # non-candidate provably survives ``statement_independent``,
-            # so the invalidated set is identical to the bucket sweep's.
-            if stats is not None:
-                stats.index_lookups += 1
-            candidates = cache.predicate_candidates(
-                app_id, bucket_name, update_pinned_values(update_statement)
-            )
-            if candidates is None:
-                self._used_sweep = True
-                entries = cache.bucket(app_id, bucket_name)
-            else:
-                self._used_index = True
-                if stats is not None:
-                    stats.index_narrowed += (
-                        cache.bucket_size(app_id, bucket_name)
-                        - len(candidates)
-                    )
-                entries = candidates
-        else:
+        if candidates is None:
             self._used_sweep = True
             entries = cache.bucket(app_id, bucket_name)
+        else:
+            self._used_index = True
+            if stats is not None:
+                stats.index_lookups += 1
+                stats.index_narrowed += (
+                    cache.bucket_size(app_id, bucket_name) - len(candidates)
+                )
+            entries = candidates
         victims: list[str] = []
         for entry in entries:
             if self._entry_survives(envelope, entry, stats):

@@ -125,15 +125,10 @@ class PredicateIndexer:
             from, so the index never sees more than the DSSP already may.
     """
 
-    #: Bound on the per-statement extraction memo (statements are shared
-    #: objects via the template bind memo, so identity keying is stable).
-    MEMO_LIMIT = 8192
-
     def __init__(self, registry: TemplateRegistry) -> None:
         self._registry = registry
         self._schema = registry.schema
         self._attrs: dict[str, frozenset[Attr] | None] = {}
-        self._values_memo: dict[int, tuple] = {}
 
     def query_attributes(self, template_name: str) -> frozenset[Attr] | None:
         """Indexable attributes of one query template; None = refused.
@@ -168,18 +163,6 @@ class PredicateIndexer:
         attrs = self.query_attributes(template_name)
         if attrs is None:
             return None
-        hit = self._values_memo.get(id(statement))
-        if hit is not None and hit[0] is statement:
-            return hit[1]
-        values = self._extract(attrs, statement)
-        if len(self._values_memo) >= self.MEMO_LIMIT:
-            self._values_memo.clear()
-        self._values_memo[id(statement)] = (statement, values)
-        return values
-
-    def _extract(
-        self, attrs: frozenset[Attr], statement: Select
-    ) -> dict[Attr, frozenset[Scalar]] | None:
         scope = {ref.binding: ref.name for ref in statement.tables}
         per_binding: dict[tuple[str, str], set[Scalar]] = {}
         for comparison in statement.where:
@@ -216,10 +199,6 @@ class PredicateIndexer:
         return values
 
 
-_PINNED_MEMO_LIMIT = 8192
-_pinned_memo: dict[int, tuple] = {}
-
-
 def update_pinned_values(
     statement: Insert | Delete | Update,
 ) -> dict[Attr, frozenset[Scalar]]:
@@ -235,19 +214,6 @@ def update_pinned_values(
     Columns without an equality pin are absent — an update unconstrained
     on an indexed attribute makes that attribute unusable for narrowing.
     """
-    hit = _pinned_memo.get(id(statement))
-    if hit is not None and hit[0] is statement:
-        return hit[1]
-    pinned = _compute_pinned_values(statement)
-    if len(_pinned_memo) >= _PINNED_MEMO_LIMIT:
-        _pinned_memo.clear()
-    _pinned_memo[id(statement)] = (statement, pinned)
-    return pinned
-
-
-def _compute_pinned_values(
-    statement: Insert | Delete | Update,
-) -> dict[Attr, frozenset[Scalar]]:
     table = statement.table
     if isinstance(statement, Insert):
         return {

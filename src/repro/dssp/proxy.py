@@ -61,17 +61,11 @@ class DsspNode:
         cache_capacity: int | None = None,
         use_integrity_constraints: bool = True,
         equality_only_independence: bool = False,
-        predicate_index: bool = False,
     ) -> None:
         self.stats = DsspStats()
-        self.cache = ViewCache(
-            capacity=cache_capacity,
-            stats=self.stats,
-            predicate_index=predicate_index,
-        )
+        self.cache = ViewCache(capacity=cache_capacity, stats=self.stats)
         self._use_constraints = use_integrity_constraints
         self._equality_only = equality_only_independence
-        self._predicate_index = predicate_index
         self._tenants: dict[str, _Tenant] = {}
 
     # -- tenancy -------------------------------------------------------------
@@ -83,10 +77,10 @@ class DsspNode:
         if home.app_id in self._tenants:
             raise CacheError(f"application {home.app_id!r} already registered")
         resolved = registry or home.registry
-        engine = self._build_engine(resolved)
-        if self._predicate_index:
-            self.cache.register_indexer(home.app_id, PredicateIndexer(resolved))
-        self._tenants[home.app_id] = _Tenant(engine=engine, home=home)
+        self.cache.register_indexer(home.app_id, PredicateIndexer(resolved))
+        self._tenants[home.app_id] = _Tenant(
+            engine=self._build_engine(resolved), home=home
+        )
 
     def register_remote(self, app_id: str, registry: TemplateRegistry) -> None:
         """Attach an application whose home server is across the network.
@@ -97,8 +91,7 @@ class DsspNode:
         """
         if app_id in self._tenants:
             raise CacheError(f"application {app_id!r} already registered")
-        if self._predicate_index:
-            self.cache.register_indexer(app_id, PredicateIndexer(registry))
+        self.cache.register_indexer(app_id, PredicateIndexer(registry))
         self._tenants[app_id] = _Tenant(engine=self._build_engine(registry))
 
     def is_registered(self, app_id: str) -> bool:
@@ -110,7 +103,6 @@ class DsspNode:
             registry,
             use_integrity_constraints=self._use_constraints,
             equality_only_independence=self._equality_only,
-            predicate_index=self._predicate_index,
         )
 
     def _tenant(self, app_id: str) -> _Tenant:

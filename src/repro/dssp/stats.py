@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["DsspStats"]
 
@@ -26,8 +26,8 @@ class DsspStats:
     invalidation_checks: int = 0
     #: Entries dropped by capacity eviction (not by invalidation).
     evictions: int = 0
-    #: Predicate-index consultations during invalidation (one per
-    #: stmt-visible bucket the engine processed with the index enabled).
+    #: Bucket visits the predicate index answered during invalidation; a
+    #: lookup it declines runs the sweep and is not counted.
     index_lookups: int = 0
     #: Entries the predicate index excused from a per-entry decision
     #: (bucket size minus candidate count, summed over indexed lookups).
@@ -67,24 +67,20 @@ class DsspStats:
         or parameters, so the snapshot is safe to export at any exposure
         level.
         """
-        return {
+        # The derived rates sit right after the two counters they come
+        # from; every other field follows in declaration order.
+        snapshot: dict = {
             "hits": self.hits,
             "misses": self.misses,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
-            "updates": self.updates,
-            "invalidations": self.invalidations,
-            "invalidation_checks": self.invalidation_checks,
-            "evictions": self.evictions,
-            "index_lookups": self.index_lookups,
-            "index_narrowed": self.index_narrowed,
-            "lookup_time_s": self.lookup_time_s,
-            "invalidation_time_s": self.invalidation_time_s,
-            "eviction_time_s": self.eviction_time_s,
-            "per_query_invalidations": dict(
-                sorted(self.per_query_invalidations.items())
-            ),
         }
+        for spec in fields(self):
+            snapshot.setdefault(spec.name, getattr(self, spec.name))
+        snapshot["per_query_invalidations"] = dict(
+            sorted(self.per_query_invalidations.items())
+        )
+        return snapshot
 
     def register_metrics(self, registry) -> None:
         """Export the live counters as callable gauges on ``registry``.
@@ -97,39 +93,29 @@ class DsspStats:
         registry.gauge("dssp.hit_rate", lambda: self.hit_rate)
         registry.gauge("dssp.updates", lambda: self.updates)
         registry.gauge("dssp.invalidations", lambda: self.invalidations)
+        registry.gauge(
+            "dssp.invalidation_checks", lambda: self.invalidation_checks
+        )
         registry.gauge("dssp.evictions", lambda: self.evictions)
         registry.gauge("dssp.index_lookups", lambda: self.index_lookups)
         registry.gauge("dssp.index_narrowed", lambda: self.index_narrowed)
 
     def merge(self, other: "DsspStats") -> None:
         """Add another node's counters into this one (fleet aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.updates += other.updates
-        self.invalidations += other.invalidations
-        self.invalidation_checks += other.invalidation_checks
-        self.evictions += other.evictions
-        self.index_lookups += other.index_lookups
-        self.index_narrowed += other.index_narrowed
-        self.lookup_time_s += other.lookup_time_s
-        self.invalidation_time_s += other.invalidation_time_s
-        self.eviction_time_s += other.eviction_time_s
-        for name, count in other.per_query_invalidations.items():
-            self.per_query_invalidations[name] = (
-                self.per_query_invalidations.get(name, 0) + count
-            )
+        for spec in fields(self):
+            value = getattr(other, spec.name)
+            if isinstance(value, dict):
+                mine = getattr(self, spec.name)
+                for name, count in value.items():
+                    mine[name] = mine.get(name, 0) + count
+            else:
+                setattr(self, spec.name, getattr(self, spec.name) + value)
 
     def reset(self) -> None:
         """Zero all counters (e.g. between benchmark phases)."""
-        self.hits = 0
-        self.misses = 0
-        self.updates = 0
-        self.invalidations = 0
-        self.invalidation_checks = 0
-        self.evictions = 0
-        self.index_lookups = 0
-        self.index_narrowed = 0
-        self.lookup_time_s = 0.0
-        self.invalidation_time_s = 0.0
-        self.eviction_time_s = 0.0
-        self.per_query_invalidations.clear()
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, dict):
+                value.clear()
+            else:
+                setattr(self, spec.name, spec.default)

@@ -198,7 +198,6 @@ class ChaosTopology:
         db_path=None,
         trace_dir=None,
         trace_sample: float = 1.0,
-        predicate_index: bool = False,
     ) -> None:
         if nodes < 1:
             raise WorkloadError("chaos topology needs at least one node")
@@ -243,10 +242,8 @@ class ChaosTopology:
         self.dedup = UpdateDedup()
         self.home_net: HomeNetServer | None = None
         self.home_port: int = 0
-        self.predicate_index = predicate_index
         self.handles = [
-            _NodeHandle(f"dssp-{i}", DsspNode(predicate_index=predicate_index))
-            for i in range(nodes)
+            _NodeHandle(f"dssp-{i}", DsspNode()) for i in range(nodes)
         ]
         #: Sharded mode: the nodes form a consistent-hash cluster, each
         #: admitting only keys it owns, and the home narrows invalidation
@@ -807,7 +804,6 @@ async def run_chaos(
     db_path=None,
     trace_dir=None,
     trace_sample: float = 1.0,
-    predicate_index: bool = False,
 ) -> tuple[OracleReport, ChaosLog]:
     """Build a chaos topology, replay the trace, and tear everything down.
 
@@ -832,7 +828,6 @@ async def run_chaos(
         db_path=db_path,
         trace_dir=trace_dir,
         trace_sample=trace_sample,
-        predicate_index=predicate_index,
     )
     await topology.start()
     try:

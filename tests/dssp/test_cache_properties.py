@@ -12,7 +12,9 @@ entry points.  The invariants checked after every step:
 * capacity is never exceeded and eviction follows access order (any
   divergence from true LRU shows up as a membership mismatch against the
   model);
-* ``invalidate_*`` return counts equal the number of entries dropped.
+* ``invalidate_*`` return counts equal the number of entries dropped;
+* the predicate index's posting count equals the postings recomputed from
+  the resident entries (``app-a`` has an indexer, ``app-b`` none).
 """
 
 from collections import OrderedDict
@@ -29,11 +31,15 @@ from hypothesis.stateful import (
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.envelope import QueryEnvelope, ResultEnvelope
 from repro.dssp.cache import ViewCache
+from repro.dssp.predicate_index import PredicateIndexer
 from repro.dssp.stats import DsspStats
+
+from tests.dssp.index_utils import REGISTRY, assert_index_consistent
 
 KEYS = tuple(f"key-{i}" for i in range(12))
 APPS = ("app-a", "app-b")
-TEMPLATES = (None, "Q1", "Q2", "Q3")
+#: Blind, one pinned attribute, two (one sometimes NULL), refused aggregate.
+TEMPLATES = (None, "point", "multi", "total")
 
 keys = st.sampled_from(KEYS)
 apps = st.sampled_from(APPS)
@@ -41,11 +47,23 @@ templates = st.sampled_from(TEMPLATES)
 
 
 def _put_args(app: str, key: str, template: str | None):
+    # A key fixes its statement, as a real cache key does; every fourth
+    # key hides it (an entry admitted at ``template`` exposure).
+    number = sum(key.encode())
+    params = {
+        "point": [number],
+        "multi": ["xy"[number % 2], ("a", "b", None)[number % 3]],
+        "total": ["a"],
+    }.get(template)
+    statement = None
+    if params is not None and number % 4 != 3:
+        statement = REGISTRY.query(template).bind(params).select
     envelope = QueryEnvelope(
         app_id=app,
         level=ExposureLevel.STMT,
         cache_key=key,
         template_name=template,
+        statement=statement,
     )
     return envelope, ResultEnvelope(app_id=app, ciphertext=b"sealed")
 
@@ -56,6 +74,8 @@ class CacheMachine(RuleBasedStateMachine):
         self.capacity = capacity
         self.stats = DsspStats()
         self.cache = ViewCache(capacity=capacity, stats=self.stats)
+        self.indexer = PredicateIndexer(REGISTRY)
+        self.cache.register_indexer("app-a", self.indexer)
         #: key → (app, template) in recency order (LRU first).
         self.model: OrderedDict[str, tuple[str, str | None]] = OrderedDict()
         self.model_evictions = 0
@@ -154,6 +174,20 @@ class CacheMachine(RuleBasedStateMachine):
     @invariant()
     def eviction_counter_matches_model(self):
         assert self.stats.evictions == self.model_evictions
+
+    @invariant()
+    def postings_match_resident_entries(self):
+        expected = 0
+        for entry in self.cache.entries_for_app("app-a"):
+            name = entry.template_name
+            if name is None or self.indexer.query_attributes(name) is None:
+                continue  # blind or refused bucket: unindexed
+            values = entry.statement and self.indexer.entry_values(
+                name, entry.statement
+            )
+            expected += sum(map(len, values.values())) if values else 1
+        assert self.cache.index_postings() == expected
+        assert_index_consistent(self.cache)
 
 
 TestCacheProperties = CacheMachine.TestCase

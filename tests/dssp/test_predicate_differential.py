@@ -1,10 +1,10 @@
 """Differential traces: the predicate index changes cost, never behavior.
 
 Every example application replays the identical workload through two
-nodes — index on vs index off — and the observable record must match
-exactly: same hits, same misses, same invalidations, and (spot-checked
-along the way) no stale read on either side.  The index is allowed to
-spend fewer per-entry decisions, never to diverge.
+nodes — indexed vs the sweep reference — and the observable record must
+match exactly: same hits, same misses, same invalidations, and
+(spot-checked along the way) no stale read on either side.  The index is
+allowed to spend fewer per-entry decisions, never to diverge.
 """
 
 from __future__ import annotations
@@ -16,29 +16,21 @@ import pytest
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.dssp import DsspNode, HomeServer, StrategyClass
-from repro.workloads import (
-    auction_spec,
-    bboard_spec,
-    bookstore_spec,
-    toystore_spec,
-)
+from repro.workloads import APPLICATIONS, toystore_spec
 
-_APPS = {
-    "auction": auction_spec,
-    "bboard": bboard_spec,
-    "bookstore": bookstore_spec,
-    "toystore": toystore_spec,
-}
+from tests.dssp.index_utils import sweep_reference
+
+_APPS = {**APPLICATIONS, "toystore": toystore_spec}
 
 
-def _deploy(app_name, strategy, predicate_index):
+def _deploy(app_name, strategy):
     spec = _APPS[app_name]()
     instance = spec.instantiate(scale=0.2, seed=1)
     policy = ExposurePolicy.uniform(spec.registry, strategy.exposure_level)
     home = HomeServer(
         app_name, instance.database, spec.registry, policy, Keyring(app_name)
     )
-    node = DsspNode(predicate_index=predicate_index)
+    node = DsspNode()
     node.register_application(home)
     return node, home, instance.sampler
 
@@ -71,9 +63,10 @@ def _replay(node, home, sampler, pages, seed, check_every=7):
     [StrategyClass.MSIS, StrategyClass.MVIS],
     ids=lambda s: s.name,
 )
-def test_index_on_off_identical_trace_behavior(app_name, strategy):
-    swept, home_off, sampler_off = _deploy(app_name, strategy, False)
-    indexed, home_on, sampler_on = _deploy(app_name, strategy, True)
+def test_indexed_and_swept_identical_trace_behavior(app_name, strategy):
+    swept, home_off, sampler_off = _deploy(app_name, strategy)
+    sweep_reference(swept)
+    indexed, home_on, sampler_on = _deploy(app_name, strategy)
     _replay(swept, home_off, sampler_off, pages=120, seed=9)
     _replay(indexed, home_on, sampler_on, pages=120, seed=9)
     assert indexed.stats.hits == swept.stats.hits
@@ -95,7 +88,7 @@ def test_index_on_off_identical_trace_behavior(app_name, strategy):
 def test_index_actually_narrows_somewhere():
     """At least one app/strategy pair shows real narrowing, or the index
     is dead weight and the benchmark's premise is false."""
-    node, home, sampler = _deploy("bookstore", StrategyClass.MSIS, True)
+    node, home, sampler = _deploy("bookstore", StrategyClass.MSIS)
     _replay(node, home, sampler, pages=120, seed=9)
     assert node.stats.index_narrowed > 0
     assert node.cache.index_postings() > 0

@@ -4,12 +4,12 @@ The predicate index replaces a correctness-critical decision: instead of
 running ``statement_independent`` over every entry of a bucket, the engine
 visits only the index's candidates.  Three invariants justify that:
 
-* **Soundness vs a trusted replay** — with the index on, every answer a
-  client receives equals fresh execution against the master database (the
+* **Soundness vs a trusted replay** — every answer a client of an indexed
+  node receives equals fresh execution against the master database (the
   paper's correctness definition, Section 2.2).  A retained-but-stale view
   would surface here.
 * **Equivalence vs the sweep** — after every single operation, an
-  index-on node and an index-off node driven by the identical stream hold
+  indexed node and its ``sweep_reference`` twin on the identical stream hold
   the *same* cache keys and have invalidated the same number of entries.
   The candidate set omits only entries the decision procedure would have
   retained anyway, so the two paths are observationally identical.
@@ -24,39 +24,28 @@ update kinds, so the fallback taxonomy is inside the tested space.
 
 from __future__ import annotations
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.exposure import ExposureLevel, ExposurePolicy
 from repro.analysis.independence import statement_independent
-from repro.crypto import Keyring
-from repro.dssp import DsspNode, HomeServer
 from repro.dssp.predicate_index import update_pinned_values
-from repro.schema import Column, ColumnType, Schema, TableSchema
-from repro.storage import Database
 from repro.templates import QueryTemplate, TemplateRegistry, UpdateTemplate
 
-_SCHEMA = Schema(
-    [
-        TableSchema(
-            "items",
-            (
-                Column("item_id", ColumnType.INTEGER),
-                Column("name", ColumnType.TEXT),
-                Column("category", ColumnType.TEXT),
-                Column("stock", ColumnType.INTEGER),
-            ),
-            primary_key=("item_id",),
-        )
-    ]
+from tests.dssp.index_utils import (
+    REGISTRY,
+    SCHEMA,
+    shop_node,
+    sweep_reference,
 )
 
+# The index suite's application plus a second MODIFY (``rename`` moves a
+# row between ``byname`` views) and an unfiltered aggregate.
 _REGISTRY = TemplateRegistry(
-    _SCHEMA,
+    SCHEMA,
     queries=[
-        QueryTemplate.from_sql(
-            "point", "SELECT stock FROM items WHERE item_id = ?"
-        ),
+        REGISTRY.query("point"),
         QueryTemplate.from_sql(
             "byname", "SELECT item_id, stock FROM items WHERE name = ?"
         ),
@@ -64,21 +53,11 @@ _REGISTRY = TemplateRegistry(
             "bycat",
             "SELECT item_id FROM items WHERE category = ? AND name = ?",
         ),
-        QueryTemplate.from_sql(
-            "instock", "SELECT item_id FROM items WHERE stock > ?"
-        ),
+        REGISTRY.query("instock"),
         QueryTemplate.from_sql("maxstock", "SELECT MAX(stock) FROM items"),
     ],
     updates=[
-        UpdateTemplate.from_sql(
-            "ins",
-            "INSERT INTO items (item_id, name, category, stock) "
-            "VALUES (?, ?, ?, ?)",
-        ),
-        UpdateTemplate.from_sql("del", "DELETE FROM items WHERE item_id = ?"),
-        UpdateTemplate.from_sql(
-            "setstock", "UPDATE items SET stock = ? WHERE item_id = ?"
-        ),
+        *REGISTRY.updates,  # ins, del, setstock
         UpdateTemplate.from_sql(
             "rename", "UPDATE items SET name = ? WHERE item_id = ?"
         ),
@@ -116,25 +95,12 @@ def _operations():
     return st.lists(st.one_of(query_op, update_op), min_size=1, max_size=30)
 
 
-def _build(predicate_index: bool, level=ExposureLevel.STMT):
-    db = Database(_SCHEMA)
-    db.load(
-        "items",
-        [
-            (i, ["a", "b", "c", None][i % 4], "xy"[i % 2], (i * 7) % 20)
-            for i in range(1, 13)
-        ],
-    )
-    home = HomeServer(
-        "shop",
-        db,
-        _REGISTRY,
-        ExposurePolicy.uniform(_REGISTRY, level),
-        Keyring("shop", b"s" * 32),
-    )
-    node = DsspNode(predicate_index=predicate_index)
-    node.register_application(home)
-    return node, home
+_ROWS = [
+    (i, ["a", "b", "c", None][i % 4], "xy"[i % 2], (i * 7) % 20)
+    for i in range(1, 13)
+]
+
+_build = partial(shop_node, _REGISTRY, _ROWS)
 
 
 def _drive(node, home, kind, params, inserted_ids):
@@ -162,7 +128,7 @@ class TestSoundnessVsTrustedReplay:
     @settings(max_examples=60, deadline=None)
     @given(operations=_operations())
     def test_indexed_node_never_serves_stale(self, operations):
-        node, home = _build(predicate_index=True)
+        node, home = _build()
         inserted: set[int] = set()
         for kind, params in operations:
             checked = _drive(node, home, kind, params, inserted)
@@ -179,8 +145,9 @@ class TestEquivalenceVsBucketSweep:
     @given(operations=_operations())
     def test_identical_cache_state_and_counts(self, operations):
         """Lockstep drive: after every op both nodes agree exactly."""
-        indexed, home_i = _build(predicate_index=True)
-        swept, home_s = _build(predicate_index=False)
+        indexed, home_i = _build()
+        swept, home_s = _build()
+        sweep_reference(swept)
         inserted_i: set[int] = set()
         inserted_s: set[int] = set()
         for kind, params in operations:
@@ -190,8 +157,8 @@ class TestEquivalenceVsBucketSweep:
             assert indexed.stats.invalidations == swept.stats.invalidations
         assert indexed.stats.hits == swept.stats.hits
         assert indexed.stats.misses == swept.stats.misses
-        # Precision: the index never *adds* work — per-entry decisions
-        # with the index on are a subset of the sweep's.
+        # Precision: the index never *adds* work — the indexed node's
+        # per-entry decisions are a subset of the sweep's.
         assert (
             indexed.stats.invalidation_checks
             <= swept.stats.invalidation_checks
@@ -206,7 +173,7 @@ class TestEquivalenceVsBucketSweep:
         against the resident bucket; each omitted entry must be one
         ``statement_independent`` itself would retain.
         """
-        node, home = _build(predicate_index=True)
+        node, home = _build()
         inserted: set[int] = set()
         for kind, params in operations:
             if kind in _QUERIES or kind == "ins" and params[0] in inserted:
@@ -229,7 +196,7 @@ class TestEquivalenceVsBucketSweep:
                         continue
                     assert entry.statement is not None
                     assert statement_independent(
-                        _SCHEMA, bound.statement, entry.statement
+                        SCHEMA, bound.statement, entry.statement
                     ), (
                         f"index omitted a dependent entry: update "
                         f"{bound.sql} vs cached {entry.statement}"

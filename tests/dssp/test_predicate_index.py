@@ -9,153 +9,71 @@ node join/leave with cold re-fill.
 
 from __future__ import annotations
 
-import pytest
+from functools import partial
 
-from repro.analysis.exposure import ExposureLevel, ExposurePolicy
-from repro.crypto import Keyring
-from repro.dssp import (
-    DsspNode,
-    HomeServer,
-    PredicateIndexer,
-    ShardedDsspCluster,
-)
+from repro.analysis.exposure import ExposureLevel
+from repro.dssp import PredicateIndexer, ShardedDsspCluster
 from repro.dssp.predicate_index import update_pinned_values
-from repro.schema import Column, ColumnType, Schema, TableSchema
-from repro.storage import Database
-from repro.templates import QueryTemplate, TemplateRegistry, UpdateTemplate
+from repro.templates import UpdateTemplate
 
-_SCHEMA = Schema(
-    [
-        TableSchema(
-            "items",
-            (
-                Column("item_id", ColumnType.INTEGER),
-                Column("name", ColumnType.TEXT),
-                Column("category", ColumnType.TEXT),
-                Column("stock", ColumnType.INTEGER),
-            ),
-            primary_key=("item_id",),
-        )
-    ]
-)
-
-_REGISTRY = TemplateRegistry(
-    _SCHEMA,
-    queries=[
-        QueryTemplate.from_sql(
-            "point", "SELECT stock FROM items WHERE item_id = ?"
-        ),
-        QueryTemplate.from_sql(
-            "byname", "SELECT item_id FROM items WHERE name = ?"
-        ),
-        QueryTemplate.from_sql(
-            "multi",
-            "SELECT item_id FROM items WHERE category = ? AND name = ?",
-        ),
-        QueryTemplate.from_sql(
-            "total", "SELECT SUM(stock) FROM items WHERE name = ?"
-        ),
-        QueryTemplate.from_sql(
-            "percat",
-            "SELECT category, COUNT(*) FROM items WHERE name = ? "
-            "GROUP BY category",
-        ),
-        QueryTemplate.from_sql(
-            "instock", "SELECT item_id FROM items WHERE stock > ?"
-        ),
-    ],
-    updates=[
-        UpdateTemplate.from_sql(
-            "ins",
-            "INSERT INTO items (item_id, name, category, stock) "
-            "VALUES (?, ?, ?, ?)",
-        ),
-        UpdateTemplate.from_sql("del", "DELETE FROM items WHERE item_id = ?"),
-        UpdateTemplate.from_sql(
-            "setstock", "UPDATE items SET stock = ? WHERE item_id = ?"
-        ),
-    ],
+from tests.dssp.index_utils import (
+    REGISTRY,
+    assert_index_consistent,
+    shop_home,
+    shop_node,
 )
 
 _ROWS = [(i, "abc"[i % 3], "xy"[i % 2], (i * 7) % 20) for i in range(1, 13)]
 
-
-def _build(level=ExposureLevel.STMT, capacity=None, policy=None):
-    db = Database(_SCHEMA)
-    db.load("items", list(_ROWS))
-    home = HomeServer(
-        "shop",
-        db,
-        _REGISTRY,
-        policy or ExposurePolicy.uniform(_REGISTRY, level),
-        Keyring("shop", b"s" * 32),
-    )
-    node = DsspNode(cache_capacity=capacity, predicate_index=True)
-    node.register_application(home)
-    return node, home
+_build = partial(shop_node, REGISTRY, _ROWS)
 
 
-def _query(node, home, name, params):
-    bound = _REGISTRY.query(name).bind(params)
+def _query(node, home, name, params, **route):
+    """Seal and send one query; ``route`` is a cluster's ``client_id=``."""
+    bound = REGISTRY.query(name).bind(params)
     return node.query(
-        home.codec.seal_query(bound, home.policy.query_level(name))
+        home.codec.seal_query(bound, home.policy.query_level(name)), **route
     )
 
 
-def _update(node, home, name, params):
-    bound = _REGISTRY.update(name).bind(params)
+def _update(node, home, name, params, **route):
+    bound = REGISTRY.update(name).bind(params)
     return node.update(
-        home.codec.seal_update(bound, home.policy.update_level(name))
+        home.codec.seal_update(bound, home.policy.update_level(name)), **route
     )
 
 
 def _pins(name, params):
-    return update_pinned_values(_REGISTRY.update(name).bind(params).statement)
-
-
-def _assert_index_consistent(cache):
-    """Postings cover only live keys and never exceed their buckets."""
-    assert cache._predicate is not None
-    assert set(cache._postings) <= set(cache._entries)
-    for (app, template), posting in cache._predicate.items():
-        keys = cache._buckets.get((app, template), set())
-        assert 0 < posting.size <= len(keys)
-        accounted = set(posting.always)
-        for by_value in posting.by_value.values():
-            for members in by_value.values():
-                accounted |= members
-        for members in posting.nulls.values():
-            accounted |= members
-        assert accounted <= set(keys)
+    return update_pinned_values(REGISTRY.update(name).bind(params).statement)
 
 
 class TestIndexerAnalysis:
     def test_point_and_byname_are_indexable(self):
-        indexer = PredicateIndexer(_REGISTRY)
+        indexer = PredicateIndexer(REGISTRY)
         assert indexer.query_attributes("point") == {("items", "item_id")}
         assert indexer.query_attributes("byname") == {("items", "name")}
 
     def test_multi_attribute_selection_indexes_both(self):
-        indexer = PredicateIndexer(_REGISTRY)
+        indexer = PredicateIndexer(REGISTRY)
         assert indexer.query_attributes("multi") == {
             ("items", "category"),
             ("items", "name"),
         }
 
     def test_aggregate_and_group_by_refused(self):
-        indexer = PredicateIndexer(_REGISTRY)
+        indexer = PredicateIndexer(REGISTRY)
         assert indexer.query_attributes("total") is None
         assert indexer.query_attributes("percat") is None
 
     def test_range_only_template_refused(self):
-        assert PredicateIndexer(_REGISTRY).query_attributes("instock") is None
+        assert PredicateIndexer(REGISTRY).query_attributes("instock") is None
 
     def test_unknown_template_refused(self):
-        assert PredicateIndexer(_REGISTRY).query_attributes("nope") is None
+        assert PredicateIndexer(REGISTRY).query_attributes("nope") is None
 
     def test_entry_values_extracts_bound_literals(self):
-        indexer = PredicateIndexer(_REGISTRY)
-        bound = _REGISTRY.query("multi").bind(["x", "b"])
+        indexer = PredicateIndexer(REGISTRY)
+        bound = REGISTRY.query("multi").bind(["x", "b"])
         values = indexer.entry_values("multi", bound.select)
         assert values == {
             ("items", "category"): frozenset({"x"}),
@@ -250,7 +168,7 @@ class TestFallbackTaxonomy:
         node, home = _build()
         node.cache._indexers.pop("shop")
         _query(node, home, "point", [1])
-        node.cache.register_indexer("shop", PredicateIndexer(_REGISTRY))
+        node.cache.register_indexer("shop", PredicateIndexer(REGISTRY))
         _query(node, home, "point", [2])
         assert (
             node.cache.predicate_candidates("shop", "point", _pins("del", [1]))
@@ -265,7 +183,7 @@ class TestIndexMaintenance:
             _query(node, home, "point", [item_id])
         assert len(node.cache) == 3
         assert node.cache.index_postings() == 3
-        _assert_index_consistent(node.cache)
+        assert_index_consistent(node.cache)
         # Narrowing still exact after churn: only the resident match.
         candidates = node.cache.predicate_candidates(
             "shop", "point", _pins("del", [6])
@@ -300,17 +218,15 @@ class TestIndexMaintenance:
         _update(node, home, "setstock", [9, 3])
         _query(node, home, "point", [3])
         assert node.cache.index_postings() == 1
-        _assert_index_consistent(node.cache)
+        assert_index_consistent(node.cache)
 
     def test_stats_and_span_path(self):
         node, home = _build()
         _query(node, home, "point", [1])
         _query(node, home, "point", [2])
         _update(node, home, "del", [1])
-        engine = node._tenants["shop"].engine
-        assert engine.last_path == "indexed"
-        assert node.stats.index_lookups >= 1
-        assert node.stats.index_narrowed >= 1
+        assert node._tenants["shop"].engine.last_path == "indexed"
+        assert node.stats.index_lookups == node.stats.index_narrowed == 1
         snapshot = node.stats.to_dict()
         assert snapshot["index_lookups"] == node.stats.index_lookups
         assert snapshot["index_narrowed"] == node.stats.index_narrowed
@@ -326,55 +242,32 @@ class TestIndexMaintenance:
 class TestShardedColdRefill:
     def _drive(self, cluster, home, pages=40):
         for i in range(pages):
-            _query_cluster(cluster, home, "point", [1 + i % 12], client=i)
-            _query_cluster(cluster, home, "byname", ["abc"[i % 3]], client=i)
+            _query(cluster, home, "point", [1 + i % 12], client_id=i)
+            _query(cluster, home, "byname", ["abc"[i % 3]], client_id=i)
             if i % 5 == 0:
-                bound = _REGISTRY.update("setstock").bind([i % 20, 1 + i % 12])
-                cluster.update(
-                    home.codec.seal_update(
-                        bound, home.policy.update_level("setstock")
-                    ),
-                    client_id=i,
-                )
+                pair = [i % 20, 1 + i % 12]
+                _update(cluster, home, "setstock", pair, client_id=i)
 
     def test_join_and_leave_keep_index_exact(self):
-        db = Database(_SCHEMA)
-        db.load("items", list(_ROWS))
-        home = HomeServer(
-            "shop",
-            db,
-            _REGISTRY,
-            ExposurePolicy.uniform(_REGISTRY, ExposureLevel.STMT),
-            Keyring("shop", b"s" * 32),
-        )
-        cluster = ShardedDsspCluster(nodes=2, predicate_index=True)
+        home = shop_home(REGISTRY, _ROWS)
+        cluster = ShardedDsspCluster(nodes=2)
         cluster.register_application(home)
         self._drive(cluster, home)
         joined = cluster.join()
         for shard_id in cluster.shard_ids:
-            _assert_index_consistent(cluster.shard(shard_id).cache)
+            assert_index_consistent(cluster.shard(shard_id).cache)
         self._drive(cluster, home)  # cold re-fill after the join
         assert cluster.total_cached_views() > 0
         cluster.leave(joined)
         self._drive(cluster, home)
         for shard_id in cluster.shard_ids:
-            _assert_index_consistent(cluster.shard(shard_id).cache)
+            assert_index_consistent(cluster.shard(shard_id).cache)
         # Answers stay fresh throughout membership churn.
         for item_id in range(1, 13):
-            bound = _REGISTRY.query("point").bind([item_id])
-            outcome = cluster.query(
-                home.codec.seal_query(
-                    bound, home.policy.query_level("point")
-                ),
-                client_id=item_id,
+            outcome = _query(
+                cluster, home, "point", [item_id], client_id=item_id
             )
             served = home.codec.open_result(outcome.result)
-            assert served.equivalent(home.database.execute(bound.select))
+            fresh = REGISTRY.query("point").bind([item_id]).select
+            assert served.equivalent(home.database.execute(fresh))
 
-
-def _query_cluster(cluster, home, name, params, client=0):
-    bound = _REGISTRY.query(name).bind(params)
-    return cluster.query(
-        home.codec.seal_query(bound, home.policy.query_level(name)),
-        client_id=client,
-    )

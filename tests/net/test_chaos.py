@@ -40,26 +40,26 @@ def make_trace() -> Trace:
     )
 
 
-def make_policy(registry) -> ExposurePolicy:
-    return ExposurePolicy.uniform(
-        registry, StrategyClass.MTIS.exposure_level
-    )
+def make_policy(registry, strategy=StrategyClass.MTIS) -> ExposurePolicy:
+    return ExposurePolicy.uniform(registry, strategy.exposure_level)
 
 
 async def run(
-    registry, database, plan, *, pages, clients=4, nodes=2, pipeline=None
+    registry, database, plan, *, pages, clients=4, nodes=2, pipeline=None,
+    shards=False, policy=None,
 ):
     return await run_chaos(
         "toystore",
         registry,
         database.clone(),
-        make_policy(registry),
+        policy or make_policy(registry),
         make_trace(),
         plan,
         nodes=nodes,
         clients=clients,
         pages=pages,
         pipeline=pipeline,
+        shards=shards,
     )
 
 
@@ -108,6 +108,23 @@ class TestChaosMatrix:
         assert report.kills == 2  # pages 3 (dssp-0) and 6 (home)
         kinds = log.counts()
         assert kinds.get("kill") == 2
+
+    @pytest.mark.parametrize("level", [StrategyClass.MSIS, StrategyClass.MVIS])
+    async def test_sharded_kills_with_visible_statements_never_violate(
+        self, level, simple_toystore, toystore_db
+    ):
+        # The one sharded kill-and-restart case, at the exposure levels
+        # where invalidation reads buckets through the index.
+        plan = FaultPlan.uniform(
+            404, 0.15, kill_every=4, kill_targets=("dssp-0",)
+        )
+        report, log = await run(
+            simple_toystore, toystore_db, plan, pages=12, shards=True,
+            policy=make_policy(simple_toystore, level),
+        )
+        assert report.ok, report.summary()
+        assert report.queries > 0 and report.updates > 0
+        assert len(log) > 0  # faults genuinely fired across the indexed path
 
     async def test_same_seed_gives_identical_run(
         self, simple_toystore, toystore_db

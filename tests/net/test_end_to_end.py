@@ -24,6 +24,7 @@ from repro.net import (
     RetryPolicy,
     WireClient,
 )
+from repro.obs.trace import SpanRecorder, SpanSink
 
 
 async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
@@ -38,7 +39,10 @@ async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
 class Topology:
     """home + 2 DSSP nodes + 2 clients, with a wire-byte observer."""
 
-    def __init__(self, registry, database, strategy: StrategyClass) -> None:
+    def __init__(
+        self, registry, database, strategy: StrategyClass, span_sink=None
+    ) -> None:
+        self.span_sink = span_sink
         self.wire_bytes: list[bytes] = []
         level = strategy.exposure_level
         self.policy = ExposurePolicy.uniform(registry, level)
@@ -62,6 +66,7 @@ class Topology:
                 node,
                 node_id=f"dssp-{index}",
                 frame_observer=self.wire_bytes.append,
+                tracer=SpanRecorder(f"dssp-{index}", self.span_sink),
             )
             server.register_application(
                 "toystore", self.registry, self.home_net.address
@@ -233,3 +238,29 @@ class TestEndToEnd:
                 lambda: top.dssp_nets[1].stream_pushes_applied == 1
             )
             assert top.dssp_nets[0].stream_pushes_applied == 0
+
+    @pytest.mark.parametrize("level", [StrategyClass.MSIS, StrategyClass.MVIS])
+    async def test_visible_update_reads_its_bucket_through_the_index(
+        self, level, simple_toystore, toystore_db
+    ):
+        """Default nodes behind a default home narrow a stmt-visible update
+        to the matching view; STATS and the span both say so."""
+        sink = SpanSink()
+        topology = Topology(simple_toystore, toystore_db.clone(), level, sink)
+        async with topology as top:
+            client = top.clients[0]
+            for toy_id in (5, 7):
+                bound = simple_toystore.query("Q2").bind([toy_id])
+                await client.query(top.seal_query(bound))
+            delete = simple_toystore.update("U1").bind([5])
+            ack = await client.update(top.seal_update(delete))
+            assert ack.invalidated == 1
+            gauges = (await client.stats())["metrics"]["gauges"]
+        assert gauges["dssp.index_narrowed"] == 1  # Q2(7) never visited
+        assert gauges["dssp.invalidation_checks"] == 2  # bucket + Q2(5)
+        paths = [
+            span.attrs["path"]
+            for span in sink.spans
+            if span.name == "dssp.invalidate" and span.node == "dssp-0"
+        ]
+        assert paths == ["indexed"]
