@@ -3,7 +3,7 @@
 One synthetic indexed table is bulk-loaded at two sizes into both
 backends; the benchmark then measures point-query, ordered-query, and
 strict-model update throughput with *distinct* pre-parsed statements (so
-the result memo cannot answer for the engine).  The JSON artifact
+no statement-keyed memo can answer for the engine).  The JSON artifact
 (``results/BENCH_backend_storage.json``) is committed and gated in CI by
 ``benchmarks/check_backend_storage.py`` — the headline claims being that
 SQLite bulk-loads a million-row master and that neither engine's

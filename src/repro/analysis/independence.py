@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.obs.memo import BoundedMemo, export_lru_cache
 from repro.schema.schema import Schema
 from repro.sql.ast import (
     ColumnRef,
@@ -201,11 +202,11 @@ def _single_table_constraints(
     return constraints
 
 
-_BINDING_MEMO_LIMIT = 8192
-#: (id(query), binding, table, id(schema)) → (query, schema, constraints).
-#: The query/schema objects ride along in the value so a recycled ``id()``
-#: can never alias a dead statement.
-_binding_memo: dict[tuple[int, str, str, int], tuple] = {}
+export_lru_cache("analysis.update_constraints", _single_table_constraints)
+
+#: Keyed on ``id(query)`` (pinned) and the schema itself, which hashes by
+#: identity and is kept alive by the key.
+_binding_memo = BoundedMemo("analysis.binding_constraints", 8192)
 
 
 def _binding_constraints(
@@ -219,15 +220,15 @@ def _binding_constraints(
     avoids hashing whole ASTs on the invalidation hot path.  Callers must
     treat the returned map (and its constraints) as read-only.
     """
-    key = (id(query), binding, table_name, id(schema))
-    hit = _binding_memo.get(key)
-    if hit is not None and hit[0] is query and hit[1] is schema:
-        return hit[2]
-    constraints = _compute_binding_constraints(query, binding, table_name, schema)
-    if len(_binding_memo) >= _BINDING_MEMO_LIMIT:
-        _binding_memo.clear()
-    _binding_memo[key] = (query, schema, constraints)
-    return constraints
+    return _binding_memo.get_pinned(
+        (id(query), binding, table_name, schema),
+        query,
+        _compute_binding_constraints,
+        query,
+        binding,
+        table_name,
+        schema,
+    )
 
 
 def _compute_binding_constraints(
@@ -308,8 +309,7 @@ def _merge_satisfiable(
     return all(c.satisfiable() for c in merged.values())
 
 
-_STRIP_MEMO_LIMIT = 8192
-_strip_memo: dict[int, tuple] = {}
+_strip_memo = BoundedMemo("analysis.strip_range", 8192)
 
 
 def _strip_range_predicates(statement):
@@ -321,14 +321,9 @@ def _strip_range_predicates(statement):
     variants are themselves shared objects and downstream identity-keyed
     caches keep working in ``equality_only`` mode.
     """
-    hit = _strip_memo.get(id(statement))
-    if hit is not None and hit[0] is statement:
-        return hit[1]
-    stripped = _compute_strip_range_predicates(statement)
-    if len(_strip_memo) >= _STRIP_MEMO_LIMIT:
-        _strip_memo.clear()
-    _strip_memo[id(statement)] = (statement, stripped)
-    return stripped
+    return _strip_memo.get_pinned(
+        id(statement), statement, _compute_strip_range_predicates, statement
+    )
 
 
 def _compute_strip_range_predicates(statement):
@@ -393,8 +388,7 @@ def statement_independent(
     return True
 
 
-_ROW_MEMO_LIMIT = 4096
-_row_memo: dict[int, tuple] = {}
+_row_memo = BoundedMemo("analysis.insert_row", 4096)
 
 
 def _insert_row(update: Insert) -> dict[str, Scalar]:
@@ -403,14 +397,11 @@ def _insert_row(update: Insert) -> dict[str, Scalar]:
     One insert is checked against every entry in its bucket; the row map
     is the same each time.
     """
-    hit = _row_memo.get(id(update))
-    if hit is not None and hit[0] is update:
-        return hit[1]
-    row = dict(zip(update.columns, (v.value for v in update.values)))  # type: ignore[union-attr]
-    if len(_row_memo) >= _ROW_MEMO_LIMIT:
-        _row_memo.clear()
-    _row_memo[id(update)] = (update, row)
-    return row
+    return _row_memo.get_pinned(id(update), update, _compute_insert_row, update)
+
+
+def _compute_insert_row(update: Insert) -> dict[str, Scalar]:
+    return dict(zip(update.columns, (v.value for v in update.values)))  # type: ignore[union-attr]
 
 
 def _insert_misses_binding(

@@ -17,6 +17,7 @@ import hashlib
 import hmac
 
 from repro.errors import CryptoError
+from repro.obs.memo import BoundedMemo
 
 __all__ = ["encrypt", "decrypt", "SIV_LEN"]
 
@@ -26,21 +27,14 @@ SIV_LEN = 16
 #: Derived (mac, enc) subkey pairs per master key.  Key derivation costs
 #: two HMAC invocations and the same handful of master keys is used for
 #: every envelope of an application, so the schedule is computed once.
-_KEY_SCHEDULE: dict[bytes, tuple[bytes, bytes]] = {}
-_KEY_SCHEDULE_LIMIT = 1024
+_KEY_SCHEDULE = BoundedMemo("crypto.key_schedule", 1024)
 
 
-def _split_key(key: bytes) -> tuple[bytes, bytes]:
-    schedule = _KEY_SCHEDULE.get(key)
-    if schedule is not None:
-        return schedule
+def _derive_subkeys(key: bytes) -> tuple[bytes, bytes]:
     if len(key) < 16:
         raise CryptoError("key must be at least 16 bytes")
     mac_key = hmac.new(key, b"mac", hashlib.sha256).digest()
     enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
-    if len(_KEY_SCHEDULE) >= _KEY_SCHEDULE_LIMIT:
-        _KEY_SCHEDULE.clear()
-    _KEY_SCHEDULE[key] = (mac_key, enc_key)
     return mac_key, enc_key
 
 
@@ -61,7 +55,7 @@ def _keystream(enc_key: bytes, siv: bytes, length: int) -> bytes:
 
 def encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Deterministically encrypt ``plaintext`` under ``key``."""
-    mac_key, enc_key = _split_key(key)
+    mac_key, enc_key = _KEY_SCHEDULE.get(key, _derive_subkeys, key)
     siv = hmac.new(mac_key, plaintext, hashlib.sha256).digest()[:SIV_LEN]
     stream = _keystream(enc_key, siv, len(plaintext))
     return siv + _xor(plaintext, stream)
@@ -76,7 +70,7 @@ def decrypt(key: bytes, token: bytes) -> bytes:
     """
     if len(token) < SIV_LEN:
         raise CryptoError("token too short")
-    mac_key, enc_key = _split_key(key)
+    mac_key, enc_key = _KEY_SCHEDULE.get(key, _derive_subkeys, key)
     siv, ciphertext = token[:SIV_LEN], token[SIV_LEN:]
     stream = _keystream(enc_key, siv, len(ciphertext))
     plaintext = _xor(ciphertext, stream)

@@ -28,6 +28,7 @@ from repro.analysis.exposure import ExposureLevel
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.keyring import Keyring, Purpose
 from repro.errors import CryptoError
+from repro.obs.memo import BoundedMemo
 from repro.sql.ast import Delete, Insert, Select, Update
 from repro.sql.parser import parse
 from repro.storage.rows import ResultSet
@@ -156,14 +157,12 @@ class EnvelopeCodec:
         self._statement_key = keyring.key_for(Purpose.STATEMENT)
         self._result_key = keyring.key_for(Purpose.RESULT)
         # Sealing is deterministic (SIV) and opening inverts it, so both
-        # are pure functions of (bound statement, level) / envelope
-        # identity — and web workloads re-seal the same popular statements
-        # constantly.  BoundQuery/BoundUpdate hash by (template name,
-        # params), which keeps lookups cheap.
-        self._seal_query_memo: dict[tuple[BoundQuery, ExposureLevel], QueryEnvelope] = {}
-        self._seal_update_memo: dict[tuple[BoundUpdate, ExposureLevel], UpdateEnvelope] = {}
-        self._open_query_memo: dict[str, Select] = {}
-        self._open_update_memo: dict[str, Insert | Delete | Update] = {}
+        # are pure functions of their input — and web workloads re-seal
+        # and re-open the same popular queries constantly.  BoundQuery
+        # hashes by (template name, params), which keeps lookups cheap.
+        # Updates are sealed and opened once each: not memoized.
+        self._seal_query_memo = BoundedMemo("crypto.seal_query", self.MEMO_LIMIT)
+        self._open_query_memo = BoundedMemo("crypto.open_query", self.MEMO_LIMIT)
 
     @property
     def app_id(self) -> str:
@@ -174,15 +173,9 @@ class EnvelopeCodec:
 
     def seal_query(self, query: BoundQuery, level: ExposureLevel) -> QueryEnvelope:
         """Produce the DSSP-visible form of a bound query."""
-        memo_key = (query, level)
-        sealed = self._seal_query_memo.get(memo_key)
-        if sealed is not None:
-            return sealed
-        sealed = self._seal_query(query, level)
-        if len(self._seal_query_memo) >= self.MEMO_LIMIT:
-            self._seal_query_memo.clear()
-        self._seal_query_memo[memo_key] = sealed
-        return sealed
+        return self._seal_query_memo.get(
+            (query, level), self._seal_query, query, level
+        )
 
     def _seal_query(self, query: BoundQuery, level: ExposureLevel) -> QueryEnvelope:
         app = self.app_id
@@ -226,19 +219,6 @@ class EnvelopeCodec:
         """
         if level is ExposureLevel.VIEW:
             raise CryptoError("update envelopes have no 'view' level")
-        memo_key = (update, level)
-        sealed = self._seal_update_memo.get(memo_key)
-        if sealed is not None:
-            return sealed
-        sealed = self._seal_update(update, level)
-        if len(self._seal_update_memo) >= self.MEMO_LIMIT:
-            self._seal_update_memo.clear()
-        self._seal_update_memo[memo_key] = sealed
-        return sealed
-
-    def _seal_update(
-        self, update: BoundUpdate, level: ExposureLevel
-    ) -> UpdateEnvelope:
         app = self.app_id
         if level is ExposureLevel.STMT:
             return UpdateEnvelope(
@@ -311,25 +291,30 @@ class EnvelopeCodec:
         self._check_app(envelope.app_id)
         if envelope.statement is not None:
             return envelope.statement
-        # Deterministic sealing makes the cache key a stable identity for
-        # the underlying statement, so decrypt/re-bind work is memoizable.
-        cached = self._open_query_memo.get(envelope.cache_key)
-        if cached is not None:
-            return cached
+        # Keyed on the ciphertext itself — the bytes the SIV check
+        # authenticates on the miss — never on ``cache_key``, which is the
+        # sender's unauthenticated claim: an equal ciphertext opens to the
+        # same statement, a tampered one is a different key and is
+        # decrypted (and rejected) on every attempt.
+        if envelope.sealed_params is not None:
+            key = (envelope.template_name, envelope.sealed_params)
+        else:
+            key = envelope.sealed_statement
+        return self._open_query_memo.get(
+            key, self._open_sealed_query, envelope, registry
+        )
+
+    def _open_sealed_query(self, envelope: QueryEnvelope, registry) -> Select:
         if envelope.sealed_params is not None:
             assert envelope.template_name is not None
             params = self._decrypt_params(envelope.sealed_params)
             template = registry.query(envelope.template_name)
-            statement = template.bind(params).select
-        else:
-            assert envelope.sealed_statement is not None
-            sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
-            statement = parse(sql)
-            if not isinstance(statement, Select):
-                raise CryptoError("sealed query does not decode to a SELECT")
-        if len(self._open_query_memo) >= self.MEMO_LIMIT:
-            self._open_query_memo.clear()
-        self._open_query_memo[envelope.cache_key] = statement
+            return template.bind(params).select
+        assert envelope.sealed_statement is not None
+        sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
+        statement = parse(sql)
+        if not isinstance(statement, Select):
+            raise CryptoError("sealed query does not decode to a SELECT")
         return statement
 
     def open_update(self, envelope: UpdateEnvelope, registry):
@@ -341,23 +326,16 @@ class EnvelopeCodec:
         self._check_app(envelope.app_id)
         if envelope.statement is not None:
             return envelope.statement
-        cached = self._open_update_memo.get(envelope.opaque_id)
-        if cached is not None:
-            return cached
         if envelope.sealed_params is not None:
             assert envelope.template_name is not None
             params = self._decrypt_params(envelope.sealed_params)
             template = registry.update(envelope.template_name)
-            statement = template.bind(params).statement
-        else:
-            assert envelope.sealed_statement is not None
-            sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
-            statement = parse(sql)
-            if isinstance(statement, Select):
-                raise CryptoError("sealed update decodes to a SELECT")
-        if len(self._open_update_memo) >= self.MEMO_LIMIT:
-            self._open_update_memo.clear()
-        self._open_update_memo[envelope.opaque_id] = statement
+            return template.bind(params).statement
+        assert envelope.sealed_statement is not None
+        sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
+        statement = parse(sql)
+        if isinstance(statement, Select):
+            raise CryptoError("sealed update decodes to a SELECT")
         return statement
 
     def _check_app(self, app_id: str) -> None:

@@ -46,8 +46,7 @@ from repro.net.wire import (
     StatsRequest,
     StatsResponse,
 )
-from repro.obs import MetricsRegistry, SpanRecorder, envelope_context
-from repro.sql import parser as sql_parser
+from repro.obs import MetricsRegistry, SpanRecorder, envelope_context, memo
 
 __all__ = ["ConnectionContext", "WireServer"]
 
@@ -127,9 +126,7 @@ class WireServer:
         self.metrics.gauge(
             "server.connections", lambda: len(self._contexts)
         )
-        # Statement text is parsed at frame decode: report whether the
-        # parser's intern table pays on this node.
-        sql_parser.register_metrics(self.metrics)
+        memo.register_metrics(self.metrics)  # does each memo here pay?
 
     # -- lifecycle ---------------------------------------------------------
 

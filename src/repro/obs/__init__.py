@@ -13,7 +13,9 @@ Closes the loop between the analytic model and the live system:
   head-sampled, ambient per-task context, JSON-lines span logs;
 * :mod:`repro.obs.assemble` — joins the span logs of N nodes into trace
   trees and computes critical-path / per-phase breakdowns;
-* :mod:`repro.obs.prom` — Prometheus text exposition of snapshots.
+* :mod:`repro.obs.prom` — Prometheus text exposition of snapshots;
+* :mod:`repro.obs.memo` — the one bounded memo every layer uses, which
+  exports its own hits / misses / size / bound.
 
 Everything here obeys the service layer's exposure invariant: metric
 names, identifiers, and durations are exported — statement text,

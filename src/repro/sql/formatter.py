@@ -15,6 +15,7 @@ from decimal import Decimal
 from functools import lru_cache
 
 from repro.errors import UnsupportedSqlError
+from repro.obs.memo import export_lru_cache
 
 from repro.sql.ast import (
     Aggregate,
@@ -54,6 +55,9 @@ def to_sql(node: Statement) -> str:
     if isinstance(node, Update):
         return _format_update(node)
     raise TypeError(f"cannot format {type(node).__name__}")
+
+
+export_lru_cache("sql.to_sql", to_sql)
 
 
 def _format_value(value: Value) -> str:

@@ -37,6 +37,7 @@ the table.
 from __future__ import annotations
 
 from repro.errors import ParseError, UnsupportedSqlError
+from repro.obs.memo import BoundedMemo
 from repro.sql.ast import (
     Aggregate,
     AggregateFunc,
@@ -58,17 +59,12 @@ from repro.sql.ast import (
 )
 from repro.sql.lexer import Token, TokenType, tokenize
 
-__all__ = ["parse", "parse_query", "parse_update", "register_metrics"]
+__all__ = ["parse", "parse_query", "parse_update"]
 
 _AGG_KEYWORDS = {f.value for f in AggregateFunc}
 
-#: Bound on the intern table; like the repo's other memos it is dropped
-#: whole when full (a re-parse is cheap, LRU bookkeeping per hit is not).
-INTERN_LIMIT = 8192
-
-_interned: dict[str, Statement] = {}
-_intern_hits = 0
-_intern_misses = 0
+#: The intern table: source text -> AST.  Failures are never stored.
+_interned = BoundedMemo("sql.parse_intern", 8192)
 
 
 def parse(sql: str) -> Statement:
@@ -76,28 +72,11 @@ def parse(sql: str) -> Statement:
 
     Equal source texts return the *same* (immutable) AST object.
     """
-    global _intern_hits, _intern_misses
-    statement = _interned.get(sql)
-    if statement is not None:
-        _intern_hits += 1
-        return statement
-    _intern_misses += 1
-    statement = _Parser(sql).parse_statement()  # raises: nothing is stored
-    if len(_interned) >= INTERN_LIMIT:
-        _interned.clear()
-    _interned[sql] = statement
-    return statement
+    return _interned.get(sql, _parse_text, sql)
 
 
-def register_metrics(registry) -> None:
-    """Export the intern table's counters as callable gauges.
-
-    The table is per process, so every registry in a process reports the
-    same figures; ``misses`` counts texts that failed to parse as well.
-    """
-    registry.gauge("sql.parse_intern.hits", lambda: _intern_hits)
-    registry.gauge("sql.parse_intern.misses", lambda: _intern_misses)
-    registry.gauge("sql.parse_intern.size", lambda: len(_interned))
+def _parse_text(sql: str) -> Statement:
+    return _Parser(sql).parse_statement()
 
 
 def parse_query(sql: str) -> Select:

@@ -2,7 +2,7 @@
 
 The home server only needs a small surface from its database — execute a
 bound SELECT, apply a bound update, clone/snapshot for the oracle, a
-version stamp for memoization.  :class:`Backend` captures that surface;
+monotone version stamp.  :class:`Backend` captures that surface;
 :class:`InMemoryBackend` adapts the existing pure-Python engine and
 :class:`SqliteBackend` compiles the same dialect to stdlib SQLite for
 durable, million-row masters.  ``create_backend`` is the registry the CLI

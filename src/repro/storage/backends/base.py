@@ -4,7 +4,7 @@ A :class:`Backend` is exactly what the home server needs from its master
 database (duck-type compatible with :class:`~repro.storage.database.Database`):
 execute a bound SELECT to a :class:`~repro.storage.rows.ResultSet`, apply a
 bound update statement, bulk-load trusted rows, snapshot/clone for the
-oracle, and expose a monotone version stamp for result memoization.
+oracle, and expose a monotone version stamp.
 
 **Canonical ordering.**  The one place engines legitimately disagree is tie
 order under ORDER BY (and therefore *which* rows a LIMIT keeps when ties
@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ExecutionError
+from repro.obs.memo import BoundedMemo
 from repro.schema.schema import Schema
 from repro.sql.ast import Parameter, Select, Statement
 from repro.storage.rows import ResultSet, Row, sort_key
@@ -94,16 +95,11 @@ class CanonicalOrderer:
 
     Plans are memoized per statement identity (bound statements are shared
     objects — template binding is memoized), so the popular statements that
-    dominate a workload compile their core select once.  Keeping a strong
-    reference to the original statement pins its ``id`` for the lifetime of
-    the memo entry, making identity keys safe.
+    dominate a workload compile their core select once.
     """
 
-    #: Plan-memo entries kept before a wholesale clear.
-    PLAN_MEMO_LIMIT = 2048
-
     def __init__(self) -> None:
-        self._plans: dict[int, tuple[Select, _Plan]] = {}
+        self._plans = BoundedMemo("storage.order_plan", 2048)
 
     def execute(
         self, select: Select, run_core: Callable[[Select], ResultSet]
@@ -116,7 +112,7 @@ class CanonicalOrderer:
             return run_core(select)
         if isinstance(select.limit, Parameter):
             raise ExecutionError("unbound parameter in LIMIT")
-        plan = self._plan(select)
+        plan = self._plans.get_pinned(id(select), select, self._plan, select)
         result = run_core(plan.core)
         width = len(result.columns) - plan.strip
         if plan.positions is not None:
@@ -148,37 +144,29 @@ class CanonicalOrderer:
 
     # -- planning ------------------------------------------------------------
 
-    def _plan(self, select: Select) -> _Plan:
-        key = id(select)
-        hit = self._plans.get(key)
-        if hit is not None and hit[0] is select:
-            return hit[1]
+    @staticmethod
+    def _plan(select: Select) -> _Plan:
         if select.has_aggregate() or select.group_by:
-            plan = _Plan(
+            return _Plan(
                 core=replace(select, order_by=(), limit=None),
                 strip=0,
                 positions=None,
             )
-        else:
-            # Append the ORDER BY columns to the projection so the sort can
-            # read them, then strip that tail after sorting.  Appending even
-            # already-projected keys keeps the positions static regardless
-            # of how ``*`` expands.
-            extra = tuple(item.column for item in select.order_by)
-            plan = _Plan(
-                core=replace(
-                    select,
-                    items=select.items + extra,
-                    order_by=(),
-                    limit=None,
-                ),
-                strip=len(extra),
-                positions=tuple(range(-len(extra), 0)) if extra else (),
-            )
-        if len(self._plans) >= self.PLAN_MEMO_LIMIT:
-            self._plans.clear()
-        self._plans[key] = (select, plan)
-        return plan
+        # Append the ORDER BY columns to the projection so the sort can
+        # read them, then strip that tail after sorting.  Appending even
+        # already-projected keys keeps the positions static regardless
+        # of how ``*`` expands.
+        extra = tuple(item.column for item in select.order_by)
+        return _Plan(
+            core=replace(
+                select,
+                items=select.items + extra,
+                order_by=(),
+                limit=None,
+            ),
+            strip=len(extra),
+            positions=tuple(range(-len(extra), 0)) if extra else (),
+        )
 
     @staticmethod
     def _output_position(columns: tuple[str, ...], name: str) -> int:

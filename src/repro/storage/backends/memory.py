@@ -3,8 +3,7 @@
 Thin adapter around :class:`~repro.storage.database.Database` that adds the
 shared canonical ORDER BY/LIMIT semantics (see
 :mod:`repro.storage.backends.base`).  Everything else — execution,
-constraints, indexing, the per-table-version result memo — is the wrapped
-engine, unchanged.
+constraints, indexing — is the wrapped engine, unchanged.
 """
 
 from __future__ import annotations
@@ -26,19 +25,9 @@ class InMemoryBackend:
 
     name = "memory"
 
-    #: Result-memo entries kept before clearing (mirrors ``Database``).
-    RESULT_MEMO_LIMIT = 2048
-
     def __init__(self, database: Database) -> None:
         self.database = database
         self._orderer = CanonicalOrderer()
-        # The wrapped engine memoizes only the *core* result; canonical
-        # re-sorting would otherwise run again per repeat, so the finished
-        # (sorted, limited) ResultSet is memoized here the same way the
-        # sqlite backend does it.
-        self._result_memo: dict[
-            tuple[int, tuple[int, ...]], tuple[Select, ResultSet]
-        ] = {}
 
     @classmethod
     def create(
@@ -75,21 +64,8 @@ class InMemoryBackend:
         return self.database.version
 
     def execute(self, select: Select) -> ResultSet:
-        with trace_span("storage.execute", backend=self.name) as execute_span:
-            versions = tuple(
-                self.database.table_version(ref.name) for ref in select.tables
-            )
-            key = (id(select), versions)
-            hit = self._result_memo.get(key)
-            if hit is not None and hit[0] is select:
-                execute_span.set("memo_hit", True)
-                return hit[1]
-            execute_span.set("memo_hit", False)
-            result = self._orderer.execute(select, self.database.execute)
-            if len(self._result_memo) >= self.RESULT_MEMO_LIMIT:
-                self._result_memo.clear()
-            self._result_memo[key] = (select, result)
-            return result
+        with trace_span("storage.execute", backend=self.name):
+            return self._orderer.execute(select, self.database.execute)
 
     def apply(self, statement: Statement) -> int:
         return self.database.apply(statement)

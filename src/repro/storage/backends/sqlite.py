@@ -37,11 +37,12 @@ from repro.errors import (
     ForeignKeyViolation,
     PrimaryKeyViolation,
 )
+from repro.obs.memo import BoundedMemo
 from repro.obs.trace import span as trace_span
 from repro.schema.schema import Schema
 from repro.schema.table import TableSchema
 from repro.sql.ast import Delete, Insert, Select, Statement, Update
-from repro.sql.dialect import CompiledSelect, SqliteDialect
+from repro.sql.dialect import SqliteDialect
 from repro.storage.backends.base import CanonicalOrderer
 from repro.storage.database import Database
 from repro.storage.dml import (
@@ -68,9 +69,6 @@ class SqliteBackend:
 
     name = "sqlite"
 
-    #: Result-memo entries kept before clearing (mirrors ``Database``).
-    RESULT_MEMO_LIMIT = 2048
-
     def __init__(
         self,
         schema: Schema,
@@ -95,13 +93,9 @@ class SqliteBackend:
         for ddl in self._dialect.create_schema():
             self._connection.execute(ddl)
         self._version = 0
-        self._table_versions: dict[str, int] = dict.fromkeys(
-            schema.table_names, 0
-        )
-        self._result_memo: dict[
-            tuple[int, tuple[int, ...]], tuple[Select, ResultSet]
-        ] = {}
-        self._compiled: dict[int, tuple[Select, CompiledSelect]] = {}
+        # Compiled SQL per core-select identity; cores are themselves
+        # memoized by the orderer's plans, so popular statements compile once.
+        self._compiled = BoundedMemo("storage.sqlite_compiled", 2048)
 
     @classmethod
     def from_database(
@@ -178,47 +172,24 @@ class SqliteBackend:
             self._connection.execute("ROLLBACK")
             raise
         self._connection.execute("COMMIT")
-        self._table_versions[table] += 1
 
     # -- queries -------------------------------------------------------------
 
     def execute(self, select: Select) -> ResultSet:
         """Execute a fully-bound query and return its result."""
-        with trace_span("storage.execute", backend=self.name) as execute_span:
-            versions = tuple(
-                self._table_versions.get(ref.name, 0) for ref in select.tables
-            )
-            key = (id(select), versions)
-            hit = self._result_memo.get(key)
-            if hit is not None and hit[0] is select:
-                execute_span.set("memo_hit", True)
-                return hit[1]
-            execute_span.set("memo_hit", False)
-            result = self._orderer.execute(select, self._run_core)
-            if len(self._result_memo) >= self.RESULT_MEMO_LIMIT:
-                self._result_memo.clear()
-            self._result_memo[key] = (select, result)
-            return result
+        with trace_span("storage.execute", backend=self.name):
+            return self._orderer.execute(select, self._run_core)
 
     def _run_core(self, core: Select) -> ResultSet:
-        compiled = self._compile(core)
+        compiled = self._compiled.get_pinned(
+            id(core), core, self._dialect.compile_select, core
+        )
         cursor = self._connection.execute(compiled.sql, compiled.params)
         return ResultSet(
             columns=compiled.columns,
             rows=tuple(cursor.fetchall()),
             ordered=False,
         )
-
-    def _compile(self, core: Select) -> CompiledSelect:
-        key = id(core)
-        hit = self._compiled.get(key)
-        if hit is not None and hit[0] is core:
-            return hit[1]
-        compiled = self._dialect.compile_select(core)
-        if len(self._compiled) >= self.RESULT_MEMO_LIMIT:
-            self._compiled.clear()
-        self._compiled[key] = (core, compiled)
-        return compiled
 
     # -- updates -------------------------------------------------------------
 
@@ -234,7 +205,6 @@ class SqliteBackend:
             raise ExecutionError("apply() takes an update statement, not a query")
         if affected:
             self._version += 1
-            self._table_versions[statement.table] += 1
         return affected
 
     def _apply_insert(self, insert: Insert) -> int:
@@ -324,7 +294,6 @@ class SqliteBackend:
         )
         self._connection.backup(other._connection)
         other._version = self._version
-        other._table_versions = dict(self._table_versions)
         return other
 
     def snapshot(self) -> dict[str, tuple[Row, ...]]:
@@ -347,8 +316,6 @@ class SqliteBackend:
             raise
         self._connection.execute("COMMIT")
         self._version += 1
-        for name in self._table_versions:
-            self._table_versions[name] += 1
 
     def close(self) -> None:
         """Release the connection (safe to call more than once)."""

@@ -51,15 +51,6 @@ class Database:
         self._indexes = DatabaseIndexes(schema)
         self._executor = QueryExecutor(schema)
         self._version = 0
-        # Re-executing an unchanged query against unchanged tables must
-        # return the same (immutable) result, so execute() memoizes per
-        # statement identity + the versions of every table it reads.  Bound
-        # statements are shared objects (template binding is memoized), so
-        # identity keys hit for the popular statements that dominate.
-        self._table_versions: dict[str, int] = dict.fromkeys(schema.table_names, 0)
-        self._result_memo: dict[
-            tuple[int, tuple[int, ...]], tuple[Select, ResultSet]
-        ] = {}
 
     # -- introspection --------------------------------------------------------
 
@@ -67,11 +58,6 @@ class Database:
     def version(self) -> int:
         """Monotone counter, incremented by every effective update."""
         return self._version
-
-    def table_version(self, table: str) -> int:
-        """Per-table monotone counter (bumped by loads and effective
-        updates); the key backends memoize results against."""
-        return self._table_versions.get(table, 0)
 
     def rows(self, table: str) -> tuple[Row, ...]:
         """Return a snapshot of the rows currently stored in ``table``."""
@@ -107,28 +93,12 @@ class Database:
             frozen = tuple(row)
             stored.append(frozen)
             self._indexes.add(table, frozen)
-        self._table_versions[table] += 1
 
     # -- queries ----------------------------------------------------------------
 
-    #: Result-memo entries kept before clearing (stale-version keys are
-    #: never hit again and are reclaimed by the wholesale clear).
-    RESULT_MEMO_LIMIT = 2048
-
     def execute(self, select: Select) -> ResultSet:
         """Execute a fully-bound query and return its result."""
-        versions = tuple(
-            self._table_versions[ref.name] for ref in select.tables
-        )
-        key = (id(select), versions)
-        hit = self._result_memo.get(key)
-        if hit is not None and hit[0] is select:
-            return hit[1]
-        result = self._executor.execute(select, self._data, self._indexes)
-        if len(self._result_memo) >= self.RESULT_MEMO_LIMIT:
-            self._result_memo.clear()
-        self._result_memo[key] = (select, result)
-        return result
+        return self._executor.execute(select, self._data, self._indexes)
 
     # -- updates ----------------------------------------------------------------
 
@@ -166,7 +136,6 @@ class Database:
             raise ExecutionError("apply() takes an update statement, not a query")
         if affected:
             self._version += 1
-            self._table_versions[statement.table] += 1
         return affected
 
     # -- cloning ------------------------------------------------------------------
@@ -188,7 +157,6 @@ class Database:
         other._data = {name: list(rows) for name, rows in self._data.items()}
         other._indexes = self._indexes.clone()
         other._version = self._version
-        other._table_versions = dict(self._table_versions)
         return other
 
     def snapshot(self) -> dict[str, tuple[Row, ...]]:
@@ -200,8 +168,6 @@ class Database:
         self._data = {name: list(rows) for name, rows in snapshot.items()}
         self._indexes.rebuild_all(self._data)
         self._version += 1
-        for name in self._table_versions:
-            self._table_versions[name] += 1
 
     def __deepcopy__(self, memo) -> "Database":
         clone = self.clone()

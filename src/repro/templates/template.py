@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import TemplateError
+from repro.obs.memo import BoundedMemo
 from repro.sql.ast import Delete, Insert, Scalar, Select, Update
 from repro.sql.formatter import to_sql
 from repro.sql.parser import parse
@@ -30,22 +31,9 @@ __all__ = [
 # Binding is pure — (template, params) fully determines the bound
 # instance, and every layer above treats it as immutable — while the Zipf
 # workloads bind the same popular pairs constantly.  Keyed by template
-# identity (templates are long-lived registry members) with the template
-# stored alongside the result so a recycled id() can never alias.
-_BIND_MEMO_LIMIT = 8192
-_bind_memo: dict[tuple[int, tuple], tuple[object, object]] = {}
-
-
-def _memoize_bind(template, params: tuple, build):
-    key = (id(template), params)
-    hit = _bind_memo.get(key)
-    if hit is not None and hit[0] is template:
-        return hit[1]
-    bound = build()
-    if len(_bind_memo) >= _BIND_MEMO_LIMIT:
-        _bind_memo.clear()
-    _bind_memo[key] = (template, bound)
-    return bound
+# identity (templates are long-lived registry members; hashing one hashes
+# its whole AST), pinned against a recycled id().
+_bind_memo = BoundedMemo("templates.bind", 8192)
 
 
 class Sensitivity(enum.Enum):
@@ -97,13 +85,14 @@ class QueryTemplate:
     def bind(self, params: Sequence[Scalar]) -> "BoundQuery":
         """Attach parameters, producing an executable query instance."""
         params = tuple(params)
+        return _bind_memo.get_pinned(
+            (id(self), params), self, self._bind, params
+        )
 
-        def build() -> BoundQuery:
-            bound = bind(self.select, params)
-            assert isinstance(bound, Select)
-            return BoundQuery(template=self, params=params, select=bound)
-
-        return _memoize_bind(self, params, build)
+    def _bind(self, params: tuple) -> "BoundQuery":
+        bound = bind(self.select, params)
+        assert isinstance(bound, Select)
+        return BoundQuery(template=self, params=params, select=bound)
 
 
 @dataclass(frozen=True)
@@ -141,13 +130,14 @@ class UpdateTemplate:
     def bind(self, params: Sequence[Scalar]) -> "BoundUpdate":
         """Attach parameters, producing an applicable update instance."""
         params = tuple(params)
+        return _bind_memo.get_pinned(
+            (id(self), params), self, self._bind, params
+        )
 
-        def build() -> BoundUpdate:
-            bound = bind(self.statement, params)
-            assert not isinstance(bound, Select)
-            return BoundUpdate(template=self, params=params, statement=bound)
-
-        return _memoize_bind(self, params, build)
+    def _bind(self, params: tuple) -> "BoundUpdate":
+        bound = bind(self.statement, params)
+        assert not isinstance(bound, Select)
+        return BoundUpdate(template=self, params=params, statement=bound)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for envelopes: what the DSSP sees at each exposure level."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.exposure import ExposureLevel
@@ -26,6 +28,19 @@ def bound_query(simple_toystore):
 @pytest.fixture
 def bound_update(simple_toystore):
     return simple_toystore.update("U1").bind([5])
+
+
+#: Levels at which the home recovers the statement from ciphertext.
+SEALED_LEVELS = [ExposureLevel.BLIND, ExposureLevel.TEMPLATE]
+
+
+def _zeroed(envelope):
+    """Same identifiers, all-zero ciphertext of the same length."""
+    if envelope.sealed_params is not None:
+        return replace(envelope, sealed_params=bytes(len(envelope.sealed_params)))
+    return replace(
+        envelope, sealed_statement=bytes(len(envelope.sealed_statement))
+    )
 
 
 class TestQueryEnvelopes:
@@ -101,6 +116,31 @@ class TestOpenQuery:
         with pytest.raises(CryptoError):
             other_codec.open_query(env, simple_toystore)
 
+    # ``cache_key`` is free text on the wire: nothing the home does may
+    # depend on it, and a memo hit must not skip the SIV check.
+
+    @pytest.mark.parametrize("level", SEALED_LEVELS)
+    def test_forged_cache_key_cannot_poison_later_opens(
+        self, codec, simple_toystore, level
+    ):
+        template = simple_toystore.query("Q2")
+        query_a, query_b = template.bind([5]), template.bind([7])
+        env_a = codec.seal_query(query_a, level)
+        env_b = codec.seal_query(query_b, level)
+        forged = replace(env_a, cache_key=env_b.cache_key)
+        assert codec.open_query(forged, simple_toystore) == query_a.select
+        assert codec.open_query(env_b, simple_toystore) == query_b.select
+
+    @pytest.mark.parametrize("level", SEALED_LEVELS)
+    def test_tampered_payload_rejected_after_an_honest_open(
+        self, codec, simple_toystore, bound_query, level
+    ):
+        env = codec.seal_query(bound_query, level)
+        codec.open_query(env, simple_toystore)
+        for _ in range(2):  # rejected every time: a failure is never stored
+            with pytest.raises(CryptoError):
+                codec.open_query(_zeroed(env), simple_toystore)
+
 
 class TestUpdateEnvelopes:
     @pytest.mark.parametrize(
@@ -113,6 +153,21 @@ class TestUpdateEnvelopes:
         env = codec.seal_update(bound_update, level)
         recovered = codec.open_update(env, simple_toystore)
         assert recovered == bound_update.statement
+
+    @pytest.mark.parametrize("level", SEALED_LEVELS)
+    def test_replayed_opaque_id_does_not_stand_in_for_the_payload(
+        self, codec, simple_toystore, level
+    ):
+        template = simple_toystore.update("U1")
+        update_a, update_b = template.bind([5]), template.bind([7])
+        env_a = codec.seal_update(update_a, level)
+        env_b = codec.seal_update(update_b, level)
+        codec.open_update(env_a, simple_toystore)
+        with pytest.raises(CryptoError):
+            codec.open_update(_zeroed(env_a), simple_toystore)
+        forged = replace(env_a, opaque_id=env_b.opaque_id)
+        assert codec.open_update(forged, simple_toystore) == update_a.statement
+        assert codec.open_update(env_b, simple_toystore) == update_b.statement
 
     def test_view_level_rejected_for_updates(self, codec, bound_update):
         with pytest.raises(CryptoError):

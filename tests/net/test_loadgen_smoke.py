@@ -2,15 +2,18 @@
 
 Spawns ``serve-home`` and ``serve-dssp`` as subprocesses on ephemeral
 ports, runs a short Zipf load through ``loadgen``, cross-checks the
-client-side hit count against the node's live ``stats`` snapshot, and
-checks for a clean SIGTERM shutdown of both servers.
+client-side hit count against the node's live ``stats`` snapshot, checks
+that both snapshots carry the fleet's memo table (every memo by name,
+within its declared bound, nothing but static names and integers — also
+at ``blind`` exposure), and checks for a clean SIGTERM shutdown of both
+servers.
 
 Server output goes to temp files rather than pipes: a busy server can
 emit more than a pipe buffer's worth of log lines, and nobody is reading
 while the load runs.
 
 Set ``REPRO_SMOKE_ARTIFACTS`` to a directory to keep the loadgen report
-and the stats snapshot as JSON files (CI uploads them as artifacts).
+and the stats snapshots as JSON files (CI uploads them as artifacts).
 """
 
 from __future__ import annotations
@@ -53,6 +56,48 @@ def _spawn(log_path: Path, *arguments: str) -> subprocess.Popen:
         log.close()
 
 
+#: Memos that exist once ``repro`` is imported, in any process.
+PROCESS_MEMOS = {
+    "analysis.binding_constraints",
+    "analysis.insert_row",
+    "analysis.strip_range",
+    "analysis.update_constraints",
+    "crypto.key_schedule",
+    "sql.parse_intern",
+    "sql.to_sql",
+    "templates.bind",
+}
+#: Memos of the codec, which only a key holder builds.  (The two storage
+#: memos belong to the backend seam; ``serve-home`` on the default memory
+#: engine serves the raw database and builds neither.)
+HOME_MEMOS = {"crypto.seal_query", "crypto.open_query"}
+
+
+def _stats(host: str, port: int) -> tuple[dict, str]:
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "stats", f"{host}:{port}"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=_env(),
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout), done.stdout
+
+
+def _check_memo_table(snapshot: dict, expected: set[str]) -> None:
+    """Every memo reports itself, bounded, as static names and integers."""
+    gauges = snapshot["metrics"]["gauges"]
+    names = {name[: -len(".limit")] for name in gauges if name.endswith(".limit")}
+    assert names == expected  # code constants: no template, parameter or key
+    for name in names:
+        fields = {f: gauges[f"{name}.{f}"] for f in ("hits", "misses", "size")}
+        for field, value in fields.items():
+            assert value == int(value) >= 0, (name, field, value)
+        assert fields["size"] <= gauges[f"{name}.limit"], name
+
+
 def _await_banner(process: subprocess.Popen, log_path: Path, timeout_s=30.0):
     """Poll the server's log file until it announces its bound address."""
     deadline = time.monotonic() + timeout_s
@@ -78,9 +123,10 @@ def _terminate(process: subprocess.Popen, log_path: Path) -> str:
 
 
 # Marked slow centrally: tests/conftest.py::SLOW_NODEID_PREFIXES.
-def test_loadgen_smoke(tmp_path):
+@pytest.mark.parametrize("strategy", ["MVIS", "MBS"])
+def test_loadgen_smoke(tmp_path, strategy):
     artifacts = os.environ.get("REPRO_SMOKE_ARTIFACTS")
-    artifact_dir = Path(artifacts) if artifacts else tmp_path
+    artifact_dir = Path(artifacts) / strategy if artifacts else tmp_path
     artifact_dir.mkdir(parents=True, exist_ok=True)
     report_path = artifact_dir / "loadgen_report.json"
     span_dir = artifact_dir / "spans"
@@ -90,7 +136,7 @@ def test_loadgen_smoke(tmp_path):
     dssp_log = tmp_path / "dssp.log"
     home = _spawn(
         home_log,
-        "serve-home", "bookstore", "--scale", "0.05", "--strategy", "MVIS",
+        "serve-home", "bookstore", "--scale", "0.05", "--strategy", strategy,
         "--port", "0",
         "--span-log", str(span_dir / "home.spans.jsonl"),
     )
@@ -108,7 +154,7 @@ def test_loadgen_smoke(tmp_path):
         loadgen = subprocess.run(
             [
                 sys.executable, "-m", "repro", "loadgen", "bookstore",
-                "--scale", "0.05", "--strategy", "MVIS",
+                "--scale", "0.05", "--strategy", strategy,
                 "--dssp", f"{dssp_host}:{dssp_port}", "--duration", "2",
                 "--report", str(report_path),
                 "--span-log", str(span_dir / "client.spans.jsonl"),
@@ -130,24 +176,17 @@ def test_loadgen_smoke(tmp_path):
         # The node's own counters must corroborate the client-side count:
         # loadgen is the only traffic source, so every cache_hit=True
         # response it saw is a hit the node recorded.
-        stats = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "stats",
-                f"{dssp_host}:{dssp_port}",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env=_env(),
-            timeout=30,
-        )
-        assert stats.returncode == 0, stats.stderr
-        snapshot = json.loads(stats.stdout)
+        snapshot, snapshot_text = _stats(dssp_host, dssp_port)
         assert snapshot["node_id"] == "dssp-0"
         assert snapshot["role"] == "dssp"
         assert snapshot["dssp"]["stats"]["hits"] == client_hits
         assert snapshot["metrics"]["counters"]["server.requests"] > 0
-        (artifact_dir / "stats_snapshot.json").write_text(stats.stdout)
+        (artifact_dir / "stats_snapshot.json").write_text(snapshot_text)
+        _check_memo_table(snapshot, PROCESS_MEMOS)
+        home_snapshot, home_text = _stats(home_host, home_port)
+        (artifact_dir / "home_stats_snapshot.json").write_text(home_text)
+        assert home_snapshot["role"] == "home"
+        _check_memo_table(home_snapshot, PROCESS_MEMOS | HOME_MEMOS)
 
         report = json.loads(report_path.read_text())
         assert report["client"]["hits"] == client_hits

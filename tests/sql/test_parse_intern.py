@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SqlError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, memo
 from repro.sql import parser
 from repro.sql.formatter import to_sql
 from repro.sql.parser import parse
@@ -26,10 +26,12 @@ from tests.sql.test_roundtrip_property import (
 @pytest.fixture
 def gauges():
     registry = MetricsRegistry()
-    parser.register_metrics(registry)
+    memo.register_metrics(registry)
+    prefix = "sql.parse_intern."
     return lambda: {
-        name.rsplit(".", 1)[1]: value
+        name.removeprefix(prefix): value
         for name, value in registry.snapshot()["gauges"].items()
+        if name.startswith(prefix)
     }
 
 
@@ -73,8 +75,7 @@ def test_failures_raise_on_every_attempt_and_are_never_stored(junk, gauges):
 
 
 def test_size_never_exceeds_the_bound(monkeypatch, gauges):
-    monkeypatch.setattr(parser, "INTERN_LIMIT", 8)
-    parser._interned.clear()
+    monkeypatch.setattr(parser._interned, "limit", 8)
     first = parse("SELECT qty FROM toys WHERE toy_id = 0")
     for n in range(1, 50):
         parse(f"SELECT qty FROM toys WHERE toy_id = {n}")
