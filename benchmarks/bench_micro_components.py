@@ -6,6 +6,7 @@ front end, the executor, the crypto, and the invalidation decision — the
 costs the simulator's service-time constants abstract.
 """
 
+import asyncio
 import random
 import time
 
@@ -14,6 +15,8 @@ from repro.analysis.independence import statement_independent
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.envelope import QueryEnvelope, ResultEnvelope
 from repro.dssp.cache import ViewCache
+from repro.net import WireClient, wire
+from repro.net.service import WireServer
 from repro.sql.formatter import to_sql
 from repro.sql.parser import parse
 from repro.templates.binding import bind
@@ -292,3 +295,83 @@ def test_micro_update_with_invalidation(benchmark):
 
     outcome = benchmark(one_update)
     assert outcome.rows_affected >= 0
+
+
+class _Unanswering(WireServer):
+    """The whole server stack around a handler that does nothing."""
+
+    async def handle(self, frame, context):
+        return frame
+
+
+async def _streams_floor(frame, round_trips: int) -> float:
+    """Raw asyncio-streams echo using this codec, seconds per round trip."""
+
+    async def echo(reader, writer):
+        while (got := await wire.read_frame(reader)) is not None:
+            await wire.write_frame(writer, got)
+        writer.close()
+
+    server = await asyncio.start_server(echo, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        for _ in range(2):  # a warm-up pass, then the one the clock keeps
+            started = time.perf_counter()
+            for _ in range(round_trips):
+                await wire.write_frame(writer, frame)
+                await wire.read_frame(reader)
+        return (time.perf_counter() - started) / round_trips
+    finally:
+        writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+async def _stack_round_trip(frame, round_trips: int) -> float:
+    """The same frame through WireClient -> WireServer, seconds each."""
+    server = _Unanswering()
+    client = WireClient(*await server.start(), pool_size=1)
+    try:
+        for _ in range(2):  # warm-up, then measured
+            started = time.perf_counter()
+            for _ in range(round_trips):
+                await client._request(frame, idempotent=True)
+        return (time.perf_counter() - started) / round_trips
+    finally:
+        await client.aclose()
+        await server.stop()
+
+
+def test_micro_wire_round_trip(benchmark, emit):
+    """Per-hop fixed cost: what the wire tier adds to a bare echo.
+
+    The floor is an asyncio-streams echo that encodes and decodes with
+    this repo's codec; the stack is the real ``WireServer`` (framing,
+    task per request, deadline, books, spans off) with a do-nothing
+    handler behind ``WireClient`` (pool, retries, metrics).  No threshold:
+    the floor's ``recv`` cost depends on the allocator's mood on this box.
+    """
+    frame = wire.QueryResponse(  # a typical frame's size
+        ResultEnvelope(app_id="bookstore", ciphertext=b"x" * 600),
+        cache_hit=True,
+    )
+    round_trips = 3000
+
+    def measured():
+        return (
+            asyncio.run(_streams_floor(frame, round_trips)),
+            asyncio.run(_stack_round_trip(frame, round_trips)),
+        )
+
+    floor_s, stack_s = benchmark.pedantic(measured, rounds=1, iterations=1)
+    lines = [
+        f"{'path':<34} {'per round trip':>15}",
+        "-" * 50,
+        f"{'streams echo + codec (floor)':<34} {floor_s * 1e6:>12.1f} us",
+        f"{'WireClient -> WireServer (stack)':<34} {stack_s * 1e6:>12.1f} us",
+        "",
+        f"stack / floor: {stack_s / floor_s:.2f}x",
+    ]
+    emit("micro_wire_round_trip", "\n".join(lines))
+    assert floor_s > 0.0 and stack_s > 0.0

@@ -30,6 +30,7 @@ import asyncio
 import json
 import random
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.crypto.envelope import QueryEnvelope, ResultEnvelope, UpdateEnvelope
@@ -44,6 +45,8 @@ from repro.errors import (
     WireError,
 )
 from repro.net import wire
+from repro.net.deadline import DeadlineQueue
+from repro.net.framing import FrameConnection
 from repro.net.wire import (
     ErrorCode,
     ErrorResponse,
@@ -159,24 +162,18 @@ class NetUpdateOutcome:
 
 
 class _Connection:
-    """One open stream; requests are strictly send-then-receive."""
+    """One open framed connection; requests are strictly send-then-receive."""
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        max_frame: int,
-        observer=None,
+        self, stream: FrameConnection, *, max_frame: int, observer=None
     ) -> None:
-        self._reader = reader
-        self._writer = writer
+        self._stream = stream
         self._max_frame = max_frame
         self._observer = observer
 
     async def send(self, frame: Frame, *, request_id: str | None = None) -> None:
         await wire.write_frame(
-            self._writer,
+            self._stream,
             frame,
             request_id=request_id,
             max_frame=self._max_frame,
@@ -188,19 +185,16 @@ class _Connection:
         return frame
 
     async def receive_traced(self) -> tuple[Frame, str | None]:
-        traced = await wire.read_traced(
-            self._reader, max_frame=self._max_frame, observer=self._observer
-        )
-        if traced is None:
+        raw = await self._stream.receive()
+        if raw is None:
             raise NetConnectionError("server closed the connection")
-        return traced
+        if self._observer is not None:
+            self._observer(raw)
+        return wire.decode_traced(raw, max_frame=self._max_frame)
 
     async def aclose(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._stream.close()
+        await self._stream.wait_closed()
 
 
 class _ConnectionPool:
@@ -226,32 +220,51 @@ class _ConnectionPool:
         self._on_open = on_open
         self._idle: list[_Connection] = []
         self._open_count = 0
-        self._available = asyncio.Condition()
+        #: Acquirers parked because every connection is out; woken one per
+        #: freed slot.  With an idle connection and nobody parked, acquire
+        #: and release touch only ``_idle``.
+        self._waiters: deque[asyncio.Future] = deque()
         self._closed = False
 
     async def acquire(self) -> _Connection:
-        async with self._available:
-            while True:
-                if self._closed:
-                    raise NetConnectionError("client is closed")
-                if self._idle:
-                    return self._idle.pop()
-                if self._open_count < self._size:
-                    self._open_count += 1
-                    break
-                await self._available.wait()
+        while True:
+            if self._closed:
+                raise NetConnectionError("client is closed")
+            if self._idle:
+                return self._idle.pop()
+            if self._open_count < self._size:
+                self._open_count += 1
+                break
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            try:
+                await waiter
+            except BaseException:
+                if waiter.done() and not waiter.cancelled():
+                    self._wake_one()  # woken and cancelled: pass it on
+                raise
         try:
             return await self._connect()
         except BaseException:
-            async with self._available:
-                self._open_count -= 1
-                self._available.notify()
+            self._open_count -= 1
+            self._wake_one()
             raise
+
+    def _wake_one(self) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
 
     async def _connect(self) -> _Connection:
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self._host, self._port),
+            _, stream = await asyncio.wait_for(
+                asyncio.get_running_loop().create_connection(
+                    lambda: FrameConnection(max_frame=self._max_frame),
+                    self._host,
+                    self._port,
+                ),
                 self._connect_timeout_s,
             )
         except (ConnectionError, OSError, asyncio.TimeoutError) as error:
@@ -261,26 +274,23 @@ class _ConnectionPool:
         if self._on_open is not None:
             self._on_open()
         return _Connection(
-            reader, writer, max_frame=self._max_frame, observer=self._observer
+            stream, max_frame=self._max_frame, observer=self._observer
         )
 
     async def release(self, connection: _Connection, *, discard: bool) -> None:
         if discard or self._closed:
             await connection.aclose()
-            async with self._available:
-                self._open_count -= 1
-                self._available.notify()
-            return
-        async with self._available:
+            self._open_count -= 1
+        else:
             self._idle.append(connection)
-            self._available.notify()
+        self._wake_one()
 
     async def aclose(self) -> None:
-        async with self._available:
-            self._closed = True
-            idle, self._idle = self._idle, []
-            self._open_count -= len(idle)
-            self._available.notify_all()
+        self._closed = True
+        idle, self._idle = self._idle, []
+        self._open_count -= len(idle)
+        while self._waiters:
+            self._wake_one()
         for connection in idle:
             await connection.aclose()
 
@@ -376,18 +386,21 @@ class _PipelinedChannel:
         client.metrics.gauge(
             "client.pipeline_depth", lambda: len(self._pending)
         )
+        self._window_timeouts = client.metrics.counter(
+            "client.pipeline_window_timeouts"
+        )
+        self._unmatched = client.metrics.counter("client.pipeline_unmatched")
 
     async def exchange(self, frame: Frame, *, request_id: str | None) -> Frame:
         if request_id is None:
             request_id = new_request_id()  # the pending map needs a key
         timeout_s = self._client._request_timeout_s
+        deadlines = self._client._deadlines
         try:
-            async with asyncio.timeout(timeout_s):
+            with deadlines.after(timeout_s):
                 await self._slots.acquire()
         except TimeoutError:
-            self._client.metrics.counter(
-                "client.pipeline_window_timeouts"
-            ).inc()
+            self._window_timeouts.inc()
             raise _ExchangeFailed(
                 NetTimeoutError(
                     f"pipeline window of {self.window} requests to "
@@ -419,7 +432,7 @@ class _PipelinedChannel:
                         sent=False,
                     ) from error
             try:
-                async with asyncio.timeout(timeout_s):
+                with deadlines.after(timeout_s):
                     return await future
             except TimeoutError as error:
                 raise _ExchangeFailed(
@@ -469,9 +482,7 @@ class _PipelinedChannel:
                     # already timed out (and possibly retried), or a
                     # duplicate.  Count it; matching is by id only, so it
                     # can never land on another request's future.
-                    self._client.metrics.counter(
-                        "client.pipeline_unmatched"
-                    ).inc()
+                    self._unmatched.inc()
                     continue
                 future.set_result(frame)
         except NetConnectionError as error:
@@ -494,7 +505,7 @@ class _PipelinedChannel:
     def _drop_connection(self, connection: _Connection) -> None:
         if self._connection is connection:
             self._connection = None
-        connection._writer.close()
+        connection._stream.close()
 
     async def aclose(self) -> None:
         self._closed = True
@@ -550,6 +561,12 @@ class WireClient:
         #: (disabled) by default.  A DSSP node passes its own recorder so
         #: forwarded misses appear as nested client spans on that node.
         self.tracer = tracer or SpanRecorder("client")
+        #: Every request deadline of this client, behind one loop timer.
+        self._deadlines = DeadlineQueue()
+        self._in_flight = self.metrics.gauge("client.in_flight")
+        self._request_seconds = self.metrics.histogram("client.request_seconds")
+        self._retries = self.metrics.counter("client.retries")
+        self._backoff_sleeps = self.metrics.counter("client.backoff_sleeps")
         self._pool = _ConnectionPool(
             host,
             port,
@@ -685,9 +702,8 @@ class WireClient:
     ) -> Frame:
         # One trace id covers the whole logical request: retries reuse it,
         # so server-side records of every attempt correlate.
-        in_flight = self.metrics.gauge("client.in_flight")
         started = time.perf_counter()
-        in_flight.inc()
+        self._in_flight.inc()
         with self.tracer.trace(
             request_id, "client.request", frame=type(frame).__name__
         ) as request_span:
@@ -696,8 +712,8 @@ class WireClient:
                     frame, idempotent=idempotent, request_id=request_id
                 )
             finally:
-                in_flight.dec()
-                self.metrics.histogram("client.request_seconds").observe(
+                self._in_flight.dec()
+                self._request_seconds.observe(
                     time.perf_counter() - started,
                     exemplar=(
                         request_id if request_span.recorded else None
@@ -739,8 +755,8 @@ class WireClient:
             return response
 
     async def _backoff(self, attempt: int) -> None:
-        self.metrics.counter("client.retries").inc()
-        self.metrics.counter("client.backoff_sleeps").inc()
+        self._retries.inc()
+        self._backoff_sleeps.inc()
         await asyncio.sleep(self._retry.delay(attempt))
 
     async def _exchange(
@@ -760,7 +776,7 @@ class WireClient:
             await connection.send(frame, request_id=request_id)
             sent = True
             try:
-                async with asyncio.timeout(self._request_timeout_s):
+                with self._deadlines.after(self._request_timeout_s):
                     response = await connection.receive()
             except WireError as error:
                 # A garbled response frame poisons only this connection;

@@ -145,6 +145,14 @@ class DsspNetServer(WireServer):
         self.stream_flushes = 0
         #: Failed subscribe attempts to the home (tests/monitoring).
         self.stream_subscribe_failures = 0
+        counter = self.metrics.counter
+        self._passthrough_counter = counter("dssp.passthrough_misses")
+        self._stream_pushes = counter("dssp.stream_pushes")
+        self._stream_reconnects = counter("dssp.stream_reconnects")
+        self._stream_batches = counter("dssp.stream_batches")
+        self._stream_batch_size = self.metrics.histogram(
+            "dssp.stream_batch_size"
+        )
 
     # -- tenancy -----------------------------------------------------------
 
@@ -162,6 +170,7 @@ class DsspNetServer(WireServer):
         if not self.node.is_registered(app_id):
             self.node.register_remote(app_id, registry)
         self._home_addresses[app_id] = (home_address[0], int(home_address[1]))
+        self._bind_application(app_id)
 
     def _home_client(self, app_id: str) -> WireClient:
         try:
@@ -256,7 +265,7 @@ class DsspNetServer(WireServer):
             # the home only pushes invalidations to the owning shard, so a
             # non-owner must never hold a copy it would not hear about.
             self.passthrough_misses += 1
-            self.metrics.counter("dssp.passthrough_misses").inc()
+            self._passthrough_counter.inc()
         return QueryResponse(result=outcome.result, cache_hit=False)
 
     def _owns(self, envelope) -> bool:
@@ -313,7 +322,7 @@ class DsspNetServer(WireServer):
             with self.tracer.trace(request_id, "dssp.stream_apply"):
                 self.node.invalidate_for(envelope)
             self.stream_pushes_applied += 1
-            self.metrics.counter("dssp.stream_pushes").inc()
+            self._stream_pushes.inc()
         except ReproError:
             logger.exception(
                 "invalidation push failed",
@@ -372,7 +381,7 @@ class DsspNetServer(WireServer):
             # connect) this is a no-op, but a restarted server wrapping a
             # still-warm node must not serve entries that went stale while
             # no subscription existed.
-            self.metrics.counter("dssp.stream_reconnects").inc()
+            self._stream_reconnects.inc()
             logger.debug(
                 "invalidation stream connected; flushing applications",
                 extra={"ctx": stream_ctx},
@@ -388,10 +397,8 @@ class DsspNetServer(WireServer):
                         # served query can observe a half-applied batch.
                         for entry_rid, envelope in event.entries:
                             self._apply_push(envelope, entry_rid, stream_ctx)
-                        self.metrics.counter("dssp.stream_batches").inc()
-                        self.metrics.histogram(
-                            "dssp.stream_batch_size"
-                        ).observe(len(event.entries))
+                        self._stream_batches.inc()
+                        self._stream_batch_size.observe(len(event.entries))
                     else:
                         self._apply_push(
                             event.envelope, request_id, stream_ctx

@@ -212,6 +212,16 @@ class HomeNetServer(WireServer):
             if home.app_id in self._homes:
                 raise ValueError(f"duplicate application {home.app_id!r}")
             self._homes[home.app_id] = home
+            self._bind_application(home.app_id)
+        counter = self.metrics.counter
+        self._dedup_hits = counter("home.dedup_hits")
+        self._pushes_filtered = counter("home.pushes_filtered")
+        self._pushes_enqueued = counter("home.pushes_enqueued")
+        self._subscribers_dropped = counter("home.subscribers_dropped")
+        self._push_dedup_dropped = counter("home.push_dedup_dropped")
+        self._push_frames = counter("home.push_frames")
+        self._pushes_sent = counter("home.pushes_sent")
+        self._push_batch_size = self.metrics.histogram("home.push_batch_size")
         self._subscribers: list[_Subscriber] = []
         # Per-application fan-out filtering inputs, built lazily.  The
         # affinity deliberately ignores integrity constraints: the home
@@ -270,7 +280,7 @@ class HomeNetServer(WireServer):
             if request_id is not None:
                 remembered = self.update_dedup.get(request_id, opaque_id)
                 if remembered is not None:
-                    self.metrics.counter("home.dedup_hits").inc()
+                    self._dedup_hits.inc()
                     logger.info(
                         "duplicate update suppressed",
                         extra={
@@ -383,14 +393,14 @@ class HomeNetServer(WireServer):
                 if not self._shard_may_hold(subscriber, request):
                     self.pushes_filtered += 1
                     filtered += 1
-                    self.metrics.counter("home.pushes_filtered").inc()
+                    self._pushes_filtered.inc()
                     continue
                 try:
                     subscriber.queue.put_nowait((push, request_id))
                     enqueued += 1
-                    self.metrics.counter("home.pushes_enqueued").inc()
+                    self._pushes_enqueued.inc()
                 except asyncio.QueueFull:
-                    self.metrics.counter("home.subscribers_dropped").inc()
+                    self._subscribers_dropped.inc()
                     logger.warning(
                         "subscriber stalled with %d pushes pending; dropping",
                         subscriber.queue.qsize(),
@@ -442,7 +452,7 @@ class HomeNetServer(WireServer):
         for push, request_id in entries:
             key = (push.envelope.app_id, push.envelope.opaque_id)
             if key in seen:
-                self.metrics.counter("home.push_dedup_dropped").inc()
+                self._push_dedup_dropped.inc()
                 continue
             seen.add(key)
             deduped.append((request_id, push.envelope))
@@ -472,7 +482,7 @@ class HomeNetServer(WireServer):
                 frame, request_id, delivered = self._coalesce(entries)
                 send_wall = time.time()
                 send_started = time.perf_counter()
-                async with asyncio.timeout(self._push_timeout_s):
+                with self._deadlines.after(self._push_timeout_s):
                     await self._send(
                         subscriber.context, frame, request_id=request_id
                     )
@@ -484,13 +494,11 @@ class HomeNetServer(WireServer):
                     duration_s=time.perf_counter() - send_started,
                     delivered=delivered,
                 )
-                self.metrics.counter("home.push_frames").inc()
-                self.metrics.counter("home.pushes_sent").inc(delivered)
-                self.metrics.histogram("home.push_batch_size").observe(
-                    delivered
-                )
+                self._push_frames.inc()
+                self._pushes_sent.inc(delivered)
+                self._push_batch_size.observe(delivered)
         except (ConnectionError, OSError, TimeoutError):
-            self.metrics.counter("home.subscribers_dropped").inc()
+            self._subscribers_dropped.inc()
             logger.warning(
                 "dropping dead subscriber",
                 extra={

@@ -5,8 +5,10 @@ Both servers (:class:`~repro.net.home_server.HomeNetServer`,
 servers with the same operational envelope:
 
 * **Concurrent connections** *and* concurrent requests per connection:
-  the read loop spawns a task per request frame, so many requests can be
-  in flight on one connection and responses may return out of order.
+  each connection is a :class:`~repro.net.framing.FrameConnection` that
+  calls the server back per complete frame, and every request frame gets
+  its own task, so many requests can be in flight on one connection and
+  responses may return out of order.
   The wire v2 request id is the pipelining id — every response carries
   the id of the request it answers, and the client matches on it.
 * **Bounded in-flight backpressure**: at most ``max_in_flight`` requests
@@ -15,8 +17,9 @@ servers with the same operational envelope:
   slow home server cannot make a DSSP node accumulate unbounded state.
 * **Per-request timeout**: a request that cannot finish within
   ``request_timeout_s`` is cancelled and answered with ``TIMEOUT``.  The
-  deadline is one ``asyncio.timeout`` timer on the request's own task —
-  the request budget is one task, one timer.
+  deadline is an entry in the server's one
+  :class:`~repro.net.deadline.DeadlineQueue` — the request budget is one
+  task, no timer.
 * **Typed error mapping**: library exceptions never cross the wire as
   control flow — they become :class:`~repro.net.wire.ErrorResponse` frames
   with a typed code, and the client maps them back to exceptions.
@@ -39,6 +42,8 @@ from repro.errors import (
     WireError,
 )
 from repro.net import wire
+from repro.net.deadline import DeadlineQueue
+from repro.net.framing import FrameConnection
 from repro.net.wire import (
     ErrorCode,
     ErrorResponse,
@@ -57,8 +62,8 @@ logger = logging.getLogger(__name__)
 class ConnectionContext:
     """Per-connection state handed to frame handlers."""
 
-    writer: asyncio.StreamWriter
-    #: Serializes writes: responses (read loop) vs pushes (broadcasts).
+    writer: FrameConnection
+    #: Serializes writes: responses (request tasks) vs pushes (broadcasts).
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     #: Callbacks run exactly once when the connection goes away.
     close_callbacks: list = field(default_factory=list)
@@ -114,8 +119,11 @@ class WireServer:
         #: deterministic processing stalls here); ``None`` in production.
         self.fault_hook = fault_hook
         self._server: asyncio.AbstractServer | None = None
-        self._in_flight: asyncio.Semaphore | None = None
+        self._in_flight = 0
+        self._deadlines = DeadlineQueue()
         self._contexts: set[ConnectionContext] = set()
+        #: Tasks winding down connections whose input ended.
+        self._closers: set[asyncio.Task] = set()
         self._stopping = False
         #: Stable identity in logs and STATS snapshots.
         self.server_id = server_id
@@ -123,10 +131,32 @@ class WireServer:
         #: Span recorder keyed on the wire request id; sink-less (and
         #: therefore disabled, near-zero cost) unless one is supplied.
         self.tracer = tracer or SpanRecorder(server_id)
-        self.metrics.gauge(
-            "server.connections", lambda: len(self._contexts)
-        )
+        # Metric handles are resolved once, here: the request path only
+        # increments them.
+        counter = self.metrics.counter
+        self.metrics.gauge("server.connections", lambda: len(self._contexts))
+        self.metrics.gauge("server.in_flight", lambda: self._in_flight)
+        self._requests = counter("server.requests")
+        self._shed = counter("server.shed")
+        self._timeouts = counter("server.timeouts")
+        self._bad_frames = counter("server.bad_frames")
+        self._forward_failures = counter("server.forward_failures")
+        self._internal_errors = counter("server.internal_errors")
+        self._handle_seconds = self.metrics.histogram("server.handle_seconds")
+        #: app_id -> (requests, shed) for the applications this server has
+        #: registered.  ``app_id`` on the wire is unauthenticated input, so
+        #: every other id is counted under one fixed name: a client cannot
+        #: grow the registry.
+        self._app_counters: dict[str, tuple] = {}
+        self._unknown_app_requests = counter("server.unknown_app_requests")
         memo.register_metrics(self.metrics)  # does each memo here pay?
+
+    def _bind_application(self, app_id: str) -> None:
+        """Keep per-application request/shed books for a registered app."""
+        self._app_counters[app_id] = (
+            self.metrics.counter(f"server.app_requests.{app_id}"),
+            self.metrics.counter(f"server.app_shed.{app_id}"),
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -139,9 +169,8 @@ class WireServer:
 
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting connections; returns the address."""
-        self._in_flight = asyncio.Semaphore(self._max_in_flight)
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self._host, self._port
         )
         return self.address
 
@@ -159,66 +188,89 @@ class WireServer:
         for context in list(self._contexts):
             await self._close_context(context)
 
-    # -- connection loop ---------------------------------------------------
+    # -- connections -------------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        context = ConnectionContext(writer=writer)
-        self._contexts.add(context)
+    def _accept(self) -> FrameConnection:
+        """Protocol factory: one framed connection, its context, its tasks."""
         tasks: set[asyncio.Task] = set()
-        try:
-            while not self._stopping:
-                try:
-                    # Raw read first, then a separately-timed decode: the
-                    # span covering codec work must not also bill the idle
-                    # time spent waiting for bytes.
-                    raw = await wire.read_raw_frame(
-                        reader, max_frame=self.max_frame
-                    )
-                    if raw is None:  # clean EOF
-                        break
-                    if self._frame_observer is not None:
-                        self._frame_observer(raw)
-                    _, request_id = wire.peek_raw(raw)
-                    with self.tracer.trace(
-                        request_id, "server.decode"
-                    ) as decode_span:
-                        frame, request_id = wire.decode_traced(
-                            raw, max_frame=self.max_frame
-                        )
-                        decode_span.set("bytes", len(raw))
-                        decode_span.set("frame", type(frame).__name__)
-                except WireError as error:
-                    self.metrics.counter("server.bad_frames").inc()
-                    logger.warning(
-                        "rejecting malformed frame: %s",
-                        error,
-                        extra={"ctx": {"server": self.server_id}},
-                    )
-                    await self._send(
-                        context, ErrorResponse(ErrorCode.BAD_FRAME, str(error))
-                    )
-                    break
-                # Pipelining: dispatch concurrently and keep reading; the
-                # semaphore in _dispatch bounds concurrency and responses
-                # go out whenever their handler finishes (out of order).
-                task = asyncio.create_task(
-                    self._serve_request(frame, context.for_request(request_id))
+        connection = FrameConnection(
+            max_frame=self.max_frame,
+            on_frame=lambda raw: self._on_frame(raw, context, tasks),
+            on_end=lambda error: self._on_end(error, context, tasks),
+        )
+        context = ConnectionContext(writer=connection)
+        self._contexts.add(context)
+        return connection
+
+    def _on_frame(
+        self, raw: bytes, context: ConnectionContext, tasks: set
+    ) -> None:
+        """One complete frame, called from the read: decode and dispatch.
+
+        A ``WireError`` goes back to the connection, which ends its input
+        and reports it to :meth:`_on_end` like a malformed header.
+        """
+        if self._stopping:
+            return
+        if self._frame_observer is not None:
+            self._frame_observer(raw)
+        _, request_id = wire.peek_raw(raw)
+        # The span covers codec work only; waiting for bytes is not in it.
+        with self.tracer.trace(request_id, "server.decode") as decode_span:
+            frame, request_id = wire.decode_traced(
+                raw, max_frame=self.max_frame
+            )
+            decode_span.set("bytes", len(raw))
+            decode_span.set("frame", type(frame).__name__)
+        # Pipelining: one task per request, dispatched as frames arrive;
+        # _dispatch bounds concurrency and responses go out whenever their
+        # handler finishes (out of order).
+        task = asyncio.create_task(
+            self._serve_request(frame, context.for_request(request_id))
+        )
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    def _on_end(
+        self,
+        error: BaseException | None,
+        context: ConnectionContext,
+        tasks: set,
+    ) -> None:
+        closer = asyncio.create_task(
+            self._finish_connection(error, context, tasks)
+        )
+        self._closers.add(closer)
+        closer.add_done_callback(self._closers.discard)
+
+    async def _finish_connection(
+        self,
+        error: BaseException | None,
+        context: ConnectionContext,
+        tasks: set,
+    ) -> None:
+        """The connection's input ended: answer, drain handlers, clean up."""
+        if isinstance(error, WireError):
+            self._bad_frames.inc()
+            logger.warning(
+                "rejecting malformed frame: %s",
+                error,
+                extra={"ctx": {"server": self.server_id}},
+            )
+            try:
+                await self._send(
+                    context, ErrorResponse(ErrorCode.BAD_FRAME, str(error))
                 )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionError, OSError):
-            pass  # peer vanished; cleanups below
-        finally:
-            if tasks:
-                # Let in-flight handlers finish (each is bounded by the
-                # request timeout) so their effects and responses are not
-                # lost to a racing disconnect — matching the sequential
-                # protocol, where a read-side EOF never aborted a handler.
-                await asyncio.gather(*tasks, return_exceptions=True)
-            self._contexts.discard(context)
-            await self._close_context(context)
+            except (ConnectionError, OSError):
+                pass  # peer vanished; cleanups below
+        if tasks:
+            # Let in-flight handlers finish (each is bounded by the
+            # request timeout) so their effects and responses are not
+            # lost to a racing disconnect — matching the sequential
+            # protocol, where a read-side EOF never aborted a handler.
+            await asyncio.gather(*tasks, return_exceptions=True)
+        self._contexts.discard(context)
+        await self._close_context(context)
 
     async def _serve_request(
         self, frame: Frame, context: ConnectionContext
@@ -258,10 +310,7 @@ class WireServer:
         for callback in callbacks:
             callback()
         context.writer.close()
-        try:
-            await context.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await context.writer.wait_closed()
 
     # -- request execution -------------------------------------------------
 
@@ -278,8 +327,7 @@ class WireServer:
     async def _dispatch(
         self, frame: Frame, context: ConnectionContext
     ) -> Frame | None:
-        assert self._in_flight is not None
-        self.metrics.counter("server.requests").inc()
+        self._requests.inc()
         # Per-application books (envelope-bearing frames only — STATS and
         # other control frames have no tenant).  Multi-tenant fairness
         # tests reconcile these against each client's local counts, and
@@ -287,13 +335,18 @@ class WireServer:
         # light tenants" is asserted on.
         envelope = getattr(frame, "envelope", None)
         app_id = getattr(envelope, "app_id", None)
+        app_counters = None
         if app_id is not None:
-            self.metrics.counter(f"server.app_requests.{app_id}").inc()
-        if self._in_flight.locked():
+            app_counters = self._app_counters.get(app_id)
+            if app_counters is None:
+                self._unknown_app_requests.inc()
+            else:
+                app_counters[0].inc()
+        if self._in_flight >= self._max_in_flight:
             # All permits taken: shed instead of queueing without bound.
-            self.metrics.counter("server.shed").inc()
-            if app_id is not None:
-                self.metrics.counter(f"server.app_shed.{app_id}").inc()
+            self._shed.inc()
+            if app_counters is not None:
+                app_counters[1].inc()
             logger.warning(
                 "shedding request under backpressure",
                 extra={"ctx": self._request_ctx(frame, context)},
@@ -302,101 +355,97 @@ class WireServer:
                 ErrorCode.OVERLOADED,
                 f"more than {self._max_in_flight} requests in flight",
             )
-        in_flight = self.metrics.gauge("server.in_flight")
         started = time.perf_counter()
         with self.tracer.trace(
             context.request_id, "server.handle", frame=type(frame).__name__
         ) as handle_span:
-            async with self._in_flight:
-                in_flight.inc()
-                try:
-                    # One deadline timer on this request's own task; the
-                    # hook sits inside it on purpose: a stall long enough
-                    # to blow the deadline is answered with TIMEOUT like
-                    # any slow handler, which is exactly the failure chaos
-                    # wants to provoke.
-                    async with asyncio.timeout(self.request_timeout_s):
-                        if self.fault_hook is not None:
-                            await self.fault_hook(frame, context.request_id)
-                        response = await self.handle(frame, context)
-                    if logger.isEnabledFor(logging.DEBUG):
-                        logger.debug(
-                            "request served",
-                            extra={"ctx": self._request_ctx(frame, context)},
-                        )
-                    return response
-                except TimeoutError:
-                    self.metrics.counter("server.timeouts").inc()
-                    logger.warning(
-                        "request timed out",
+            self._in_flight += 1
+            try:
+                # The deadline is an entry in this server's queue, not a
+                # timer of its own; the hook sits inside it on purpose: a
+                # stall long enough to blow the deadline is answered with
+                # TIMEOUT like any slow handler, which is exactly the
+                # failure chaos wants to provoke.
+                with self._deadlines.after(self.request_timeout_s):
+                    if self.fault_hook is not None:
+                        await self.fault_hook(frame, context.request_id)
+                    response = await self.handle(frame, context)
+                if logger.isEnabledFor(logging.DEBUG):
+                    logger.debug(
+                        "request served",
                         extra={"ctx": self._request_ctx(frame, context)},
                     )
-                    handle_span.set("error", "timeout")
-                    return ErrorResponse(
-                        ErrorCode.TIMEOUT,
-                        f"request exceeded {self.request_timeout_s}s",
-                    )
-                except NetTimeoutError as error:
-                    self.metrics.counter("server.timeouts").inc()
-                    handle_span.set("error", "timeout")
-                    return ErrorResponse(ErrorCode.TIMEOUT, str(error))
-                except UnknownApplicationError as error:
-                    return ErrorResponse(ErrorCode.UNKNOWN_APP, error.app_id)
-                except HomeUnreachableError as error:
-                    self.metrics.counter("server.forward_failures").inc()
-                    logger.warning(
-                        "home unreachable: %s",
-                        error,
-                        extra={"ctx": self._request_ctx(frame, context)},
-                    )
-                    handle_span.set("error", "home_unreachable")
-                    return ErrorResponse(ErrorCode.MISS_FORWARDED, str(error))
-                except ServerOverloadedError as error:
-                    # A downstream hop shed the request unprocessed: relay the
-                    # code so the client keeps its retry-safety guarantee.
-                    return ErrorResponse(ErrorCode.OVERLOADED, str(error))
-                except WireError as error:
-                    self.metrics.counter("server.bad_frames").inc()
-                    return ErrorResponse(ErrorCode.BAD_FRAME, str(error))
-                except ReproError as error:
-                    # Typed library errors are expected application failures
-                    # (e.g. replayed INSERTs colliding): one line, no traceback.
-                    self.metrics.counter("server.internal_errors").inc()
-                    logger.warning(
-                        "request failed: %s: %s",
-                        type(error).__name__,
-                        error,
-                        extra={"ctx": self._request_ctx(frame, context)},
-                    )
-                    handle_span.set("error", type(error).__name__)
-                    return ErrorResponse(
-                        ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
-                    )
-                except Exception as error:
-                    # A handler bug must not tear down the connection without an
-                    # ERROR frame — the client could misread a silently dropped
-                    # connection as "update never sent".
-                    self.metrics.counter("server.internal_errors").inc()
-                    logger.exception(
-                        "request handler crashed",
-                        extra={"ctx": self._request_ctx(frame, context)},
-                    )
-                    handle_span.set("error", type(error).__name__)
-                    return ErrorResponse(
-                        ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
-                    )
-                finally:
-                    in_flight.dec()
-                    # Exemplars only for sampled requests: the linked trace
-                    # must actually exist in the span logs.
-                    self.metrics.histogram("server.handle_seconds").observe(
-                        time.perf_counter() - started,
-                        exemplar=(
-                            context.request_id
-                            if handle_span.recorded
-                            else None
-                        ),
-                    )
+                return response
+            except TimeoutError:
+                self._timeouts.inc()
+                logger.warning(
+                    "request timed out",
+                    extra={"ctx": self._request_ctx(frame, context)},
+                )
+                handle_span.set("error", "timeout")
+                return ErrorResponse(
+                    ErrorCode.TIMEOUT,
+                    f"request exceeded {self.request_timeout_s}s",
+                )
+            except NetTimeoutError as error:
+                self._timeouts.inc()
+                handle_span.set("error", "timeout")
+                return ErrorResponse(ErrorCode.TIMEOUT, str(error))
+            except UnknownApplicationError as error:
+                return ErrorResponse(ErrorCode.UNKNOWN_APP, error.app_id)
+            except HomeUnreachableError as error:
+                self._forward_failures.inc()
+                logger.warning(
+                    "home unreachable: %s",
+                    error,
+                    extra={"ctx": self._request_ctx(frame, context)},
+                )
+                handle_span.set("error", "home_unreachable")
+                return ErrorResponse(ErrorCode.MISS_FORWARDED, str(error))
+            except ServerOverloadedError as error:
+                # A downstream hop shed the request unprocessed: relay the
+                # code so the client keeps its retry-safety guarantee.
+                return ErrorResponse(ErrorCode.OVERLOADED, str(error))
+            except WireError as error:
+                self._bad_frames.inc()
+                return ErrorResponse(ErrorCode.BAD_FRAME, str(error))
+            except ReproError as error:
+                # Typed library errors are expected application failures
+                # (e.g. replayed INSERTs colliding): one line, no traceback.
+                self._internal_errors.inc()
+                logger.warning(
+                    "request failed: %s: %s",
+                    type(error).__name__,
+                    error,
+                    extra={"ctx": self._request_ctx(frame, context)},
+                )
+                handle_span.set("error", type(error).__name__)
+                return ErrorResponse(
+                    ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+                )
+            except Exception as error:
+                # A handler bug must not tear down the connection without an
+                # ERROR frame — the client could misread a silently dropped
+                # connection as "update never sent".
+                self._internal_errors.inc()
+                logger.exception(
+                    "request handler crashed",
+                    extra={"ctx": self._request_ctx(frame, context)},
+                )
+                handle_span.set("error", type(error).__name__)
+                return ErrorResponse(
+                    ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+                )
+            finally:
+                self._in_flight -= 1
+                # Exemplars only for sampled requests: the linked trace
+                # must actually exist in the span logs.
+                self._handle_seconds.observe(
+                    time.perf_counter() - started,
+                    exemplar=(
+                        context.request_id if handle_span.recorded else None
+                    ),
+                )
 
     # -- observability -----------------------------------------------------
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import time
 
+import pytest
+
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.dssp import HomeServer
@@ -176,10 +178,11 @@ class TestUpdateIdempotency:
 
             # Exactly one push reaches the stream; a second would make
             # every non-origin node double-count the invalidation.
-            push = await asyncio.wait_for(anext(subscription.frames()), 2.0)
+            frames = subscription.frames()
+            push = await asyncio.wait_for(anext(frames), 2.0)
             assert isinstance(push, InvalidationPush)
-            await asyncio.sleep(0.05)
-            assert subscription._connection._reader._buffer == b""
+            with pytest.raises(asyncio.TimeoutError):  # the stream is silent
+                await asyncio.wait_for(anext(frames), 0.05)
             await subscription.aclose()
         finally:
             await subscriber.aclose()

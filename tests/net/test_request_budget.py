@@ -1,12 +1,14 @@
-"""The wire tier's fixed per-request budget: one task, one deadline timer.
+"""The wire tier's fixed per-request budget: one task, no timer.
 
 Everything here is a count or a typed outcome — no wall-clock thresholds.
 A counting task factory attributes every task created on the shared loop
 to the server whose coroutine it runs (or to nobody: the client library
 and everything else), so "a cache hit costs one task" is asserted, not
-estimated.  The deadline tests pin what replacing ``asyncio.wait_for``
-with ``asyncio.timeout`` must keep: the same typed outcomes and the same
-retry safety.
+estimated; a counting ``loop.call_at`` does the same for timers.  The
+deadline tests pin what keeping deadlines in a
+:class:`~repro.net.deadline.DeadlineQueue` must preserve: the typed
+outcomes and retry safety ``asyncio.wait_for`` gave, and the cancellation
+contract of ``asyncio.timeout``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
 from repro.dssp.invalidation import StrategyClass
 from repro.errors import NetTimeoutError
 from repro.net import RetryPolicy, WireClient, wire
+from repro.net.deadline import DeadlineQueue
 from repro.net.service import WireServer
 from tests.net.test_end_to_end import Topology
 
@@ -45,8 +48,21 @@ class TaskCounts:
         return asyncio.Task(coro, loop=loop, **kwargs)
 
 
+def count_timers(loop) -> list:
+    """Make ``loop`` record every timer armed from now on."""
+    armed: list = []
+    call_at = loop.call_at
+
+    def counting_call_at(when, callback, *args, **kwargs):
+        armed.append(callback)
+        return call_at(when, callback, *args, **kwargs)
+
+    loop.call_at = counting_call_at  # call_later goes through it too
+    return armed
+
+
 class TestTaskBudget:
-    async def test_hits_cost_one_task_and_misses_two(
+    async def test_hits_cost_one_task_and_misses_two_and_no_timer(
         self, toystore, toystore_db
     ):
         topology = Topology(toystore, toystore_db, StrategyClass.MSIS)
@@ -59,6 +75,9 @@ class TestTaskBudget:
             assert (await client.query(warm)).cache_hit is False
             counts = TaskCounts()
             asyncio.get_running_loop().set_task_factory(counts)
+            # The warm-up armed each hop's one deadline timer; every later
+            # deadline lies behind it, so no request arms another.
+            timers = count_timers(asyncio.get_running_loop())
 
             for _ in range(N):
                 assert (await client.query(warm)).cache_hit is True
@@ -69,6 +88,7 @@ class TestTaskBudget:
                 outcome = await client.query(top.seal_query(q2.bind([toy_id])))
                 assert outcome.cache_hit is False
             assert counts.by_owner == {"dssp-0": N, "home": N}
+            assert timers == []
 
 
 class SlowServer(WireServer):
@@ -176,3 +196,82 @@ class TestDeadlines:
             await client.aclose()
             server.close()
             await server.wait_closed()
+
+
+class TestDeadlineQueue:
+    async def test_two_timeouts_on_one_queue_expire_in_deadline_order(self):
+        queue = DeadlineQueue()
+        expired: list[str] = []
+
+        async def wait(name: str, delay: float):
+            try:
+                with queue.after(delay):
+                    await asyncio.Event().wait()
+            except TimeoutError:
+                expired.append(name)
+
+        timers = count_timers(asyncio.get_running_loop())
+        slow = asyncio.ensure_future(wait("slow", 0.06))
+        await asyncio.sleep(0)
+        # The shorter timeout arrives while the longer one is armed.
+        fast = asyncio.ensure_future(wait("fast", 0.02))
+        await asyncio.gather(slow, fast)
+        assert expired == ["fast", "slow"]
+        # Idle again: nothing open, nothing armed.
+        assert len(queue) == 0 and not queue.armed
+        # slow armed, fast re-armed earlier, fast's expiry re-armed slow's.
+        assert len(timers) == 3
+
+    async def test_a_deadline_behind_the_armed_one_arms_nothing(self):
+        queue = DeadlineQueue()
+        with queue.after(5.0):
+            timers = count_timers(asyncio.get_running_loop())
+            for _ in range(N):
+                with queue.after(5.0):
+                    assert len(queue) == 2
+        assert timers == [] and len(queue) == 0 and queue.armed
+
+    async def test_outside_cancellation_stays_cancellation(self):
+        queue = DeadlineQueue()
+        entered = asyncio.Event()
+
+        async def body():
+            with queue.after(5.0):
+                entered.set()
+                await asyncio.Event().wait()
+
+        task = asyncio.ensure_future(body())
+        await entered.wait()
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        assert len(queue) == 0
+
+    async def test_expiry_is_a_timeout_once_and_the_task_stays_usable(self):
+        queue = DeadlineQueue()
+        with pytest.raises(TimeoutError):
+            with queue.after(0.01):
+                await asyncio.Event().wait()
+        assert asyncio.current_task().cancelling() == 0
+        await asyncio.sleep(0)  # no second cancellation is lurking
+        assert len(queue) == 0 and not queue.armed
+
+    async def test_cancelled_while_expiring_is_a_cancellation(self):
+        """Both the deadline and the caller cancelled the task: the
+        caller's request wins, as with ``asyncio.timeout``."""
+        queue = DeadlineQueue()
+        entered = asyncio.Event()
+
+        async def body():
+            with queue.after(0.01):
+                entered.set()
+                try:
+                    await asyncio.Event().wait()
+                except asyncio.CancelledError:
+                    asyncio.current_task().cancel()  # the caller's, too
+                    raise
+
+        task = asyncio.ensure_future(body())
+        await entered.wait()
+        with pytest.raises(asyncio.CancelledError):
+            await task

@@ -11,10 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.exposure import ExposureLevel
-from repro.crypto.envelope import UpdateEnvelope
-from repro.errors import NetError
-from repro.net import RetryPolicy, WireClient
+from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
+from repro.dssp import DsspNode
+from repro.errors import NetError, UnknownApplicationError
+from repro.net import DsspNetServer, RetryPolicy, WireClient
 from repro.net.service import WireServer
+from repro.obs import per_app_counters
 
 UPDATE = UpdateEnvelope(
     app_id="toystore", level=ExposureLevel.BLIND, opaque_id="u1"
@@ -39,6 +41,45 @@ class TestDispatchCatchAll:
             # connection drop.
             with pytest.raises(NetError, match="AttributeError"):
                 await client.update(UPDATE)
+        finally:
+            await client.aclose()
+            await server.stop()
+
+
+class TestPerApplicationBooks:
+    async def test_unknown_app_ids_do_not_grow_the_registry(
+        self, simple_toystore
+    ):
+        """``app_id`` is unauthenticated wire input: per-application
+        counters exist only for applications the server registered."""
+        server = DsspNetServer(DsspNode())
+        # No home listens there: only the books are under test.
+        server.register_application(
+            "toystore", simple_toystore, ("127.0.0.1", 1)
+        )
+        host, port = await server.start()
+        client = WireClient(host, port, retry=RetryPolicy(attempts=1))
+
+        async def bogus(count: int) -> int:
+            for index in range(count):
+                envelope = QueryEnvelope(
+                    app_id=f"bogus-{count}-{index}",
+                    level=ExposureLevel.BLIND,
+                    cache_key="k",
+                )
+                with pytest.raises(UnknownApplicationError):
+                    await client.query(envelope)
+            return len(server.metrics.snapshot()["counters"])
+
+        try:
+            assert await bogus(50) == await bogus(1)
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["server.unknown_app_requests"] == 51
+            assert counters["server.requests"] == 51
+            served = per_app_counters(
+                server.metrics.snapshot(), "server.app_requests"
+            )
+            assert served == {"toystore": 0.0}
         finally:
             await client.aclose()
             await server.stop()
