@@ -1,18 +1,25 @@
 """Envelopes: what the DSSP actually sees at each exposure level.
 
-The home server *seals* statements and results into envelopes according to
-the application's exposure policy; the DSSP handles envelopes only.  By
-construction an envelope carries plaintext fields **only** for information
-its exposure level permits (paper Figure 5):
+A statement is ``Q_T(Q_P)`` — a registered template's name plus its
+parameters (paper Section 2.1) — and that pair is its *only*
+representation, in memory and on the wire.  The exposure level decides
+which part of the pair is sealed (paper Figure 5), nothing else:
 
-===========  =====================================  =======================
-Level        Query envelope exposes                 Cache key (footnote 3)
-===========  =====================================  =======================
-blind        nothing                                Enc(statement)
-template     template name + template SQL           template ‖ Enc(params)
-stmt         + bound statement (AST and SQL)        statement SQL
-view         + plaintext result                     statement SQL
-===========  =====================================  =======================
+===========  =========================  ===================================
+Level        In the clear               Identity (cache key, footnote 3)
+===========  =========================  ===================================
+blind        nothing                    app ‖ Enc(name ‖ params)
+template     template name              app ‖ name ‖ Enc(params)
+stmt         template name + params     app ‖ name ‖ params
+view         + plaintext result         app ‖ name ‖ params
+===========  =========================  ===================================
+
+No SQL text, no key and no id travels with an envelope: every receiver
+holds the application's template registry and binds ``(name, params)``
+through it, and :attr:`Envelope.identity` is computed from the fields
+above by whoever needs it.  A statement outside the registered set, a
+key that disagrees with its statement, or a name that disagrees with its
+statement therefore cannot be written down.
 
 Update envelopes are identical minus the ``view`` row.  Result envelopes
 are plaintext only at ``view``; below that they hold an encrypted payload
@@ -22,43 +29,86 @@ that only holders of the application's keyring can open.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.keyring import Keyring, Purpose
 from repro.errors import CryptoError
 from repro.obs.memo import BoundedMemo
-from repro.sql.ast import Delete, Insert, Select, Update
-from repro.sql.parser import parse
+from repro.sql.ast import Scalar, Select, Statement
 from repro.storage.rows import ResultSet
+from repro.templates.registry import TemplateRegistry
 from repro.templates.template import BoundQuery, BoundUpdate
 
 __all__ = [
+    "Envelope",
     "EnvelopeCodec",
     "QueryEnvelope",
     "ResultEnvelope",
     "UpdateEnvelope",
+    "decode_params",
     "deserialize_result",
+    "encode_params",
     "serialize_result",
 ]
 
+#: The one serialisation of parameters (and of the blind ``[name, params]``
+#: pair): compact JSON.  ``allow_nan=False`` because NaN never equals
+#: itself — a statement carrying one could be neither cached nor indexed.
+_to_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def encode_params(params: tuple[Scalar, ...]) -> bytes:
+    """Canonical bytes of a parameter tuple: sealed at ``template``, sent
+    as they are at ``stmt``/``view``."""
+    return _to_json(params).encode()
+
+
+def decode_params(data: bytes) -> tuple[Scalar, ...]:
+    """Inverse of :func:`encode_params`, for bytes nobody authenticated.
+
+    Raises:
+        ValueError: not a JSON array of ``int | float | str | None`` —
+            booleans, containers and non-finite floats are refused.
+    """
+    try:
+        params = json.loads(data)
+    except RecursionError:
+        raise ValueError("parameters nest too deeply") from None
+    if type(params) is not list:
+        raise ValueError("parameters are not a JSON array")
+    for value in params:
+        kind = type(value)
+        if kind is float:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite parameter {value!r}")
+        elif kind is not int and kind is not str and value is not None:
+            raise ValueError(f"parameter {value!r} is not a scalar")
+    return tuple(params)
+
 
 @dataclass(frozen=True)
-class QueryEnvelope:
-    """A query as it crosses the DSSP, with level-appropriate visibility."""
+class Envelope:
+    """A statement as it crosses the DSSP: ``(template_name, params)``,
+    each part in the clear or sealed as :attr:`level` dictates.
+
+    Exactly one of ``params`` / ``sealed_params`` / ``sealed_statement``
+    is set; ``template_name`` is set unless the envelope is ``blind``.
+    """
 
     app_id: str
     level: ExposureLevel
-    cache_key: str
     template_name: str | None = None
-    template_sql: str | None = None
-    statement: Select | None = None
-    statement_sql: str | None = None
-    #: Ciphertexts the home server (key holder) uses to recover the query;
-    #: opaque to the DSSP.
-    sealed_statement: bytes | None = None
+    params: tuple[Scalar, ...] | None = None
+    #: Ciphertexts the home server (key holder) opens; opaque to the DSSP.
     sealed_params: bytes | None = None
+    sealed_statement: bytes | None = None
+    #: The sealer's own bound AST, kept where it was already at hand.  It
+    #: is not part of the envelope's value: never compared, never encoded,
+    #: so no receiver across a wire sees it and none consults it.
+    statement: Statement | None = field(default=None, compare=False, repr=False)
 
     @property
     def template_visible(self) -> bool:
@@ -67,34 +117,50 @@ class QueryEnvelope:
 
     @property
     def statement_visible(self) -> bool:
-        """True if the DSSP may use the bound statement (SIS and up)."""
-        return self.statement is not None
+        """True if the DSSP may read the parameters (SIS and up)."""
+        return self.params is not None
+
+    @property
+    def identity(self) -> tuple:
+        """What makes two envelopes the same statement to a DSSP.
+
+        The view-cache key, the shard-placement key and the update
+        dedup/coalesce id are all this value; it is derived from the
+        fields the receiver was given — never carried — and always names
+        the application.  The three shapes cannot collide: they differ
+        in length or in the type of their last member.
+        """
+        if self.params is not None:
+            return (self.app_id, self.template_name, self.params)
+        if self.sealed_params is not None:
+            return (self.app_id, self.template_name, self.sealed_params)
+        return (self.app_id, self.sealed_statement)
+
+    def bound(self, registry: TemplateRegistry):
+        """The statement as far as a keyless holder of ``registry`` may
+        read it: the bound instance at ``stmt``/``view``, else None.
+
+        Raises:
+            TemplateError, BindingError: a visible name that is not one
+                of the registry's templates of this kind, or parameters
+                of the wrong arity.
+        """
+        if self.template_name is None:
+            return None
+        template = self._template(registry, self.template_name)
+        return None if self.params is None else template.bind(self.params)
 
 
-@dataclass(frozen=True)
-class UpdateEnvelope:
+class QueryEnvelope(Envelope):
+    """A query as it crosses the DSSP, with level-appropriate visibility."""
+
+    _template = staticmethod(TemplateRegistry.query)
+
+
+class UpdateEnvelope(Envelope):
     """An update as it crosses the DSSP on its way to the home server."""
 
-    app_id: str
-    level: ExposureLevel
-    opaque_id: str
-    template_name: str | None = None
-    template_sql: str | None = None
-    statement: Insert | Delete | Update | None = None
-    statement_sql: str | None = None
-    #: Ciphertexts for the home server; opaque to the DSSP.
-    sealed_statement: bytes | None = None
-    sealed_params: bytes | None = None
-
-    @property
-    def template_visible(self) -> bool:
-        """True if the DSSP may use template identity."""
-        return self.template_name is not None
-
-    @property
-    def statement_visible(self) -> bool:
-        """True if the DSSP may use the bound statement."""
-        return self.statement is not None
+    _template = staticmethod(TemplateRegistry.update)
 
 
 @dataclass(frozen=True)
@@ -138,8 +204,6 @@ def deserialize_result(data: bytes) -> ResultSet:
         raise CryptoError(f"malformed result payload: {error}") from error
 
 
-
-
 class EnvelopeCodec:
     """Seals and opens envelopes for one application's keyring.
 
@@ -169,45 +233,13 @@ class EnvelopeCodec:
         """Application this codec seals for."""
         return self._keyring.app_id
 
-    # -- queries -----------------------------------------------------------
+    # -- sealing (client side) ---------------------------------------------
 
     def seal_query(self, query: BoundQuery, level: ExposureLevel) -> QueryEnvelope:
         """Produce the DSSP-visible form of a bound query."""
         return self._seal_query_memo.get(
-            (query, level), self._seal_query, query, level
+            (query, level), self._envelope, QueryEnvelope, query, query.select, level
         )
-
-    def _seal_query(self, query: BoundQuery, level: ExposureLevel) -> QueryEnvelope:
-        app = self.app_id
-        if level >= ExposureLevel.STMT:
-            return QueryEnvelope(
-                app_id=app,
-                level=level,
-                cache_key=f"{app}|stmt|{query.sql}",
-                template_name=query.template.name,
-                template_sql=query.template.sql,
-                statement=query.select,
-                statement_sql=query.sql,
-            )
-        if level is ExposureLevel.TEMPLATE:
-            token = self._encrypt_params(query.params)
-            return QueryEnvelope(
-                app_id=app,
-                level=level,
-                cache_key=f"{app}|tmpl|{query.template.name}|{token.hex()}",
-                template_name=query.template.name,
-                template_sql=query.template.sql,
-                sealed_params=token,
-            )
-        token = encrypt(self._statement_key, query.sql.encode())
-        return QueryEnvelope(
-            app_id=app,
-            level=level,
-            cache_key=f"{app}|blind|{token.hex()}",
-            sealed_statement=token,
-        )
-
-    # -- updates ---------------------------------------------------------------
 
     def seal_update(
         self, update: BoundUpdate, level: ExposureLevel
@@ -219,33 +251,22 @@ class EnvelopeCodec:
         """
         if level is ExposureLevel.VIEW:
             raise CryptoError("update envelopes have no 'view' level")
-        app = self.app_id
-        if level is ExposureLevel.STMT:
-            return UpdateEnvelope(
-                app_id=app,
-                level=level,
-                opaque_id=f"{app}|stmt|{update.sql}",
-                template_name=update.template.name,
-                template_sql=update.template.sql,
-                statement=update.statement,
-                statement_sql=update.sql,
+        return self._envelope(UpdateEnvelope, update, update.statement, level)
+
+    def _envelope(self, kind, bound, statement: Statement, level: ExposureLevel):
+        name = bound.template.name
+        if level >= ExposureLevel.STMT:
+            return kind(
+                self.app_id, level, name, bound.params, statement=statement
             )
         if level is ExposureLevel.TEMPLATE:
-            token = self._encrypt_params(update.params)
-            return UpdateEnvelope(
-                app_id=app,
-                level=level,
-                opaque_id=f"{app}|tmpl|{update.template.name}|{token.hex()}",
-                template_name=update.template.name,
-                template_sql=update.template.sql,
-                sealed_params=token,
-            )
-        token = encrypt(self._statement_key, update.sql.encode())
-        return UpdateEnvelope(
-            app_id=app,
-            level=level,
-            opaque_id=f"{app}|blind|{token.hex()}",
-            sealed_statement=token,
+            token = encrypt(self._params_key, encode_params(bound.params))
+            return kind(self.app_id, level, name, sealed_params=token)
+        pair = _to_json((name, bound.params)).encode()
+        return kind(
+            self.app_id,
+            level,
+            sealed_statement=encrypt(self._statement_key, pair),
         )
 
     # -- results -----------------------------------------------------------------
@@ -282,18 +303,19 @@ class EnvelopeCodec:
 
         Args:
             envelope: As received from the DSSP.
-            registry: The application's template registry, needed to rebuild
-                statements from ``template``-level envelopes.
+            registry: The application's template registry; the statement
+                that runs is always one of its templates, bound.
 
         Raises:
             CryptoError: wrong application or tampered payload.
+            TemplateError, BindingError: a name or arity the registry
+                does not have.
         """
         self._check_app(envelope.app_id)
-        if envelope.statement is not None:
-            return envelope.statement
+        if envelope.params is not None:
+            return self._bind(envelope, registry).select
         # Keyed on the ciphertext itself — the bytes the SIV check
-        # authenticates on the miss — never on ``cache_key``, which is the
-        # sender's unauthenticated claim: an equal ciphertext opens to the
+        # authenticates on the miss: an equal ciphertext opens to the
         # same statement, a tampered one is a different key and is
         # decrypted (and rejected) on every attempt.
         if envelope.sealed_params is not None:
@@ -301,55 +323,34 @@ class EnvelopeCodec:
         else:
             key = envelope.sealed_statement
         return self._open_query_memo.get(
-            key, self._open_sealed_query, envelope, registry
-        )
-
-    def _open_sealed_query(self, envelope: QueryEnvelope, registry) -> Select:
-        if envelope.sealed_params is not None:
-            assert envelope.template_name is not None
-            params = self._decrypt_params(envelope.sealed_params)
-            template = registry.query(envelope.template_name)
-            return template.bind(params).select
-        assert envelope.sealed_statement is not None
-        sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
-        statement = parse(sql)
-        if not isinstance(statement, Select):
-            raise CryptoError("sealed query does not decode to a SELECT")
-        return statement
+            key, self._bind, envelope, registry
+        ).select
 
     def open_update(self, envelope: UpdateEnvelope, registry):
         """Recover the bound update statement from an update envelope.
 
         Raises:
-            CryptoError: wrong application or tampered payload.
+            CryptoError, TemplateError, BindingError: as :meth:`open_query`.
         """
         self._check_app(envelope.app_id)
-        if envelope.statement is not None:
-            return envelope.statement
+        return self._bind(envelope, registry).statement
+
+    def _bind(self, envelope: Envelope, registry):
+        """The one open path: recover ``(name, params)``, bind them."""
+        name, params = envelope.template_name, envelope.params
         if envelope.sealed_params is not None:
-            assert envelope.template_name is not None
-            params = self._decrypt_params(envelope.sealed_params)
-            template = registry.update(envelope.template_name)
-            return template.bind(params).statement
-        assert envelope.sealed_statement is not None
-        sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
-        statement = parse(sql)
-        if isinstance(statement, Select):
-            raise CryptoError("sealed update decodes to a SELECT")
-        return statement
+            params = decode_params(
+                decrypt(self._params_key, envelope.sealed_params)
+            )
+        elif params is None:
+            assert envelope.sealed_statement is not None
+            name, params = json.loads(
+                decrypt(self._statement_key, envelope.sealed_statement)
+            )
+        return envelope._template(registry, name).bind(params)
 
     def _check_app(self, app_id: str) -> None:
         if app_id != self.app_id:
             raise CryptoError(
                 f"envelope belongs to {app_id!r}, codec is for {self.app_id!r}"
             )
-
-    # -- helpers ------------------------------------------------------------------
-
-    def _encrypt_params(self, params: tuple) -> bytes:
-        payload = json.dumps(list(params), separators=(",", ":")).encode()
-        return encrypt(self._params_key, payload)
-
-    def _decrypt_params(self, token: bytes) -> tuple:
-        payload = json.loads(decrypt(self._params_key, token).decode())
-        return tuple(payload)

@@ -1,10 +1,12 @@
 """The DSSP's cache of (possibly encrypted) query results.
 
-Entries are keyed by the envelope's cache key (paper footnote 3):
+Entries are keyed by the envelope's derived identity
+(:attr:`repro.crypto.envelope.Envelope.identity`, paper footnote 3) — the
+application plus:
 
-* plaintext statement SQL at ``stmt``/``view`` exposure,
+* template name + parameters at ``stmt``/``view`` exposure,
 * template name + deterministically-encrypted parameters at ``template``,
-* deterministically-encrypted statement at ``blind``.
+* the deterministically-encrypted statement at ``blind``.
 
 Each entry remembers the *visible* metadata of the query that produced it —
 never more than its exposure level allows — because that is all the
@@ -28,8 +30,7 @@ statement's indexable selection attributes
 for the *candidate* entries an update's pinned values could touch instead
 of sweeping the whole bucket.  The posting lists are maintained through
 the same ``_index``/``_unindex`` choke points as the buckets, so LRU
-eviction, ``invalidate_app``, refreshes under a changed identity, and
-shard re-placement all keep them exact.
+eviction, ``invalidate_app`` and shard re-placement all keep them exact.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.dssp.stats import DsspStats
 from repro.errors import CacheError
 from repro.sql.ast import Scalar, Select
 from repro.storage.rows import ResultSet
+from repro.templates.template import BoundQuery
 
 __all__ = ["CacheEntry", "ViewCache"]
 
@@ -59,16 +61,17 @@ class CacheEntry:
     """One cached view with its DSSP-visible metadata.
 
     Attributes:
-        key: The envelope cache key.
+        key: The envelope's derived identity.
         app_id: Owning application.
         level: The query's exposure level when cached.
         result: Sealed (or plaintext, at ``view``) result envelope.
         template_name: Visible at ``template`` exposure and above.
-        statement: Bound SELECT AST, visible at ``stmt`` and above.
+        statement: Bound SELECT AST, visible at ``stmt`` and above — bound
+            by the admitting node through the application's registry.
         view_rows: Plaintext result rows, visible only at ``view``.
     """
 
-    key: str
+    key: tuple
     app_id: str
     level: ExposureLevel
     result: ResultEnvelope
@@ -84,11 +87,11 @@ class _PredicateBucket:
     #: Indexable attributes of the bucket's template (fixed per template).
     attrs: frozenset[Attr]
     #: (attr) → bound value → keys of entries pinned at that value.
-    by_value: dict[Attr, dict[Scalar, set[str]]] = field(default_factory=dict)
+    by_value: dict[Attr, dict[Scalar, set[tuple]]] = field(default_factory=dict)
     #: (attr) → keys whose bound value is NULL (always candidates).
-    nulls: dict[Attr, set[str]] = field(default_factory=dict)
+    nulls: dict[Attr, set[tuple]] = field(default_factory=dict)
     #: Keys with no extractable statement (always candidates).
-    always: set[str] = field(default_factory=set)
+    always: set[tuple] = field(default_factory=set)
     #: Entries accounted for; must equal the bucket size for the index to
     #: be authoritative (a mid-life ``register_indexer`` call would leave
     #: earlier entries unaccounted — the lookup then declines to narrow).
@@ -109,9 +112,9 @@ class ViewCache:
         stats: DsspStats | None = None,
     ) -> None:
         #: Entries in recency order: least recently used first.
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._buckets: dict[tuple[str, str | None], set[str]] = {}
-        self._app_keys: dict[str, set[str]] = {}
+        self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
+        self._buckets: dict[tuple[str, str | None], set[tuple]] = {}
+        self._app_keys: dict[str, set[tuple]] = {}
         self._capacity = capacity
         self._stats = stats
         #: (app, template) → posting lists, for buckets whose application
@@ -120,7 +123,7 @@ class ViewCache:
         self._indexers: dict[str, PredicateIndexer] = {}
         #: key → postings to retract on removal: None for always-candidates,
         #: else ((attr, value-or-_NULL), ...).
-        self._postings: dict[str, tuple | None] = {}
+        self._postings: dict[tuple, tuple | None] = {}
         self._posting_count = 0
 
     def __len__(self) -> int:
@@ -148,12 +151,12 @@ class ViewCache:
         )
         registry.gauge("cache.index_postings", lambda: self._posting_count)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
     # -- read path ----------------------------------------------------------
 
-    def get(self, key: str) -> CacheEntry | None:
+    def get(self, key: tuple) -> CacheEntry | None:
         """Look up an entry; None on miss.  Refreshes LRU position."""
         entry = self._entries.get(key)
         if entry is not None:
@@ -209,9 +212,9 @@ class ViewCache:
         usable = [attr for attr in posting.attrs if attr in pinned]
         if not usable:
             return None
-        candidates: set[str] | None = None
+        candidates: set[tuple] | None = None
         for attr in usable:
-            matched: set[str] = set()
+            matched: set[tuple] = set()
             by_value = posting.by_value.get(attr)
             if by_value:
                 for value in pinned[attr]:
@@ -232,38 +235,39 @@ class ViewCache:
 
     # -- write path -----------------------------------------------------------
 
-    def put(self, envelope: QueryEnvelope, result: ResultEnvelope) -> CacheEntry:
-        """Insert (or refresh) the cached result for a query envelope."""
+    def put(
+        self,
+        envelope: QueryEnvelope,
+        result: ResultEnvelope,
+        bound: BoundQuery | None = None,
+    ) -> CacheEntry:
+        """Insert (or refresh) the cached result for a query envelope.
+
+        ``bound`` is the envelope's ``(template_name, params)`` as the
+        admitting node bound them; None where the parameters are sealed.
+        """
         if result.app_id != envelope.app_id:
             raise CacheError("result/query envelope application mismatch")
         view_rows = result.plaintext if envelope.level is ExposureLevel.VIEW else None
         entry = CacheEntry(
-            key=envelope.cache_key,
+            key=envelope.identity,
             app_id=envelope.app_id,
             level=envelope.level,
             result=result,
             template_name=envelope.template_name,
-            statement=envelope.statement,
+            statement=None if bound is None else bound.select,
             view_rows=view_rows,
         )
-        old = self._entries.get(entry.key)
-        if old is not None and (
-            old.app_id != entry.app_id
-            or old.template_name != entry.template_name
-        ):
-            # Refresh under a different visible identity (exposure policy
-            # changed between runs): the old bucket must not keep pointing
-            # at the key the entry moved away from.
-            self._unindex(old)
-            old = None
-        if old is None:
+        # The key names its application and (when visible) its template,
+        # so a refresh always lands in the bucket it is already in.
+        if entry.key not in self._entries:
             self._index(entry)
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
         self._maybe_evict()
         return entry
 
-    def invalidate(self, key: str) -> bool:
+    def invalidate(self, key: tuple) -> bool:
         """Drop one entry; True if it existed."""
         entry = self._entries.pop(key, None)
         if entry is None:
@@ -271,7 +275,7 @@ class ViewCache:
         self._unindex(entry)
         return True
 
-    def invalidate_many(self, keys: Iterable[str]) -> int:
+    def invalidate_many(self, keys: Iterable[tuple]) -> int:
         """Drop several entries; returns how many existed."""
         return sum(1 for key in list(keys) if self.invalidate(key))
 

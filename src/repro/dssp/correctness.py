@@ -33,7 +33,7 @@ class ConsistencyViolation:
     """One stale cached view discovered after an update."""
 
     after_update_sql: str
-    cache_key: str
+    key: tuple
     template_name: str | None
     cached_rows: tuple | None
     fresh_rows: tuple
@@ -84,9 +84,9 @@ def verify_invalidation_correctness(
     node.cold_start()
     rng = random.Random(seed)
     report = CorrectnessReport()
-    # Map cache keys back to the envelopes that created them so the audit
+    # Map entry keys back to the envelopes that created them so the audit
     # can re-open and re-execute each cached view.
-    live_queries: dict[str, object] = {}
+    live_queries: dict[tuple, object] = {}
 
     for _ in range(pages):
         report.pages += 1
@@ -97,19 +97,19 @@ def verify_invalidation_correctness(
                 envelope = home.codec.seal_update(bound, level)
                 node.update(envelope)
                 report.updates += 1
-                _audit(node, home, live_queries, bound.sql, report)
+                _audit(node, home, live_queries, bound, report)
                 if len(report.violations) >= max_violations:
                     return report
             else:
                 level = home.policy.query_level(bound.template.name)
                 envelope = home.codec.seal_query(bound, level)
                 node.query(envelope)
-                live_queries[envelope.cache_key] = envelope
+                live_queries[envelope.identity] = envelope
                 report.queries += 1
     return report
 
 
-def _audit(node, home, live_queries, update_sql, report) -> None:
+def _audit(node, home, live_queries, update, report) -> None:
     stale_keys = [
         key for key in live_queries if key not in node.cache
     ]
@@ -126,8 +126,8 @@ def _audit(node, home, live_queries, update_sql, report) -> None:
         if not cached.equivalent(fresh):
             report.violations.append(
                 ConsistencyViolation(
-                    after_update_sql=update_sql,
-                    cache_key=key,
+                    after_update_sql=update.sql,
+                    key=key,
                     template_name=entry.template_name,
                     cached_rows=cached.rows,
                     fresh_rows=fresh.rows,

@@ -31,6 +31,7 @@ from repro.dssp.cache import CacheEntry, ViewCache
 from repro.dssp.predicate_index import Attr, update_pinned_values
 from repro.dssp.stats import DsspStats
 from repro.dssp.view_checks import view_allows_skip
+from repro.sql.ast import Delete, Insert, Update
 from repro.templates.classify import is_ignorable
 from repro.templates.registry import TemplateRegistry
 
@@ -114,6 +115,10 @@ class InvalidationEngine:
         stats: DsspStats | None = None,
     ) -> int:
         """Invalidate everything the update may have changed; returns count."""
+        # Bound through this node's registry (refusing a name or arity it
+        # lacks before anything is counted); None where parameters are sealed.
+        bound = envelope.bound(self._registry)
+        statement = None if bound is None else bound.statement
         app_id = envelope.app_id
         self._used_index = False
         self._used_sweep = False
@@ -132,11 +137,7 @@ class InvalidationEngine:
         update_name = envelope.template_name
         assert update_name is not None
         # The index lookup key, shared by every bucket of this update.
-        pinned = (
-            update_pinned_values(envelope.statement)
-            if envelope.statement is not None
-            else None
-        )
+        pinned = None if statement is None else update_pinned_values(statement)
         for bucket_name in cache.bucket_names(app_id):
             if bucket_name is None:
                 # Blind query entries: template unknown → must invalidate.
@@ -150,7 +151,7 @@ class InvalidationEngine:
             if not self._invalidates_at_template_level(update_name, bucket_name):
                 continue
             total += self._process_bucket(
-                envelope, cache, app_id, bucket_name, pinned, stats
+                statement, cache, app_id, bucket_name, pinned, stats
             )
         if self._used_index:
             self.last_path = "mixed" if self._used_sweep else "indexed"
@@ -160,7 +161,7 @@ class InvalidationEngine:
 
     def _process_bucket(
         self,
-        envelope: UpdateEnvelope,
+        statement: Insert | Delete | Update | None,
         cache: ViewCache,
         app_id: str,
         bucket_name: str,
@@ -194,9 +195,9 @@ class InvalidationEngine:
                     cache.bucket_size(app_id, bucket_name) - len(candidates)
                 )
             entries = candidates
-        victims: list[str] = []
+        victims: list[tuple] = []
         for entry in entries:
-            if self._entry_survives(envelope, entry, stats):
+            if self._entry_survives(statement, entry, stats):
                 continue
             victims.append(entry.key)
         count = cache.invalidate_many(victims)
@@ -206,7 +207,7 @@ class InvalidationEngine:
 
     def _entry_survives(
         self,
-        envelope: UpdateEnvelope,
+        statement: Insert | Delete | Update,
         entry: CacheEntry,
         stats: DsspStats | None,
     ) -> bool:
@@ -217,7 +218,7 @@ class InvalidationEngine:
             stats.invalidation_checks += 1
         if statement_independent(
             self._schema,
-            envelope.statement,
+            statement,
             entry.statement,
             equality_only=self._equality_only,
         ):
@@ -225,5 +226,5 @@ class InvalidationEngine:
         if entry.view_rows is None:
             return False  # 'stmt' level: no view to inspect
         return view_allows_skip(
-            self._schema, envelope.statement, entry.statement, entry.view_rows
+            self._schema, statement, entry.statement, entry.view_rows
         )

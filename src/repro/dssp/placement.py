@@ -12,11 +12,12 @@ agreement, built on two choices:
   exact recipient set of an invalidation push from static template
   analysis alone: an update to template ``U`` can only affect views on the
   shards owning the query templates ``U`` invalidates at template level.
-* **Blind entries fall back to their cache key.**  A blind query envelope
-  exposes no template, so its (encrypted) cache key is the placement key.
-  Blind entries therefore scatter across shards — and because nobody can
-  say where, any application whose exposure policy permits blind queries
-  forces pushes to all shards (:func:`shards_for_update` returns None).
+* **Blind entries fall back to their identity.**  A blind query envelope
+  exposes no template, so its derived identity (application + encrypted
+  statement) is the placement key.  Blind entries therefore scatter
+  across shards — and because nobody can say where, any application whose
+  exposure policy permits blind queries forces pushes to all shards
+  (:func:`shards_for_update` returns None).
 
 :class:`TemplateAffinity` mirrors the invalidation engine's template-level
 decision (:meth:`InvalidationEngine._invalidates_at_template_level`) so
@@ -56,31 +57,34 @@ def query_placement_key(envelope: QueryEnvelope) -> str:
     """The key a query envelope is placed by on the ring.
 
     Template-visible envelopes collapse to their bucket key so a whole
-    template's views share a shard; blind envelopes use the cache key.
+    template's views share a shard; blind envelopes use their identity,
+    whose ``repr`` (a tuple of text and bytes) is the same string in
+    every process.
     """
     if envelope.template_name is not None:
         return bucket_key(envelope.app_id, envelope.template_name)
-    return envelope.cache_key
+    return repr(envelope.identity)
 
 
 def entry_placement_key(entry: CacheEntry) -> str:
     """The key a resident cache entry is placed by (for re-sharding)."""
     if entry.template_name is not None:
         return bucket_key(entry.app_id, entry.template_name)
-    return entry.key
+    return repr(entry.key)
 
 
 def update_routing_key(envelope: UpdateEnvelope) -> str:
     """The key that picks which shard forwards an update to the home.
 
     Any deterministic spread works — the update is applied at the home
-    either way — so the opaque id doubles as a load-spreading key.
+    either way — so the envelope's identity doubles as a load-spreading
+    key.
     """
-    return envelope.opaque_id
+    return repr(envelope.identity)
 
 
 def policy_allows_blind_queries(policy: ExposurePolicy) -> bool:
-    """True if any query template is blind (its views scatter by cache key)."""
+    """True if any query template is blind (its views scatter by identity)."""
     return any(
         level is ExposureLevel.BLIND for level in policy.query_levels.values()
     )
@@ -139,7 +143,7 @@ def shards_for_update(
     """Shards that may hold views affected by ``envelope``.
 
     Returns None when the set cannot be narrowed — a blind update exposes
-    no template, and blind *query* entries are placed by opaque cache key
+    no template, and blind *query* entries are placed by opaque identity
     so they may live anywhere — meaning "push to every shard".
     """
     if envelope.template_name is None or blind_queries_possible:

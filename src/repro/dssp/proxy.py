@@ -48,6 +48,9 @@ class UpdateOutcome:
 @dataclass
 class _Tenant:
     engine: InvalidationEngine
+    #: The application's public template set: how this node turns an
+    #: envelope's ``(template_name, params)`` into a statement.
+    registry: TemplateRegistry
     #: None for remote tenants: the application's home lives across the
     #: network and miss/update forwarding is the service layer's job.
     home: HomeServer | None = None
@@ -79,7 +82,7 @@ class DsspNode:
         resolved = registry or home.registry
         self.cache.register_indexer(home.app_id, PredicateIndexer(resolved))
         self._tenants[home.app_id] = _Tenant(
-            engine=self._build_engine(resolved), home=home
+            self._build_engine(resolved), resolved, home
         )
 
     def register_remote(self, app_id: str, registry: TemplateRegistry) -> None:
@@ -92,7 +95,7 @@ class DsspNode:
         if app_id in self._tenants:
             raise CacheError(f"application {app_id!r} already registered")
         self.cache.register_indexer(app_id, PredicateIndexer(registry))
-        self._tenants[app_id] = _Tenant(engine=self._build_engine(registry))
+        self._tenants[app_id] = _Tenant(self._build_engine(registry), registry)
 
     def is_registered(self, app_id: str) -> bool:
         """True if the application is already a tenant of this node."""
@@ -147,11 +150,15 @@ class DsspNode:
     # phases separately.  ``query`` / ``update`` above compose them.
 
     def lookup(self, envelope: QueryEnvelope) -> ResultEnvelope | None:
-        """Phase 1 of a query: cache probe.  None means miss (go to home)."""
+        """Phase 1 of a query: cache probe.  None means miss (go to home).
+
+        The key is derived from the envelope's fields; a hit binds and
+        parses nothing.
+        """
         self._tenant(envelope.app_id)  # validate tenancy
         with trace_span("dssp.cache_lookup") as lookup_span:
             started = time.perf_counter()
-            entry = self.cache.get(envelope.cache_key)
+            entry = self.cache.get(envelope.identity)
             self.stats.lookup_time_s += time.perf_counter() - started
             lookup_span.set("hit", entry is not None)
         if entry is not None:
@@ -160,16 +167,26 @@ class DsspNode:
         self.stats.misses += 1
         return None
 
+    def visible(self, envelope: QueryEnvelope | UpdateEnvelope):
+        """The statement as far as this node may read it: the registry's
+        bound instance at ``stmt``/``view``, else None.
+
+        Raises:
+            TemplateError, BindingError: a visible name or arity the
+                application's registry lacks — known before any hop.
+        """
+        return envelope.bound(self._tenant(envelope.app_id).registry)
+
     def fill(self, envelope: QueryEnvelope) -> ResultEnvelope:
         """Phase 2 of a missed query: home round trip + cache admission."""
+        bound = self.visible(envelope)
         result = self._local_home(envelope.app_id).serve_query(envelope)
-        self.cache.put(envelope, result)
+        self.cache.put(envelope, result, bound)
         return result
 
     def admit(self, envelope: QueryEnvelope, result: ResultEnvelope) -> None:
         """Cache a result fetched from a *remote* home (service layer)."""
-        self._tenant(envelope.app_id)  # validate tenancy
-        self.cache.put(envelope, result)
+        self.cache.put(envelope, result, self.visible(envelope))
 
     def forward_update(self, envelope: UpdateEnvelope) -> int:
         """Phase 1 of an update: application at the home server."""

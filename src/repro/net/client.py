@@ -15,7 +15,7 @@ update must surface, not silently re-apply.
 
 Pipelining: with ``WireClient(pipeline=N)`` the client multiplexes up to
 ``N`` in-flight requests over one connection instead of dedicating a
-pooled connection per request.  Each request carries its wire v2 request
+pooled connection per request.  Each request carries its wire request
 id; a reader task matches responses — which may arrive in any order — to
 their senders through a pending map of per-request futures.  The window
 is a hard bound: a request that cannot acquire a slot within the request

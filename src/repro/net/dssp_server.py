@@ -243,6 +243,8 @@ class DsspNetServer(WireServer):
         cached = self.node.lookup(envelope)  # validates tenancy
         if cached is not None:
             return QueryResponse(result=cached, cache_hit=True)
+        # A name or arity the registry lacks is refused here, not a hop on.
+        self.node.visible(envelope)
         client = self._home_client(envelope.app_id)
         try:
             # The client's trace id rides the forwarded hop, so the home's
@@ -278,6 +280,7 @@ class DsspNetServer(WireServer):
         self, frame: UpdateRequest, context: ConnectionContext
     ) -> UpdateResponse:
         envelope = frame.envelope
+        self.node.visible(envelope)  # refuse what the registry lacks
         client = self._home_client(envelope.app_id)
         try:
             with trace_span("dssp.update_forward"):

@@ -26,7 +26,7 @@ neither delay the update ack nor starve the other subscribers.
 Subscribers that advertise batching (``SubscribeRequest.supports_batch``)
 get their queue *coalesced*: whatever has accumulated behind the head
 push is drained into one ``INVALIDATE_BATCH`` frame, deduplicating
-repeated ``(app_id, opaque_id)`` entries, so a burst of updates costs a
+repeated envelope identities, so a burst of updates costs a
 stalled-but-recovering subscriber one frame instead of one per update.
 Non-batching subscribers keep receiving byte-identical singleton
 ``INVALIDATE`` frames — coalescing is per-channel, negotiated, and never
@@ -81,9 +81,9 @@ class UpdateDedup:
     replays it verbatim for a repeat — without touching the database or
     the stream.
 
-    The ``opaque_id`` guards against trace-id collisions: a repeat whose
-    envelope identity differs from the remembered one is *not* treated as
-    a duplicate (it is a different update that unluckily reused an id).
+    The envelope's derived identity guards against trace-id collisions: a
+    repeat whose identity differs from the remembered one is *not* treated
+    as a duplicate (it is a different update that unluckily reused an id).
 
     Deliberately a standalone object rather than server state: passing one
     instance across :class:`HomeNetServer` restarts models the durable
@@ -95,7 +95,7 @@ class UpdateDedup:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
-        self._entries: OrderedDict[str, tuple[str, UpdateResponse]] = (
+        self._entries: OrderedDict[str, tuple[tuple, UpdateResponse]] = (
             OrderedDict()
         )
         self.hits = 0
@@ -103,13 +103,13 @@ class UpdateDedup:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, request_id: str, opaque_id: str) -> UpdateResponse | None:
+    def get(self, request_id: str, identity: tuple) -> UpdateResponse | None:
         """Remembered ack for this (trace id, envelope) pair, if any."""
         entry = self._entries.get(request_id)
         if entry is None:
             return None
-        remembered_opaque, response = entry
-        if remembered_opaque != opaque_id:
+        remembered_identity, response = entry
+        if remembered_identity != identity:
             logger.warning(
                 "request id %s reused by a different update; not deduping",
                 request_id,
@@ -120,10 +120,10 @@ class UpdateDedup:
         return response
 
     def put(
-        self, request_id: str, opaque_id: str, response: UpdateResponse
+        self, request_id: str, identity: tuple, response: UpdateResponse
     ) -> None:
         """Remember the ack; evicts the least recently seen entry."""
-        self._entries[request_id] = (opaque_id, response)
+        self._entries[request_id] = (identity, response)
         self._entries.move_to_end(request_id)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
@@ -276,9 +276,9 @@ class HomeNetServer(WireServer):
             # between, so the sequence is atomic on the event loop — two
             # copies of the same request cannot interleave mid-apply.
             request_id = context.request_id
-            opaque_id = frame.envelope.opaque_id
+            identity = frame.envelope.identity
             if request_id is not None:
-                remembered = self.update_dedup.get(request_id, opaque_id)
+                remembered = self.update_dedup.get(request_id, identity)
                 if remembered is not None:
                     self._dedup_hits.inc()
                     logger.info(
@@ -294,7 +294,7 @@ class HomeNetServer(WireServer):
             rows = home.apply_update(frame.envelope)
             response = UpdateResponse(rows_affected=rows, invalidated=0)
             if request_id is not None:
-                self.update_dedup.put(request_id, opaque_id, response)
+                self.update_dedup.put(request_id, identity, response)
             self._fan_out(frame, request_id=request_id)
             return response
         if isinstance(frame, SubscribeRequest):
@@ -440,21 +440,21 @@ class HomeNetServer(WireServer):
     ) -> tuple[Frame, str | None, int]:
         """Collapse drained queue entries into one frame.
 
-        Deduplicates literal re-pushes of the same ``(app_id, opaque_id)``
+        Deduplicates literal re-pushes of the same envelope identity
         — only exact repeats, never two distinct updates — then picks the
         cheapest framing: a singleton ``INVALIDATE`` for one survivor
         (byte-identical to the unbatched protocol), an
         ``INVALIDATE_BATCH`` otherwise.  Returns the frame, the request
         id to put in its header, and the invalidations it delivers.
         """
-        seen: set[tuple[str, str]] = set()
+        seen: set[tuple] = set()
         deduped: list[tuple[str | None, UpdateEnvelope]] = []
         for push, request_id in entries:
-            key = (push.envelope.app_id, push.envelope.opaque_id)
-            if key in seen:
+            identity = push.envelope.identity
+            if identity in seen:
                 self._push_dedup_dropped.inc()
                 continue
-            seen.add(key)
+            seen.add(identity)
             deduped.append((request_id, push.envelope))
         if len(deduped) == 1:
             request_id, envelope = deduped[0]

@@ -6,13 +6,14 @@ steers each sealed envelope to the shard that *owns* its placement key on
 the cluster's consistent-hash ring:
 
 * queries route by :func:`~repro.dssp.placement.query_placement_key` — the
-  template bucket for template-visible envelopes, the cache key for blind
-  ones — so every client's request for a given view lands on the one node
-  allowed to admit it, and the cluster behaves as a single logical cache
-  of N× the per-node capacity instead of N diluted copies;
+  template bucket for template-visible envelopes, the derived identity
+  for blind ones — so every client's request for a given view lands on
+  the one node allowed to admit it, and the cluster behaves as a single
+  logical cache of N× the per-node capacity instead of N diluted copies;
 * updates route by :func:`~repro.dssp.placement.update_routing_key`
-  (the opaque id), spreading write forwarding across shards — any shard
-  can forward an update to the home; placement only matters for *views*.
+  (the derived identity), spreading write forwarding across shards — any
+  shard can forward an update to the home; placement only matters for
+  *views*.
 
 The router exposes the same ``query``/``update`` surface as a single
 endpoint, so :func:`~repro.net.loadgen.run_load` can drive a sharded

@@ -9,7 +9,7 @@ servers with the same operational envelope:
   calls the server back per complete frame, and every request frame gets
   its own task, so many requests can be in flight on one connection and
   responses may return out of order.
-  The wire v2 request id is the pipelining id — every response carries
+  The wire request id is the pipelining id — every response carries
   the id of the request it answers, and the client matches on it.
 * **Bounded in-flight backpressure**: at most ``max_in_flight`` requests
   execute at once across all connections; excess requests are shed
@@ -38,6 +38,7 @@ from repro.errors import (
     NetTimeoutError,
     ReproError,
     ServerOverloadedError,
+    TemplateError,
     UnknownApplicationError,
     WireError,
 )
@@ -406,7 +407,9 @@ class WireServer:
                 # A downstream hop shed the request unprocessed: relay the
                 # code so the client keeps its retry-safety guarantee.
                 return ErrorResponse(ErrorCode.OVERLOADED, str(error))
-            except WireError as error:
+            except (WireError, TemplateError) as error:
+                # TemplateError: a well-formed frame naming a template, or
+                # an arity (BindingError), the registry does not have.
                 self._bad_frames.inc()
                 return ErrorResponse(ErrorCode.BAD_FRAME, str(error))
             except ReproError as error:

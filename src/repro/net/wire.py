@@ -1,6 +1,6 @@
 """Length-prefixed binary wire protocol for the DSSP service layer.
 
-Framing, protocol version 2 (all integers big-endian)::
+Framing, protocol version 3 (all integers big-endian)::
 
     +-------+---------+------------+---------+--------------+========+=========+
     | magic | version | frame type | rid len | payload len  |  rid   | payload |
@@ -12,24 +12,38 @@ Framing, protocol version 2 (all integers big-endian)::
 per logical request (:func:`repro.obs.new_request_id`), servers echo it on
 the response, and a DSSP node forwards the *same* id on its miss/update
 hop to the home server, so one id correlates the whole request path.
-Version 1 frames (no rid slot) are rejected: the id sits before the
-payload and cannot be skipped safely.
+Earlier versions are rejected, not translated: version 1 had no rid slot,
+and a version 2 envelope carried its statement as SQL text beside a
+sender-supplied cache key — accepting one would accept the claims version
+3 exists to make inexpressible.
 
 Payloads are sequences of primitive fields: ``u8``/``u32`` integers,
 length-prefixed UTF-8 strings, length-prefixed byte strings, and optionals
-(a one-byte presence flag followed by the value).  Statements travel as
-their SQL text and are re-parsed on decode — the parser/formatter pair
-round-trips the AST exactly, which the codec property tests pin down.
+(a one-byte presence flag followed by the value).  A statement travels as
+``(template name, parameters)`` and nothing else — query and update
+envelopes share one layout::
 
-Security invariant: the codec is a *projection* of the envelope — it writes
-only fields the envelope carries, and envelopes carry plaintext only for
-what their exposure level permits (see :mod:`repro.crypto.envelope`).  The
-DSSP-visible bytes of a sealed envelope on the wire are therefore exactly
-the DSSP-visible fields in memory; nothing is opened or re-sealed en route.
+    app_id  level  [template_name]  [params]  [sealed_statement]  [sealed_params]
+     text    u8       opt text      opt blob      opt blob           opt blob
+
+``params`` is the canonical JSON array of
+:func:`repro.crypto.envelope.encode_params` — the same bytes the
+``template`` level encrypts into ``sealed_params``.  Nothing here parses
+or renders SQL: each receiver binds the pair through the template registry
+it already holds, and derives the cache key from the decoded fields.
+
+Security invariant: the wire *is* the envelope, minus its bound-AST slot —
+the codec writes the six fields above and no other, and envelopes carry
+plaintext only for what their exposure level permits (see
+:mod:`repro.crypto.envelope`).  The DSSP-visible bytes of a sealed
+envelope on the wire are therefore exactly the DSSP-visible fields in
+memory; nothing is opened or re-sealed en route.  Decode refuses any
+envelope whose shape and level byte disagree and any parameter that is
+not a scalar.
 
 Every decode error raises :class:`~repro.errors.WireError` (the ``BAD_FRAME``
 wire code): truncated or oversized frames, bad magic/version, unknown frame
-types, trailing bytes, and statement text that does not parse.
+types, trailing bytes, and malformed envelopes.
 """
 
 from __future__ import annotations
@@ -42,16 +56,16 @@ from dataclasses import dataclass
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.envelope import (
+    Envelope,
     QueryEnvelope,
     ResultEnvelope,
     UpdateEnvelope,
+    decode_params,
     deserialize_result,
+    encode_params,
     serialize_result,
 )
-from repro.errors import CryptoError, SqlError, WireError
-from repro.sql.ast import Delete, Insert, Select, Update
-from repro.sql.formatter import to_sql
-from repro.sql.parser import parse
+from repro.errors import CryptoError, WireError
 
 __all__ = [
     "ErrorCode",
@@ -83,7 +97,7 @@ __all__ = [
 ]
 
 MAGIC = b"DW"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct(">2sBBBI")
 HEADER_SIZE = _HEADER.size
 #: Default ceiling on payload size; a frame claiming more is rejected
@@ -385,87 +399,55 @@ def _read_level(reader: _Reader) -> ExposureLevel:
         raise WireError(f"unknown exposure level {raw}") from None
 
 
-def _read_statement(reader: _Reader):
-    source = reader.opt_text()
-    if source is None:
-        return None
-    try:
-        return parse(source)
-    except SqlError as error:
-        raise WireError(f"statement does not parse: {error}") from error
-
-
-def _write_query_envelope(writer: _Writer, envelope: QueryEnvelope) -> None:
+def _write_envelope(writer: _Writer, envelope: Envelope) -> None:
     writer.text(envelope.app_id)
     writer.u8(int(envelope.level))
-    writer.text(envelope.cache_key)
     writer.opt_text(envelope.template_name)
-    writer.opt_text(envelope.template_sql)
-    writer.opt_text(
-        None if envelope.statement is None else to_sql(envelope.statement)
+    writer.opt_blob(
+        None if envelope.params is None else encode_params(envelope.params)
     )
-    writer.opt_text(envelope.statement_sql)
     writer.opt_blob(envelope.sealed_statement)
     writer.opt_blob(envelope.sealed_params)
 
 
-def _read_query_envelope(reader: _Reader) -> QueryEnvelope:
+#: level → which of (template_name, params, sealed_statement, sealed_params)
+#: an envelope at that level carries: the level names the sealed part.
+_SHAPES = {
+    ExposureLevel.BLIND: (False, False, True, False),
+    ExposureLevel.TEMPLATE: (True, False, False, True),
+    ExposureLevel.STMT: (True, True, False, False),
+    ExposureLevel.VIEW: (True, True, False, False),
+}
+
+
+def _read_envelope(reader: _Reader, kind: type[Envelope]):
+    """One envelope, refused unless its shape is the one its level names."""
     app_id = reader.text()
     level = _read_level(reader)
-    cache_key = reader.text()
     template_name = reader.opt_text()
-    template_sql = reader.opt_text()
-    statement = _read_statement(reader)
-    if statement is not None and not isinstance(statement, Select):
-        raise WireError("query envelope statement is not a SELECT")
-    return QueryEnvelope(
-        app_id=app_id,
-        level=level,
-        cache_key=cache_key,
-        template_name=template_name,
-        template_sql=template_sql,
-        statement=statement,
-        statement_sql=reader.opt_text(),
-        sealed_statement=reader.opt_blob(),
-        sealed_params=reader.opt_blob(),
+    raw_params = reader.opt_blob()
+    sealed_statement = reader.opt_blob()
+    sealed_params = reader.opt_blob()
+    shape = (
+        template_name is not None,
+        raw_params is not None,
+        sealed_statement is not None,
+        sealed_params is not None,
     )
-
-
-def _write_update_envelope(writer: _Writer, envelope: UpdateEnvelope) -> None:
-    writer.text(envelope.app_id)
-    writer.u8(int(envelope.level))
-    writer.text(envelope.opaque_id)
-    writer.opt_text(envelope.template_name)
-    writer.opt_text(envelope.template_sql)
-    writer.opt_text(
-        None if envelope.statement is None else to_sql(envelope.statement)
-    )
-    writer.opt_text(envelope.statement_sql)
-    writer.opt_blob(envelope.sealed_statement)
-    writer.opt_blob(envelope.sealed_params)
-
-
-def _read_update_envelope(reader: _Reader) -> UpdateEnvelope:
-    app_id = reader.text()
-    level = _read_level(reader)
-    opaque_id = reader.text()
-    template_name = reader.opt_text()
-    template_sql = reader.opt_text()
-    statement = _read_statement(reader)
-    if statement is not None and not isinstance(
-        statement, (Insert, Delete, Update)
-    ):
-        raise WireError("update envelope statement is not a DML statement")
-    return UpdateEnvelope(
-        app_id=app_id,
-        level=level,
-        opaque_id=opaque_id,
-        template_name=template_name,
-        template_sql=template_sql,
-        statement=statement,
-        statement_sql=reader.opt_text(),
-        sealed_statement=reader.opt_blob(),
-        sealed_params=reader.opt_blob(),
+    if shape != _SHAPES[level]:
+        raise WireError(
+            f"envelope fields do not fit exposure level {level.name.lower()!r}"
+        )
+    if level is ExposureLevel.VIEW and kind is UpdateEnvelope:
+        raise WireError("update envelopes have no 'view' level")
+    params = None
+    if raw_params is not None:
+        try:
+            params = decode_params(raw_params)
+        except ValueError as error:
+            raise WireError(f"bad statement parameters: {error}") from error
+    return kind(
+        app_id, level, template_name, params, sealed_params, sealed_statement
     )
 
 
@@ -499,11 +481,11 @@ def _read_result_envelope(reader: _Reader) -> ResultEnvelope:
 
 def _write_payload(writer: _Writer, frame: Frame) -> FrameType:
     if isinstance(frame, QueryRequest):
-        _write_query_envelope(writer, frame.envelope)
+        _write_envelope(writer, frame.envelope)
         return FrameType.QUERY
     if isinstance(frame, UpdateRequest):
         writer.opt_text(frame.origin)
-        _write_update_envelope(writer, frame.envelope)
+        _write_envelope(writer, frame.envelope)
         return FrameType.UPDATE
     if isinstance(frame, SubscribeRequest):
         writer.text(frame.node_id)
@@ -540,13 +522,13 @@ def _write_payload(writer: _Writer, frame: Frame) -> FrameType:
             writer.u8(1)
         return FrameType.SUBSCRIBED
     if isinstance(frame, InvalidationPush):
-        _write_update_envelope(writer, frame.envelope)
+        _write_envelope(writer, frame.envelope)
         return FrameType.INVALIDATE
     if isinstance(frame, InvalidationBatch):
         writer.u32(len(frame.entries))
         for entry_rid, envelope in frame.entries:
             writer.opt_text(entry_rid)
-            _write_update_envelope(writer, envelope)
+            _write_envelope(writer, envelope)
         return FrameType.INVALIDATE_BATCH
     if isinstance(frame, ErrorResponse):
         writer.u8(int(frame.code))
@@ -599,10 +581,12 @@ def _read_shard_topology(reader: _Reader) -> tuple[tuple[str, ...], int]:
 def _decode_payload(frame_type: int, payload: bytes) -> Frame:
     reader = _Reader(payload)
     if frame_type == FrameType.QUERY:
-        frame: Frame = QueryRequest(_read_query_envelope(reader))
+        frame: Frame = QueryRequest(_read_envelope(reader, QueryEnvelope))
     elif frame_type == FrameType.UPDATE:
         origin = reader.opt_text()
-        frame = UpdateRequest(_read_update_envelope(reader), origin=origin)
+        frame = UpdateRequest(
+            _read_envelope(reader, UpdateEnvelope), origin=origin
+        )
     elif frame_type == FrameType.SUBSCRIBE:
         node_id = reader.text()
         app_ids = _read_app_ids(reader)
@@ -629,14 +613,14 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
             shard_filtered=_read_capability(reader),
         )
     elif frame_type == FrameType.INVALIDATE:
-        frame = InvalidationPush(_read_update_envelope(reader))
+        frame = InvalidationPush(_read_envelope(reader, UpdateEnvelope))
     elif frame_type == FrameType.INVALIDATE_BATCH:
         count = reader.u32()
         if count == 0 or count > MAX_BATCH_ENTRIES:
             raise WireError(f"implausible batch entry count {count}")
         frame = InvalidationBatch(
             tuple(
-                (reader.opt_text(), _read_update_envelope(reader))
+                (reader.opt_text(), _read_envelope(reader, UpdateEnvelope))
                 for _ in range(count)
             )
         )

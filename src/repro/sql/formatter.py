@@ -3,20 +3,14 @@
 :func:`to_sql` emits a normalized rendering (uppercase keywords, lowercase
 identifiers, single spaces) such that ``parse(to_sql(node)) == node`` — the
 parser/formatter round-trip property the test suite checks exhaustively.
-
-The canonical text also serves as the *plaintext* cache key for unencrypted
-statements in the DSSP cache, so it must be a pure function of the AST.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
-from functools import lru_cache
 
 from repro.errors import UnsupportedSqlError
-from repro.obs.memo import export_lru_cache
-
 from repro.sql.ast import (
     Aggregate,
     ColumnRef,
@@ -38,14 +32,8 @@ from repro.sql.ast import (
 __all__ = ["to_sql"]
 
 
-@lru_cache(maxsize=8192)
 def to_sql(node: Statement) -> str:
-    """Render any statement AST back to canonical SQL text.
-
-    Memoized: nodes are frozen (value-hashable) and the rendering is pure,
-    while the DSSP hot paths re-render the same popular bound statements on
-    every cache lookup and invalidation pass.
-    """
+    """Render any statement AST back to canonical SQL text."""
     if isinstance(node, Select):
         return _format_select(node)
     if isinstance(node, Insert):
@@ -55,9 +43,6 @@ def to_sql(node: Statement) -> str:
     if isinstance(node, Update):
         return _format_update(node)
     raise TypeError(f"cannot format {type(node).__name__}")
-
-
-export_lru_cache("sql.to_sql", to_sql)
 
 
 def _format_value(value: Value) -> str:

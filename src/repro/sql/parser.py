@@ -20,24 +20,11 @@ Grammar (keywords case-insensitive)::
 Parameters (``?``) are numbered left-to-right from zero across the whole
 statement, in the same order the tokens appear, so that a bound statement's
 parameter list lines up positionally.
-
-:func:`parse` interns its results by source text.  A statement's text is
-parsed at every trust boundary it crosses (DSSP frame decode, home frame
-decode, the home opening a sealed statement), and a repeated query — the
-cache hit a DSSP exists for — repeats its text; the AST is frozen, slotted
-and tuple-valued, so all of them can share one object.  The table lives here rather than at any one caller
-because the parser is the only place every hop passes through, and because
-equal texts yielding the *same* object is what the identity-keyed memos of
-:mod:`repro.analysis.independence` need in order to hit across requests.
-Failures are never stored: text that does not parse is parsed, and
-rejected, on every attempt, so boundary validation is as strict as without
-the table.
 """
 
 from __future__ import annotations
 
 from repro.errors import ParseError, UnsupportedSqlError
-from repro.obs.memo import BoundedMemo
 from repro.sql.ast import (
     Aggregate,
     AggregateFunc,
@@ -63,19 +50,9 @@ __all__ = ["parse", "parse_query", "parse_update"]
 
 _AGG_KEYWORDS = {f.value for f in AggregateFunc}
 
-#: The intern table: source text -> AST.  Failures are never stored.
-_interned = BoundedMemo("sql.parse_intern", 8192)
-
 
 def parse(sql: str) -> Statement:
-    """Parse a statement of any kind; raise :class:`ParseError` on junk.
-
-    Equal source texts return the *same* (immutable) AST object.
-    """
-    return _interned.get(sql, _parse_text, sql)
-
-
-def _parse_text(sql: str) -> Statement:
+    """Parse a statement of any kind; raise :class:`ParseError` on junk."""
     return _Parser(sql).parse_statement()
 
 

@@ -1,12 +1,12 @@
 """Tests for envelopes: what the DSSP sees at each exposure level."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.analysis.exposure import ExposureLevel
-from repro.crypto import EnvelopeCodec, Keyring
-from repro.errors import CryptoError
+from repro.crypto import EnvelopeCodec, Keyring, QueryEnvelope, UpdateEnvelope
+from repro.errors import BindingError, CryptoError, TemplateError
 from repro.storage.rows import ResultSet
 
 
@@ -48,48 +48,86 @@ class TestQueryEnvelopes:
         env = codec.seal_query(bound_query, ExposureLevel.VIEW)
         assert env.statement_visible
         assert env.template_visible
-        assert env.statement_sql == "SELECT qty FROM toys WHERE toy_id = 5"
+        assert (env.template_name, env.params) == ("Q2", (5,))
 
     def test_stmt_level_exposes_statement(self, codec, bound_query):
         env = codec.seal_query(bound_query, ExposureLevel.STMT)
         assert env.statement_visible
-        assert env.cache_key.startswith("toystore|stmt|")
+        assert env.identity == ("toystore", "Q2", (5,))
 
     def test_template_level_hides_parameters(self, codec, bound_query):
         env = codec.seal_query(bound_query, ExposureLevel.TEMPLATE)
         assert env.template_visible
         assert not env.statement_visible
         assert env.statement is None
-        assert env.statement_sql is None
-        assert env.cache_key.startswith("toystore|tmpl|Q2|")
-        assert env.template_sql == "SELECT qty FROM toys WHERE toy_id = ?"
+        assert env.params is None
+        assert env.identity == ("toystore", "Q2", env.sealed_params)
 
     def test_blind_level_hides_everything(self, codec, bound_query):
         env = codec.seal_query(bound_query, ExposureLevel.BLIND)
         assert not env.template_visible
         assert not env.statement_visible
         assert env.template_name is None
-        assert env.template_sql is None
+        assert env.params is None and env.sealed_params is None
+        assert env.identity == ("toystore", env.sealed_statement)
 
-    def test_cache_keys_deterministic(self, codec, bound_query):
+    def test_identities_deterministic(self, codec, bound_query):
         for level in ExposureLevel:
             a = codec.seal_query(bound_query, level)
             b = codec.seal_query(bound_query, level)
-            assert a.cache_key == b.cache_key
+            assert a.identity == b.identity
 
-    def test_cache_keys_distinguish_parameters(self, codec, simple_toystore):
+    def test_identities_distinguish_parameters(self, codec, simple_toystore):
         q = simple_toystore.query("Q2")
         for level in ExposureLevel:
             a = codec.seal_query(q.bind([5]), level)
             b = codec.seal_query(q.bind([7]), level)
-            assert a.cache_key != b.cache_key
+            assert a.identity != b.identity
 
-    def test_cache_keys_scoped_by_app(
+    def test_identities_scoped_by_app(
         self, codec, other_codec, bound_query
     ):
         a = codec.seal_query(bound_query, ExposureLevel.STMT)
         b = other_codec.seal_query(bound_query, ExposureLevel.STMT)
-        assert a.cache_key != b.cache_key
+        assert a.identity != b.identity
+
+
+class TestOneRepresentation:
+    """A statement is (template_name, params); nothing else can be said."""
+
+    @pytest.mark.parametrize("kind", [QueryEnvelope, UpdateEnvelope])
+    def test_no_field_restates_the_statement(self, kind):
+        names = {field.name for field in fields(kind)}
+        assert names == {
+            "app_id",
+            "level",
+            "template_name",
+            "params",
+            "sealed_params",
+            "sealed_statement",
+            "statement",
+        }
+        assert not names & {
+            "cache_key", "opaque_id", "template_sql", "statement_sql"
+        }
+
+    def test_bound_ast_slot_is_not_part_of_the_value(self, codec, bound_query):
+        sealed = codec.seal_query(bound_query, ExposureLevel.STMT)
+        bare = replace(sealed, statement=None)
+        assert sealed.statement == bound_query.select
+        assert sealed == bare and sealed.identity == bare.identity
+        assert "SELECT" not in repr(sealed) and "Select" not in repr(sealed)
+
+    def test_unregistered_name_and_wrong_arity_do_not_open(
+        self, codec, simple_toystore, bound_query
+    ):
+        env = codec.seal_query(bound_query, ExposureLevel.STMT)
+        with pytest.raises(TemplateError):
+            codec.open_query(replace(env, template_name="Q99"), simple_toystore)
+        with pytest.raises(BindingError):
+            codec.open_query(replace(env, params=(5, 6)), simple_toystore)
+        with pytest.raises(TemplateError):  # an update's name on a query
+            codec.open_query(replace(env, template_name="U1"), simple_toystore)
 
 
 class TestOpenQuery:
@@ -116,20 +154,28 @@ class TestOpenQuery:
         with pytest.raises(CryptoError):
             other_codec.open_query(env, simple_toystore)
 
-    # ``cache_key`` is free text on the wire: nothing the home does may
-    # depend on it, and a memo hit must not skip the SIV check.
+    # The open memo is keyed on the ciphertext, so one envelope's open can
+    # never stand in for another's, and a hit must not skip the SIV check.
 
     @pytest.mark.parametrize("level", SEALED_LEVELS)
-    def test_forged_cache_key_cannot_poison_later_opens(
+    def test_opens_do_not_stand_in_for_each_other(
         self, codec, simple_toystore, level
     ):
         template = simple_toystore.query("Q2")
         query_a, query_b = template.bind([5]), template.bind([7])
         env_a = codec.seal_query(query_a, level)
         env_b = codec.seal_query(query_b, level)
-        forged = replace(env_a, cache_key=env_b.cache_key)
-        assert codec.open_query(forged, simple_toystore) == query_a.select
-        assert codec.open_query(env_b, simple_toystore) == query_b.select
+        for _ in range(2):  # second round is answered by the memo
+            assert codec.open_query(env_a, simple_toystore) == query_a.select
+            assert codec.open_query(env_b, simple_toystore) == query_b.select
+
+    def test_a_memo_hit_does_not_skip_the_application_check(
+        self, codec, simple_toystore, bound_query
+    ):
+        env = codec.seal_query(bound_query, ExposureLevel.TEMPLATE)
+        codec.open_query(env, simple_toystore)
+        with pytest.raises(CryptoError):
+            codec.open_query(replace(env, app_id="other-app"), simple_toystore)
 
     @pytest.mark.parametrize("level", SEALED_LEVELS)
     def test_tampered_payload_rejected_after_an_honest_open(
@@ -155,7 +201,7 @@ class TestUpdateEnvelopes:
         assert recovered == bound_update.statement
 
     @pytest.mark.parametrize("level", SEALED_LEVELS)
-    def test_replayed_opaque_id_does_not_stand_in_for_the_payload(
+    def test_an_honest_open_does_not_stand_in_for_the_payload(
         self, codec, simple_toystore, level
     ):
         template = simple_toystore.update("U1")
@@ -165,8 +211,8 @@ class TestUpdateEnvelopes:
         codec.open_update(env_a, simple_toystore)
         with pytest.raises(CryptoError):
             codec.open_update(_zeroed(env_a), simple_toystore)
-        forged = replace(env_a, opaque_id=env_b.opaque_id)
-        assert codec.open_update(forged, simple_toystore) == update_a.statement
+        assert env_a.identity != env_b.identity
+        assert codec.open_update(env_a, simple_toystore) == update_a.statement
         assert codec.open_update(env_b, simple_toystore) == update_b.statement
 
     def test_view_level_rejected_for_updates(self, codec, bound_update):

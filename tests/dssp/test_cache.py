@@ -20,19 +20,20 @@ def make_entry(codec, simple_toystore):
         bound = simple_toystore.query(template).bind(list(params))
         envelope = codec.seal_query(bound, level)
         result = codec.seal_result(ResultSet(("qty",), ((10,),)), level)
-        return cache.put(envelope, result), envelope
+        visible = bound if level >= ExposureLevel.STMT else None
+        return cache.put(envelope, result, visible), envelope
 
     return build
 
 
 class TestPutGet:
     def test_miss_returns_none(self):
-        assert ViewCache().get("nope") is None
+        assert ViewCache().get(("app", "Q2", (404,))) is None
 
     def test_put_then_get(self, make_entry):
         cache = ViewCache()
         entry, envelope = make_entry(cache)
-        assert cache.get(envelope.cache_key) is entry
+        assert cache.get(envelope.identity) is entry
         assert len(cache) == 1
 
     def test_put_same_key_overwrites(self, make_entry):
@@ -91,19 +92,19 @@ class TestBuckets:
     def test_bucket_names_skips_empty(self, make_entry):
         cache = ViewCache()
         _, envelope = make_entry(cache, template="Q2", params=(1,))
-        cache.invalidate(envelope.cache_key)
+        cache.invalidate(envelope.identity)
         assert cache.bucket_names("app") == ()
 
 
 class TestInvalidation:
     def test_invalidate_missing_returns_false(self):
-        assert not ViewCache().invalidate("ghost")
+        assert not ViewCache().invalidate(("app", "Q2", (404,)))
 
     def test_invalidate_many_counts_existing(self, make_entry):
         cache = ViewCache()
         _, e1 = make_entry(cache, params=(1,))
         _, e2 = make_entry(cache, params=(2,))
-        n = cache.invalidate_many([e1.cache_key, e2.cache_key, "ghost"])
+        n = cache.invalidate_many([e1.identity, e2.identity, ("app", "Q2", (404,))])
         assert n == 2
 
     def test_clear(self, make_entry):
@@ -118,8 +119,8 @@ class TestCapacity:
         cache = ViewCache(capacity=2)
         _, e1 = make_entry(cache, params=(1,))
         _, e2 = make_entry(cache, params=(2,))
-        cache.get(e1.cache_key)  # touch e1 so e2 is the LRU victim
+        cache.get(e1.identity)  # touch e1 so e2 is the LRU victim
         make_entry(cache, params=(3,))
-        assert e1.cache_key in cache
-        assert e2.cache_key not in cache
+        assert e1.identity in cache
+        assert e2.identity not in cache
         assert len(cache) == 2

@@ -3,11 +3,12 @@
 A reference model (an OrderedDict of key → (app, template) in recency
 order, evicting from the front) is driven in lockstep with the real cache
 through random interleavings of puts, touches, and the three invalidation
-entry points.  The invariants checked after every step:
+entry points.  Keys are the identities the cache derives from real
+``(template, params)`` envelopes.  The invariants checked after every
+step:
 
 * the template buckets exactly partition the live keys (no stale
-  membership after a refresh changes an entry's visible identity, no
-  empty buckets left behind);
+  membership after a refresh, no empty buckets left behind);
 * the per-app index agrees with the entries;
 * capacity is never exceeded and eviction follows access order (any
   divergence from true LRU shows up as a membership mismatch against the
@@ -36,36 +37,49 @@ from repro.dssp.stats import DsspStats
 
 from tests.dssp.index_utils import REGISTRY, assert_index_consistent
 
-KEYS = tuple(f"key-{i}" for i in range(12))
 APPS = ("app-a", "app-b")
 #: Blind, one pinned attribute, two (one sometimes NULL), refused aggregate.
 TEMPLATES = (None, "point", "multi", "total")
+NUMBERS = range(6)
 
-keys = st.sampled_from(KEYS)
 apps = st.sampled_from(APPS)
 templates = st.sampled_from(TEMPLATES)
 
 
-def _put_args(app: str, key: str, template: str | None):
-    # A key fixes its statement, as a real cache key does; every fourth
-    # key hides it (an entry admitted at ``template`` exposure).
-    number = sum(key.encode())
+def _put_args(app: str, number: int, template: str | None):
+    """A real envelope for statement ``number`` of ``template``, with what
+    the admitting node would have bound; number 3 hides its parameters (an
+    entry admitted at ``template`` exposure)."""
+    result = ResultEnvelope(app_id=app, ciphertext=b"sealed")
+    if template is None:
+        token = f"statement-{number}".encode()
+        blind = QueryEnvelope(app, ExposureLevel.BLIND, sealed_statement=token)
+        return blind, result, None
+    if number == 3:
+        token = f"params-{number}".encode()
+        return (
+            QueryEnvelope(app, ExposureLevel.TEMPLATE, template, sealed_params=token),
+            result,
+            None,
+        )
     params = {
-        "point": [number],
-        "multi": ["xy"[number % 2], ("a", "b", None)[number % 3]],
-        "total": ["a"],
-    }.get(template)
-    statement = None
-    if params is not None and number % 4 != 3:
-        statement = REGISTRY.query(template).bind(params).select
-    envelope = QueryEnvelope(
-        app_id=app,
-        level=ExposureLevel.STMT,
-        cache_key=key,
-        template_name=template,
-        statement=statement,
-    )
-    return envelope, ResultEnvelope(app_id=app, ciphertext=b"sealed")
+        "point": (number,),
+        "multi": ("xy"[number % 2], ("a", "b", None)[number % 3]),
+        "total": ("ab"[number % 2],),
+    }[template]
+    envelope = QueryEnvelope(app, ExposureLevel.STMT, template, params)
+    return envelope, result, REGISTRY.query(template).bind(params)
+
+
+SLOTS = tuple(
+    (app, number, template)
+    for app in APPS
+    for number in NUMBERS
+    for template in TEMPLATES
+)
+KEYS = tuple(dict.fromkeys(_put_args(*slot)[0].identity for slot in SLOTS))
+keys = st.sampled_from(KEYS)
+slots = st.sampled_from(SLOTS)
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -77,14 +91,17 @@ class CacheMachine(RuleBasedStateMachine):
         self.indexer = PredicateIndexer(REGISTRY)
         self.cache.register_indexer("app-a", self.indexer)
         #: key → (app, template) in recency order (LRU first).
-        self.model: OrderedDict[str, tuple[str, str | None]] = OrderedDict()
+        self.model: OrderedDict[tuple, tuple[str, str | None]] = OrderedDict()
         self.model_evictions = 0
 
     # -- operations ---------------------------------------------------------
 
-    @rule(app=apps, key=keys, template=templates)
-    def put(self, app, key, template):
-        self.cache.put(*_put_args(app, key, template))
+    @rule(slot=slots)
+    def put(self, slot):
+        app, _, template = slot
+        envelope, result, bound = _put_args(*slot)
+        key = self.cache.put(envelope, result, bound).key
+        assert key == envelope.identity
         self.model[key] = (app, template)
         self.model.move_to_end(key)
         if self.capacity is not None:
@@ -151,7 +168,7 @@ class CacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def buckets_partition_live_keys(self):
-        seen: set[str] = set()
+        seen: set[tuple] = set()
         for app in APPS:
             for name in self.cache.bucket_names(app):
                 entries = self.cache.bucket(app, name)
@@ -194,27 +211,3 @@ TestCacheProperties = CacheMachine.TestCase
 TestCacheProperties.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
-
-
-class TestRefreshMovesBucket:
-    """Regression: re-inserting a key under a different visible template
-    must move the key between buckets, not duplicate its membership."""
-
-    def test_put_refresh_with_new_template(self):
-        cache = ViewCache()
-        cache.put(*_put_args("app-a", "k", "Q1"))
-        cache.put(*_put_args("app-a", "k", "Q2"))
-        assert [e.key for e in cache.bucket("app-a", "Q2")] == ["k"]
-        assert cache.bucket("app-a", "Q1") == ()
-        assert cache.bucket_names("app-a") == ("Q2",)
-        # The moved entry invalidates exactly once, via its new bucket.
-        assert cache.invalidate_bucket("app-a", "Q1") == 0
-        assert cache.invalidate_bucket("app-a", "Q2") == 1
-        assert len(cache) == 0
-
-    def test_put_refresh_to_blind_bucket(self):
-        cache = ViewCache()
-        cache.put(*_put_args("app-a", "k", "Q1"))
-        cache.put(*_put_args("app-a", "k", None))
-        assert cache.bucket_names("app-a") == (None,)
-        assert cache.invalidate_bucket("app-a", None) == 1

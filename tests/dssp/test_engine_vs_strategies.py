@@ -64,7 +64,7 @@ def test_engine_matches_formal_strategy(level):
                     bound, policy.query_level(bound.template.name)
                 )
                 node.query(envelope)
-                bound_by_key[envelope.cache_key] = bound
+                bound_by_key[envelope.identity] = bound
                 continue
 
             # Snapshot cache + views BEFORE the update reaches the master.

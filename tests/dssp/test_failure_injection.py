@@ -55,7 +55,7 @@ class TestTamperDetection:
         bound = home.registry.query("Q2").bind([3])
         envelope = home.codec.seal_query(bound, ExposureLevel.STMT)
         node.query(envelope)
-        entry = node.cache.get(envelope.cache_key)
+        entry = node.cache.get(envelope.identity)
         assert entry is not None and entry.result.ciphertext is not None
 
         corrupted = bytearray(entry.result.ciphertext)

@@ -51,7 +51,7 @@ class TestPlacement:
         assert cluster.query(envelope, client_id=1).cache_hit
         assert cluster.total_cached_views() == 1
 
-    def test_blind_entries_place_by_cache_key(
+    def test_blind_entries_place_by_identity(
         self, toystore_db, simple_toystore
     ):
         cluster, home = make_deployment(
@@ -59,7 +59,7 @@ class TestPlacement:
         )
         envelope = seal(home, "Q2", [5])
         assert cluster.shard_for_query(envelope) == cluster.ring.owner(
-            envelope.cache_key
+            repr(("toystore", envelope.sealed_statement))
         )
 
 

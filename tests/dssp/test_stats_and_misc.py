@@ -99,9 +99,9 @@ class TestHomeServerGuards:
             "toystore", toystore_db, simple_toystore, policy, Keyring("toystore")
         )
         bound = simple_toystore.query("Q2").bind([1])
-        envelope = home.codec.seal_query(bound, ExposureLevel.STMT)
+        envelope = home.codec.seal_query(bound, ExposureLevel.BLIND)
         # Forge an envelope claiming stmt level but without template name.
-        object.__setattr__(envelope, "template_name", None)
+        object.__setattr__(envelope, "level", ExposureLevel.STMT)
         with pytest.raises(CacheError):
             home.serve_query(envelope)
 

@@ -79,14 +79,14 @@ async def collect_events(subscription, count, *, timeout_s=5.0):
     return events
 
 
-def delivered_opaque_ids(events) -> list[str]:
+def delivered_identities(events) -> list[tuple]:
     """Every invalidation across all frames, in delivery order."""
     ids = []
     for frame in events:
         if isinstance(frame, InvalidationBatch):
-            ids.extend(envelope.opaque_id for _, envelope in frame.entries)
+            ids.extend(envelope.identity for _, envelope in frame.entries)
         else:
-            ids.append(frame.envelope.opaque_id)
+            ids.append(frame.envelope.identity)
     return ids
 
 
@@ -148,7 +148,7 @@ class TestCoalescing:
             assert len(events) == 1 and len(batches) == 1
             entry_rids = [rid for rid, _ in batches[0].entries]
             assert entry_rids == [f"op-{i}" for i in range(len(toy_ids))]
-            assert len(delivered_opaque_ids(events)) == len(toy_ids)
+            assert len(delivered_identities(events)) == len(toy_ids)
             metrics = server.metrics.snapshot()
             assert metrics["counters"]["home.push_frames"] == 1
             assert metrics["counters"]["home.pushes_sent"] == len(toy_ids)
@@ -180,7 +180,7 @@ class TestCoalescing:
                 updater, home, policy, simple_toystore, [7, 8], prefix="b"
             )
             second = await collect_events(subscription, 2)
-            ids = delivered_opaque_ids(first + second)
+            ids = delivered_identities(first + second)
             assert len(ids) == 4
             assert len(set(ids)) == 4  # nothing doubled across the split
             await subscription.aclose()
@@ -192,7 +192,7 @@ class TestCoalescing:
     async def test_literal_repush_dedups_to_singleton_frame(
         self, simple_toystore, toystore_db
     ):
-        """The same (app_id, opaque_id) queued twice collapses to one
+        """The same envelope identity queued twice collapses to one
         entry — and a one-survivor coalesce uses the singleton framing,
         byte-identical to the unbatched protocol."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
@@ -249,8 +249,8 @@ class TestCoalescing:
                 isinstance(e, InvalidationPush) for e in legacy_events
             )
             assert len(legacy_events) == len(toy_ids)
-            assert delivered_opaque_ids(batched_events) == (
-                delivered_opaque_ids(legacy_events)
+            assert delivered_identities(batched_events) == (
+                delivered_identities(legacy_events)
             )
             await batching.aclose()
             await legacy.aclose()

@@ -33,10 +33,10 @@ from repro.net.wire import (
 )
 
 QUERY = QueryEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, cache_key="k1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"k1"
 )
 UPDATE = UpdateEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, opaque_id="u1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"u1"
 )
 RESULT = ResultEnvelope(app_id="toystore", ciphertext=b"sealed")
 

@@ -264,3 +264,84 @@ class TestEndToEnd:
             if span.name == "dssp.invalidate" and span.node == "dssp-0"
         ]
         assert paths == ["indexed"]
+
+    @pytest.mark.parametrize("level", [StrategyClass.MTIS, StrategyClass.MSIS])
+    async def test_a_name_or_arity_the_registry_lacks_is_refused_at_the_dssp(
+        self, level, simple_toystore, toystore_db
+    ):
+        """BAD_FRAME, typed, without a hop: the home sees no request and
+        the cache no entry.  (Before wire v3 the home ran whatever SQL the
+        envelope carried, whatever it was named.)"""
+        from dataclasses import replace
+
+        from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
+        from repro.errors import WireError
+
+        topology = Topology(simple_toystore, toystore_db.clone(), level)
+        async with topology as top:
+            client, node = top.clients[0], top.nodes[0]
+            query = top.seal_query(simple_toystore.query("Q2").bind([5]))
+            update = top.seal_update(simple_toystore.update("U1").bind([5]))
+            await client.query(query)
+            forged_queries = [
+                replace(query, template_name="Q99"),  # unregistered
+                replace(query, template_name="U1"),  # an update's name
+            ]
+            forged_updates = [
+                replace(update, template_name="U99"),
+                replace(update, template_name="Q2"),  # a query's name
+            ]
+            if level is StrategyClass.MSIS:  # arity is visible with the params
+                forged_queries.append(replace(query, params=(5, 6)))
+                forged_updates.append(replace(update, params=()))
+            home_requests = top.home_net.metrics.counter("server.requests")
+            served, cached = home_requests.value, len(node.cache)
+            rows = toystore_db.row_count("toys")
+            for forged in forged_queries:
+                assert isinstance(forged, QueryEnvelope)
+                with pytest.raises(WireError):
+                    await client.query(forged)
+            for forged in forged_updates:
+                assert isinstance(forged, UpdateEnvelope)
+                with pytest.raises(WireError):
+                    await client.update(forged)
+            assert home_requests.value == served
+            assert len(node.cache) == cached
+            assert top.home.database.row_count("toys") == rows
+            bad_frames = top.dssp_nets[0].metrics.counter("server.bad_frames")
+            assert bad_frames.value == len(forged_queries) + len(forged_updates)
+            assert (await client.query(query)).cache_hit  # and still serving
+            # The home answers the same way to whoever skips the DSSP.
+            direct = WireClient(*top.home_net.address)
+            try:
+                for forged in forged_queries:
+                    with pytest.raises(WireError):
+                        await direct.query(forged)
+                for forged in forged_updates:
+                    with pytest.raises(WireError):
+                        await direct.update(forged)
+            finally:
+                await direct.aclose()
+            assert top.home.database.row_count("toys") == rows
+            assert top.home.queries_served == 1 and top.home.updates_applied == 0
+
+    async def test_a_clients_origin_claim_is_ignored_by_the_dssp(
+        self, simple_toystore, toystore_db
+    ):
+        """``origin`` is a claimed field: a client naming *another* node as
+        the forwarder must not talk the home out of pushing to it."""
+        topology = Topology(
+            simple_toystore, toystore_db.clone(), StrategyClass.MSIS
+        )
+        async with topology as top:
+            client_a, client_b = top.clients
+            view = top.seal_query(simple_toystore.query("Q2").bind([7]))
+            await client_b.query(view)
+            await client_a.update(
+                top.seal_update(simple_toystore.update("U1").bind([7])),
+                origin="dssp-1",
+            )
+            await eventually(
+                lambda: top.dssp_nets[1].stream_pushes_applied == 1
+            )
+            assert (await client_b.query(view)).cache_hit is False

@@ -63,8 +63,6 @@ PROCESS_MEMOS = {
     "analysis.strip_range",
     "analysis.update_constraints",
     "crypto.key_schedule",
-    "sql.parse_intern",
-    "sql.to_sql",
     "templates.bind",
 }
 #: Memos of the codec, which only a key holder builds.  (The two storage

@@ -23,10 +23,10 @@ from repro.net.client import RetryPolicy, WireClient
 from repro.net.wire import QueryRequest, QueryResponse, UpdateResponse
 
 QUERY = QueryEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, cache_key="k1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"k1"
 )
 UPDATE = UpdateEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, opaque_id="u1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"u1"
 )
 
 ONE_SHOT = RetryPolicy(attempts=1)

@@ -28,10 +28,10 @@ from repro.net.service import WireServer
 from tests.net.test_end_to_end import Topology
 
 QUERY = QueryEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, cache_key="k1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"k1"
 )
 UPDATE = UpdateEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, opaque_id="u1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"u1"
 )
 N = 8
 

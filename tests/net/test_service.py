@@ -19,7 +19,7 @@ from repro.net.service import WireServer
 from repro.obs import per_app_counters
 
 UPDATE = UpdateEnvelope(
-    app_id="toystore", level=ExposureLevel.BLIND, opaque_id="u1"
+    app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"u1"
 )
 
 
@@ -65,7 +65,7 @@ class TestPerApplicationBooks:
                 envelope = QueryEnvelope(
                     app_id=f"bogus-{count}-{index}",
                     level=ExposureLevel.BLIND,
-                    cache_key="k",
+                    sealed_statement=b"k",
                 )
                 with pytest.raises(UnknownApplicationError):
                     await client.query(envelope)

@@ -8,6 +8,7 @@ oversized frames, bad magic/version/frame types all raise ``WireError``.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -35,65 +36,44 @@ from repro.net.wire import (
     decode_traced,
     encode_frame,
 )
-from repro.sql.parser import parse
 from repro.storage.rows import ResultSet
-
-# A corpus of statements in the supported dialect; the codec ships
-# statements as SQL text, so parse→format→parse must be the identity on
-# everything it can carry.
-_SELECT_SQL = [
-    "SELECT toy_id FROM toys WHERE toy_name = 'bear'",
-    "SELECT qty FROM toys WHERE toy_id = 7",
-    "SELECT cust_name FROM customers, credit_card "
-    "WHERE cust_id = cid AND zip_code = '12345'",
-    "SELECT toy_id, qty FROM toys WHERE qty < 10 ORDER BY toy_id LIMIT 5",
-]
-_DML_SQL = [
-    "DELETE FROM toys WHERE toy_id = 3",
-    "INSERT INTO toys (toy_id, toy_name, qty) VALUES (9, 'robot', 4)",
-    "UPDATE toys SET qty = 2 WHERE toy_id = 5",
-]
-
-SELECTS = [parse(sql) for sql in _SELECT_SQL]
-DMLS = [parse(sql) for sql in _DML_SQL]
 
 _text = st.text(max_size=40)
 _opt_text = st.none() | _text
-_opt_blob = st.none() | st.binary(max_size=60)
+_blob = st.binary(max_size=60)
+_opt_blob = st.none() | _blob
 _levels = st.sampled_from(list(ExposureLevel))
 _update_levels = st.sampled_from(
     [ExposureLevel.BLIND, ExposureLevel.TEMPLATE, ExposureLevel.STMT]
 )
+#: Everything a statement parameter may be (``Scalar``), and nothing else.
+_scalars = (
+    st.none()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+_params = st.lists(_scalars, max_size=4).map(tuple)
 
 
-@st.composite
-def query_envelopes(draw) -> QueryEnvelope:
-    return QueryEnvelope(
-        app_id=draw(_text),
-        level=draw(_levels),
-        cache_key=draw(_text),
-        template_name=draw(_opt_text),
-        template_sql=draw(_opt_text),
-        statement=draw(st.none() | st.sampled_from(SELECTS)),
-        statement_sql=draw(_opt_text),
-        sealed_statement=draw(_opt_blob),
-        sealed_params=draw(_opt_blob),
-    )
+def _envelopes(kind, levels):
+    """Every envelope the wire can carry: the level names the sealed part."""
+
+    @st.composite
+    def build(draw):
+        app_id, level = draw(_text), draw(levels)
+        if level is ExposureLevel.BLIND:
+            return kind(app_id, level, sealed_statement=draw(_blob))
+        name = draw(_text)
+        if level is ExposureLevel.TEMPLATE:
+            return kind(app_id, level, name, sealed_params=draw(_blob))
+        return kind(app_id, level, name, draw(_params))
+
+    return build
 
 
-@st.composite
-def update_envelopes(draw) -> UpdateEnvelope:
-    return UpdateEnvelope(
-        app_id=draw(_text),
-        level=draw(_update_levels),
-        opaque_id=draw(_text),
-        template_name=draw(_opt_text),
-        template_sql=draw(_opt_text),
-        statement=draw(st.none() | st.sampled_from(DMLS)),
-        statement_sql=draw(_opt_text),
-        sealed_statement=draw(_opt_blob),
-        sealed_params=draw(_opt_blob),
-    )
+query_envelopes = _envelopes(QueryEnvelope, _levels)
+update_envelopes = _envelopes(UpdateEnvelope, _update_levels)
 
 
 _cells = st.none() | st.integers(-(2**31), 2**31) | st.text(max_size=12)
@@ -187,13 +167,22 @@ def frames(draw):
     return ErrorResponse(draw(st.sampled_from(list(ErrorCode))), draw(_text))
 
 
-class TestStatementCorpus:
-    def test_corpus_round_trips_through_the_parser(self):
-        """Precondition for shipping statements as SQL text."""
-        from repro.sql.formatter import to_sql
+class TestNoSqlOnTheWire:
+    """The wire is the envelope minus its bound-AST slot: no SQL crosses."""
 
-        for statement in SELECTS + DMLS:
-            assert parse(to_sql(statement)) == statement
+    def test_the_codec_cannot_parse_or_render_sql(self):
+        import inspect
+
+        assert "repro.sql" not in inspect.getsource(wire)
+
+    def test_the_bound_ast_slot_is_never_encoded(self, simple_toystore):
+        bound = simple_toystore.query("Q2").bind([5])
+        bare = QueryEnvelope("toystore", ExposureLevel.STMT, "Q2", (5,))
+        filled = replace(bare, statement=bound.select)
+        raw = encode_frame(QueryRequest(filled))
+        assert raw == encode_frame(QueryRequest(bare))
+        assert b"SELECT" not in raw and b"qty" not in raw
+        assert decode_frame(raw).envelope.statement is None
 
 
 class TestRoundTrip:
@@ -237,7 +226,7 @@ class TestRoundTrip:
 
 
 class TestRequestId:
-    """The trace-id slot added by protocol v2."""
+    """The trace-id slot (since protocol v2)."""
 
     @given(frame=frames(), request_id=_request_ids)
     @settings(max_examples=200)
@@ -341,35 +330,31 @@ class TestRejection:
         with pytest.raises(WireError, match="exceeds"):
             encode_frame(frame, max_frame=10)
 
-    def test_statement_that_does_not_parse_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_versions_rejected_alike(self, version):
+        encoded = bytearray(encode_frame(ErrorResponse(ErrorCode.INTERNAL, "")))
+        encoded[2] = version
+        with pytest.raises(
+            WireError, match=f"^unsupported protocol version {version}$"
+        ):
+            decode_frame(bytes(encoded))
+
+    def test_params_that_are_not_json_rejected(self):
         frame = QueryRequest(
-            QueryEnvelope(
-                app_id="a",
-                level=ExposureLevel.STMT,
-                cache_key="k",
-                statement=SELECTS[0],
-            )
+            QueryEnvelope("a", ExposureLevel.STMT, "Q2", ("marker",))
         )
-        encoded = encode_frame(frame)
-        corrupted = encoded.replace(b"SELECT", b"SELECT)")
-        with pytest.raises(WireError):
+        corrupted = encode_frame(frame).replace(b'["marker"]', b'["marker"[')
+        with pytest.raises(WireError, match="parameters"):
             decode_frame(corrupted)
 
-    def test_dml_in_query_envelope_rejected(self):
-        query_frame = encode_frame(QueryRequest(
-            QueryEnvelope(
-                app_id="a",
-                level=ExposureLevel.STMT,
-                cache_key="k",
-                statement=SELECTS[1],
-            )
-        ))
-        corrupted = query_frame.replace(
-            b"SELECT qty FROM toys WHERE toy_id = 7",
-            b"DELETE FROM toys WHERE toy_id = 70000",  # same byte length
+    def test_view_level_update_rejected(self):
+        query_frame = encode_frame(
+            QueryRequest(QueryEnvelope("a", ExposureLevel.VIEW, "U1", (7,)))
         )
-        with pytest.raises(WireError, match="not a SELECT"):
-            decode_frame(corrupted)
+        as_push = bytearray(query_frame)
+        as_push[3] = FrameType.INVALIDATE
+        with pytest.raises(WireError, match="no 'view' level"):
+            decode_frame(bytes(as_push))
 
 
 class TestBatchCapability:
@@ -450,7 +435,7 @@ class TestBatchFrame:
     """INVALIDATE_BATCH bounds are enforced on both sides of the codec."""
 
     ENVELOPE = UpdateEnvelope(
-        app_id="a", level=ExposureLevel.BLIND, opaque_id="u1"
+        app_id="a", level=ExposureLevel.BLIND, sealed_statement=b"u1"
     )
 
     def test_empty_batch_rejected_at_construction(self):
@@ -546,14 +531,16 @@ class TestExposureOnTheWire:
             QueryRequest(codec.seal_query(bound, ExposureLevel.TEMPLATE))
         )
         assert b"marker-toy" not in raw  # parameters sealed
-        assert b"SELECT" in raw  # template SQL is exposed by design
+        assert b"Q1" in raw  # template identity is exposed by design
+        assert b"SELECT" not in raw  # ...by name: the DSSP has the text
 
     def test_stmt_query_exposes_statement(self, codec, simple_toystore):
         bound = simple_toystore.query("Q1").bind(["marker-toy"])
         raw = encode_frame(
             QueryRequest(codec.seal_query(bound, ExposureLevel.STMT))
         )
-        assert b"marker-toy" in raw
+        assert b"marker-toy" in raw and b"Q1" in raw
+        assert b"SELECT" not in raw and b"toy_name" not in raw
 
     def test_sub_view_result_is_ciphertext_only(self, codec):
         result = ResultSet(

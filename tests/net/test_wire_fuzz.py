@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,14 +23,22 @@ from repro.net import wire
 SAMPLE_FRAMES = [
     wire.QueryRequest(
         QueryEnvelope(
-            app_id="toystore", level=ExposureLevel.BLIND, cache_key="k1"
+            app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"k1"
         )
     ),
     wire.UpdateRequest(
         UpdateEnvelope(
-            app_id="toystore", level=ExposureLevel.BLIND, opaque_id="u1"
+            app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"u1"
         ),
         origin="dssp-0",
+    ),
+    wire.QueryRequest(
+        QueryEnvelope("toystore", ExposureLevel.STMT, "Q2", (5, "x", None, 1.5))
+    ),
+    wire.InvalidationPush(
+        UpdateEnvelope(
+            "toystore", ExposureLevel.TEMPLATE, "U1", sealed_params=b"token"
+        )
     ),
     wire.SubscribeRequest("dssp-1", ("toystore", "bboard")),
     wire.QueryResponse(
@@ -140,3 +149,84 @@ def test_samples_round_trip():
         assert request_id == f"rid-{index}"
         frame_type, peeked_rid = wire.peek_raw(raw)
         assert peeked_rid == request_id
+
+
+# -- malformed envelopes: well-framed, but shape, level or parameters lie ---------
+
+BLIND, TEMPLATE, STMT, VIEW = (int(level) for level in ExposureLevel)
+
+
+def _envelope_frame(
+    level,
+    name=None,
+    params=None,
+    sealed_statement=None,
+    sealed_params=None,
+    frame_type=wire.FrameType.QUERY,
+) -> bytes:
+    """A frame whose envelope fields are written exactly as given."""
+    writer = wire._Writer()
+    writer.text("toystore")
+    writer.u8(level)
+    writer.opt_text(name)
+    writer.opt_blob(params)
+    writer.opt_blob(sealed_statement)
+    writer.opt_blob(sealed_params)
+    payload = writer.getvalue()
+    header = wire._HEADER.pack(
+        wire.MAGIC, wire.VERSION, frame_type, 0, len(payload)
+    )
+    return header + payload
+
+
+MALFORMED_ENVELOPES = {
+    # exactly one of params / sealed_params / sealed_statement, named by level
+    "blind-with-name": _envelope_frame(BLIND, "Q2", sealed_statement=b"t"),
+    "blind-with-params": _envelope_frame(BLIND, params=b"[5]", sealed_statement=b"t"),
+    "blind-sealing-params": _envelope_frame(BLIND, sealed_params=b"t"),
+    "blind-empty": _envelope_frame(BLIND),
+    "template-without-name": _envelope_frame(TEMPLATE, sealed_params=b"t"),
+    "template-with-clear-params": _envelope_frame(
+        TEMPLATE, "Q2", params=b"[5]", sealed_params=b"t"
+    ),
+    "template-sealing-statement": _envelope_frame(
+        TEMPLATE, "Q2", sealed_statement=b"t"
+    ),
+    "stmt-without-params": _envelope_frame(STMT, "Q2"),
+    "stmt-without-name": _envelope_frame(STMT, params=b"[5]"),
+    "stmt-with-sealed-params-too": _envelope_frame(
+        STMT, "Q2", params=b"[5]", sealed_params=b"t"
+    ),
+    "stmt-shaped-as-blind": _envelope_frame(STMT, sealed_statement=b"t"),
+    "view-shaped-as-template": _envelope_frame(VIEW, "Q2", sealed_params=b"t"),
+    "unknown-level": _envelope_frame(9, "Q2", params=b"[5]"),
+    "view-update": _envelope_frame(
+        VIEW, "U1", params=b"[5]", frame_type=wire.FrameType.INVALIDATE
+    ),
+    # each parameter is int | float | str | None
+    "params-boolean": _envelope_frame(STMT, "Q2", params=b"[true]"),
+    "params-nested-list": _envelope_frame(STMT, "Q2", params=b"[[5]]"),
+    "params-object-member": _envelope_frame(STMT, "Q2", params=b'[{"a":1}]'),
+    "params-nan": _envelope_frame(STMT, "Q2", params=b"[NaN]"),
+    "params-infinity": _envelope_frame(STMT, "Q2", params=b"[-Infinity]"),
+    "params-overflowing-float": _envelope_frame(STMT, "Q2", params=b"[1e999]"),
+    "params-not-an-array": _envelope_frame(STMT, "Q2", params=b'{"a":1}'),
+    "params-bare-scalar": _envelope_frame(STMT, "Q2", params=b"5"),
+    "params-not-json": _envelope_frame(STMT, "Q2", params=b"[5,"),
+    "params-not-utf8": _envelope_frame(STMT, "Q2", params=b'["\xff"]'),
+    "params-too-deep": _envelope_frame(STMT, "Q2", params=b"[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_ENVELOPES))
+def test_malformed_envelope_is_a_wire_error(label):
+    with pytest.raises(WireError):
+        wire.decode_traced(MALFORMED_ENVELOPES[label])
+
+
+def test_the_malformed_table_builder_can_build_a_good_frame():
+    """Sanity: the cases above fail for their stated reason, not framing."""
+    frame, _ = wire.decode_traced(_envelope_frame(STMT, "Q2", params=b"[5, 1.5]"))
+    assert frame.envelope == QueryEnvelope(
+        "toystore", ExposureLevel.STMT, "Q2", (5, 1.5)
+    )

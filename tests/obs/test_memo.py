@@ -98,12 +98,12 @@ def test_instances_sharing_a_name_are_summed_and_dead_ones_drop_out():
 
 
 def test_lru_caches_are_exported_from_cache_info():
-    from repro.sql.formatter import to_sql
+    from repro.analysis.independence import _single_table_constraints
 
     registry = MetricsRegistry()
     memo.register_metrics(registry)
     gauges = registry.snapshot()["gauges"]
-    info = to_sql.cache_info()
-    assert gauges["sql.to_sql.limit"] == info.maxsize
-    assert gauges["sql.to_sql.size"] == info.currsize
-    assert gauges["sql.to_sql.hits"] == info.hits
+    info = _single_table_constraints.cache_info()
+    assert gauges["analysis.update_constraints.limit"] == info.maxsize
+    assert gauges["analysis.update_constraints.size"] == info.currsize
+    assert gauges["analysis.update_constraints.hits"] == info.hits
