@@ -30,12 +30,6 @@ LARGE_ROWS = int(os.environ.get("REPRO_BENCH_STORAGE_LARGE", "1000000"))
 POINT_OPS = 1000
 ORDERED_OPS = 100
 UPDATE_OPS = 1000
-#: The memory engine applies an update by scanning the table (O(rows) per
-#: statement), so at the large tier it gets a reduced op count — the
-#: throughput metric is per-op, and the measured gap vs SQLite's indexed
-#: UPDATE is exactly the result the artifact is meant to show.  The op
-#: counts land in the JSON so the cap is explicit, not silent.
-LARGE_MEMORY_UPDATE_OPS = 20
 #: rank values fall in [0, RANK_MOD); updates assign values beyond it so
 #: every update is an effective change (counted, invalidating).
 RANK_MOD = 1009
@@ -67,7 +61,7 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def measure(kind: str, rows, update_ops: int = UPDATE_OPS) -> dict:
+def measure(kind: str, rows) -> dict:
     count = len(rows)
     backend = create_backend(kind, make_schema())
     try:
@@ -91,14 +85,14 @@ def measure(kind: str, rows, update_ops: int = UPDATE_OPS) -> dict:
             lambda: [backend.execute(s) for s in ordered]
         )
 
-        step = max(1, count // update_ops)
+        step = max(1, count // UPDATE_OPS)
         updates = [
             parse(
                 f"UPDATE inventory SET rank = {RANK_MOD + i} "
                 f"WHERE item_id = {k}"
             )
             for i, k in enumerate(range(0, count, step))
-        ][:update_ops]
+        ][:UPDATE_OPS]
         update_seconds = _timed(lambda: [backend.apply(u) for u in updates])
 
         return {
@@ -125,16 +119,7 @@ def _experiment() -> dict:
     for count in (SMALL_ROWS, LARGE_ROWS):
         rows = make_rows(count)
         result["tiers"][str(count)] = {
-            kind: measure(
-                kind,
-                rows,
-                update_ops=(
-                    LARGE_MEMORY_UPDATE_OPS
-                    if kind == "memory" and count > SMALL_ROWS
-                    else UPDATE_OPS
-                ),
-            )
-            for kind in BACKENDS
+            kind: measure(kind, rows) for kind in BACKENDS
         }
     return result
 

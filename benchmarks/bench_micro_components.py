@@ -64,6 +64,64 @@ def test_micro_execute_join_query(benchmark):
     assert result.columns
 
 
+#: The templates that carry most of the home's storage time on the e2e
+#: benchmark's workloads (bookstore at scale 2.0, bboard at 5.0).
+_STORAGE_TEMPLATES = {
+    "bookstore": (
+        2.0,
+        ("getBook", "getName", "getNewProducts", "getPurchaseAssociations",
+         "getSubjects", "setStock"),
+    ),
+    "bboard": (5.0, ("getStoriesOfTheDay", "updateCommentRating")),
+}
+
+
+def test_micro_storage_templates(benchmark, emit):
+    """What one statement costs the master copy, per template.
+
+    A sampled page stream is replayed straight into ``Database.execute`` /
+    ``apply`` (every statement, in order, so inserts find their parents);
+    the table reports the named templates and the plan memo's books.  No
+    threshold: the end-to-end pairs carry the evidence.
+    """
+
+    def measured():
+        rows = []
+        for app_name, (scale, names) in _STORAGE_TEMPLATES.items():
+            instance = get_application(app_name).instantiate(scale=scale, seed=1)
+            database, rng = instance.database, random.Random(1)
+            spent = {name: [0, 0.0] for name in names}
+            for _ in range(400):
+                for operation in instance.sampler.sample_page(rng):
+                    bound = operation.bound
+                    started = time.perf_counter()
+                    if operation.is_update:
+                        database.apply(bound.statement)
+                    else:
+                        database.execute(bound.select)
+                    elapsed = time.perf_counter() - started
+                    if bound.template.name in spent:
+                        spent[bound.template.name][0] += 1
+                        spent[bound.template.name][1] += elapsed
+            plans = database._executor._plans
+            rows.append((app_name, spent, plans.hits, plans.misses))
+        return rows
+
+    rows = benchmark.pedantic(measured, rounds=1, iterations=1)
+    lines = [f"{'template':<34} {'calls':>6} {'per call':>11}", "-" * 53]
+    for app_name, spent, hits, misses in rows:
+        for name, (calls, seconds) in spent.items():
+            assert calls > 0, name
+            lines.append(
+                f"{app_name + '.' + name:<34} {calls:>6} "
+                f"{seconds / calls * 1e6:>8.1f} us"
+            )
+        lines.append(
+            f"{app_name + ' storage.plan':<34} hits={hits} misses={misses}"
+        )
+    emit("micro_storage_templates", "\n".join(lines))
+
+
 def test_micro_encrypt_decrypt(benchmark):
     key = b"0123456789abcdef0123456789abcdef"
     payload = b"x" * 2000

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.cipher import decrypt, encrypt
@@ -79,14 +80,27 @@ def decode_params(data: bytes) -> tuple[Scalar, ...]:
         raise ValueError("parameters nest too deeply") from None
     if type(params) is not list:
         raise ValueError("parameters are not a JSON array")
-    for value in params:
-        kind = type(value)
-        if kind is float:
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite parameter {value!r}")
-        elif kind is not int and kind is not str and value is not None:
-            raise ValueError(f"parameter {value!r} is not a scalar")
+    _require_scalars(params, "parameter")
     return tuple(params)
+
+
+_SCALAR_TYPES = frozenset({int, float, str, type(None)})
+
+
+def _require_scalars(values: list, what: str) -> None:
+    """The scalar rule for decoded JSON: ``int | float | str | None`` only.
+
+    One C-level pass over the types; the values are looked at again only
+    to name an offender or when there are floats to check for finiteness.
+    """
+    kinds = set(map(type, values))
+    if not kinds <= _SCALAR_TYPES:
+        value = next(v for v in values if type(v) not in _SCALAR_TYPES)
+        raise ValueError(f"{what} {value!r} is not a scalar")
+    if float in kinds:
+        for value in values:
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"non-finite {what} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,13 +205,24 @@ def deserialize_result(data: bytes) -> ResultSet:
     """Inverse of :func:`serialize_result`.
 
     Raises:
-        CryptoError: if the payload is not a serialized result set.
+        CryptoError: if the payload is not a serialized result set — rows
+            of the header's width whose cells pass the scalar rule
+            :func:`decode_params` holds parameters to.
     """
     try:
         payload = json.loads(data.decode())
+        columns, rows = payload["columns"], payload["rows"]
+        if (
+            type(columns) is not list
+            or type(rows) is not list
+            or set(map(type, rows)) - {list}
+            or set(map(len, rows)) - {len(columns)}
+        ):
+            raise ValueError("rows are not arrays of the header's width")
+        _require_scalars(list(chain.from_iterable(rows)), "cell")
         return ResultSet(
-            columns=tuple(payload["columns"]),
-            rows=tuple(tuple(row) for row in payload["rows"]),
+            columns=tuple(columns),
+            rows=tuple(map(tuple, rows)),
             ordered=payload["ordered"],
         )
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:

@@ -8,8 +8,9 @@ oracle, and expose a monotone version stamp.
 
 **Canonical ordering.**  The one place engines legitimately disagree is tie
 order under ORDER BY (and therefore *which* rows a LIMIT keeps when ties
-straddle the cutoff): the in-memory engine breaks ties by join order,
-SQLite by whatever its scan produces.  Backends therefore execute the
+straddle the cutoff): the in-memory engine breaks ties by FROM-order
+primary key, SQLite — which cannot see base keys through a projection —
+by whatever its scan produces.  Backends therefore execute the
 order/limit-free *core* of an ordered query and apply one shared,
 deterministic canonicalization in Python:
 
@@ -21,8 +22,8 @@ deterministic canonicalization in Python:
 Both backends run the identical step 1–3 code, so their ordered results
 are row-for-row identical — the property the differential parity suite
 asserts.  The raw :class:`~repro.storage.database.Database` keeps its
-original (join-order tie) behaviour; canonicalization lives only at the
-backend seam.
+own contract (:mod:`repro.storage.executor`, "Result order");
+canonicalization lives only at the backend seam.
 """
 
 from __future__ import annotations

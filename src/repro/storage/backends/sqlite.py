@@ -153,10 +153,15 @@ class SqliteBackend:
     # -- loading -------------------------------------------------------------
 
     def load(self, table: str, rows: Iterable[Row]) -> None:
-        """Bulk-load pre-validated rows inside one transaction."""
+        """Bulk-load pre-validated rows inside one transaction.
+
+        Raises:
+            PrimaryKeyViolation: if a row's primary key is already stored
+                (as the memory engine does); the transaction keeps
+                nothing of the batch.
+        """
         table_schema = self.schema.table(table)
         width = len(table_schema.columns)
-        sql = self._dialect.compile_insert_row(table_schema)
         checked = []
         for row in rows:
             if len(row) != width:
@@ -167,11 +172,23 @@ class SqliteBackend:
             checked.append(tuple(row))
         self._connection.execute("BEGIN")
         try:
-            self._connection.executemany(sql, checked)
+            self._insert_rows(table_schema, checked)
         except BaseException:
             self._connection.execute("ROLLBACK")
             raise
         self._connection.execute("COMMIT")
+
+    def _insert_rows(self, table: TableSchema, rows: Iterable[Row]) -> None:
+        try:
+            self._connection.executemany(
+                self._dialect.compile_insert_row(table), rows
+            )
+        except sqlite3.IntegrityError as error:
+            if error.sqlite_errorname != "SQLITE_CONSTRAINT_PRIMARYKEY":
+                raise
+            raise PrimaryKeyViolation(
+                f"duplicate primary key in table {table.name!r}"
+            ) from error
 
     # -- queries -------------------------------------------------------------
 
@@ -307,10 +324,7 @@ class SqliteBackend:
             for name, rows in snapshot.items():
                 table = self.schema.table(name)
                 self._connection.execute(f'DELETE FROM "{table.name}"')
-                if rows:
-                    self._connection.executemany(
-                        self._dialect.compile_insert_row(table), rows
-                    )
+                self._insert_rows(table, rows)
         except BaseException:
             self._connection.execute("ROLLBACK")
             raise

@@ -47,7 +47,6 @@ class Database:
         self.schema = schema
         self.enforce_foreign_keys = enforce_foreign_keys
         self.strict_model = strict_model
-        self._data: dict[str, list[Row]] = {name: [] for name in schema.table_names}
         self._indexes = DatabaseIndexes(schema)
         self._executor = QueryExecutor(schema)
         self._version = 0
@@ -62,43 +61,43 @@ class Database:
     def rows(self, table: str) -> tuple[Row, ...]:
         """Return a snapshot of the rows currently stored in ``table``."""
         self.schema.table(table)  # validate name
-        return tuple(self._data.get(table, ()))
+        return tuple(self._indexes.tables[table].values())
 
     def row_count(self, table: str) -> int:
         """Return the number of rows in ``table``."""
         self.schema.table(table)
-        return len(self._data.get(table, ()))
+        return len(self._indexes.tables[table])
 
     def total_rows(self) -> int:
         """Return the total number of rows across all tables."""
-        return sum(len(rows) for rows in self._data.values())
+        return sum(len(rows) for rows in self._indexes.tables.values())
 
     # -- loading ----------------------------------------------------------------
 
     def load(self, table: str, rows: Iterable[Row]) -> None:
         """Bulk-load pre-validated rows (used by data generators).
 
-        Rows are trusted: no constraint checks are run.  Use
-        :meth:`apply` / INSERT statements for checked writes.
+        Rows are trusted but for their width and their primary key — a
+        second row under a key would replace the first.  Use :meth:`apply`
+        / INSERT statements for checked writes.
+
+        Raises:
+            PrimaryKeyViolation: if a row's primary key is already stored.
         """
-        table_schema = self.schema.table(table)
-        width = len(table_schema.columns)
-        stored = self._data.setdefault(table, [])
+        width = len(self.schema.table(table).columns)
         for row in rows:
             if len(row) != width:
                 raise ExecutionError(
                     f"row width {len(row)} does not match table {table!r} "
                     f"width {width}"
                 )
-            frozen = tuple(row)
-            stored.append(frozen)
-            self._indexes.add(table, frozen)
+            self._indexes.add(table, tuple(row))
 
     # -- queries ----------------------------------------------------------------
 
     def execute(self, select: Select) -> ResultSet:
         """Execute a fully-bound query and return its result."""
-        return self._executor.execute(select, self._data, self._indexes)
+        return self._executor.execute(select, self._indexes)
 
     # -- updates ----------------------------------------------------------------
 
@@ -110,27 +109,15 @@ class Database:
         """
         if isinstance(statement, Insert):
             affected = apply_insert(
-                self.schema,
-                self._data,
-                statement,
-                self.enforce_foreign_keys,
-                self._indexes,
+                self.schema, self._indexes, statement, self.enforce_foreign_keys
             )
         elif isinstance(statement, Delete):
             affected = apply_delete(
-                self.schema,
-                self._data,
-                statement,
-                self.enforce_foreign_keys,
-                self._indexes,
+                self.schema, self._indexes, statement, self.enforce_foreign_keys
             )
         elif isinstance(statement, Update):
             affected = apply_update(
-                self.schema,
-                self._data,
-                statement,
-                self.strict_model,
-                self._indexes,
+                self.schema, self._indexes, statement, self.strict_model
             )
         else:
             raise ExecutionError("apply() takes an update statement, not a query")
@@ -143,33 +130,38 @@ class Database:
     def clone(self) -> "Database":
         """Deep-copy the data into an independent database (same schema).
 
-        Rows are immutable tuples, so both the per-table row lists and the
-        index containers are shallow-copied (``DatabaseIndexes.clone``)
-        rather than rebuilt — ~2.5-3x faster on the benchmark instances
-        (0.17→0.05 ms toystore, 4.7→1.9 ms bookstore at scale 1.0), and
-        clone() is per-checked-update in the oracle's proofs.
+        Rows are immutable tuples, so the tables and the index containers
+        are shallow-copied (``DatabaseIndexes.clone``) rather than rebuilt,
+        and the clone shares the executor — compiled plans belong to the
+        schema, not to the contents — because clone() is
+        per-checked-update in the oracle's proofs.
         """
-        other = Database(
-            self.schema,
-            enforce_foreign_keys=self.enforce_foreign_keys,
-            strict_model=self.strict_model,
-        )
-        other._data = {name: list(rows) for name, rows in self._data.items()}
+        other = copy.copy(self)
         other._indexes = self._indexes.clone()
-        other._version = self._version
         return other
 
     def snapshot(self) -> dict[str, tuple[Row, ...]]:
         """Return an immutable copy of all table contents."""
-        return {name: tuple(rows) for name, rows in self._data.items()}
+        return {
+            name: tuple(rows.values())
+            for name, rows in self._indexes.tables.items()
+        }
 
     def restore(self, snapshot: dict[str, tuple[Row, ...]]) -> None:
-        """Replace all table contents with a snapshot taken earlier."""
-        self._data = {name: list(rows) for name, rows in snapshot.items()}
-        self._indexes.rebuild_all(self._data)
+        """Replace all table contents with a snapshot taken earlier.
+
+        Raises:
+            PrimaryKeyViolation: if the snapshot repeats a primary key; the
+                current contents are then left as they were.
+        """
+        indexes = DatabaseIndexes(self.schema)
+        for table, rows in snapshot.items():
+            for row in rows:
+                indexes.add(table, row)
+        self._indexes = indexes
         self._version += 1
 
     def __deepcopy__(self, memo) -> "Database":
         clone = self.clone()
         memo[id(self)] = clone
-        return copy.copy(clone)  # data already copied; schema shared
+        return clone

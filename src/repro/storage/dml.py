@@ -10,15 +10,19 @@ Enforces the paper's update model (Section 2.1):
 Integrity constraints enforced: primary-key uniqueness, NOT NULL (and
 implicit NOT NULL of key columns), and foreign-key existence on insert and
 on parent delete (restrict semantics, optional).
+
+Rows are reached through :class:`~repro.storage.indexes.DatabaseIndexes`:
+no step of a primary-key-addressed statement is proportional to the table.
 """
 
 from __future__ import annotations
+
+from collections.abc import Hashable, Iterable
 
 from repro.errors import (
     ExecutionError,
     ForeignKeyViolation,
     NotNullViolation,
-    PrimaryKeyViolation,
     UnsupportedSqlError,
 )
 from repro.schema.schema import Schema
@@ -34,6 +38,7 @@ from repro.sql.ast import (
     Scalar,
     Update,
 )
+from repro.storage.indexes import DatabaseIndexes
 from repro.storage.rows import Row
 
 __all__ = [
@@ -49,10 +54,6 @@ def _literal_value(value: Literal | Parameter, context: str) -> Scalar:
     if isinstance(value, Parameter):
         raise ExecutionError(f"unbound parameter in {context}")
     return value.value
-
-
-def _key_of(table: TableSchema, row: Row) -> tuple[Scalar, ...]:
-    return tuple(row[table.position(column)] for column in table.primary_key)
 
 
 def validate_insert_row(schema: Schema, insert: Insert) -> tuple[TableSchema, Row]:
@@ -96,16 +97,14 @@ def validate_insert_row(schema: Schema, insert: Insert) -> tuple[TableSchema, Ro
 
 def apply_insert(
     schema: Schema,
-    data: dict[str, list[Row]],
+    indexes: DatabaseIndexes,
     insert: Insert,
     enforce_foreign_keys: bool = True,
-    indexes=None,
 ) -> int:
     """Insert one fully-specified row; returns 1 (rows affected).
 
-    With ``indexes`` (a :class:`~repro.storage.indexes.DatabaseIndexes`),
-    duplicate-key and parent-existence checks are O(1) instead of scans,
-    and all index structures are maintained.
+    Duplicate-key and parent-existence checks are one lookup each in
+    ``indexes``, which also stores the row.
 
     Raises:
         PrimaryKeyViolation: duplicate key.
@@ -113,70 +112,57 @@ def apply_insert(
         NotNullViolation: NULL in a NOT NULL or key column.
     """
     table, row = validate_insert_row(schema, insert)
-
-    if table.primary_key:
-        new_key = _key_of(table, row)
-        if indexes is not None and indexes.primary.indexes_table(table.name):
-            duplicate = indexes.primary.contains(table.name, new_key)
-        else:
-            duplicate = any(
-                _key_of(table, existing) == new_key
-                for existing in data.get(table.name, ())
-            )
-        if duplicate:
-            raise PrimaryKeyViolation(
-                f"duplicate primary key {new_key!r} in table {table.name!r}"
-            )
-
-    if enforce_foreign_keys:
-        _check_outgoing_foreign_keys(schema, data, table, row, indexes)
-
-    data.setdefault(table.name, []).append(row)
-    if indexes is not None:
-        indexes.add(table.name, row)
+    if enforce_foreign_keys and table.foreign_keys:
+        # A duplicate key is reported before a missing parent.
+        indexes.primary.new_key(table.name, row)
+        for foreign_key in table.foreign_keys:
+            value = row[table.position(foreign_key.column)]
+            # NULL FK is permitted; FKs reference single-column primary
+            # keys (schema-validated).
+            if value is not None and not indexes.primary.contains_value(
+                foreign_key.ref_table, foreign_key.ref_column, value
+            ):
+                raise ForeignKeyViolation(
+                    f"{foreign_key.describe(table.name)}: no parent row with "
+                    f"{foreign_key.ref_column} = {value!r}"
+                )
+    indexes.add(table.name, row)
     return 1
 
 
-def _check_outgoing_foreign_keys(
-    schema: Schema,
-    data: dict[str, list[Row]],
-    table: TableSchema,
-    row: Row,
-    indexes=None,
-) -> None:
-    for foreign_key in table.foreign_keys:
-        value = row[table.position(foreign_key.column)]
-        if value is None:
-            continue  # NULL FK is permitted
-        target = schema.table(foreign_key.ref_table)
-        if (
-            indexes is not None
-            and indexes.primary.indexes_table(target.name)
-            and indexes.primary.single_column_key(target.name)
-        ):
-            # FKs reference single-column primary keys (schema-validated).
-            exists = indexes.primary.contains_value(
-                target.name, foreign_key.ref_column, value
-            )
-        else:
-            position = target.position(foreign_key.ref_column)
-            exists = any(
-                parent[position] == value
-                for parent in data.get(target.name, ())
-            )
-        if not exists:
-            raise ForeignKeyViolation(
-                f"{foreign_key.describe(table.name)}: no parent row with "
-                f"{foreign_key.ref_column} = {value!r}"
-            )
+def _candidates(
+    table: TableSchema, where: tuple[Comparison, ...], indexes: DatabaseIndexes
+) -> Iterable[tuple[Hashable, Row]]:
+    """``(key, row)`` of every row that can satisfy ``where``.
+
+    One primary-key lookup when equalities to constants pin the full key,
+    else the bucket of the first pinned column, else the whole table.  The
+    caller re-applies the predicate, so this only narrows the search.
+    """
+    pinned: dict[str, Scalar] = {}
+    for comparison in where:
+        if comparison.op is ComparisonOp.EQ:
+            left, right = comparison.left, comparison.right
+            if isinstance(left, ColumnRef) and isinstance(right, Literal):
+                pinned.setdefault(left.column, right.value)
+            elif isinstance(right, ColumnRef) and isinstance(left, Literal):
+                pinned.setdefault(right.column, left.value)
+    rows = indexes.tables[table.name]
+    if table.primary_key and all(column in pinned for column in table.primary_key):
+        key = tuple(pinned[column] for column in table.primary_key)
+        row = rows.get(key)
+        return () if row is None else ((key, row),)
+    if pinned:
+        column, value = next(iter(pinned.items()))
+        return indexes.bucket(table.name, table.position(column), value).items()
+    return rows.items()
 
 
 def apply_delete(
     schema: Schema,
-    data: dict[str, list[Row]],
+    indexes: DatabaseIndexes,
     delete: Delete,
     enforce_foreign_keys: bool = False,
-    indexes=None,
 ) -> int:
     """Delete rows matching the predicate; returns the number removed.
 
@@ -184,49 +170,32 @@ def apply_delete(
     row that is still referenced by a child table.
     """
     table = schema.table(delete.table)
-    rows = data.get(table.name, [])
     check = _compile_predicate(table, delete.where)
-    keep: list[Row] = []
-    removed: list[Row] = []
-    for row in rows:
-        (removed if check(row) else keep).append(row)
-    if not removed:
-        return 0
+    removed = [
+        (key, row)
+        for key, row in _candidates(table, delete.where, indexes)
+        if check(row)
+    ]
     if enforce_foreign_keys:
-        incoming = schema.foreign_keys_into(table.name)
-        for row in removed:
-            _check_no_children(schema, data, table, row, incoming)
-    data[table.name] = keep
-    if indexes is not None:
-        for row in removed:
-            indexes.remove(table.name, row)
+        for owner_name, foreign_key in schema.foreign_keys_into(table.name):
+            child = schema.table(owner_name).position(foreign_key.column)
+            parent = table.position(foreign_key.ref_column)
+            for _, row in removed:
+                if indexes.bucket(owner_name, child, row[parent]):
+                    raise ForeignKeyViolation(
+                        f"cannot delete {table.name} row: still referenced via "
+                        f"{foreign_key.describe(owner_name)}"
+                    )
+    for key, _ in removed:
+        indexes.remove(table.name, key)
     return len(removed)
-
-
-def _check_no_children(
-    schema: Schema,
-    data: dict[str, list[Row]],
-    table: TableSchema,
-    row: Row,
-    incoming,
-) -> None:
-    for owner_name, foreign_key in incoming:
-        owner = schema.table(owner_name)
-        position = owner.position(foreign_key.column)
-        value = row[table.position(foreign_key.ref_column)]
-        if any(child[position] == value for child in data.get(owner_name, ())):
-            raise ForeignKeyViolation(
-                f"cannot delete {table.name} row: still referenced via "
-                f"{foreign_key.describe(owner_name)}"
-            )
 
 
 def apply_update(
     schema: Schema,
-    data: dict[str, list[Row]],
+    indexes: DatabaseIndexes,
     update: Update,
     strict_model: bool = True,
-    indexes=None,
 ) -> int:
     """Apply a modification; returns the number of rows changed.
 
@@ -237,6 +206,9 @@ def apply_update(
     table = schema.table(update.table)
     if strict_model:
         _check_modification_model(table, update)
+    elif any(table.is_key_column(name) for name, _ in update.assignments):
+        # A row is stored under its key for life, in either model.
+        raise ExecutionError("primary key mutation through a modification")
 
     assignments = [
         (table.position(column_name), scalar)
@@ -244,21 +216,19 @@ def apply_update(
     ]
 
     check = _compile_predicate(table, update.where)
-    rows = data.get(table.name, [])
-    changed = 0
-    for index, row in enumerate(rows):
+    changes = []
+    for key, row in _candidates(table, update.where, indexes):
         if not check(row):
             continue
         new_row = list(row)
         for position, scalar in assignments:
             new_row[position] = scalar
-        if tuple(new_row) != row:
-            replacement = tuple(new_row)
-            rows[index] = replacement
-            if indexes is not None:
-                indexes.replace(table.name, row, replacement)
-            changed += 1
-    return changed
+        replacement = tuple(new_row)
+        if replacement != row:
+            changes.append((key, replacement))
+    for key, replacement in changes:
+        indexes.replace(table.name, key, replacement)
+    return len(changes)
 
 
 def validate_update_assignments(

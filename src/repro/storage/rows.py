@@ -13,11 +13,12 @@ correctness (paper Section 2.2) is defined against.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.sql.ast import Scalar
 
-__all__ = ["ResultSet", "Row", "sort_key"]
+__all__ = ["ResultSet", "Row", "column_key", "sort_key"]
 
 #: A stored or result row.
 Row = tuple[Scalar, ...]
@@ -40,6 +41,20 @@ def sort_key(row: Row) -> tuple:
     return tuple(key)
 
 
+def column_key(position: int) -> Callable[[Row], tuple]:
+    """:func:`sort_key` order on one column: ``row → key`` in a single call."""
+
+    def key(row: Row) -> tuple:
+        value = row[position]
+        if value is None:
+            return (2, 0, "")
+        if isinstance(value, str):
+            return (1, 0, value)
+        return (0, value, "")
+
+    return key
+
+
 @dataclass(frozen=True)
 class ResultSet:
     """An immutable query result.
@@ -54,16 +69,11 @@ class ResultSet:
     columns: tuple[str, ...]
     rows: tuple[Row, ...]
     ordered: bool = False
-    _signature: tuple[Row, ...] = field(
-        init=False, repr=False, compare=False, hash=False
+    #: Computed on first use: only :meth:`equivalent` reads it, and sorting
+    #: every result at construction taxed each execute and each open.
+    _signature: tuple[Row, ...] | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
     )
-
-    def __post_init__(self) -> None:
-        if self.ordered:
-            signature = self.rows
-        else:
-            signature = tuple(sorted(self.rows, key=sort_key))
-        object.__setattr__(self, "_signature", signature)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -78,6 +88,12 @@ class ResultSet:
 
     def signature(self) -> tuple[Row, ...]:
         """Canonical row sequence: sorted when unordered, as-is when ordered."""
+        if self.ordered:
+            return self.rows
+        if self._signature is None:
+            object.__setattr__(
+                self, "_signature", tuple(sorted(self.rows, key=sort_key))
+            )
         return self._signature
 
     def equivalent(self, other: "ResultSet") -> bool:

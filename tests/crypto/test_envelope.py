@@ -6,6 +6,12 @@ import pytest
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto import EnvelopeCodec, Keyring, QueryEnvelope, UpdateEnvelope
+from repro.crypto.cipher import encrypt
+from repro.crypto.envelope import (
+    ResultEnvelope,
+    deserialize_result,
+    serialize_result,
+)
 from repro.errors import BindingError, CryptoError, TemplateError
 from repro.storage.rows import ResultSet
 
@@ -268,3 +274,42 @@ class TestResultEnvelopes:
         result = ResultSet(("a", "b", "c"), ((1, 1.5, "x"), (None, 2.0, "y''z")))
         opened = codec.open_result(codec.seal_result(result, ExposureLevel.BLIND))
         assert opened.rows == result.rows
+
+
+class TestMalformedResultPayloads:
+    """A result opens only as rows of scalars of the header's width —
+    the rule ``decode_params`` holds parameters to."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"columns":["a","b"],"rows":[[1,[2,3]]],"ordered":false}',
+            b'{"columns":["a","b"],"rows":[[1,{"x":2}]],"ordered":false}',
+            b'{"columns":["a","b"],"rows":[[1,true]],"ordered":false}',
+            b'{"columns":["a","b"],"rows":[[1,NaN]],"ordered":false}',
+            b'{"columns":["a","b"],"rows":[[1,2],[3]],"ordered":false}',
+            b'{"columns":["a","b"],"rows":[[1,2,3]],"ordered":true}',
+            b'{"columns":["a","b"],"rows":[[1,2],"xy"],"ordered":false}',
+            b'{"columns":["a","b"],"rows":{"0":[1,2]},"ordered":false}',
+            b'{"columns":"ab","rows":[[1,2]],"ordered":false}',
+            b'{"columns":["a"],"rows":[[1]]}',
+            b'[["a"],[[1]],false]',
+        ],
+    )
+    def test_refused_at_every_level(self, codec, payload):
+        with pytest.raises(CryptoError, match="malformed result payload"):
+            deserialize_result(payload)
+        sealed = ResultEnvelope(
+            app_id=codec.app_id,
+            ciphertext=encrypt(codec._result_key, payload),
+        )
+        with pytest.raises(CryptoError, match="malformed result payload"):
+            codec.open_result(sealed)
+
+    def test_well_formed_payload_still_opens(self):
+        result = ResultSet(("a", "b"), ((1, "x"), (None, 2.5), (3, "")), ordered=True)
+        opened = deserialize_result(serialize_result(result))
+        assert opened == result
+        assert deserialize_result(
+            b'{"columns":["a"],"rows":[],"ordered":false}'
+        ) == ResultSet(("a",), ())

@@ -65,10 +65,11 @@ PROCESS_MEMOS = {
     "crypto.key_schedule",
     "templates.bind",
 }
-#: Memos of the codec, which only a key holder builds.  (The two storage
-#: memos belong to the backend seam; ``serve-home`` on the default memory
-#: engine serves the raw database and builds neither.)
-HOME_MEMOS = {"crypto.seal_query", "crypto.open_query"}
+#: Memos of the codec, which only a key holder builds, and of the master
+#: copy's executor.  (The other two storage memos belong to the backend
+#: seam; ``serve-home`` on the default memory engine serves the raw
+#: database and builds neither.)
+HOME_MEMOS = {"crypto.seal_query", "crypto.open_query", "storage.plan"}
 
 
 def _stats(host: str, port: int) -> tuple[dict, str]:

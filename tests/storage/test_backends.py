@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExecutionError, WorkloadError
+from repro.errors import ExecutionError, PrimaryKeyViolation, WorkloadError
 from repro.schema import Column, ColumnType, Schema, TableSchema
 from repro.sql.parser import parse
 from repro.storage.backends import (
@@ -237,5 +237,35 @@ def test_load_rejects_width_mismatch(kind, tmp_path):
     try:
         with pytest.raises(ExecutionError):
             backend.load("items", [(1, "a")])
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_load_rejects_duplicate_primary_key(kind, tmp_path):
+    """Trusted rows are still keyed rows: a second row under a key is refused."""
+    backend = make_backend(kind, tmp_path)
+    try:
+        with pytest.raises(PrimaryKeyViolation):
+            backend.load("items", [(2, "dup", 9)])
+        with pytest.raises(PrimaryKeyViolation):
+            backend.load("items", [(7, "new", 1), (7, "dup", 2)])
+        point = backend.execute(parse("SELECT grp FROM items WHERE item_id = 2"))
+        ranged = backend.execute(
+            parse("SELECT grp FROM items WHERE item_id <= 2 AND item_id >= 2")
+        )
+        assert point.rows == ranged.rows == (("a",),)
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_restore_rejects_duplicate_primary_key(kind, tmp_path):
+    backend = make_backend(kind, tmp_path)
+    try:
+        before = backend.snapshot()
+        with pytest.raises(PrimaryKeyViolation):
+            backend.restore({"items": ((1, "x", 1), (1, "y", 2))})
+        assert backend.snapshot() == before  # refused whole
     finally:
         backend.close()

@@ -2,9 +2,12 @@
 
 The oracle implements the dialect's semantics the slow, obvious way —
 full Cartesian product, per-row predicate evaluation, naive aggregation —
-with none of the engine's hash joins, predicate compilation, or join
-ordering.  Hypothesis generates random data and random queries; both
-implementations must agree exactly.
+with none of the engine's plans, access paths, or join ordering.
+Hypothesis generates random data and random queries; both
+implementations must agree exactly, ties included: an ordered result is
+the stable ORDER BY sort of the joined rows taken in FROM-order
+primary-key order (the executor's result-order contract), so it cannot
+depend on how either implementation walks its rows.
 """
 
 from __future__ import annotations
@@ -43,16 +46,29 @@ def _oracle_value(side, env):
     return matches[0]
 
 
+def _key_order(schema, table, rows):
+    """A table's rows in primary-key order (whole-row order when keyless)."""
+    positions = [
+        schema.table(table).position(column)
+        for column in schema.table(table).primary_key
+    ]
+    if not positions:
+        return sorted(rows, key=sort_key)
+    return sorted(rows, key=lambda row: sort_key(tuple(row[p] for p in positions)))
+
+
 def oracle_execute(schema, data, select: Select) -> ResultSet:
     bindings = [(ref.binding, ref.name) for ref in select.tables]
     env_rows = []
+    # Key-ordered pools make the product FROM-order primary-key ordered,
+    # whatever order ``data`` lists the rows in.
     pools = [
         [
             {
                 (binding, column.name): row[index]
                 for index, column in enumerate(schema.table(table).columns)
             }
-            for row in data.get(table, [])
+            for row in _key_order(schema, table, data.get(table, []))
         ]
         for binding, table in bindings
     ]
@@ -125,7 +141,16 @@ def _oracle_aggregate(select: Select, env_rows) -> ResultSet:
                 row.append(_oracle_agg_value(item, members))
         rows.append(tuple(row))
     out_rows = sorted(rows, key=sort_key) if select.group_by else rows
-    return ResultSet(tuple(columns), tuple(out_rows), ordered=False)
+    for item in reversed(select.order_by):
+        position = columns.index(item.column.qualified())
+        out_rows.sort(
+            key=lambda row, position=position: sort_key((row[position],)),
+            reverse=item.descending,
+        )
+    ordered = bool(select.order_by) or select.limit is not None
+    if select.limit is not None:
+        out_rows = out_rows[: select.limit]
+    return ResultSet(tuple(columns), tuple(out_rows), ordered=ordered)
 
 
 def _oracle_agg_value(item: Aggregate, members):
@@ -195,38 +220,119 @@ _QUERY_POOL = [
     "WHERE c.cust_id = t.toy_id",
     "SELECT c.cust_name FROM customers AS c, toys AS t "
     "WHERE c.cust_id = t.toy_id AND t.qty > 3",
+    # -- constant conjuncts and NULL literals ---------------------------------
+    "SELECT toy_id FROM toys WHERE 1 = 2",
+    "SELECT COUNT(*) FROM toys WHERE 1 = 2 AND qty > 0",
+    "SELECT toy_id FROM toys WHERE 1 = 1 AND 3 < qty ORDER BY qty LIMIT 3",
+    "SELECT toy_id FROM toys WHERE qty = NULL",
+    "SELECT toy_id FROM toys LIMIT 4",
+    # -- aggregates with ORDER BY / LIMIT (NULL group keys, tied sort keys) ----
+    "SELECT toy_name, COUNT(*) FROM toys GROUP BY toy_name "
+    "ORDER BY toy_name DESC LIMIT 2",
+    "SELECT qty, COUNT(*) FROM toys GROUP BY qty ORDER BY qty DESC",
+    "SELECT toy_name, qty, COUNT(*) FROM toys GROUP BY toy_name, qty "
+    "ORDER BY toy_name LIMIT 5",
+    "SELECT MAX(qty) FROM toys LIMIT 0",
+    # -- ordered joins: qty is nullable, so NULLs meet the join and the sort --
+    "SELECT c.cust_name, t.toy_id FROM customers AS c, toys AS t "
+    "WHERE c.cust_id = t.qty ORDER BY t.toy_name LIMIT 4",
+    "SELECT t.toy_id, c.cust_name FROM toys AS t, customers AS c "
+    "WHERE t.qty = c.cust_id AND c.cust_id >= 2 ORDER BY c.cust_name DESC",
+    "SELECT t.toy_id, k.zip_code FROM toys AS t, credit_card AS k "
+    "WHERE t.qty >= k.cid ORDER BY k.zip_code DESC, t.qty LIMIT 7",
+    "SELECT t.toy_id, c.cust_name, k.zip_code "
+    "FROM toys AS t, customers AS c, credit_card AS k "
+    "WHERE t.qty = c.cust_id AND k.cid = c.cust_id "
+    "ORDER BY k.zip_code, t.qty DESC LIMIT 5",
+    "SELECT k.number, t.toy_name FROM credit_card AS k, toys AS t, customers AS c "
+    "WHERE c.cust_id = k.cid AND t.qty = c.cust_id AND c.cust_name = 'bob' LIMIT 3",
+    "SELECT t1.toy_id, t2.toy_id FROM toys AS t1, toys AS t2 "
+    "WHERE t1.toy_name = t2.toy_name AND t1.qty < t2.qty "
+    "ORDER BY t1.toy_name DESC LIMIT 6",
 ]
+
+#: Statements completed with one drawn literal: every draw shares the plan
+#: its shape compiled to, so these run literals through reused plans.
+_LITERAL_POOL = [
+    "SELECT toy_id FROM toys WHERE toy_id = {}",
+    "SELECT toy_id, qty FROM toys WHERE qty = {} ORDER BY toy_name DESC LIMIT 2",
+    "SELECT t.toy_id, c.cust_name FROM toys AS t, customers AS c "
+    "WHERE t.qty = c.cust_id AND t.toy_id <= {} ORDER BY c.cust_name LIMIT 3",
+    "SELECT c.cust_name, t.toy_name FROM customers AS c, toys AS t "
+    "WHERE c.cust_id = {} AND t.qty > c.cust_id ORDER BY t.toy_name",
+    "SELECT t.toy_id, k.number FROM toys AS t, customers AS c, credit_card AS k "
+    "WHERE c.cust_id = k.cid AND t.qty = k.cid AND t.qty < {} "
+    "ORDER BY t.qty DESC, k.number LIMIT 4",
+    "SELECT toy_name, SUM(qty) FROM toys WHERE qty >= {} GROUP BY toy_name "
+    "ORDER BY toy_name LIMIT 3",
+]
+
+_CUSTOMERS = [(1, "alice"), (2, "bob"), (3, "carol")]
+
+
+def _statement(draw) -> str:
+    sql = draw(st.sampled_from(_QUERY_POOL + _LITERAL_POOL))
+    return sql.format(draw(st.integers(min_value=0, max_value=9)))
+
+
+def _cards(draw):
+    return [
+        (cid, f"4111-{cid}", draw(st.sampled_from(["15213", "15217", None])))
+        for cid in draw(st.sets(st.sampled_from([1, 2, 3])))
+    ]
+
+
+def _load(schema, toys, cards) -> Database:
+    db = Database(schema)
+    db.load("toys", toys)
+    db.load("customers", _CUSTOMERS)
+    db.load("credit_card", cards)
+    return db
+
+
+_SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 class TestEngineAgainstOracle:
-    @settings(
-        max_examples=300,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @_SETTINGS
     @given(data=st.data())
     def test_engine_matches_oracle(self, toystore_schema, data):
-        rows = data.draw(_toys_strategy())
-        sql = data.draw(st.sampled_from(_QUERY_POOL))
-        db = Database(toystore_schema)
-        customers = [(1, "alice"), (2, "bob"), (3, "carol")]
-        db.load("toys", rows)
-        db.load("customers", customers)
+        toys = data.draw(_toys_strategy())
+        cards = _cards(data.draw)
+        sql = _statement(data.draw)
         select = parse(sql)
-        engine_result = db.execute(select)
+        engine_result = _load(toystore_schema, toys, cards).execute(select)
         oracle_result = oracle_execute(
             toystore_schema,
-            {"toys": list(rows), "customers": customers},
+            {"toys": toys, "customers": _CUSTOMERS, "credit_card": cards},
             select,
         )
         assert engine_result.columns == oracle_result.columns, sql
-        if engine_result.ordered:
-            # The ordered queries in the pool are single-table, and both
-            # implementations apply stable sorts over the same base row
-            # order, so even tie-breaking must agree exactly.
-            assert engine_result.rows == oracle_result.rows, sql
-        else:
-            assert engine_result.signature() == oracle_result.signature(), sql
+        assert engine_result.ordered == oracle_result.ordered, sql
+        # signature() is the row sequence itself for an ordered result:
+        # even tie-breaking must agree exactly.
+        assert engine_result.signature() == oracle_result.signature(), sql
+
+    @_SETTINGS
+    @given(data=st.data())
+    def test_result_ignores_physical_row_order(self, toystore_schema, data):
+        """The same rows, loaded in another order, give the same answer."""
+        toys = data.draw(_toys_strategy())
+        cards = _cards(data.draw)
+        select = parse(_statement(data.draw))
+        shuffled = _load(
+            toystore_schema,
+            data.draw(st.permutations(toys)),
+            data.draw(st.permutations(cards)),
+        )
+        straight = _load(toystore_schema, toys, cards)
+        assert shuffled.execute(select).signature() == (
+            straight.execute(select).signature()
+        )
 
 
 @st.composite

@@ -3,7 +3,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage.rows import ResultSet, sort_key
+from repro.crypto.envelope import deserialize_result, serialize_result
+from repro.storage import rows as rows_module
+from repro.storage.rows import ResultSet, column_key, sort_key
 
 
 class TestEquivalence:
@@ -54,7 +56,48 @@ class TestEquivalence:
             ResultSet(("a",), ()).column_values("b")
 
 
+class TestLazySignature:
+    """Only ``equivalent`` reads the signature, so only it pays for one."""
+
+    def test_construction_does_not_sort(self, monkeypatch):
+        calls = []
+
+        def counting(row):
+            calls.append(row)
+            return sort_key(row)
+
+        monkeypatch.setattr(rows_module, "sort_key", counting)
+        result = ResultSet(("x",), ((2,), (1,), (None,)))
+        opened = deserialize_result(serialize_result(result))
+        assert (len(result), opened.rows, calls) == (3, result.rows, [])
+        assert opened.signature() == ((1,), (2,), (None,))
+        assert len(calls) == 3
+        assert opened.signature() is opened.signature()  # computed once
+        assert len(calls) == 3
+        assert opened.equivalent(result)
+
+    def test_ordered_signature_is_the_rows(self):
+        result = ResultSet(("x",), ((2,), (1,)), ordered=True)
+        assert result.signature() is result.rows
+
+    def test_signature_is_not_part_of_the_value(self):
+        a = ResultSet(("x",), ((2,), (1,)))
+        b = ResultSet(("x",), ((2,), (1,)))
+        a.signature()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 class TestSortKeyProperties:
+    @given(
+        st.lists(
+            st.tuples(st.one_of(st.integers(), st.floats(allow_nan=False),
+                                st.text(max_size=5), st.none())),
+            max_size=20,
+        )
+    )
+    def test_column_key_orders_like_sort_key(self, rows):
+        assert sorted(rows, key=column_key(0)) == sorted(rows, key=sort_key)
+
     @given(
         st.lists(
             st.tuples(
