@@ -20,6 +20,7 @@ from repro.net import WireClient, wire
 from repro.net.service import WireServer
 from repro.sql.formatter import to_sql
 from repro.sql.parser import parse
+from repro.storage.rows import ResultSet
 from repro.templates.binding import bind
 from repro.workloads import get_application
 
@@ -434,55 +435,93 @@ def test_micro_wire_round_trip(benchmark, emit):
 
 
 def test_micro_envelope_codec(benchmark, emit):
-    """What one query costs on the wire, per exposure level.
+    """What one query and one result cost on the wire, per exposure level,
+    the first time and on a repeat.
 
     A bookstore one-parameter query (``getName``) sealed by the real
-    codec, framed with a 3-byte request id: bytes per frame and the
-    ``encode_frame`` / ``decode_frame`` time.  Wire v2 — SQL text three
-    times over plus a carried key — was 282 / 187 / 260 B at stmt /
-    template / blind for this query (762 / 314 / 617 B for ``getCustomer``,
-    the longest one-parameter bookstore template; now 66 / 82 / 83 at
-    most) and 5.5 / 10.9 us to encode / decode at stmt with
-    every parse an intern hit.  No threshold: the end-to-end pairs carry
-    the evidence.
+    codec, and a 20-row result at ``view`` (plaintext) and at ``stmt``
+    (sealed), framed with a 3-byte request id: bytes per frame, the
+    ``encode_frame`` time of the frame as decoded (a DSSP re-sends a view
+    as the bytes it arrived as), ``decode_frame`` cold (its memo emptied before
+    every call) and warm (the same bytes again: a ``wire.query_envelopes``
+    / ``wire.view_results`` hit), and the client's ``open_result`` cold
+    and warm (``crypto.open_result``).  Wire v2 — SQL text three times
+    over plus a carried key — was 282 / 187 / 260 B at stmt / template /
+    blind for this query (762 / 314 / 617 B for ``getCustomer``, the
+    longest one-parameter bookstore template; now 66 / 82 / 83 at most)
+    and 5.5 / 10.9 us to encode / decode at stmt with every parse an
+    intern hit.  No threshold: the end-to-end pairs carry the evidence.
     """
     bound = get_application("bookstore").registry.query("getName").bind([7])
     codec = EnvelopeCodec(Keyring("bookstore", b"k" * 32))
+    result = ResultSet(
+        ("i_id", "i_title", "a_fname", "a_lname"),
+        tuple((i, f"title of book {i}", "Ada", f"Author{i}") for i in range(20)),
+        ordered=True,
+    )
     rounds = 20_000
 
-    def per_call(function, argument) -> float:
+    def per_call(function, argument, memo=None) -> float:
+        """Mean seconds per call; with ``memo``, emptied before each."""
         started = time.perf_counter()
         for _ in range(rounds):
+            if memo is not None:
+                memo._data.clear()
             function(argument)
         return (time.perf_counter() - started) / rounds
 
-    def measured():
-        rows = []
+    cases = [
+        ("query", level, wire.QueryRequest(codec.seal_query(bound, level)))
         for level in (
             ExposureLevel.STMT, ExposureLevel.TEMPLATE, ExposureLevel.BLIND
-        ):
-            frame = wire.QueryRequest(codec.seal_query(bound, level))
-            raw = wire.encode_frame(frame, request_id="r17")
-            assert wire.decode_frame(raw) == frame
-            encode = lambda f: wire.encode_frame(f, request_id="r17")
+        )
+    ] + [
+        ("result", level, wire.QueryResponse(codec.seal_result(result, level), True))
+        for level in (ExposureLevel.VIEW, ExposureLevel.STMT)
+    ]
+    encode = lambda f: wire.encode_frame(f, request_id="r17")
+
+    def measured():
+        rows = []
+        for kind, level, sealed in cases:
+            raw = encode(sealed)
+            frame = wire.decode_frame(raw)  # as a DSSP holds and re-sends it
+            assert frame == sealed and encode(frame) == raw
+            memo = wire._query_requests if kind == "query" else wire._view_results
+            opens = (None, None)  # a query, or a view: nothing to open
+            if kind == "result" and level is not ExposureLevel.VIEW:
+                opened = frame.result
+                assert codec.open_result(opened) == result
+                opens = (
+                    per_call(codec.open_result, opened, codec._open_result_memo),
+                    per_call(codec.open_result, opened),
+                )
             rows.append(
                 (
-                    level.name.lower(),
+                    f"{kind} {level.name.lower()}",
                     len(raw),
                     per_call(encode, frame),
+                    per_call(wire.decode_frame, raw, memo),
                     per_call(wire.decode_frame, raw),
+                    *opens,
                 )
             )
         return rows
 
+    def us(seconds: float | None) -> str:
+        return "–" if seconds is None else f"{seconds * 1e6:.2f} us"
+
     rows = benchmark.pedantic(measured, rounds=1, iterations=1)
     lines = [
-        f"{'level':<10} {'frame':>8} {'encode_frame':>14} {'decode_frame':>14}",
-        "-" * 49,
+        f"{'frame':<15} {'bytes':>7} {'encode':>10} {'decode cold':>12} "
+        f"{'decode warm':>12} {'open cold':>10} {'open warm':>10}",
+        "-" * 82,
     ]
     lines += [
-        f"{name:<10} {size:>6} B {encode_s * 1e6:>11.2f} us {decode_s * 1e6:>11.2f} us"
-        for name, size, encode_s, decode_s in rows
+        f"{name:<15} {size:>5} B {us(enc):>10} {us(cold):>12} {us(warm):>12} "
+        f"{us(open_cold):>10} {us(open_warm):>10}"
+        for name, size, enc, cold, warm, open_cold, open_warm in rows
     ]
     emit("micro_envelope_codec", "\n".join(lines))
-    assert all(size < 260 for _, size, _, _ in rows)  # no SQL text in it
+    # no SQL text in a query frame
+    assert all(size < 260 for name, size, *_ in rows if name.startswith("query"))

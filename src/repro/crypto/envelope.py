@@ -184,6 +184,10 @@ class ResultEnvelope:
     app_id: str
     plaintext: ResultSet | None = None
     ciphertext: bytes | None = None
+    #: The ``view`` plaintext's bytes as they arrived on the wire, kept so
+    #: a cached view is re-sent as those bytes.  Like
+    #: :attr:`Envelope.statement`, not part of the value: never compared.
+    payload: bytes | None = field(default=None, compare=False, repr=False)
 
     @property
     def visible(self) -> bool:
@@ -205,25 +209,29 @@ def deserialize_result(data: bytes) -> ResultSet:
     """Inverse of :func:`serialize_result`.
 
     Raises:
-        CryptoError: if the payload is not a serialized result set — rows
-            of the header's width whose cells pass the scalar rule
-            :func:`decode_params` holds parameters to.
+        CryptoError: if the payload is not a serialized result set — string
+            column names, a boolean ``ordered``, and rows of the header's
+            width whose cells pass the scalar rule :func:`decode_params`
+            holds parameters to.
     """
     try:
         payload = json.loads(data.decode())
-        columns, rows = payload["columns"], payload["rows"]
+        columns, rows, ordered = (
+            payload["columns"], payload["rows"], payload["ordered"]
+        )
+        if type(columns) is not list or set(map(type, columns)) - {str}:
+            raise ValueError("columns are not an array of strings")
+        if type(ordered) is not bool:
+            raise ValueError("'ordered' is not a boolean")
         if (
-            type(columns) is not list
-            or type(rows) is not list
+            type(rows) is not list
             or set(map(type, rows)) - {list}
             or set(map(len, rows)) - {len(columns)}
         ):
             raise ValueError("rows are not arrays of the header's width")
         _require_scalars(list(chain.from_iterable(rows)), "cell")
         return ResultSet(
-            columns=tuple(columns),
-            rows=tuple(map(tuple, rows)),
-            ordered=payload["ordered"],
+            columns=tuple(columns), rows=tuple(map(tuple, rows)), ordered=ordered
         )
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
         raise CryptoError(f"malformed result payload: {error}") from error
@@ -252,6 +260,10 @@ class EnvelopeCodec:
         # Updates are sealed and opened once each: not memoized.
         self._seal_query_memo = BoundedMemo("crypto.seal_query", self.MEMO_LIMIT)
         self._open_query_memo = BoundedMemo("crypto.open_query", self.MEMO_LIMIT)
+        # The client's mirror of open_query: a popular result's ciphertext
+        # repeats until an update changes it.  2,048, not MEMO_LIMIT: the
+        # values are whole result sets.
+        self._open_result_memo = BoundedMemo("crypto.open_result", 2048)
 
     @property
     def app_id(self) -> str:
@@ -311,15 +323,19 @@ class EnvelopeCodec:
         Raises:
             CryptoError: wrong application's codec, or tampered payload.
         """
-        if envelope.app_id != self.app_id:
-            raise CryptoError(
-                f"envelope belongs to {envelope.app_id!r}, "
-                f"codec is for {self.app_id!r}"
-            )
+        self._check_app(envelope.app_id)
         if envelope.plaintext is not None:
             return envelope.plaintext
         assert envelope.ciphertext is not None
-        return deserialize_result(decrypt(self._result_key, envelope.ciphertext))
+        # Keyed on the ciphertext, as open_query is: an equal ciphertext
+        # opens to the same rows, any other one is decrypted — and its SIV
+        # tag checked — on every attempt; a failure stores nothing.
+        return self._open_result_memo.get(
+            envelope.ciphertext, self._decrypt_result, envelope.ciphertext
+        )
+
+    def _decrypt_result(self, ciphertext: bytes) -> ResultSet:
+        return deserialize_result(decrypt(self._result_key, ciphertext))
 
     # -- opening (home-server side) --------------------------------------------------
 

@@ -44,6 +44,13 @@ not a scalar.
 Every decode error raises :class:`~repro.errors.WireError` (the ``BAD_FRAME``
 wire code): truncated or oversized frames, bad magic/version, unknown frame
 types, trailing bytes, and malformed envelopes.
+
+A repeat costs a lookup: a QUERY payload and a ``view`` result plaintext
+are decoded once per distinct byte string (``wire.query_envelopes``,
+``wire.view_results``), every check running on the miss and nothing
+refused being stored, and a decoded ``view`` keeps its bytes
+(:attr:`ResultEnvelope.payload`) so a DSSP re-sends a cached view as the
+bytes it arrived as.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from repro.crypto.envelope import (
     serialize_result,
 )
 from repro.errors import CryptoError, WireError
+from repro.obs.memo import BoundedMemo
 
 __all__ = [
     "ErrorCode",
@@ -297,15 +305,28 @@ Frame = (
 # -- primitive field codecs ------------------------------------------------------
 
 
+_U32 = struct.Struct(">I")
+_pack_u32 = _U32.pack
+_unpack_u32 = _U32.unpack_from
+
+
 class _Writer:
+    __slots__ = ("_buf",)
+
     def __init__(self) -> None:
         self._buf = bytearray()
 
     def u8(self, value: int) -> None:
-        self._buf.append(value & 0xFF)
+        try:
+            self._buf.append(value)
+        except ValueError:
+            raise WireError(f"u8 field value {value} out of range") from None
 
     def u32(self, value: int) -> None:
-        self._buf += value.to_bytes(4, "big")
+        try:
+            self._buf += _pack_u32(value)
+        except struct.error:
+            raise WireError(f"u32 field value {value} out of range") from None
 
     def blob(self, value: bytes) -> None:
         self.u32(len(value))
@@ -329,30 +350,45 @@ class _Writer:
 
 
 class _Reader:
+    """One pass over a payload; every field is bounds-checked inline."""
+
+    __slots__ = ("_data", "_pos", "_end")
+
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
+        self._end = len(data)
 
-    def _take(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise WireError(
-                f"truncated payload: wanted {count} bytes at offset "
-                f"{self._pos}, have {len(self._data) - self._pos}"
-            )
-        piece = self._data[self._pos : end]
-        self._pos = end
-        return piece
+    def _truncated(self, count: int, pos: int) -> WireError:
+        return WireError(
+            f"truncated payload: wanted {count} bytes at offset "
+            f"{pos}, have {self._end - pos}"
+        )
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        pos = self._pos
+        if pos >= self._end:
+            raise self._truncated(1, pos)
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+        pos = self._pos
+        if pos + 4 > self._end:
+            raise self._truncated(4, pos)
+        self._pos = pos + 4
+        return _unpack_u32(self._data, pos)[0]
 
     def blob(self) -> bytes:
-        length = self.u32()
-        return self._take(length)
+        pos = self._pos
+        start = pos + 4
+        if start > self._end:
+            raise self._truncated(4, pos)
+        end = start + _unpack_u32(self._data, pos)[0]
+        if end > self._end:
+            raise self._truncated(end - start, start)
+        self._pos = end
+        return self._data[start:end]
 
     def text(self) -> str:
         try:
@@ -361,7 +397,11 @@ class _Reader:
             raise WireError(f"invalid UTF-8 in string field: {error}") from error
 
     def opt_blob(self) -> bytes | None:
-        flag = self.u8()
+        pos = self._pos
+        if pos >= self._end:
+            raise self._truncated(1, pos)
+        flag = self._data[pos]
+        self._pos = pos + 1
         if flag == 0:
             return None
         if flag != 1:
@@ -379,24 +419,24 @@ class _Reader:
 
     def at_end(self) -> bool:
         """True when the payload is exhausted (for trailing optionals)."""
-        return self._pos == len(self._data)
+        return self._pos == self._end
 
     def done(self) -> None:
-        if self._pos != len(self._data):
-            raise WireError(
-                f"{len(self._data) - self._pos} trailing bytes after payload"
-            )
+        if self._pos != self._end:
+            raise WireError(f"{self._end - self._pos} trailing bytes after payload")
 
 
 # -- envelope codecs -------------------------------------------------------------
 
+_LEVELS = {int(level): level for level in ExposureLevel}
+
 
 def _read_level(reader: _Reader) -> ExposureLevel:
     raw = reader.u8()
-    try:
-        return ExposureLevel(raw)
-    except ValueError:
-        raise WireError(f"unknown exposure level {raw}") from None
+    level = _LEVELS.get(raw)
+    if level is None:
+        raise WireError(f"unknown exposure level {raw}")
+    return level
 
 
 def _write_envelope(writer: _Writer, envelope: Envelope) -> None:
@@ -453,27 +493,53 @@ def _read_envelope(reader: _Reader, kind: type[Envelope]):
 
 def _write_result_envelope(writer: _Writer, envelope: ResultEnvelope) -> None:
     writer.text(envelope.app_id)
-    writer.opt_blob(
-        None
-        if envelope.plaintext is None
-        else serialize_result(envelope.plaintext)
-    )
+    if envelope.plaintext is None:
+        writer.opt_blob(None)
+    elif envelope.payload is not None:  # a view re-sent as it arrived
+        writer.opt_blob(envelope.payload)
+    else:
+        writer.opt_blob(serialize_result(envelope.plaintext))
     writer.opt_blob(envelope.ciphertext)
+
+
+# What the sender sends is a pure function of what it has (the cipher is
+# deterministic), so the bytes a receiver is given repeat, and decoding
+# them is a pure function of them: each memo below keys on the bytes, runs
+# every check on the miss, and stores nothing a check refused.  Sized for
+# a web workload's working set of popular queries and views, not for
+# every distinct frame.
+
+#: QUERY payload -> its QueryRequest (updates, pushes and batches are
+#: decoded once each: not memoized).
+_query_requests = BoundedMemo("wire.query_envelopes", 2048)
+#: ``view`` plaintext bytes -> the parsed ResultSet.
+_view_results = BoundedMemo("wire.view_results", 2048)
+
+
+def _parse_view(raw: bytes):
+    try:
+        return deserialize_result(raw)
+    except CryptoError as error:
+        raise WireError(str(error)) from error
 
 
 def _read_result_envelope(reader: _Reader) -> ResultEnvelope:
     app_id = reader.text()
-    raw_plaintext = reader.opt_blob()
-    if raw_plaintext is None:
-        plaintext = None
-    else:
-        try:
-            plaintext = deserialize_result(raw_plaintext)
-        except CryptoError as error:
-            raise WireError(str(error)) from error
+    raw = reader.opt_blob()
+    plaintext = None if raw is None else _view_results.get(raw, _parse_view, raw)
     return ResultEnvelope(
-        app_id=app_id, plaintext=plaintext, ciphertext=reader.opt_blob()
+        app_id=app_id,
+        plaintext=plaintext,
+        ciphertext=reader.opt_blob(),
+        payload=raw,
     )
+
+
+def _decode_query(payload: bytes) -> QueryRequest:
+    reader = _Reader(payload)
+    frame = QueryRequest(_read_envelope(reader, QueryEnvelope))
+    reader.done()
+    return frame
 
 
 # -- frame codecs ----------------------------------------------------------------
@@ -579,12 +645,12 @@ def _read_shard_topology(reader: _Reader) -> tuple[tuple[str, ...], int]:
 
 
 def _decode_payload(frame_type: int, payload: bytes) -> Frame:
-    reader = _Reader(payload)
     if frame_type == FrameType.QUERY:
-        frame: Frame = QueryRequest(_read_envelope(reader, QueryEnvelope))
-    elif frame_type == FrameType.UPDATE:
+        return _query_requests.get(payload, _decode_query, payload)
+    reader = _Reader(payload)
+    if frame_type == FrameType.UPDATE:
         origin = reader.opt_text()
-        frame = UpdateRequest(
+        frame: Frame = UpdateRequest(
             _read_envelope(reader, UpdateEnvelope), origin=origin
         )
     elif frame_type == FrameType.SUBSCRIBE:
@@ -719,14 +785,14 @@ def decode_traced(
     frame_type, rid_length, length = _check_header(
         data[:HEADER_SIZE], max_frame=max_frame
     )
-    body = data[HEADER_SIZE:]
-    if len(body) != rid_length + length:
+    start = HEADER_SIZE + rid_length
+    if len(data) != start + length:
         raise WireError(
             f"frame length mismatch: header says {rid_length}+{length}, "
-            f"have {len(body)}"
+            f"have {len(data) - HEADER_SIZE}"
         )
-    request_id = _decode_request_id(body[:rid_length])
-    return _decode_payload(frame_type, body[rid_length:]), request_id
+    request_id = _decode_request_id(data[HEADER_SIZE:start])
+    return _decode_payload(frame_type, data[start:]), request_id
 
 
 def decode_frame(data: bytes, *, max_frame: int = MAX_FRAME_BYTES) -> Frame:

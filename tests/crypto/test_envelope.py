@@ -294,6 +294,10 @@ class TestMalformedResultPayloads:
             b'{"columns":"ab","rows":[[1,2]],"ordered":false}',
             b'{"columns":["a"],"rows":[[1]]}',
             b'[["a"],[[1]],false]',
+            # column names are strings and ``ordered`` is a boolean: these
+            # two used to open to an unhashable / order-claiming ResultSet
+            b'{"columns":[[1],null],"ordered":{"a":1},"rows":[]}',
+            b'{"columns":["a"],"ordered":"yes","rows":[[1]]}',
         ],
     )
     def test_refused_at_every_level(self, codec, payload):

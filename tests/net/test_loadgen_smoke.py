@@ -64,12 +64,19 @@ PROCESS_MEMOS = {
     "analysis.update_constraints",
     "crypto.key_schedule",
     "templates.bind",
+    "wire.query_envelopes",
+    "wire.view_results",
 }
 #: Memos of the codec, which only a key holder builds, and of the master
 #: copy's executor.  (The other two storage memos belong to the backend
 #: seam; ``serve-home`` on the default memory engine serves the raw
 #: database and builds neither.)
-HOME_MEMOS = {"crypto.seal_query", "crypto.open_query", "storage.plan"}
+HOME_MEMOS = {
+    "crypto.seal_query",
+    "crypto.open_query",
+    "crypto.open_result",
+    "storage.plan",
+}
 
 
 def _stats(host: str, port: int) -> tuple[dict, str]:
@@ -182,6 +189,9 @@ def test_loadgen_smoke(tmp_path, strategy):
         assert snapshot["metrics"]["counters"]["server.requests"] > 0
         (artifact_dir / "stats_snapshot.json").write_text(snapshot_text)
         _check_memo_table(snapshot, PROCESS_MEMOS)
+        # Popular queries repeat byte for byte: the DSSP decodes each
+        # distinct QUERY payload once.
+        assert snapshot["metrics"]["gauges"]["wire.query_envelopes.hits"] > 0
         home_snapshot, home_text = _stats(home_host, home_port)
         (artifact_dir / "home_stats_snapshot.json").write_text(home_text)
         assert home_snapshot["role"] == "home"

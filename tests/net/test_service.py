@@ -8,14 +8,17 @@ never tear the connection down silently, which a client could misread as
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
 from repro.dssp import DsspNode
-from repro.errors import NetError, UnknownApplicationError
+from repro.errors import NetConnectionError, NetError, UnknownApplicationError
 from repro.net import DsspNetServer, RetryPolicy, WireClient
 from repro.net.service import WireServer
+from repro.net.wire import UpdateResponse
 from repro.obs import per_app_counters
 
 UPDATE = UpdateEnvelope(
@@ -41,6 +44,30 @@ class TestDispatchCatchAll:
             # connection drop.
             with pytest.raises(NetError, match="AttributeError"):
                 await client.update(UPDATE)
+        finally:
+            await client.aclose()
+            await server.stop()
+
+
+class OverflowingServer(WireServer):
+    async def handle(self, frame, context):
+        return UpdateResponse(rows_affected=2**32, invalidated=0)
+
+
+class TestUnencodableResponse:
+    async def test_connection_is_closed_not_left_waiting(self):
+        """A response the codec cannot write is a ``WireError``, which
+        closes the connection; it used to be an ``OverflowError`` that
+        killed the request task and left the client waiting out its
+        timeout."""
+        server = OverflowingServer()
+        host, port = await server.start()
+        client = WireClient(
+            host, port, retry=RetryPolicy(attempts=1), request_timeout_s=10.0
+        )
+        try:
+            with pytest.raises(NetConnectionError):
+                await asyncio.wait_for(client.update(UPDATE), timeout=5.0)
         finally:
             await client.aclose()
             await server.stop()

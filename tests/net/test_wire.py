@@ -357,6 +357,74 @@ class TestRejection:
             decode_frame(bytes(as_push))
 
 
+class TestWriterIntegers:
+    """An integer field that does not fit is a ``WireError`` at encode
+    time — never a silently truncated byte, never a bare ``OverflowError``
+    (which ``WireServer._serve_request`` does not catch)."""
+
+    @pytest.mark.parametrize("value", [256, 511, -1, 2**64])
+    def test_u8_out_of_range(self, value):
+        with pytest.raises(WireError, match="u8 field"):
+            wire._Writer().u8(value)
+
+    @pytest.mark.parametrize("value", [2**32, -1, 2**70])
+    def test_u32_out_of_range(self, value):
+        with pytest.raises(WireError, match="u32 field"):
+            wire._Writer().u32(value)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            UpdateResponse(rows_affected=2**32, invalidated=0),
+            UpdateResponse(rows_affected=-1, invalidated=0),
+            UpdateResponse(rows_affected=0, invalidated=2**32),
+            SubscribeRequest("n", ("a",), shards=("n",), vnodes=2**32),
+        ],
+    )
+    def test_frames_with_unencodable_integers(self, frame):
+        with pytest.raises(WireError, match="out of range"):
+            encode_frame(frame)
+
+    @given(st.integers(0, 255), st.integers(0, 2**32 - 1))
+    def test_every_value_in_range_is_written_exactly(self, small, large):
+        writer = wire._Writer()
+        writer.u8(small)
+        writer.u32(large)
+        reader = wire._Reader(writer.getvalue())
+        assert (reader.u8(), reader.u32()) == (small, large)
+        reader.done()
+
+
+class TestReaderErrors:
+    """The single-pass reader says what the per-field ``_take`` said."""
+
+    @pytest.mark.parametrize(
+        "data, read, message",
+        [
+            (b"", "u8", "wanted 1 bytes at offset 0, have 0"),
+            (b"\x00\x00\x01", "u32", "wanted 4 bytes at offset 0, have 3"),
+            (b"\x00\x00", "blob", "wanted 4 bytes at offset 0, have 2"),
+            (b"\x00\x00\x00\x05ab", "blob", "wanted 5 bytes at offset 4, have 2"),
+            (b"", "opt_blob", "wanted 1 bytes at offset 0, have 0"),
+            (b"\x02", "opt_blob", "bad presence flag 2"),
+            (b"\x00\x00\x00\x01\xff", "text", "invalid UTF-8"),
+        ],
+    )
+    def test_error_texts(self, data, read, message):
+        with pytest.raises(WireError, match=message):
+            getattr(wire._Reader(data), read)()
+
+    def test_trailing_bytes(self):
+        reader = wire._Reader(b"\x01\x02")
+        reader.u8()
+        with pytest.raises(WireError, match="^1 trailing bytes after payload$"):
+            reader.done()
+
+    def test_unknown_level(self):
+        with pytest.raises(WireError, match="^unknown exposure level 9$"):
+            wire._read_level(wire._Reader(b"\x09"))
+
+
 class TestBatchCapability:
     """The trailing capability byte must not disturb pre-batching peers."""
 
