@@ -17,6 +17,7 @@ from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec, QueryEnvelope, ResultEnvelope
 from repro.dssp.cache import ViewCache
 from repro.net import WireClient, wire
+from repro.net.framing import FrameConnection
 from repro.net.service import WireServer
 from repro.sql.formatter import to_sql
 from repro.sql.parser import parse
@@ -361,26 +362,35 @@ class _Unanswering(WireServer):
         return frame
 
 
-async def _streams_floor(frame, round_trips: int) -> float:
-    """Raw asyncio-streams echo using this codec, seconds per round trip."""
+async def _framing_floor(frame, round_trips: int) -> float:
+    """Bare ``FrameConnection`` echo using this codec, seconds per round trip."""
+    loop = asyncio.get_running_loop()
 
-    async def echo(reader, writer):
-        while (got := await wire.read_frame(reader)) is not None:
-            await wire.write_frame(writer, got)
-        writer.close()
+    def echoing() -> FrameConnection:
+        def echo(raw: bytes) -> None:
+            connection.write(wire.encode_frame(wire.decode_frame(raw)))
 
-    server = await asyncio.start_server(echo, "127.0.0.1", 0)
-    port = server.sockets[0].getsockname()[1]
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        connection = FrameConnection(
+            max_frame=wire.MAX_FRAME_BYTES,
+            on_frame=echo,
+            on_end=lambda error: connection.close(),
+        )
+        return connection
+
+    server = await loop.create_server(echoing, "127.0.0.1", 0)
+    _, connection = await loop.create_connection(
+        lambda: FrameConnection(max_frame=wire.MAX_FRAME_BYTES),
+        *server.sockets[0].getsockname()[:2],
+    )
     try:
         for _ in range(2):  # a warm-up pass, then the one the clock keeps
             started = time.perf_counter()
             for _ in range(round_trips):
-                await wire.write_frame(writer, frame)
-                await wire.read_frame(reader)
+                await wire.write_frame(connection, frame)
+                wire.decode_frame(await connection.receive())
         return (time.perf_counter() - started) / round_trips
     finally:
-        writer.close()
+        connection.close()
         server.close()
         await server.wait_closed()
 
@@ -403,11 +413,11 @@ async def _stack_round_trip(frame, round_trips: int) -> float:
 def test_micro_wire_round_trip(benchmark, emit):
     """Per-hop fixed cost: what the wire tier adds to a bare echo.
 
-    The floor is an asyncio-streams echo that encodes and decodes with
-    this repo's codec; the stack is the real ``WireServer`` (framing,
-    task per request, deadline, books, spans off) with a do-nothing
-    handler behind ``WireClient`` (pool, retries, metrics).  No threshold:
-    the floor's ``recv`` cost depends on the allocator's mood on this box.
+    The floor is a bare ``FrameConnection`` echo — the serving path's own
+    framing — that encodes and decodes with this repo's codec; the stack
+    is the real ``WireServer`` (task per request, deadline, books, spans
+    off) with a do-nothing handler behind ``WireClient`` (pool, retries,
+    metrics).  No threshold: a wall-clock ratio on a shared box.
     """
     frame = wire.QueryResponse(  # a typical frame's size
         ResultEnvelope(app_id="bookstore", ciphertext=b"x" * 600),
@@ -417,7 +427,7 @@ def test_micro_wire_round_trip(benchmark, emit):
 
     def measured():
         return (
-            asyncio.run(_streams_floor(frame, round_trips)),
+            asyncio.run(_framing_floor(frame, round_trips)),
             asyncio.run(_stack_round_trip(frame, round_trips)),
         )
 
@@ -425,7 +435,7 @@ def test_micro_wire_round_trip(benchmark, emit):
     lines = [
         f"{'path':<34} {'per round trip':>15}",
         "-" * 50,
-        f"{'streams echo + codec (floor)':<34} {floor_s * 1e6:>12.1f} us",
+        f"{'framing echo + codec (floor)':<34} {floor_s * 1e6:>12.1f} us",
         f"{'WireClient -> WireServer (stack)':<34} {stack_s * 1e6:>12.1f} us",
         "",
         f"stack / floor: {stack_s / floor_s:.2f}x",

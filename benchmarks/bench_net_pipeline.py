@@ -84,7 +84,6 @@ async def _measure_mode(spec, trace_json: str, pipeline, batched):
                 DsspNode(),
                 node_id=f"dssp-{index}",
                 fault_hook=_service_latency,
-                batch_invalidations=batched,
             )
             server.register_application(APP, spec.registry, home_net.address)
             await server.start()
@@ -132,9 +131,7 @@ async def _measure_fanout(spec, *, batched: bool) -> dict:
         push_coalesce_s=FANOUT_COALESCE_S if batched else 0.0,
     )
     await home_net.start()
-    node_server = DsspNetServer(
-        DsspNode(), node_id="dssp-0", batch_invalidations=batched
-    )
+    node_server = DsspNetServer(DsspNode(), node_id="dssp-0")
     node_server.register_application(APP, spec.registry, home_net.address)
     await node_server.start()
     updater = WireClient(*home_net.address)

@@ -37,6 +37,7 @@ import logging
 from dataclasses import dataclass, field
 
 from repro.net import wire
+from repro.net.framing import FrameConnection
 from repro.net.wire import FrameType
 from repro.obs import MetricsRegistry
 
@@ -297,7 +298,10 @@ class ChaosProxy:
     Splice it between a client and a server (or a DSSP node and its home):
     point the downstream side at ``upstream`` and clients at
     :attr:`address`.  Each accepted connection gets its own upstream
-    connection and two pump tasks (client→server, server→client); frame
+    connection and two pump tasks (client→server, server→client); both
+    halves are pull-mode :class:`~repro.net.framing.FrameConnection`\\ s,
+    the serving path's own framing, so a pump takes whole raw frames
+    (header validated, payload opaque) and forwards them untouched.  Frame
     fates come from the shared plan via per-link flow counters.
 
     TCP honesty: a "dropped" frame severs the connection, because a real
@@ -326,7 +330,9 @@ class ChaosProxy:
         self._max_frame = max_frame
         self._flow = _FlowState()
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[FrameConnection] = set()
+        #: One task per accepted connection: dial upstream, run the pumps.
+        self._pairs: set[asyncio.Task] = set()
         #: Extra s2c frames to swallow, per live connection pair (the
         #: response to a duplicated request must not reach the client).
         self._swallow: dict[int, int] = {}
@@ -338,7 +344,7 @@ class ChaosProxy:
         return self._server.sockets[0].getsockname()[:2]
 
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
+        self._server = await asyncio.get_running_loop().create_server(
             self._accept, self._host, self._port
         )
         return self.address
@@ -352,30 +358,36 @@ class ChaosProxy:
 
     async def kill_connections(self) -> None:
         """Sever every live proxied connection (connection-churn chaos)."""
-        writers, self._connections = self._connections, set()
-        for writer in writers:
-            writer.close()
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        halves, self._connections = self._connections, set()
+        for half in halves:
+            half.close()
+        for half in halves:
+            await half.wait_closed()
 
     # -- connection pumps ---------------------------------------------------
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _framed(self) -> FrameConnection:
+        return FrameConnection(max_frame=self._max_frame)
+
+    def _accept(self) -> FrameConnection:
+        """Protocol factory: the client's half, spliced by its own task."""
+        downstream = self._framed()
+        pair = asyncio.create_task(self._splice(downstream))
+        self._pairs.add(pair)
+        pair.add_done_callback(self._pairs.discard)
+        return downstream
+
+    async def _splice(self, downstream: FrameConnection) -> None:
         try:
-            up_reader, up_writer = await asyncio.open_connection(
-                *self.upstream
+            _, upstream = await asyncio.get_running_loop().create_connection(
+                self._framed, *self.upstream
             )
         except (ConnectionError, OSError):
-            writer.close()
+            downstream.close()
             return
-        self._connections.add(writer)
-        self._connections.add(up_writer)
-        pair_id = id(writer)
+        self._connections.add(downstream)
+        self._connections.add(upstream)
+        pair_id = id(downstream)
         self._swallow[pair_id] = 0
         # Pumps can see (and cancel) each other: a sever decision must
         # stop the opposite pump *before* the stream dies, or an in-flight
@@ -383,10 +395,10 @@ class ChaosProxy:
         # run but not another.
         pumps: dict[str, asyncio.Task] = {}
         c2s = asyncio.create_task(
-            self._pump(reader, up_writer, "c2s", pair_id, pumps)
+            self._pump(downstream, upstream, "c2s", pair_id, pumps)
         )
         s2c = asyncio.create_task(
-            self._pump(up_reader, writer, "s2c", pair_id, pumps)
+            self._pump(upstream, downstream, "s2c", pair_id, pumps)
         )
         pumps["c2s"] = c2s
         pumps["s2c"] = s2c
@@ -403,18 +415,15 @@ class ChaosProxy:
                 except (asyncio.CancelledError, Exception):
                     pass
             self._swallow.pop(pair_id, None)
-            for half in (writer, up_writer):
+            for half in (downstream, upstream):
                 self._connections.discard(half)
                 half.close()
-                try:
-                    await half.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+                await half.wait_closed()
 
     async def _pump(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        src: FrameConnection,
+        dst: FrameConnection,
         direction: str,
         pair_id: int,
         pumps: dict[str, asyncio.Task],
@@ -426,11 +435,10 @@ class ChaosProxy:
 
         try:
             while True:
-                raw = await wire.read_raw_frame(
-                    reader, max_frame=self._max_frame
-                )
+                # Pull mode bounds what the proxy holds unforwarded: past
+                # READ_BACKLOG_BYTES the source stops being read.
+                raw = await src.receive()
                 if raw is None:
-                    writer.write_eof()
                     return
                 frame_type, request_id = wire.peek_raw(raw)
                 if direction == "s2c" and self._swallow.get(pair_id, 0) > 0:
@@ -449,8 +457,8 @@ class ChaosProxy:
                     self.link, direction, frame_type, index
                 )
                 if decision.kind is FaultKind.PASS:
-                    writer.write(raw)
-                    await writer.drain()
+                    dst.write(raw)
+                    await dst.drain()
                     continue
                 if decision.kind is FaultKind.DELAY:
                     self._record(
@@ -462,8 +470,8 @@ class ChaosProxy:
                         f"{decision.delay_s * 1000:.1f}ms",
                     )
                     await asyncio.sleep(decision.delay_s)
-                    writer.write(raw)
-                    await writer.drain()
+                    dst.write(raw)
+                    await dst.drain()
                     continue
                 if decision.kind is FaultKind.DUPLICATE:
                     self._record(
@@ -476,9 +484,9 @@ class ChaosProxy:
                     self._swallow[pair_id] = (
                         self._swallow.get(pair_id, 0) + 1
                     )
-                    writer.write(raw)
-                    writer.write(raw)
-                    await writer.drain()
+                    dst.write(raw)
+                    dst.write(raw)
+                    await dst.drain()
                     continue
                 if decision.kind is FaultKind.TRUNCATE:
                     keep = max(1, int(len(raw) * decision.keep_fraction))
@@ -492,8 +500,8 @@ class ChaosProxy:
                         f"{keep}/{len(raw)}B",
                     )
                     sever_sibling()
-                    writer.write(raw[:keep])
-                    await writer.drain()
+                    dst.write(raw[:keep])
+                    await dst.drain()
                     return  # sever: the stream is now unparseable
                 # DROP: swallow the frame and sever both halves.
                 self._record(
@@ -504,7 +512,7 @@ class ChaosProxy:
         except (ConnectionError, OSError, wire.WireError):
             return
         finally:
-            writer.close()
+            dst.close()
 
     def _record(
         self,

@@ -298,13 +298,11 @@ class _ConnectionPool:
 class Subscription:
     """An open invalidation-stream channel (DSSP side).
 
-    Iterate :meth:`frames` to receive
-    :class:`~repro.net.wire.InvalidationPush` messages; iteration ends when
-    the server closes the channel.  When the channel negotiated batching
-    (``batch_enabled``), :meth:`events` also yields
-    :class:`~repro.net.wire.InvalidationBatch` frames so a consumer can
-    apply a coalesced batch atomically; :meth:`frames` transparently
-    explodes batches into singleton pushes for consumers that do not care.
+    Iterate :meth:`events` to receive
+    :class:`~repro.net.wire.InvalidationPush` frames — and, when the
+    channel negotiated batching (``batch_enabled``),
+    :class:`~repro.net.wire.InvalidationBatch` frames a consumer applies
+    atomically; iteration ends when the server closes the channel.
     """
 
     def __init__(
@@ -321,15 +319,6 @@ class Subscription:
         #: The home accepted this subscriber's shard topology and narrows
         #: invalidation fan-out to owning shards.
         self.shard_filtered = shard_filtered
-
-    async def frames(self):
-        """Yield invalidation pushes until the channel closes."""
-        async for frame, request_id in self.events():
-            if isinstance(frame, InvalidationBatch):
-                for entry_rid, envelope in frame.entries:
-                    yield InvalidationPush(envelope)
-            else:
-                yield frame
 
     async def events(self):
         """Yield ``(frame, request_id)`` pairs until the channel closes.

@@ -15,10 +15,10 @@ Invalidation arrives two ways, mirroring :class:`~repro.dssp.cluster.DsspCluster
   entered through other nodes.  The subscription channel reconnects with
   backoff if it drops, and on (re)connect the node flushes its cache for
   the affected applications — pushes may have been missed while detached.
-  The node advertises ``INVALIDATE_BATCH`` support on subscribe (unless
-  ``batch_invalidations=False``); a coalesced batch is applied atomically
-  — every entry invalidated in one synchronous sweep with no await in
-  between, so no query can observe a half-applied batch.
+  The node always advertises ``INVALIDATE_BATCH`` support on subscribe
+  (the home decides whether to batch); a coalesced batch is applied
+  atomically — every entry invalidated in one synchronous sweep with no
+  await in between, so no query can observe a half-applied batch.
 """
 
 from __future__ import annotations
@@ -67,6 +67,16 @@ _TRANSPORT_FAILURES = (
     ConnectionError,
     OSError,
 )
+#: Failures that end one subscription attempt or one live stream, never
+#: the task keeping the stream alive.  An ``ERROR(UNKNOWN_APP)`` frame
+#: maps back to an :class:`UnknownApplicationError`, which is not a
+#: ``NetError``.
+_STREAM_FAILURES = (
+    NetError,
+    UnknownApplicationError,
+    ConnectionError,
+    OSError,
+)
 
 
 class DsspNetServer(WireServer):
@@ -77,10 +87,8 @@ class DsspNetServer(WireServer):
             applications through :meth:`register_application`, not directly
             on the node.
         node_id: Stable identity on home invalidation streams.
-        subscribe_retry: Backoff schedule for re-opening dropped streams.
-        batch_invalidations: Advertise ``INVALIDATE_BATCH`` support when
-            subscribing (the home still decides; False forces singleton
-            pushes on this node's streams).
+        subscribe_retry: Backoff schedule for re-opening dropped streams
+            and retrying refused subscribes.
         shards: Full shard membership of the cluster this node belongs to
             (must include ``node_id``).  When set, the node only *admits*
             entries whose placement key it owns on the consistent-hash
@@ -102,7 +110,6 @@ class DsspNetServer(WireServer):
         home_retry: RetryPolicy | None = None,
         home_pool_size: int = 4,
         home_timeout_s: float = 30.0,
-        batch_invalidations: bool = True,
         shards: tuple[str, ...] | None = None,
         vnodes: int = DEFAULT_VNODES,
         **kwargs,
@@ -111,7 +118,6 @@ class DsspNetServer(WireServer):
         super().__init__(host, port, **kwargs)
         self.node = node
         self.node_id = node_id
-        self._batch_invalidations = batch_invalidations
         self._shards: tuple[str, ...] = tuple(shards) if shards else ()
         self._vnodes = int(vnodes)
         self._ring: HashRing | None = None
@@ -362,18 +368,30 @@ class DsspNetServer(WireServer):
                 subscription = await client.subscribe(
                     self.node_id,
                     app_ids,
-                    supports_batch=self._batch_invalidations,
+                    supports_batch=True,
                     shards=self._shards,
                     vnodes=self._vnodes if self._shards else 0,
                 )
-            except (NetError, ConnectionError, OSError) as error:
+            except _STREAM_FAILURES as error:
                 self.stream_subscribe_failures += 1
-                logger.debug(
-                    "subscribe to %s:%s failed (%s); retrying",
-                    *home,
-                    error,
-                    extra={"ctx": stream_ctx},
-                )
+                if isinstance(error, UnknownApplicationError):
+                    # Not a dropped connection: the home does not master
+                    # an application this node streams from it.  Say so
+                    # loudly, and keep asking (a restarted home may).
+                    logger.warning(
+                        "home %s:%s refused to stream application %r; "
+                        "retrying",
+                        *home,
+                        error.app_id,
+                        extra={"ctx": stream_ctx},
+                    )
+                else:
+                    logger.debug(
+                        "subscribe to %s:%s failed (%s); retrying",
+                        *home,
+                        error,
+                        extra={"ctx": stream_ctx},
+                    )
                 await asyncio.sleep(self._subscribe_retry.delay(attempt))
                 attempt = min(attempt + 1, 16)
                 continue
@@ -406,7 +424,7 @@ class DsspNetServer(WireServer):
                         self._apply_push(
                             event.envelope, request_id, stream_ctx
                         )
-            except (NetError, ConnectionError, OSError) as error:
+            except _STREAM_FAILURES as error:
                 # A garbled or error frame mid-stream must not kill this
                 # task — that would leave the node serving a cache nobody
                 # invalidates.  Treat it like a dropped channel: close,

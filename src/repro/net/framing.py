@@ -1,22 +1,23 @@
-"""The serving path's framing: one ``asyncio.BufferedProtocol`` per connection.
+"""The one framing: an ``asyncio.BufferedProtocol`` per connection.
 
 A stream transport hands an ordinary protocol a fresh ``bytes`` object
 sized for the largest read it allows (256 KiB) on *every* read; a
 ``BufferedProtocol`` is asked for a buffer instead and the transport
 ``recv_into``\\ s it, so a read costs no allocation at all.
 :class:`FrameConnection` owns one small reusable buffer, cuts complete
-frames out of it with the same header check the stream helpers in
-:mod:`repro.net.wire` use, and gives each frame's raw bytes to its owner:
+frames out of it with :mod:`repro.net.wire`'s header check, and gives
+each frame's raw bytes to its owner:
 
 * a **server** passes ``on_frame`` / ``on_end`` and is called back from
   the read itself — no per-connection reader task;
-* a **client** passes neither and pulls with :meth:`receive`; frames it
-  has not taken yet wait in a queue bounded by
-  :data:`READ_BACKLOG_BYTES` through ``pause_reading()``.
+* a **client** — and each half of a chaos proxy's pair — passes neither
+  and pulls with :meth:`receive`; frames it has not taken yet wait in a
+  queue bounded by :data:`READ_BACKLOG_BYTES` through
+  ``pause_reading()``.
 
-The writing half is the ``write`` / ``drain`` / ``close`` /
-``wait_closed`` subset of an asyncio stream writer, so
-:func:`repro.net.wire.write_frame` sends on either.
+Every socket in ``src/`` is one of these.  The writing half is
+``write`` / ``drain`` / ``close`` / ``wait_closed``;
+:func:`repro.net.wire.write_frame` sends a frame as one ``write``.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class FrameConnection(asyncio.BufferedProtocol):
                 self._transport.resume_reading()
         return raw
 
-    # -- writing (the stream-writer subset wire.write_frame uses) ---------
+    # -- writing (what wire.write_frame uses) ------------------------------
 
     def pause_writing(self) -> None:
         self._writable.clear()

@@ -159,6 +159,13 @@ class _Subscriber:
 class HomeNetServer(WireServer):
     """Asyncio server exposing home servers to DSSP nodes over the wire.
 
+    Fan-out honours every declared topology: a subscriber that names its
+    cluster's shards on subscribe only receives pushes for updates whose
+    affected template buckets it owns on the ring, and one that names
+    none receives every push for its applications.  The affinity used is
+    *conservative* (integrity constraints off), so a filtered push is
+    never one the subscriber could need.
+
     Args:
         homes: The application home server(s) this endpoint masters.
         host/port: Bind address (port 0 picks an ephemeral port).
@@ -173,12 +180,6 @@ class HomeNetServer(WireServer):
             queue is drained into a batch (0 disables).  A small dwell
             lets a burst of independent updates land in one frame at the
             cost of that much added push latency.
-        shard_filtered_pushes: Master switch for shard-aware fan-out;
-            when True (default) a subscriber that declares its cluster's
-            shard topology on subscribe only receives pushes for updates
-            whose affected template buckets it owns on the ring.  The
-            affinity used is *conservative* (integrity constraints off),
-            so a filtered push is never one the subscriber could need.
         Remaining keyword arguments are the
         :class:`~repro.net.service.WireServer` operational knobs.
     """
@@ -194,7 +195,6 @@ class HomeNetServer(WireServer):
         batch_pushes: bool = True,
         push_coalesce_s: float = 0.0,
         update_dedup: UpdateDedup | None = None,
-        shard_filtered_pushes: bool = True,
         **kwargs,
     ) -> None:
         kwargs.setdefault("server_id", "home")
@@ -203,7 +203,6 @@ class HomeNetServer(WireServer):
         self._push_timeout_s = push_timeout_s
         self._batch_pushes = batch_pushes
         self._push_coalesce_s = push_coalesce_s
-        self._shard_filtered_pushes = shard_filtered_pushes
         self.update_dedup = update_dedup or UpdateDedup()
         if isinstance(homes, HomeServer):
             homes = [homes]
@@ -334,7 +333,7 @@ class HomeNetServer(WireServer):
         for app_id in frame.app_ids:
             self._home(app_id)  # all-or-nothing validation
         ring: HashRing | None = None
-        if frame.shards and self._shard_filtered_pushes:
+        if frame.shards:
             if frame.node_id not in frame.shards:
                 raise WireError(
                     f"subscriber {frame.node_id!r} is not in its declared "

@@ -191,7 +191,6 @@ class ChaosTopology:
         nodes: int = 2,
         keyring: Keyring | None = None,
         pipeline: int | None = None,
-        batch_invalidations: bool = True,
         shards: bool = False,
         vnodes: int = DEFAULT_VNODES,
         backend: str = "memory",
@@ -212,7 +211,6 @@ class ChaosTopology:
         #: routes its operations through the multiplexed channel, so the
         #: pending-map/reader machinery is what the faults exercise.
         self.pipeline = pipeline
-        self.batch_invalidations = batch_invalidations
         self.app_id = app_id
         self.registry = registry
         self.policy = policy
@@ -327,7 +325,6 @@ class ChaosTopology:
                 max_backoff_s=0.1,
                 seed=self._policy_seed(20 + index),
             ),
-            batch_invalidations=self.batch_invalidations,
             shards=(
                 tuple(h.name for h in self.handles) if self.sharded else None
             ),
@@ -797,7 +794,6 @@ async def run_chaos(
     pages: int | None = None,
     keyring: Keyring | None = None,
     pipeline: int | None = None,
-    batch_invalidations: bool = True,
     shards: bool = False,
     vnodes: int = DEFAULT_VNODES,
     backend: str = "memory",
@@ -821,7 +817,6 @@ async def run_chaos(
         nodes=nodes,
         keyring=keyring,
         pipeline=pipeline,
-        batch_invalidations=batch_invalidations,
         shards=shards,
         vnodes=vnodes,
         backend=backend,

@@ -63,9 +63,10 @@ logger = logging.getLogger(__name__)
 class ConnectionContext:
     """Per-connection state handed to frame handlers."""
 
+    #: Responses (request tasks) and pushes (broadcasts) share it without
+    #: a lock: each frame is one synchronous ``write`` of its whole bytes,
+    #: so frames cannot interleave.
     writer: FrameConnection
-    #: Serializes writes: responses (request tasks) vs pushes (broadcasts).
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     #: Callbacks run exactly once when the connection goes away.
     close_callbacks: list = field(default_factory=list)
     #: Trace id of the request this context serves.  Requests on one
@@ -81,13 +82,12 @@ class ConnectionContext:
     def for_request(self, request_id: str | None) -> "ConnectionContext":
         """Per-request view: same connection state, this request's id.
 
-        ``writer``, ``write_lock`` and ``close_callbacks`` are shared by
-        reference — a callback registered through the view still fires
-        when the underlying connection closes.
+        ``writer`` and ``close_callbacks`` are shared by reference — a
+        callback registered through the view still fires when the
+        underlying connection closes.
         """
         return ConnectionContext(
             writer=self.writer,
-            write_lock=self.write_lock,
             close_callbacks=self.close_callbacks,
             request_id=request_id,
         )
@@ -297,14 +297,13 @@ class WireServer:
         *,
         request_id: str | None = None,
     ) -> None:
-        async with context.write_lock:
-            await wire.write_frame(
-                context.writer,
-                frame,
-                request_id=request_id,
-                max_frame=self.max_frame,
-                observer=self._frame_observer,
-            )
+        await wire.write_frame(
+            context.writer,
+            frame,
+            request_id=request_id,
+            max_frame=self.max_frame,
+            observer=self._frame_observer,
+        )
 
     async def _close_context(self, context: ConnectionContext) -> None:
         callbacks, context.close_callbacks = context.close_callbacks, []

@@ -55,11 +55,11 @@ bytes it arrived as.
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import json
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.envelope import (
@@ -74,6 +74,9 @@ from repro.crypto.envelope import (
 )
 from repro.errors import CryptoError, WireError
 from repro.obs.memo import BoundedMemo
+
+if TYPE_CHECKING:  # framing builds on this module
+    from repro.net.framing import FrameConnection
 
 __all__ = [
     "ErrorCode",
@@ -98,9 +101,6 @@ __all__ = [
     "decode_traced",
     "encode_frame",
     "peek_raw",
-    "read_frame",
-    "read_raw_frame",
-    "read_traced",
     "write_frame",
 ]
 
@@ -806,7 +806,8 @@ def peek_raw(data: bytes) -> tuple[int, str | None]:
     The chaos proxy keys its fault decisions on the frame type and logs
     the trace id of the frame it mutates; neither requires (or should
     risk) running the payload codecs.  The header must already have been
-    validated by :func:`read_raw_frame`.
+    validated, as :class:`~repro.net.framing.FrameConnection` does before
+    it hands out a frame.
     """
     rid_length = data[4]
     return data[3], _decode_request_id(
@@ -814,96 +815,22 @@ def peek_raw(data: bytes) -> tuple[int, str | None]:
     )
 
 
-# -- asyncio stream helpers ------------------------------------------------------
-
-
-async def read_raw_frame(
-    reader: asyncio.StreamReader, *, max_frame: int = MAX_FRAME_BYTES
-) -> bytes | None:
-    """Read one frame's exact bytes (header included); ``None`` on EOF.
-
-    Only the header is validated — the payload is passed through opaque,
-    which is what a frame-delimiting proxy needs: it must forward sealed
-    payloads untouched, not decode them.
-
-    Raises:
-        WireError: on EOF mid-frame or a malformed header.
-    """
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise WireError(
-            f"connection closed mid-header ({len(error.partial)} bytes)"
-        ) from error
-    _, rid_length, length = _check_header(header, max_frame=max_frame)
-    try:
-        body = await reader.readexactly(rid_length + length)
-    except asyncio.IncompleteReadError as error:
-        raise WireError(
-            f"connection closed mid-frame ({len(error.partial)} of "
-            f"{rid_length + length} body bytes)"
-        ) from error
-    return header + body
-
-
-async def read_traced(
-    reader: asyncio.StreamReader,
-    *,
-    max_frame: int = MAX_FRAME_BYTES,
-    observer=None,
-) -> tuple[Frame, str | None] | None:
-    """Read one frame + request id; ``None`` on clean EOF between frames.
-
-    ``observer(raw_bytes)``, if given, sees the exact bytes that crossed
-    the wire — used by tests to assert what a network observer could learn.
-
-    Raises:
-        WireError: on EOF mid-frame, oversized frames, or codec failures.
-    """
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise WireError(
-            f"connection closed mid-header ({len(error.partial)} bytes)"
-        ) from error
-    frame_type, rid_length, length = _check_header(header, max_frame=max_frame)
-    try:
-        body = await reader.readexactly(rid_length + length)
-    except asyncio.IncompleteReadError as error:
-        raise WireError(
-            f"connection closed mid-frame ({len(error.partial)} of "
-            f"{rid_length + length} body bytes)"
-        ) from error
-    if observer is not None:
-        observer(header + body)
-    request_id = _decode_request_id(body[:rid_length])
-    return _decode_payload(frame_type, body[rid_length:]), request_id
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    *,
-    max_frame: int = MAX_FRAME_BYTES,
-    observer=None,
-) -> Frame | None:
-    """:func:`read_traced` for callers that ignore the request id."""
-    traced = await read_traced(reader, max_frame=max_frame, observer=observer)
-    return None if traced is None else traced[0]
+# -- sending ---------------------------------------------------------------------
 
 
 async def write_frame(
-    writer: asyncio.StreamWriter,
+    writer: FrameConnection,
     frame: Frame,
     *,
     request_id: str | None = None,
     max_frame: int = MAX_FRAME_BYTES,
     observer=None,
 ) -> None:
-    """Serialize and send one frame, waiting for the transport to drain."""
+    """Serialize and send one frame, waiting for the transport to drain.
+
+    The frame is one synchronous ``write`` of its whole bytes, so frames
+    written concurrently on one connection never interleave.
+    """
     data = encode_frame(frame, request_id=request_id, max_frame=max_frame)
     if observer is not None:
         observer(data)

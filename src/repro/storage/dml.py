@@ -114,12 +114,12 @@ def apply_insert(
     table, row = validate_insert_row(schema, insert)
     if enforce_foreign_keys and table.foreign_keys:
         # A duplicate key is reported before a missing parent.
-        indexes.primary.new_key(table.name, row)
+        indexes.new_key(table.name, row)
         for foreign_key in table.foreign_keys:
             value = row[table.position(foreign_key.column)]
             # NULL FK is permitted; FKs reference single-column primary
             # keys (schema-validated).
-            if value is not None and not indexes.primary.contains_value(
+            if value is not None and not indexes.contains_value(
                 foreign_key.ref_table, foreign_key.ref_column, value
             ):
                 raise ForeignKeyViolation(

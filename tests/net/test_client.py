@@ -31,6 +31,7 @@ from repro.net.wire import (
     UpdateRequest,
     UpdateResponse,
 )
+from tests.net import streams
 
 QUERY = QueryEnvelope(
     app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"k1"
@@ -63,7 +64,7 @@ class FakeServer:
         self.connections += 1
         try:
             while True:
-                frame = await wire.read_frame(reader)
+                frame = await streams.read_frame(reader)
                 if frame is None:
                     break
                 self.received.append(frame)
@@ -270,7 +271,7 @@ class TestPooling:
             nonlocal connections
             connections += 1
             while True:
-                frame = await wire.read_frame(reader)
+                frame = await streams.read_frame(reader)
                 if frame is None:
                     break
                 started.set()
@@ -310,7 +311,7 @@ class TestRetryExhaustion:
         async def serve(reader, writer):
             nonlocal requests_seen
             while True:
-                frame = await wire.read_frame(reader)
+                frame = await streams.read_frame(reader)
                 if frame is None:
                     break
                 requests_seen += 1  # swallow it: no reply, ever

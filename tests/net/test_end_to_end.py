@@ -10,6 +10,7 @@ results below ``view`` exposure.
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from repro.net import (
     RetryPolicy,
     WireClient,
 )
+from repro.net.wire import ErrorCode, ErrorResponse
 from repro.obs.trace import SpanRecorder, SpanSink
 
 
@@ -34,6 +36,16 @@ async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
         if time.monotonic() > deadline:
             raise AssertionError("condition not reached before timeout")
         await asyncio.sleep(0.01)
+
+
+FAST_RESUBSCRIBE = RetryPolicy(attempts=1_000, backoff_s=0.01, max_backoff_s=0.05)
+
+
+def mtis_home(registry, database) -> HomeServer:
+    policy = ExposurePolicy.uniform(registry, StrategyClass.MTIS.exposure_level)
+    return HomeServer(
+        "toystore", database, registry, policy, Keyring("toystore", b"k" * 32)
+    )
 
 
 class Topology:
@@ -215,6 +227,72 @@ class TestEndToEnd:
         finally:
             if updater is not None:
                 await updater.aclose()
+            await dssp.stop()
+            await home_net.stop()
+
+    async def test_a_refused_subscribe_is_retried_not_fatal(
+        self, simple_toystore, toystore_db, caplog
+    ):
+        """A home that does not master every application a node streams
+        from it refuses the SUBSCRIBE with UNKNOWN_APP.  The node counts
+        the refusal, warns naming the app and retries; its stream task
+        must not die (it used to, silently: the error is not a NetError)."""
+        caplog.set_level(logging.WARNING, logger="repro.net.dssp_server")
+        home = mtis_home(simple_toystore, toystore_db.clone())
+        home_net = HomeNetServer(home)
+        dssp = DsspNetServer(DsspNode(), subscribe_retry=FAST_RESUBSCRIBE)
+        try:
+            address = await home_net.start()
+            dssp.register_application("toystore", simple_toystore, address)
+            dssp.register_application("auction", simple_toystore, address)
+            await dssp.start()
+            await eventually(lambda: dssp.stream_subscribe_failures >= 2)
+            [stream] = dssp._stream_tasks
+            assert not stream.done()
+            assert dssp.stream_flushes == 0  # never subscribed
+            warnings = [
+                record.getMessage()
+                for record in caplog.records
+                if record.levelno == logging.WARNING
+            ]
+            assert any("'auction'" in message for message in warnings)
+        finally:
+            await dssp.stop()
+            await home_net.stop()
+
+    async def test_an_unknown_app_error_mid_stream_reconnects(
+        self, simple_toystore, toystore_db
+    ):
+        """The same error arriving on a live stream ends that stream, not
+        the task: the node resubscribes and flushes again."""
+
+        class RetractingHome(HomeNetServer):
+            """Refuses the first subscription right after accepting it."""
+
+            retracted = False
+
+            def _subscribe(self, frame, context):
+                response = super()._subscribe(frame, context)
+                if not self.retracted:
+                    self.retracted = True
+                    refusal = ErrorResponse(ErrorCode.UNKNOWN_APP, "toystore")
+                    self.refusal = asyncio.create_task(
+                        self._send(context, refusal)
+                    )
+                return response
+
+        home = mtis_home(simple_toystore, toystore_db.clone())
+        home_net = RetractingHome(home)
+        dssp = DsspNetServer(DsspNode(), subscribe_retry=FAST_RESUBSCRIBE)
+        try:
+            address = await home_net.start()
+            dssp.register_application("toystore", simple_toystore, address)
+            await dssp.start()
+            await eventually(lambda: dssp.stream_flushes == 2)
+            [stream] = dssp._stream_tasks
+            assert not stream.done()
+            await eventually(lambda: home_net.subscriber_count == 1)
+        finally:
             await dssp.stop()
             await home_net.stop()
 

@@ -1,12 +1,13 @@
-"""``FrameConnection`` against an independent reference: the stream helpers.
+"""``FrameConnection`` against an independent reference reader.
 
-``wire.read_raw_frame`` over an ``asyncio.StreamReader`` is a separately
-written reader of the same wire format, so it is the oracle here: whatever
-bytes arrive, in whatever pieces, the buffered protocol must hand out the
-same raw frames and end with the same error text.  The connection is
-driven the way a selector transport drives it — ``get_buffer`` /
-``buffer_updated`` / ``eof_received`` — through a recording fake
-transport, so flow control is asserted as calls, not timing.
+``streams.read_raw_frame`` over an ``asyncio.StreamReader`` (tests-only,
+``tests/net/streams.py``) is a separately written reader of the same wire
+format, so it is the oracle here: whatever bytes arrive, in whatever
+pieces, the buffered protocol must hand out the same raw frames and end
+with the same error text.  The connection is driven the way a selector
+transport drives it — ``get_buffer`` / ``buffer_updated`` /
+``eof_received`` — through a recording fake transport, so flow control is
+asserted as calls, not timing.
 """
 
 from __future__ import annotations
@@ -27,46 +28,15 @@ from repro.net.framing import (
     READ_BACKLOG_BYTES,
     FrameConnection,
 )
-from repro.net.service import WireServer
+from repro.net.service import ConnectionContext, WireServer
+from tests.net import streams
+from tests.net.streams import feed
 
 MAX_FRAME = 64 * 1024
 
 
-class FakeTransport:
-    """Records what the protocol asks of its transport."""
-
-    def __init__(self) -> None:
-        self.reading = True
-        self.calls: list[str] = []
-
-    def is_closing(self) -> bool:
-        return False
-
-    def pause_reading(self) -> None:
-        self.reading = False
-        self.calls.append("pause")
-
-    def resume_reading(self) -> None:
-        self.reading = True
-        self.calls.append("resume")
-
-
-def connect(**kwargs) -> tuple[FrameConnection, FakeTransport]:
-    connection = FrameConnection(max_frame=MAX_FRAME, **kwargs)
-    transport = FakeTransport()
-    connection.connection_made(transport)
-    return connection, transport
-
-
-def feed(connection: FrameConnection, chunk: bytes) -> None:
-    """One socket's worth of bytes, read the way a transport reads."""
-    while chunk:
-        buffer = connection.get_buffer(-1)
-        assert len(buffer) > 0, "the protocol must always offer room"
-        count = min(len(buffer), len(chunk))
-        buffer[:count] = chunk[:count]
-        connection.buffer_updated(count)
-        chunk = chunk[count:]
+def connect(**kwargs) -> tuple[FrameConnection, streams.FakeTransport]:
+    return streams.connect(max_frame=MAX_FRAME, **kwargs)
 
 
 def split(data: bytes, sizes: list[int]) -> list[bytes]:
@@ -100,7 +70,7 @@ async def through_streams(chunks: list[bytes]) -> tuple[list[bytes], str | None]
     frames = []
     try:
         while (
-            raw := await wire.read_raw_frame(reader, max_frame=MAX_FRAME)
+            raw := await streams.read_raw_frame(reader, max_frame=MAX_FRAME)
         ) is not None:
             frames.append(raw)
     except WireError as error:
@@ -244,6 +214,38 @@ class TestPushMode:
         assert seen == [stats_frame(1)]  # the third frame is never handed out
         assert [str(error) for error in ended] == ["no"]
         assert not transport.reading
+
+
+class TestConcurrentWrites:
+    async def test_frames_written_while_paused_arrive_whole_in_order(self):
+        """Responses and pushes share a connection with no lock: each
+        frame is one synchronous write, so senders parked on a paused
+        transport cannot interleave their bytes."""
+        connection, transport = connect()
+        server = WireServer(max_frame=MAX_FRAME)
+        context = ConnectionContext(writer=connection)
+        payloads = [json.dumps("x" * (100 * index)) for index in range(8)]
+        connection.pause_writing()  # the transport is over its high water
+        sends = [
+            asyncio.create_task(
+                server._send(
+                    context,
+                    wire.StatsResponse("n", payload),
+                    request_id=f"rid-{index}",
+                )
+            )
+            for index, payload in enumerate(payloads)
+        ]
+        await asyncio.sleep(0)
+        assert not any(send.done() for send in sends)  # all parked in drain
+        connection.resume_writing()
+        await asyncio.gather(*sends)
+
+        frames, error = await through_framing([bytes(transport.written)])
+        assert error is None
+        decoded = [wire.decode_traced(raw) for raw in frames]
+        assert [frame.payload for frame, _ in decoded] == payloads
+        assert [rid for _, rid in decoded] == [f"rid-{i}" for i in range(8)]
 
 
 class BigAnswers(WireServer):

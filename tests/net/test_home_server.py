@@ -19,6 +19,7 @@ from repro.dssp import HomeServer
 from repro.dssp.invalidation import StrategyClass
 from repro.net import HomeNetServer, InvalidationPush, WireClient, wire
 from repro.net.wire import UpdateRequest, UpdateResponse
+from tests.net import streams
 
 
 class StickyHome(HomeNetServer):
@@ -77,7 +78,7 @@ class TestFanOutDecoupling:
 
             # The healthy subscriber still receives its push.
             async def first_push():
-                async for push in ok_sub.frames():
+                async for push, _ in ok_sub.events():
                     return push
                 return None
 
@@ -88,7 +89,7 @@ class TestFanOutDecoupling:
             # The stuck subscriber is dropped by closing its channel, so
             # its stream ends — the node-side reconnect-flush can fire.
             async def stream_ended():
-                async for _ in stuck_sub.frames():
+                async for _ in stuck_sub.events():
                     pass
 
             await asyncio.wait_for(stream_ended(), 2.0)
@@ -125,7 +126,7 @@ class TestFanOutDecoupling:
 
             async def pushes(count):
                 received = []
-                async for push in ok_sub.frames():
+                async for push, _ in ok_sub.events():
                     received.append(push)
                     if len(received) == count:
                         return received
@@ -165,8 +166,8 @@ class TestUpdateIdempotency:
             try:
                 writer.write(raw + raw)  # the duplicate, back to back
                 await writer.drain()
-                first = await wire.read_frame(reader)
-                second = await wire.read_frame(reader)
+                first = await streams.read_frame(reader)
+                second = await streams.read_frame(reader)
             finally:
                 writer.close()
                 await writer.wait_closed()
@@ -178,11 +179,11 @@ class TestUpdateIdempotency:
 
             # Exactly one push reaches the stream; a second would make
             # every non-origin node double-count the invalidation.
-            frames = subscription.frames()
-            push = await asyncio.wait_for(anext(frames), 2.0)
+            events = subscription.events()
+            push, _ = await asyncio.wait_for(anext(events), 2.0)
             assert isinstance(push, InvalidationPush)
             with pytest.raises(asyncio.TimeoutError):  # the stream is silent
-                await asyncio.wait_for(anext(frames), 0.05)
+                await asyncio.wait_for(anext(events), 0.05)
             await subscription.aclose()
         finally:
             await subscriber.aclose()

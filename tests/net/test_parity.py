@@ -52,7 +52,6 @@ async def replay_networked(
     trace: Trace,
     *,
     pipeline: int | None = None,
-    batch_invalidations: bool = True,
 ):
     topology = ChaosTopology(
         "toystore",
@@ -63,7 +62,6 @@ async def replay_networked(
         log=ChaosLog(),
         nodes=NODES,
         pipeline=pipeline,
-        batch_invalidations=batch_invalidations,
     )
     await topology.start()
     try:
@@ -131,7 +129,6 @@ class TestDeploymentParity:
             policy,
             trace,
             pipeline=4,
-            batch_invalidations=True,
         )
 
         assert report.ok, report.summary()

@@ -21,6 +21,7 @@ from repro.errors import NetConnectionError, NetTimeoutError
 from repro.net import wire
 from repro.net.client import RetryPolicy, WireClient
 from repro.net.wire import QueryRequest, QueryResponse, UpdateResponse
+from tests.net import streams
 
 QUERY = QueryEnvelope(
     app_id="toystore", level=ExposureLevel.BLIND, sealed_statement=b"k1"
@@ -72,7 +73,7 @@ class PermutingServer:
         try:
             arrived = []
             for _ in range(self.expect):
-                traced = await wire.read_traced(reader)
+                traced = await streams.read_traced(reader)
                 if traced is None:
                     return
                 _, request_id = traced
@@ -179,7 +180,7 @@ class TestWindowBound:
         async def serve(reader, writer):
             try:
                 while True:
-                    traced = await wire.read_traced(reader)
+                    traced = await streams.read_traced(reader)
                     if traced is None:
                         return
                     _, rid = traced
@@ -229,7 +230,7 @@ class TestChannelFailure:
 
         async def serve(reader, writer):
             for _ in range(n):
-                await wire.read_traced(reader)
+                await streams.read_traced(reader)
             accepted.set()
             writer.close()  # die with every request unanswered
 
@@ -271,7 +272,7 @@ class TestChannelFailure:
             first = connections == 1
             try:
                 while True:
-                    traced = await wire.read_traced(reader)
+                    traced = await streams.read_traced(reader)
                     if traced is None:
                         return
                     _, rid = traced
@@ -309,7 +310,7 @@ class TestChannelFailure:
             try:
                 pending = []
                 for _ in range(2):
-                    frame, rid = await wire.read_traced(reader)
+                    frame, rid = await streams.read_traced(reader)
                     pending.append((frame, rid))
                 for frame, rid in reversed(pending):
                     if isinstance(frame, QueryRequest):

@@ -25,6 +25,7 @@ from repro.errors import NetTimeoutError
 from repro.net import RetryPolicy, WireClient, wire
 from repro.net.deadline import DeadlineQueue
 from repro.net.service import WireServer
+from tests.net import streams
 from tests.net.test_end_to_end import Topology
 
 QUERY = QueryEnvelope(
@@ -109,7 +110,7 @@ async def silent_server(seen: list):
 
     async def serve(reader, writer):
         try:
-            while (traced := await wire.read_traced(reader)) is not None:
+            while (traced := await streams.read_traced(reader)) is not None:
                 seen.append(traced[1])
         finally:
             writer.close()

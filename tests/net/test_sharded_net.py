@@ -50,7 +50,7 @@ class ShardedTopology:
         database,
         *,
         nodes: int = 3,
-        shard_filtered_pushes: bool = True,
+        declare_shards: bool = True,
     ) -> None:
         self.policy = ExposurePolicy.uniform(
             registry, StrategyClass.MTIS.exposure_level
@@ -60,10 +60,9 @@ class ShardedTopology:
             "toystore", database, registry, self.policy, keyring
         )
         self.codec = self.home.codec
-        self.home_net = HomeNetServer(
-            self.home, shard_filtered_pushes=shard_filtered_pushes
-        )
+        self.home_net = HomeNetServer(self.home)
         self.names = tuple(f"dssp-{i}" for i in range(nodes))
+        self.declare_shards = declare_shards
         self.ring = HashRing(self.names)
         self.servers: list[DsspNetServer] = []
         self.clients: dict[str, WireClient] = {}
@@ -74,7 +73,9 @@ class ShardedTopology:
         await self.home_net.start()
         for name in self.names:
             server = DsspNetServer(
-                DsspNode(), node_id=name, shards=self.names
+                DsspNode(),
+                node_id=name,
+                shards=self.names if self.declare_shards else None,
             )
             server.register_application(
                 "toystore", self.registry, self.home_net.address
@@ -216,15 +217,15 @@ class TestFilteredFanOut:
                 for subscriber in snapshot["subscribers"]
             )
 
-    async def test_home_knob_disables_filtering(
+    async def test_undeclared_topology_is_not_filtered(
         self, simple_toystore, toystore_db
     ):
-        """With ``shard_filtered_pushes=False`` the home ignores declared
-        topologies: every non-origin subscriber gets every push."""
+        """The home filters only by a topology a subscriber declares:
+        nodes that name no shards get every non-origin push."""
         top = ShardedTopology(
             simple_toystore,
             toystore_db.clone(),
-            shard_filtered_pushes=False,
+            declare_shards=False,
         )
         async with top:
             snapshot = top.home_net.stats_snapshot()

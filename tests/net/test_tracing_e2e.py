@@ -78,7 +78,7 @@ FORBIDDEN = (
 
 
 class TracedShardedTopology:
-    """home + 2 sharded DSSP nodes, every process tracing at rate 1.0."""
+    """home + 2 routed DSSP nodes, every process tracing at rate 1.0."""
 
     def __init__(self, registry, database, tmp_path) -> None:
         self.policy = ExposurePolicy.uniform(
@@ -91,14 +91,7 @@ class TracedShardedTopology:
         self.codec = EnvelopeCodec(keyring)
         self.tmp_path = tmp_path
         self.span_logs = []
-        # Unfiltered pushes: with only two shards the receiving side of
-        # every fan-out is deterministic, which is what lets the test
-        # demand a complete cross-node trace.
-        self.home_net = HomeNetServer(
-            self.home,
-            shard_filtered_pushes=False,
-            tracer=self._tracer("home"),
-        )
+        self.home_net = HomeNetServer(self.home, tracer=self._tracer("home"))
         self.names = ("dssp-0", "dssp-1")
         self.registry = registry
         self.servers: list[DsspNetServer] = []
@@ -114,11 +107,13 @@ class TracedShardedTopology:
         await self.home_net.start()
         client_tracer = self._tracer("client")
         for name in self.names:
+            # Unfiltered pushes: the nodes declare no shard topology, so
+            # the home pushes every update to the node that did not
+            # forward it.  On a declared ring dssp-0 owns U1, Q1 and Q2,
+            # every push would be filtered, and no cross-node trace could
+            # complete.
             server = DsspNetServer(
-                DsspNode(),
-                node_id=name,
-                shards=self.names,
-                tracer=self._tracer(name),
+                DsspNode(), node_id=name, tracer=self._tracer(name)
             )
             server.register_application(
                 "toystore", self.registry, self.home_net.address

@@ -3,8 +3,10 @@
 The chaos proxy truncates and garbles frames on purpose, so the decoder's
 failure contract is load-bearing: for *any* byte string it must either
 produce a frame or raise :class:`~repro.errors.WireError` — no other
-exception type, no hang.  The async readers must likewise terminate on any
-input followed by EOF (clean ``None``, a frame, or ``WireError``).
+exception type, no hang.  The framing every socket reads with
+(:class:`~repro.net.framing.FrameConnection`) must likewise terminate on
+any input followed by EOF: whole frames, then a clean end or a
+``WireError``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.analysis.exposure import ExposureLevel
 from repro.crypto.envelope import QueryEnvelope, ResultEnvelope, UpdateEnvelope
 from repro.errors import WireError
 from repro.net import wire
+from tests.net import streams
 
 SAMPLE_FRAMES = [
     wire.QueryRequest(
@@ -102,30 +105,43 @@ def test_any_strict_prefix_raises_wire_error(which, data):
     raise AssertionError("truncated frame decoded successfully")
 
 
-async def _feed_and_read(data: bytes, read):
-    """Read frames from ``data`` + EOF; must terminate within the timeout."""
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
+async def _frames_then_end(data: bytes, chunk: int) -> list[bytes]:
+    """Frames a ``FrameConnection`` cuts from ``data`` + EOF.
+
+    Bytes arrive ``chunk`` at a time until the input ends (a real
+    transport stops reading there); the receiver must then drain to a
+    clean end or a ``WireError`` within the timeout, never hang.
+    """
+    connection, transport = streams.connect(max_frame=wire.MAX_FRAME_BYTES)
+    for start in range(0, len(data), chunk):
+        if not transport.reading:
+            break
+        streams.feed(connection, data[start : start + chunk])
+    connection.eof_received()
+    frames: list[bytes] = []
     try:
-        while True:
-            got = await asyncio.wait_for(read(reader), timeout=2.0)
-            if got is None:  # clean EOF between frames
-                return
+        while (
+            raw := await asyncio.wait_for(connection.receive(), timeout=2.0)
+        ) is not None:
+            frames.append(raw)
     except WireError:
-        return
+        pass
+    return frames
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.binary(max_size=2048))
-def test_read_traced_terminates_on_arbitrary_bytes(data):
-    asyncio.run(_feed_and_read(data, wire.read_traced))
+@given(st.binary(max_size=2048), st.integers(min_value=1, max_value=64))
+def test_framing_terminates_on_arbitrary_bytes(data, chunk):
+    frames = asyncio.run(_frames_then_end(data, chunk))
+    # Whatever came out is whole frames, cut exactly from the input.
+    assert data.startswith(b"".join(frames))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.binary(max_size=2048))
-def test_read_raw_frame_terminates_on_arbitrary_bytes(data):
-    asyncio.run(_feed_and_read(data, wire.read_raw_frame))
+@given(st.lists(st.sampled_from(ENCODED), max_size=4), st.binary(max_size=64))
+def test_framing_hands_out_good_frames_before_garbage(frames, garbage):
+    got = asyncio.run(_frames_then_end(b"".join(frames) + garbage, 7))
+    assert got[: len(frames)] == frames
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,12 +149,12 @@ def test_read_raw_frame_terminates_on_arbitrary_bytes(data):
     st.integers(min_value=0, max_value=len(ENCODED) - 1),
     st.data(),
 )
-def test_reader_terminates_on_truncated_stream(which, data):
+def test_framing_terminates_on_truncated_stream(which, data):
     """A stream severed mid-frame (the proxy's TRUNCATE fault) must end in
     WireError, not a hang waiting for bytes that will never come."""
     original = ENCODED[which]
     cut = data.draw(st.integers(min_value=1, max_value=len(original) - 1))
-    asyncio.run(_feed_and_read(original[:cut], wire.read_traced))
+    assert asyncio.run(_frames_then_end(original[:cut], 5)) == []
 
 
 def test_samples_round_trip():

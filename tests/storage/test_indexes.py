@@ -1,45 +1,78 @@
-"""Tests for the primary-key index: consistency with and speed over scans."""
-
-import random
+"""Tests for the table indexes: consistency with and speed over scans."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PrimaryKeyViolation
+from repro.schema import Column, ColumnType, Schema, TableSchema
 from repro.sql.parser import parse
 from repro.storage import Database
-from repro.storage.indexes import PrimaryKeyIndex
+from repro.storage.indexes import DatabaseIndexes
 from repro.templates.binding import bind
 
 
-class TestPrimaryKeyIndex:
+def rebuilt(schema, tables) -> DatabaseIndexes:
+    """Fresh indexes loaded from ``tables`` (table -> rows), in order."""
+    indexes = DatabaseIndexes(schema)
+    for table, rows in tables.items():
+        for row in rows:
+            indexes.add(table, row)
+    return indexes
+
+
+class TestDatabaseIndexes:
     def test_add_lookup_remove(self, toystore_schema):
-        index = PrimaryKeyIndex(toystore_schema)
+        index = DatabaseIndexes(toystore_schema)
         row = (1, "toy1", 5)
-        index.add("toys", row)
-        assert index.contains("toys", (1,))
-        assert index.lookup("toys", (1,)) == row
-        index.remove("toys", row)
-        assert not index.contains("toys", (1,))
+        key = index.add("toys", row)
+        assert key == (1,)
+        assert index.tables["toys"][key] == row
+        assert index.bucket("toys", 1, "toy1") == {key: row}
+        index.remove("toys", key)
+        assert key not in index.tables["toys"]
+        assert index.bucket("toys", 1, "toy1") == {}
 
-    def test_replace_keeps_key(self, toystore_schema):
-        index = PrimaryKeyIndex(toystore_schema)
-        old = (1, "toy1", 5)
-        new = (1, "toy1", 9)
-        index.add("toys", old)
-        index.replace("toys", old, new)
-        assert index.lookup("toys", (1,)) == new
+    def test_duplicate_key_raises(self, toystore_schema):
+        index = DatabaseIndexes(toystore_schema)
+        index.add("toys", (1, "toy1", 5))
+        with pytest.raises(PrimaryKeyViolation, match="duplicate primary key"):
+            index.add("toys", (1, "other", 7))
+        assert index.tables["toys"] == {(1,): (1, "toy1", 5)}
 
-    def test_rebuild(self, toystore_schema):
-        index = PrimaryKeyIndex(toystore_schema)
-        index.add("toys", (1, "a", 1))
-        index.rebuild("toys", [(2, "b", 2), (3, "c", 3)])
-        assert not index.contains("toys", (1,))
-        assert index.contains("toys", (3,))
+    def test_keyless_rows_get_serials(self):
+        schema = Schema(
+            [
+                TableSchema(
+                    "log",
+                    (
+                        Column("event", ColumnType.TEXT),
+                        Column("n", ColumnType.INTEGER),
+                    ),
+                )
+            ]
+        )
+        index = DatabaseIndexes(schema)
+        first = index.add("log", ("a", 1))
+        second = index.add("log", ("a", 1))  # identical rows both stored
+        assert first != second
+        assert list(index.tables["log"].values()) == [("a", 1), ("a", 1)]
+        assert index.bucket("log", 0, "a") == {first: ("a", 1), second: ("a", 1)}
+        index.remove("log", first)
+        assert index.tables["log"] == {second: ("a", 1)}
+
+    def test_replace_keeps_key_and_position(self, toystore_schema):
+        index = DatabaseIndexes(toystore_schema)
+        for toy_id in (1, 2, 3):
+            index.add("toys", (toy_id, f"toy{toy_id}", 5))
+        index.replace("toys", (2,), (2, "toy2", 9))
+        assert list(index.tables["toys"]) == [(1,), (2,), (3,)]
+        assert index.tables["toys"][(2,)] == (2, "toy2", 9)
+        assert (2,) not in index.bucket("toys", 2, 5)
+        assert index.bucket("toys", 2, 9) == {(2,): (2, "toy2", 9)}
 
     def test_contains_value_single_column(self, toystore_schema):
-        index = PrimaryKeyIndex(toystore_schema)
+        index = DatabaseIndexes(toystore_schema)
         index.add("customers", (4, "dora"))
         assert index.contains_value("customers", "cust_id", 4)
         assert not index.contains_value("customers", "cust_id", 5)
@@ -91,13 +124,12 @@ class TestIndexMaintainedThroughDml:
                     )
             except PrimaryKeyViolation:
                 pass
-            fresh = PrimaryKeyIndex(toystore_schema)
-            fresh.rebuild_all({"toys": list(db.rows("toys"))})
+            fresh = rebuilt(toystore_schema, {"toys": db.rows("toys")})
+            maintained = db._indexes
+            assert maintained.tables == fresh.tables
+            assert maintained.buckets == fresh.buckets
             for row in db.rows("toys"):
-                assert db._indexes.primary.lookup("toys", (row[0],)) == row
-            assert len(db.rows("toys")) == len(
-                {row[0] for row in db.rows("toys")}
-            )
+                assert maintained.tables["toys"][(row[0],)] == row
 
     def test_clone_rebuilds_index(self, toystore_db):
         clone = toystore_db.clone()
