@@ -4,7 +4,7 @@ Measures the two halves of the concurrent hot path on a live localhost
 topology (one home server, two DSSP nodes, asyncio sockets end to end):
 
 * **Request pipelining** — the same recorded trace replayed serially
-  (one request in flight per connection) and with ``pipeline=8``.  A
+  (one request in flight per virtual client) and with ``pipeline=8``.  A
   fixed per-request service latency is injected at the DSSP servers via
   the deterministic fault hook, standing in for the WAN/database round
   trip the paper's deployment pays (Section 7): localhost RTTs are so
@@ -56,7 +56,8 @@ FANOUT_BURST = 24
 FANOUT_COALESCE_S = 0.05
 
 MODES = (
-    # name, pipeline window (None = serial transport), batched fan-out
+    # name, pipeline window (None = one page in flight per virtual
+    # client), batched fan-out
     ("serial", None, False),
     ("pipelined", PIPELINE, False),
     ("pipelined_batched", PIPELINE, True),

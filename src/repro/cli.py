@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="route oracle clients through a pipelined channel with an "
-        "N-request window (default: serial pooled transport)",
+        help="give oracle clients an N-request window on their one "
+        "connection (default: 1)",
     )
     chaos.add_argument(
         "--pages", type=int, default=60, help="trace length to record/replay"

@@ -54,6 +54,8 @@ class _Tenant:
     #: None for remote tenants: the application's home lives across the
     #: network and miss/update forwarding is the service layer's job.
     home: HomeServer | None = None
+    #: Moved by every invalidation pass and flush (:meth:`DsspNode.epoch`).
+    epoch: int = 0
 
 
 class DsspNode:
@@ -184,8 +186,27 @@ class DsspNode:
         self.cache.put(envelope, result, bound)
         return result
 
-    def admit(self, envelope: QueryEnvelope, result: ResultEnvelope) -> None:
-        """Cache a result fetched from a *remote* home (service layer)."""
+    def epoch(self, app_id: str) -> int:
+        """The application's invalidation epoch, read before a remote fill.
+
+        Every invalidation pass and flush for the application moves it, so
+        a fill that finds it moved may hold rows one of them was there to
+        drop — the lease idea of memcache (Nishtala et al., NSDI 2013).
+        """
+        return self._tenant(app_id).epoch
+
+    def admit(
+        self, envelope: QueryEnvelope, result: ResultEnvelope, epoch: int
+    ) -> None:
+        """Cache a result fetched from a *remote* home (service layer).
+
+        ``epoch`` is :meth:`epoch` as read before the fill left.  If an
+        invalidation ran since, the result is not kept (the caller still
+        serves it) and ``stats.fill_refused`` counts it.
+        """
+        if self._tenant(envelope.app_id).epoch != epoch:
+            self.stats.fill_refused += 1
+            return
         self.cache.put(envelope, result, self.visible(envelope))
 
     def forward_update(self, envelope: UpdateEnvelope) -> int:
@@ -195,6 +216,7 @@ class DsspNode:
     def invalidate_for(self, envelope: UpdateEnvelope) -> int:
         """Phase 2 of an update: the DSSP-side invalidation pass."""
         tenant = self._tenant(envelope.app_id)
+        tenant.epoch += 1
         with trace_span("dssp.invalidate") as invalidate_span:
             started = time.perf_counter()
             count = tenant.engine.process_update(
@@ -204,6 +226,16 @@ class DsspNode:
             invalidate_span.set("invalidated", count)
             invalidate_span.set("path", tenant.engine.last_path)
         return count
+
+    def flush(self, app_id: str) -> None:
+        """Drop every cached view of an application.
+
+        For when invalidations may have been missed (a re-attached
+        invalidation stream): nothing cached, and nothing in flight, may
+        be trusted.
+        """
+        self._tenant(app_id).epoch += 1
+        self.cache.invalidate_app(app_id)
 
     # -- observability -------------------------------------------------------------
 

@@ -26,6 +26,9 @@ class DsspStats:
     invalidation_checks: int = 0
     #: Entries dropped by capacity eviction (not by invalidation).
     evictions: int = 0
+    #: Remote miss fills served but not cached: an invalidation for their
+    #: application ran while they were in flight (``DsspNode.admit``).
+    fill_refused: int = 0
     #: Bucket visits the predicate index answered during invalidation; a
     #: lookup it declines runs the sweep and is not counted.
     index_lookups: int = 0
@@ -97,6 +100,7 @@ class DsspStats:
             "dssp.invalidation_checks", lambda: self.invalidation_checks
         )
         registry.gauge("dssp.evictions", lambda: self.evictions)
+        registry.gauge("dssp.fill_refused", lambda: self.fill_refused)
         registry.gauge("dssp.index_lookups", lambda: self.index_lookups)
         registry.gauge("dssp.index_narrowed", lambda: self.index_narrowed)
 

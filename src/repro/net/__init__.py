@@ -11,8 +11,8 @@ This package puts the *network* back between them:
   updates out to subscribed DSSP nodes;
 * :mod:`repro.net.dssp_server` — asyncio server around a
   :class:`~repro.dssp.proxy.DsspNode` with remote miss/update forwarding;
-* :mod:`repro.net.client` — pooled async client with retry/backoff and
-  typed error mapping;
+* :mod:`repro.net.client` — async client multiplexing requests over one
+  connection, with retry/backoff and typed error mapping;
 * :mod:`repro.net.loadgen` — closed-loop load generator for measured (not
   analytic-model) strategy comparisons, plus the open-loop driver that
   issues on an arrival schedule with drop accounting;

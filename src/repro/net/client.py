@@ -1,4 +1,4 @@
-"""Async client for DSSP and home servers: pooling, retries, typed errors.
+"""Async client for DSSP and home servers: one channel, retries, typed errors.
 
 The client owns the trust boundary on the caller's side: wire-level
 :class:`~repro.net.wire.ErrorResponse` frames are mapped back to the typed
@@ -13,15 +13,16 @@ Updates are retried only when the request provably never reached the server
 shed it unprocessed (``OVERLOADED``); a lost *response* to an applied
 update must surface, not silently re-apply.
 
-Pipelining: with ``WireClient(pipeline=N)`` the client multiplexes up to
-``N`` in-flight requests over one connection instead of dedicating a
-pooled connection per request.  Each request carries its wire request
-id; a reader task matches responses — which may arrive in any order — to
-their senders through a pending map of per-request futures.  The window
-is a hard bound: a request that cannot acquire a slot within the request
-timeout fails with a typed ``TIMEOUT`` (and, being provably unsent, stays
-retry-safe).  The retry discipline above is unchanged — pipelining swaps
-the transport under ``_exchange``, not the failure semantics.
+Transport: every request rides the client's one connection, multiplexed
+by its wire request id.  The window — ``pipeline`` if set, else
+``pool_size`` — bounds the requests in flight on it; a request that cannot
+take a slot within the request timeout fails with a typed ``TIMEOUT``
+(and, being provably unsent, stays retry-safe).  Responses may arrive in
+any order: the connection's read callback matches each to its sender
+through a pending map of per-request futures, so a request costs no task.
+A response that arrives after its request gave up is counted and dropped;
+it never resolves another request.  Subscriptions open a dedicated
+connection of their own.
 """
 
 from __future__ import annotations
@@ -161,140 +162,6 @@ class NetUpdateOutcome:
     invalidated: int
 
 
-class _Connection:
-    """One open framed connection; requests are strictly send-then-receive."""
-
-    def __init__(
-        self, stream: FrameConnection, *, max_frame: int, observer=None
-    ) -> None:
-        self._stream = stream
-        self._max_frame = max_frame
-        self._observer = observer
-
-    async def send(self, frame: Frame, *, request_id: str | None = None) -> None:
-        await wire.write_frame(
-            self._stream,
-            frame,
-            request_id=request_id,
-            max_frame=self._max_frame,
-            observer=self._observer,
-        )
-
-    async def receive(self) -> Frame:
-        frame, _ = await self.receive_traced()
-        return frame
-
-    async def receive_traced(self) -> tuple[Frame, str | None]:
-        raw = await self._stream.receive()
-        if raw is None:
-            raise NetConnectionError("server closed the connection")
-        if self._observer is not None:
-            self._observer(raw)
-        return wire.decode_traced(raw, max_frame=self._max_frame)
-
-    async def aclose(self) -> None:
-        self._stream.close()
-        await self._stream.wait_closed()
-
-
-class _ConnectionPool:
-    """Bounded pool of lazily opened connections to one address."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        size: int,
-        connect_timeout_s: float,
-        max_frame: int,
-        observer=None,
-        on_open=None,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._size = size
-        self._connect_timeout_s = connect_timeout_s
-        self._max_frame = max_frame
-        self._observer = observer
-        self._on_open = on_open
-        self._idle: list[_Connection] = []
-        self._open_count = 0
-        #: Acquirers parked because every connection is out; woken one per
-        #: freed slot.  With an idle connection and nobody parked, acquire
-        #: and release touch only ``_idle``.
-        self._waiters: deque[asyncio.Future] = deque()
-        self._closed = False
-
-    async def acquire(self) -> _Connection:
-        while True:
-            if self._closed:
-                raise NetConnectionError("client is closed")
-            if self._idle:
-                return self._idle.pop()
-            if self._open_count < self._size:
-                self._open_count += 1
-                break
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiters.append(waiter)
-            try:
-                await waiter
-            except BaseException:
-                if waiter.done() and not waiter.cancelled():
-                    self._wake_one()  # woken and cancelled: pass it on
-                raise
-        try:
-            return await self._connect()
-        except BaseException:
-            self._open_count -= 1
-            self._wake_one()
-            raise
-
-    def _wake_one(self) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
-                return
-
-    async def _connect(self) -> _Connection:
-        try:
-            _, stream = await asyncio.wait_for(
-                asyncio.get_running_loop().create_connection(
-                    lambda: FrameConnection(max_frame=self._max_frame),
-                    self._host,
-                    self._port,
-                ),
-                self._connect_timeout_s,
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as error:
-            raise NetConnectionError(
-                f"cannot connect to {self._host}:{self._port}: {error}"
-            ) from error
-        if self._on_open is not None:
-            self._on_open()
-        return _Connection(
-            stream, max_frame=self._max_frame, observer=self._observer
-        )
-
-    async def release(self, connection: _Connection, *, discard: bool) -> None:
-        if discard or self._closed:
-            await connection.aclose()
-            self._open_count -= 1
-        else:
-            self._idle.append(connection)
-        self._wake_one()
-
-    async def aclose(self) -> None:
-        self._closed = True
-        idle, self._idle = self._idle, []
-        self._open_count -= len(idle)
-        while self._waiters:
-            self._wake_one()
-        for connection in idle:
-            await connection.aclose()
-
-
 class Subscription:
     """An open invalidation-stream channel (DSSP side).
 
@@ -302,23 +169,49 @@ class Subscription:
     :class:`~repro.net.wire.InvalidationPush` frames — and, when the
     channel negotiated batching (``batch_enabled``),
     :class:`~repro.net.wire.InvalidationBatch` frames a consumer applies
-    atomically; iteration ends when the server closes the channel.
+    atomically; iteration ends when the server closes the channel.  The
+    channel is its own pull-mode connection: the stream's pace is the
+    consumer's, bounded by the connection's read backlog.
     """
 
     def __init__(
-        self,
-        connection: _Connection,
-        app_ids: tuple[str, ...],
-        *,
-        batch_enabled: bool = False,
-        shard_filtered: bool = False,
-    ):
+        self, connection: FrameConnection, *, max_frame: int, observer=None
+    ) -> None:
         self._connection = connection
-        self.app_ids = app_ids
-        self.batch_enabled = batch_enabled
+        self._max_frame = max_frame
+        self._observer = observer
+        self.app_ids: tuple[str, ...] = ()
+        self.batch_enabled = False
         #: The home accepted this subscriber's shard topology and narrows
         #: invalidation fan-out to owning shards.
-        self.shard_filtered = shard_filtered
+        self.shard_filtered = False
+
+    async def _handshake(self, request: SubscribeRequest) -> None:
+        """Send the SUBSCRIBE and take the home's terms from its answer."""
+        await wire.write_frame(
+            self._connection,
+            request,
+            max_frame=self._max_frame,
+            observer=self._observer,
+        )
+        response, _ = await self._receive()
+        if isinstance(response, ErrorResponse):
+            raise exception_for(response)
+        if not isinstance(response, SubscribeResponse):
+            raise WireError(
+                f"expected SUBSCRIBED frame, got {type(response).__name__}"
+            )
+        self.app_ids = response.app_ids
+        self.batch_enabled = response.batch_enabled
+        self.shard_filtered = response.shard_filtered
+
+    async def _receive(self) -> tuple[Frame, str | None]:
+        raw = await self._connection.receive()
+        if raw is None:
+            raise NetConnectionError("server closed the connection")
+        if self._observer is not None:
+            self._observer(raw)
+        return wire.decode_traced(raw, max_frame=self._max_frame)
 
     async def events(self):
         """Yield ``(frame, request_id)`` pairs until the channel closes.
@@ -332,7 +225,7 @@ class Subscription:
         """
         while True:
             try:
-                frame, request_id = await self._connection.receive_traced()
+                frame, request_id = await self._receive()
             except NetConnectionError:
                 return
             if isinstance(frame, (InvalidationPush, InvalidationBatch)):
@@ -345,32 +238,35 @@ class Subscription:
                 )
 
     async def aclose(self) -> None:
-        await self._connection.aclose()
+        self._connection.close()
+        await self._connection.wait_closed()
 
 
-class _PipelinedChannel:
-    """One connection multiplexing many in-flight requests by request id.
+class _Channel:
+    """The client's one connection, multiplexing requests by request id.
 
-    A pending map of per-request futures plus a single reader task: the
-    sender registers its future under the request id before the frame
-    leaves, the reader resolves whichever future matches each response's
-    id — responses may arrive in any order.  The window semaphore bounds
-    in-flight requests; overflow is a typed, provably-unsent ``TIMEOUT``.
-    A transport or framing failure poisons the whole channel: every
-    pending future fails with ``NetConnectionError`` (fate unknown,
-    ``sent=True``) and the next request transparently reconnects.
+    A sender registers a future under its request id before its frame
+    leaves; :meth:`_on_frame`, called from the connection's read, resolves
+    whichever future a response's id names — responses may arrive in any
+    order.  ``window`` bounds the requests holding a slot: a count plus a
+    deque of parked senders, each freed slot handed to the longest-parked.
+    Overflow is a typed, provably-unsent ``TIMEOUT``.  The end of the
+    connection's input fails every pending future with
+    ``NetConnectionError`` (fate unknown, ``sent=True``) and the next
+    request reconnects.
     """
 
     def __init__(self, client: "WireClient", window: int) -> None:
         if window < 1:
-            raise ValueError(f"pipeline window must be >= 1, got {window}")
+            raise ValueError(f"request window must be >= 1, got {window}")
         self._client = client
         self.window = window
-        self._slots = asyncio.Semaphore(window)
+        #: Slots held: by requests, and by parked senders handed one.
+        self._used = 0
+        self._waiters: deque[asyncio.Future] = deque()
         self._pending: dict[str, asyncio.Future] = {}
-        self._connection: _Connection | None = None
-        self._reader_task: asyncio.Task | None = None
-        self._send_lock = asyncio.Lock()
+        self._connection: FrameConnection | None = None
+        self._connect_lock = asyncio.Lock()
         self._closed = False
         client.metrics.gauge(
             "client.pipeline_depth", lambda: len(self._pending)
@@ -380,54 +276,64 @@ class _PipelinedChannel:
         )
         self._unmatched = client.metrics.counter("client.pipeline_unmatched")
 
-    async def exchange(self, frame: Frame, *, request_id: str | None) -> Frame:
+    async def exchange(
+        self, frame: Frame, *, request_id: str | None
+    ) -> Frame:
         if request_id is None:
             request_id = new_request_id()  # the pending map needs a key
-        timeout_s = self._client._request_timeout_s
-        deadlines = self._client._deadlines
-        try:
-            with deadlines.after(timeout_s):
-                await self._slots.acquire()
-        except TimeoutError:
-            self._window_timeouts.inc()
-            raise _ExchangeFailed(
-                NetTimeoutError(
-                    f"pipeline window of {self.window} requests to "
-                    f"{self._client.host}:{self._client.port} stayed full "
-                    f"for {timeout_s}s"
-                ),
-                sent=False,
-            ) from None
+        if self._used < self.window:
+            self._used += 1
+        else:
+            await self._wait_for_slot()
         future: asyncio.Future | None = None
         try:
-            async with self._send_lock:
-                connection = await self._ensure_connection()
-                if self._client._fault_hook is not None:
-                    await self._client._fault_hook(frame, request_id)
-                future = asyncio.get_running_loop().create_future()
-                stale = self._pending.pop(request_id, None)
-                if stale is not None and not stale.done():
-                    stale.cancel()
-                self._pending[request_id] = future
-                try:
-                    await connection.send(frame, request_id=request_id)
-                except (ConnectionError, OSError) as error:
-                    self._drop_connection(connection)
-                    raise _ExchangeFailed(
-                        NetConnectionError(
-                            f"connection to {self._client.host}:"
-                            f"{self._client.port} failed: {error}"
-                        ),
-                        sent=False,
-                    ) from error
+            client = self._client
+            connection = self._connection or await self._connect()
+            if client._fault_hook is not None:
+                await client._fault_hook(frame, request_id)
+            while (
+                earlier := self._pending.get(request_id)
+            ) is not None and not earlier.done():
+                # A response names only its request id: a second request
+                # under an id in flight goes out once the first finished.
+                await asyncio.wait((earlier,))
+            if connection is not self._connection:
+                # It ended while this request waited; the frame never left.
+                raise _ExchangeFailed(
+                    NetConnectionError(
+                        f"connection to {client.host}:{client.port} "
+                        "failed: Connection lost"
+                    ),
+                    sent=False,
+                )
+            future = asyncio.get_running_loop().create_future()
+            self._pending[request_id] = future
             try:
-                with deadlines.after(timeout_s):
+                await wire.write_frame(
+                    connection,
+                    frame,
+                    request_id=request_id,
+                    max_frame=client._max_frame,
+                    observer=client._frame_observer,
+                )
+            except (ConnectionError, OSError) as error:
+                if self._connection is connection:
+                    self._connection = None
+                raise _ExchangeFailed(
+                    NetConnectionError(
+                        f"connection to {client.host}:{client.port} "
+                        f"failed: {error}"
+                    ),
+                    sent=False,
+                ) from error
+            try:
+                with client._deadlines.after(client._request_timeout_s):
                     return await future
             except TimeoutError as error:
                 raise _ExchangeFailed(
                     NetTimeoutError(
-                        f"no response from {self._client.host}:"
-                        f"{self._client.port} within {timeout_s}s"
+                        f"no response from {client.host}:{client.port} "
+                        f"within {client._request_timeout_s}s"
                     ),
                     sent=True,
                 ) from error
@@ -439,87 +345,115 @@ class _PipelinedChannel:
                     del self._pending[request_id]
                 if future.done() and not future.cancelled():
                     future.exception()  # mark retrieved on racing failures
-            self._slots.release()
+            self._release()
 
-    async def _ensure_connection(self) -> _Connection:
-        # Under the send lock: connect/reconnect races are serialized.
-        if self._closed:
-            raise _ExchangeFailed(
-                NetConnectionError("client is closed"), sent=False
-            )
-        if self._connection is None:
-            try:
-                self._connection = await self._client._pool._connect()
-            except NetConnectionError as error:
-                raise _ExchangeFailed(error, sent=False) from error
-            self._reader_task = asyncio.create_task(
-                self._read_loop(self._connection)
-            )
-        return self._connection
-
-    async def _read_loop(self, connection: _Connection) -> None:
+    async def _wait_for_slot(self) -> None:
+        """Park until a finishing request hands over its slot."""
+        client = self._client
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
         try:
-            while True:
-                frame, request_id = await connection.receive_traced()
-                future = (
-                    self._pending.get(request_id)
-                    if request_id is not None
-                    else None
-                )
-                if future is None or future.done():
-                    # Nobody is waiting: a late response whose sender
-                    # already timed out (and possibly retried), or a
-                    # duplicate.  Count it; matching is by id only, so it
-                    # can never land on another request's future.
-                    self._unmatched.inc()
-                    continue
-                future.set_result(frame)
-        except NetConnectionError as error:
-            failure = error
-        except WireError as error:
-            failure = NetConnectionError(
-                f"malformed response from {self._client.host}:"
-                f"{self._client.port}: {error}"
-            )
-        except (ConnectionError, OSError) as error:
-            failure = NetConnectionError(
-                f"connection to {self._client.host}:"
-                f"{self._client.port} failed: {error}"
-            )
-        self._drop_connection(connection)
-        for future in list(self._pending.values()):
-            if not future.done():
-                future.set_exception(failure)
+            with client._deadlines.after(client._request_timeout_s):
+                await waiter
+        except BaseException as error:
+            if waiter.done() and not waiter.cancelled():
+                self._release()  # handed a slot it will not use: pass it on
+            if not isinstance(error, TimeoutError):
+                raise
+            self._window_timeouts.inc()
+            raise _ExchangeFailed(
+                NetTimeoutError(
+                    f"pipeline window of {self.window} requests to "
+                    f"{client.host}:{client.port} stayed full for "
+                    f"{client._request_timeout_s}s"
+                ),
+                sent=False,
+            ) from None
 
-    def _drop_connection(self, connection: _Connection) -> None:
+    def _release(self) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+        self._used -= 1
+
+    async def _connect(self) -> FrameConnection:
+        async with self._connect_lock:
+            if self._connection is None:
+                if self._closed:
+                    raise _ExchangeFailed(
+                        NetConnectionError("client is closed"), sent=False
+                    )
+
+                def framed() -> FrameConnection:
+                    connection = FrameConnection(
+                        max_frame=self._client._max_frame,
+                        on_frame=self._on_frame,
+                        on_end=lambda error: self._on_end(connection, error),
+                    )
+                    return connection
+
+                try:
+                    self._connection = await self._client._dial(framed)
+                except NetConnectionError as error:
+                    raise _ExchangeFailed(error, sent=False) from error
+            return self._connection
+
+    def _on_frame(self, raw: bytes) -> None:
+        """One response, from inside the read: resolve its sender."""
+        client = self._client
+        if client._frame_observer is not None:
+            client._frame_observer(raw)
+        frame, request_id = wire.decode_traced(raw, max_frame=client._max_frame)
+        future = self._pending.get(request_id)
+        if future is None or future.done():
+            # Nobody is waiting: a late response whose sender already
+            # timed out (and possibly retried), or a duplicate.  Count it;
+            # matching is by id only, so it never lands on another
+            # request's future.
+            self._unmatched.inc()
+            return
+        future.set_result(frame)
+
+    def _on_end(self, connection: FrameConnection, error) -> None:
+        """The connection's input ended: fail whatever still waits on it."""
         if self._connection is connection:
             self._connection = None
-        connection._stream.close()
+        connection.close()
+        client = self._client
+        if isinstance(error, WireError):
+            failure = NetConnectionError(
+                f"malformed response from {client.host}:{client.port}: "
+                f"{error}"
+            )
+        elif error is None:
+            failure = NetConnectionError("server closed the connection")
+        else:
+            failure = NetConnectionError(
+                f"connection to {client.host}:{client.port} failed: {error}"
+            )
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(failure)
 
     async def aclose(self) -> None:
         self._closed = True
         connection, self._connection = self._connection, None
-        reader_task, self._reader_task = self._reader_task, None
         if connection is not None:
-            await connection.aclose()
-        if reader_task is not None:
-            try:
-                await reader_task
-            except Exception:
-                pass  # the loop reports failures through pending futures
+            connection.close()
+            await connection.wait_closed()
 
 
 class WireClient:
-    """Pooled async client for one server address.
+    """Async client for one server address.
 
     Works against both server roles: clients point it at a DSSP node,
     DSSP nodes point it at their applications' home servers.
 
-    ``pipeline=N`` switches request transport from one-pooled-connection-
-    per-request to a single multiplexed connection with up to ``N``
-    requests in flight (see :class:`_PipelinedChannel`); ``None`` keeps
-    the serial pooled transport.  Subscriptions and their dedicated
-    channels are unaffected either way.
+    Every request rides one multiplexed connection (see :class:`_Channel`)
+    with up to ``pipeline`` requests in flight, or ``pool_size`` when
+    ``pipeline`` is ``None``.  Subscriptions open dedicated connections.
     """
 
     def __init__(
@@ -541,6 +475,7 @@ class WireClient:
         self.host = host
         self.port = port
         self._retry = retry or RetryPolicy()
+        self._connect_timeout_s = connect_timeout_s
         self._request_timeout_s = request_timeout_s
         self._max_frame = max_frame
         self._frame_observer = frame_observer
@@ -556,18 +491,11 @@ class WireClient:
         self._request_seconds = self.metrics.histogram("client.request_seconds")
         self._retries = self.metrics.counter("client.retries")
         self._backoff_sleeps = self.metrics.counter("client.backoff_sleeps")
-        self._pool = _ConnectionPool(
-            host,
-            port,
-            size=pool_size,
-            connect_timeout_s=connect_timeout_s,
-            max_frame=max_frame,
-            observer=frame_observer,
-            on_open=self.metrics.counter("client.connections_opened").inc,
+        self._connections_opened = self.metrics.counter(
+            "client.connections_opened"
         )
-        self.pipeline = pipeline
-        self._channel = (
-            _PipelinedChannel(self, pipeline) if pipeline is not None else None
+        self._channel = _Channel(
+            self, pipeline if pipeline is not None else pool_size
         )
 
     # -- public API --------------------------------------------------------
@@ -635,7 +563,7 @@ class WireClient:
         shards: tuple[str, ...] = (),
         vnodes: int = 0,
     ) -> Subscription:
-        """Open a dedicated invalidation-stream channel (not pooled).
+        """Open a dedicated invalidation-stream channel.
 
         ``supports_batch`` advertises that this subscriber understands
         ``INVALIDATE_BATCH`` frames; the returned subscription's
@@ -644,9 +572,16 @@ class WireClient:
         (ring membership + virtual nodes); ``shard_filtered`` on the
         subscription reports whether the home will narrow fan-out with it.
         """
-        connection = await self._pool._connect()
+        connection = await self._dial(
+            lambda: FrameConnection(max_frame=self._max_frame)
+        )
+        subscription = Subscription(
+            connection,
+            max_frame=self._max_frame,
+            observer=self._frame_observer,
+        )
         try:
-            await connection.send(
+            await subscription._handshake(
                 SubscribeRequest(
                     node_id,
                     app_ids,
@@ -655,32 +590,32 @@ class WireClient:
                     vnodes=vnodes,
                 )
             )
-            response = await connection.receive()
         except BaseException:
-            await connection.aclose()
+            await subscription.aclose()
             raise
-        if isinstance(response, ErrorResponse):
-            await connection.aclose()
-            raise exception_for(response)
-        if not isinstance(response, SubscribeResponse):
-            await connection.aclose()
-            raise WireError(
-                f"expected SUBSCRIBED frame, got {type(response).__name__}"
-            )
-        return Subscription(
-            connection,
-            response.app_ids,
-            batch_enabled=response.batch_enabled,
-            shard_filtered=response.shard_filtered,
-        )
+        return subscription
 
     async def aclose(self) -> None:
-        """Close the pipelined channel (if any) and all pooled connections."""
-        if self._channel is not None:
-            await self._channel.aclose()
-        await self._pool.aclose()
+        """Close the request channel (subscriptions close on their own)."""
+        await self._channel.aclose()
 
     # -- request machinery -------------------------------------------------
+
+    async def _dial(self, protocol_factory) -> FrameConnection:
+        """Dial the server: every connection of this client starts here."""
+        try:
+            _, connection = await asyncio.wait_for(
+                asyncio.get_running_loop().create_connection(
+                    protocol_factory, self.host, self.port
+                ),
+                self._connect_timeout_s,
+            )
+        except (ConnectionError, OSError, asyncio.TimeoutError) as error:
+            raise NetConnectionError(
+                f"cannot connect to {self.host}:{self.port}: {error}"
+            ) from error
+        self._connections_opened.inc()
+        return connection
 
     async def _request(
         self,
@@ -720,7 +655,7 @@ class WireClient:
         while True:
             try:
                 with trace_span("client.exchange", attempt=attempt):
-                    response = await self._exchange(
+                    response = await self._channel.exchange(
                         frame, request_id=request_id
                     )
             except _ExchangeFailed as failure:
@@ -747,58 +682,6 @@ class WireClient:
         self._retries.inc()
         self._backoff_sleeps.inc()
         await asyncio.sleep(self._retry.delay(attempt))
-
-    async def _exchange(
-        self, frame: Frame, *, request_id: str | None = None
-    ) -> Frame:
-        if self._channel is not None:
-            return await self._channel.exchange(frame, request_id=request_id)
-        sent = False
-        try:
-            connection = await self._pool.acquire()
-        except NetConnectionError as error:
-            raise _ExchangeFailed(error, sent=False) from error
-        discard = True
-        try:
-            if self._fault_hook is not None:
-                await self._fault_hook(frame, request_id)
-            await connection.send(frame, request_id=request_id)
-            sent = True
-            try:
-                with self._deadlines.after(self._request_timeout_s):
-                    response = await connection.receive()
-            except WireError as error:
-                # A garbled response frame poisons only this connection;
-                # the request's fate is unknown (sent=True), so queries
-                # retry on a fresh stream and updates surface.
-                raise _ExchangeFailed(
-                    NetConnectionError(
-                        f"malformed response from {self.host}:{self.port}: "
-                        f"{error}"
-                    ),
-                    sent=True,
-                ) from error
-            discard = False
-            return response
-        except TimeoutError as error:
-            raise _ExchangeFailed(
-                NetTimeoutError(
-                    f"no response from {self.host}:{self.port} within "
-                    f"{self._request_timeout_s}s"
-                ),
-                sent=sent,
-            ) from error
-        except (ConnectionError, OSError, NetConnectionError) as error:
-            wrapped = (
-                error
-                if isinstance(error, NetConnectionError)
-                else NetConnectionError(
-                    f"connection to {self.host}:{self.port} failed: {error}"
-                )
-            )
-            raise _ExchangeFailed(wrapped, sent=sent) from error
-        finally:
-            await self._pool.release(connection, discard=discard)
 
 
 class _ExchangeFailed(Exception):

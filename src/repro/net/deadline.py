@@ -8,7 +8,7 @@ leaving removes from it, and the one ``loop.call_at`` the queue keeps is
 armed for the earliest deadline it has seen and looked at again only when
 it fires — so a request whose deadline lies behind the armed one arms
 nothing.  Open scopes are bounded by the owner's own concurrency bound
-(``max_in_flight``, pool size, pipeline window), which bounds the scan on
+(``max_in_flight``, a client's request window), which bounds the scan on
 fire.
 
 The contract is ``asyncio.timeout``'s: expiry cancels the task inside the

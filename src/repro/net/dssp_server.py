@@ -3,8 +3,11 @@
 Wraps a keyless :class:`~repro.dssp.proxy.DsspNode` behind the wire
 protocol.  Tenancy is *remote*: the node holds each application's public
 template registry and its own invalidation engine, while misses and
-updates are forwarded to the application's home server over pooled
-:class:`~repro.net.client.WireClient` connections.
+updates are forwarded to the application's home server over one
+:class:`~repro.net.client.WireClient` per home.  A miss's answer is cached
+only if no invalidation for its application ran on the node while the
+forward was in flight (:meth:`~repro.dssp.proxy.DsspNode.admit`);
+otherwise it is served pass-through.
 
 Invalidation arrives two ways, mirroring :class:`~repro.dssp.cluster.DsspCluster`:
 
@@ -89,6 +92,8 @@ class DsspNetServer(WireServer):
         node_id: Stable identity on home invalidation streams.
         subscribe_retry: Backoff schedule for re-opening dropped streams
             and retrying refused subscribes.
+        home_pool_size: The home channel's window: forwarded misses and
+            updates in flight at once on the one connection to each home.
         shards: Full shard membership of the cluster this node belongs to
             (must include ``node_id``).  When set, the node only *admits*
             entries whose placement key it owns on the consistent-hash
@@ -252,6 +257,9 @@ class DsspNetServer(WireServer):
         # A name or arity the registry lacks is refused here, not a hop on.
         self.node.visible(envelope)
         client = self._home_client(envelope.app_id)
+        # Read before the forward leaves: an invalidation applied while it
+        # is in flight may have been for rows the home's answer still has.
+        epoch = self.node.epoch(envelope.app_id)
         try:
             # The client's trace id rides the forwarded hop, so the home's
             # log records correlate with the originating request.
@@ -267,7 +275,7 @@ class DsspNetServer(WireServer):
                 f"{error}"
             ) from error
         if self._owns(envelope):
-            self.node.admit(envelope, outcome.result)
+            self.node.admit(envelope, outcome.result, epoch)
         else:
             # Serving pass-through keeps home-side shard filtering sound:
             # the home only pushes invalidations to the owning shard, so a
@@ -408,7 +416,7 @@ class DsspNetServer(WireServer):
                 extra={"ctx": stream_ctx},
             )
             for app_id in app_ids:
-                self.node.cache.invalidate_app(app_id)
+                self.node.flush(app_id)
             self.stream_flushes += 1
             try:
                 async for event, request_id in subscription.events():

@@ -8,12 +8,12 @@ sized for the largest read it allows (256 KiB) on *every* read; a
 frames out of it with :mod:`repro.net.wire`'s header check, and gives
 each frame's raw bytes to its owner:
 
-* a **server** passes ``on_frame`` / ``on_end`` and is called back from
-  the read itself — no per-connection reader task;
-* a **client** — and each half of a chaos proxy's pair — passes neither
-  and pulls with :meth:`receive`; frames it has not taken yet wait in a
-  queue bounded by :data:`READ_BACKLOG_BYTES` through
-  ``pause_reading()``.
+* request traffic — a **server**'s accepted connections and a
+  **client**'s request channel — passes ``on_frame`` / ``on_end`` and is
+  called back from the read itself: no reader task on either end;
+* a **subscription** and each half of a chaos proxy's pair pass neither
+  and pull with :meth:`receive`; frames not taken yet wait in a queue
+  bounded by :data:`READ_BACKLOG_BYTES` through ``pause_reading()``.
 
 Every socket in ``src/`` is one of these.  The writing half is
 ``write`` / ``drain`` / ``close`` / ``wait_closed``;

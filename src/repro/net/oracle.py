@@ -206,10 +206,9 @@ class ChaosTopology:
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.trace_sample = trace_sample
         self._tracers: dict[str, SpanRecorder] = {}
-        #: Per-client pipelining window (None = serial pooled transport).
-        #: The oracle runner stays sequential either way; a window just
-        #: routes its operations through the multiplexed channel, so the
-        #: pending-map/reader machinery is what the faults exercise.
+        #: Per-client request window (None = 1).  The oracle runner stays
+        #: sequential either way; a wider window only lets the faults
+        #: exercise the pending map with several slots free.
         self.pipeline = pipeline
         self.app_id = app_id
         self.registry = registry

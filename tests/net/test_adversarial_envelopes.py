@@ -69,10 +69,11 @@ class Hops:
         cached = self.node.lookup(envelope)
         if cached is None:
             self.node.visible(envelope)
+            epoch = self.node.epoch(envelope.app_id)
             forwarded = _over_the_wire(QueryRequest(envelope)).envelope
             answer = self.home.serve_query(forwarded)
             cached = _over_the_wire(QueryResponse(answer, False)).result
-            self.node.admit(envelope, cached)
+            self.node.admit(envelope, cached, epoch)
         return _over_the_wire(QueryResponse(cached, True)).result
 
     def update(self, envelope: UpdateEnvelope) -> int:

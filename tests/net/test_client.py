@@ -2,7 +2,10 @@
 
 Covers typed error mapping (wire codes back to exceptions), the retry
 discipline (idempotent queries retry on shed/timeout; updates only when
-provably unprocessed), and connection pooling.
+provably unprocessed), and the request window on the client's one
+connection.  Responses are matched to requests by wire request id only, so
+every fake server here echoes the id of the request it answers — as every
+real server does.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ RESULT = ResultEnvelope(app_id="toystore", ciphertext=b"sealed")
 
 
 class FakeServer:
-    """Replies to each request with the next scripted frame."""
+    """Replies to each request with the next scripted frame, under its id."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -64,16 +67,17 @@ class FakeServer:
         self.connections += 1
         try:
             while True:
-                frame = await streams.read_frame(reader)
-                if frame is None:
+                traced = await streams.read_traced(reader)
+                if traced is None:
                     break
+                frame, request_id = traced
                 self.received.append(frame)
                 if not self.script:
                     break
                 reply = self.script.pop(0)
                 if reply == "drop":
                     break  # close without answering
-                await wire.write_frame(writer, reply)
+                await wire.write_frame(writer, reply, request_id=request_id)
         finally:
             writer.close()
 
@@ -249,7 +253,7 @@ class TestRetryDiscipline:
         assert received.origin == "dssp-7"
 
 
-class TestPooling:
+class TestWindow:
     async def test_sequential_requests_reuse_one_connection(self):
         script = [QueryResponse(RESULT, cache_hit=False)] * 5
         async with FakeServer(script) as server:
@@ -262,36 +266,49 @@ class TestPooling:
         assert server.connections == 1
         assert all(isinstance(f, QueryRequest) for f in server.received)
 
-    async def test_pool_bounds_concurrent_connections(self):
-        started = asyncio.Event()
+    @pytest.mark.parametrize(
+        ("window", "bound"),
+        [({"pool_size": 2}, 2), ({"pool_size": 2, "pipeline": 3}, 3)],
+    )
+    async def test_window_bounds_requests_in_flight_on_one_connection(
+        self, window, bound
+    ):
+        """``pool_size=N`` (or ``pipeline=N``, which wins) is N requests in
+        flight on one connection, never N connections."""
         release = asyncio.Event()
         connections = 0
+        in_flight = peak = 0
+        answers: set = set()
+
+        async def answer(writer, request_id):
+            nonlocal in_flight
+            await release.wait()
+            in_flight -= 1
+            await wire.write_frame(
+                writer, QueryResponse(RESULT, cache_hit=False),
+                request_id=request_id,
+            )
 
         async def serve(reader, writer):
-            nonlocal connections
+            nonlocal connections, in_flight, peak
             connections += 1
-            while True:
-                frame = await streams.read_frame(reader)
-                if frame is None:
-                    break
-                started.set()
-                await release.wait()
-                await wire.write_frame(
-                    writer, QueryResponse(RESULT, cache_hit=False)
-                )
+            while (traced := await streams.read_traced(reader)) is not None:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                task = asyncio.ensure_future(answer(writer, traced[1]))
+                answers.add(task)
+                task.add_done_callback(answers.discard)
             writer.close()
 
         server = await asyncio.start_server(serve, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        client = WireClient(
-            "127.0.0.1", port, pool_size=2, retry=FAST_RETRY
-        )
+        client = WireClient("127.0.0.1", port, retry=FAST_RETRY, **window)
         try:
             tasks = [
                 asyncio.ensure_future(client.query(QUERY)) for _ in range(6)
             ]
-            await started.wait()
-            await asyncio.sleep(0.05)  # let every task try to acquire
+            await asyncio.sleep(0.05)  # let every task try to take a slot
+            assert peak == bound
             release.set()
             outcomes = await asyncio.gather(*tasks)
         finally:
@@ -299,7 +316,61 @@ class TestPooling:
             server.close()
             await server.wait_closed()
         assert len(outcomes) == 6
-        assert connections <= 2
+        assert connections == 1
+        assert peak == bound
+
+    async def test_late_response_at_window_one_never_answers_the_next(self):
+        """A request that timed out leaves its connection open; its late
+        response is counted as unmatched and dropped by id — the next
+        request on the same connection still gets its own answer."""
+        connections = 0
+
+        async def serve(reader, writer):
+            nonlocal connections
+            connections += 1
+            try:
+                while (traced := await streams.read_traced(reader)) is not None:
+                    _, request_id = traced
+                    if request_id == "late":
+                        # Answered long after the client gave up; "next"
+                        # is already waiting on the wire behind it.
+                        await asyncio.sleep(0.7)
+                    await wire.write_frame(
+                        writer,
+                        QueryResponse(
+                            ResultEnvelope(
+                                app_id="toystore",
+                                ciphertext=request_id.encode(),
+                            ),
+                            cache_hit=False,
+                        ),
+                        request_id=request_id,
+                    )
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        client = WireClient(
+            "127.0.0.1",
+            port,
+            pool_size=1,
+            request_timeout_s=0.5,
+            retry=RetryPolicy(attempts=1),
+        )
+        try:
+            with pytest.raises(NetTimeoutError, match="no response"):
+                await client.query(QUERY, request_id="late")
+            outcome = await client.query(QUERY, request_id="next")
+            unmatched = client.metrics.counter("client.pipeline_unmatched")
+            opened = client.metrics.counter("client.connections_opened")
+        finally:
+            await client.aclose()
+            server.close()
+            await server.wait_closed()
+        assert outcome.result.ciphertext == b"next"
+        assert unmatched.value == 1
+        assert opened.value == connections == 1
 
 
 class TestRetryExhaustion:

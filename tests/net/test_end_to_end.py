@@ -25,7 +25,7 @@ from repro.net import (
     RetryPolicy,
     WireClient,
 )
-from repro.net.wire import ErrorCode, ErrorResponse
+from repro.net.wire import ErrorCode, ErrorResponse, QueryRequest
 from repro.obs.trace import SpanRecorder, SpanSink
 
 
@@ -423,3 +423,59 @@ class TestEndToEnd:
                 lambda: top.dssp_nets[1].stream_pushes_applied == 1
             )
             assert (await client_b.query(view)).cache_hit is False
+
+
+class TestFillRace:
+    """A miss fill must not outlive the invalidation it raced.
+
+    The home answers node A's read of Q2(5) from the old row, and the
+    answer is held on its way back (what a DELAY on the dssp<-home link
+    does) while U1(5) deletes the row and the delete's invalidation
+    reaches A — synchronously when it entered through A, over the stream
+    when it entered through B.  The late answer may be served, never
+    cached: a cached copy would be a stale hit that no later push repairs.
+    """
+
+    HOLD_S = 0.3
+
+    @pytest.mark.parametrize("via", ["same_node", "other_node"])
+    async def test_a_fill_that_raced_an_invalidation_is_not_cached(
+        self, via, strategy, simple_toystore, toystore_db
+    ):
+        topology = Topology(simple_toystore, toystore_db.clone(), strategy)
+        async with topology as top:
+            home_net = top.home_net
+            answer = home_net.handle
+            held = asyncio.Event()
+
+            async def hold_first_query_answer(frame, context):
+                response = await answer(frame, context)
+                if isinstance(frame, QueryRequest) and not held.is_set():
+                    held.set()  # computed from the old row, now in transit
+                    await asyncio.sleep(self.HOLD_S)
+                return response
+
+            home_net.handle = hold_first_query_answer
+            client_a, client_b = top.clients
+            q2_of_5 = top.seal_query(simple_toystore.query("Q2").bind([5]))
+            read = asyncio.ensure_future(client_a.query(q2_of_5))
+            await held.wait()
+
+            writer = client_a if via == "same_node" else client_b
+            ack = await writer.update(
+                top.seal_update(simple_toystore.update("U1").bind([5]))
+            )
+            assert ack.rows_affected == 1
+            if via == "other_node":
+                await eventually(
+                    lambda: top.dssp_nets[0].stream_pushes_applied >= 1
+                )
+            assert not read.done()  # the invalidation beat the answer
+
+            raced = await read
+            assert raced.cache_hit is False
+            assert top.codec.open_result(raced.result).rows  # old, once
+            re_read = await client_a.query(q2_of_5)
+            assert re_read.cache_hit is False
+            assert top.codec.open_result(re_read.result).rows == ()
+            assert top.nodes[0].stats.fill_refused == 1

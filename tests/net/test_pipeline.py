@@ -20,6 +20,7 @@ from repro.crypto.envelope import QueryEnvelope, ResultEnvelope, UpdateEnvelope
 from repro.errors import NetConnectionError, NetTimeoutError
 from repro.net import wire
 from repro.net.client import RetryPolicy, WireClient
+from repro.net.service import WireServer
 from repro.net.wire import QueryRequest, QueryResponse, UpdateResponse
 from tests.net import streams
 
@@ -59,6 +60,7 @@ class PermutingServer:
         self.duplicates = set(duplicates)
         self.delay_s = delay_s
         self._server = None
+        self._handlers: set = set()
 
     async def __aenter__(self):
         self._server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
@@ -68,8 +70,13 @@ class PermutingServer:
     async def __aexit__(self, *exc_info):
         self._server.close()
         await self._server.wait_closed()
+        # The client may have all its answers before the last (duplicate)
+        # frame is written: let the handler close its socket before the
+        # loop goes away.
+        await asyncio.gather(*self._handlers, return_exceptions=True)
 
     async def _serve(self, reader, writer):
+        self._handlers.add(asyncio.current_task())
         try:
             arrived = []
             for _ in range(self.expect):
@@ -91,6 +98,7 @@ class PermutingServer:
                     )
         finally:
             writer.close()
+            await writer.wait_closed()
 
 
 @st.composite
@@ -133,7 +141,7 @@ class TestOutOfOrderCompletion:
                 # slot was released.
                 channel = client._channel
                 assert channel._pending == {}
-                assert channel._slots._value == n
+                assert channel._used == 0
                 # Duplicate responses were counted, not delivered.
                 unmatched = client.metrics.counter(
                     "client.pipeline_unmatched"
@@ -344,3 +352,49 @@ class TestChannelFailure:
             await client.aclose()
             server.close()
             await server.wait_closed()
+
+
+class SlowEcho(WireServer):
+    """Answers each query after ``delay_s``, echoing its request id."""
+
+    def __init__(self, delay_s: float) -> None:
+        super().__init__()
+        self.delay_s = delay_s
+        self.in_flight = self.peak = 0
+        self.seen: list = []
+
+    async def handle(self, frame, context):
+        self.seen.append(context.request_id)
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        try:
+            await asyncio.sleep(self.delay_s)
+        finally:
+            self.in_flight -= 1
+        return echo_response(context.request_id)
+
+
+class TestSharedRequestId:
+    async def test_concurrent_requests_under_one_id_both_answered(self):
+        """Two requests in flight under one id: the second waits for the
+        first to finish instead of cancelling it, and each gets an answer
+        (a DSSP forwarding a duplicated request id must not cancel its own
+        forward)."""
+        server = SlowEcho(delay_s=0.1)
+        host, port = await server.start()
+        client = WireClient(
+            host, port, pipeline=4, retry=ONE_SHOT, request_timeout_s=5.0
+        )
+        try:
+            results = await asyncio.gather(
+                client.query(QUERY, request_id="same"),
+                client.query(QUERY, request_id="same"),
+                return_exceptions=True,
+            )
+        finally:
+            await client.aclose()
+            await server.stop()
+        assert [r.result.ciphertext for r in results] == [b"same", b"same"]
+        assert server.seen == ["same", "same"]
+        assert server.peak == 1  # one at a time on the wire
+        assert client._channel._pending == {}

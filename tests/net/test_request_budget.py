@@ -1,5 +1,8 @@
 """The wire tier's fixed per-request budget: one task, no timer.
 
+On the client side the budget is zero tasks: responses resolve their
+senders from the connection's read callback.
+
 Everything here is a count or a typed outcome — no wall-clock thresholds.
 A counting task factory attributes every task created on the shared loop
 to the server whose coroutine it runs (or to nobody: the client library
@@ -90,6 +93,48 @@ class TestTaskBudget:
                 assert outcome.cache_hit is False
             assert counts.by_owner == {"dssp-0": N, "home": N}
             assert timers == []
+
+
+class ClientTasks:
+    """Task factory recording tasks whose coroutine is a client method."""
+
+    def __init__(self) -> None:
+        self.created: list[str] = []
+
+    def __call__(self, loop, coro, **kwargs):
+        owner = coro.cr_frame.f_locals.get("self")
+        if type(owner).__module__ == "repro.net.client":
+            self.created.append(coro.__qualname__)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+
+class TestClientBudget:
+    @pytest.mark.parametrize(
+        "window", [{"pool_size": 1}, {"pool_size": 4}, {"pipeline": 4}]
+    )
+    async def test_a_client_creates_no_task(self, window):
+        """Serial or concurrent, first request on a fresh connection or
+        later: the client itself spawns nothing."""
+        server = WireServer(server_id="stats")
+        host, port = await server.start()
+        loop = asyncio.get_running_loop()
+        tasks = ClientTasks()
+        loop.set_task_factory(tasks)
+        client = WireClient(host, port, **window)
+        try:
+            for _ in range(N):
+                await client.stats()
+            # The callers' own tasks, built past the factory on purpose.
+            await asyncio.gather(
+                *(asyncio.Task(client.stats()) for _ in range(N))
+            )
+        finally:
+            loop.set_task_factory(None)
+            await client.aclose()
+            await server.stop()
+        assert tasks.created == []
+        opened = client.metrics.counter("client.connections_opened")
+        assert opened.value == 1
 
 
 class SlowServer(WireServer):

@@ -40,7 +40,7 @@ class TestDispatchCatchAll:
             with pytest.raises(NetError, match="AttributeError"):
                 await client.update(UPDATE)
             # The connection survived the crash: the next request on the
-            # same pooled connection gets another typed answer, not a
+            # same connection gets another typed answer, not a
             # connection drop.
             with pytest.raises(NetError, match="AttributeError"):
                 await client.update(UPDATE)
