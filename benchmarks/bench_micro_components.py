@@ -454,7 +454,7 @@ def test_micro_envelope_codec(benchmark, emit):
     ``encode_frame`` time of the frame as decoded (a DSSP re-sends a view
     as the bytes it arrived as), ``decode_frame`` cold (its memo emptied before
     every call) and warm (the same bytes again: a ``wire.query_envelopes``
-    / ``wire.view_results`` hit), and the client's ``open_result`` cold
+    / ``wire.result_frames`` hit), and the client's ``open_result`` cold
     and warm (``crypto.open_result``).  Wire v2 — SQL text three times
     over plus a carried key — was 282 / 187 / 260 B at stmt / template /
     blind for this query (762 / 314 / 617 B for ``getCustomer``, the
@@ -497,7 +497,7 @@ def test_micro_envelope_codec(benchmark, emit):
             raw = encode(sealed)
             frame = wire.decode_frame(raw)  # as a DSSP holds and re-sends it
             assert frame == sealed and encode(frame) == raw
-            memo = wire._query_requests if kind == "query" else wire._view_results
+            memo = wire._query_requests if kind == "query" else wire._result_frames
             opens = (None, None)  # a query, or a view: nothing to open
             if kind == "result" and level is not ExposureLevel.VIEW:
                 opened = frame.result

@@ -306,16 +306,16 @@ class _Channel:
                     ),
                     sent=False,
                 )
+            data = wire.encode_frame(
+                frame, request_id=request_id, max_frame=client._max_frame
+            )
+            if client._frame_observer is not None:
+                client._frame_observer(data)
             future = asyncio.get_running_loop().create_future()
             self._pending[request_id] = future
             try:
-                await wire.write_frame(
-                    connection,
-                    frame,
-                    request_id=request_id,
-                    max_frame=client._max_frame,
-                    observer=client._frame_observer,
-                )
+                # No drain: the window bounds what this side has in flight.
+                connection.write(data)
             except (ConnectionError, OSError) as error:
                 if self._connection is connection:
                     self._connection = None
@@ -327,7 +327,11 @@ class _Channel:
                     sent=False,
                 ) from error
             try:
-                with client._deadlines.after(client._request_timeout_s):
+                # A future deadline, not a task scope: this wait may run
+                # inline from a server's read callback (a DSSP's forward).
+                with client._deadlines.failing(
+                    future, client._request_timeout_s
+                ):
                     return await future
             except TimeoutError as error:
                 raise _ExchangeFailed(
@@ -353,13 +357,11 @@ class _Channel:
         waiter = asyncio.get_running_loop().create_future()
         self._waiters.append(waiter)
         try:
-            with client._deadlines.after(client._request_timeout_s):
+            with client._deadlines.failing(waiter, client._request_timeout_s):
                 await waiter
-        except BaseException as error:
-            if waiter.done() and not waiter.cancelled():
-                self._release()  # handed a slot it will not use: pass it on
-            if not isinstance(error, TimeoutError):
-                raise
+        except TimeoutError:
+            # The deadline failed the waiter: it was never handed a slot,
+            # so it has none to pass on.
             self._window_timeouts.inc()
             raise _ExchangeFailed(
                 NetTimeoutError(
@@ -369,6 +371,10 @@ class _Channel:
                 ),
                 sent=False,
             ) from None
+        except BaseException:
+            if waiter.done() and not waiter.cancelled():
+                self._release()  # handed a slot it will not use: pass it on
+            raise
 
     def _release(self) -> None:
         while self._waiters:
@@ -602,15 +608,29 @@ class WireClient:
     # -- request machinery -------------------------------------------------
 
     async def _dial(self, protocol_factory) -> FrameConnection:
-        """Dial the server: every connection of this client starts here."""
+        """Dial the server: every connection of this client starts here.
+
+        Bounded by ``asyncio.wait``, not ``wait_for``: a DSSP's first
+        forward dials from inside a read callback, where no task is
+        current, and ``wait_for`` needs one on Python 3.12+.
+        """
+        loop = asyncio.get_running_loop()
+        connecting = loop.create_task(
+            loop.create_connection(protocol_factory, self.host, self.port)
+        )
+        done: set = set()
         try:
-            _, connection = await asyncio.wait_for(
-                asyncio.get_running_loop().create_connection(
-                    protocol_factory, self.host, self.port
-                ),
-                self._connect_timeout_s,
+            done, _ = await asyncio.wait(
+                (connecting,), timeout=self._connect_timeout_s
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as error:
+        finally:
+            if not done:  # timed out, or this caller was cancelled
+                connecting.cancel()
+        try:
+            if not done:
+                raise TimeoutError
+            _, connection = connecting.result()
+        except (ConnectionError, OSError, TimeoutError) as error:
             raise NetConnectionError(
                 f"cannot connect to {self.host}:{self.port}: {error}"
             ) from error

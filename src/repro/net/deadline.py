@@ -11,9 +11,15 @@ nothing.  Open scopes are bounded by the owner's own concurrency bound
 (``max_in_flight``, a client's request window), which bounds the scan on
 fire.
 
-The contract is ``asyncio.timeout``'s: expiry cancels the task inside the
-scope, and the scope's exit turns that cancellation — and nobody else's —
-into ``TimeoutError``.
+A deadline comes in two kinds, sharing the queue and its timer:
+
+* :meth:`DeadlineQueue.after` is ``asyncio.timeout``'s contract: expiry
+  cancels the task inside the scope, and the scope's exit turns that
+  cancellation — and nobody else's — into ``TimeoutError``.  It must be
+  opened inside a task.
+* :meth:`DeadlineQueue.failing` needs no task: expiry fails one future
+  with ``TimeoutError`` if it is still pending, so code that runs inline
+  from a read callback can wait on a future with a deadline.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ __all__ = ["DeadlineQueue"]
 
 
 class _Deadline:
-    """One open scope: ``with queue.after(delay): await ...``."""
+    """One open task scope: ``with queue.after(delay): await ...``."""
 
     __slots__ = ("_queue", "_delay", "_task", "_cancelling", "when", "expired")
 
@@ -39,13 +45,7 @@ class _Deadline:
             raise RuntimeError("a deadline must be opened inside a task")
         self._task = task
         self._cancelling = task.cancelling()
-        loop = asyncio.get_running_loop()
-        self.when = loop.time() + self._delay
-        queue = self._queue
-        queue._scopes.add(self)
-        if queue._timer is None or self.when < queue._timer.when():
-            # Nothing armed, or a shorter timeout than the armed one.
-            queue._arm(loop, self.when)
+        self._queue._open(self, self._delay)
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
@@ -59,17 +59,50 @@ class _Deadline:
             # deadline's, not the caller's.
             raise TimeoutError from exc
 
+    def _expire(self) -> None:
+        self.expired = True
+        self._task.cancel()
+
+
+class _FutureDeadline:
+    """One open future scope: ``with queue.failing(future, delay): ...``."""
+
+    __slots__ = ("_queue", "_delay", "_future", "when")
+
+    def __init__(
+        self, queue: "DeadlineQueue", future: asyncio.Future, delay: float
+    ) -> None:
+        self._queue = queue
+        self._future = future
+        self._delay = delay
+
+    def __enter__(self) -> "_FutureDeadline":
+        self._queue._open(self, self._delay)
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._queue._scopes.discard(self)
+
+    def _expire(self) -> None:
+        if not self._future.done():
+            self._future.set_exception(TimeoutError())
+
 
 class DeadlineQueue:
     """The open deadlines of one owner and the single timer behind them."""
 
     def __init__(self) -> None:
-        self._scopes: set[_Deadline] = set()
+        self._scopes: set[_Deadline | _FutureDeadline] = set()
         self._timer: asyncio.TimerHandle | None = None
 
     def after(self, delay: float) -> _Deadline:
         """Scope that raises ``TimeoutError`` if still open in ``delay`` s."""
         return _Deadline(self, delay)
+
+    def failing(self, future: asyncio.Future, delay: float) -> _FutureDeadline:
+        """Scope that fails ``future`` with ``TimeoutError`` if it is still
+        pending, and the scope still open, in ``delay`` s."""
+        return _FutureDeadline(self, future, delay)
 
     def __len__(self) -> int:
         return len(self._scopes)
@@ -78,6 +111,14 @@ class DeadlineQueue:
     def armed(self) -> bool:
         """Whether a loop timer is currently scheduled for this queue."""
         return self._timer is not None
+
+    def _open(self, scope, delay: float) -> None:
+        loop = asyncio.get_running_loop()
+        scope.when = loop.time() + delay
+        self._scopes.add(scope)
+        if self._timer is None or scope.when < self._timer.when():
+            # Nothing armed, or a shorter timeout than the armed one.
+            self._arm(loop, scope.when)
 
     def _arm(self, loop: asyncio.AbstractEventLoop, when: float) -> None:
         if self._timer is not None:
@@ -97,5 +138,4 @@ class DeadlineQueue:
         if self._scopes:
             self._arm(loop, min(scope.when for scope in self._scopes))
         for scope in due:
-            scope.expired = True
-            scope._task.cancel()
+            scope._expire()

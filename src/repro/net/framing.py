@@ -16,8 +16,16 @@ each frame's raw bytes to its owner:
   bounded by :data:`READ_BACKLOG_BYTES` through ``pause_reading()``.
 
 Every socket in ``src/`` is one of these.  The writing half is
-``write`` / ``drain`` / ``close`` / ``wait_closed``;
-:func:`repro.net.wire.write_frame` sends a frame as one ``write``.
+``write`` / ``writable`` / ``drain`` / ``close`` / ``wait_closed``: a
+frame is one synchronous ``write`` of its whole bytes, and
+:func:`repro.net.wire.write_frame` awaits ``drain`` only when the
+connection is not ``writable``.  A server answers from the read itself
+and never drains, so a connection it accepted is a
+:class:`ServedConnection`: it stops reading while its write buffer is
+above high water, and a peer that sends requests without reading the
+answers stalls itself, not the server's memory.  Client and subscription
+connections keep reading: their input is the answers that let the other
+side's writes drain.
 """
 
 from __future__ import annotations
@@ -28,7 +36,12 @@ from collections import deque
 from repro.errors import WireError
 from repro.net import wire
 
-__all__ = ["FrameConnection", "INITIAL_BUFFER_BYTES", "READ_BACKLOG_BYTES"]
+__all__ = [
+    "FrameConnection",
+    "INITIAL_BUFFER_BYTES",
+    "READ_BACKLOG_BYTES",
+    "ServedConnection",
+]
 
 #: Receive buffer a connection starts with and returns to.  Frames are
 #: 0.7-1.2 KB (``net.wire.bytes_per_op``), so one read takes a pipelined
@@ -230,9 +243,28 @@ class FrameConnection(asyncio.BufferedProtocol):
     def resume_writing(self) -> None:
         self._writable.set()
 
+    @property
+    def writable(self) -> bool:
+        """Open, and the transport's write buffer below its high water."""
+        return (
+            self._transport is not None
+            and not self._transport.is_closing()
+            and self._writable.is_set()
+        )
+
     def write(self, data: bytes) -> None:
-        if self._transport is not None:
-            self._transport.write(data)
+        """Queue ``data`` on the transport, without waiting.
+
+        Raises:
+            ConnectionResetError: the bytes will not leave: the connection
+                was closed or closing, or the send failed and closed it.
+        """
+        transport = self._transport
+        if transport is None or transport.is_closing():
+            raise ConnectionResetError("Connection lost")
+        transport.write(data)
+        if transport.is_closing():
+            raise ConnectionResetError("Connection lost")
 
     async def drain(self) -> None:
         """Wait until the transport's write buffer is below its high water.
@@ -256,3 +288,21 @@ class FrameConnection(asyncio.BufferedProtocol):
 
     async def wait_closed(self) -> None:
         await self._closed
+
+
+class ServedConnection(FrameConnection):
+    """A connection a server accepted: it reads only while it can write.
+
+    The server answers each request from inside the read, so what bounds
+    its write buffer is its reading: above high water the transport stops
+    reading, below low water it starts again.
+    """
+
+    def pause_writing(self) -> None:
+        super().pause_writing()
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        if not self._ended and self._transport is not None:
+            self._transport.resume_reading()

@@ -5,21 +5,27 @@ Both servers (:class:`~repro.net.home_server.HomeNetServer`,
 servers with the same operational envelope:
 
 * **Concurrent connections** *and* concurrent requests per connection:
-  each connection is a :class:`~repro.net.framing.FrameConnection` that
-  calls the server back per complete frame, and every request frame gets
-  its own task, so many requests can be in flight on one connection and
-  responses may return out of order.
-  The wire request id is the pipelining id — every response carries
-  the id of the request it answers, and the client matches on it.
+  each connection is a :class:`~repro.net.framing.ServedConnection` that
+  calls the server back per complete frame.  A request runs inline, from
+  that callback, until it first has to wait: one that never waits (a
+  DSSP hit, every home request) is answered with one write and costs no
+  task; one that waits continues in a task of its own, so many requests
+  can be in flight on one connection and responses may return out of
+  order.  The wire request id is the pipelining id — every response
+  carries the id of the request it answers, and the client matches on it.
 * **Bounded in-flight backpressure**: at most ``max_in_flight`` requests
   execute at once across all connections; excess requests are shed
   immediately with ``OVERLOADED`` rather than queued without bound, so a
   slow home server cannot make a DSSP node accumulate unbounded state.
 * **Per-request timeout**: a request that cannot finish within
   ``request_timeout_s`` is cancelled and answered with ``TIMEOUT``.  The
-  deadline is an entry in the server's one
-  :class:`~repro.net.deadline.DeadlineQueue` — the request budget is one
-  task, no timer.
+  deadline is opened only when a handler waits, as an entry in the
+  server's one :class:`~repro.net.deadline.DeadlineQueue` — a request that
+  waits costs one task and no timer, one that does not costs neither.
+* **Bounded write buffers**: answers are written without waiting for the
+  peer, and a connection stops reading while its write buffer is above
+  high water, so a peer that never reads cannot make the server buffer
+  without bound.
 * **Typed error mapping**: library exceptions never cross the wire as
   control flow — they become :class:`~repro.net.wire.ErrorResponse` frames
   with a typed code, and the client maps them back to exceptions.
@@ -28,9 +34,11 @@ servers with the same operational envelope:
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import logging
 import time
+import types
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -44,7 +52,7 @@ from repro.errors import (
 )
 from repro.net import wire
 from repro.net.deadline import DeadlineQueue
-from repro.net.framing import FrameConnection
+from repro.net.framing import FrameConnection, ServedConnection
 from repro.net.wire import (
     ErrorCode,
     ErrorResponse,
@@ -59,13 +67,41 @@ __all__ = ["ConnectionContext", "WireServer"]
 logger = logging.getLogger(__name__)
 
 
+@types.coroutine
+def _into_a_task():
+    """Park an inline step once: :meth:`WireServer._on_frame` then moves
+    the parked coroutine into a task, whose first step resumes it here."""
+    yield
+
+
+@types.coroutine
+def _resumed(coroutine, waiting_on):
+    """Drive ``coroutine`` on from the ``yield`` its first step parked at.
+
+    ``waiting_on`` is what that step yielded (a future, or ``None`` for a
+    bare yield); from here on this is ``yield from``: whatever the task
+    sends or throws goes to ``coroutine``.
+    """
+    while True:
+        try:
+            sent = yield waiting_on
+        except BaseException as error:
+            step, argument = coroutine.throw, error
+        else:
+            step, argument = coroutine.send, sent
+        try:
+            waiting_on = step(argument)
+        except StopIteration as done:
+            return done.value
+
+
 @dataclass(eq=False)  # identity semantics: contexts live in a set
 class ConnectionContext:
     """Per-connection state handed to frame handlers."""
 
-    #: Responses (request tasks) and pushes (broadcasts) share it without
-    #: a lock: each frame is one synchronous ``write`` of its whole bytes,
-    #: so frames cannot interleave.
+    #: Responses (from the read or from request tasks) and pushes
+    #: (broadcasts) share it without a lock: each frame is one synchronous
+    #: ``write`` of its whole bytes, so frames cannot interleave.
     writer: FrameConnection
     #: Callbacks run exactly once when the connection goes away.
     close_callbacks: list = field(default_factory=list)
@@ -194,7 +230,7 @@ class WireServer:
     def _accept(self) -> FrameConnection:
         """Protocol factory: one framed connection, its context, its tasks."""
         tasks: set[asyncio.Task] = set()
-        connection = FrameConnection(
+        connection = ServedConnection(
             max_frame=self.max_frame,
             on_frame=lambda raw: self._on_frame(raw, context, tasks),
             on_end=lambda error: self._on_end(error, context, tasks),
@@ -206,7 +242,15 @@ class WireServer:
     def _on_frame(
         self, raw: bytes, context: ConnectionContext, tasks: set
     ) -> None:
-        """One complete frame, called from the read: decode and dispatch.
+        """One complete frame, called from the read: decode, answer.
+
+        A request runs inline, from here, until it first has to wait: a
+        handler that never waits (every DSSP hit, every home request) is
+        answered with one write and no task; one that waits continues in
+        one task (:meth:`_serve`).  The step runs in a copy of the read's
+        context, and the task in that same copy: the read callback of a
+        connection always runs in one context, so a handler parked inside
+        a span would otherwise be the ambient parent of the next frame's.
 
         A ``WireError`` goes back to the connection, which ends its input
         and reports it to :meth:`_on_end` like a malformed header.
@@ -223,12 +267,18 @@ class WireServer:
             )
             decode_span.set("bytes", len(raw))
             decode_span.set("frame", type(frame).__name__)
-        # Pipelining: one task per request, dispatched as frames arrive;
-        # _dispatch bounds concurrency and responses go out whenever their
-        # handler finishes (out of order).
-        task = asyncio.create_task(
-            self._serve_request(frame, context.for_request(request_id))
-        )
+        context = context.for_request(request_id)
+        shed = self._admit(frame, context)
+        if shed is not None:
+            self._respond(context, shed)
+            return
+        request = self._serve(frame, context)
+        request_context = contextvars.copy_context()
+        try:
+            request_context.run(request.send, None)
+        except StopIteration:
+            return  # answered inline
+        task = asyncio.create_task(request, context=request_context)
         tasks.add(task)
         task.add_done_callback(tasks.discard)
 
@@ -258,12 +308,9 @@ class WireServer:
                 error,
                 extra={"ctx": {"server": self.server_id}},
             )
-            try:
-                await self._send(
-                    context, ErrorResponse(ErrorCode.BAD_FRAME, str(error))
-                )
-            except (ConnectionError, OSError):
-                pass  # peer vanished; cleanups below
+            self._respond(
+                context, ErrorResponse(ErrorCode.BAD_FRAME, str(error))
+            )
         if tasks:
             # Let in-flight handlers finish (each is bounded by the
             # request timeout) so their effects and responses are not
@@ -273,22 +320,27 @@ class WireServer:
         self._contexts.discard(context)
         await self._close_context(context)
 
-    async def _serve_request(
-        self, frame: Frame, context: ConnectionContext
-    ) -> None:
-        """Run one request to completion and write its response."""
+    def _respond(self, context: ConnectionContext, response) -> None:
+        """Write one answer now; the connection's reads bound its buffer."""
+        if response is None:
+            return
         try:
-            response = await self._dispatch(frame, context)
-            if response is not None:
-                await self._send(
-                    context, response, request_id=context.request_id
-                )
-        except (ConnectionError, OSError):
-            pass  # peer vanished; connection cleanup handles the rest
+            data = wire.encode_frame(
+                response,
+                request_id=context.request_id,
+                max_frame=self.max_frame,
+            )
         except WireError:
             # Response encoding failed (e.g. oversized frame): the stream
             # is unusable for this peer — close it rather than stall.
             context.writer.close()
+            return
+        if self._frame_observer is not None:
+            self._frame_observer(data)
+        try:
+            context.writer.write(data)
+        except (ConnectionError, OSError):
+            pass  # peer vanished; connection cleanup handles the rest
 
     async def _send(
         self,
@@ -324,9 +376,10 @@ class WireServer:
             ctx.update(envelope_context(envelope))
         return ctx
 
-    async def _dispatch(
+    def _admit(
         self, frame: Frame, context: ConnectionContext
-    ) -> Frame | None:
+    ) -> ErrorResponse | None:
+        """Count one request; its ``OVERLOADED`` answer if it is shed."""
         self._requests.inc()
         # Per-application books (envelope-bearing frames only — STATS and
         # other control frames have no tenant).  Multi-tenant fairness
@@ -342,101 +395,61 @@ class WireServer:
                 self._unknown_app_requests.inc()
             else:
                 app_counters[0].inc()
-        if self._in_flight >= self._max_in_flight:
-            # All permits taken: shed instead of queueing without bound.
-            self._shed.inc()
-            if app_counters is not None:
-                app_counters[1].inc()
-            logger.warning(
-                "shedding request under backpressure",
-                extra={"ctx": self._request_ctx(frame, context)},
-            )
-            return ErrorResponse(
-                ErrorCode.OVERLOADED,
-                f"more than {self._max_in_flight} requests in flight",
-            )
+        if self._in_flight < self._max_in_flight:
+            return None
+        # All permits taken: shed instead of queueing without bound.
+        self._shed.inc()
+        if app_counters is not None:
+            app_counters[1].inc()
+        logger.warning(
+            "shedding request under backpressure",
+            extra={"ctx": self._request_ctx(frame, context)},
+        )
+        return ErrorResponse(
+            ErrorCode.OVERLOADED,
+            f"more than {self._max_in_flight} requests in flight",
+        )
+
+    async def _serve(self, frame: Frame, context: ConnectionContext) -> None:
+        """One admitted request: handler, span, error mapping, answer.
+
+        :meth:`_on_frame` steps this coroutine inline.  If the handler
+        returns before its first wait, so does this, and the answer goes
+        out from inside the read.  If it waits, this parks once
+        (:func:`_into_a_task`), is moved into a task, and only there opens
+        the request deadline around the rest of the handler.
+        """
         started = time.perf_counter()
         with self.tracer.trace(
             context.request_id, "server.handle", frame=type(frame).__name__
         ) as handle_span:
             self._in_flight += 1
             try:
-                # The deadline is an entry in this server's queue, not a
-                # timer of its own; the hook sits inside it on purpose: a
-                # stall long enough to blow the deadline is answered with
-                # TIMEOUT like any slow handler, which is exactly the
-                # failure chaos wants to provoke.
-                with self._deadlines.after(self.request_timeout_s):
-                    if self.fault_hook is not None:
-                        await self.fault_hook(frame, context.request_id)
-                    response = await self.handle(frame, context)
+                if self.fault_hook is None:
+                    handler = self.handle(frame, context)
+                else:
+                    handler = self._hooked(frame, context)
+                try:
+                    waiting_on = handler.send(None)
+                except StopIteration as done:
+                    response = done.value
+                else:
+                    await _into_a_task()
+                    # The deadline is an entry in this server's queue, not
+                    # a timer of its own; the hook sits inside it on
+                    # purpose: a stall long enough to blow the deadline is
+                    # answered with TIMEOUT like any slow handler, which is
+                    # exactly the failure chaos wants to provoke.
+                    with self._deadlines.after(self.request_timeout_s):
+                        response = await _resumed(handler, waiting_on)
                 if logger.isEnabledFor(logging.DEBUG):
                     logger.debug(
                         "request served",
                         extra={"ctx": self._request_ctx(frame, context)},
                     )
-                return response
-            except TimeoutError:
-                self._timeouts.inc()
-                logger.warning(
-                    "request timed out",
-                    extra={"ctx": self._request_ctx(frame, context)},
-                )
-                handle_span.set("error", "timeout")
-                return ErrorResponse(
-                    ErrorCode.TIMEOUT,
-                    f"request exceeded {self.request_timeout_s}s",
-                )
-            except NetTimeoutError as error:
-                self._timeouts.inc()
-                handle_span.set("error", "timeout")
-                return ErrorResponse(ErrorCode.TIMEOUT, str(error))
-            except UnknownApplicationError as error:
-                return ErrorResponse(ErrorCode.UNKNOWN_APP, error.app_id)
-            except HomeUnreachableError as error:
-                self._forward_failures.inc()
-                logger.warning(
-                    "home unreachable: %s",
-                    error,
-                    extra={"ctx": self._request_ctx(frame, context)},
-                )
-                handle_span.set("error", "home_unreachable")
-                return ErrorResponse(ErrorCode.MISS_FORWARDED, str(error))
-            except ServerOverloadedError as error:
-                # A downstream hop shed the request unprocessed: relay the
-                # code so the client keeps its retry-safety guarantee.
-                return ErrorResponse(ErrorCode.OVERLOADED, str(error))
-            except (WireError, TemplateError) as error:
-                # TemplateError: a well-formed frame naming a template, or
-                # an arity (BindingError), the registry does not have.
-                self._bad_frames.inc()
-                return ErrorResponse(ErrorCode.BAD_FRAME, str(error))
-            except ReproError as error:
-                # Typed library errors are expected application failures
-                # (e.g. replayed INSERTs colliding): one line, no traceback.
-                self._internal_errors.inc()
-                logger.warning(
-                    "request failed: %s: %s",
-                    type(error).__name__,
-                    error,
-                    extra={"ctx": self._request_ctx(frame, context)},
-                )
-                handle_span.set("error", type(error).__name__)
-                return ErrorResponse(
-                    ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
-                )
             except Exception as error:
-                # A handler bug must not tear down the connection without an
-                # ERROR frame — the client could misread a silently dropped
-                # connection as "update never sent".
-                self._internal_errors.inc()
-                logger.exception(
-                    "request handler crashed",
-                    extra={"ctx": self._request_ctx(frame, context)},
-                )
-                handle_span.set("error", type(error).__name__)
-                return ErrorResponse(
-                    ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+                response = self._error_response(
+                    error, frame, context, handle_span
                 )
             finally:
                 self._in_flight -= 1
@@ -448,6 +461,81 @@ class WireServer:
                         context.request_id if handle_span.recorded else None
                     ),
                 )
+        self._respond(context, response)
+
+    async def _hooked(
+        self, frame: Frame, context: ConnectionContext
+    ) -> Frame | None:
+        await self.fault_hook(frame, context.request_id)
+        return await self.handle(frame, context)
+
+    def _error_response(
+        self,
+        error: Exception,
+        frame: Frame,
+        context: ConnectionContext,
+        handle_span,
+    ) -> ErrorResponse:
+        """The typed answer to a request whose handling raised ``error``."""
+        if isinstance(error, TimeoutError):
+            self._timeouts.inc()
+            logger.warning(
+                "request timed out",
+                extra={"ctx": self._request_ctx(frame, context)},
+            )
+            handle_span.set("error", "timeout")
+            return ErrorResponse(
+                ErrorCode.TIMEOUT,
+                f"request exceeded {self.request_timeout_s}s",
+            )
+        if isinstance(error, NetTimeoutError):
+            self._timeouts.inc()
+            handle_span.set("error", "timeout")
+            return ErrorResponse(ErrorCode.TIMEOUT, str(error))
+        if isinstance(error, UnknownApplicationError):
+            return ErrorResponse(ErrorCode.UNKNOWN_APP, error.app_id)
+        if isinstance(error, HomeUnreachableError):
+            self._forward_failures.inc()
+            logger.warning(
+                "home unreachable: %s",
+                error,
+                extra={"ctx": self._request_ctx(frame, context)},
+            )
+            handle_span.set("error", "home_unreachable")
+            return ErrorResponse(ErrorCode.MISS_FORWARDED, str(error))
+        if isinstance(error, ServerOverloadedError):
+            # A downstream hop shed the request unprocessed: relay the
+            # code so the client keeps its retry-safety guarantee.
+            return ErrorResponse(ErrorCode.OVERLOADED, str(error))
+        if isinstance(error, (WireError, TemplateError)):
+            # TemplateError: a well-formed frame naming a template, or an
+            # arity (BindingError), the registry does not have.
+            self._bad_frames.inc()
+            return ErrorResponse(ErrorCode.BAD_FRAME, str(error))
+        if isinstance(error, ReproError):
+            # Typed library errors are expected application failures
+            # (e.g. replayed INSERTs colliding): one line, no traceback.
+            self._internal_errors.inc()
+            logger.warning(
+                "request failed: %s: %s",
+                type(error).__name__,
+                error,
+                extra={"ctx": self._request_ctx(frame, context)},
+            )
+        else:
+            # A handler bug must not tear down the connection without an
+            # ERROR frame — the client could misread a silently dropped
+            # connection as "update never sent".
+            self._internal_errors.inc()
+            logger.error(
+                "request handler crashed",
+                exc_info=error,
+                extra={"ctx": self._request_ctx(frame, context)},
+            )
+        handle_span.set("error", type(error).__name__)
+        return ErrorResponse(
+            ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+        )
 
     # -- observability -----------------------------------------------------
 

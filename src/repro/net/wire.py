@@ -45,12 +45,13 @@ Every decode error raises :class:`~repro.errors.WireError` (the ``BAD_FRAME``
 wire code): truncated or oversized frames, bad magic/version, unknown frame
 types, trailing bytes, and malformed envelopes.
 
-A repeat costs a lookup: a QUERY payload and a ``view`` result plaintext
+A repeat costs a lookup, both ways.  A QUERY payload and a RESULT body
 are decoded once per distinct byte string (``wire.query_envelopes``,
-``wire.view_results``), every check running on the miss and nothing
-refused being stored, and a decoded ``view`` keeps its bytes
-(:attr:`ResultEnvelope.payload`) so a DSSP re-sends a cached view as the
-bytes it arrived as.
+``wire.result_frames``), every check running on the miss and nothing
+refused being stored.  A query envelope is encoded once per envelope
+object (``wire.query_payloads``), and a decoded result envelope keeps its
+body as received (:attr:`ResultEnvelope.payload`), so a DSSP re-sends a
+cached result as one flag byte plus the bytes it arrived as.
 """
 
 from __future__ import annotations
@@ -493,27 +494,33 @@ def _read_envelope(reader: _Reader, kind: type[Envelope]):
 
 def _write_result_envelope(writer: _Writer, envelope: ResultEnvelope) -> None:
     writer.text(envelope.app_id)
-    if envelope.plaintext is None:
-        writer.opt_blob(None)
-    elif envelope.payload is not None:  # a view re-sent as it arrived
-        writer.opt_blob(envelope.payload)
-    else:
-        writer.opt_blob(serialize_result(envelope.plaintext))
+    writer.opt_blob(
+        None
+        if envelope.plaintext is None
+        else serialize_result(envelope.plaintext)
+    )
     writer.opt_blob(envelope.ciphertext)
 
 
 # What the sender sends is a pure function of what it has (the cipher is
 # deterministic), so the bytes a receiver is given repeat, and decoding
-# them is a pure function of them: each memo below keys on the bytes, runs
-# every check on the miss, and stores nothing a check refused.  Sized for
-# a web workload's working set of popular queries and views, not for
-# every distinct frame.
+# them is a pure function of them: each decode memo below keys on the
+# bytes, runs every check on the miss, and stores nothing a check
+# refused.  Sized for a web workload's working set of popular queries and
+# results, not for every distinct frame.
 
 #: QUERY payload -> its QueryRequest (updates, pushes and batches are
 #: decoded once each: not memoized).
 _query_requests = BoundedMemo("wire.query_envelopes", 2048)
-#: ``view`` plaintext bytes -> the parsed ResultSet.
-_view_results = BoundedMemo("wire.view_results", 2048)
+#: RESULT body (the payload after its hit flag) -> its ResultEnvelope,
+#: which keeps that same bytes object as its payload: one entry, and one
+#: copy of the bytes, serves a result whether it arrives as a hit or not.
+_result_frames = BoundedMemo("wire.result_frames", 2048)
+#: ``id(query envelope)`` -> its QUERY payload, the envelope pinned.  An
+#: envelope is immutable, and the ones sent again are shared objects: a
+#: client's come from ``crypto.seal_query``, a DSSP's forwards from
+#: ``wire.query_envelopes``.
+_query_payloads = BoundedMemo("wire.query_payloads", 2048)
 
 
 def _parse_view(raw: bytes):
@@ -523,18 +530,6 @@ def _parse_view(raw: bytes):
         raise WireError(str(error)) from error
 
 
-def _read_result_envelope(reader: _Reader) -> ResultEnvelope:
-    app_id = reader.text()
-    raw = reader.opt_blob()
-    plaintext = None if raw is None else _view_results.get(raw, _parse_view, raw)
-    return ResultEnvelope(
-        app_id=app_id,
-        plaintext=plaintext,
-        ciphertext=reader.opt_blob(),
-        payload=raw,
-    )
-
-
 def _decode_query(payload: bytes) -> QueryRequest:
     reader = _Reader(payload)
     frame = QueryRequest(_read_envelope(reader, QueryEnvelope))
@@ -542,13 +537,35 @@ def _decode_query(payload: bytes) -> QueryRequest:
     return frame
 
 
+def _decode_result(payload: bytes) -> QueryResponse:
+    body = payload[1:]
+    envelope = _result_frames.get(body, _read_result_body, payload, body)
+    return QueryResponse(envelope, payload[0] != 0)
+
+
+def _read_result_body(payload: bytes, body: bytes) -> ResultEnvelope:
+    reader = _Reader(payload)  # offsets in errors count the hit flag
+    reader.u8()
+    app_id = reader.text()
+    raw = reader.opt_blob()
+    plaintext = None if raw is None else _parse_view(raw)
+    ciphertext = reader.opt_blob()
+    reader.done()
+    return ResultEnvelope(
+        app_id=app_id, plaintext=plaintext, ciphertext=ciphertext, payload=body
+    )
+
+
+def _query_payload(envelope: QueryEnvelope) -> bytes:
+    writer = _Writer()
+    _write_envelope(writer, envelope)
+    return writer.getvalue()
+
+
 # -- frame codecs ----------------------------------------------------------------
 
 
 def _write_payload(writer: _Writer, frame: Frame) -> FrameType:
-    if isinstance(frame, QueryRequest):
-        _write_envelope(writer, frame.envelope)
-        return FrameType.QUERY
     if isinstance(frame, UpdateRequest):
         writer.opt_text(frame.origin)
         _write_envelope(writer, frame.envelope)
@@ -647,6 +664,8 @@ def _read_shard_topology(reader: _Reader) -> tuple[tuple[str, ...], int]:
 def _decode_payload(frame_type: int, payload: bytes) -> Frame:
     if frame_type == FrameType.QUERY:
         return _query_requests.get(payload, _decode_query, payload)
+    if frame_type == FrameType.RESULT:
+        return _decode_result(payload)
     reader = _Reader(payload)
     if frame_type == FrameType.UPDATE:
         origin = reader.opt_text()
@@ -665,9 +684,6 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
             shards=shards,
             vnodes=vnodes,
         )
-    elif frame_type == FrameType.RESULT:
-        cache_hit = reader.u8() != 0
-        frame = QueryResponse(_read_result_envelope(reader), cache_hit)
     elif frame_type == FrameType.UPDATE_ACK:
         frame = UpdateResponse(reader.u32(), reader.u32())
     elif frame_type == FrameType.SUBSCRIBED:
@@ -741,9 +757,20 @@ def encode_frame(
     max_frame: int = MAX_FRAME_BYTES,
 ) -> bytes:
     """Serialize one frame, header (and optional request id) included."""
-    writer = _Writer()
-    frame_type = _write_payload(writer, frame)
-    payload = writer.getvalue()
+    if isinstance(frame, QueryRequest):
+        envelope = frame.envelope
+        frame_type = FrameType.QUERY
+        payload = _query_payloads.get_pinned(
+            id(envelope), envelope, _query_payload, envelope
+        )
+    elif isinstance(frame, QueryResponse) and frame.result.payload is not None:
+        # A result re-sent as it arrived: only the hit flag is new.
+        frame_type = FrameType.RESULT
+        payload = (b"\x01" if frame.cache_hit else b"\x00") + frame.result.payload
+    else:
+        writer = _Writer()
+        frame_type = _write_payload(writer, frame)
+        payload = writer.getvalue()
     if len(payload) > max_frame:
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds limit {max_frame}"
@@ -826,13 +853,18 @@ async def write_frame(
     max_frame: int = MAX_FRAME_BYTES,
     observer=None,
 ) -> None:
-    """Serialize and send one frame, waiting for the transport to drain.
+    """Serialize and send one frame; wait only if the connection is not
+    writable (closed, or above its high water).
 
     The frame is one synchronous ``write`` of its whole bytes, so frames
     written concurrently on one connection never interleave.
+
+    Raises:
+        ConnectionResetError: the connection is gone.
     """
     data = encode_frame(frame, request_id=request_id, max_frame=max_frame)
     if observer is not None:
         observer(data)
     writer.write(data)
-    await writer.drain()
+    if not writer.writable:
+        await writer.drain()

@@ -2,7 +2,8 @@
 
 Every socket in ``src/`` is a :class:`~repro.net.framing.FrameConnection`.
 The readers here are a second, independently written reader of the same
-wire format over ``asyncio.StreamReader``: ``test_framing.py`` holds the
+wire format over ``asyncio.StreamReader`` (and :func:`write_frame` its
+writing half over ``asyncio.StreamWriter``): ``test_framing.py`` holds the
 buffered protocol to them as its interop oracle, and the hand-rolled fake
 servers of the client and pipeline suites read requests with them.  Their
 error text matches the buffered protocol's word for word.
@@ -105,3 +106,14 @@ async def read_frame(
     """:func:`read_traced` for callers that ignore the request id."""
     traced = await read_traced(reader, max_frame=max_frame)
     return None if traced is None else traced[0]
+
+
+async def write_frame(
+    writer: asyncio.StreamWriter,
+    frame: wire.Frame,
+    *,
+    request_id: str | None = None,
+) -> None:
+    """Send one frame on a stream writer and wait for it to drain."""
+    writer.write(wire.encode_frame(frame, request_id=request_id))
+    await writer.drain()

@@ -77,7 +77,7 @@ class FakeServer:
                 reply = self.script.pop(0)
                 if reply == "drop":
                     break  # close without answering
-                await wire.write_frame(writer, reply, request_id=request_id)
+                await streams.write_frame(writer, reply, request_id=request_id)
         finally:
             writer.close()
 
@@ -284,7 +284,7 @@ class TestWindow:
             nonlocal in_flight
             await release.wait()
             in_flight -= 1
-            await wire.write_frame(
+            await streams.write_frame(
                 writer, QueryResponse(RESULT, cache_hit=False),
                 request_id=request_id,
             )
@@ -335,7 +335,7 @@ class TestWindow:
                         # Answered long after the client gave up; "next"
                         # is already waiting on the wire behind it.
                         await asyncio.sleep(0.7)
-                    await wire.write_frame(
+                    await streams.write_frame(
                         writer,
                         QueryResponse(
                             ResultEnvelope(

@@ -65,7 +65,8 @@ PROCESS_MEMOS = {
     "crypto.key_schedule",
     "templates.bind",
     "wire.query_envelopes",
-    "wire.view_results",
+    "wire.query_payloads",
+    "wire.result_frames",
 }
 #: Memos of the codec, which only a key holder builds, and of the master
 #: copy's executor.  (The other two storage memos belong to the backend

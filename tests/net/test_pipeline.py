@@ -89,11 +89,11 @@ class PermutingServer:
                 if self.delay_s:
                     await asyncio.sleep(self.delay_s)
                 rid = arrived[index]
-                await wire.write_frame(
+                await streams.write_frame(
                     writer, echo_response(rid), request_id=rid
                 )
                 if index in self.duplicates:
-                    await wire.write_frame(
+                    await streams.write_frame(
                         writer, echo_response(rid), request_id=rid
                     )
         finally:
@@ -192,7 +192,7 @@ class TestWindowBound:
                     if traced is None:
                         return
                     _, rid = traced
-                    await wire.write_frame(
+                    await streams.write_frame(
                         writer, echo_response(rid), request_id=rid
                     )
             finally:
@@ -286,7 +286,7 @@ class TestChannelFailure:
                     _, rid = traced
                     if first:
                         return  # drop without answering
-                    await wire.write_frame(
+                    await streams.write_frame(
                         writer, echo_response(rid), request_id=rid
                     )
             finally:
@@ -322,11 +322,11 @@ class TestChannelFailure:
                     pending.append((frame, rid))
                 for frame, rid in reversed(pending):
                     if isinstance(frame, QueryRequest):
-                        await wire.write_frame(
+                        await streams.write_frame(
                             writer, echo_response(rid), request_id=rid
                         )
                     else:
-                        await wire.write_frame(
+                        await streams.write_frame(
                             writer, UpdateResponse(1, 2), request_id=rid
                         )
             finally:

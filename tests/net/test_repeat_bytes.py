@@ -1,12 +1,17 @@
 """A repeat costs a lookup, and a lookup never vouches for new bytes.
 
 Three memos key on bytes a receiver was handed: ``wire.query_envelopes``
-(a QUERY payload → its decoded frame), ``wire.view_results`` (a ``view``
-result plaintext → its parsed rows) and ``crypto.open_result`` (a result
-ciphertext → its opened rows).  Every check the decoder or the codec runs
-still runs on the miss, a refused byte string is never stored, and a hit
-is only ever an exact repeat — so warm decoding must equal cold decoding,
-byte string for byte string, outcome for outcome.
+(a QUERY payload → its decoded frame), ``wire.result_frames`` (a RESULT
+payload → its decoded frame, rows parsed) and ``crypto.open_result`` (a
+result ciphertext → its opened rows).  Every check the decoder or the
+codec runs still runs on the miss, a refused byte string is never stored,
+and a hit is only ever an exact repeat — so warm decoding must equal cold
+decoding, byte string for byte string, outcome for outcome.
+
+The send side mirrors it: ``wire.query_payloads`` encodes a query
+envelope once per envelope object, and a decoded result is re-sent as
+the bytes it arrived as — neither may ever put other bytes on the wire
+than encoding from scratch would.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from tests.net.test_wire_fuzz import ENCODED, MALFORMED_ENVELOPES
 
 RESULT = ResultSet(("qty", "name"), ((10, "a"), (None, "b")), ordered=True)
 
-WIRE_MEMOS = (wire._query_requests, wire._view_results)
+WIRE_MEMOS = (wire._query_requests, wire._result_frames, wire._query_payloads)
 
 
 def _clear_wire_memos() -> None:
@@ -156,7 +161,7 @@ class TestRefusedBytesAreNeverStored:
     )
     def test_malformed_view_plaintext(self, plaintext):
         raw = _result_frame(plaintext)
-        memo = wire._view_results
+        memo = wire._result_frames
         size = len(memo)
         texts = set()
         for _ in range(3):
@@ -233,7 +238,8 @@ class TestViewBytes:
         raw = _result_frame(plaintext)
         frame = wire.decode_frame(raw)
         assert frame.result.plaintext == ResultSet(("a", "b"), ((1, "x"),))
-        assert frame.result.payload == plaintext
+        # The whole result-envelope body as received, hit flag excluded.
+        assert frame.result.payload == raw[wire.HEADER_SIZE + 1 :]
         assert wire.encode_frame(frame) == raw
 
     @given(st.booleans(), st.booleans())
@@ -252,8 +258,67 @@ class TestViewBytes:
         assert carried == bare and hash(carried) == hash(bare)
         assert "anything" not in repr(carried)
 
-    def test_a_sealed_result_carries_no_payload(self):
-        frame = wire.QueryResponse(
-            ResultEnvelope(app_id="toystore", ciphertext=b"sealed"), True
+    def test_a_sealed_result_carries_no_payload(self, codec):
+        """Only a received result carries bytes; one a codec seals (what a
+        home sends) is serialised from its fields."""
+        sealed = codec.seal_result(RESULT, ExposureLevel.STMT)
+        assert sealed.payload is None
+        raw = wire.encode_frame(wire.QueryResponse(sealed, True))
+        received = wire.decode_frame(raw).result
+        assert received.payload == raw[wire.HEADER_SIZE + 1 :]
+        assert received == sealed
+
+
+class TestSendSideBytes:
+    def test_a_query_payload_is_encoded_once_per_envelope(self):
+        envelope = QueryEnvelope("toystore", ExposureLevel.STMT, "Q2", (5,))
+        _clear_wire_memos()
+        first = wire.encode_frame(wire.QueryRequest(envelope), request_id="a")
+        hits = wire._query_payloads.hits
+        second = wire.encode_frame(wire.QueryRequest(envelope), request_id="b")
+        assert wire._query_payloads.hits == hits + 1
+        assert second[wire.HEADER_SIZE + 1 :] == first[wire.HEADER_SIZE + 1 :]
+        assert wire.decode_frame(second).envelope == envelope
+
+    def test_a_recycled_id_never_gets_another_envelopes_bytes(self):
+        mine = QueryEnvelope("toystore", ExposureLevel.STMT, "Q2", (5,))
+        theirs = QueryEnvelope("toystore", ExposureLevel.STMT, "Q2", (6,))
+        _clear_wire_memos()
+        stale = wire.encode_frame(wire.QueryRequest(theirs))
+        # What an id recycled after a clear could leave behind: an entry
+        # under this envelope's id, pinned to another envelope.
+        wire._query_payloads._data[id(mine)] = (
+            theirs,
+            stale[wire.HEADER_SIZE :],
         )
-        assert wire.decode_frame(wire.encode_frame(frame)).result.payload is None
+        raw = wire.encode_frame(wire.QueryRequest(mine))
+        assert wire.decode_frame(raw).envelope == mine
+        assert wire._query_payloads._data[id(mine)][0] is mine
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            ResultEnvelope(app_id="toystore", plaintext=RESULT),
+            ResultEnvelope(app_id="toystore", ciphertext=b"sealed"),
+            ResultEnvelope(app_id="toystore"),
+        ],
+        ids=["view", "sealed", "empty"],
+    )
+    def test_a_hit_re_sends_the_frame_encoding_would_make(self, envelope):
+        """A result as a home sends it, received by a DSSP and answered
+        from its cache: byte for byte the frame encoding it from scratch
+        (what every earlier version sent) makes."""
+        from_home = wire.encode_frame(
+            wire.QueryResponse(envelope, cache_hit=False), request_id="fwd"
+        )
+        cached = wire.decode_frame(from_home).result
+        assert cached.payload is not None
+        for hit in (True, False):
+            resent = wire.encode_frame(
+                wire.QueryResponse(cached, hit), request_id="r17"
+            )
+            fresh = wire.encode_frame(
+                wire.QueryResponse(replace(cached, payload=None), hit),
+                request_id="r17",
+            )
+            assert resent == fresh

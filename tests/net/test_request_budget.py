@@ -1,12 +1,16 @@
-"""The wire tier's fixed per-request budget: one task, no timer.
+"""The wire tier's fixed per-request budget: a request that waits for
+nothing costs no task, one that waits costs one, and none costs a timer.
 
-On the client side the budget is zero tasks: responses resolve their
-senders from the connection's read callback.
+A server answers a request inline, from the connection's read callback,
+until its handler first waits: a DSSP hit and every home request cost no
+task; a DSSP miss or update costs the one task its forward waits in.  On
+the client side the budget is zero tasks: responses resolve their senders
+from the connection's read callback.
 
 Everything here is a count or a typed outcome — no wall-clock thresholds.
 A counting task factory attributes every task created on the shared loop
 to the server whose coroutine it runs (or to nobody: the client library
-and everything else), so "a cache hit costs one task" is asserted, not
+and everything else), so "a cache hit costs no task" is asserted, not
 estimated; a counting ``loop.call_at`` does the same for timers.  The
 deadline tests pin what keeping deadlines in a
 :class:`~repro.net.deadline.DeadlineQueue` must preserve: the typed
@@ -66,32 +70,42 @@ def count_timers(loop) -> list:
 
 
 class TestTaskBudget:
-    async def test_hits_cost_one_task_and_misses_two_and_no_timer(
+    async def test_hits_cost_no_task_misses_and_updates_one_and_no_timer(
         self, toystore, toystore_db
     ):
         topology = Topology(toystore, toystore_db, StrategyClass.MSIS)
         async with topology as top:
             client = top.clients[0]
             q2 = toystore.query("Q2")
+            u1 = toystore.update("U1")
             # Open both hops' connections before counting: accepting a
             # connection is a per-connection task, not a per-request one.
+            await client.update(top.seal_update(u1.bind([100])))
             warm = top.seal_query(q2.bind([1]))
             assert (await client.query(warm)).cache_hit is False
             counts = TaskCounts()
             asyncio.get_running_loop().set_task_factory(counts)
-            # The warm-up armed each hop's one deadline timer; every later
-            # deadline lies behind it, so no request arms another.
+            # The warm-up armed each queue's one deadline timer (the DSSP's
+            # for its forwards and their requests, the home's for its
+            # invalidation pushes); every later deadline lies behind it,
+            # so no request arms another.
             timers = count_timers(asyncio.get_running_loop())
 
             for _ in range(N):
                 assert (await client.query(warm)).cache_hit is True
+            # Answered from inside the read: no task anywhere.
+            assert counts.by_owner == {}
+
+            for toy_id in range(2, 2 + N):
+                outcome = await client.query(top.seal_query(q2.bind([toy_id])))
+                assert outcome.cache_hit is False
+            # The DSSP's forward waits in one task; the home answers inline.
             assert counts.by_owner == {"dssp-0": N}
 
             counts.by_owner.clear()
             for toy_id in range(2, 2 + N):
-                outcome = await client.query(top.seal_query(q2.bind([toy_id])))
-                assert outcome.cache_hit is False
-            assert counts.by_owner == {"dssp-0": N, "home": N}
+                await client.update(top.seal_update(u1.bind([toy_id])))
+            assert counts.by_owner == {"dssp-0": N}
             assert timers == []
 
 

@@ -360,7 +360,7 @@ class TestRejection:
 class TestWriterIntegers:
     """An integer field that does not fit is a ``WireError`` at encode
     time — never a silently truncated byte, never a bare ``OverflowError``
-    (which ``WireServer._serve_request`` does not catch)."""
+    (which ``WireServer._respond`` does not catch)."""
 
     @pytest.mark.parametrize("value", [256, 511, -1, 2**64])
     def test_u8_out_of_range(self, value):
