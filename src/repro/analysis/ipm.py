@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.analysis.constraints import constraint_implies_no_effect
 from repro.analysis.exposure import ExposureLevel, IpmEntryKind, ipm_entry_kind
+from repro.schema.attribute import Attribute
 from repro.schema.schema import Schema
 from repro.sql.ast import Comparison, Insert, Literal, Select
 from repro.templates.classify import (
@@ -44,6 +45,8 @@ from repro.templates.classify import (
     update_kind,
 )
 from repro.templates.attributes import (
+    modified_attributes,
+    preserved_attributes,
     resolve_query_column,
     selection_attributes,
 )
@@ -55,6 +58,7 @@ __all__ = [
     "PairCharacterization",
     "characterize_application",
     "characterize_pair",
+    "zero_pairs",
 ]
 
 
@@ -127,18 +131,15 @@ def characterize_pair(
     q_select = query.select
     assumptions = _assumptions_hold(schema, u_stmt, q_select)
 
-    ignorable = is_ignorable(schema, u_stmt, q_select)
-    a_is_zero = ignorable
-    reason_parts = []
-    if ignorable:
-        reason_parts.append("ignorable (Lemma 1): M(U) disjoint from P(Q)+S(Q)")
-    elif use_integrity_constraints and constraint_implies_no_effect(
-        schema, u_stmt, q_select
-    ):
-        a_is_zero = True
-        reason_parts.append("integrity constraint rule (Sec 4.5) forces A=0")
-
-    if a_is_zero:
+    zero_reason = _a_zero_reason(
+        schema,
+        u_stmt,
+        q_select,
+        modified_attributes(schema, u_stmt),
+        _used_attributes(schema, q_select),
+        use_integrity_constraints,
+    )
+    if zero_reason is not None:
         return PairCharacterization(
             update_name=update.name,
             query_name=query.name,
@@ -146,7 +147,7 @@ def characterize_pair(
             b_equals_a=True,
             c_equals_b=True,
             assumptions_hold=assumptions,
-            reason="; ".join(reason_parts),
+            reason=zero_reason,
         )
 
     if not assumptions:
@@ -160,6 +161,7 @@ def characterize_pair(
             reason="assumptions violated: conservative (no equalities claimed)",
         )
 
+    reason_parts = []
     b_equals_a = _b_equals_a(schema, u_stmt, q_select)
     if b_equals_a:
         reason_parts.append("S(U) disjoint from S(Q): B = A = 1 (Sec 4.3)")
@@ -177,7 +179,69 @@ def characterize_pair(
     )
 
 
+def zero_pairs(
+    registry: TemplateRegistry, use_integrity_constraints: bool = True
+) -> dict[tuple[str, str], str]:
+    """The A_ij = 0 cells of the IPM, each mapped to its reason.
+
+    The decision :func:`characterize_pair` makes for every pair of
+    ``registry``, with M(U) and P(Q) ∪ S(Q) computed once per template
+    instead of once per pair.
+    """
+    schema = registry.schema
+    modified = {
+        update.name: modified_attributes(schema, update.statement)
+        for update in registry.updates
+    }
+    used = {
+        query.name: _used_attributes(schema, query.select)
+        for query in registry.queries
+    }
+    zero: dict[tuple[str, str], str] = {}
+    for update, query in registry.pairs():
+        reason = _a_zero_reason(
+            schema,
+            update.statement,
+            query.select,
+            modified[update.name],
+            used[query.name],
+            use_integrity_constraints,
+        )
+        if reason is not None:
+            zero[(update.name, query.name)] = reason
+    return zero
+
+
 # -- the individual Section 4 tests ------------------------------------------------
+
+
+def _used_attributes(schema: Schema, query: Select) -> frozenset[Attribute]:
+    """P(Q) ∪ S(Q): the attributes Lemma 1 compares with M(U)."""
+    return preserved_attributes(schema, query) | selection_attributes(
+        schema, query
+    )
+
+
+def _a_zero_reason(
+    schema: Schema,
+    update,
+    query: Select,
+    modified: frozenset[Attribute],
+    used: frozenset[Attribute],
+    use_integrity_constraints: bool,
+) -> str | None:
+    """Section 4.2/4.5: why A_ij = 0 for this pair, or None when A_ij = 1.
+
+    ``modified`` is M(U) and ``used`` is P(Q) ∪ S(Q) of the pair.
+    """
+    if not (modified & used):
+        # Lemma 1: the pair is ignorable (relation G).
+        return "ignorable (Lemma 1): M(U) disjoint from P(Q)+S(Q)"
+    if use_integrity_constraints and constraint_implies_no_effect(
+        schema, update, query
+    ):
+        return "integrity constraint rule (Sec 4.5) forces A=0"
+    return None
 
 
 def _b_equals_a(schema: Schema, update, query: Select) -> bool:

@@ -193,13 +193,17 @@ class ViewCache:
         app_id: str,
         template_name: str,
         pinned: dict[Attr, frozenset],
+        attrs: frozenset[Attr],
     ) -> list[CacheEntry] | None:
         """Entries of a bucket an update with these pins could affect.
 
+        ``attrs`` are the indexed attributes to intersect over — an
+        invalidation plan's, compiled once per template pair: non-empty,
+        and every one of them a key of ``pinned``.
+
         Returns None when the index cannot answer authoritatively (no
-        indexer registered, template refused, entries unaccounted, or no
-        indexed attribute pinned by the update) — the caller must sweep
-        the bucket.  A non-None answer is *exact* with respect to the
+        indexer registered, template not indexed, or entries
+        unaccounted) — the caller must sweep the bucket.  A non-None answer is *exact* with respect to the
         engine's decision procedure: every omitted entry is provably
         independent of any update carrying these pins.
         """
@@ -209,11 +213,8 @@ class ViewCache:
         posting = self._predicate.get((app_id, template_name))
         if posting is None or posting.size != len(keys):
             return None
-        usable = [attr for attr in posting.attrs if attr in pinned]
-        if not usable:
-            return None
         candidates: set[tuple] | None = None
-        for attr in usable:
+        for attr in attrs:
             matched: set[tuple] = set()
             by_value = posting.by_value.get(attr)
             if by_value:
@@ -319,7 +320,7 @@ class ViewCache:
         assert entry.template_name is not None
         attrs = indexer.query_attributes(entry.template_name)
         if attrs is None:
-            return  # refused template (aggregation/group-by/...): sweep
+            return  # template pins no attribute: its plans sweep
         posting = self._predicate.get((entry.app_id, entry.template_name))
         if posting is None:
             posting = _PredicateBucket(attrs=attrs)

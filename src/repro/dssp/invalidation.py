@@ -13,6 +13,15 @@ exposure levels selects the strategy class (Figure 6):
 * plaintext view also visible → **MVIS**: additionally skip when the view
   contents prove the update misses the cached rows.
 
+What each update template can do to each query template is static, so
+the engine compiles it once, when the application registers: one
+:class:`InvalidationPlan` per (update template, query template) pair —
+the IPM as code.  A ``SKIP`` pair (A_ij = 0) is never visited; a
+``PROBE`` pair asks the cache's predicate index for the entries the
+update's pinned values could touch; a ``SWEEP`` pair runs the per-entry
+decision over its whole bucket.  Each plan counts the checks it made and
+the views it invalidated: the *observed* IPM.
+
 The engine is *correct by construction* in the paper's sense: every skip is
 justified by a sound proof of independence, so a view that actually changed
 is always invalidated.
@@ -22,20 +31,31 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
+from dataclasses import dataclass
 
-from repro.analysis.constraints import constraint_implies_no_effect
 from repro.analysis.exposure import ExposureLevel
 from repro.analysis.independence import statement_independent
+from repro.analysis.ipm import zero_pairs
 from repro.crypto.envelope import UpdateEnvelope
 from repro.dssp.cache import CacheEntry, ViewCache
-from repro.dssp.predicate_index import Attr, update_pinned_values
+from repro.dssp.predicate_index import (
+    Attr,
+    indexable_attributes,
+    update_pinned_columns,
+    update_pinned_values,
+)
 from repro.dssp.stats import DsspStats
 from repro.dssp.view_checks import view_allows_skip
 from repro.sql.ast import Delete, Insert, Update
-from repro.templates.classify import is_ignorable
 from repro.templates.registry import TemplateRegistry
 
-__all__ = ["InvalidationEngine", "StrategyClass"]
+__all__ = [
+    "InvalidationEngine",
+    "InvalidationPlan",
+    "PlanKind",
+    "StrategyClass",
+    "compile_plans",
+]
 
 
 class StrategyClass(enum.Enum):
@@ -57,6 +77,84 @@ class StrategyClass(enum.Enum):
         }[self]
 
 
+class PlanKind(enum.Enum):
+    """How an update template's invalidation pass treats one query bucket."""
+
+    #: A_ij = 0: the update can never change the query; never visited.
+    SKIP = "skip"
+    #: The predicate index answers with the entries the pins could touch.
+    PROBE = "probe"
+    #: No attribute can probe: every entry of the bucket is decided.
+    SWEEP = "sweep"
+
+
+@dataclass(eq=False, slots=True)
+class InvalidationPlan:
+    """One compiled IPM cell: what an update template does to a bucket.
+
+    Attributes:
+        update_name: The update template.
+        query_name: The query template whose bucket the plan governs.
+        kind: ``SKIP``, ``PROBE`` or ``SWEEP``.
+        attrs: For ``PROBE``: the query's indexable attributes on the
+            update's table that the update template pins — the index
+            lookup key, fixed at compile time.
+        reason: Why the pair is ``SKIP`` or ``SWEEP``.
+        checks: Decisions made for this pair (one per bucket visit, one
+            per entry whose statement was tested).
+        invalidations: Views this pair invalidated.
+    """
+
+    update_name: str
+    query_name: str
+    kind: PlanKind
+    attrs: frozenset[Attr] = frozenset()
+    reason: str = ""
+    checks: int = 0
+    invalidations: int = 0
+
+
+def compile_plans(
+    registry: TemplateRegistry, use_integrity_constraints: bool = True
+) -> dict[tuple[str, str], InvalidationPlan]:
+    """One plan per (update template, query template) pair of ``registry``.
+
+    ``SKIP`` is exactly :func:`~repro.analysis.ipm.zero_pairs` — the
+    A_ij = 0 set of ``characterize_pair``: Lemma 1 ignorability, plus the
+    integrity-constraint rules (Section 4.5) when
+    ``use_integrity_constraints`` is set.
+    """
+    schema = registry.schema
+    skip = zero_pairs(registry, use_integrity_constraints)
+    indexed = {
+        query.name: indexable_attributes(query.select, schema)
+        for query in registry.queries
+    }
+    pinned = {
+        update.name: update_pinned_columns(update.statement)
+        for update in registry.updates
+    }
+    plans: dict[tuple[str, str], InvalidationPlan] = {}
+    for update, query in registry.pairs():
+        pair = (update.name, query.name)
+        reason = skip.get(pair)
+        if reason is not None:
+            plans[pair] = InvalidationPlan(*pair, PlanKind.SKIP, reason=reason)
+            continue
+        # Every pinned column is on the update's table.
+        attrs = indexed[query.name] & pinned[update.name]
+        if attrs:
+            plans[pair] = InvalidationPlan(*pair, PlanKind.PROBE, attrs)
+            continue
+        table = update.statement.table
+        if any(attr[0] == table for attr in indexed[query.name]):
+            reason = "the update pins no column the query is indexed on"
+        else:
+            reason = f"the query pins no column of {table} by equality"
+        plans[pair] = InvalidationPlan(*pair, PlanKind.SWEEP, reason=reason)
+    return plans
+
+
 class InvalidationEngine:
     """Per-application invalidation decisions over a shared cache.
 
@@ -66,6 +164,8 @@ class InvalidationEngine:
             instance came from only at ``template`` exposure and above.
         use_integrity_constraints: Let template-level decisions exploit
             primary/foreign keys (paper Section 4.5).
+        equality_only_independence: Restrict per-entry statement checks to
+            equality mismatches (the MSIS ablation).
     """
 
     def __init__(
@@ -76,8 +176,17 @@ class InvalidationEngine:
     ) -> None:
         self._registry = registry
         self._schema = registry.schema
-        self._use_constraints = use_integrity_constraints
         self._equality_only = equality_only_independence
+        #: The compiled IPM, keyed by (update template, query template).
+        self.plans = compile_plans(registry, use_integrity_constraints)
+        #: Per update template, the plans an invalidation pass walks.
+        walk: dict[str, list[InvalidationPlan]] = {
+            update.name: [] for update in registry.updates
+        }
+        for (update_name, _), plan in self.plans.items():
+            if plan.kind is not PlanKind.SKIP:
+                walk[update_name].append(plan)
+        self._walk = {name: tuple(plans) for name, plans in walk.items()}
         #: Which path served the most recent ``process_update`` call:
         #: ``indexed`` (every stmt-visible bucket answered from candidate
         #: lists), ``sweep`` (full bucket scans / bucket drops only),
@@ -86,25 +195,11 @@ class InvalidationEngine:
         self.last_path = "sweep"
         self._used_index = False
         self._used_sweep = False
-        self._template_decision: dict[tuple[str, str], bool] = {}
 
-    # -- template-level (TIS) decision, memoized -----------------------------
-
-    def _invalidates_at_template_level(
-        self, update_name: str, query_name: str
-    ) -> bool:
-        key = (update_name, query_name)
-        cached = self._template_decision.get(key)
-        if cached is not None:
-            return cached
-        update = self._registry.update(update_name).statement
-        query = self._registry.query(query_name).select
-        independent = is_ignorable(self._schema, update, query) or (
-            self._use_constraints
-            and constraint_implies_no_effect(self._schema, update, query)
-        )
-        self._template_decision[key] = not independent
-        return not independent
+    def reset_counters(self) -> None:
+        """Zero every plan's observed checks and invalidations."""
+        for plan in self.plans.values():
+            plan.checks = plan.invalidations = 0
 
     # -- the main entry point ---------------------------------------------------
 
@@ -133,89 +228,88 @@ class InvalidationEngine:
             self.last_path = "blind"
             return count
 
-        total = 0
-        update_name = envelope.template_name
-        assert update_name is not None
+        # Blind query entries: template unknown → must invalidate.
+        total = cache.invalidate_bucket(app_id, None)
+        if total and stats is not None:
+            stats.record_invalidation(None, total)
         # The index lookup key, shared by every bucket of this update.
         pinned = None if statement is None else update_pinned_values(statement)
-        for bucket_name in cache.bucket_names(app_id):
-            if bucket_name is None:
-                # Blind query entries: template unknown → must invalidate.
-                count = cache.invalidate_bucket(app_id, None)
-                total += count
-                if stats is not None:
-                    stats.record_invalidation(None, count)
-                continue
-            if stats is not None:
-                stats.invalidation_checks += 1
-            if not self._invalidates_at_template_level(update_name, bucket_name):
-                continue
-            total += self._process_bucket(
-                statement, cache, app_id, bucket_name, pinned, stats
-            )
+        assert envelope.template_name is not None
+        for plan in self._walk[envelope.template_name]:
+            if cache.bucket_size(app_id, plan.query_name):
+                total += self._run_plan(
+                    plan, statement, cache, app_id, pinned, stats
+                )
         if self._used_index:
             self.last_path = "mixed" if self._used_sweep else "indexed"
         else:
             self.last_path = "sweep"
         return total
 
-    def _process_bucket(
+    def _run_plan(
         self,
+        plan: InvalidationPlan,
         statement: Insert | Delete | Update | None,
         cache: ViewCache,
         app_id: str,
-        bucket_name: str,
         pinned: dict[Attr, frozenset] | None,
         stats: DsspStats | None,
     ) -> int:
+        """Apply one non-``SKIP`` plan to its live bucket; returns count."""
+        bucket_name = plan.query_name
+        checks = 1  # the bucket visit
         if pinned is None:
             # Update at 'template' exposure: entry A governs every pair.
             count = cache.invalidate_bucket(app_id, bucket_name)
-            if stats is not None:
-                stats.record_invalidation(bucket_name, count)
             self._used_sweep = True
-            return count
-
-        # Visit only the entries whose bound selection values the update's
-        # pins could touch.  A non-candidate provably survives
-        # ``statement_independent``, so the invalidated set is identical
-        # to the bucket sweep's — which is what runs when the index
-        # declines to answer (refused template, unpinned attribute,
-        # unaccounted entries, no indexer).
-        candidates = cache.predicate_candidates(app_id, bucket_name, pinned)
-        entries: Iterable[CacheEntry]
-        if candidates is None:
-            self._used_sweep = True
-            entries = cache.bucket(app_id, bucket_name)
         else:
-            self._used_index = True
-            if stats is not None:
-                stats.index_lookups += 1
-                stats.index_narrowed += (
-                    cache.bucket_size(app_id, bucket_name) - len(candidates)
+            # A PROBE visits only the entries whose bound selection values
+            # the update's pins could touch.  A non-candidate provably
+            # survives ``statement_independent``, so the invalidated set is
+            # identical to the bucket sweep's — which is what runs for a
+            # SWEEP plan, or when the index observes it cannot answer
+            # (unaccounted entries, no indexer).
+            candidates = None
+            if plan.kind is PlanKind.PROBE:
+                candidates = cache.predicate_candidates(
+                    app_id, bucket_name, pinned, plan.attrs
                 )
-            entries = candidates
-        victims: list[tuple] = []
-        for entry in entries:
-            if self._entry_survives(statement, entry, stats):
-                continue
-            victims.append(entry.key)
-        count = cache.invalidate_many(victims)
-        if stats is not None and count:
-            stats.record_invalidation(bucket_name, count)
+            entries: Iterable[CacheEntry]
+            if candidates is None:
+                self._used_sweep = True
+                entries = cache.bucket(app_id, bucket_name)
+            else:
+                self._used_index = True
+                if stats is not None:
+                    stats.index_lookups += 1
+                    stats.index_narrowed += (
+                        cache.bucket_size(app_id, bucket_name)
+                        - len(candidates)
+                    )
+                entries = candidates
+            victims: list[tuple] = []
+            for entry in entries:
+                # An entry at 'template' level hides its statement: IPM
+                # entry A governs it, so it is invalidated unchecked.
+                if entry.statement is not None:
+                    checks += 1
+                    if self._entry_survives(statement, entry):
+                        continue
+                victims.append(entry.key)
+            count = cache.invalidate_many(victims)
+        plan.checks += checks
+        plan.invalidations += count
+        if stats is not None:
+            stats.invalidation_checks += checks
+            if count:
+                stats.record_invalidation(bucket_name, count)
         return count
 
     def _entry_survives(
-        self,
-        statement: Insert | Delete | Update,
-        entry: CacheEntry,
-        stats: DsspStats | None,
+        self, statement: Insert | Delete | Update, entry: CacheEntry
     ) -> bool:
-        """Can this entry be proven unaffected, given its exposure level?"""
-        if entry.statement is None:
-            return False  # entry at 'template' level: IPM entry A → invalidate
-        if stats is not None:
-            stats.invalidation_checks += 1
+        """Can this stmt-visible entry be proven unaffected?"""
+        assert entry.statement is not None
         if statement_independent(
             self._schema,
             statement,

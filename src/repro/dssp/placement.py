@@ -19,22 +19,23 @@ agreement, built on two choices:
   exposure policy permits blind queries forces pushes to all shards
   (:func:`shards_for_update` returns None).
 
-:class:`TemplateAffinity` mirrors the invalidation engine's template-level
-decision (:meth:`InvalidationEngine._invalidates_at_template_level`) so
-the recipient-set computation is *conservative with respect to the
-engine*: any pair the engine would invalidate is in the affinity set.
-Disabling integrity constraints here while the engine uses them only
-enlarges the set — extra pushes, never missed ones.
+:class:`TemplateAffinity` reads the same A_ij = 0 set the invalidation
+engine compiles into its ``SKIP`` plans
+(:func:`~repro.analysis.ipm.zero_pairs`): a query template is in an
+update's affinity set unless the pair is ``SKIP``, so the
+recipient-set computation is *conservative with respect to the engine*:
+any bucket the engine would visit is in the affinity set.  Disabling
+integrity constraints here while the engine uses them only enlarges the
+set — extra pushes, never missed ones.
 """
 
 from __future__ import annotations
 
-from repro.analysis.constraints import constraint_implies_no_effect
 from repro.analysis.exposure import ExposureLevel, ExposurePolicy
+from repro.analysis.ipm import zero_pairs
 from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
 from repro.dssp.cache import CacheEntry
 from repro.dssp.ring import HashRing
-from repro.templates.classify import is_ignorable
 from repro.templates.registry import TemplateRegistry
 
 __all__ = [
@@ -93,9 +94,8 @@ def policy_allows_blind_queries(policy: ExposurePolicy) -> bool:
 class TemplateAffinity:
     """Which query templates an update template can invalidate.
 
-    The memoized answer is the template-level (TIS) decision of the
-    invalidation engine, computed from the same static analysis —
-    :func:`is_ignorable` plus (optionally) integrity constraints.
+    The answer is every query template outside the update's A_ij = 0
+    set — the pairs the engine does not compile to ``SKIP``.
 
     Args:
         registry: The application's public template registry.
@@ -109,29 +109,20 @@ class TemplateAffinity:
         registry: TemplateRegistry,
         use_integrity_constraints: bool = True,
     ) -> None:
-        self._registry = registry
-        self._schema = registry.schema
-        self._use_constraints = use_integrity_constraints
-        self._memo: dict[str, frozenset[str]] = {}
+        skip = zero_pairs(registry, use_integrity_constraints)
+        self._affected = {
+            update.name: frozenset(
+                query.name
+                for query in registry.queries
+                if (update.name, query.name) not in skip
+            )
+            for update in registry.updates
+        }
 
     def affected_queries(self, update_name: str) -> frozenset[str]:
-        """Query templates the engine would invalidate for ``update_name``."""
-        cached = self._memo.get(update_name)
-        if cached is not None:
-            return cached
-        update = self._registry.update(update_name).statement
-        affected = []
-        for query_template in self._registry.queries:
-            query = query_template.select
-            independent = is_ignorable(self._schema, update, query) or (
-                self._use_constraints
-                and constraint_implies_no_effect(self._schema, update, query)
-            )
-            if not independent:
-                affected.append(query_template.name)
-        result = frozenset(affected)
-        self._memo[update_name] = result
-        return result
+        """Query templates the engine would visit for ``update_name``, an
+        update template of the registry."""
+        return self._affected[update_name]
 
 
 def shards_for_update(

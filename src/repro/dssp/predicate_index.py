@@ -14,8 +14,12 @@ This module is the analysis half of that index:
   are *indexable* — (table, column) pairs that **every** binding of the
   table pins with an equality against a constant — and extracts the bound
   values from a statement at cache-insert time;
-* :func:`update_pinned_values` extracts the values an update statement
-  pins on its table's columns, the lookup key at invalidation time.
+* :func:`update_pinned_columns` names the columns an update *template*
+  pins, which the invalidation plans intersect with a query's indexable
+  attributes once, at registration
+  (:func:`~repro.dssp.invalidation.compile_plans`);
+* :func:`update_pinned_values` extracts the values a bound update pins on
+  those columns, the lookup key at invalidation time.
 
 Soundness rests on the engine's own decision procedure
 (:func:`~repro.analysis.independence.statement_independent`): a bucket
@@ -35,59 +39,69 @@ provably cannot satisfy —
 In every case ``statement_independent`` returns True, so the entry would
 survive the full bucket sweep anyway: checking only index candidates
 invalidates *exactly* the same set (the equivalence the hypothesis suite
-proves).  Templates the argument does not cover — aggregation/group-by
-(refused wholesale), NULL-valued bound attributes, entries whose statement
-is hidden — fall back to always-candidate status or to the bucket sweep.
+proves).  The procedure reads only each binding's WHERE pins, never the
+select list, so aggregation and GROUP BY templates index their pins like
+any other.  What the argument does not cover stays conservative:
+NULL-valued bound attributes and entries whose statement is hidden are
+always-candidates, and a template pinning no attribute is never indexed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.sql.ast import (
     ColumnRef,
+    Comparison,
     ComparisonOp,
     Delete,
     Insert,
     Literal,
+    Parameter,
     Scalar,
     Select,
     Update,
 )
 from repro.templates.registry import TemplateRegistry
 
-__all__ = ["PredicateIndexer", "update_pinned_values"]
+__all__ = [
+    "PredicateIndexer",
+    "indexable_attributes",
+    "update_pinned_columns",
+    "update_pinned_values",
+]
 
 #: An indexed attribute: (base table name, column name).
 Attr = tuple[str, str]
 
 
-def _equality_columns(select: Select, schema) -> dict[str, set[str]] | None:
-    """Per *binding*, the columns pinned by an equality against a constant.
+def _equality_pins(
+    where: tuple[Comparison, ...],
+) -> Iterator[tuple[ColumnRef, Literal | Parameter]]:
+    """(column ref, constant operand) of each ``column = constant`` conjunct.
 
-    Constants are literals or (template-level) parameters.  Unqualified
-    column references count for every binding of their owning table —
-    the same resolution rule the independence procedure applies, so an
-    attribute declared indexable here is exactly one the procedure can
-    turn into a contradiction.  Returns None for aggregation/group-by
-    templates (refused: the conservative bucket sweep stays in charge).
+    Constants are literals or (template-level) parameters.
     """
-    if select.has_aggregate() or select.group_by:
-        return None
-    scope = {ref.binding: ref.name for ref in select.tables}
-    pinned: dict[str, set[str]] = {binding: set() for binding in scope}
-    for comparison in select.where:
+    for comparison in where:
         if comparison.is_join() or comparison.op is not ComparisonOp.EQ:
             continue
-        ref = None
-        if isinstance(comparison.left, ColumnRef) and not isinstance(
-            comparison.right, ColumnRef
-        ):
-            ref = comparison.left
-        elif isinstance(comparison.right, ColumnRef) and not isinstance(
-            comparison.left, ColumnRef
-        ):
-            ref = comparison.right
-        if ref is None:
-            continue
+        if isinstance(comparison.left, ColumnRef):
+            yield comparison.left, comparison.right
+        elif isinstance(comparison.right, ColumnRef):
+            yield comparison.right, comparison.left
+
+
+def _equality_columns(select: Select, schema) -> dict[str, set[str]]:
+    """Per *binding*, the columns pinned by an equality against a constant.
+
+    Unqualified column references count for every binding of their owning
+    table — the same resolution rule the independence procedure applies,
+    so an attribute declared indexable here is exactly one the procedure
+    can turn into a contradiction.
+    """
+    scope = {ref.binding: ref.name for ref in select.tables}
+    pinned: dict[str, set[str]] = {binding: set() for binding in scope}
+    for ref, _ in _equality_pins(select.where):
         for binding, table in scope.items():
             if ref.table is not None:
                 if ref.table == binding:
@@ -97,7 +111,7 @@ def _equality_columns(select: Select, schema) -> dict[str, set[str]] | None:
     return pinned
 
 
-def _indexable_attributes(select: Select, schema) -> frozenset[Attr] | None:
+def indexable_attributes(select: Select, schema) -> frozenset[Attr]:
     """Attributes usable as index keys for one query template.
 
     ``(T, c)`` qualifies only if *every* binding of ``T`` pins ``c`` with
@@ -105,8 +119,6 @@ def _indexable_attributes(select: Select, schema) -> frozenset[Attr] | None:
     an update regardless of the other binding's value.
     """
     pinned = _equality_columns(select, schema)
-    if pinned is None:
-        return None
     scope = {ref.binding: ref.name for ref in select.tables}
     attrs: set[Attr] = set()
     for table in set(scope.values()):
@@ -126,28 +138,19 @@ class PredicateIndexer:
     """
 
     def __init__(self, registry: TemplateRegistry) -> None:
-        self._registry = registry
-        self._schema = registry.schema
-        self._attrs: dict[str, frozenset[Attr] | None] = {}
+        self._attrs: dict[str, frozenset[Attr]] = {}
+        for query in registry.queries:
+            attrs = indexable_attributes(query.select, registry.schema)
+            if attrs:
+                self._attrs[query.name] = attrs
 
     def query_attributes(self, template_name: str) -> frozenset[Attr] | None:
-        """Indexable attributes of one query template; None = refused.
+        """Indexable attributes of one query template; None = not indexed.
 
-        Refusals (unknown template, aggregation, group-by, no attribute
-        pinned across all bindings) keep the bucket on the sweep path.
+        An unknown template, or one pinning no attribute across all its
+        bindings, keeps its bucket on the sweep path.
         """
-        if template_name in self._attrs:
-            return self._attrs[template_name]
-        try:
-            select = self._registry.query(template_name).select
-        except Exception:
-            attrs: frozenset[Attr] | None = None
-        else:
-            attrs = _indexable_attributes(select, self._schema)
-            if attrs is not None and not attrs:
-                attrs = None
-        self._attrs[template_name] = attrs
-        return attrs
+        return self._attrs.get(template_name)
 
     def entry_values(
         self, template_name: str, statement: Select
@@ -156,7 +159,7 @@ class PredicateIndexer:
 
         Self-joins contribute one value per binding (the entry matches a
         pinned update value if *any* binding does).  Returns None when the
-        template is refused or the statement does not carry a literal for
+        template is not indexed or the statement does not carry a literal for
         every indexable attribute on every binding — the entry then stays
         an always-candidate.
         """
@@ -165,18 +168,8 @@ class PredicateIndexer:
             return None
         scope = {ref.binding: ref.name for ref in statement.tables}
         per_binding: dict[tuple[str, str], set[Scalar]] = {}
-        for comparison in statement.where:
-            if comparison.is_join() or comparison.op is not ComparisonOp.EQ:
-                continue
-            if isinstance(comparison.left, ColumnRef) and isinstance(
-                comparison.right, Literal
-            ):
-                ref, literal = comparison.left, comparison.right
-            elif isinstance(comparison.right, ColumnRef) and isinstance(
-                comparison.left, Literal
-            ):
-                ref, literal = comparison.right, comparison.left
-            else:
+        for ref, constant in _equality_pins(statement.where):
+            if not isinstance(constant, Literal):
                 continue
             for binding, table in scope.items():
                 if (table, ref.column) not in attrs:
@@ -184,7 +177,7 @@ class PredicateIndexer:
                 if ref.table is not None and ref.table != binding:
                     continue
                 per_binding.setdefault((binding, ref.column), set()).add(
-                    literal.value
+                    constant.value
                 )
         values: dict[Attr, frozenset[Scalar]] = {}
         for table, column in attrs:
@@ -197,6 +190,23 @@ class PredicateIndexer:
                 collected |= bound
             values[(table, column)] = frozenset(collected)
         return values
+
+
+def update_pinned_columns(
+    statement: Insert | Delete | Update,
+) -> frozenset[Attr]:
+    """Columns an update template pins: the keys of every bound instance's
+    :func:`update_pinned_values`.
+
+    An INSERT pins every column of its row; a DELETE or UPDATE pins the
+    columns its WHERE clause compares by equality with a constant.
+    """
+    table = statement.table
+    if isinstance(statement, Insert):
+        return frozenset((table, column) for column in statement.columns)
+    return frozenset(
+        (table, ref.column) for ref, _ in _equality_pins(statement.where)
+    )
 
 
 def update_pinned_values(
@@ -221,21 +231,9 @@ def update_pinned_values(
             for column, value in zip(statement.columns, statement.values)
         }
     collected: dict[str, set[Scalar]] = {}
-    for comparison in statement.where:
-        if comparison.is_join() or comparison.op is not ComparisonOp.EQ:
-            continue
-        if isinstance(comparison.left, ColumnRef) and isinstance(
-            comparison.right, Literal
-        ):
-            collected.setdefault(comparison.left.column, set()).add(
-                comparison.right.value
-            )
-        elif isinstance(comparison.right, ColumnRef) and isinstance(
-            comparison.left, Literal
-        ):
-            collected.setdefault(comparison.right.column, set()).add(
-                comparison.left.value
-            )
+    for ref, constant in _equality_pins(statement.where):
+        if isinstance(constant, Literal):
+            collected.setdefault(ref.column, set()).add(constant.value)
     if isinstance(statement, Update):
         for column, value in statement.assignments:
             if column in collected:

@@ -239,6 +239,24 @@ class DsspNode:
 
     # -- observability -------------------------------------------------------------
 
+    def observed_ipm(
+        self, app_id: str
+    ) -> dict[tuple[str, str], tuple[int, int]]:
+        """The observed IPM: ``(checks, invalidations)`` per compiled plan.
+
+        Keyed by (update template, query template), every pair of the
+        application's registry.  Only template-visible updates are
+        counted, so no key names more than their envelopes exposed; over
+        such updates the values sum to ``stats.invalidation_checks`` and,
+        less any blind-bucket drops, to ``stats.invalidations``.  Counted
+        since registration or the last :meth:`cold_start`.
+        """
+        plans = self._tenant(app_id).engine.plans
+        return {
+            pair: (plan.checks, plan.invalidations)
+            for pair, plan in plans.items()
+        }
+
     def snapshot(self) -> dict:
         """JSON-safe live view of this node: counters plus occupancy.
 
@@ -258,3 +276,5 @@ class DsspNode:
         """Drop all cached data and counters (each experiment starts cold)."""
         self.cache.clear()
         self.stats.reset()
+        for tenant in self._tenants.values():
+            tenant.engine.reset_counters()

@@ -350,11 +350,17 @@ class ChaosProxy:
         return self.address
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, sever every pair, then wait for the listener.
+
+        Same order as :meth:`WireServer.stop`: ``wait_closed`` waits for
+        the accepted connections on Python >= 3.12.1, so they go first.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         await self.kill_connections()
+        if server is not None:
+            await server.wait_closed()
 
     async def kill_connections(self) -> None:
         """Sever every live proxied connection (connection-churn chaos)."""

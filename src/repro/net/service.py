@@ -217,13 +217,19 @@ class WireServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, close every live connection, run cleanups."""
+        """Stop accepting, close every live connection, run cleanups.
+
+        The connections close before ``wait_closed`` is awaited: since
+        Python 3.12.1 it waits for every accepted connection, so a peer
+        holding its connection open would otherwise block it for ever.
+        """
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for context in list(self._contexts):
             await self._close_context(context)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # -- connections -------------------------------------------------------
 

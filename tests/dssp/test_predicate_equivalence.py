@@ -17,9 +17,10 @@ visits only the index's candidates.  Three invariants justify that:
   independent of the update under ``statement_independent`` itself: the
   narrowed set never retains a view the existing path would invalidate.
 
-The workload mixes indexable templates (point/byname), a refused
-aggregate, a multi-attribute selection, NULL parameters, and all three
-update kinds, so the fallback taxonomy is inside the tested space.
+The workload mixes indexable templates (point/byname), a WHERE-pinned
+SUM and a GROUP BY (both probed on their pin), an unfiltered aggregate
+(always swept), a multi-attribute selection, NULL parameters, and all
+three update kinds, so the fallback taxonomy is inside the tested space.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.independence import statement_independent
+from repro.dssp.invalidation import PlanKind
 from repro.dssp.predicate_index import update_pinned_values
 from repro.templates import QueryTemplate, TemplateRegistry, UpdateTemplate
 
@@ -41,7 +43,8 @@ from tests.dssp.index_utils import (
 )
 
 # The index suite's application plus a second MODIFY (``rename`` moves a
-# row between ``byname`` views) and an unfiltered aggregate.
+# row between ``byname``, ``total`` and ``percat`` views) and an
+# unfiltered aggregate.
 _REGISTRY = TemplateRegistry(
     SCHEMA,
     queries=[
@@ -53,6 +56,8 @@ _REGISTRY = TemplateRegistry(
             "bycat",
             "SELECT item_id FROM items WHERE category = ? AND name = ?",
         ),
+        REGISTRY.query("total"),
+        REGISTRY.query("percat"),
         REGISTRY.query("instock"),
         QueryTemplate.from_sql("maxstock", "SELECT MAX(stock) FROM items"),
     ],
@@ -64,7 +69,9 @@ _REGISTRY = TemplateRegistry(
     ],
 )
 
-_QUERIES = ("point", "byname", "bycat", "instock", "maxstock")
+_QUERIES = (
+    "point", "byname", "bycat", "total", "percat", "instock", "maxstock"
+)
 
 _NAMES = st.sampled_from(["a", "b", "c", None])
 _CATS = st.sampled_from(["x", "y"])
@@ -75,6 +82,8 @@ def _operations():
         st.tuples(st.just("point"), st.tuples(st.integers(1, 12))),
         st.tuples(st.just("byname"), st.tuples(_NAMES)),
         st.tuples(st.just("bycat"), st.tuples(_CATS, _NAMES)),
+        st.tuples(st.just("total"), st.tuples(_NAMES)),
+        st.tuples(st.just("percat"), st.tuples(_NAMES)),
         st.tuples(st.just("instock"), st.tuples(st.integers(0, 20))),
         st.tuples(st.just("maxstock"), st.tuples()),
     )
@@ -170,10 +179,12 @@ class TestEquivalenceVsBucketSweep:
         """Pointwise soundness: non-candidates pass the decision procedure.
 
         For every update in the stream, compare the index's candidate set
-        against the resident bucket; each omitted entry must be one
-        ``statement_independent`` itself would retain.
+        — keyed by the pair's compiled ``PROBE`` attributes, as the engine
+        asks it — against the resident bucket; each omitted entry must be
+        one ``statement_independent`` itself would retain.
         """
         node, home = _build()
+        plans = node._tenants["shop"].engine.plans
         inserted: set[int] = set()
         for kind, params in operations:
             if kind in _QUERIES or kind == "ins" and params[0] in inserted:
@@ -181,10 +192,13 @@ class TestEquivalenceVsBucketSweep:
                 continue
             bound = _REGISTRY.update(kind).bind(list(params))
             pinned = update_pinned_values(bound.statement)
-            for template in ("point", "byname", "bycat", "instock"):
+            for template in _QUERIES:
+                plan = plans[(kind, template)]
+                if plan.kind is not PlanKind.PROBE:
+                    continue  # SKIP never visits; SWEEP checks every entry
                 bucket = node.cache.bucket("shop", template)
                 candidates = node.cache.predicate_candidates(
-                    "shop", template, pinned
+                    "shop", template, pinned, plan.attrs
                 )
                 if candidates is None:
                     continue  # index declined: the sweep runs anyway

@@ -1,10 +1,11 @@
 """The predicate index's conservative-fallback taxonomy and bookkeeping.
 
 Every case where the index cannot (or must not) narrow is pinned down
-here: aggregation and group-by templates, blind entries, NULL-valued
-bound attributes, multi-attribute selections, unaccounted entries, and
-index consistency across LRU eviction, ``invalidate_app``, and sharded
-node join/leave with cold re-fill.
+here: range-only templates, blind entries, NULL-valued bound attributes,
+multi-attribute selections, unaccounted entries, and index consistency
+across LRU eviction, ``invalidate_app``, and sharded node join/leave with
+cold re-fill.  Aggregation and GROUP BY templates index their WHERE pins
+like any other template.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import partial
 
 from repro.analysis.exposure import ExposureLevel
 from repro.dssp import PredicateIndexer, ShardedDsspCluster
+from repro.dssp.invalidation import PlanKind
 from repro.dssp.predicate_index import update_pinned_values
 from repro.templates import UpdateTemplate
 
@@ -47,6 +49,19 @@ def _pins(name, params):
     return update_pinned_values(REGISTRY.update(name).bind(params).statement)
 
 
+def _candidates(node, query_name, update_name, params):
+    """The index's answer for one update, keyed as its compiled plan is."""
+    plan = node._tenants["shop"].engine.plans[(update_name, query_name)]
+    return node.cache.predicate_candidates(
+        "shop", query_name, _pins(update_name, params), plan.attrs
+    )
+
+
+def _pinned_name(entry):
+    """The ``name = ?`` value of a cached single-predicate entry."""
+    return entry.statement.where[0].right.value
+
+
 class TestIndexerAnalysis:
     def test_point_and_byname_are_indexable(self):
         indexer = PredicateIndexer(REGISTRY)
@@ -60,10 +75,16 @@ class TestIndexerAnalysis:
             ("items", "name"),
         }
 
-    def test_aggregate_and_group_by_refused(self):
+    def test_aggregate_and_group_by_index_their_where_pins(self):
+        # The decision procedure reads only WHERE pins, never the select
+        # list, so SUM and GROUP BY templates narrow like any other.
         indexer = PredicateIndexer(REGISTRY)
-        assert indexer.query_attributes("total") is None
-        assert indexer.query_attributes("percat") is None
+        assert indexer.query_attributes("total") == {("items", "name")}
+        assert indexer.query_attributes("percat") == {("items", "name")}
+        bound = REGISTRY.query("percat").bind(["b"])
+        assert indexer.entry_values("percat", bound.select) == {
+            ("items", "name"): frozenset({"b"})
+        }
 
     def test_range_only_template_refused(self):
         assert PredicateIndexer(REGISTRY).query_attributes("instock") is None
@@ -110,17 +131,19 @@ class TestUpdatePinnedValues:
 
 
 class TestFallbackTaxonomy:
-    def test_aggregate_bucket_always_sweeps(self):
+    def test_aggregate_bucket_is_probed(self):
         node, home = _build()
         _query(node, home, "total", ["a"])
-        assert (
-            node.cache.predicate_candidates("shop", "total", _pins("del", [1]))
-            is None
-        )
-        # The sweep still invalidates correctly.
-        before = len(node.cache)
-        _update(node, home, "del", [1])
-        assert len(node.cache) < before
+        _query(node, home, "total", ["b"])
+        candidates = _candidates(node, "total", "ins", [40, "a", "x", 1])
+        assert candidates is not None
+        assert [_pinned_name(e) for e in candidates] == ["a"]
+        # Only the matching SUM goes; the other one is never visited.
+        _update(node, home, "ins", [40, "a", "x", 1])
+        assert node._tenants["shop"].engine.last_path == "indexed"
+        assert node.stats.index_narrowed == 1
+        remaining = node.cache.bucket("shop", "total")
+        assert [_pinned_name(e) for e in remaining] == ["b"]
 
     def test_blind_entries_invalidate_wholesale(self):
         node, home = _build(level=ExposureLevel.BLIND)
@@ -134,9 +157,7 @@ class TestFallbackTaxonomy:
         node, home = _build()
         _query(node, home, "byname", [None])
         _query(node, home, "byname", ["a"])
-        candidates = node.cache.predicate_candidates(
-            "shop", "byname", _pins("ins", [40, "b", "x", 1])
-        )
+        candidates = _candidates(node, "byname", "ins", [40, "b", "x", 1])
         assert candidates is not None
         keys = {entry.statement.where[0].right.value for entry in candidates}
         assert keys == {None}  # the NULL entry, not the 'a' entry
@@ -146,21 +167,19 @@ class TestFallbackTaxonomy:
         _query(node, home, "multi", ["x", "a"])
         _query(node, home, "multi", ["x", "b"])
         _query(node, home, "multi", ["y", "a"])
-        candidates = node.cache.predicate_candidates(
-            "shop", "multi", _pins("ins", [40, "a", "x", 1])
-        )
+        candidates = _candidates(node, "multi", "ins", [40, "a", "x", 1])
         assert candidates is not None and len(candidates) == 1
 
-    def test_unpinned_attribute_declines_to_narrow(self):
+    def test_unpinned_attribute_compiles_to_sweep(self):
         node, home = _build()
         _query(node, home, "byname", ["a"])
-        # setstock pins only item_id; byname indexes only name.
-        assert (
-            node.cache.predicate_candidates(
-                "shop", "byname", _pins("setstock", [5, 1])
-            )
-            is None
-        )
+        _query(node, home, "byname", ["b"])
+        # del pins only item_id; byname indexes only name.
+        plan = node._tenants["shop"].engine.plans[("del", "byname")]
+        assert plan.kind is PlanKind.SWEEP and not plan.attrs
+        _update(node, home, "del", [1])
+        assert node._tenants["shop"].engine.last_path == "sweep"
+        assert node.stats.index_lookups == 0
 
     def test_unaccounted_entries_force_sweep(self):
         # An indexer registered only after entries were admitted leaves
@@ -170,10 +189,7 @@ class TestFallbackTaxonomy:
         _query(node, home, "point", [1])
         node.cache.register_indexer("shop", PredicateIndexer(REGISTRY))
         _query(node, home, "point", [2])
-        assert (
-            node.cache.predicate_candidates("shop", "point", _pins("del", [1]))
-            is None
-        )
+        assert _candidates(node, "point", "del", [1]) is None
 
 
 class TestIndexMaintenance:
@@ -185,9 +201,7 @@ class TestIndexMaintenance:
         assert node.cache.index_postings() == 3
         assert_index_consistent(node.cache)
         # Narrowing still exact after churn: only the resident match.
-        candidates = node.cache.predicate_candidates(
-            "shop", "point", _pins("del", [6])
-        )
+        candidates = _candidates(node, "point", "del", [6])
         assert candidates is not None
         assert [e.key for e in candidates] == [
             e.key for e in node.cache.bucket("shop", "point")
@@ -234,7 +248,7 @@ class TestIndexMaintenance:
     def test_mixed_path_when_a_bucket_declines(self):
         node, home = _build()
         _query(node, home, "point", [1])
-        _query(node, home, "total", ["a"])  # refused bucket → sweep
+        _query(node, home, "instock", [5])  # range only: a SWEEP plan
         _update(node, home, "del", [1])
         assert node._tenants["shop"].engine.last_path == "mixed"
 

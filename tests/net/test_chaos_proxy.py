@@ -206,6 +206,19 @@ class TestSevering:
             upstream.close()
             await upstream.wait_closed()
 
+    async def test_stop_returns_while_a_client_holds_an_idle_pair(self):
+        """``stop`` severs the pairs before it awaits the listener's
+        ``wait_closed``, which waits for them on Python >= 3.12.1."""
+        async with Link() as link:
+            reader, writer = await asyncio.open_connection(*link.proxy.address)
+            try:
+                await eventually(lambda: len(link.proxy._connections) == 2)
+                await asyncio.wait_for(link.proxy.stop(), timeout=5.0)
+                assert not link.proxy._connections
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""
+            finally:
+                writer.close()
+
     async def test_kill_connections_ends_live_pairs(self):
         async with Link() as link:
             reader, writer = await asyncio.open_connection(*link.proxy.address)

@@ -49,6 +49,23 @@ class TestDispatchCatchAll:
             await server.stop()
 
 
+class TestStop:
+    async def test_stop_returns_while_a_peer_holds_an_idle_connection(self):
+        """Since Python 3.12.1 ``asyncio.Server.wait_closed`` waits for
+        every accepted connection, so ``stop`` must close its own
+        connections before it waits, or an idle peer blocks it for ever."""
+        server = CrashingServer()
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            while not server._contexts:  # accepted, and now idle
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(server.stop(), timeout=5.0)
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+        finally:
+            writer.close()
+
+
 class OverflowingServer(WireServer):
     async def handle(self, frame, context):
         return UpdateResponse(rows_affected=2**32, invalidated=0)
