@@ -12,12 +12,10 @@ This quantifies how much the paper's scalability story depends on cache
 *sharing*, not just cache placement.
 """
 
-from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.dssp import HomeServer, StrategyClass
+from repro.dssp import StrategyClass
 from repro.dssp.cluster import DsspCluster, measure_cluster_behavior
 from repro.simulation import find_scalability
-from repro.workloads import get_application
+from repro.simulation.sweep import SweepTask, deploy
 
 from benchmarks.conftest import BENCH_PAGES, BENCH_SCALE, once
 
@@ -25,20 +23,13 @@ NODE_COUNTS = (1, 2, 4, 8)
 
 
 def _run(nodes: int):
-    app = get_application("bookstore")
-    instance = app.instantiate(scale=BENCH_SCALE, seed=1)
-    policy = ExposurePolicy.uniform(
-        app.registry, StrategyClass.MVIS.exposure_level
+    cluster, home, sampler = deploy(
+        SweepTask("bookstore", StrategyClass.MVIS, scale=BENCH_SCALE),
+        DsspCluster(nodes=nodes),
     )
-    home = HomeServer(
-        "bookstore", instance.database, app.registry, policy, Keyring("bookstore")
+    return measure_cluster_behavior(
+        cluster, home, sampler, pages=BENCH_PAGES, clients=48, seed=5
     )
-    cluster = DsspCluster(nodes=nodes)
-    cluster.register_application(home)
-    behavior = measure_cluster_behavior(
-        cluster, home, instance.sampler, pages=BENCH_PAGES, clients=48, seed=5
-    )
-    return behavior
 
 
 def test_extension_cluster_dilution(benchmark, emit, sim_params):

@@ -25,8 +25,8 @@ import asyncio
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec
-from repro.dssp import DsspNode, HomeServer
-from repro.net import DsspNetServer, HomeNetServer, WireClient, run_load
+from repro.dssp import HomeServer
+from repro.net import Deployment, run_load
 from repro.simulation.scalability import find_scalability, predict_p90
 from repro.workloads import get_application
 from repro.workloads.trace import Trace, record_trace
@@ -47,35 +47,17 @@ async def _measure_strategy(strategy, spec, trace_json: str):
     # Fresh data per strategy: the trace's updates mutate the master copy.
     instance = spec.instantiate(scale=BENCH_SCALE, seed=1)
     home = HomeServer(APP, instance.database, spec.registry, policy, keyring)
-    home_net = HomeNetServer(home)
-    await home_net.start()
-    servers, clients = [], []
-    try:
-        for index in range(NODES):
-            server = DsspNetServer(DsspNode(), node_id=f"dssp-{index}")
-            server.register_application(APP, spec.registry, home_net.address)
-            await server.start()
-            servers.append(server)
-            clients.append(WireClient(*server.address))
+    async with Deployment(home, nodes=NODES) as fleet:
         trace = Trace.from_json(trace_json).bind(spec.registry)
         report = await run_load(
-            clients,
+            fleet.clients,
             EnvelopeCodec(keyring),
             policy,
             trace,
             clients=CLIENTS,
             pages=PAGES,
         )
-        invalidations = sum(
-            server.node.stats.invalidations for server in servers
-        )
-        return report.with_invalidations(invalidations)
-    finally:
-        for client in clients:
-            await client.aclose()
-        for server in servers:
-            await server.stop()
-        await home_net.stop()
+        return report.with_invalidations(fleet.sum_invalidations())
 
 
 def _sweep():

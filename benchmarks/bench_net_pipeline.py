@@ -32,9 +32,9 @@ import json
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec
-from repro.dssp import DsspNode, HomeServer
+from repro.dssp import HomeServer
 from repro.dssp.invalidation import StrategyClass
-from repro.net import DsspNetServer, HomeNetServer, WireClient, run_load
+from repro.net import Deployment, WireClient, eventually, run_load
 from repro.workloads import get_application
 from repro.workloads.trace import Trace, record_trace
 
@@ -64,52 +64,57 @@ MODES = (
 )
 
 
-async def _service_latency(frame, request_id):
-    await asyncio.sleep(SERVICE_LATENCY_S)
+class _PushFraming(Deployment):
+    """The benchmark's own home setting: how the fan-out is framed."""
+
+    def __init__(self, *args, batched: bool, coalesce_s: float = 0.0, **kw):
+        super().__init__(*args, **kw)
+        self.batched = batched
+        self.coalesce_s = coalesce_s
+
+    def home_server(self, **options):
+        return super().home_server(
+            batch_pushes=self.batched,
+            push_coalesce_s=self.coalesce_s,
+            **options,
+        )
 
 
-async def _measure_mode(spec, trace_json: str, pipeline, batched):
+def _home(spec):
+    """A fresh home (the trace's updates mutate the master copy), its
+    policy, and the clients' own codec."""
     policy = ExposurePolicy.uniform(
         spec.registry, StrategyClass.MVIS.exposure_level
     )
-    keyring = Keyring(APP, b"b" * 32)
-    # Fresh data per mode: the trace's updates mutate the master copy.
     instance = spec.instantiate(scale=BENCH_SCALE, seed=1)
+    keyring = Keyring(APP, b"b" * 32)
     home = HomeServer(APP, instance.database, spec.registry, policy, keyring)
-    home_net = HomeNetServer(home, batch_pushes=batched)
-    await home_net.start()
-    servers, clients = [], []
-    try:
-        for index in range(NODES):
-            server = DsspNetServer(
-                DsspNode(),
-                node_id=f"dssp-{index}",
-                fault_hook=_service_latency,
-            )
-            server.register_application(APP, spec.registry, home_net.address)
-            await server.start()
-            servers.append(server)
-            clients.append(WireClient(*server.address, pipeline=pipeline))
+    return home, policy, EnvelopeCodec(keyring)
+
+
+async def _measure_mode(spec, trace_json: str, pipeline, batched, **tracing):
+    """One load run; ``tracing`` (``span_dir``, ``trace_sample``) goes to
+    the deployment (``bench_tracing_overhead`` replays this same run)."""
+    home, policy, codec = _home(spec)
+    async with _PushFraming(
+        home,
+        nodes=NODES,
+        service_latency_s=SERVICE_LATENCY_S,
+        pipeline=pipeline,
+        batched=batched,
+        **tracing,
+    ) as fleet:
         trace = Trace.from_json(trace_json).bind(spec.registry)
         report = await run_load(
-            clients,
-            EnvelopeCodec(keyring),
+            fleet.clients,
+            codec,
             policy,
             trace,
             clients=CLIENTS,
             pages=PAGES,
             pipeline=pipeline or 1,
         )
-        invalidations = sum(
-            server.node.stats.invalidations for server in servers
-        )
-        return report.with_invalidations(invalidations)
-    finally:
-        for client in clients:
-            await client.aclose()
-        for server in servers:
-            await server.stop()
-        await home_net.stop()
+        return report.with_invalidations(fleet.sum_invalidations())
 
 
 async def _measure_fanout(spec, *, batched: bool) -> dict:
@@ -120,40 +125,29 @@ async def _measure_fanout(spec, *, batched: bool) -> dict:
     burst into few INVALIDATE_BATCH frames; without it every invalidation
     rides its own frame (ratio exactly 1.0).
     """
-    policy = ExposurePolicy.uniform(
-        spec.registry, StrategyClass.MVIS.exposure_level
-    )
-    keyring = Keyring(APP, b"b" * 32)
-    instance = spec.instantiate(scale=BENCH_SCALE, seed=1)
-    home = HomeServer(APP, instance.database, spec.registry, policy, keyring)
-    home_net = HomeNetServer(
+    home, policy, _ = _home(spec)
+    async with _PushFraming(
         home,
-        batch_pushes=batched,
-        push_coalesce_s=FANOUT_COALESCE_S if batched else 0.0,
-    )
-    await home_net.start()
-    node_server = DsspNetServer(DsspNode(), node_id="dssp-0")
-    node_server.register_application(APP, spec.registry, home_net.address)
-    await node_server.start()
-    updater = WireClient(*home_net.address)
-    try:
-        deadline = asyncio.get_running_loop().time() + 5.0
-        while home_net.subscriber_count < 1:
-            if asyncio.get_running_loop().time() > deadline:
-                raise AssertionError("subscriber never connected")
-            await asyncio.sleep(0.01)
-        template = spec.registry.update("setStock")
-        for index in range(FANOUT_BURST):
-            bound = template.bind([100 + index, index + 1])
-            sealed = home.codec.seal_update(
-                bound, policy.update_level("setStock")
-            )
-            await updater.update(sealed, request_id=f"stock-{index}")
-        while node_server.stream_pushes_applied < FANOUT_BURST:
-            if asyncio.get_running_loop().time() > deadline:
-                raise AssertionError("burst never fully delivered")
-            await asyncio.sleep(0.01)
-        counters = home_net.metrics.snapshot()["counters"]
+        batched=batched,
+        coalesce_s=FANOUT_COALESCE_S if batched else 0.0,
+    ) as fleet:
+        updater = WireClient(*fleet.home_net.address)
+        try:
+            template = spec.registry.update("setStock")
+            for index in range(FANOUT_BURST):
+                bound = template.bind([100 + index, index + 1])
+                sealed = home.codec.seal_update(
+                    bound, policy.update_level("setStock")
+                )
+                await updater.update(sealed, request_id=f"stock-{index}")
+        finally:
+            await updater.aclose()
+        node_server = fleet.servers[0]
+        await eventually(
+            lambda: node_server.stream_pushes_applied >= FANOUT_BURST,
+            what="the burst's delivery",
+        )
+        counters = fleet.home_net.metrics.snapshot()["counters"]
         frames = int(counters["home.push_frames"])
         delivered = int(counters["home.pushes_sent"])
         return {
@@ -161,10 +155,6 @@ async def _measure_fanout(spec, *, batched: bool) -> dict:
             "frames": frames,
             "frames_per_invalidation": frames / delivered,
         }
-    finally:
-        await updater.aclose()
-        await node_server.stop()
-        await home_net.stop()
 
 
 def _experiment() -> dict:

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.dssp import HomeServer, StrategyClass
+from repro.dssp import StrategyClass
 from repro.dssp.cluster import (
     DsspCluster,
     ShardedDsspCluster,
     measure_cluster_behavior,
 )
 from repro.simulation import find_scalability
-from repro.workloads import get_application
+from repro.simulation.sweep import SweepTask, deploy
 
 from benchmarks.conftest import BENCH_PAGES, BENCH_SCALE, once
 
@@ -46,23 +44,12 @@ CLIENTS = 48
 
 
 def _behavior(cluster_cls, nodes: int):
-    app = get_application("bookstore")
-    instance = app.instantiate(scale=BENCH_SCALE, seed=1)
-    policy = ExposurePolicy.uniform(
-        app.registry, StrategyClass.MVIS.exposure_level
+    cluster, home, sampler = deploy(
+        SweepTask("bookstore", StrategyClass.MVIS, scale=BENCH_SCALE),
+        cluster_cls(nodes=nodes, cache_capacity=CAPACITY),
     )
-    home = HomeServer(
-        "bookstore",
-        instance.database,
-        app.registry,
-        policy,
-        Keyring("bookstore"),
-    )
-    cluster = cluster_cls(nodes=nodes, cache_capacity=CAPACITY)
-    cluster.register_application(home)
     return measure_cluster_behavior(
-        cluster, home, instance.sampler, pages=BENCH_PAGES,
-        clients=CLIENTS, seed=5,
+        cluster, home, sampler, pages=BENCH_PAGES, clients=CLIENTS, seed=5
     )
 
 

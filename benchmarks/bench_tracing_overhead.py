@@ -26,23 +26,20 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.crypto.envelope import EnvelopeCodec
-from repro.dssp import DsspNode, HomeServer
-from repro.dssp.invalidation import StrategyClass
-from repro.net import DsspNetServer, HomeNetServer, WireClient, run_load
-from repro.obs import SpanRecorder, SpanSink
 from repro.workloads import get_application
-from repro.workloads.trace import Trace, record_trace
+from repro.workloads.trace import record_trace
 
+from benchmarks.bench_net_pipeline import (
+    APP,
+    CLIENTS,
+    NODES,
+    PAGES,
+    PIPELINE,
+    SERVICE_LATENCY_S,
+    _measure_mode,
+)
 from benchmarks.conftest import BENCH_SCALE, once
 
-APP = "bookstore"
-PAGES = 200
-CLIENTS = 4
-NODES = 2
-PIPELINE = 8
 SAMPLE_RATE = 0.01
 #: Interleaved rounds per mode; the best round is kept.  Run-to-run
 #: drift on a shared host (several percent, monotone within a process)
@@ -50,79 +47,25 @@ SAMPLE_RATE = 0.01
 #: traced pass would attribute the drift to the recorder.  Alternating
 #: the modes and keeping each mode's best round cancels it.
 ROUNDS = 2
-#: Injected per-request service latency at each DSSP server (seconds) —
-#: same rationale as bench_net_pipeline: localhost replay is otherwise
-#: CPU-bound and would measure the interpreter, not the recorder.
-SERVICE_LATENCY_S = 0.02
-
-
-async def _service_latency(frame, request_id):
-    await asyncio.sleep(SERVICE_LATENCY_S)
 
 
 async def _measure(spec, trace_json: str, span_dir: Path | None):
     """One full load run; ``span_dir`` None means tracing disabled."""
-
-    def tracer(node_id: str) -> SpanRecorder | None:
-        if span_dir is None:
-            return None
-        sink = SpanSink(span_dir / f"{node_id}.spans.jsonl")
-        return SpanRecorder(node_id, sink, sample_rate=SAMPLE_RATE)
-
-    policy = ExposurePolicy.uniform(
-        spec.registry, StrategyClass.MVIS.exposure_level
+    report = await _measure_mode(
+        spec,
+        trace_json,
+        PIPELINE,
+        batched=True,
+        span_dir=span_dir,
+        trace_sample=SAMPLE_RATE,
     )
-    keyring = Keyring(APP, b"b" * 32)
-    instance = spec.instantiate(scale=BENCH_SCALE, seed=1)
-    home = HomeServer(APP, instance.database, spec.registry, policy, keyring)
-    home_net = HomeNetServer(home, tracer=tracer("home"))
-    await home_net.start()
-    servers, clients = [], []
-    recorders = [home_net.tracer]
-    client_tracer = tracer("client")
-    recorders.append(client_tracer)
-    try:
-        for index in range(NODES):
-            server = DsspNetServer(
-                DsspNode(),
-                node_id=f"dssp-{index}",
-                fault_hook=_service_latency,
-                tracer=tracer(f"dssp-{index}"),
-            )
-            server.register_application(APP, spec.registry, home_net.address)
-            await server.start()
-            servers.append(server)
-            recorders.append(server.tracer)
-            clients.append(
-                WireClient(
-                    *server.address, pipeline=PIPELINE, tracer=client_tracer
-                )
-            )
-        trace = Trace.from_json(trace_json).bind(spec.registry)
-        report = await run_load(
-            clients,
-            EnvelopeCodec(keyring),
-            policy,
-            trace,
-            clients=CLIENTS,
-            pages=PAGES,
-            pipeline=PIPELINE,
+    spans = 0
+    if span_dir is not None:
+        spans = sum(
+            len(path.read_text().splitlines())
+            for path in span_dir.glob("*.spans.jsonl")
         )
-        spans = 0
-        if span_dir is not None:
-            for recorder in recorders:
-                recorder.close()
-            spans = sum(
-                len(path.read_text().splitlines())
-                for path in span_dir.glob("*.spans.jsonl")
-            )
-        return report, spans
-    finally:
-        for client in clients:
-            await client.aclose()
-        for server in servers:
-            await server.stop()
-        await home_net.stop()
+    return report, spans
 
 
 def _experiment() -> dict:

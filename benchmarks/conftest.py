@@ -20,11 +20,9 @@ import pathlib
 
 import pytest
 
-from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.dssp import DsspNode, HomeServer, StrategyClass
-from repro.simulation import SimulationParams
-from repro.workloads import get_application
+from repro.dssp import StrategyClass
+from repro.simulation import SimulationParams, sweep
+from repro.simulation.sweep import SweepTask
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -77,34 +75,9 @@ def sim_params() -> SimulationParams:
     return SimulationParams()
 
 
-def deploy(
-    app_name: str,
-    policy: ExposurePolicy | None = None,
-    strategy: StrategyClass | None = None,
-    scale: float | None = None,
-    seed: int = 1,
-    use_integrity_constraints: bool = True,
-    equality_only_independence: bool = False,
-):
-    """Build (node, home, sampler) for an application under a policy."""
-    app = get_application(app_name)
-    instance = app.instantiate(scale=scale or BENCH_SCALE, seed=seed)
-    if policy is None:
-        assert strategy is not None
-        policy = ExposurePolicy.uniform(app.registry, strategy.exposure_level)
-    home = HomeServer(
-        app_name,
-        instance.database,
-        app.registry,
-        policy,
-        Keyring(app_name, b"bench-key-" + app_name.encode().ljust(22, b"0")),
-    )
-    node = DsspNode(
-        use_integrity_constraints=use_integrity_constraints,
-        equality_only_independence=equality_only_independence,
-    )
-    node.register_application(home)
-    return node, home, instance.sampler
+def deploy(app_name: str, strategy: StrategyClass):
+    """Build (node, home, sampler) for an application under a strategy."""
+    return sweep.deploy(SweepTask(app_name, strategy, scale=BENCH_SCALE))
 
 
 def once(benchmark, fn):

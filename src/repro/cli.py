@@ -50,6 +50,7 @@ from repro.simulation import (
     find_scalability,
     simulate_users,
 )
+from repro.simulation.sweep import SweepTask, deploy, run_sweep
 from repro.workloads import APPLICATIONS, get_application
 
 __all__ = ["main"]
@@ -668,18 +669,6 @@ def _cmd_methodology(args, out) -> int:
     return 0
 
 
-def _deploy(app_name: str, strategy: StrategyClass, scale: float, seed: int = 1):
-    spec = get_application(app_name)
-    instance = spec.instantiate(scale=scale, seed=seed)
-    policy = ExposurePolicy.uniform(spec.registry, strategy.exposure_level)
-    home = HomeServer(
-        app_name, instance.database, spec.registry, policy, Keyring(app_name)
-    )
-    node = DsspNode()
-    node.register_application(home)
-    return node, home, instance.sampler
-
-
 def _cmd_scalability(args, out) -> int:
     params = SimulationParams()
     print(
@@ -695,8 +684,6 @@ def _cmd_scalability(args, out) -> int:
     else:
         # Single-node strategies are independent cells: sweep them across
         # worker processes when the host has the CPUs for it.
-        from repro.simulation.sweep import SweepTask, run_sweep
-
         tasks = [
             SweepTask(
                 app_name=args.app,
@@ -721,22 +708,20 @@ def _cmd_scalability(args, out) -> int:
 def _cluster_behavior(args, strategy: StrategyClass):
     from repro.dssp.cluster import DsspCluster, measure_cluster_behavior
 
-    spec = get_application(args.app)
-    instance = spec.instantiate(scale=args.scale, seed=1)
-    policy = ExposurePolicy.uniform(spec.registry, strategy.exposure_level)
-    home = HomeServer(
-        args.app, instance.database, spec.registry, policy, Keyring(args.app)
+    cluster, home, sampler = deploy(
+        SweepTask(args.app, strategy, scale=args.scale),
+        DsspCluster(nodes=args.nodes),
     )
-    cluster = DsspCluster(nodes=args.nodes)
-    cluster.register_application(home)
     return measure_cluster_behavior(
-        cluster, home, instance.sampler, pages=args.pages, seed=5
+        cluster, home, sampler, pages=args.pages, seed=5
     )
 
 
 def _cmd_simulate(args, out) -> int:
     strategy = StrategyClass[args.strategy]
-    node, home, sampler = _deploy(args.app, strategy, args.scale, args.seed)
+    node, home, sampler = deploy(
+        SweepTask(args.app, strategy, scale=args.scale, data_seed=args.seed)
+    )
     params = SimulationParams(duration_s=args.duration)
     report = simulate_users(
         node, home, sampler, args.users, params, seed=args.seed
@@ -814,8 +799,6 @@ def _cmd_export(args, out) -> int:
 
 def _demo_keyring(app: str, master: str):
     """Deterministic keyring both endpoints of a demo can derive."""
-    from repro.crypto import Keyring
-
     digest = hashlib.sha256(f"{master}:{app}".encode()).digest()
     return Keyring(app, digest)
 
@@ -838,13 +821,9 @@ def _parse_shards(text: str | None) -> tuple[str, ...] | None:
 
 def _node_tracer(node_id: str, args):
     """SpanRecorder for a traced process, or None when --span-log is unset."""
-    if getattr(args, "span_log", None) is None:
-        return None
-    from repro.obs import SpanRecorder, SpanSink
+    from repro.net.deploy import span_recorder
 
-    return SpanRecorder(
-        node_id, SpanSink(args.span_log), sample_rate=args.trace_sample
-    )
+    return span_recorder(node_id, args.span_log, args.trace_sample)
 
 
 def _serve(server, banner: str, out) -> int:
@@ -1069,6 +1048,7 @@ def _cmd_loadgen(args, out) -> int:
 
     from repro.crypto.envelope import EnvelopeCodec
     from repro.net.client import WireClient
+    from repro.net.deploy import Deployment
     from repro.net.loadgen import TenantWorkload, run_load, run_open_load
     from repro.simulation import SimulationParams
     from repro.simulation.scalability import predict_p90
@@ -1117,56 +1097,36 @@ def _cmd_loadgen(args, out) -> int:
     tracer = _node_tracer("client", args)
 
     async def run():
-        endpoints = []
-        proxies = []
+        fleet = Deployment(
+            nodes=[_parse_address(address) for address in args.dssp],
+            pipeline=args.pipeline,
+            plan=chaos_plan,
+            log=chaos_log,
+        )
+        if tracer is not None:
+            fleet.tracers["client"] = tracer
         on_page = None
-        if chaos_plan is None:
-            endpoints = [
-                WireClient(
-                    *_parse_address(address),
-                    pipeline=args.pipeline,
-                    tracer=tracer,
-                )
-                for address in args.dssp
-            ]
-        else:
-            from repro.net.chaos import ChaosProxy
+        if chaos_plan is not None and args.kill_every:
 
-            for address in args.dssp:
-                proxy = ChaosProxy(
-                    _parse_address(address),
-                    chaos_plan,
-                    f"client->{address}",
-                    chaos_log,
-                )
-                host, port = await proxy.start()
-                proxies.append(proxy)
-                endpoints.append(
-                    WireClient(
-                        host, port, pipeline=args.pipeline, tracer=tracer
+            async def on_page(completed):
+                if completed % args.kill_every == 0:
+                    for handle in fleet.handles:
+                        await handle.client_proxy.kill_connections()
+
+        async with fleet:
+            drivers = fleet.clients
+            if shard_ids is not None:
+                from repro.dssp.ring import DEFAULT_VNODES
+                from repro.net.router import ShardRouter
+
+                # One router fronts the whole cluster: every client lane
+                # routes by placement key instead of pinning to one node.
+                drivers = [
+                    ShardRouter(
+                        dict(zip(shard_ids, fleet.clients)),
+                        vnodes=args.vnodes or DEFAULT_VNODES,
                     )
-                )
-            if args.kill_every:
-
-                async def on_page(completed, _proxies=proxies):
-                    if completed % args.kill_every == 0:
-                        for proxy in _proxies:
-                            await proxy.kill_connections()
-
-        drivers = endpoints
-        if shard_ids is not None:
-            from repro.dssp.ring import DEFAULT_VNODES
-            from repro.net.router import ShardRouter
-
-            # One router fronts the whole cluster: every client lane
-            # routes by placement key instead of pinning to one node.
-            drivers = [
-                ShardRouter(
-                    dict(zip(shard_ids, endpoints)),
-                    vnodes=args.vnodes or DEFAULT_VNODES,
-                )
-            ]
-        try:
+                ]
             if args.arrival is not None:
                 from repro.net.scenarios import hot_query_page
                 from repro.net.traffic import make_arrivals
@@ -1207,11 +1167,6 @@ def _cmd_loadgen(args, out) -> int:
                 pipeline=args.pipeline or 1,
                 on_page=on_page,
             )
-        finally:
-            for endpoint in endpoints:
-                await endpoint.aclose()
-            for proxy in proxies:
-                await proxy.stop()
 
     async def fetch_stats():
         snapshots = []
@@ -1249,7 +1204,6 @@ def _cmd_loadgen(args, out) -> int:
     if tracer is not None:
         from repro.obs.assemble import phase_aggregates
 
-        tracer.close()
         report = report.with_phases(
             phase_aggregates(list(tracer.sink.spans))
         )

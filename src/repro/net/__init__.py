@@ -18,6 +18,9 @@ This package puts the *network* back between them:
   issues on an arrival schedule with drop accounting;
 * :mod:`repro.net.traffic` — seeded arrival processes (Poisson, ON/OFF,
   diurnal, flash-crowd) with byte-for-byte reproducible schedules;
+* :mod:`repro.net.deploy` — the one networked deployment: a home, N
+  DSSP nodes and their clients (optionally behind chaos proxies), with
+  one start order, readiness barrier, restart and stop order;
 * :mod:`repro.net.scenarios` — named scenario deployments (steady,
   flash_crowd, multi_tenant, diurnal) and the knee-curve sweep;
 * :mod:`repro.net.chaos` — seeded, fully deterministic fault injection
@@ -43,6 +46,7 @@ from repro.net.client import (
     Subscription,
     WireClient,
 )
+from repro.net.deploy import Deployment, NodeHandle, eventually
 from repro.net.dssp_server import DsspNetServer
 from repro.net.home_server import HomeNetServer, UpdateDedup
 from repro.net.loadgen import (
@@ -61,7 +65,6 @@ from repro.net.oracle import (
 from repro.net.router import ShardRouter
 from repro.net.scenarios import (
     SCENARIOS,
-    ScenarioDeployment,
     deploy_scenario,
     find_knee,
     flash_crowd_trace,
@@ -103,6 +106,7 @@ __all__ = [
     "ChaosProxy",
     "ChaosRunner",
     "ChaosTopology",
+    "Deployment",
     "DiurnalArrivals",
     "DsspNetServer",
     "ErrorCode",
@@ -116,10 +120,10 @@ __all__ = [
     "InvalidationBatch",
     "InvalidationPush",
     "LoadReport",
+    "NodeHandle",
     "OnOffArrivals",
     "PoissonArrivals",
     "SCENARIOS",
-    "ScenarioDeployment",
     "TenantWorkload",
     "NetQueryOutcome",
     "NetUpdateOutcome",
@@ -142,6 +146,7 @@ __all__ = [
     "decode_traced",
     "deploy_scenario",
     "encode_frame",
+    "eventually",
     "find_knee",
     "flash_crowd_trace",
     "make_arrivals",

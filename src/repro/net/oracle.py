@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto.envelope import EnvelopeCodec
@@ -45,8 +43,7 @@ from repro.dssp.placement import (
     shards_for_update,
     update_routing_key,
 )
-from repro.dssp.proxy import DsspNode
-from repro.dssp.ring import DEFAULT_VNODES, HashRing
+from repro.dssp.ring import HashRing
 from repro.errors import (
     HomeUnreachableError,
     NetConnectionError,
@@ -54,13 +51,9 @@ from repro.errors import (
     NetTimeoutError,
     ServerOverloadedError,
     WireError,
-    WorkloadError,
 )
-from repro.net.chaos import ChaosLog, ChaosProxy, FaultEvent, FaultPlan
-from repro.net.client import RetryPolicy, WireClient
-from repro.net.dssp_server import DsspNetServer
-from repro.net.home_server import HomeNetServer, UpdateDedup
-from repro.obs import SpanRecorder, SpanSink
+from repro.net.chaos import ChaosLog, FaultEvent, FaultPlan
+from repro.net.deploy import Deployment, eventually
 from repro.storage.backends import InMemoryBackend, wrap_database
 from repro.storage.database import Database
 from repro.storage.rows import sort_key
@@ -151,32 +144,14 @@ class OracleReport:
         )
 
 
-class _NodeHandle:
-    """One DSSP node's live pieces; the server is replaced on restart."""
-
-    def __init__(self, name: str, node: DsspNode) -> None:
-        self.name = name
-        self.node = node
-        self.server: DsspNetServer | None = None
-        self.port: int = 0
-        self.home_proxy: ChaosProxy | None = None
-        self.client_proxy: ChaosProxy | None = None
-        self.client: WireClient | None = None
-
-
-class ChaosTopology:
-    """A live N-node DSSP deployment with chaos proxies on every link.
-
-    Wire paths (faults can strike any frame on any proxied hop)::
-
-        oracle client --[ChaosProxy]--> DsspNetServer --[ChaosProxy]--> HomeNetServer
-                                            ^--- invalidation stream ---'
-
-    Kills are whole-server events: :meth:`kill_restart` stops a server,
-    rebinds a fresh one on the same port over the surviving durable state
-    (the home's database + idempotency log, or the node's warm cache), and
-    waits for every invalidation stream to re-establish — so a kill never
-    leaves the fault schedule's frame accounting ambiguous.
+class ChaosTopology(Deployment):
+    """A live N-node deployment with chaos proxies on every link, plus the
+    oracle's own state: the reference database and, on a sharded
+    topology, the ring and the home's conservative affinity.  Kills are
+    whole-server events (:meth:`Deployment.restart`), so a kill never
+    leaves the fault schedule's frame accounting ambiguous.  Keywords
+    beyond the oracle's own go to the :class:`Deployment` (``shards``,
+    ``vnodes``, ``trace_sample``).
     """
 
     def __init__(
@@ -191,32 +166,15 @@ class ChaosTopology:
         nodes: int = 2,
         keyring: Keyring | None = None,
         pipeline: int | None = None,
-        shards: bool = False,
-        vnodes: int = DEFAULT_VNODES,
         backend: str = "memory",
         db_path=None,
         trace_dir=None,
-        trace_sample: float = 1.0,
+        **options,
     ) -> None:
-        if nodes < 1:
-            raise WorkloadError("chaos topology needs at least one node")
-        #: Span tracing: one recorder (and span-log file) per logical node,
-        #: reused across kill/restart cycles so a restarted server keeps
-        #: appending to the same log.  None = tracing off.
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.trace_sample = trace_sample
-        self._tracers: dict[str, SpanRecorder] = {}
-        #: Per-client request window (None = 1).  The oracle runner stays
-        #: sequential either way; a wider window only lets the faults
-        #: exercise the pending map with several slots free.
-        self.pipeline = pipeline
-        self.app_id = app_id
         self.registry = registry
         self.policy = policy
-        self.plan = plan
-        self.log = log
-        self.keyring = keyring or Keyring(app_id)
-        self.codec = EnvelopeCodec(self.keyring)
+        keyring = keyring or Keyring(app_id)
+        self.codec = EnvelopeCodec(keyring)
         #: The live system's master copy (the caller's database is cloned,
         #: so the reference model can clone the same pristine state).
         #: ``backend="sqlite"`` puts the master behind a durable
@@ -224,270 +182,45 @@ class ChaosTopology:
         #: the reference model then runs on an :class:`InMemoryBackend` so
         #: both sides share the canonical ORDER BY/LIMIT semantics (a raw
         #: Database reference would false-positive on tie order).
-        self.backend = backend
-        self.db_path = db_path
         if backend == "memory":
             home_database = database.clone()
             self.reference_database = home_database
         else:
             home_database = wrap_database(backend, database, path=db_path)
             self.reference_database = InMemoryBackend(database.clone())
-        self.home = HomeServer(
-            app_id, home_database, registry, policy, self.keyring
+        super().__init__(
+            HomeServer(app_id, home_database, registry, policy, keyring),
+            nodes=nodes,
+            # The oracle runner stays sequential either way; a wider
+            # window only lets the faults exercise the pending map with
+            # several slots free.
+            pipeline=pipeline or 1,
+            plan=plan,
+            log=log,
+            span_dir=trace_dir,
+            **options,
         )
-        #: Survives home restarts: models the durable idempotency log.
-        self.dedup = UpdateDedup()
-        self.home_net: HomeNetServer | None = None
-        self.home_port: int = 0
-        self.handles = [
-            _NodeHandle(f"dssp-{i}", DsspNode()) for i in range(nodes)
-        ]
-        #: Sharded mode: the nodes form a consistent-hash cluster, each
-        #: admitting only keys it owns, and the home narrows invalidation
-        #: fan-out to owning shards.  The topology keeps its own copy of
-        #: the ring and the home's *conservative* (constraints-off)
-        #: affinity so the oracle can predict which nodes a push reaches.
-        self.sharded = shards
-        self.vnodes = vnodes
+        #: Sharded mode: each node admits only keys it owns, and the home
+        #: narrows invalidation fan-out to owning shards.  The topology
+        #: keeps its own ring and the home's *conservative*
+        #: (constraints-off) affinity so the oracle can predict which
+        #: nodes a push reaches.
+        self.sharded = bool(self.shard_ids)
         self.ring: HashRing | None = None
         self.affinity: TemplateAffinity | None = None
         self.blind_queries = False
-        if shards:
-            self.ring = HashRing(
-                tuple(handle.name for handle in self.handles), vnodes=vnodes
-            )
+        if self.sharded:
+            self.ring = HashRing(self.shard_ids, vnodes=self.vnodes)
             self.affinity = TemplateAffinity(
                 registry, use_integrity_constraints=False
             )
             self.blind_queries = policy_allows_blind_queries(policy)
 
-    @property
-    def clients(self) -> list[WireClient]:
-        return [handle.client for handle in self.handles]
-
-    def handle_for(self, name: str) -> _NodeHandle:
-        return next(h for h in self.handles if h.name == name)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _policy_seed(self, salt: int) -> int:
-        return self.plan.seed * 1000 + salt
-
-    def tracer(self, node_id: str) -> SpanRecorder | None:
-        """The per-node recorder (shared across restarts), or None."""
-        if self.trace_dir is None:
-            return None
-        recorder = self._tracers.get(node_id)
-        if recorder is None:
-            recorder = SpanRecorder(
-                node_id,
-                SpanSink(self.trace_dir / f"{node_id}.spans.jsonl"),
-                sample_rate=self.trace_sample,
-            )
-            self._tracers[node_id] = recorder
-        return recorder
-
-    def span_logs(self) -> list[Path]:
-        """Paths of every span log this topology wrote (may be empty)."""
-        return [
-            recorder.sink.path for recorder in self._tracers.values()
-        ]
-
-    def _new_home_server(self) -> HomeNetServer:
-        return HomeNetServer(
-            self.home,
-            port=self.home_port,
-            update_dedup=self.dedup,
-            request_timeout_s=5.0,
-            push_timeout_s=2.0,
-            tracer=self.tracer("home"),
-        )
-
-    def _new_dssp_server(self, index: int) -> DsspNetServer:
-        handle = self.handles[index]
-        server = DsspNetServer(
-            handle.node,
-            port=handle.port,
-            node_id=handle.name,
-            request_timeout_s=5.0,
-            home_pool_size=1,
-            home_timeout_s=2.0,
-            home_retry=RetryPolicy(
-                attempts=2,
-                backoff_s=0.005,
-                max_backoff_s=0.05,
-                seed=self._policy_seed(10 + index),
-            ),
-            subscribe_retry=RetryPolicy(
-                attempts=1_000_000,
-                backoff_s=0.005,
-                max_backoff_s=0.1,
-                seed=self._policy_seed(20 + index),
-            ),
-            shards=(
-                tuple(h.name for h in self.handles) if self.sharded else None
-            ),
-            vnodes=self.vnodes,
-            tracer=self.tracer(handle.name),
-        )
-        server.register_application(
-            self.app_id, self.registry, handle.home_proxy.address
-        )
-        return server
-
-    async def start(self) -> None:
-        self.home_net = self._new_home_server()
-        host, self.home_port = await self.home_net.start()
-        for index, handle in enumerate(self.handles):
-            handle.home_proxy = ChaosProxy(
-                (host, self.home_port),
-                self.plan,
-                f"{handle.name}->home",
-                self.log,
-            )
-            await handle.home_proxy.start()
-            handle.server = self._new_dssp_server(index)
-            _, handle.port = await handle.server.start()
-            handle.client_proxy = ChaosProxy(
-                ("127.0.0.1", handle.port),
-                self.plan,
-                f"client->{handle.name}",
-                self.log,
-            )
-            proxy_host, proxy_port = await handle.client_proxy.start()
-            handle.client = WireClient(
-                proxy_host,
-                proxy_port,
-                pool_size=1,
-                request_timeout_s=3.0,
-                retry=RetryPolicy(
-                    attempts=3,
-                    backoff_s=0.005,
-                    max_backoff_s=0.05,
-                    seed=self._policy_seed(30 + index),
-                ),
-                pipeline=self.pipeline,
-                tracer=self.tracer("client"),
-            )
-        await self.wait_streams()
-
-    async def stop(self) -> None:
-        for handle in self.handles:
-            if handle.client is not None:
-                await handle.client.aclose()
-        for handle in self.handles:
-            if handle.server is not None:
-                await handle.server.stop()
-        if self.home_net is not None:
-            await self.home_net.stop()
-        for handle in self.handles:
-            if handle.client_proxy is not None:
-                await handle.client_proxy.stop()
-            if handle.home_proxy is not None:
-                await handle.home_proxy.stop()
-        if self.backend != "memory":
-            self.home.database.close()
-        for recorder in self._tracers.values():
-            recorder.close()
-
-    # -- chaos events ------------------------------------------------------
-
-    async def kill_restart(self, target: str) -> None:
-        """Kill and restart one server by name (``home`` or ``dssp-i``).
-
-        Returns only once every affected invalidation stream has fully
-        re-established *and re-flushed*.  The barrier is what keeps kills
-        deterministic: no operation runs while a subscription (or its
-        safety flush) is half-done, so cache contents — and therefore the
-        exact frame sequence the fault plan sees — never depend on restart
-        timing.
-        """
-        if target == "home":
-            baselines = {
-                handle.name: handle.server.stream_flushes
-                for handle in self.handles
-            }
-            await self.home_net.stop()
-            if self.backend == "sqlite" and self.db_path is not None:
-                # Model a full process death, not just a dropped listener:
-                # discard every in-memory structure and resume from what
-                # the durable file holds.  Only ``self.dedup`` survives —
-                # it stands in for the durable idempotency log.
-                old = self.home.database
-                old.close()
-                reopened = wrap_database(
-                    "sqlite", self.reference_database.database,
-                    path=self.db_path,
-                )
-                self.home = HomeServer(
-                    self.app_id,
-                    reopened,
-                    self.registry,
-                    self.policy,
-                    self.keyring,
-                )
-            self.home_net = self._new_home_server()
-            await self.home_net.start()
-            await self.wait_streams(baselines)
-            return
-        index = next(
-            i
-            for i, handle in enumerate(self.handles)
-            if handle.name == target
-        )
-        handle = self.handles[index]
-        await handle.server.stop()
-        # The old subscription must be fully gone from the home before the
-        # replacement subscribes, or a lingering half-dead channel could
-        # swallow (or leak) a push unpredictably.
-        await _eventually(
-            lambda: not self.home_net.has_subscriber(handle.name),
-            10.0,
-            f"{handle.name} old stream teardown",
-        )
-        handle.server = self._new_dssp_server(index)
-        await handle.server.start()
-        await self.wait_streams({handle.name: 0})
-
-    async def wait_streams(
-        self,
-        flush_baselines: dict[str, int] | None = None,
-        timeout_s: float = 20.0,
-    ) -> None:
-        """Block until the named nodes' streams are live and freshly
-        flushed (``stream_flushes`` strictly above the given baseline).
-
-        With no baselines given, waits for every node's first flush — the
-        start-of-run barrier.
-        """
-        if flush_baselines is None:
-            flush_baselines = {handle.name: 0 for handle in self.handles}
-        by_name = {handle.name: handle for handle in self.handles}
-
-        def settled() -> bool:
-            if self.home_net is None:
-                return False
-            return all(
-                self.home_net.has_subscriber(name)
-                and by_name[name].server.stream_flushes > baseline
-                for name, baseline in flush_baselines.items()
-            )
-
-        await _eventually(settled, timeout_s, "invalidation streams")
+    kill_restart = Deployment.restart
 
     def home_database(self):
         """The live master copy (a raw :class:`Database` or a backend)."""
-        return self.home.database
-
-
-async def _eventually(
-    predicate, timeout_s: float, what: str, poll_s: float = 0.002
-) -> None:
-    deadline = time.perf_counter() + timeout_s
-    while not predicate():
-        if time.perf_counter() >= deadline:
-            raise TimeoutError(f"timed out waiting for {what}")
-        await asyncio.sleep(poll_s)
+        return self.homes[0].database
 
 
 class _Reference:
@@ -637,7 +370,7 @@ class ChaosRunner:
         level = topology.policy.query_level(bound.template.name)
         envelope = topology.codec.seal_query(bound, level)
         if topology.sharded:
-            handle = topology.handle_for(
+            handle = topology.handle(
                 topology.ring.owner(query_placement_key(envelope))
             )
         else:
@@ -676,7 +409,7 @@ class ChaosRunner:
         level = topology.policy.update_level(bound.template.name)
         envelope = topology.codec.seal_update(bound, level)
         if topology.sharded:
-            origin = topology.handle_for(
+            origin = topology.handle(
                 topology.ring.owner(update_routing_key(envelope))
             )
         else:
@@ -734,7 +467,7 @@ class ChaosRunner:
                 )
 
             try:
-                await _eventually(
+                await eventually(
                     converged,
                     self.convergence_timeout_s,
                     f"invalidation of {request_id} at {handle.name}",
@@ -788,45 +521,27 @@ async def run_chaos(
     trace: Trace,
     plan: FaultPlan,
     *,
-    nodes: int = 2,
     clients: int = 4,
     pages: int | None = None,
-    keyring: Keyring | None = None,
-    pipeline: int | None = None,
-    shards: bool = False,
-    vnodes: int = DEFAULT_VNODES,
-    backend: str = "memory",
-    db_path=None,
-    trace_dir=None,
-    trace_sample: float = 1.0,
+    **topology_options,
 ) -> tuple[OracleReport, ChaosLog]:
     """Build a chaos topology, replay the trace, and tear everything down.
 
-    Returns the oracle report and the fault log (whose :meth:`canonical`
-    ordering is reproducible for a given plan seed).
+    ``topology_options`` are :class:`ChaosTopology`'s keywords (``nodes``,
+    ``pipeline``, ``shards``, ``backend``, ``trace_dir``, ...).  Returns
+    the oracle report and the fault log (whose :meth:`canonical` ordering
+    is reproducible for a given plan seed).
     """
-    log = ChaosLog()
     topology = ChaosTopology(
         app_id,
         registry,
         database,
         policy,
         plan=plan,
-        log=log,
-        nodes=nodes,
-        keyring=keyring,
-        pipeline=pipeline,
-        shards=shards,
-        vnodes=vnodes,
-        backend=backend,
-        db_path=db_path,
-        trace_dir=trace_dir,
-        trace_sample=trace_sample,
+        log=ChaosLog(),
+        **topology_options,
     )
-    await topology.start()
-    try:
+    async with topology:
         runner = ChaosRunner(topology, trace, clients=clients, pages=pages)
         report = await runner.run()
-    finally:
-        await topology.stop()
-    return report, log
+    return report, topology.log

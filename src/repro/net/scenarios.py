@@ -17,40 +17,37 @@ and the CI benchmark mean the same experiment:
   light tenants.
 - ``diurnal`` — one application under a sinusoidal day-curve.
 
-The deployment is in-process (asyncio localhost sockets, same stack as
-``tests/net``), so scenarios run anywhere the test suite runs; the
-arrival schedule — not the topology — is the experiment variable.
+The deployment is an in-process :class:`~repro.net.deploy.Deployment`
+(asyncio localhost sockets, same stack as ``tests/net``), so scenarios
+run anywhere the test suite runs; the arrival schedule — not the
+topology — is the experiment variable.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec
-from repro.dssp import DsspNode, HomeServer
+from repro.dssp import HomeServer
 from repro.dssp.invalidation import StrategyClass
 from repro.errors import WorkloadError
-from repro.net.dssp_server import DsspNetServer
-from repro.net.home_server import HomeNetServer
-from repro.net.client import RetryPolicy, WireClient
+from repro.net.client import RetryPolicy
+from repro.net.deploy import Deployment
 from repro.net.loadgen import LoadReport, TenantWorkload, run_open_load
 from repro.net.traffic import (
     DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
 )
-from repro.obs import merge_snapshots
 from repro.workloads import get_application, toystore_spec
 from repro.workloads.base import Operation
 from repro.workloads.trace import Trace, record_trace
 
 __all__ = [
     "SCENARIOS",
-    "ScenarioDeployment",
     "deploy_scenario",
     "find_knee",
     "flash_crowd_trace",
@@ -196,46 +193,6 @@ def scenario_arrivals(name: str, rate: float, seed: int, **overrides):
     return PoissonArrivals(rate=rate, seed=seed, **overrides)
 
 
-@dataclass
-class ScenarioDeployment:
-    """A started scenario topology: stop() releases every socket."""
-
-    name: str
-    seed: int
-    home_net: HomeNetServer
-    servers: list[DsspNetServer]
-    clients: list[WireClient]
-    tenants: list[TenantWorkload]
-    spec: _ScenarioSpec = field(repr=False)
-
-    async def stop(self) -> None:
-        for client in self.clients:
-            await client.aclose()
-        for server in self.servers:
-            await server.stop()
-        await self.home_net.stop()
-
-    def server_snapshot(self) -> dict:
-        """Merged metrics snapshot across the DSSP fleet.
-
-        Feed this to :func:`repro.obs.per_app_counters` to recover the
-        per-application request/shed books.
-        """
-        return merge_snapshots(
-            *(server.metrics.snapshot() for server in self.servers)
-        )
-
-    def sum_invalidations(self) -> int:
-        return sum(server.node.stats.invalidations for server in self.servers)
-
-
-def _make_service_latency(latency_s: float):
-    async def hook(frame, request_id):
-        await asyncio.sleep(latency_s)
-
-    return hook
-
-
 async def deploy_scenario(
     name: str,
     *,
@@ -248,7 +205,7 @@ async def deploy_scenario(
     max_in_flight: int | None = None,
     pipeline: int | None = None,
     retry_attempts: int = 1,
-) -> ScenarioDeployment:
+) -> Deployment:
     """Stand up a named scenario on localhost sockets.
 
     ``trace_pages`` bounds how many pages a run (or a sweep) can issue
@@ -278,7 +235,6 @@ async def deploy_scenario(
 
     homes = []
     tenants: list[TenantWorkload] = []
-    registries = []
     for index, app in enumerate(apps):
         app_spec = _spec_for(app)
         instance = app_spec.instantiate(scale=scale, seed=seed + index)
@@ -297,7 +253,6 @@ async def deploy_scenario(
         hot_page = None
         if name == "flash_crowd" and app == heavy_app:
             hot_page = hot_query_page(trace, app_spec.registry)
-        registries.append(app_spec.registry)
         tenants.append(
             TenantWorkload(
                 app=app,
@@ -309,51 +264,22 @@ async def deploy_scenario(
             )
         )
 
-    home_net = HomeNetServer(homes)
-    await home_net.start()
-    servers: list[DsspNetServer] = []
-    clients: list[WireClient] = []
-    try:
-        for index in range(nodes):
-            server = DsspNetServer(
-                DsspNode(),
-                node_id=f"dssp-{index}",
-                fault_hook=_make_service_latency(service_latency_s),
-                max_in_flight=max_in_flight,
-            )
-            for tenant, registry in zip(tenants, registries):
-                server.register_application(
-                    tenant.app, registry, home_net.address
-                )
-            await server.start()
-            servers.append(server)
-            clients.append(
-                WireClient(
-                    *server.address,
-                    pipeline=pipeline,
-                    retry=RetryPolicy(attempts=retry_attempts),
-                )
-            )
-    except BaseException:
-        for client in clients:
-            await client.aclose()
-        for server in servers:
-            await server.stop()
-        await home_net.stop()
-        raise
-    return ScenarioDeployment(
-        name=name,
-        seed=seed,
-        home_net=home_net,
-        servers=servers,
-        clients=clients,
-        tenants=tenants,
-        spec=spec,
+    deployment = Deployment(
+        homes,
+        nodes=nodes,
+        service_latency_s=service_latency_s,
+        max_in_flight=max_in_flight,
+        pipeline=pipeline,
+        retry=RetryPolicy(attempts=retry_attempts),
     )
+    deployment.name, deployment.seed = name, seed
+    deployment.tenants = tenants
+    await deployment.start()
+    return deployment
 
 
 async def run_scenario(
-    deployment: ScenarioDeployment,
+    deployment: Deployment,
     *,
     rate: float,
     duration_s: float,
@@ -398,7 +324,7 @@ def find_knee(points: list[dict], deadline_s: float) -> float | None:
 
 
 async def sweep_scenario(
-    deployment: ScenarioDeployment,
+    deployment: Deployment,
     *,
     rates: list[float],
     duration_s: float,

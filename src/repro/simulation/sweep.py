@@ -35,7 +35,14 @@ from repro.simulation.scalability import (
     measure_cache_behavior,
 )
 
-__all__ = ["SweepResult", "SweepTask", "run_sweep", "run_task", "sweep_workers"]
+__all__ = [
+    "SweepResult",
+    "SweepTask",
+    "deploy",
+    "run_sweep",
+    "run_task",
+    "sweep_workers",
+]
 
 
 @dataclass(frozen=True)
@@ -76,10 +83,14 @@ class SweepResult:
         return self.task.tag
 
 
-def run_task(
-    task: SweepTask, params: SimulationParams | None = None
-) -> SweepResult:
-    """Execute one sweep cell (this is the process-pool worker)."""
+def deploy(task: SweepTask, node=None):
+    """Build one cell's in-process deployment: ``(node, home, sampler)``.
+
+    The cell's data instance, its home server under the task's exposure
+    policy, and ``node`` — a fresh :class:`DsspNode` with the task's cache
+    settings unless the caller passes its own (a ``DsspCluster``, say) —
+    with the application registered on it.
+    """
     if (task.strategy is None) == (task.policy is None):
         raise ValueError("provide exactly one of strategy / policy")
     from repro.workloads import get_application
@@ -107,14 +118,23 @@ def run_task(
             b"bench-key-" + task.app_name.encode().ljust(22, b"0"),
         ),
     )
-    node = DsspNode(
-        cache_capacity=task.cache_capacity,
-        use_integrity_constraints=task.use_integrity_constraints,
-        equality_only_independence=task.equality_only_independence,
-    )
+    if node is None:
+        node = DsspNode(
+            cache_capacity=task.cache_capacity,
+            use_integrity_constraints=task.use_integrity_constraints,
+            equality_only_independence=task.equality_only_independence,
+        )
     node.register_application(home)
+    return node, home, instance.sampler
+
+
+def run_task(
+    task: SweepTask, params: SimulationParams | None = None
+) -> SweepResult:
+    """Execute one sweep cell (this is the process-pool worker)."""
+    node, home, sampler = deploy(task)
     behavior = measure_cache_behavior(
-        node, home, instance.sampler, pages=task.pages, seed=task.seed
+        node, home, sampler, pages=task.pages, seed=task.seed
     )
     users = None
     if params is not None:

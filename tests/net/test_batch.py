@@ -11,27 +11,19 @@ singleton frames.
 from __future__ import annotations
 
 import asyncio
-import time
 
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
-from repro.dssp import DsspNode, HomeServer
+from repro.dssp import HomeServer
 from repro.dssp.invalidation import StrategyClass
 from repro.net import (
-    DsspNetServer,
+    Deployment,
     HomeNetServer,
     InvalidationBatch,
     InvalidationPush,
     WireClient,
+    eventually,
 )
-
-
-async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached before timeout")
-        await asyncio.sleep(0.01)
 
 
 def make_home(registry, database):
@@ -261,6 +253,11 @@ class TestCoalescing:
             await server.stop()
 
 
+class CoalescingDeployment(Deployment):
+    def home_server(self, **options):
+        return super().home_server(push_coalesce_s=0.15, **options)
+
+
 class TestNodeAppliesBatches:
     async def test_dssp_node_applies_every_batch_entry(
         self, simple_toystore, toystore_db
@@ -269,29 +266,24 @@ class TestNodeAppliesBatches:
         every entry toward stream_pushes_applied (the oracle's convergence
         accounting), with the batch metrics recording the coalescing."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
-        home_net = HomeNetServer(home, push_coalesce_s=0.15)
-        await home_net.start()
-        node_server = DsspNetServer(DsspNode(), node_id="dssp-0")
-        node_server.register_application(
-            "toystore", simple_toystore, home_net.address
-        )
-        await node_server.start()
-        updater = WireClient(*home_net.address)
-        try:
-            await eventually(lambda: home_net.subscriber_count == 1)
-            toy_ids = [5, 6, 7, 8]
-            # Updates arrive directly at the home with a foreign origin,
-            # so the stream must deliver all of them to this node.
-            await burst(
-                updater, home, policy, simple_toystore, toy_ids
-            )
-            await eventually(
-                lambda: node_server.stream_pushes_applied == len(toy_ids)
-            )
-            metrics = node_server.metrics.snapshot()
-            assert metrics["counters"]["dssp.stream_batches"] >= 1
-            assert metrics["counters"]["dssp.stream_pushes"] == len(toy_ids)
-        finally:
-            await updater.aclose()
-            await node_server.stop()
-            await home_net.stop()
+        async with CoalescingDeployment(home) as fleet:
+            node_server = fleet.servers[0]
+            updater = WireClient(*fleet.home_net.address)
+            try:
+                toy_ids = [5, 6, 7, 8]
+                # Updates arrive directly at the home with a foreign
+                # origin, so the stream must deliver all of them here.
+                await burst(
+                    updater, home, policy, simple_toystore, toy_ids
+                )
+                await eventually(
+                    lambda: node_server.stream_pushes_applied
+                    == len(toy_ids)
+                )
+                metrics = node_server.metrics.snapshot()
+                assert metrics["counters"]["dssp.stream_batches"] >= 1
+                assert metrics["counters"]["dssp.stream_pushes"] == len(
+                    toy_ids
+                )
+            finally:
+                await updater.aclose()

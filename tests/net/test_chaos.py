@@ -259,12 +259,9 @@ class TestOracleIsLive:
             # convergence barrier is satisfied) but never invalidates —
             # exactly the failure mode the stale-read check exists for.
             topology.handles[1].node.invalidate_for = lambda envelope: 0
-        await topology.start()
-        try:
+        async with topology:
             runner = ChaosRunner(topology, trace, clients=2, pages=4)
             return await runner.run()
-        finally:
-            await topology.stop()
 
     async def test_broken_invalidation_is_reported_as_stale_read(
         self, simple_toystore, toystore_db

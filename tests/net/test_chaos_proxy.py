@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 import pytest
 
 from repro.errors import NetConnectionError
-from repro.net import RetryPolicy, WireClient, wire
+from repro.net import RetryPolicy, WireClient, eventually, wire
 from repro.net.chaos import ChaosLog, ChaosProxy, FaultDecision, FaultKind
 from repro.net.service import WireServer
 from repro.net.wire import FrameType
@@ -93,14 +92,6 @@ def requests(frames: list[bytes]) -> list[bytes]:
 
 def answers(frames: list[bytes]) -> list[bytes]:
     return [raw for raw in frames if raw[3] != FrameType.STATS]
-
-
-async def eventually(predicate, *, timeout_s: float = 2.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached before timeout")
-        await asyncio.sleep(0.01)
 
 
 class TestForwarding:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import time
 
 import pytest
 
@@ -20,22 +19,15 @@ from repro.crypto import Keyring
 from repro.dssp import DsspNode, HomeServer
 from repro.dssp.invalidation import StrategyClass
 from repro.net import (
+    Deployment,
     DsspNetServer,
     HomeNetServer,
     RetryPolicy,
     WireClient,
+    eventually,
 )
 from repro.net.wire import ErrorCode, ErrorResponse, QueryRequest
 from repro.obs.trace import SpanRecorder, SpanSink
-
-
-async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
-    """Poll until ``predicate()`` is true (invalidation streams are async)."""
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached before timeout")
-        await asyncio.sleep(0.01)
 
 
 FAST_RESUBSCRIBE = RetryPolicy(attempts=1_000, backoff_s=0.01, max_backoff_s=0.05)
@@ -48,11 +40,19 @@ def mtis_home(registry, database) -> HomeServer:
     )
 
 
-class Topology:
-    """home + 2 DSSP nodes + 2 clients, with a wire-byte observer."""
+class Topology(Deployment):
+    """The toystore home + DSSP nodes (two by default) + one client each,
+    with every frame on the wire in ``wire_bytes``."""
 
     def __init__(
-        self, registry, database, strategy: StrategyClass, span_sink=None
+        self,
+        registry,
+        database,
+        strategy: StrategyClass = StrategyClass.MTIS,
+        span_sink=None,
+        *,
+        nodes: int = 2,
+        **options,
     ) -> None:
         self.span_sink = span_sink
         self.wire_bytes: list[bytes] = []
@@ -63,43 +63,26 @@ class Topology:
             "toystore", database, registry, self.policy, keyring
         )
         self.codec = self.home.codec
-        self.home_net = HomeNetServer(
-            self.home, frame_observer=self.wire_bytes.append
-        )
-        self.nodes = [DsspNode(), DsspNode()]
-        self.dssp_nets: list[DsspNetServer] = []
-        self.clients: list[WireClient] = []
-        self.registry = registry
+        self.nodes = [DsspNode() for _ in range(nodes)]
+        super().__init__(self.home, nodes=self.nodes, **options)
 
-    async def __aenter__(self):
-        await self.home_net.start()
-        for index, node in enumerate(self.nodes):
-            server = DsspNetServer(
-                node,
-                node_id=f"dssp-{index}",
-                frame_observer=self.wire_bytes.append,
-                tracer=SpanRecorder(f"dssp-{index}", self.span_sink),
-            )
-            server.register_application(
-                "toystore", self.registry, self.home_net.address
-            )
-            await server.start()
-            self.dssp_nets.append(server)
-            host, port = server.address
-            self.clients.append(
-                WireClient(host, port, frame_observer=self.wire_bytes.append)
-            )
-        # Both invalidation streams must be live before traffic flows,
-        # otherwise fan-out has nobody to reach.
-        await eventually(lambda: self.home_net.subscriber_count == 2)
-        return self
+    @property
+    def dssp_nets(self) -> list[DsspNetServer]:
+        return self.servers
 
-    async def __aexit__(self, *exc_info):
-        for client in self.clients:
-            await client.aclose()
-        for server in self.dssp_nets:
-            await server.stop()
-        await self.home_net.stop()
+    def home_server(self, **options):
+        options["frame_observer"] = self.wire_bytes.append
+        return super().home_server(**options)
+
+    def dssp_server(self, handle, **options):
+        options["frame_observer"] = self.wire_bytes.append
+        if self.span_sink is not None:
+            options["tracer"] = SpanRecorder(handle.name, self.span_sink)
+        return super().dssp_server(handle, **options)
+
+    def client(self, handle, host, port, **options):
+        options["frame_observer"] = self.wire_bytes.append
+        return super().client(handle, host, port, **options)
 
     def seal_query(self, bound):
         return self.codec.seal_query(

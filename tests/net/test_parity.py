@@ -63,8 +63,7 @@ async def replay_networked(
         nodes=NODES,
         pipeline=pipeline,
     )
-    await topology.start()
-    try:
+    async with topology:
         runner = ChaosRunner(
             topology, trace, clients=CLIENTS, pages=PAGES
         )
@@ -73,8 +72,6 @@ async def replay_networked(
         for handle in topology.handles:
             stats.merge(handle.node.stats)
         return report, stats, topology.home_database().clone()
-    finally:
-        await topology.stop()
 
 
 @pytest.fixture(params=[StrategyClass.MTIS, StrategyClass.MVIS])

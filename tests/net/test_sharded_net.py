@@ -10,105 +10,40 @@ must still find zero stale reads when a shard dies mid-run.
 
 from __future__ import annotations
 
-import asyncio
-import time
-
 import pytest
 
 from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.dssp import DsspNode, HomeServer
+from repro.dssp import DsspNode
 from repro.dssp.invalidation import StrategyClass
 from repro.dssp.placement import bucket_key
 from repro.dssp.ring import HashRing
 from repro.errors import WireError
-from repro.net import (
-    DsspNetServer,
-    HomeNetServer,
-    ShardRouter,
-    WireClient,
-    run_chaos,
-)
+from repro.net import DsspNetServer, ShardRouter, eventually, run_chaos
 from repro.net.chaos import FaultPlan
 from repro.workloads.trace import Trace
+from tests.net.test_end_to_end import Topology
 
 
-async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached before timeout")
-        await asyncio.sleep(0.01)
-
-
-class ShardedTopology:
+class ShardedTopology(Topology):
     """home + N sharded DSSP nodes + a ShardRouter over their clients."""
 
     def __init__(
-        self,
-        registry,
-        database,
-        *,
-        nodes: int = 3,
-        declare_shards: bool = True,
+        self, registry, database, *, nodes=3, declare_shards=True
     ) -> None:
-        self.policy = ExposurePolicy.uniform(
-            registry, StrategyClass.MTIS.exposure_level
+        super().__init__(
+            registry, database, nodes=nodes, shards=declare_shards
         )
-        keyring = Keyring("toystore", b"k" * 32)
-        self.home = HomeServer(
-            "toystore", database, registry, self.policy, keyring
-        )
-        self.codec = self.home.codec
-        self.home_net = HomeNetServer(self.home)
-        self.names = tuple(f"dssp-{i}" for i in range(nodes))
-        self.declare_shards = declare_shards
+        self.names = tuple(handle.name for handle in self.handles)
         self.ring = HashRing(self.names)
-        self.servers: list[DsspNetServer] = []
-        self.clients: dict[str, WireClient] = {}
-        self.registry = registry
-        self.router: ShardRouter | None = None
 
     async def __aenter__(self):
-        await self.home_net.start()
-        for name in self.names:
-            server = DsspNetServer(
-                DsspNode(),
-                node_id=name,
-                shards=self.names if self.declare_shards else None,
-            )
-            server.register_application(
-                "toystore", self.registry, self.home_net.address
-            )
-            await server.start()
-            self.servers.append(server)
-            host, port = server.address
-            self.clients[name] = WireClient(host, port)
-        await eventually(
-            lambda: self.home_net.subscriber_count == len(self.names)
-        )
+        await super().__aenter__()
+        self.clients = {handle.name: handle.client for handle in self.handles}
         self.router = ShardRouter(self.clients)
         return self
 
-    async def __aexit__(self, *exc_info):
-        for client in self.clients.values():
-            await client.aclose()
-        for server in self.servers:
-            await server.stop()
-        await self.home_net.stop()
-
     def server(self, name: str) -> DsspNetServer:
-        return self.servers[self.names.index(name)]
-
-    def seal_query(self, bound):
-        return self.codec.seal_query(
-            bound, self.policy.query_level(bound.template.name)
-        )
-
-    def seal_update(self, bound):
-        return self.codec.seal_update(
-            bound, self.policy.update_level(bound.template.name)
-        )
+        return self.handle(name).server
 
 
 class TestShardedRouting:

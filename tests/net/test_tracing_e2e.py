@@ -11,38 +11,15 @@ bound parameters, or result rows.
 
 from __future__ import annotations
 
-import asyncio
-import time
-
 from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.crypto.envelope import EnvelopeCodec
-from repro.dssp import DsspNode, HomeServer
 from repro.dssp.invalidation import StrategyClass
-from repro.net import (
-    DsspNetServer,
-    HomeNetServer,
-    ShardRouter,
-    WireClient,
-    run_chaos,
-)
+from repro.net import ShardRouter, eventually, run_chaos
 from repro.net.chaos import FaultPlan
 from repro.net.loadgen import run_load
-from repro.obs import (
-    SpanRecorder,
-    SpanSink,
-    render_prometheus_fleet,
-)
+from repro.obs import render_prometheus_fleet
 from repro.obs.assemble import assemble, critical_path, load_spans
 from repro.workloads.trace import Trace
-
-
-async def eventually(predicate, *, timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("condition not reached before timeout")
-        await asyncio.sleep(0.01)
+from tests.net.test_end_to_end import Topology
 
 
 def make_trace() -> Trace:
@@ -77,65 +54,28 @@ FORBIDDEN = (
 )
 
 
-class TracedShardedTopology:
-    """home + 2 routed DSSP nodes, every process tracing at rate 1.0."""
+class TracedShardedTopology(Topology):
+    """home + 2 routed DSSP nodes, every process tracing at rate 1.0.
+
+    Unfiltered pushes: the nodes declare no shard topology, so the home
+    pushes every update to the node that did not forward it.  On a
+    declared ring dssp-0 owns U1, Q1 and Q2, every push would be
+    filtered, and no cross-node trace could complete.
+    """
 
     def __init__(self, registry, database, tmp_path) -> None:
-        self.policy = ExposurePolicy.uniform(
-            registry, StrategyClass.MTIS.exposure_level
-        )
-        keyring = Keyring("toystore", b"k" * 32)
-        self.home = HomeServer(
-            "toystore", database, registry, self.policy, keyring
-        )
-        self.codec = EnvelopeCodec(keyring)
-        self.tmp_path = tmp_path
-        self.span_logs = []
-        self.home_net = HomeNetServer(self.home, tracer=self._tracer("home"))
-        self.names = ("dssp-0", "dssp-1")
-        self.registry = registry
-        self.servers: list[DsspNetServer] = []
-        self.clients: dict[str, WireClient] = {}
-        self.router: ShardRouter | None = None
+        super().__init__(registry, database, pipeline=4, span_dir=tmp_path)
 
-    def _tracer(self, node_id: str) -> SpanRecorder:
-        path = self.tmp_path / f"{node_id}.spans.jsonl"
-        self.span_logs.append(path)
-        return SpanRecorder(node_id, SpanSink(path), sample_rate=1.0)
+    @property
+    def span_logs(self):
+        return [recorder.sink.path for recorder in self.tracers.values()]
 
     async def __aenter__(self):
-        await self.home_net.start()
-        client_tracer = self._tracer("client")
-        for name in self.names:
-            # Unfiltered pushes: the nodes declare no shard topology, so
-            # the home pushes every update to the node that did not
-            # forward it.  On a declared ring dssp-0 owns U1, Q1 and Q2,
-            # every push would be filtered, and no cross-node trace could
-            # complete.
-            server = DsspNetServer(
-                DsspNode(), node_id=name, tracer=self._tracer(name)
-            )
-            server.register_application(
-                "toystore", self.registry, self.home_net.address
-            )
-            await server.start()
-            self.servers.append(server)
-            host, port = server.address
-            self.clients[name] = WireClient(
-                host, port, pipeline=4, tracer=client_tracer
-            )
-        await eventually(
-            lambda: self.home_net.subscriber_count == len(self.names)
+        await super().__aenter__()
+        self.router = ShardRouter(
+            {handle.name: handle.client for handle in self.handles}
         )
-        self.router = ShardRouter(self.clients)
         return self
-
-    async def __aexit__(self, *exc_info):
-        for client in self.clients.values():
-            await client.aclose()
-        for server in self.servers:
-            await server.stop()
-        await self.home_net.stop()
 
 
 class TestTracingEndToEnd:

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.analysis.exposure import ExposurePolicy
-from repro.crypto import Keyring
-from repro.dssp import DsspNode, HomeServer, StrategyClass
+from repro.dssp import StrategyClass
 from repro.simulation import (
     CacheBehavior,
     SimulationParams,
@@ -12,20 +10,13 @@ from repro.simulation import (
     measure_cache_behavior,
     predict_p90,
     simulate_users,
+    sweep,
 )
-from repro.workloads import get_application
+from repro.simulation.sweep import SweepTask
 
 
 def deploy(name: str, strategy: StrategyClass, scale=0.2, seed=1):
-    spec = get_application(name)
-    instance = spec.instantiate(scale=scale, seed=seed)
-    policy = ExposurePolicy.uniform(spec.registry, strategy.exposure_level)
-    home = HomeServer(
-        name, instance.database, spec.registry, policy, Keyring(name, b"k" * 32)
-    )
-    node = DsspNode()
-    node.register_application(home)
-    return node, home, instance.sampler
+    return sweep.deploy(SweepTask(name, strategy, scale=scale, data_seed=seed))
 
 
 @pytest.fixture(scope="module")

@@ -128,9 +128,8 @@ class TestSerialization:
 class TestCrossStrategyFairness:
     def test_same_trace_drives_both_deployments(self):
         """A trace makes strategy comparisons operation-identical."""
-        from repro.analysis.exposure import ExposurePolicy
-        from repro.crypto import Keyring
-        from repro.dssp import DsspNode, HomeServer, StrategyClass
+        from repro.dssp import StrategyClass
+        from repro.simulation.sweep import SweepTask, deploy
 
         spec = get_application("bookstore")
         recorder = spec.instantiate(scale=0.15, seed=6)
@@ -138,19 +137,9 @@ class TestCrossStrategyFairness:
 
         streams = []
         for strategy in (StrategyClass.MVIS, StrategyClass.MBS):
-            instance = spec.instantiate(scale=0.15, seed=6)
-            policy = ExposurePolicy.uniform(
-                spec.registry, strategy.exposure_level
+            node, home, _ = deploy(
+                SweepTask("bookstore", strategy, scale=0.15, data_seed=6)
             )
-            home = HomeServer(
-                "bookstore",
-                instance.database,
-                spec.registry,
-                policy,
-                Keyring("bookstore"),
-            )
-            node = DsspNode()
-            node.register_application(home)
             replay = Trace.from_json(trace.to_json()).bind(spec.registry)
             seen = []
             for _ in range(len(replay)):
@@ -159,12 +148,16 @@ class TestCrossStrategyFairness:
                         (operation.bound.template.name, operation.bound.params)
                     )
                     if operation.is_update:
-                        level = policy.update_level(operation.bound.template.name)
+                        level = home.policy.update_level(
+                            operation.bound.template.name
+                        )
                         node.update(
                             home.codec.seal_update(operation.bound, level)
                         )
                     else:
-                        level = policy.query_level(operation.bound.template.name)
+                        level = home.policy.query_level(
+                            operation.bound.template.name
+                        )
                         node.query(home.codec.seal_query(operation.bound, level))
             streams.append(seen)
         assert streams[0] == streams[1]  # literally identical op streams
