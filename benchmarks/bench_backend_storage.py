@@ -4,19 +4,14 @@ One synthetic indexed table is bulk-loaded at two sizes into both
 backends; the benchmark then measures point-query, ordered-query, and
 strict-model update throughput with *distinct* pre-parsed statements (so
 no statement-keyed memo can answer for the engine).  The JSON artifact
-(``results/BENCH_backend_storage.json``) is committed and gated in CI by
-``benchmarks/check_backend_storage.py`` — the headline claims being that
-SQLite bulk-loads a million-row master and that neither engine's
-throughput regresses.
-
-Knobs: ``REPRO_BENCH_STORAGE_SMALL`` / ``REPRO_BENCH_STORAGE_LARGE``
-override the row counts (e.g. for a quick local run).
+(``results/BENCH_backend_storage.json``) is committed and gated by this
+module's :func:`gate` — the headline claims being that both engines
+bulk-load a million-row master and that neither engine's throughput
+regresses.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.schema import Column, ColumnType, Schema, TableSchema
@@ -25,14 +20,25 @@ from repro.storage.backends import BACKENDS, create_backend
 
 from benchmarks.conftest import once
 
-SMALL_ROWS = int(os.environ.get("REPRO_BENCH_STORAGE_SMALL", "10000"))
-LARGE_ROWS = int(os.environ.get("REPRO_BENCH_STORAGE_LARGE", "1000000"))
+SMALL_ROWS = 10_000
+LARGE_ROWS = 1_000_000
 POINT_OPS = 1000
 ORDERED_OPS = 100
 UPDATE_OPS = 1000
 #: rank values fall in [0, RANK_MOD); updates assign values beyond it so
 #: every update is an effective change (counted, invalidating).
 RANK_MOD = 1009
+METRICS = (
+    "load_rows_per_s",
+    "point_queries_per_s",
+    "ordered_queries_per_s",
+    "updates_per_s",
+)
+#: Gate bounds: the share of the baseline's throughput every cell must
+#: keep (generous: machines vary), and the least memory/SQLite point-query
+#: ratio on the small tier (the memory engine's indexed fast path).
+THROUGHPUT_TOLERANCE = 0.25
+MEMORY_POINT_FLOOR = 0.5
 
 
 def make_schema() -> Schema:
@@ -141,21 +147,44 @@ def _render(result) -> str:
     return "\n".join(lines)
 
 
-def test_backend_storage_throughput(benchmark, emit, results_dir):
+def gate(fresh: dict, baseline: dict | None) -> list[str]:
+    """Every broken bound of a fresh run; ``baseline`` None skips the
+    baseline-relative ones."""
+    failures = []
+    for count in (SMALL_ROWS, LARGE_ROWS):
+        tier = str(count)
+        for kind, measured in fresh["tiers"][tier].items():
+            if measured["rows_loaded"] != count:
+                failures.append(
+                    f"{kind}@{tier} rows_loaded is "
+                    f"{measured['rows_loaded']:,}, not {count:,}"
+                )
+            for metric in METRICS:
+                value = measured[metric]
+                if not value > 0:
+                    failures.append(f"{kind}@{tier} {metric} is {value}")
+                if baseline is None:
+                    continue
+                base = baseline["tiers"][tier][kind][metric]
+                if value < base * THROUGHPUT_TOLERANCE:
+                    failures.append(
+                        f"{kind}@{tier} {metric} {value:,.0f}/s regressed "
+                        f"below {base * THROUGHPUT_TOLERANCE:,.0f}/s "
+                        f"(baseline {base:,.0f} x {THROUGHPUT_TOLERANCE})"
+                    )
+    small = fresh["tiers"][str(SMALL_ROWS)]
+    memory_point = small["memory"]["point_queries_per_s"]
+    sqlite_point = small["sqlite"]["point_queries_per_s"]
+    if memory_point < sqlite_point * MEMORY_POINT_FLOOR:
+        failures.append(
+            f"memory point_queries_per_s ({memory_point:,.0f}/s) fell "
+            f"below {MEMORY_POINT_FLOOR} x sqlite ({sqlite_point:,.0f}/s)"
+        )
+    return failures
+
+
+def test_backend_storage_throughput(benchmark, emit, publish):
     result = once(benchmark, _experiment)
     emit("backend_storage", _render(result))
-    artifact = results_dir / "BENCH_backend_storage.json"
-    artifact.write_text(json.dumps(result, indent=2) + "\n")
-
-    large = result["tiers"][str(LARGE_ROWS)]
-    assert large["sqlite"]["rows_loaded"] == LARGE_ROWS
-    for count, by_kind in result["tiers"].items():
-        for kind, m in by_kind.items():
-            assert m["rows_loaded"] == int(count), (kind, count)
-            for metric in (
-                "load_rows_per_s",
-                "point_queries_per_s",
-                "ordered_queries_per_s",
-                "updates_per_s",
-            ):
-                assert m[metric] > 0, (kind, count, metric)
+    failures = gate(result, publish("backend_storage", result))
+    assert not failures, failures

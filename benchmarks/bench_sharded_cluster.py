@@ -15,14 +15,12 @@ of N times the capacity, so the sharded hit rate is non-decreasing in N
 while the partitioned hit rate falls.
 
 The JSON artifact (``results/BENCH_sharded_cluster.json``) is committed
-and regression-gated in CI by ``benchmarks/check_sharded_cluster.py``:
-the sharded-vs-partitioned gain at the largest fleet and the sharded
+and regression-gated by this module's :func:`gate`: the
+sharded-vs-partitioned gain at the largest fleet and the sharded
 monotonicity are what the gate protects.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.dssp import StrategyClass
 from repro.dssp.cluster import (
@@ -41,6 +39,12 @@ NODE_COUNTS = (1, 2, 4, 8)
 #: therefore placement — decides the hit rate.
 CAPACITY = 64
 CLIENTS = 48
+#: Gate bounds: hit-rate slack for "same machine" and "non-decreasing",
+#: the least sharded-vs-partitioned gain at the largest fleet, and the
+#: share of the baseline's gain a run must keep.
+HIT_RATE_SLACK = 0.02
+GAIN_FLOOR = 0.1
+GAIN_TOLERANCE = 0.6
 
 
 def _behavior(cluster_cls, nodes: int):
@@ -105,24 +109,58 @@ def _render(result) -> str:
     return "\n".join(lines)
 
 
-def test_sharded_cluster_speedup(benchmark, emit, results_dir, sim_params):
-    result = once(benchmark, lambda: _experiment(sim_params))
-    emit("sharded_cluster", _render(result))
-    artifact = results_dir / "BENCH_sharded_cluster.json"
-    artifact.write_text(json.dumps(result, indent=2) + "\n")
-
-    counts = [str(n) for n in result["node_counts"]]
-    sharded = [result["sharded"][n]["hit_rate"] for n in counts]
-    partitioned = [result["partitioned"][n]["hit_rate"] for n in counts]
+def gate(fresh: dict, baseline: dict | None) -> list[str]:
+    """Every broken bound of a fresh run; ``baseline`` None skips the
+    baseline-relative ones."""
+    failures = []
+    counts = [str(n) for n in fresh["node_counts"]]
+    sharded = [fresh["sharded"][n]["hit_rate"] for n in counts]
+    partitioned = [fresh["partitioned"][n]["hit_rate"] for n in counts]
 
     # One node is one node: both deployments are the same machine, so
     # they must measure (nearly) the same cache.
-    assert abs(sharded[0] - partitioned[0]) < 0.02
-
+    if not abs(sharded[0] - partitioned[0]) < HIT_RATE_SLACK:
+        failures.append(
+            f"single-node parity broken: sharded {sharded[0]:.3f} vs "
+            f"partitioned {partitioned[0]:.3f}"
+        )
     # The flip: sharding is non-decreasing in N (one logical cache of
     # N x CAPACITY), while partitioning dilutes.
-    for fewer, more in zip(sharded, sharded[1:]):
-        assert more >= fewer - 0.02
-    assert sharded[-1] > sharded[0]
-    assert partitioned[-1] < partitioned[0]
-    assert result["sharded_gain_at_max"] > 0.1
+    for fewer, more, nodes in zip(sharded, sharded[1:], counts[1:]):
+        if more < fewer - HIT_RATE_SLACK:
+            failures.append(
+                f"sharded hit rate is not non-decreasing: fell to "
+                f"{more:.3f} at {nodes} nodes (was {fewer:.3f})"
+            )
+    if not sharded[-1] > sharded[0]:
+        failures.append(
+            f"sharded hit rate did not grow: {sharded[0]:.3f} at "
+            f"{counts[0]} nodes, {sharded[-1]:.3f} at {counts[-1]}"
+        )
+    if not partitioned[-1] < partitioned[0]:
+        failures.append(
+            f"partitioned hit rate did not dilute: {partitioned[0]:.3f} at "
+            f"{counts[0]} nodes, {partitioned[-1]:.3f} at {counts[-1]}"
+        )
+    gain = fresh["sharded_gain_at_max"]
+    if not gain > GAIN_FLOOR:
+        failures.append(
+            f"sharded gain {gain:.3f} at {counts[-1]} nodes is not above "
+            f"the floor of {GAIN_FLOOR:.3f}"
+        )
+    if baseline is not None:
+        allowed = baseline["sharded_gain_at_max"] * GAIN_TOLERANCE
+        if gain < allowed:
+            failures.append(
+                f"sharded gain {gain:.3f} regressed below {allowed:.3f} "
+                f"(baseline {baseline['sharded_gain_at_max']:.3f} x "
+                f"{GAIN_TOLERANCE})"
+            )
+    return failures
+
+
+def test_sharded_cluster_speedup(benchmark, emit, publish, sim_params):
+    result = once(benchmark, lambda: _experiment(sim_params))
+    emit("sharded_cluster", _render(result))
+    failures = gate(result, publish("sharded_cluster", result))
+    assert not failures, failures
