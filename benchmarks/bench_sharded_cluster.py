@@ -1,21 +1,29 @@
-"""Extension — sharded DSSP cluster vs client-partitioned fleet.
+"""Extension — multi-node DSSP deployments (the Figure 1 architecture).
 
-``bench_extension_cluster`` quantifies the *dilution* story: partitioning
-one client population across N independent caches shrinks each node's
-effective working set, so fleet hit rate decays with N.  This benchmark
-adds the other arm of the experiment: the same workload over a
-:class:`~repro.dssp.cluster.ShardedDsspCluster`, where a consistent-hash
-ring places *view keys* (template buckets), every client's request for a
-given view lands on the one owning shard, and invalidations fan out only
-to shards holding affected buckets.
+The paper evaluates a single DSSP node; its architecture diagram shows a
+fleet close to the clients.  Both tests here drive one workload through
+:class:`~repro.dssp.cluster.DsspCluster` at 1/2/4/8 nodes, in the two
+modes of its placement.
 
-With per-node capacity bounded (the regime where placement matters), the
-fleet flips from dilution to speedup: N shards act as one logical cache
-of N times the capacity, so the sharded hit rate is non-decreasing in N
-while the partitioned hit rate falls.
+``test_extension_cluster_dilution`` partitions the client population
+across the nodes (client affinity, invalidation fan-out to every node)
+with unbounded caches.  Partitioning *dilutes* each node's working set,
+so the home server absorbs more misses as the fleet grows — scalability
+is flat-to-decreasing in node count while the home server is the
+bottleneck.  This quantifies how much the paper's scalability story
+depends on cache *sharing*, not just cache placement.
 
-The JSON artifact (``results/BENCH_sharded_cluster.json``) is committed
-and regression-gated by this module's :func:`gate`: the
+``test_sharded_cluster_speedup`` adds the other arm: the same workload
+over a sharded cluster, where a consistent-hash ring places *view keys*
+(template buckets), every client's request for a given view lands on the
+one owning shard, and invalidations fan out only to shards holding
+affected buckets.  With per-node capacity bounded (the regime where
+placement matters), the fleet flips from dilution to speedup: N shards
+act as one logical cache of N times the capacity, so the sharded hit
+rate is non-decreasing in N while the partitioned hit rate falls.
+
+The speedup's JSON artifact (``results/BENCH_sharded_cluster.json``) is
+committed and regression-gated by this module's :func:`gate`: the
 sharded-vs-partitioned gain at the largest fleet and the sharded
 monotonicity are what the gate protects.
 """
@@ -23,11 +31,7 @@ monotonicity are what the gate protects.
 from __future__ import annotations
 
 from repro.dssp import StrategyClass
-from repro.dssp.cluster import (
-    DsspCluster,
-    ShardedDsspCluster,
-    measure_cluster_behavior,
-)
+from repro.dssp.cluster import DsspCluster, measure_cluster_behavior
 from repro.simulation import find_scalability
 from repro.simulation.sweep import SweepTask, deploy
 
@@ -47,10 +51,10 @@ GAIN_FLOOR = 0.1
 GAIN_TOLERANCE = 0.6
 
 
-def _behavior(cluster_cls, nodes: int):
+def _behavior(sharded: bool, nodes: int, capacity: int | None):
     cluster, home, sampler = deploy(
         SweepTask("bookstore", StrategyClass.MVIS, scale=BENCH_SCALE),
-        cluster_cls(nodes=nodes, cache_capacity=CAPACITY),
+        DsspCluster(nodes=nodes, cache_capacity=capacity, sharded=sharded),
     )
     return measure_cluster_behavior(
         cluster, home, sampler, pages=BENCH_PAGES, clients=CLIENTS, seed=5
@@ -68,11 +72,8 @@ def _experiment(sim_params):
         "sharded": {},
     }
     for nodes in NODE_COUNTS:
-        for key, cluster_cls in (
-            ("partitioned", DsspCluster),
-            ("sharded", ShardedDsspCluster),
-        ):
-            behavior = _behavior(cluster_cls, nodes)
+        for key, sharded in (("partitioned", False), ("sharded", True)):
+            behavior = _behavior(sharded, nodes, CAPACITY)
             result[key][str(nodes)] = {
                 "hit_rate": behavior.hit_rate,
                 "scalability_users": find_scalability(
@@ -164,3 +165,31 @@ def test_sharded_cluster_speedup(benchmark, emit, publish, sim_params):
     emit("sharded_cluster", _render(result))
     failures = gate(result, publish("sharded_cluster", result))
     assert not failures, failures
+
+
+def test_extension_cluster_dilution(benchmark, emit, sim_params):
+    def experiment():
+        results = {}
+        for nodes in NODE_COUNTS:
+            behavior = _behavior(False, nodes, None)
+            users = find_scalability(sim_params, behavior=behavior)
+            results[nodes] = (behavior.hit_rate, users)
+        return results
+
+    results = once(benchmark, experiment)
+    lines = [
+        f"{'nodes':>6} {'fleet hit rate':>15} {'scalability':>12}",
+        "-" * 36,
+    ]
+    for nodes, (hit_rate, users) in results.items():
+        lines.append(f"{nodes:>6} {hit_rate:>15.3f} {users:>12}")
+    emit("extension_cluster_dilution", "\n".join(lines))
+
+    hit_rates = [results[n][0] for n in NODE_COUNTS]
+    # Dilution: fleet hit rate decreases (weakly) with node count.
+    for fewer, more in zip(hit_rates, hit_rates[1:]):
+        assert more <= fewer + 0.02
+    assert hit_rates[-1] < hit_rates[0]
+    # Scalability never improves from partitioning a home-bound system.
+    users = [results[n][1] for n in NODE_COUNTS]
+    assert users[-1] <= users[0]

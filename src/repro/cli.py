@@ -228,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "this node only admits keys it owns and the home narrows "
         "invalidation fan-out to owning shards",
     )
-    serve_dssp.add_argument(
-        "--vnodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="virtual nodes per shard on the hash ring "
-        "(must match across the cluster and the load generator)",
-    )
 
     from repro.net.scenarios import SCENARIOS
     from repro.net.traffic import ARRIVAL_KINDS
@@ -402,13 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         "comma-separated node ids, one per --dssp address in order "
         "(must match the servers' --node-id/--shards)",
     )
-    loadgen.add_argument(
-        "--vnodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="virtual nodes per shard (must match the servers')",
-    )
     _add_trace_arguments(loadgen)
 
     chaos = commands.add_parser(
@@ -461,13 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the nodes as a consistent-hash sharded cluster: "
         "placement-routed queries, no-admit gating, filtered fan-out",
-    )
-    chaos.add_argument(
-        "--vnodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="virtual nodes per shard (sharded mode)",
     )
     chaos.add_argument(
         "--seed", type=int, default=1, help="workload/trace seed"
@@ -895,7 +873,7 @@ def _cmd_serve_home(args, out) -> int:
 
 
 def _cmd_serve_dssp(args, out) -> int:
-    from repro.dssp.ring import DEFAULT_VNODES
+    from repro.errors import ReproError
     from repro.net.dssp_server import DsspNetServer
 
     registry = get_application(args.app).registry
@@ -904,17 +882,19 @@ def _cmd_serve_dssp(args, out) -> int:
         use_integrity_constraints=not args.no_constraints,
     )
     shards = _parse_shards(args.shards)
-    server = DsspNetServer(
-        node,
-        args.host,
-        args.port,
-        node_id=args.node_id,
-        max_in_flight=args.max_in_flight,
-        request_timeout_s=args.timeout,
-        shards=shards,
-        vnodes=args.vnodes or DEFAULT_VNODES,
-        tracer=_node_tracer(args.node_id, args),
-    )
+    try:
+        server = DsspNetServer(
+            node,
+            args.host,
+            args.port,
+            node_id=args.node_id,
+            max_in_flight=args.max_in_flight,
+            request_timeout_s=args.timeout,
+            shards=shards,
+            tracer=_node_tracer(args.node_id, args),
+        )
+    except ReproError as error:
+        raise SystemExit(f"bad shard set {args.shards!r}: {error}") from None
     server.register_application(args.app, registry, _parse_address(args.home))
     role = f"shard {args.node_id}/{len(shards)}" if shards else args.node_id
     return _serve(
@@ -1058,6 +1038,23 @@ def _cmd_loadgen(args, out) -> int:
         return _cmd_loadgen_scenario(args, out)
     if not args.dssp:
         raise SystemExit("loadgen needs --dssp HOST:PORT (or --scenario)")
+    placement = None
+    if args.shards is not None:
+        from repro.dssp.placement import Placement
+        from repro.errors import CacheError
+
+        try:
+            placement = Placement(_parse_shards(args.shards), sharded=True)
+        except CacheError as error:
+            raise SystemExit(
+                f"bad shard set {args.shards!r}: {error}"
+            ) from None
+        if len(placement.node_ids) != len(args.dssp):
+            raise SystemExit(
+                f"--shards names {len(placement.node_ids)} shards but "
+                f"--dssp gives {len(args.dssp)} addresses; they must pair "
+                "up in order"
+            )
     if args.pages is None and args.duration is None:
         args.duration = 5.0
     strategy = StrategyClass[args.strategy]
@@ -1087,13 +1084,6 @@ def _cmd_loadgen(args, out) -> int:
         chaos_plan = FaultPlan.uniform(args.chaos_seed, args.fault_rate)
         chaos_log = ChaosLog()
 
-    shard_ids = _parse_shards(args.shards)
-    if shard_ids is not None and len(shard_ids) != len(args.dssp):
-        raise SystemExit(
-            f"--shards names {len(shard_ids)} shards but --dssp gives "
-            f"{len(args.dssp)} addresses; they must pair up in order"
-        )
-
     tracer = _node_tracer("client", args)
 
     async def run():
@@ -1115,18 +1105,12 @@ def _cmd_loadgen(args, out) -> int:
 
         async with fleet:
             drivers = fleet.clients
-            if shard_ids is not None:
-                from repro.dssp.ring import DEFAULT_VNODES
+            if placement is not None:
                 from repro.net.router import ShardRouter
 
                 # One router fronts the whole cluster: every client lane
                 # routes by placement key instead of pinning to one node.
-                drivers = [
-                    ShardRouter(
-                        dict(zip(shard_ids, fleet.clients)),
-                        vnodes=args.vnodes or DEFAULT_VNODES,
-                    )
-                ]
+                drivers = [ShardRouter(placement, fleet.clients)]
             if args.arrival is not None:
                 from repro.net.scenarios import hot_query_page
                 from repro.net.traffic import make_arrivals
@@ -1313,8 +1297,6 @@ def _cmd_chaos(args, out) -> int:
         kill_every=args.kill_every,
         kill_targets=targets if args.kill_every else (),
     )
-    from repro.dssp.ring import DEFAULT_VNODES
-
     report, log = asyncio.run(
         run_chaos(
             args.app,
@@ -1327,7 +1309,6 @@ def _cmd_chaos(args, out) -> int:
             clients=args.clients,
             pipeline=args.pipeline,
             shards=args.shards,
-            vnodes=args.vnodes or DEFAULT_VNODES,
             backend=args.backend,
             db_path=args.db_path,
             trace_dir=args.span_log,

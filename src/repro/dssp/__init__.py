@@ -17,7 +17,7 @@ from repro.dssp.invalidation import (
     InvalidationEngine,
     StrategyClass,
 )
-from repro.dssp.cluster import DsspCluster, ShardedDsspCluster
+from repro.dssp.cluster import DsspCluster
 from repro.dssp.ring import HashRing
 from repro.dssp.correctness import (
     CorrectnessReport,
@@ -48,7 +48,6 @@ __all__ = [
     "InvalidationEngine",
     "InvalidationInput",
     "PredicateIndexer",
-    "ShardedDsspCluster",
     "StatementInspectionStrategy",
     "StrategyClass",
     "TemplateInspectionStrategy",

@@ -79,6 +79,11 @@ class CacheEntry:
     statement: Select | None = None
     view_rows: ResultSet | None = None
 
+    @property
+    def identity(self) -> tuple:
+        """``key``, named as on the envelope, so entries place alike."""
+        return self.key
+
 
 @dataclass
 class _PredicateBucket:

@@ -133,7 +133,7 @@ class PredicateIndexer:
 
     Args:
         registry: The application's public template registry — the same
-            artifact :class:`~repro.dssp.placement.TemplateAffinity` works
+            artifact :func:`~repro.dssp.placement.affected_queries` works
             from, so the index never sees more than the DSSP already may.
     """
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.dssp.homeserver import HomeServer
+from repro.dssp.placement import Placement
 from repro.dssp.proxy import DsspNode
-from repro.dssp.ring import DEFAULT_VNODES
 from repro.errors import WorkloadError
 from repro.net.chaos import ChaosLog, ChaosProxy, FaultPlan
 from repro.net.client import RetryPolicy, WireClient
@@ -75,8 +75,12 @@ class Deployment:
     ``nodes`` is a count (fresh nodes ``dssp-<i>``), the caller's own
     :class:`DsspNode` objects, or ``(host, port)`` addresses of nodes
     served elsewhere (named ``host:port``; only their client half is
-    local).  A ``plan`` (with its ``log``) puts a :class:`ChaosProxy` on
-    both hops, chaos timeouts, and retry policies seeded from the plan.
+    local).  ``placement`` is the fleet's one
+    :class:`~repro.dssp.placement.Placement` over the node names — a ring
+    when ``shards`` is set, registered with every home's constraints-off
+    setting, so it names the recipients the home's fan-out picks.  A
+    ``plan`` (with its ``log``) puts a :class:`ChaosProxy` on both hops,
+    chaos timeouts, and retry policies seeded from the plan.
     A setting only one caller needs goes through an override of
     :meth:`home_server`, :meth:`dssp_server` or :meth:`client`.
     """
@@ -87,7 +91,6 @@ class Deployment:
         *,
         nodes: int | Sequence[DsspNode | tuple[str, int]] = 1,
         shards: bool = False,
-        vnodes: int = DEFAULT_VNODES,
         service_latency_s: float = 0.0,
         pipeline: int | None = None,
         max_in_flight: int | None = None,
@@ -110,10 +113,11 @@ class Deployment:
             raise WorkloadError("a deployment needs at least one node")
         if not self.homes and any(h.node is not None for h in self.handles):
             raise WorkloadError("DSSP nodes served here need a home")
-        self.shard_ids = tuple(
-            h.name for h in self.handles if shards and h.node is not None
+        self.placement = Placement(
+            (h.name for h in self.handles), sharded=shards
         )
-        self.vnodes = vnodes
+        for home in self.homes:
+            self.placement.register(home, use_integrity_constraints=False)
         self.service_latency_s = service_latency_s
         self.pipeline = pipeline
         self.max_in_flight = max_in_flight
@@ -183,8 +187,9 @@ class Deployment:
         settings = dict(
             port=handle.port,
             node_id=handle.name,
-            shards=self.shard_ids or None,
-            vnodes=self.vnodes,
+            shards=(
+                self.placement.node_ids if self.placement.sharded else None
+            ),
             tracer=self.tracer(handle.name),
         )
         if self.service_latency_s:

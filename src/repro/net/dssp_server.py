@@ -29,9 +29,9 @@ from __future__ import annotations
 import asyncio
 import logging
 
-from repro.dssp.placement import query_placement_key
+from repro.dssp.placement import Placement
 from repro.dssp.proxy import DsspNode
-from repro.dssp.ring import DEFAULT_VNODES, HashRing
+from repro.dssp.ring import DEFAULT_VNODES
 from repro.errors import (
     HomeUnreachableError,
     NetConnectionError,
@@ -96,12 +96,10 @@ class DsspNetServer(WireServer):
             updates in flight at once on the one connection to each home.
         shards: Full shard membership of the cluster this node belongs to
             (must include ``node_id``).  When set, the node only *admits*
-            entries whose placement key it owns on the consistent-hash
-            ring — misses it merely routes are served pass-through — and
-            it declares the topology on subscribe so the home can narrow
-            invalidation fan-out to owning shards.
-        vnodes: Virtual nodes per shard on the ring; must match across
-            the cluster and the router.
+            entries its sharded :class:`Placement` says it owns — misses
+            it merely routes are served pass-through — and it declares
+            the topology on subscribe so the home can narrow invalidation
+            fan-out to owning shards.
     """
 
     def __init__(
@@ -116,23 +114,21 @@ class DsspNetServer(WireServer):
         home_pool_size: int = 4,
         home_timeout_s: float = 30.0,
         shards: tuple[str, ...] | None = None,
-        vnodes: int = DEFAULT_VNODES,
         **kwargs,
     ) -> None:
         kwargs.setdefault("server_id", node_id)
         super().__init__(host, port, **kwargs)
         self.node = node
         self.node_id = node_id
-        self._shards: tuple[str, ...] = tuple(shards) if shards else ()
-        self._vnodes = int(vnodes)
-        self._ring: HashRing | None = None
-        if self._shards:
-            if node_id not in self._shards:
+        #: None when unsharded: the miss path then admits after one check.
+        self.placement: Placement | None = None
+        if shards:
+            if node_id not in shards:
                 raise WireError(
                     f"node {node_id!r} is not in its own shard set "
-                    f"{sorted(self._shards)}"
+                    f"{sorted(shards)}"
                 )
-            self._ring = HashRing(self._shards, vnodes=self._vnodes)
+            self.placement = Placement(shards, sharded=True)
         #: Misses served pass-through because another shard owns the key.
         self.passthrough_misses = 0
         # The node's cache and counters export through this server's
@@ -274,7 +270,8 @@ class DsspNetServer(WireServer):
                 f"forwarding miss to {client.host}:{client.port} failed: "
                 f"{error}"
             ) from error
-        if self._owns(envelope):
+        placement = self.placement
+        if placement is None or placement.owns(self.node_id, envelope):
             self.node.admit(envelope, outcome.result, epoch)
         else:
             # Serving pass-through keeps home-side shard filtering sound:
@@ -283,12 +280,6 @@ class DsspNetServer(WireServer):
             self.passthrough_misses += 1
             self._passthrough_counter.inc()
         return QueryResponse(result=outcome.result, cache_hit=False)
-
-    def _owns(self, envelope) -> bool:
-        """Whether this node's shard owns the envelope's placement key."""
-        if self._ring is None:
-            return True
-        return self._ring.owner(query_placement_key(envelope)) == self.node_id
 
     async def _handle_update(
         self, frame: UpdateRequest, context: ConnectionContext
@@ -322,8 +313,8 @@ class DsspNetServer(WireServer):
         snapshot["stream_flushes"] = self.stream_flushes
         snapshot["stream_subscribe_failures"] = self.stream_subscribe_failures
         snapshot["applications"] = sorted(self._home_addresses)
-        if self._shards:
-            snapshot["shards"] = sorted(self._shards)
+        if self.placement is not None:
+            snapshot["shards"] = sorted(self.placement.node_ids)
             snapshot["passthrough_misses"] = self.passthrough_misses
         return snapshot
 
@@ -356,6 +347,7 @@ class DsspNetServer(WireServer):
         self, home: tuple[str, int], app_ids: tuple[str, ...]
     ) -> None:
         """Keep one invalidation-stream subscription alive with backoff."""
+        shards = () if self.placement is None else self.placement.node_ids
         attempt = 0
         while True:
             client = self._home_clients.get(home)
@@ -377,8 +369,8 @@ class DsspNetServer(WireServer):
                     self.node_id,
                     app_ids,
                     supports_batch=True,
-                    shards=self._shards,
-                    vnodes=self._vnodes if self._shards else 0,
+                    shards=shards,
+                    vnodes=DEFAULT_VNODES if shards else 0,
                 )
             except _STREAM_FAILURES as error:
                 self.stream_subscribe_failures += 1

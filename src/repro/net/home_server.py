@@ -43,12 +43,8 @@ from collections.abc import Iterable
 
 from repro.crypto.envelope import UpdateEnvelope
 from repro.dssp.homeserver import HomeServer
-from repro.dssp.placement import (
-    TemplateAffinity,
-    policy_allows_blind_queries,
-    shards_for_update,
-)
-from repro.dssp.ring import HashRing
+from repro.dssp.placement import Placement
+from repro.dssp.ring import DEFAULT_VNODES
 from repro.errors import UnknownApplicationError, WireError
 from repro.net import wire
 from repro.net.service import ConnectionContext, WireServer
@@ -138,7 +134,7 @@ class _Subscriber:
         queue_size: int,
         *,
         batch_enabled: bool = False,
-        ring: HashRing | None = None,
+        placement: Placement | None = None,
     ) -> None:
         self.node_id = node_id
         self.app_ids = app_ids
@@ -147,7 +143,7 @@ class _Subscriber:
         self.batch_enabled = batch_enabled
         #: The subscriber's declared shard topology, when the home agreed
         #: to narrow fan-out with it (None on unsharded channels).
-        self.ring = ring
+        self.placement = placement
         #: Pending (push, request id) pairs; the id is the trace id of the
         #: update that caused the push, so invalidations stay correlatable.
         self.queue: asyncio.Queue[tuple[InvalidationPush, str | None]] = (
@@ -160,11 +156,11 @@ class HomeNetServer(WireServer):
     """Asyncio server exposing home servers to DSSP nodes over the wire.
 
     Fan-out honours every declared topology: a subscriber that names its
-    cluster's shards on subscribe only receives pushes for updates whose
-    affected template buckets it owns on the ring, and one that names
-    none receives every push for its applications.  The affinity used is
-    *conservative* (integrity constraints off), so a filtered push is
-    never one the subscriber could need.
+    cluster's shards on subscribe only receives pushes for updates its
+    :class:`~repro.dssp.placement.Placement` lists it as a recipient of,
+    and one that names none receives every push for its applications.
+    That placement is *conservative* (integrity constraints off), so a
+    filtered push is never one the subscriber could need.
 
     Args:
         homes: The application home server(s) this endpoint masters.
@@ -222,12 +218,6 @@ class HomeNetServer(WireServer):
         self._pushes_sent = counter("home.pushes_sent")
         self._push_batch_size = self.metrics.histogram("home.push_batch_size")
         self._subscribers: list[_Subscriber] = []
-        # Per-application fan-out filtering inputs, built lazily.  The
-        # affinity deliberately ignores integrity constraints: the home
-        # must never filter a push a constraint-less subscriber would
-        # have applied, so it always computes the *larger* affected set.
-        self._affinities: dict[str, TemplateAffinity] = {}
-        self._blind_queries: dict[str, bool] = {}
         #: Pushes skipped because the owning shard was someone else.
         self.pushes_filtered = 0
 
@@ -247,20 +237,6 @@ class HomeNetServer(WireServer):
             return self._homes[app_id]
         except KeyError:
             raise UnknownApplicationError(app_id) from None
-
-    def _fan_out_inputs(self, app_id: str) -> tuple[TemplateAffinity, bool]:
-        """Conservative (constraints-off) affinity + blind-query flag."""
-        affinity = self._affinities.get(app_id)
-        if affinity is None:
-            home = self._home(app_id)
-            affinity = TemplateAffinity(
-                home.registry, use_integrity_constraints=False
-            )
-            self._affinities[app_id] = affinity
-            self._blind_queries[app_id] = policy_allows_blind_queries(
-                home.policy
-            )
-        return affinity, self._blind_queries[app_id]
 
     async def handle(
         self, frame: Frame, context: ConnectionContext
@@ -318,7 +294,7 @@ class HomeNetServer(WireServer):
                 "node_id": subscriber.node_id,
                 "app_ids": sorted(subscriber.app_ids),
                 "queue_depth": subscriber.queue.qsize(),
-                "shard_filtered": subscriber.ring is not None,
+                "shard_filtered": subscriber.placement is not None,
             }
             for subscriber in self._subscribers
         ]
@@ -330,23 +306,17 @@ class HomeNetServer(WireServer):
     def _subscribe(
         self, frame: SubscribeRequest, context: ConnectionContext
     ) -> SubscribeResponse:
-        for app_id in frame.app_ids:
-            self._home(app_id)  # all-or-nothing validation
-        ring: HashRing | None = None
+        homes = [self._home(app_id) for app_id in frame.app_ids]
+        placement = None
         if frame.shards:
-            if frame.node_id not in frame.shards:
-                raise WireError(
-                    f"subscriber {frame.node_id!r} is not in its declared "
-                    f"shard set {sorted(frame.shards)}"
-                )
-            ring = HashRing(frame.shards, vnodes=frame.vnodes)
+            placement = self._shard_placement(frame, homes)
         subscriber = _Subscriber(
             frame.node_id,
             frozenset(frame.app_ids),
             context,
             self._push_queue_size,
             batch_enabled=frame.supports_batch and self._batch_pushes,
-            ring=ring,
+            placement=placement,
         )
         subscriber.sender = asyncio.create_task(self._push_loop(subscriber))
         self._subscribers.append(subscriber)
@@ -354,8 +324,30 @@ class HomeNetServer(WireServer):
         return SubscribeResponse(
             app_ids=tuple(sorted(subscriber.app_ids)),
             batch_enabled=subscriber.batch_enabled,
-            shard_filtered=ring is not None,
+            shard_filtered=placement is not None,
         )
+
+    @staticmethod
+    def _shard_placement(
+        frame: SubscribeRequest, homes: list[HomeServer]
+    ) -> Placement:
+        """The subscriber's declared topology as a conservative placement:
+        integrity constraints off, so the home never filters a push a
+        constraint-less subscriber would have applied."""
+        if frame.node_id not in frame.shards:
+            raise WireError(
+                f"subscriber {frame.node_id!r} is not in its declared "
+                f"shard set {sorted(frame.shards)}"
+            )
+        if frame.vnodes != DEFAULT_VNODES:
+            raise WireError(
+                f"subscriber {frame.node_id!r} declared {frame.vnodes} "
+                f"vnodes per shard; the fleet places with {DEFAULT_VNODES}"
+            )
+        placement = Placement(frame.shards, sharded=True)
+        for home in homes:
+            placement.register(home, use_integrity_constraints=False)
+        return placement
 
     def _unsubscribe(self, subscriber: _Subscriber) -> None:
         try:
@@ -389,7 +381,11 @@ class HomeNetServer(WireServer):
                     continue
                 if request.origin is not None and subscriber.node_id == request.origin:
                     continue
-                if not self._shard_may_hold(subscriber, request):
+                placement = subscriber.placement
+                if placement is not None and (
+                    subscriber.node_id
+                    not in placement.recipients(request.envelope)
+                ):
                     self.pushes_filtered += 1
                     filtered += 1
                     self._pushes_filtered.inc()
@@ -415,24 +411,6 @@ class HomeNetServer(WireServer):
                     self._drop(subscriber)
             fanout_span.set("enqueued", enqueued)
             fanout_span.set("filtered", filtered)
-
-    def _shard_may_hold(
-        self, subscriber: _Subscriber, request: UpdateRequest
-    ) -> bool:
-        """Whether a sharded subscriber can hold views this update affects.
-
-        Unsharded subscribers always qualify.  For sharded ones the home
-        asks :func:`shards_for_update` which shards own the affected
-        template buckets on *this subscriber's* declared ring; ``None``
-        (opaque update or a blind-query policy) falls back to push-to-all.
-        """
-        if subscriber.ring is None:
-            return True
-        affinity, blind = self._fan_out_inputs(request.envelope.app_id)
-        shards = shards_for_update(
-            request.envelope, subscriber.ring, affinity, blind
-        )
-        return shards is None or subscriber.node_id in shards
 
     def _coalesce(
         self, entries: list[tuple[InvalidationPush, str | None]]

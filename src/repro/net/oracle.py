@@ -36,14 +36,6 @@ from repro.analysis.exposure import ExposurePolicy
 from repro.crypto.envelope import EnvelopeCodec
 from repro.crypto.keyring import Keyring
 from repro.dssp.homeserver import HomeServer
-from repro.dssp.placement import (
-    TemplateAffinity,
-    policy_allows_blind_queries,
-    query_placement_key,
-    shards_for_update,
-    update_routing_key,
-)
-from repro.dssp.ring import HashRing
 from repro.errors import (
     HomeUnreachableError,
     NetConnectionError,
@@ -146,12 +138,10 @@ class OracleReport:
 
 class ChaosTopology(Deployment):
     """A live N-node deployment with chaos proxies on every link, plus the
-    oracle's own state: the reference database and, on a sharded
-    topology, the ring and the home's conservative affinity.  Kills are
-    whole-server events (:meth:`Deployment.restart`), so a kill never
-    leaves the fault schedule's frame accounting ambiguous.  Keywords
-    beyond the oracle's own go to the :class:`Deployment` (``shards``,
-    ``vnodes``, ``trace_sample``).
+    oracle's own state: the reference database.  Kills are whole-server
+    events (:meth:`Deployment.restart`), so a kill never leaves the fault
+    schedule's frame accounting ambiguous.  Keywords beyond the oracle's
+    own go to the :class:`Deployment` (``shards``, ``trace_sample``).
     """
 
     def __init__(
@@ -200,21 +190,6 @@ class ChaosTopology(Deployment):
             span_dir=trace_dir,
             **options,
         )
-        #: Sharded mode: each node admits only keys it owns, and the home
-        #: narrows invalidation fan-out to owning shards.  The topology
-        #: keeps its own ring and the home's *conservative*
-        #: (constraints-off) affinity so the oracle can predict which
-        #: nodes a push reaches.
-        self.sharded = bool(self.shard_ids)
-        self.ring: HashRing | None = None
-        self.affinity: TemplateAffinity | None = None
-        self.blind_queries = False
-        if self.sharded:
-            self.ring = HashRing(self.shard_ids, vnodes=self.vnodes)
-            self.affinity = TemplateAffinity(
-                registry, use_integrity_constraints=False
-            )
-            self.blind_queries = policy_allows_blind_queries(policy)
 
     kill_restart = Deployment.restart
 
@@ -243,21 +218,21 @@ class _Reference:
 class ChaosRunner:
     """Replay a trace against a chaos topology, checking every answer.
 
-    Client *i* pins to node ``i % nodes`` (the cluster's CDN affinity);
-    page *p* is issued by client ``p % clients``.  On a **sharded**
-    topology the pin is overridden per operation, exactly as a
-    :class:`~repro.net.router.ShardRouter` would: queries go to the shard
-    owning their placement key, updates to the shard owning their opaque
-    id.  Queries and updates are retried under one request id until they
+    Page *p* is issued by client ``p % clients``, and every operation
+    goes where the topology's placement sends it: client *i*'s node
+    ``i % nodes`` (the cluster's CDN affinity), or on a **sharded**
+    topology, exactly as a :class:`~repro.net.router.ShardRouter` would,
+    the shard owning the query's placement key or the update's opaque id.
+    Queries and updates are retried under one request id until they
     succeed — the home's idempotency log is what makes retry-until-ack
     safe — and after each acked update the runner waits until every
     non-origin node *the home will push to* has either applied the
     update's stream push or flushed its cache on a stream reconnect, so
-    the next operation observes a converged system.  On a sharded
-    topology the expected recipient set is narrowed with the same
-    conservative affinity the home's fan-out filter uses; nodes outside
-    it cannot hold affected views (they never admit keys they don't own),
-    so skipping them is exactly as strong a check.
+    the next operation observes a converged system.  The placement's
+    recipients are the home's (both are constraints-off); on a sharded
+    topology, nodes outside them cannot hold affected views (they never
+    admit keys they don't own), so skipping them is exactly as strong a
+    check.
     """
 
     def __init__(
@@ -298,18 +273,17 @@ class ChaosRunner:
                 await self.topology.kill_restart(target)
                 self.report.kills += 1
             client_id = page_index % self.clients
-            node_index = client_id % len(self.topology.handles)
             page = self.trace.sample_page()
             for position, operation in enumerate(page):
                 request_id = f"op-{page_index}-{position}"
                 try:
                     if operation.is_update:
                         await self._run_update(
-                            operation.bound, node_index, request_id, op_index
+                            operation.bound, client_id, request_id, op_index
                         )
                     else:
                         await self._run_query(
-                            operation.bound, node_index, request_id, op_index
+                            operation.bound, client_id, request_id, op_index
                         )
                 except _Fatal as fatal:
                     self.report.violations.append(fatal.violation)
@@ -364,17 +338,14 @@ class ChaosRunner:
         )
 
     async def _run_query(
-        self, bound, node_index: int, request_id: str, op_index: int
+        self, bound, client_id: int, request_id: str, op_index: int
     ) -> None:
         topology = self.topology
         level = topology.policy.query_level(bound.template.name)
         envelope = topology.codec.seal_query(bound, level)
-        if topology.sharded:
-            handle = topology.handle(
-                topology.ring.owner(query_placement_key(envelope))
-            )
-        else:
-            handle = topology.handles[node_index]
+        handle = topology.handle(
+            topology.placement.query_node(envelope, client_id)
+        )
         expected = self.reference.execute(bound)
         outcome = await self._attempt_until_acked(
             lambda: handle.client.query(envelope, request_id=request_id),
@@ -403,29 +374,19 @@ class ChaosRunner:
             )
 
     async def _run_update(
-        self, bound, node_index: int, request_id: str, op_index: int
+        self, bound, client_id: int, request_id: str, op_index: int
     ) -> None:
         topology = self.topology
         level = topology.policy.update_level(bound.template.name)
         envelope = topology.codec.seal_update(bound, level)
-        if topology.sharded:
-            origin = topology.handle(
-                topology.ring.owner(update_routing_key(envelope))
-            )
-        else:
-            origin = topology.handles[node_index]
+        origin = topology.handle(
+            topology.placement.update_node(envelope, client_id)
+        )
         # On a sharded topology the home only pushes to shards owning an
-        # affected template bucket (None = push-to-all); waiting on the
-        # others would be a guaranteed timeout, and they cannot hold
-        # affected views anyway — the no-admit gate kept them clean.
-        recipients: frozenset[str] | None = None
-        if topology.sharded:
-            recipients = shards_for_update(
-                envelope,
-                topology.ring,
-                topology.affinity,
-                topology.blind_queries,
-            )
+        # affected template bucket; waiting on the others would be a
+        # guaranteed timeout, and they cannot hold affected views anyway —
+        # the no-admit gate kept them clean.
+        recipients = topology.placement.recipients(envelope)
         # Convergence baselines for every expected non-origin recipient,
         # captured before the first attempt: if attempt 1 applies but its
         # ack is lost, the fan-out has already happened by the time the
@@ -436,8 +397,7 @@ class ChaosRunner:
                 handle.server.stream_flushes,
             )
             for handle in topology.handles
-            if handle.name != origin.name
-            and (recipients is None or handle.name in recipients)
+            if handle.name != origin.name and handle.name in recipients
         }
         await self._attempt_until_acked(
             lambda: origin.client.update(envelope, request_id=request_id),

@@ -2,18 +2,11 @@
 
 A :class:`ShardRouter` fronts one :class:`~repro.net.client.WireClient`
 (or any duck-typed endpoint with async ``query``/``update``) per shard and
-steers each sealed envelope to the shard that *owns* its placement key on
-the cluster's consistent-hash ring:
-
-* queries route by :func:`~repro.dssp.placement.query_placement_key` — the
-  template bucket for template-visible envelopes, the derived identity
-  for blind ones — so every client's request for a given view lands on
-  the one node allowed to admit it, and the cluster behaves as a single
-  logical cache of N× the per-node capacity instead of N diluted copies;
-* updates route by :func:`~repro.dssp.placement.update_routing_key`
-  (the derived identity), spreading write forwarding across shards — any
-  shard can forward an update to the home; placement only matters for
-  *views*.
+steers each sealed envelope to the node its sharded
+:class:`~repro.dssp.placement.Placement` names: a query to the owner of
+its placement key, so the cluster behaves as a single logical cache of N×
+the per-node capacity instead of N diluted copies; an update to the owner
+of its routing key, spreading write forwarding across shards.
 
 The router exposes the same ``query``/``update`` surface as a single
 endpoint, so :func:`~repro.net.loadgen.run_load` can drive a sharded
@@ -24,10 +17,9 @@ chaos harness (not the router) decides what recovery means.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Sequence
 
-from repro.dssp.placement import query_placement_key, update_routing_key
-from repro.dssp.ring import DEFAULT_VNODES, HashRing
+from repro.dssp.placement import Placement
 from repro.errors import NetError
 
 __all__ = ["ShardRouter"]
@@ -37,44 +29,31 @@ class ShardRouter:
     """Route sealed envelopes to the owning shard of a DSSP cluster.
 
     Args:
-        endpoints: ``shard_id -> endpoint`` map.  The shard ids must match
+        placement: The cluster's sharded placement; its node ids must be
             the ``node_id``/``shards`` the DSSP servers were started with,
             or routing and admission will disagree about ownership.
-        vnodes: Virtual nodes per shard; must match the servers' setting.
+        endpoints: One endpoint per node id, in ``placement.node_ids``
+            order.
     """
 
     def __init__(
-        self,
-        endpoints: Mapping[str, object],
-        *,
-        vnodes: int = DEFAULT_VNODES,
+        self, placement: Placement, endpoints: Sequence[object]
     ) -> None:
-        if not endpoints:
-            raise NetError("a ShardRouter needs at least one shard endpoint")
-        self._endpoints = dict(endpoints)
-        self._ring = HashRing(tuple(self._endpoints), vnodes=vnodes)
-
-    @property
-    def shard_ids(self) -> tuple[str, ...]:
-        return self._ring.node_ids
-
-    def shard_for_query(self, envelope) -> str:
-        """Which shard owns this query's placement key."""
-        return self._ring.owner(query_placement_key(envelope))
-
-    def shard_for_update(self, envelope) -> str:
-        """Which shard this update is forwarded through."""
-        return self._ring.owner(update_routing_key(envelope))
+        if len(endpoints) != len(placement.node_ids):
+            raise NetError(
+                f"{len(endpoints)} endpoints for "
+                f"{len(placement.node_ids)} shards"
+            )
+        self.placement = placement
+        self._endpoints = dict(zip(placement.node_ids, endpoints))
 
     async def query(self, envelope, **kwargs):
-        return await self._endpoints[self.shard_for_query(envelope)].query(
-            envelope, **kwargs
-        )
+        node_id = self.placement.query_node(envelope)
+        return await self._endpoints[node_id].query(envelope, **kwargs)
 
     async def update(self, envelope, **kwargs):
-        return await self._endpoints[self.shard_for_update(envelope)].update(
-            envelope, **kwargs
-        )
+        node_id = self.placement.update_node(envelope)
+        return await self._endpoints[node_id].update(envelope, **kwargs)
 
     async def aclose(self) -> None:
         """Close every underlying endpoint that knows how to close."""

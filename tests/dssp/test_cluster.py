@@ -141,6 +141,25 @@ class TestFanOutFilter:
         assert cluster.aggregate_stats().updates == 3
 
 
+class TestMembership:
+    def test_join_and_leave_under_client_affinity(self, deployment):
+        """Client affinity lets every node hold every view: a join drops
+        nothing and only re-pins clients by the new node count."""
+        cluster, home = deployment
+        envelope = seal(home, "Q2", [5])
+        cluster.query(envelope, client_id=0)
+        joined = cluster.join()
+        assert len(cluster) == 4
+        assert cluster.node_for(3) is cluster.node(joined)
+        assert cluster.total_cached_views() == 1
+        assert cluster.query(envelope, client_id=0).cache_hit
+        cluster.leave(joined)
+        assert cluster.node_ids == ("shard-0", "shard-1", "shard-2")
+        assert cluster.query(envelope, client_id=3).cache_hit
+        with pytest.raises(CacheError):
+            cluster.leave(joined)
+
+
 class TestCacheDilution:
     def test_more_nodes_lower_fleet_hit_rate(self):
         """Partitioning dilutes caches: the home server pays for it."""

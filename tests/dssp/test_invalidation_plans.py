@@ -17,7 +17,7 @@ from repro.analysis.ipm import characterize_pair
 from repro.crypto import Keyring
 from repro.dssp import DsspNode, HomeServer
 from repro.dssp.invalidation import PlanKind, compile_plans
-from repro.dssp.placement import TemplateAffinity
+from repro.dssp.placement import affected_queries
 from repro.dssp.predicate_index import (
     indexable_attributes,
     update_pinned_columns,
@@ -85,14 +85,14 @@ def test_skip_is_exactly_a_is_zero(app_name, constraints):
     registry = _APPS[app_name]().registry
     plans = compile_plans(registry, use_integrity_constraints=constraints)
     assert len(plans) == len(registry.queries) * len(registry.updates)
-    affinity = TemplateAffinity(registry, constraints)
+    affected = affected_queries(registry, constraints)
     for update, query in registry.pairs():
         plan = plans[(update.name, query.name)]
         a_is_zero = characterize_pair(
             registry.schema, update, query, constraints
         ).a_is_zero
         assert (plan.kind is PlanKind.SKIP) == a_is_zero, plan
-        assert (query.name in affinity.affected_queries(update.name)) == (
+        assert (query.name in affected[update.name]) == (
             not a_is_zero
         )
         if plan.kind is PlanKind.PROBE:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.analysis.exposure import ExposureLevel
-from repro.dssp import PredicateIndexer, ShardedDsspCluster
+from repro.dssp import DsspCluster, PredicateIndexer
 from repro.dssp.invalidation import PlanKind
 from repro.dssp.predicate_index import update_pinned_values
 from repro.templates import UpdateTemplate
@@ -264,18 +264,18 @@ class TestShardedColdRefill:
 
     def test_join_and_leave_keep_index_exact(self):
         home = shop_home(REGISTRY, _ROWS)
-        cluster = ShardedDsspCluster(nodes=2)
+        cluster = DsspCluster(nodes=2, sharded=True)
         cluster.register_application(home)
         self._drive(cluster, home)
         joined = cluster.join()
-        for shard_id in cluster.shard_ids:
-            assert_index_consistent(cluster.shard(shard_id).cache)
+        for shard_id in cluster.node_ids:
+            assert_index_consistent(cluster.node(shard_id).cache)
         self._drive(cluster, home)  # cold re-fill after the join
         assert cluster.total_cached_views() > 0
         cluster.leave(joined)
         self._drive(cluster, home)
-        for shard_id in cluster.shard_ids:
-            assert_index_consistent(cluster.shard(shard_id).cache)
+        for shard_id in cluster.node_ids:
+            assert_index_consistent(cluster.node(shard_id).cache)
         # Answers stay fresh throughout membership churn.
         for item_id in range(1, 13):
             outcome = _query(

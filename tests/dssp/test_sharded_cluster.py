@@ -6,17 +6,23 @@ import pytest
 
 from repro.analysis.exposure import ExposureLevel, ExposurePolicy
 from repro.crypto import Keyring
-from repro.dssp import HomeServer, ShardedDsspCluster
-from repro.dssp.placement import bucket_key
+from repro.dssp import DsspCluster, HomeServer
+from repro.dssp.placement import bucket_key, query_placement_key
+from repro.dssp.ring import HashRing
 from repro.errors import CacheError
 
 
 def make_deployment(db, registry, level=ExposureLevel.STMT, nodes=3, **kwargs):
     policy = ExposurePolicy.uniform(registry, level)
     home = HomeServer("toystore", db, registry, policy, Keyring("toystore"))
-    cluster = ShardedDsspCluster(nodes=nodes, **kwargs)
+    cluster = DsspCluster(nodes=nodes, sharded=True, **kwargs)
     cluster.register_application(home)
     return cluster, home
+
+
+def ring(cluster):
+    """An independent ring over the cluster's membership."""
+    return HashRing(cluster.node_ids)
 
 
 def seal(home, template, params):
@@ -36,8 +42,8 @@ class TestPlacement:
 
     def test_one_template_one_shard(self, toystore_db, simple_toystore):
         cluster, home = make_deployment(toystore_db, simple_toystore)
-        first = cluster.shard_for_query(seal(home, "Q2", [5]))
-        second = cluster.shard_for_query(seal(home, "Q2", [7]))
+        first = cluster.placement.query_node(seal(home, "Q2", [5]))
+        second = cluster.placement.query_node(seal(home, "Q2", [7]))
         assert first == second  # whole template bucket shares a shard
 
     def test_single_logical_cache_no_dilution(
@@ -58,7 +64,7 @@ class TestPlacement:
             toystore_db, simple_toystore, level=ExposureLevel.BLIND
         )
         envelope = seal(home, "Q2", [5])
-        assert cluster.shard_for_query(envelope) == cluster.ring.owner(
+        assert cluster.placement.query_node(envelope) == ring(cluster).owner(
             repr(("toystore", envelope.sealed_statement))
         )
 
@@ -71,9 +77,11 @@ class TestShardedInvalidation:
         set is exactly those buckets' owners — Q3 (customers) stays out
         unless it happens to share a shard."""
         cluster, home = make_deployment(toystore_db, simple_toystore)
-        recipients = set(cluster.shards_for_update(seal_update(home, "U1", [5])))
+        recipients = set(
+            cluster.placement.recipients(seal_update(home, "U1", [5]))
+        )
         expected = {
-            cluster.ring.owner(bucket_key("toystore", name))
+            ring(cluster).owner(bucket_key("toystore", name))
             for name in ("Q1", "Q2")
         }
         assert recipients == expected
@@ -106,8 +114,8 @@ class TestShardedInvalidation:
         cluster, home = make_deployment(
             toystore_db, simple_toystore, level=ExposureLevel.BLIND
         )
-        recipients = cluster.shards_for_update(seal_update(home, "U1", [5]))
-        assert set(recipients) == set(cluster.shard_ids)
+        recipients = cluster.placement.recipients(seal_update(home, "U1", [5]))
+        assert recipients == cluster.node_ids
 
     def test_update_applied_exactly_once(self, toystore_db, simple_toystore):
         cluster, home = make_deployment(toystore_db, simple_toystore)
@@ -120,18 +128,17 @@ class TestMembership:
     def test_join_leaves_every_entry_on_its_owner(
         self, toystore_db, simple_toystore
     ):
-        from repro.dssp.placement import entry_placement_key
-
         cluster, home = make_deployment(toystore_db, simple_toystore)
         for template, params in (("Q1", ["toy5"]), ("Q2", [5]), ("Q3", [1])):
             cluster.query(seal(home, template, params))
         cluster.join()
         assert len(cluster) == 4
-        for shard_id in cluster.shard_ids:
-            for entry in cluster.shard(shard_id).cache.entries_for_app(
+        owners = ring(cluster)
+        for shard_id in cluster.node_ids:
+            for entry in cluster.node(shard_id).cache.entries_for_app(
                 "toystore"
             ):
-                assert cluster.ring.owner(entry_placement_key(entry)) == shard_id
+                assert owners.owner(query_placement_key(entry)) == shard_id
 
     def test_leave_reassigns_and_serves_cold(
         self, toystore_db, simple_toystore
@@ -139,7 +146,7 @@ class TestMembership:
         cluster, home = make_deployment(toystore_db, simple_toystore)
         envelope = seal(home, "Q2", [5])
         cluster.query(envelope)
-        cluster.leave(cluster.shard_for_query(envelope))
+        cluster.leave(cluster.placement.query_node(envelope))
         outcome = cluster.query(envelope)  # survivor starts cold, refills
         assert not outcome.cache_hit
         assert cluster.query(envelope).cache_hit

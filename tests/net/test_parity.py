@@ -2,9 +2,10 @@
 
 The oracle's trust argument leans on the in-process engine being a faithful
 model of the networked deployment.  This suite closes the loop: replaying
-one recorded trace through both — same client→node affinity, no faults —
-must produce *identical* cache behavior (hits, misses, invalidations) and
-identical master databases.  Any drift here would mean the service layer
+one recorded trace through both — same placement (client affinity, or a
+consistent-hash ring when sharded), no faults — must produce *identical*
+cache behavior (hits, misses, invalidations) and identical master
+databases.  Any drift here would mean the service layer
 changed the caching semantics, not just the transport.
 """
 
@@ -29,8 +30,10 @@ CLIENTS = 4
 NODES = 2
 
 
-def replay_in_process(registry, database, policy, trace: Trace) -> dict:
-    cluster = DsspCluster(nodes=NODES)
+def replay_in_process(
+    registry, database, policy, trace: Trace, *, sharded: bool = False
+) -> dict:
+    cluster = DsspCluster(nodes=NODES, sharded=sharded)
     home = HomeServer(
         "toystore",
         database.clone(),
@@ -52,6 +55,7 @@ async def replay_networked(
     trace: Trace,
     *,
     pipeline: int | None = None,
+    sharded: bool = False,
 ):
     topology = ChaosTopology(
         "toystore",
@@ -62,6 +66,7 @@ async def replay_networked(
         log=ChaosLog(),
         nodes=NODES,
         pipeline=pipeline,
+        shards=sharded,
     )
     async with topology:
         runner = ChaosRunner(
@@ -81,16 +86,17 @@ def policy(request, simple_toystore) -> ExposurePolicy:
     )
 
 
+@pytest.mark.parametrize("sharded", [False, True])
 class TestDeploymentParity:
     async def test_same_trace_same_counts_same_database(
-        self, policy, simple_toystore, toystore_db
+        self, policy, simple_toystore, toystore_db, sharded
     ):
         trace = make_trace()
         counts, reference_db = replay_in_process(
-            simple_toystore, toystore_db, policy, trace
+            simple_toystore, toystore_db, policy, trace, sharded=sharded
         )
         report, net_stats, net_db = await replay_networked(
-            simple_toystore, toystore_db, policy, trace
+            simple_toystore, toystore_db, policy, trace, sharded=sharded
         )
 
         assert report.ok, report.summary()
@@ -111,14 +117,14 @@ class TestDeploymentParity:
             ), f"table {table!r} diverged"
 
     async def test_pipelined_batched_transport_preserves_parity(
-        self, policy, simple_toystore, toystore_db
+        self, policy, simple_toystore, toystore_db, sharded
     ):
         """The pipelined channel + batched fan-out are pure transport
         changes: the same trace still produces the exact cache behavior
         and master database of the in-process engine."""
         trace = make_trace()
         counts, reference_db = replay_in_process(
-            simple_toystore, toystore_db, policy, trace
+            simple_toystore, toystore_db, policy, trace, sharded=sharded
         )
         report, net_stats, net_db = await replay_networked(
             simple_toystore,
@@ -126,6 +132,7 @@ class TestDeploymentParity:
             policy,
             trace,
             pipeline=4,
+            sharded=sharded,
         )
 
         assert report.ok, report.summary()

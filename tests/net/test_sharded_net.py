@@ -15,13 +15,21 @@ import pytest
 from repro.analysis.exposure import ExposurePolicy
 from repro.dssp import DsspNode
 from repro.dssp.invalidation import StrategyClass
-from repro.dssp.placement import bucket_key
-from repro.dssp.ring import HashRing
+from repro.dssp.placement import Placement, bucket_key
+from repro.dssp.ring import DEFAULT_VNODES, HashRing
 from repro.errors import WireError
-from repro.net import DsspNetServer, ShardRouter, eventually, run_chaos
+from repro.net import (
+    DsspNetServer,
+    HomeNetServer,
+    ShardRouter,
+    WireClient,
+    eventually,
+    run_chaos,
+)
 from repro.net.chaos import FaultPlan
 from repro.workloads.trace import Trace
 from tests.net.test_end_to_end import Topology
+from tests.net.test_home_server import make_home
 
 
 class ShardedTopology(Topology):
@@ -39,7 +47,9 @@ class ShardedTopology(Topology):
     async def __aenter__(self):
         await super().__aenter__()
         self.clients = {handle.name: handle.client for handle in self.handles}
-        self.router = ShardRouter(self.clients)
+        self.router = ShardRouter(
+            Placement(self.names, sharded=True), list(self.clients.values())
+        )
         return self
 
     def server(self, name: str) -> DsspNetServer:
@@ -62,7 +72,7 @@ class TestShardedRouting:
             assert second.cache_hit is True
             # The view lives exactly where the ring says it should.
             owner = top.ring.owner(bucket_key("toystore", "Q2"))
-            assert top.router.shard_for_query(
+            assert top.router.placement.query_node(
                 top.seal_query(q2_of_5)
             ) == owner
 
@@ -94,6 +104,42 @@ class TestShardedRouting:
             DsspNetServer(
                 DsspNode(), node_id="dssp-9", shards=("dssp-0", "dssp-1")
             )
+
+
+class TestDeclaredTopologyIsChecked:
+    """The home refuses a declared topology it cannot place by: a node
+    outside its own shard set, or a ring with another vnode count."""
+
+    @pytest.mark.parametrize(
+        "shards, vnodes, refusal",
+        [
+            (("n2", "n3"), DEFAULT_VNODES, "not in its declared shard set"),
+            (("n1", "n2"), DEFAULT_VNODES // 2, "vnodes"),
+        ],
+    )
+    async def test_home_refuses(
+        self, simple_toystore, toystore_db, shards, vnodes, refusal
+    ):
+        home, _ = make_home(simple_toystore, toystore_db.clone())
+        server = HomeNetServer(home)
+        client = WireClient(*await server.start())
+        try:
+            with pytest.raises(WireError, match=refusal):
+                await client.subscribe(
+                    "n1", ("toystore",), shards=shards, vnodes=vnodes
+                )
+            assert server.subscriber_count == 0
+            accepted = await client.subscribe(
+                "n1",
+                ("toystore",),
+                shards=("n1", "n2"),
+                vnodes=DEFAULT_VNODES,
+            )
+            assert accepted.shard_filtered is True
+            await accepted.aclose()
+        finally:
+            await client.aclose()
+            await server.stop()
 
 
 class TestFilteredFanOut:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.analysis.exposure import ExposurePolicy
 from repro.dssp.invalidation import StrategyClass
+from repro.dssp.placement import Placement
 from repro.net import ShardRouter, eventually, run_chaos
 from repro.net.chaos import FaultPlan
 from repro.net.loadgen import run_load
@@ -73,7 +74,7 @@ class TracedShardedTopology(Topology):
     async def __aenter__(self):
         await super().__aenter__()
         self.router = ShardRouter(
-            {handle.name: handle.client for handle in self.handles}
+            Placement(self.placement.node_ids, sharded=True), self.clients
         )
         return self
 

@@ -224,6 +224,43 @@ class TestTraceFlagsParse:
         assert args.prom is True
 
 
+class TestShardSets:
+    """A bad shard set ends in a one-line exit, not a traceback."""
+
+    def test_serve_dssp_node_outside_its_shard_set(self):
+        with pytest.raises(SystemExit, match="not in its own shard set"):
+            main(
+                [
+                    "serve-dssp", "bookstore", "--home", "127.0.0.1:1",
+                    "--shards", "a,b", "--node-id", "c",
+                ],
+                out=io.StringIO(),
+            )
+
+    def test_loadgen_duplicate_shard(self):
+        with pytest.raises(SystemExit, match="already placed"):
+            main(
+                [
+                    "loadgen", "bookstore", "--dssp", "127.0.0.1:9",
+                    "--dssp", "127.0.0.1:10", "--shards", "a,a",
+                ],
+                out=io.StringIO(),
+            )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-dssp", "bookstore", "--home", "127.0.0.1:1"],
+            ["loadgen", "bookstore"],
+            ["chaos", "bookstore"],
+        ],
+    )
+    def test_vnodes_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--vnodes", "8"])
+        assert "unrecognized arguments: --vnodes" in capsys.readouterr().err
+
+
 class TestLoadgenScenario:
     """The in-process scenario path of ``repro loadgen`` (PR 10)."""
 
