@@ -26,7 +26,7 @@ from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec
 from repro.dssp import HomeServer
-from repro.net import Deployment, run_load
+from repro.net import Deployment, TenantWorkload, run_load
 from repro.simulation.scalability import find_scalability, predict_p90
 from repro.workloads import get_application
 from repro.workloads.trace import Trace, record_trace
@@ -49,13 +49,9 @@ async def _measure_strategy(strategy, spec, trace_json: str):
     home = HomeServer(APP, instance.database, spec.registry, policy, keyring)
     async with Deployment(home, nodes=NODES) as fleet:
         trace = Trace.from_json(trace_json).bind(spec.registry)
+        workload = TenantWorkload(APP, EnvelopeCodec(keyring), policy, trace)
         report = await run_load(
-            fleet.clients,
-            EnvelopeCodec(keyring),
-            policy,
-            trace,
-            clients=CLIENTS,
-            pages=PAGES,
+            fleet.clients, workload, clients=CLIENTS, pages=PAGES
         )
         return report.with_invalidations(fleet.sum_invalidations())
 

@@ -33,7 +33,13 @@ from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec
 from repro.dssp import HomeServer
 from repro.dssp.invalidation import StrategyClass
-from repro.net import Deployment, WireClient, eventually, run_load
+from repro.net import (
+    Deployment,
+    TenantWorkload,
+    WireClient,
+    eventually,
+    run_load,
+)
 from repro.workloads import get_application
 from repro.workloads.trace import Trace, record_trace
 
@@ -113,9 +119,7 @@ async def _measure_mode(spec, trace_json: str, pipeline, batched, **tracing):
         trace = Trace.from_json(trace_json).bind(spec.registry)
         report = await run_load(
             fleet.clients,
-            codec,
-            policy,
-            trace,
+            TenantWorkload(APP, codec, policy, trace),
             clients=CLIENTS,
             pages=PAGES,
             pipeline=pipeline or 1,

@@ -14,8 +14,8 @@ Commands:
 * ``simulate APP --users N`` — one discrete-event simulation run.
 * ``serve-home APP`` / ``serve-dssp APP`` — run the networked service
   layer (home organization / DSSP node) on real sockets.
-* ``loadgen APP`` — closed-loop load generator against live DSSP nodes
-  (optionally with deterministic fault injection via ``--chaos-seed``).
+* ``loadgen APP`` — closed- or open-loop load generator against live DSSP
+  nodes (optionally with deterministic fault injection via ``--chaos-seed``).
 * ``chaos APP`` — stand up a chaos-proxied cluster in-process, replay a
   recorded trace through it, and run the consistency oracle.
 * ``stats HOST:PORT [HOST:PORT ...]`` — dump live STATS snapshots as JSON
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "over one multiplexed connection (default: serial closed loop)",
     )
     loadgen.add_argument(
-        "--pages", type=int, default=None, help="page budget (default: none)"
+        "--pages", type=int, default=None, help="closed-loop page budget"
     )
     loadgen.add_argument(
         "--duration", type=float, default=None, help="wall-clock budget (s)"
@@ -1034,6 +1034,11 @@ def _cmd_loadgen(args, out) -> int:
     from repro.simulation.scalability import predict_p90
     from repro.workloads.trace import Trace, record_trace
 
+    if args.pages is not None and (args.scenario or args.arrival):
+        raise SystemExit(
+            "--pages applies to closed-loop runs only; open-loop runs "
+            "(--scenario, --arrival) are bounded by --duration"
+        )
     if args.scenario is not None:
         return _cmd_loadgen_scenario(args, out)
     if not args.dssp:
@@ -1075,6 +1080,22 @@ def _cmd_loadgen(args, out) -> int:
             trace_path.write_text(trace.to_json())
             print(f"recorded {len(trace)}-page trace to {trace_path}", file=out)
     trace.bind(spec.registry)
+    schedule = hot_page = None
+    if args.arrival is not None:
+        from repro.net.traffic import make_arrivals
+
+        arrival_seed = (
+            args.seed if args.arrival_seed is None else args.arrival_seed
+        )
+        arrivals = make_arrivals(args.arrival, args.rate, arrival_seed)
+        schedule = arrivals.schedule(args.duration)
+        if args.arrival == "flash_crowd":
+            from repro.net.scenarios import hot_query_page
+
+            hot_page = hot_query_page(trace, spec.registry)
+    workload = TenantWorkload(
+        args.app, codec, policy, trace, hot_page=hot_page
+    )
 
     chaos_log = None
     chaos_plan = None
@@ -1111,40 +1132,17 @@ def _cmd_loadgen(args, out) -> int:
                 # One router fronts the whole cluster: every client lane
                 # routes by placement key instead of pinning to one node.
                 drivers = [ShardRouter(placement, fleet.clients)]
-            if args.arrival is not None:
-                from repro.net.scenarios import hot_query_page
-                from repro.net.traffic import make_arrivals
-
-                arrival_seed = (
-                    args.seed
-                    if args.arrival_seed is None
-                    else args.arrival_seed
-                )
-                schedule = make_arrivals(
-                    args.arrival, args.rate, arrival_seed
-                ).schedule(args.duration or 5.0)
-                hot_page = None
-                if args.arrival == "flash_crowd":
-                    hot_page = hot_query_page(trace, spec.registry)
-                tenant = TenantWorkload(
-                    app=args.app,
-                    codec=codec,
-                    policy=policy,
-                    trace=trace,
-                    hot_page=hot_page,
-                )
+            if schedule is not None:
                 return await run_open_load(
                     drivers,
-                    [tenant],
+                    [workload],
                     schedule,
                     max_outstanding=args.max_outstanding,
                     on_page=on_page,
                 )
             return await run_load(
                 drivers,
-                codec,
-                policy,
-                trace,
+                workload,
                 clients=args.clients,
                 pages=args.pages,
                 duration_s=args.duration,

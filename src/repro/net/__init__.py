@@ -13,9 +13,10 @@ This package puts the *network* back between them:
   :class:`~repro.dssp.proxy.DsspNode` with remote miss/update forwarding;
 * :mod:`repro.net.client` — async client multiplexing requests over one
   connection, with retry/backoff and typed error mapping;
-* :mod:`repro.net.loadgen` — closed-loop load generator for measured (not
-  analytic-model) strategy comparisons, plus the open-loop driver that
-  issues on an arrival schedule with drop accounting;
+* :mod:`repro.net.loadgen` — load generator for measured (not
+  analytic-model) strategy comparisons: one page runner behind a
+  closed-loop driver and an open-loop driver that issues on an arrival
+  schedule with drop accounting;
 * :mod:`repro.net.traffic` — seeded arrival processes (Poisson, ON/OFF,
   diurnal, flash-crowd) with byte-for-byte reproducible schedules;
 * :mod:`repro.net.deploy` — the one networked deployment: a home, N

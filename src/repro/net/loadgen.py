@@ -1,36 +1,35 @@
-"""Closed-loop load generator for a live DSSP topology.
+"""Load generator for a live DSSP topology: one page runner, two issuers.
 
 Drives the networked system with the same Zipf page workloads the
-analytic experiments use, but *measures* instead of predicting: N virtual
-clients each run a closed loop (think → request page → wait for all of the
-page's operations → next page), exactly the client model of the paper's
-simulator, and the report carries measured throughput and p50/p90 page
-latencies per strategy.
+analytic experiments use, but *measures* instead of predicting.  Every
+page goes through one runner, ``_Run.run_page``: it seals and sends each
+operation, counts it into the run's books (and its tenant's, when
+several run), and records ``now − due`` as the page's latency.  The two
+issuers differ only in what ``due`` is:
 
-Fairness across strategies comes from a recorded
-:class:`~repro.workloads.trace.Trace`: every strategy replays the identical
-operation stream (the trace persists through ``Trace.to_json`` so separate
-loadgen processes can share one).  Client affinity over multiple DSSP
-endpoints is stable (client *i* → endpoint ``i % len(endpoints)``), the
-same CDN-style routing as :class:`~repro.dssp.cluster.DsspCluster`.
+- :func:`run_load`, the closed loop: N virtual clients each request a
+  page, wait for all of its operations, then take the next — the client
+  model of the paper's simulator.  A page is due when a lane takes it.
+  ``pipeline=N`` gives each client N lanes (pair it with
+  ``WireClient(pipeline=N)`` endpoints); issuance still follows
+  completions.
+- :func:`run_open_load`, the open loop: a seeded
+  :class:`~repro.net.traffic.ArrivalSchedule` launches pages regardless
+  of completions, and a page is due at its scheduled arrival, so a
+  stalled event loop shows in the latencies instead of hiding its own
+  queueing.  Each arrival's launch lag is reported as ``sched_lag``, and
+  a bounded outstanding-page guard drops (and counts) what the system
+  cannot absorb.
 
-The measured counts also yield a
-:class:`~repro.simulation.scalability.CacheBehavior`, so a measured run is
-directly cross-checkable against the analytic
-:func:`~repro.simulation.scalability.predict_p90`.
-
-``pipeline=N`` switches each virtual client from one closed loop to ``N``
-concurrent page lanes on its endpoint — a *partially* open mode that
-keeps up to ``N`` pages in flight per client but still clocks issuance
-off completions.  Pair it with endpoints built as
-``WireClient(pipeline=N)`` so the extra concurrency multiplexes over one
-pipelined connection instead of fanning out across the pool.
-
-True open-loop measurement lives in :func:`run_open_load`: a seeded
-:class:`~repro.net.traffic.ArrivalSchedule` launches pages on its own
-clock regardless of completions, a bounded outstanding-request guard
-drops (and counts) arrivals the system cannot absorb, and the report
-carries offered vs achieved rate so overload is measured, not hidden.
+Latencies are raw samples in the DES's own
+:class:`~repro.simulation.metrics.LatencyStats`, so simulated and
+measured pages share one definition of p90 and tail percentiles are
+exact.  A recorded :class:`~repro.workloads.trace.Trace` gives every
+strategy the identical operation stream; client *i* uses endpoint
+``i % len(endpoints)``, the CDN-style affinity of
+:class:`~repro.dssp.cluster.DsspCluster`.  The measured counts yield a
+:class:`~repro.simulation.scalability.CacheBehavior`, so a run
+cross-checks against :func:`~repro.simulation.scalability.predict_p90`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.crypto.envelope import EnvelopeCodec
 from repro.errors import NetError, WorkloadError
 from repro.net.client import WireClient
 from repro.net.traffic import ArrivalSchedule
-from repro.obs import Histogram
+from repro.simulation.metrics import LatencyStats
 from repro.simulation.scalability import CacheBehavior
 from repro.workloads.trace import Trace
 
@@ -54,7 +53,7 @@ __all__ = ["LoadReport", "TenantWorkload", "run_load", "run_open_load"]
 
 @dataclass(frozen=True)
 class LoadReport:
-    """What a closed-loop run against a live topology measured."""
+    """What a run against a live topology measured."""
 
     clients: int
     duration_s: float
@@ -63,31 +62,21 @@ class LoadReport:
     updates: int
     hits: int
     errors: int
-    #: Page latencies in fixed log buckets; O(1) per observation, O(buckets)
-    #: per quantile — no re-sorting the full sample list.
-    latency: Histogram
+    #: Raw page latencies (seconds from each page's due instant).
+    latency: LatencyStats
     #: Page lanes per client (1 = closed loop, N = open-loop pipelined).
     pipeline: int = 1
-    #: Pages whose lane was already in flight at the deadline and finished
-    #: after it.  In closed/pipelined runs they (and their operations) are
-    #: excluded from the headline counts above — a duration-bounded run
-    #: would otherwise overstate throughput at high ``pipeline``, since up
-    #: to clients×pipeline lanes can straggle past the cutoff.  In
-    #: open-loop runs (``open_loop=True``) the arrival schedule already
-    #: bounds issuance, so late pages *stay* in the headline counts and
-    #: this field just counts drain stragglers — dropping their (long)
-    #: latencies would understate the tail exactly where the knee lives.
+    #: Pages that finished after the deadline.  Closed/pipelined runs
+    #: leave them out of ``pages`` and ``latency`` (up to
+    #: clients×pipeline lanes straggle past the cutoff and would overstate
+    #: throughput).  Open-loop runs keep them: under overload the
+    #: stragglers *are* the tail the knee is read from.
     late_pages: int = 0
-    #: True when an arrival schedule clocked issuance
-    #: (:func:`run_open_load`); False for completion-clocked runs, even
-    #: pipelined ones — ``pipeline=N`` bounds in-flight pages but still
-    #: only issues on completion, so it can never overload the system.
+    #: True when an arrival schedule clocked issuance; False for
+    #: completion-clocked runs, pipelined ones included.
     open_loop: bool = False
-    #: Arrivals the run *offered*.  Closed/pipelined runs issue every
-    #: arrival they offer (``offered == pages + late_pages + errors``);
-    #: open-loop runs may drop some at the outstanding guard.  The
-    #: invariant either way: ``offered == issued + dropped``.  0 on
-    #: reports from callers that predate offered-load accounting.
+    #: Arrivals the run *offered*; always ``issued + dropped``.  Closed
+    #: runs issue every one (``offered == pages + late_pages + errors``).
     offered: int = 0
     #: Offered arrivals never issued because ``max_outstanding`` requests
     #: were already in flight.  Always 0 for closed/pipelined runs.
@@ -108,6 +97,10 @@ class LoadReport:
     #: sink (see :func:`repro.obs.assemble.phase_aggregates`), when the
     #: run traced itself; ``None`` means "not traced".
     phases: dict | None = None
+    #: Launch lag of every issued open-loop arrival (seconds from its due
+    #: instant to its first instruction); ``None`` for closed-loop runs,
+    #: whose pages are due when a lane takes them.
+    sched_lag: LatencyStats | None = None
 
     @property
     def hit_rate(self) -> float:
@@ -144,9 +137,8 @@ class LoadReport:
 
     @property
     def achieved_rate_s(self) -> float:
-        """Completed pages per second — diverges from ``offered_rate_s``
-        past the knee, where drops, errors, and stragglers absorb the
-        difference."""
+        """Completed pages per second; falls behind ``offered_rate_s``
+        past the knee."""
         return self.throughput_pages_s
 
     @property
@@ -157,7 +149,7 @@ class LoadReport:
         return self.dropped / self.offered
 
     def percentile(self, fraction: float) -> float:
-        """Page-latency percentile (0 < fraction <= 1)."""
+        """Page-latency percentile (0 < fraction <= 1) of the raw samples."""
         return self.latency.quantile(fraction)
 
     @property
@@ -175,6 +167,13 @@ class LoadReport:
         """99th-percentile page latency (tail behaviour under load)."""
         return self.percentile(0.99)
 
+    @property
+    def sched_lag_p95_s(self) -> float | None:
+        """95th-percentile open-loop launch lag; ``None`` when closed."""
+        if self.sched_lag is None:
+            return None
+        return self.sched_lag.quantile(0.95)
+
     def with_invalidations(self, invalidations: int) -> "LoadReport":
         """Copy of this report with the server-side invalidation count.
 
@@ -190,13 +189,9 @@ class LoadReport:
         return replace(self, invalidations=invalidations)
 
     def with_phases(self, phases: dict) -> "LoadReport":
-        """Copy of this report with a per-phase latency breakdown.
-
-        The load generator itself only times whole pages; a caller that
-        ran with a local span sink attaches the per-phase aggregates
-        (``repro.obs.assemble.phase_aggregates`` over the sink's spans)
-        so the JSON report can show where page time went.
-        """
+        """Copy of this report with a per-phase latency breakdown
+        (``repro.obs.assemble.phase_aggregates`` over a local span sink):
+        the load generator itself only times whole pages."""
         return replace(self, phases=dict(phases))
 
     def behavior(self) -> CacheBehavior:
@@ -204,11 +199,9 @@ class LoadReport:
 
         Raises:
             WorkloadError: if no pages completed, or if updates ran but
-                the server-side invalidation count was never attached
-                (``invalidations is None``).  Silently reporting a zero
-                ratio would feed ``predict_p90`` a fan-out cost the run
-                did not actually have; a caller without server stats must
-                either attach a measured delta via
+                no server-side invalidation count was attached: a silent
+                zero ratio would feed ``predict_p90`` a fan-out cost the
+                run did not have.  Attach the measured delta via
                 :meth:`with_invalidations` or skip the profile.
         """
         if not self.pages:
@@ -245,7 +238,8 @@ class LoadReport:
             line += (
                 f" offered={self.offered_rate_s:.1f}/s "
                 f"achieved={self.achieved_rate_s:.1f}/s "
-                f"dropped={self.dropped} ({self.drop_rate:.1%})"
+                f"dropped={self.dropped} ({self.drop_rate:.1%}) "
+                f"sched_lag_p95={self.sched_lag_p95_s * 1000:.1f}ms"
             )
         return line
 
@@ -273,7 +267,12 @@ class LoadReport:
             "p50_s": self.p50_s,
             "p90_s": self.p90_s,
             "p99_s": self.p99_s,
-            "latency": self.latency.snapshot(),
+            "sched_lag_p95_s": self.sched_lag_p95_s,
+            "latency": {
+                "count": self.latency.count,
+                "mean_s": self.latency.mean,
+                "max_s": max(self.latency.samples, default=0.0),
+            },
         }
         if self.arrival is not None:
             report["arrival"] = self.arrival
@@ -284,186 +283,14 @@ class LoadReport:
         return report
 
 
-class _SharedStream:
-    """Hands consecutive trace pages to whichever client asks next."""
-
-    def __init__(
-        self, trace: Trace, pages: int | None, deadline: float | None
-    ) -> None:
-        self._trace = trace
-        self._remaining = pages
-        self._deadline = deadline
-
-    def next_page(self):
-        if self.past_deadline():
-            return None
-        if self._remaining is not None:
-            if self._remaining <= 0:
-                return None
-            self._remaining -= 1
-        return self._trace.sample_page()
-
-    def past_deadline(self) -> bool:
-        return (
-            self._deadline is not None
-            and time.perf_counter() >= self._deadline
-        )
-
-
-async def run_load(
-    endpoints: list[WireClient],
-    codec: EnvelopeCodec,
-    policy: ExposurePolicy,
-    trace: Trace,
-    *,
-    clients: int = 8,
-    pages: int | None = None,
-    duration_s: float | None = None,
-    pipeline: int = 1,
-    fail_fast: bool = False,
-    on_page=None,
-) -> LoadReport:
-    """Drive a live topology and measure it.
-
-    Args:
-        endpoints: One :class:`WireClient` per DSSP node.
-        codec: The application's trusted client-side codec (holds keys).
-        policy: Exposure policy used to seal each operation.
-        trace: Recorded page stream, already bound to the registry.
-        clients: Closed-loop virtual client count.
-        pages: Stop after this many pages (None = until ``duration_s``).
-        duration_s: Stop after this much wall-clock time.
-        pipeline: Concurrent page lanes per client (1 = closed loop);
-            client affinity to its endpoint is unchanged, the lanes just
-            keep that many pages in flight at once.
-        fail_fast: Re-raise the first request error instead of counting it.
-        on_page: Optional async callback awaited with the cumulative
-            completed-page count after each page (chaos uses it to sever
-            connections every N pages).
-
-    Note:
-        A duration-bounded run can wrap around the trace; replayed INSERT
-        operations then collide with rows the first pass already created
-        and the home rejects them.  Those pages land in ``errors`` — keep
-        ``pages <= len(trace)`` when a clean error count matters.
-
-    Returns:
-        The measured :class:`LoadReport`.
-    """
-    if not endpoints:
-        raise WorkloadError("loadgen needs at least one DSSP endpoint")
-    if pages is None and duration_s is None:
-        raise WorkloadError("set a pages budget or a duration (or both)")
-    if pipeline < 1:
-        raise WorkloadError(f"pipeline must be >= 1, got {pipeline}")
-    started = time.perf_counter()
-    stream = _SharedStream(
-        trace,
-        pages,
-        None if duration_s is None else started + duration_s,
-    )
-    counters = {
-        "offered": 0,
-        "pages": 0,
-        "queries": 0,
-        "updates": 0,
-        "hits": 0,
-        "errors": 0,
-        "late_pages": 0,
-    }
-    latency = Histogram("loadgen.page_seconds")
-
-    async def client_loop(client_id: int) -> None:
-        endpoint = endpoints[client_id % len(endpoints)]
-        while True:
-            page = stream.next_page()
-            if page is None:
-                return
-            # Completion-clocked issuance: every offered page is issued,
-            # so offered == pages + late_pages + errors and dropped stays
-            # 0.  Tracking it anyway keeps the open-loop accounting
-            # identity (offered == issued + dropped) checkable on every
-            # report, pipelined or not.
-            counters["offered"] += 1
-            page_started = time.perf_counter()
-            # Operations always merge into the counters — they really hit
-            # the servers, and server-side counters (hits, invalidations)
-            # must stay reconcilable with the client's books.  Only the
-            # *page* is conditional: a page finishing after the deadline
-            # is excluded from ``pages`` and the latency histogram so
-            # duration-bounded throughput is not overstated.
-            local = {"queries": 0, "updates": 0, "hits": 0}
-            failed = False
-            for operation in page:
-                bound = operation.bound
-                try:
-                    if operation.is_update:
-                        level = policy.update_level(bound.template.name)
-                        await endpoint.update(codec.seal_update(bound, level))
-                        local["updates"] += 1
-                    else:
-                        level = policy.query_level(bound.template.name)
-                        outcome = await endpoint.query(
-                            codec.seal_query(bound, level)
-                        )
-                        local["queries"] += 1
-                        if outcome.cache_hit:
-                            local["hits"] += 1
-                except NetError:
-                    if fail_fast:
-                        raise
-                    counters["errors"] += 1
-                    failed = True
-                    break
-            for key, count in local.items():
-                counters[key] += count
-            if failed:
-                continue
-            if stream.past_deadline():
-                counters["late_pages"] += 1
-                continue
-            counters["pages"] += 1
-            latency.observe(time.perf_counter() - page_started)
-            if on_page is not None:
-                await on_page(counters["pages"])
-
-    await asyncio.gather(
-        *(
-            client_loop(client_id)
-            for client_id in range(clients)
-            for _ in range(pipeline)
-        )
-    )
-    elapsed = time.perf_counter() - started
-    if duration_s is not None:
-        # Headline pages all finished inside the budget (stragglers are
-        # in ``late_pages``), so the matching denominator is the budget
-        # window, not the budget plus straggler drain time.
-        elapsed = min(elapsed, duration_s)
-    return LoadReport(
-        clients=clients,
-        duration_s=elapsed,
-        pages=counters["pages"],
-        queries=counters["queries"],
-        updates=counters["updates"],
-        hits=counters["hits"],
-        errors=counters["errors"],
-        latency=latency,
-        pipeline=pipeline,
-        late_pages=counters["late_pages"],
-        offered=counters["offered"],
-        dropped=0,
-    )
-
-
 @dataclass(frozen=True)
 class TenantWorkload:
-    """One application's share of an open-loop run.
+    """One application's workload: its keys, exposure policy and trace.
 
-    ``weight`` is the tenant's share of arrivals (normalised over all
-    tenants); ``hot_page`` is a pre-bound operation list the generator
-    substitutes for arrivals the schedule marks hot (flash crowds aim
-    their surge at one template).
+    Open-loop runs can mix several: ``weight`` is the tenant's share of
+    arrivals (normalised over all tenants), and ``hot_page`` is a
+    pre-bound operation list the generator substitutes for arrivals the
+    schedule marks hot (flash crowds aim their surge at one template).
     """
 
     app: str
@@ -481,16 +308,172 @@ class TenantWorkload:
             )
 
 
-_PER_APP_KEYS = (
-    "offered",
-    "dropped",
-    "pages",
-    "late_pages",
-    "errors",
-    "queries",
-    "updates",
-    "hits",
+_BOOK_KEYS = (
+    "offered", "dropped", "pages", "late_pages",
+    "errors", "queries", "updates", "hits",
 )
+
+
+class _Run:
+    """One run's books and the one page runner both issuers share.
+
+    ``deadline`` (a ``perf_counter`` instant, or None) marks pages that
+    finish after it as late.  In an ``open_loop`` run a late page still
+    counts as a page and every page's launch lag is recorded; in a closed
+    loop a late page is only a straggler, and a page is due when a lane
+    takes it, so there is no lag to record.
+    """
+
+    def __init__(self, tenants, *, deadline, open_loop, on_page) -> None:
+        self.totals = dict.fromkeys(_BOOK_KEYS, 0)
+        self.per_app = None
+        if len(tenants) > 1:
+            self.per_app = {
+                tenant.app: dict.fromkeys(_BOOK_KEYS, 0) for tenant in tenants
+            }
+        self.latency = LatencyStats()
+        self.sched_lag = LatencyStats() if open_loop else None
+        self.deadline = deadline
+        self.open_loop = open_loop
+        self.on_page = on_page
+
+    def count(self, tenant: TenantWorkload, key: str) -> None:
+        self.totals[key] += 1
+        if self.per_app is not None:
+            self.per_app[tenant.app][key] += 1
+
+    async def run_page(
+        self, tenant: TenantWorkload, page, endpoint, due: float
+    ) -> None:
+        """Seal and send one page's operations; time it from ``due``.
+
+        Operations always count — they really hit the servers, and
+        server-side counters (hits, invalidations) must stay reconcilable
+        with the client's books.  A failed operation ends the page as an
+        error; only a page that completes gets a latency.
+        """
+        if self.sched_lag is not None:
+            self.sched_lag.record(time.perf_counter() - due)
+        codec, policy = tenant.codec, tenant.policy
+        for operation in page:
+            bound = operation.bound
+            try:
+                if operation.is_update:
+                    level = policy.update_level(bound.template.name)
+                    await endpoint.update(codec.seal_update(bound, level))
+                    self.count(tenant, "updates")
+                else:
+                    level = policy.query_level(bound.template.name)
+                    outcome = await endpoint.query(
+                        codec.seal_query(bound, level)
+                    )
+                    self.count(tenant, "queries")
+                    if outcome.cache_hit:
+                        self.count(tenant, "hits")
+            except NetError:
+                self.count(tenant, "errors")
+                return
+        finished = time.perf_counter()
+        if self.past_deadline(finished):
+            self.count(tenant, "late_pages")
+            if not self.open_loop:
+                return
+        self.count(tenant, "pages")
+        self.latency.record(finished - due)
+        if self.on_page is not None:
+            await self.on_page(self.totals["pages"])
+
+    def past_deadline(self, now: float) -> bool:
+        return self.deadline is not None and now >= self.deadline
+
+    def report(self, **fields) -> LoadReport:
+        totals = self.totals
+        return LoadReport(
+            pages=totals["pages"],
+            queries=totals["queries"],
+            updates=totals["updates"],
+            hits=totals["hits"],
+            errors=totals["errors"],
+            late_pages=totals["late_pages"],
+            offered=totals["offered"],
+            dropped=totals["dropped"],
+            latency=self.latency,
+            open_loop=self.open_loop,
+            sched_lag=self.sched_lag,
+            per_app=self.per_app,
+            **fields,
+        )
+
+
+async def run_load(
+    endpoints: list[WireClient],
+    workload: TenantWorkload,
+    *,
+    clients: int = 8,
+    pages: int | None = None,
+    duration_s: float | None = None,
+    pipeline: int = 1,
+    on_page=None,
+) -> LoadReport:
+    """Drive a live topology closed-loop and measure it.
+
+    Args:
+        endpoints: One :class:`WireClient` per DSSP node.
+        workload: Codec, exposure policy and bound trace of the one
+            application driven.
+        clients: Closed-loop virtual client count.
+        pages: Stop after this many pages (None = until ``duration_s``).
+        duration_s: Stop after this much wall-clock time.
+        pipeline: Concurrent page lanes per client (1 = closed loop).
+        on_page: Optional async callback awaited with the cumulative
+            completed-page count after each page (chaos uses it to sever
+            connections every N pages).
+
+    A duration-bounded run can wrap around the trace; replayed INSERTs
+    then collide with rows the first pass created and land in
+    ``errors`` — keep ``pages <= len(trace)`` when that matters.
+    """
+    if not endpoints:
+        raise WorkloadError("loadgen needs at least one DSSP endpoint")
+    if pages is None and duration_s is None:
+        raise WorkloadError("set a pages budget or a duration (or both)")
+    if pipeline < 1:
+        raise WorkloadError(f"pipeline must be >= 1, got {pipeline}")
+    started = time.perf_counter()
+    run = _Run(
+        [workload],
+        deadline=None if duration_s is None else started + duration_s,
+        open_loop=False,
+        on_page=on_page,
+    )
+    remaining = pages
+
+    async def lane(endpoint) -> None:
+        nonlocal remaining
+        while not run.past_deadline(time.perf_counter()):
+            if remaining is not None:
+                if remaining <= 0:
+                    return
+                remaining -= 1
+            # Every offered page is issued: dropped stays 0.
+            run.count(workload, "offered")
+            page = workload.trace.sample_page()
+            await run.run_page(workload, page, endpoint, time.perf_counter())
+
+    await asyncio.gather(
+        *(
+            lane(endpoints[client_id % len(endpoints)])
+            for client_id in range(clients)
+            for _ in range(pipeline)
+        )
+    )
+    elapsed = time.perf_counter() - started
+    if duration_s is not None:
+        # Headline pages all finished inside the budget (stragglers are
+        # in ``late_pages``), so the matching denominator is the budget
+        # window, not the budget plus straggler drain time.
+        elapsed = min(elapsed, duration_s)
+    return run.report(clients=clients, duration_s=elapsed, pipeline=pipeline)
 
 
 async def run_open_load(
@@ -499,18 +482,16 @@ async def run_open_load(
     schedule: ArrivalSchedule,
     *,
     max_outstanding: int = 256,
-    fail_fast: bool = False,
     on_page=None,
 ) -> LoadReport:
     """Drive a live topology open-loop: issue on the arrival schedule.
 
     Each timestamp in ``schedule`` launches one page without waiting for
-    earlier pages — offered load is the schedule's, not the system's.
-    The only brake is ``max_outstanding``: an arrival finding that many
-    pages already in flight is *dropped* and counted, never queued, so
-    the report says how much offered load the system absorbed instead of
-    letting an unbounded task pile hide the overload (and eventually
-    falsify latencies with scheduler noise).
+    earlier pages, and the page's clock starts at that timestamp, not
+    when its task first runs.  The only brake is ``max_outstanding``: an
+    arrival finding that many pages in flight is *dropped* and counted,
+    never queued, so the report says how much offered load the system
+    absorbed.
 
     Tenants split arrivals by ``weight`` via a seeded choice that
     consumes one RNG draw per arrival whether or not the arrival is
@@ -518,14 +499,11 @@ async def run_open_load(
     seed, not on timing.  Arrivals the schedule marks hot use the
     tenant's ``hot_page`` (when set) instead of advancing its trace.
 
-    Unlike :func:`run_load`, pages completing after the schedule window
-    stay in the headline counts and histogram (``late_pages`` just
-    counts them): under overload the stragglers *are* the tail, and
-    excluding them would flatter p99 exactly where the knee lives.
-
-    Returns a :class:`LoadReport` with ``open_loop=True``, offered /
-    dropped accounting, the schedule's digest under ``arrival``, and
-    per-app books when more than one tenant runs.
+    Pages finishing after the window stay in the headline counts
+    (``late_pages`` just counts them).  The :class:`LoadReport` has
+    ``open_loop=True``, the launch lags under ``sched_lag``, the
+    schedule's digest under ``arrival``, and per-app books when more
+    than one tenant runs.
     """
     if not endpoints:
         raise WorkloadError("open-loop loadgen needs at least one endpoint")
@@ -540,59 +518,14 @@ async def run_open_load(
         raise WorkloadError(f"duplicate tenant apps: {apps}")
     weights = [tenant.weight for tenant in tenants]
     tenant_rng = random.Random(f"tenants:{schedule.seed}")
-    counters = {key: 0 for key in _PER_APP_KEYS}
-    per_app = {
-        tenant.app: {key: 0 for key in _PER_APP_KEYS} for tenant in tenants
-    }
-    latency = Histogram("loadgen.page_seconds")
     outstanding: set[asyncio.Task] = set()
-    failures: list[BaseException] = []
     started = time.perf_counter()
-    window_end = started + schedule.duration_s
-
-    async def run_page(tenant: TenantWorkload, page, endpoint) -> None:
-        books = per_app[tenant.app]
-        page_started = time.perf_counter()
-        local = {"queries": 0, "updates": 0, "hits": 0}
-        failed = False
-        for operation in page:
-            bound = operation.bound
-            try:
-                if operation.is_update:
-                    level = tenant.policy.update_level(bound.template.name)
-                    await endpoint.update(
-                        tenant.codec.seal_update(bound, level)
-                    )
-                    local["updates"] += 1
-                else:
-                    level = tenant.policy.query_level(bound.template.name)
-                    outcome = await endpoint.query(
-                        tenant.codec.seal_query(bound, level)
-                    )
-                    local["queries"] += 1
-                    if outcome.cache_hit:
-                        local["hits"] += 1
-            except NetError as error:
-                if fail_fast:
-                    failures.append(error)
-                counters["errors"] += 1
-                books["errors"] += 1
-                failed = True
-                break
-        for key, count in local.items():
-            counters[key] += count
-            books[key] += count
-        if failed:
-            return
-        finished = time.perf_counter()
-        if finished > window_end:
-            counters["late_pages"] += 1
-            books["late_pages"] += 1
-        counters["pages"] += 1
-        books["pages"] += 1
-        latency.observe(finished - page_started)
-        if on_page is not None:
-            await on_page(counters["pages"])
+    run = _Run(
+        tenants,
+        deadline=started + schedule.duration_s,
+        open_loop=True,
+        on_page=on_page,
+    )
 
     for index, at in enumerate(schedule.timestamps):
         if len(tenants) == 1:
@@ -600,17 +533,13 @@ async def run_open_load(
         else:
             pick = tenant_rng.choices(range(len(tenants)), weights=weights)
             tenant = tenants[pick[0]]
-        target = started + at
-        delay = target - time.perf_counter()
+        due = started + at
+        delay = due - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
-        if failures and fail_fast:
-            break
-        counters["offered"] += 1
-        per_app[tenant.app]["offered"] += 1
+        run.count(tenant, "offered")
         if len(outstanding) >= max_outstanding:
-            counters["dropped"] += 1
-            per_app[tenant.app]["dropped"] += 1
+            run.count(tenant, "dropped")
             continue
         hot = bool(schedule.hot) and schedule.hot[index]
         if hot and tenant.hot_page is not None:
@@ -618,29 +547,15 @@ async def run_open_load(
         else:
             page = tenant.trace.sample_page()
         task = asyncio.create_task(
-            run_page(tenant, page, endpoints[index % len(endpoints)])
+            run.run_page(tenant, page, endpoints[index % len(endpoints)], due)
         )
         outstanding.add(task)
         task.add_done_callback(outstanding.discard)
 
     if outstanding:
         await asyncio.gather(*outstanding)
-    if failures and fail_fast:
-        raise failures[0]
-    return LoadReport(
+    return run.report(
         clients=len(endpoints),
         duration_s=schedule.duration_s,
-        pages=counters["pages"],
-        queries=counters["queries"],
-        updates=counters["updates"],
-        hits=counters["hits"],
-        errors=counters["errors"],
-        latency=latency,
-        pipeline=1,
-        late_pages=counters["late_pages"],
-        open_loop=True,
-        offered=counters["offered"],
-        dropped=counters["dropped"],
         arrival=schedule.to_dict(),
-        per_app=per_app if len(tenants) > 1 else None,
     )

@@ -366,6 +366,7 @@ async def sweep_scenario(
                 "p50_s": report.p50_s,
                 "p90_s": report.p90_s,
                 "p99_s": report.p99_s,
+                "sched_lag_p95_s": report.sched_lag_p95_s,
                 "arrival": report.arrival,
             }
         )

@@ -11,6 +11,7 @@ consumes.
 from __future__ import annotations
 
 import asyncio
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -26,16 +27,14 @@ from repro.net.loadgen import (
     run_open_load,
 )
 from repro.net.traffic import ArrivalSchedule
-from repro.obs import Histogram
+from repro.simulation.metrics import LatencyStats, percentile
 from repro.simulation.scalability import SimulationParams, predict_p90
 from repro.workloads.base import Operation
 from repro.workloads.trace import Trace
 
 
 def make_report(**overrides) -> LoadReport:
-    latency = Histogram("loadgen.page_seconds")
-    for sample in (0.01, 0.02, 0.05):
-        latency.observe(sample)
+    latency = LatencyStats([0.01, 0.02, 0.05])
     fields = dict(
         clients=4,
         duration_s=1.0,
@@ -90,6 +89,16 @@ class TestInvalidationAccounting:
         assert payload["pipeline"] == 8
         assert payload["invalidations"] == 42
 
+    def test_to_dict_summarises_raw_latencies(self):
+        payload = make_report().to_dict()
+        assert payload["latency"] == {
+            "count": 3,
+            "mean_s": pytest.approx(0.08 / 3),
+            "max_s": 0.05,
+        }
+        # A closed run has no arrival schedule, so no launch lag.
+        assert payload["sched_lag_p95_s"] is None
+
     def test_predict_p90_responds_to_the_measured_ratio(self):
         """The cross-check is only honest if the measured fan-out cost
         actually reaches the analytic model: a heavy invalidation ratio
@@ -118,13 +127,17 @@ class _StubEndpoint:
         return SimpleNamespace(rows_affected=1, invalidated=0)
 
 
-def _workload(simple_toystore):
-    policy = ExposurePolicy.uniform(simple_toystore, ExposureLevel.STMT)
-    codec = EnvelopeCodec(Keyring("toystore"))
-    trace = Trace(
-        application="toystore", pages=[[("query", "Q2", [5])]]
-    ).bind(simple_toystore)
-    return codec, policy, trace
+def _tenant(simple_toystore, app="toystore", **overrides) -> TenantWorkload:
+    fields = dict(
+        app=app,
+        codec=EnvelopeCodec(Keyring("toystore")),
+        policy=ExposurePolicy.uniform(simple_toystore, ExposureLevel.STMT),
+        trace=Trace(
+            application="toystore", pages=[[("query", "Q2", [5])]]
+        ).bind(simple_toystore),
+    )
+    fields.update(overrides)
+    return TenantWorkload(**fields)
 
 
 class TestDeadlineAccounting:
@@ -133,12 +146,10 @@ class TestDeadlineAccounting:
     at high ``--pipeline``."""
 
     async def test_page_finishing_after_deadline_is_late(self, simple_toystore):
-        codec, policy, trace = _workload(simple_toystore)
+        workload = _tenant(simple_toystore)
         report = await run_load(
             [_StubEndpoint(delay_s=0.15)],
-            codec,
-            policy,
-            trace,
+            workload,
             clients=1,
             duration_s=0.03,
         )
@@ -152,12 +163,10 @@ class TestDeadlineAccounting:
         assert report.latency.count == 0
 
     async def test_every_straggling_lane_is_accounted(self, simple_toystore):
-        codec, policy, trace = _workload(simple_toystore)
+        workload = _tenant(simple_toystore)
         report = await run_load(
             [_StubEndpoint(delay_s=0.15)],
-            codec,
-            policy,
-            trace,
+            workload,
             clients=2,
             pipeline=3,
             duration_s=0.03,
@@ -166,24 +175,20 @@ class TestDeadlineAccounting:
         assert report.late_pages == 6  # one per lane: clients * pipeline
 
     async def test_duration_is_clamped_to_the_budget(self, simple_toystore):
-        codec, policy, trace = _workload(simple_toystore)
+        workload = _tenant(simple_toystore)
         report = await run_load(
             [_StubEndpoint(delay_s=0.15)],
-            codec,
-            policy,
-            trace,
+            workload,
             clients=1,
             duration_s=0.03,
         )
         assert report.duration_s <= 0.03
 
     async def test_on_time_pages_are_unaffected(self, simple_toystore):
-        codec, policy, trace = _workload(simple_toystore)
+        workload = _tenant(simple_toystore)
         report = await run_load(
             [_StubEndpoint()],
-            codec,
-            policy,
-            trace,
+            workload,
             clients=2,
             pages=6,
             duration_s=30.0,
@@ -205,13 +210,6 @@ def _schedule(timestamps, duration_s=1.0, hot=()) -> ArrivalSchedule:
     )
 
 
-def _tenant(simple_toystore, app="toystore", **overrides) -> TenantWorkload:
-    codec, policy, trace = _workload(simple_toystore)
-    fields = dict(app=app, codec=codec, policy=policy, trace=trace)
-    fields.update(overrides)
-    return TenantWorkload(**fields)
-
-
 class TestClosedLoopOfferedAccounting:
     """Regression for the offered-vs-issued hole: a pipelined run used to
     report throughput/latency as if every arrival was issued without ever
@@ -219,9 +217,9 @@ class TestClosedLoopOfferedAccounting:
     carry explicit offered/dropped counts with a checkable identity."""
 
     async def test_closed_loop_offered_identity(self, simple_toystore):
-        codec, policy, trace = _workload(simple_toystore)
+        workload = _tenant(simple_toystore)
         report = await run_load(
-            [_StubEndpoint()], codec, policy, trace, clients=2, pages=6
+            [_StubEndpoint()], workload, clients=2, pages=6
         )
         assert not report.open_loop
         assert report.mode == "closed"
@@ -234,12 +232,10 @@ class TestClosedLoopOfferedAccounting:
     async def test_pipelined_run_is_labeled_and_balanced(
         self, simple_toystore
     ):
-        codec, policy, trace = _workload(simple_toystore)
+        workload = _tenant(simple_toystore)
         report = await run_load(
             [_StubEndpoint(delay_s=0.05)],
-            codec,
-            policy,
-            trace,
+            workload,
             clients=2,
             pipeline=3,
             duration_s=0.02,
@@ -369,3 +365,63 @@ class TestOpenLoopAccounting:
             )
         with pytest.raises(WorkloadError, match="weight must be positive"):
             _tenant(simple_toystore, weight=0.0)
+
+
+class _StallOnce(_StubEndpoint):
+    """Endpoint whose first query blocks the whole event loop."""
+
+    def __init__(self, stall_s: float) -> None:
+        super().__init__()
+        self.stall_s = stall_s
+
+    async def query(self, envelope):
+        stall, self.stall_s = self.stall_s, 0.0
+        time.sleep(stall)  # deliberately blocking: the loop itself stalls
+        return await super().query(envelope)
+
+
+class _SpreadEndpoint(_StubEndpoint):
+    """Endpoint whose n-th operation takes the n-th of ``delays``."""
+
+    def __init__(self, delays) -> None:
+        super().__init__()
+        self.delays = iter(delays)
+
+    async def query(self, envelope):
+        await asyncio.sleep(next(self.delays))
+        return SimpleNamespace(cache_hit=False)
+
+
+class TestHonestClock:
+    """Open-loop pages are timed from their scheduled arrival, and the
+    percentiles are read from raw samples."""
+
+    async def test_stalled_loop_shows_in_the_latency(self, simple_toystore):
+        # The first page blocks the loop for 200 ms, so the arrival due at
+        # 50 ms cannot launch before ~200 ms.  Timed from its task's first
+        # instruction it would look instant; timed from its due instant it
+        # carries the ~150 ms it queued.
+        report = await run_open_load(
+            [_StallOnce(0.2)],
+            [_tenant(simple_toystore)],
+            _schedule([0.0, 0.05], duration_s=1.0),
+        )
+        assert report.pages == 2
+        assert report.latency.samples[1] >= 0.14
+        assert max(report.sched_lag.samples) >= 0.14
+        assert report.sched_lag_p95_s == report.to_dict()["sched_lag_p95_s"]
+        assert "sched_lag_p95=" in report.summary()
+
+    async def test_percentiles_are_exact(self, simple_toystore):
+        pages = 120
+        delays = [(index * 37 % pages) * 0.0004 for index in range(pages)]
+        report = await run_open_load(
+            [_SpreadEndpoint(delays)],
+            [_tenant(simple_toystore)],
+            _schedule([0.0] * pages, duration_s=1.0),
+        )
+        samples = report.latency.samples
+        assert len(samples) == pages
+        for name, q in (("p50_s", 0.50), ("p90_s", 0.90), ("p99_s", 0.99)):
+            assert getattr(report, name) == percentile(samples, q)
+        assert report.p90_s < report.p99_s

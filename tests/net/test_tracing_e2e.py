@@ -16,7 +16,7 @@ from repro.dssp.invalidation import StrategyClass
 from repro.dssp.placement import Placement
 from repro.net import ShardRouter, eventually, run_chaos
 from repro.net.chaos import FaultPlan
-from repro.net.loadgen import run_load
+from repro.net.loadgen import TenantWorkload, run_load
 from repro.obs import render_prometheus_fleet
 from repro.obs.assemble import assemble, critical_path, load_spans
 from repro.workloads.trace import Trace
@@ -87,11 +87,15 @@ class TestTracingEndToEnd:
             simple_toystore, toystore_db.clone(), tmp_path
         )
         async with top:
-            report = await run_load(
-                [top.router],
+            workload = TenantWorkload(
+                "toystore",
                 top.codec,
                 top.policy,
                 make_trace().bind(simple_toystore),
+            )
+            report = await run_load(
+                [top.router],
+                workload,
                 clients=2,
                 pages=6,
                 pipeline=4,

@@ -277,6 +277,22 @@ class TestLoadgenScenario:
         with pytest.raises(SystemExit, match="--dssp"):
             main(["loadgen", "bookstore"], out=io.StringIO())
 
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--scenario", "steady"],
+            ["bookstore", "--dssp", "127.0.0.1:9", "--arrival", "poisson"],
+        ],
+    )
+    def test_open_loop_rejects_a_page_budget(self, mode):
+        """An open loop is bounded by its schedule's duration; a page
+        budget used to be ignored silently."""
+        with pytest.raises(SystemExit, match="bounded by --duration"):
+            main(
+                ["loadgen", *mode, "--rate", "40", "--pages", "3"],
+                out=io.StringIO(),
+            )
+
     def test_rejects_malformed_sweep(self):
         with pytest.raises(SystemExit, match="sweep"):
             main(
