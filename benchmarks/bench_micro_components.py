@@ -403,7 +403,7 @@ async def _stack_round_trip(frame, round_trips: int) -> float:
         for _ in range(2):  # warm-up, then measured
             started = time.perf_counter()
             for _ in range(round_trips):
-                await client._request(frame, idempotent=True)
+                await client._request(frame, type(frame), True, None)
         return (time.perf_counter() - started) / round_trips
     finally:
         await client.aclose()
@@ -415,9 +415,9 @@ def test_micro_wire_round_trip(benchmark, emit):
 
     The floor is a bare ``FrameConnection`` echo — the serving path's own
     framing — that encodes and decodes with this repo's codec; the stack
-    is the real ``WireServer`` (task per request, deadline, books, spans
-    off) with a do-nothing handler behind ``WireClient`` (pool, retries,
-    metrics).  No threshold: a wall-clock ratio on a shared box.
+    is the real ``WireServer`` (the handler stepped from the read, books,
+    spans off) with a do-nothing handler behind ``WireClient`` (window,
+    retries, metrics).  No threshold: a wall-clock ratio on a shared box.
     """
     frame = wire.QueryResponse(  # a typical frame's size
         ResultEnvelope(app_id="bookstore", ciphertext=b"x" * 600),

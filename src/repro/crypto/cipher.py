@@ -33,8 +33,8 @@ _KEY_SCHEDULE = BoundedMemo("crypto.key_schedule", 1024)
 def _derive_subkeys(key: bytes) -> tuple[bytes, bytes]:
     if len(key) < 16:
         raise CryptoError("key must be at least 16 bytes")
-    mac_key = hmac.new(key, b"mac", hashlib.sha256).digest()
-    enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
+    mac_key = hmac.digest(key, b"mac", "sha256")
+    enc_key = hmac.digest(key, b"enc", "sha256")
     return mac_key, enc_key
 
 
@@ -56,7 +56,7 @@ def _keystream(enc_key: bytes, siv: bytes, length: int) -> bytes:
 def encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Deterministically encrypt ``plaintext`` under ``key``."""
     mac_key, enc_key = _KEY_SCHEDULE.get(key, _derive_subkeys, key)
-    siv = hmac.new(mac_key, plaintext, hashlib.sha256).digest()[:SIV_LEN]
+    siv = hmac.digest(mac_key, plaintext, "sha256")[:SIV_LEN]
     stream = _keystream(enc_key, siv, len(plaintext))
     return siv + _xor(plaintext, stream)
 
@@ -74,7 +74,7 @@ def decrypt(key: bytes, token: bytes) -> bytes:
     siv, ciphertext = token[:SIV_LEN], token[SIV_LEN:]
     stream = _keystream(enc_key, siv, len(ciphertext))
     plaintext = _xor(ciphertext, stream)
-    expected = hmac.new(mac_key, plaintext, hashlib.sha256).digest()[:SIV_LEN]
+    expected = hmac.digest(mac_key, plaintext, "sha256")[:SIV_LEN]
     if not hmac.compare_digest(siv, expected):
         raise CryptoError("authentication failed: wrong key or tampered token")
     return plaintext

@@ -10,7 +10,6 @@ master key, from which purpose-specific subkeys are derived.
 from __future__ import annotations
 
 import enum
-import hashlib
 import hmac
 import os
 
@@ -47,7 +46,7 @@ class Keyring:
     def key_for(self, purpose: Purpose) -> bytes:
         """Derive the subkey for one purpose (stable per keyring)."""
         info = f"{self.app_id}:{purpose.value}".encode()
-        return hmac.new(self._master_key, info, hashlib.sha256).digest()
+        return hmac.digest(self._master_key, info, "sha256")
 
     def __repr__(self) -> str:
         return f"Keyring(app_id={self.app_id!r})"

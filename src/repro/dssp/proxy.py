@@ -23,6 +23,7 @@ from repro.dssp.invalidation import InvalidationEngine
 from repro.dssp.predicate_index import PredicateIndexer
 from repro.dssp.stats import DsspStats
 from repro.errors import CacheError, UnknownApplicationError
+from repro.obs.trace import ACTIVE
 from repro.obs.trace import span as trace_span
 from repro.templates.registry import TemplateRegistry
 
@@ -158,11 +159,16 @@ class DsspNode:
         parses nothing.
         """
         self._tenant(envelope.app_id)  # validate tenancy
-        with trace_span("dssp.cache_lookup") as lookup_span:
+        if ACTIVE.get() is None:
             started = time.perf_counter()
             entry = self.cache.get(envelope.identity)
             self.stats.lookup_time_s += time.perf_counter() - started
-            lookup_span.set("hit", entry is not None)
+        else:
+            with trace_span("dssp.cache_lookup") as lookup_span:
+                started = time.perf_counter()
+                entry = self.cache.get(envelope.identity)
+                self.stats.lookup_time_s += time.perf_counter() - started
+                lookup_span.set("hit", entry is not None)
         if entry is not None:
             self.stats.hits += 1
             return entry.result

@@ -41,8 +41,6 @@ from repro.net.chaos import (
     make_fault_hook,
 )
 from repro.net.client import (
-    NetQueryOutcome,
-    NetUpdateOutcome,
     RetryPolicy,
     Subscription,
     WireClient,
@@ -126,8 +124,6 @@ __all__ = [
     "PoissonArrivals",
     "SCENARIOS",
     "TenantWorkload",
-    "NetQueryOutcome",
-    "NetUpdateOutcome",
     "OracleReport",
     "QueryRequest",
     "QueryResponse",

@@ -23,6 +23,13 @@ through a pending map of per-request futures, so a request costs no task.
 A response that arrives after its request gave up is counted and dropped;
 it never resolves another request.  Subscriptions open a dedicated
 connection of their own.
+
+Stepping: a request is one coroutine, every attempt included, returned by
+:meth:`WireClient.query` / :meth:`~WireClient.update`; it returns the
+decoded answer frame.  Its future's deadline is a dictionary entry and
+``client.in_flight`` a field moved in place: no object, no call.  With no
+span sink and no active trace, tracing costs one attribute test and one
+context-variable read.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ import json
 import random
 import time
 from collections import deque
+from collections.abc import Awaitable
 from dataclasses import dataclass
 
-from repro.crypto.envelope import QueryEnvelope, ResultEnvelope, UpdateEnvelope
+from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
 from repro.errors import (
     HomeUnreachableError,
     NetConnectionError,
@@ -63,12 +71,11 @@ from repro.net.wire import (
     UpdateRequest,
     UpdateResponse,
 )
-from repro.obs import MetricsRegistry, SpanRecorder, new_request_id
+from repro.obs import NOOP_SPAN, MetricsRegistry, SpanRecorder, new_request_id
+from repro.obs.trace import ACTIVE, leave
 from repro.obs.trace import span as trace_span
 
 __all__ = [
-    "NetQueryOutcome",
-    "NetUpdateOutcome",
     "RetryPolicy",
     "Subscription",
     "WireClient",
@@ -146,22 +153,6 @@ class RetryPolicy:
         return self._rng.uniform(floor, ceiling)  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class NetQueryOutcome:
-    """A query's answer as observed through the service boundary."""
-
-    result: ResultEnvelope
-    cache_hit: bool
-
-
-@dataclass(frozen=True)
-class NetUpdateOutcome:
-    """An update's acknowledgement through the service boundary."""
-
-    rows_affected: int
-    invalidated: int
-
-
 class Subscription:
     """An open invalidation-stream channel (DSSP side).
 
@@ -211,7 +202,7 @@ class Subscription:
             raise NetConnectionError("server closed the connection")
         if self._observer is not None:
             self._observer(raw)
-        return wire.decode_traced(raw, max_frame=self._max_frame)
+        return wire.decode_checked(raw)
 
     async def events(self):
         """Yield ``(frame, request_id)`` pairs until the channel closes.
@@ -276,16 +267,28 @@ class _Channel:
         )
         self._unmatched = client.metrics.counter("client.pipeline_unmatched")
 
-    async def exchange(
-        self, frame: Frame, *, request_id: str | None
-    ) -> Frame:
-        if request_id is None:
-            request_id = new_request_id()  # the pending map needs a key
+    def send(self, frame: Frame, request_id: str) -> asyncio.Future | None:
+        """Send ``frame`` now and return its response's future; ``None``,
+        sending nothing, if it must first wait (:meth:`send_later`)."""
+        if (
+            self._used < self.window
+            and self._connection is not None
+            and self._client._fault_hook is None
+            and request_id not in self._pending
+        ):
+            self._used += 1
+            return self._write(self._connection, frame, request_id)
+        return None
+
+    async def send_later(
+        self, frame: Frame, request_id: str
+    ) -> asyncio.Future:
+        """:meth:`send`, after waiting for a slot, the connection, the
+        fault hook and an earlier request under the same id."""
         if self._used < self.window:
             self._used += 1
         else:
             await self._wait_for_slot()
-        future: asyncio.Future | None = None
         try:
             client = self._client
             connection = self._connection or await self._connect()
@@ -300,65 +303,77 @@ class _Channel:
             if connection is not self._connection:
                 # It ended while this request waited; the frame never left.
                 raise _ExchangeFailed(
-                    NetConnectionError(
-                        f"connection to {client.host}:{client.port} "
-                        "failed: Connection lost"
-                    ),
-                    sent=False,
+                    self._lost("Connection lost"), sent=False
                 )
+        except BaseException:
+            self._release()
+            raise
+        return self._write(connection, frame, request_id)
+
+    def _write(
+        self, connection: FrameConnection, frame: Frame, request_id: str
+    ) -> asyncio.Future:
+        """Send one frame on a slot already held; its response's future,
+        in the pending map and with its deadline queued until
+        :meth:`settle`.  If the frame does not leave, the slot is freed."""
+        client = self._client
+        try:
             data = wire.encode_frame(
                 frame, request_id=request_id, max_frame=client._max_frame
             )
-            if client._frame_observer is not None:
-                client._frame_observer(data)
-            future = asyncio.get_running_loop().create_future()
-            self._pending[request_id] = future
-            try:
-                # No drain: the window bounds what this side has in flight.
-                connection.write(data)
-            except (ConnectionError, OSError) as error:
-                if self._connection is connection:
-                    self._connection = None
-                raise _ExchangeFailed(
-                    NetConnectionError(
-                        f"connection to {client.host}:{client.port} "
-                        f"failed: {error}"
-                    ),
-                    sent=False,
-                ) from error
-            try:
-                # A future deadline, not a task scope: this wait may run
-                # inline from a server's read callback (a DSSP's forward).
-                with client._deadlines.failing(
-                    future, client._request_timeout_s
-                ):
-                    return await future
-            except TimeoutError as error:
-                raise _ExchangeFailed(
-                    NetTimeoutError(
-                        f"no response from {client.host}:{client.port} "
-                        f"within {client._request_timeout_s}s"
-                    ),
-                    sent=True,
-                ) from error
-            except NetConnectionError as error:
-                raise _ExchangeFailed(error, sent=True) from error
-        finally:
-            if future is not None:
-                if self._pending.get(request_id) is future:
-                    del self._pending[request_id]
-                if future.done() and not future.cancelled():
-                    future.exception()  # mark retrieved on racing failures
+        except BaseException:
             self._release()
+            raise
+        if client._frame_observer is not None:
+            client._frame_observer(data)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._pending[request_id] = future
+        try:
+            # No drain: the window bounds what this side has in flight.
+            connection.write(data)
+        except (ConnectionError, OSError) as error:
+            del self._pending[request_id]
+            self._release()
+            if self._connection is connection:
+                self._connection = None
+            raise _ExchangeFailed(self._lost(error), sent=False) from error
+        # The deadline is an entry in the client's queue, not an object or
+        # a task scope: this wait may run inline from a server's read
+        # callback (a DSSP's forward).
+        deadlines = client._deadlines
+        when = loop.time() + client._request_timeout_s
+        deadlines.due[future] = when
+        if when < deadlines.armed_for:
+            deadlines.arm(when)
+        return future
+
+    def settle(self, request_id: str, future: asyncio.Future) -> None:
+        """End one request's wait, however it ended: forget its future and
+        deadline, and hand its slot on."""
+        if self._pending.get(request_id) is future:
+            del self._pending[request_id]
+        self._client._deadlines.due.pop(future, None)
+        if future.done() and not future.cancelled():
+            future.exception()  # mark retrieved on racing failures
+        if self._waiters:
+            self._release()
+        else:
+            self._used -= 1
 
     async def _wait_for_slot(self) -> None:
         """Park until a finishing request hands over its slot."""
         client = self._client
-        waiter = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
         self._waiters.append(waiter)
+        deadlines = client._deadlines
+        when = loop.time() + client._request_timeout_s
+        deadlines.due[waiter] = when
+        if when < deadlines.armed_for:
+            deadlines.arm(when)
         try:
-            with client._deadlines.failing(waiter, client._request_timeout_s):
-                await waiter
+            await waiter
         except TimeoutError:
             # The deadline failed the waiter: it was never handed a slot,
             # so it has none to pass on.
@@ -375,6 +390,8 @@ class _Channel:
             if waiter.done() and not waiter.cancelled():
                 self._release()  # handed a slot it will not use: pass it on
             raise
+        finally:
+            deadlines.due.pop(waiter, None)
 
     def _release(self) -> None:
         while self._waiters:
@@ -411,7 +428,7 @@ class _Channel:
         client = self._client
         if client._frame_observer is not None:
             client._frame_observer(raw)
-        frame, request_id = wire.decode_traced(raw, max_frame=client._max_frame)
+        frame, request_id = wire.decode_checked(raw)
         future = self._pending.get(request_id)
         if future is None or future.done():
             # Nobody is waiting: a late response whose sender already
@@ -436,12 +453,16 @@ class _Channel:
         elif error is None:
             failure = NetConnectionError("server closed the connection")
         else:
-            failure = NetConnectionError(
-                f"connection to {client.host}:{client.port} failed: {error}"
-            )
+            failure = self._lost(error)
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(failure)
+
+    def _lost(self, reason) -> NetConnectionError:
+        client = self._client
+        return NetConnectionError(
+            f"connection to {client.host}:{client.port} failed: {reason}"
+        )
 
     async def aclose(self) -> None:
         self._closed = True
@@ -506,58 +527,40 @@ class WireClient:
 
     # -- public API --------------------------------------------------------
 
-    async def query(
+    def query(
         self, envelope: QueryEnvelope, *, request_id: str | None = None
-    ) -> NetQueryOutcome:
-        """Issue a sealed query; returns the (still sealed) result.
+    ) -> Awaitable[QueryResponse]:
+        """Issue a sealed query; await its answer, a
+        :class:`~repro.net.wire.QueryResponse` (the result still sealed).
 
         A fresh trace id is minted unless the caller supplies one (a DSSP
         node forwarding a miss passes through the client's id).
         """
-        response = await self._request(
-            QueryRequest(envelope),
-            idempotent=True,
-            request_id=request_id or new_request_id(),
-        )
-        if not isinstance(response, QueryResponse):
-            raise WireError(
-                f"expected RESULT frame, got {type(response).__name__}"
-            )
-        return NetQueryOutcome(
-            result=response.result, cache_hit=response.cache_hit
+        return self._request(
+            QueryRequest(envelope), QueryResponse, True, request_id
         )
 
-    async def update(
+    def update(
         self,
         envelope: UpdateEnvelope,
         *,
         origin: str | None = None,
         request_id: str | None = None,
-    ) -> NetUpdateOutcome:
-        """Issue a sealed update; returns the acknowledgement."""
-        response = await self._request(
+    ) -> Awaitable[UpdateResponse]:
+        """Issue a sealed update; await its acknowledgement, an
+        :class:`~repro.net.wire.UpdateResponse`."""
+        return self._request(
             UpdateRequest(envelope, origin=origin),
-            idempotent=False,
-            request_id=request_id or new_request_id(),
-        )
-        if not isinstance(response, UpdateResponse):
-            raise WireError(
-                f"expected UPDATE_ACK frame, got {type(response).__name__}"
-            )
-        return NetUpdateOutcome(
-            rows_affected=response.rows_affected,
-            invalidated=response.invalidated,
+            UpdateResponse,
+            False,
+            request_id,
         )
 
     async def stats(self) -> dict:
         """Fetch the server's live stats snapshot as a parsed dict."""
         response = await self._request(
-            StatsRequest(), idempotent=True, request_id=new_request_id()
+            StatsRequest(), StatsResponse, True, None
         )
-        if not isinstance(response, StatsResponse):
-            raise WireError(
-                f"expected STATS_RESULT frame, got {type(response).__name__}"
-            )
         return json.loads(response.payload)
 
     async def subscribe(
@@ -638,70 +641,91 @@ class WireClient:
         return connection
 
     async def _request(
-        self,
-        frame: Frame,
-        *,
-        idempotent: bool,
-        request_id: str | None = None,
+        self, frame: Frame, expected: type, idempotent, request_id
     ) -> Frame:
-        # One trace id covers the whole logical request: retries reuse it,
-        # so server-side records of every attempt correlate.
+        """One logical request, every attempt of it, in one coroutine.
+
+        One trace id covers the whole logical request: retries reuse it,
+        so server-side records of every attempt correlate.
+        """
+        if not request_id:
+            request_id = new_request_id()
+        channel = self._channel
+        scope = None
+        request_span = NOOP_SPAN
+        if self.tracer.sink is not None:
+            scope = self.tracer.trace(
+                request_id, "client.request", frame=type(frame).__name__
+            )
+            request_span = scope.__enter__()
         started = time.perf_counter()
-        self._in_flight.inc()
-        with self.tracer.trace(
-            request_id, "client.request", frame=type(frame).__name__
-        ) as request_span:
-            try:
-                return await self._request_with_retries(
-                    frame, idempotent=idempotent, request_id=request_id
-                )
-            finally:
-                self._in_flight.dec()
-                self._request_seconds.observe(
-                    time.perf_counter() - started,
-                    exemplar=(
-                        request_id if request_span.recorded else None
-                    ),
-                )
-
-    async def _request_with_retries(
-        self,
-        frame: Frame,
-        *,
-        idempotent: bool,
-        request_id: str | None,
-    ) -> Frame:
+        self._in_flight.level += 1
+        failed: BaseException | None = None
         attempt = 0
-        while True:
-            try:
-                with trace_span("client.exchange", attempt=attempt):
-                    response = await self._channel.exchange(
-                        frame, request_id=request_id
+        try:
+            while True:
+                exchange = None
+                if ACTIVE.get() is not None:
+                    exchange = trace_span("client.exchange", attempt=attempt)
+                    exchange.__enter__()
+                try:
+                    future = channel.send(frame, request_id)
+                    if future is None:
+                        future = await channel.send_later(frame, request_id)
+                    try:
+                        response = await future
+                    except TimeoutError as timeout:
+                        raise _ExchangeFailed(
+                            NetTimeoutError(
+                                f"no response from {self.host}:{self.port} "
+                                f"within {self._request_timeout_s}s"
+                            ),
+                            sent=True,
+                        ) from timeout
+                    except NetConnectionError as lost:
+                        raise _ExchangeFailed(lost, sent=True) from lost
+                    finally:
+                        channel.settle(request_id, future)
+                except BaseException as failure:
+                    if exchange is not None:
+                        leave(exchange, failure)
+                    if not isinstance(failure, _ExchangeFailed):
+                        raise
+                    retryable = idempotent or not failure.sent
+                    error = failure.error
+                else:
+                    if exchange is not None:
+                        leave(exchange)
+                    if not isinstance(response, ErrorResponse):
+                        break
+                    retryable = response.code in (
+                        _IDEMPOTENT_RETRY_CODES
+                        if idempotent
+                        else _UNPROCESSED_CODES
                     )
-            except _ExchangeFailed as failure:
-                retryable = idempotent or not failure.sent
-                if retryable and attempt + 1 < self._retry.attempts:
-                    await self._backoff(attempt)
-                    attempt += 1
-                    continue
-                raise failure.error from failure.error.__cause__
-            if isinstance(response, ErrorResponse):
-                retryable = response.code in (
-                    _IDEMPOTENT_RETRY_CODES
-                    if idempotent
-                    else _UNPROCESSED_CODES
-                )
-                if retryable and attempt + 1 < self._retry.attempts:
-                    await self._backoff(attempt)
-                    attempt += 1
-                    continue
-                raise exception_for(response)
-            return response
-
-    async def _backoff(self, attempt: int) -> None:
-        self._retries.inc()
-        self._backoff_sleeps.inc()
-        await asyncio.sleep(self._retry.delay(attempt))
+                    error = exception_for(response)
+                if not retryable or attempt + 1 >= self._retry.attempts:
+                    raise error from error.__cause__
+                self._retries.inc()
+                self._backoff_sleeps.inc()
+                await asyncio.sleep(self._retry.delay(attempt))
+                attempt += 1
+        except BaseException as failure:
+            failed = failure
+            raise
+        finally:
+            self._in_flight.level -= 1
+            self._request_seconds.observe(
+                time.perf_counter() - started,
+                exemplar=request_id if request_span.recorded else None,
+            )
+            if scope is not None:
+                leave(scope, failed)
+        if not isinstance(response, expected):
+            raise WireError(
+                f"expected {expected.__name__}, got {type(response).__name__}"
+            )
+        return response
 
 
 class _ExchangeFailed(Exception):

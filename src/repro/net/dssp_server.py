@@ -54,6 +54,7 @@ from repro.net.wire import (
     UpdateResponse,
 )
 from repro.obs import envelope_context
+from repro.obs.trace import ACTIVE
 from repro.obs.trace import span as trace_span
 from repro.templates.registry import TemplateRegistry
 
@@ -233,76 +234,64 @@ class DsspNetServer(WireServer):
     async def handle(
         self, frame: Frame, context: ConnectionContext
     ) -> Frame | None:
+        """One request, one coroutine: a hit, or a forwarded miss/update."""
         if isinstance(frame, QueryRequest):
-            return await self._handle_query(frame, context)
-        if isinstance(frame, UpdateRequest):
-            return await self._handle_update(frame, context)
-        if isinstance(frame, StatsRequest):
-            return self._stats_response()
-        if isinstance(frame, SubscribeRequest):
-            raise WireError("DSSP nodes do not serve invalidation streams")
-        raise WireError(f"unexpected frame {type(frame).__name__}")
-
-    async def _handle_query(
-        self, frame: QueryRequest, context: ConnectionContext
-    ) -> QueryResponse:
-        envelope = frame.envelope
-        cached = self.node.lookup(envelope)  # validates tenancy
-        if cached is not None:
-            return QueryResponse(result=cached, cache_hit=True)
-        # A name or arity the registry lacks is refused here, not a hop on.
-        self.node.visible(envelope)
-        client = self._home_client(envelope.app_id)
-        # Read before the forward leaves: an invalidation applied while it
-        # is in flight may have been for rows the home's answer still has.
-        epoch = self.node.epoch(envelope.app_id)
-        try:
+            envelope = frame.envelope
+            cached = self.node.lookup(envelope)  # validates tenancy
+            if cached is not None:
+                return QueryResponse(result=cached, cache_hit=True)
+            # A name or arity the registry lacks is refused here, not a hop on.
+            self.node.visible(envelope)
+            client = self._home_client(envelope.app_id)
+            # Read before the forward leaves: an invalidation applied while it
+            # is in flight may have been for rows the home's answer still has.
+            epoch = self.node.epoch(envelope.app_id)
             # The client's trace id rides the forwarded hop, so the home's
             # log records correlate with the originating request.
-            with trace_span("dssp.miss_forward"):
-                outcome = await client.query(
-                    envelope, request_id=context.request_id
-                )
+            forward = client.query(envelope, request_id=context.request_id)
+            span_name, what = "dssp.miss_forward", "miss"
+        elif isinstance(frame, UpdateRequest):
+            envelope = frame.envelope
+            self.node.visible(envelope)  # refuse what the registry lacks
+            client = self._home_client(envelope.app_id)
+            forward = client.update(
+                envelope, origin=self.node_id, request_id=context.request_id
+            )
+            span_name, what = "dssp.update_forward", "update"
+        elif isinstance(frame, StatsRequest):
+            return self._stats_response()
+        elif isinstance(frame, SubscribeRequest):
+            raise WireError("DSSP nodes do not serve invalidation streams")
+        else:
+            raise WireError(f"unexpected frame {type(frame).__name__}")
+        try:
+            if ACTIVE.get() is None:
+                answer = await forward
+            else:
+                with trace_span(span_name):
+                    answer = await forward
         except _TRANSPORT_FAILURES as error:
             # Only transport-level trouble means "home unreachable"; a
             # home-side application error travels back typed as-is.
             raise HomeUnreachableError(
-                f"forwarding miss to {client.host}:{client.port} failed: "
+                f"forwarding {what} to {client.host}:{client.port} failed: "
                 f"{error}"
             ) from error
+        if isinstance(frame, UpdateRequest):
+            return UpdateResponse(
+                rows_affected=answer.rows_affected,
+                invalidated=self.node.invalidate_for(envelope),
+            )
         placement = self.placement
         if placement is None or placement.owns(self.node_id, envelope):
-            self.node.admit(envelope, outcome.result, epoch)
+            self.node.admit(envelope, answer.result, epoch)
         else:
             # Serving pass-through keeps home-side shard filtering sound:
             # the home only pushes invalidations to the owning shard, so a
             # non-owner must never hold a copy it would not hear about.
             self.passthrough_misses += 1
             self._passthrough_counter.inc()
-        return QueryResponse(result=outcome.result, cache_hit=False)
-
-    async def _handle_update(
-        self, frame: UpdateRequest, context: ConnectionContext
-    ) -> UpdateResponse:
-        envelope = frame.envelope
-        self.node.visible(envelope)  # refuse what the registry lacks
-        client = self._home_client(envelope.app_id)
-        try:
-            with trace_span("dssp.update_forward"):
-                ack = await client.update(
-                    envelope,
-                    origin=self.node_id,
-                    request_id=context.request_id,
-                )
-        except _TRANSPORT_FAILURES as error:
-            raise HomeUnreachableError(
-                f"forwarding update to {client.host}:{client.port} failed: "
-                f"{error}"
-            ) from error
-        invalidated = self.node.invalidate_for(envelope)
-        return UpdateResponse(
-            rows_affected=ack.rows_affected, invalidated=invalidated
-        )
+        return QueryResponse(result=answer.result, cache_hit=False)
 
     def stats_snapshot(self) -> dict:
         """Base snapshot + the node's cache/invalidation counters."""

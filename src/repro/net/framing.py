@@ -5,8 +5,9 @@ sized for the largest read it allows (256 KiB) on *every* read; a
 ``BufferedProtocol`` is asked for a buffer instead and the transport
 ``recv_into``\\ s it, so a read costs no allocation at all.
 :class:`FrameConnection` owns one small reusable buffer, cuts complete
-frames out of it with :mod:`repro.net.wire`'s header check, and gives
-each frame's raw bytes to its owner:
+frames out of it with :mod:`repro.net.wire`'s header check (each
+header's only check: :func:`~repro.net.wire.decode_checked` decodes a
+cut frame), and gives each frame's raw bytes to its owner:
 
 * request traffic — a **server**'s accepted connections and a
   **client**'s request channel — passes ``on_frame`` / ``on_end`` and is
@@ -35,6 +36,7 @@ from collections import deque
 
 from repro.errors import WireError
 from repro.net import wire
+from repro.net.wire import HEADER_SIZE
 
 __all__ = [
     "FrameConnection",
@@ -123,8 +125,8 @@ class FrameConnection(asyncio.BufferedProtocol):
         if self._need is None:
             return WireError(f"connection closed mid-header ({have} bytes)")
         return WireError(
-            f"connection closed mid-frame ({have - wire.HEADER_SIZE} of "
-            f"{self._need - wire.HEADER_SIZE} body bytes)"
+            f"connection closed mid-frame ({have - HEADER_SIZE} of "
+            f"{self._need - HEADER_SIZE} body bytes)"
         )
 
     def _end_input(self, error: BaseException | None) -> None:
@@ -139,36 +141,37 @@ class FrameConnection(asyncio.BufferedProtocol):
     # -- transport callbacks: reading --------------------------------------
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self._view[self._end :]
+        return self._view[self._end :] if self._end else self._view
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._end += nbytes
+        """Cut every complete frame out of the buffer, in order: each
+        header is checked once, here, so ``on_frame`` is given a frame with
+        a valid header and exactly the length it announces."""
+        end = self._end = self._end + nbytes
+        view, start, need = self._view, self._start, self._need
         try:
-            self._cut_frames()
+            while True:
+                have = end - start
+                if need is None:
+                    if have < HEADER_SIZE:
+                        break
+                    _, rid_length, length = wire._check_header(
+                        view, start, max_frame=self._max_frame
+                    )
+                    need = self._need = HEADER_SIZE + rid_length + length
+                if have < need:
+                    break
+                raw = bytes(view[start : start + need])
+                start = self._start = start + need
+                need = self._need = None
+                self._on_frame(raw)
         except WireError as error:
             self._end_input(error)
             return
-        self._make_room()
-
-    def _cut_frames(self) -> None:
-        view = self._view
-        while True:
-            have = self._end - self._start
-            if self._need is None:
-                if have < wire.HEADER_SIZE:
-                    return
-                header_end = self._start + wire.HEADER_SIZE
-                _, rid_length, length = wire._check_header(
-                    view[self._start : header_end], max_frame=self._max_frame
-                )
-                self._need = wire.HEADER_SIZE + rid_length + length
-            if have < self._need:
-                return
-            frame_end = self._start + self._need
-            raw = bytes(view[self._start : frame_end])
-            self._start = frame_end
-            self._need = None
-            self._on_frame(raw)
+        if start == end and need is None and len(view) == INITIAL_BUFFER_BYTES:
+            self._start = self._end = 0  # the common case of _make_room
+        else:
+            self._make_room()
 
     def _make_room(self) -> None:
         """Leave the buffer able to take the rest of the pending frame."""

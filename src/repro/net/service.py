@@ -6,13 +6,15 @@ servers with the same operational envelope:
 
 * **Concurrent connections** *and* concurrent requests per connection:
   each connection is a :class:`~repro.net.framing.ServedConnection` that
-  calls the server back per complete frame.  A request runs inline, from
-  that callback, until it first has to wait: one that never waits (a
-  DSSP hit, every home request) is answered with one write and costs no
-  task; one that waits continues in a task of its own, so many requests
-  can be in flight on one connection and responses may return out of
-  order.  The wire request id is the pipelining id — every response
-  carries the id of the request it answers, and the client matches on it.
+  calls the server back per complete frame, its header checked once.
+  The server steps the subclass's ``handle`` coroutine itself, from that
+  callback, until it first has to wait: one that never waits (a DSSP
+  hit, every home request) is answered with one write, no task and no
+  other coroutine; one that waits is carried on in a task of its own, so
+  many requests can be in flight on one connection and responses may
+  return out of order.  The wire request id is the pipelining id — every
+  response carries the id of the request it answers, and the client
+  matches on it.  With no span sink, tracing costs an attribute test.
 * **Bounded in-flight backpressure**: at most ``max_in_flight`` requests
   execute at once across all connections; excess requests are shed
   immediately with ``OVERLOADED`` rather than queued without bound, so a
@@ -40,6 +42,7 @@ import logging
 import time
 import types
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import (
     HomeUnreachableError,
@@ -60,18 +63,18 @@ from repro.net.wire import (
     StatsRequest,
     StatsResponse,
 )
-from repro.obs import MetricsRegistry, SpanRecorder, envelope_context, memo
+from repro.obs import (
+    NOOP_SPAN,
+    MetricsRegistry,
+    SpanRecorder,
+    envelope_context,
+    memo,
+)
+from repro.obs.trace import leave
 
 __all__ = ["ConnectionContext", "WireServer"]
 
 logger = logging.getLogger(__name__)
-
-
-@types.coroutine
-def _into_a_task():
-    """Park an inline step once: :meth:`WireServer._on_frame` then moves
-    the parked coroutine into a task, whose first step resumes it here."""
-    yield
 
 
 @types.coroutine
@@ -107,26 +110,13 @@ class ConnectionContext:
     close_callbacks: list = field(default_factory=list)
     #: Trace id of the request this context serves.  Requests on one
     #: connection are dispatched concurrently, so each gets its own
-    #: context view (:meth:`for_request`) sharing the connection state;
+    #: context, sharing the connection's ``writer`` and ``close_callbacks``;
     #: handlers read the id to propagate it downstream.
     request_id: str | None = None
 
     def on_close(self, callback) -> None:
         """Register cleanup to run when this connection closes."""
         self.close_callbacks.append(callback)
-
-    def for_request(self, request_id: str | None) -> "ConnectionContext":
-        """Per-request view: same connection state, this request's id.
-
-        ``writer`` and ``close_callbacks`` are shared by reference — a
-        callback registered through the view still fires when the
-        underlying connection closes.
-        """
-        return ConnectionContext(
-            writer=self.writer,
-            close_callbacks=self.close_callbacks,
-            request_id=request_id,
-        )
 
 
 class WireServer:
@@ -174,7 +164,7 @@ class WireServer:
         self.metrics.gauge("server.connections", lambda: len(self._contexts))
         self.metrics.gauge("server.in_flight", lambda: self._in_flight)
         self._requests = counter("server.requests")
-        self._shed = counter("server.shed")
+        self._shed_count = counter("server.shed")
         self._timeouts = counter("server.timeouts")
         self._bad_frames = counter("server.bad_frames")
         self._forward_failures = counter("server.forward_failures")
@@ -236,27 +226,25 @@ class WireServer:
     def _accept(self) -> FrameConnection:
         """Protocol factory: one framed connection, its context, its tasks."""
         tasks: set[asyncio.Task] = set()
+        context = ConnectionContext(writer=None)
         connection = ServedConnection(
             max_frame=self.max_frame,
-            on_frame=lambda raw: self._on_frame(raw, context, tasks),
+            on_frame=partial(self._on_frame, context, tasks),
             on_end=lambda error: self._on_end(error, context, tasks),
         )
-        context = ConnectionContext(writer=connection)
+        context.writer = connection
         self._contexts.add(context)
         return connection
 
     def _on_frame(
-        self, raw: bytes, context: ConnectionContext, tasks: set
+        self, connection: ConnectionContext, tasks: set, raw: bytes
     ) -> None:
-        """One complete frame, called from the read: decode, answer.
-
-        A request runs inline, from here, until it first has to wait: a
-        handler that never waits (every DSSP hit, every home request) is
-        answered with one write and no task; one that waits continues in
-        one task (:meth:`_serve`).  The step runs in a copy of the read's
-        context, and the task in that same copy: the read callback of a
-        connection always runs in one context, so a handler parked inside
-        a span would otherwise be the ambient parent of the next frame's.
+        """One complete frame, called from the read: decode it once (the
+        connection checked its header), count it, and start the request
+        in a copy of the read's context (:meth:`_step`), where a task it
+        continues in runs too: the read callback of a connection always
+        runs in one context, so a handler parked inside a span would
+        otherwise be the ambient parent of the next frame's.
 
         A ``WireError`` goes back to the connection, which ends its input
         and reports it to :meth:`_on_end` like a malformed header.
@@ -265,28 +253,38 @@ class WireServer:
             return
         if self._frame_observer is not None:
             self._frame_observer(raw)
-        _, request_id = wire.peek_raw(raw)
-        # The span covers codec work only; waiting for bytes is not in it.
-        with self.tracer.trace(request_id, "server.decode") as decode_span:
-            frame, request_id = wire.decode_traced(
-                raw, max_frame=self.max_frame
-            )
-            decode_span.set("bytes", len(raw))
-            decode_span.set("frame", type(frame).__name__)
-        context = context.for_request(request_id)
-        shed = self._admit(frame, context)
-        if shed is not None:
-            self._respond(context, shed)
+        if self.tracer.sink is None:
+            frame, request_id = wire.decode_checked(raw)
+        else:  # the span covers codec work only, not waiting for bytes
+            _, request_id = wire.peek_raw(raw)
+            with self.tracer.trace(request_id, "server.decode") as span:
+                frame, request_id = wire.decode_checked(raw)
+                span.set("bytes", len(raw))
+                span.set("frame", type(frame).__name__)
+        context = ConnectionContext(
+            connection.writer, connection.close_callbacks, request_id
+        )
+        # Books kept in place, without a call.  Per application for
+        # envelope-bearing frames (control frames have no tenant): what
+        # multi-tenant fairness tests reconcile and shedding is judged on.
+        self._requests.value += 1
+        envelope = getattr(frame, "envelope", None)
+        app_counters = None
+        if envelope is not None:
+            app_counters = self._app_counters.get(envelope.app_id)
+            if app_counters is None:
+                self._unknown_app_requests.value += 1
+            else:
+                app_counters[0].value += 1
+        if self._in_flight >= self._max_in_flight:
+            self._respond(context, self._shed(frame, context, app_counters))
             return
-        request = self._serve(frame, context)
         request_context = contextvars.copy_context()
-        try:
-            request_context.run(request.send, None)
-        except StopIteration:
-            return  # answered inline
-        task = asyncio.create_task(request, context=request_context)
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
+        rest = request_context.run(self._step, frame, context)
+        if rest is not None:
+            task = asyncio.create_task(rest, context=request_context)
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
 
     def _on_end(
         self,
@@ -382,29 +380,12 @@ class WireServer:
             ctx.update(envelope_context(envelope))
         return ctx
 
-    def _admit(
-        self, frame: Frame, context: ConnectionContext
-    ) -> ErrorResponse | None:
-        """Count one request; its ``OVERLOADED`` answer if it is shed."""
-        self._requests.inc()
-        # Per-application books (envelope-bearing frames only — STATS and
-        # other control frames have no tenant).  Multi-tenant fairness
-        # tests reconcile these against each client's local counts, and
-        # served-vs-shed per app is what "shedding does not starve the
-        # light tenants" is asserted on.
-        envelope = getattr(frame, "envelope", None)
-        app_id = getattr(envelope, "app_id", None)
-        app_counters = None
-        if app_id is not None:
-            app_counters = self._app_counters.get(app_id)
-            if app_counters is None:
-                self._unknown_app_requests.inc()
-            else:
-                app_counters[0].inc()
-        if self._in_flight < self._max_in_flight:
-            return None
-        # All permits taken: shed instead of queueing without bound.
-        self._shed.inc()
+    def _shed(
+        self, frame: Frame, context: ConnectionContext, app_counters
+    ) -> ErrorResponse:
+        """All permits taken: count the request shed, and its answer —
+        shed instead of queueing without bound."""
+        self._shed_count.inc()
         if app_counters is not None:
             app_counters[1].inc()
         logger.warning(
@@ -416,57 +397,77 @@ class WireServer:
             f"more than {self._max_in_flight} requests in flight",
         )
 
-    async def _serve(self, frame: Frame, context: ConnectionContext) -> None:
-        """One admitted request: handler, span, error mapping, answer.
-
-        :meth:`_on_frame` steps this coroutine inline.  If the handler
-        returns before its first wait, so does this, and the answer goes
-        out from inside the read.  If it waits, this parks once
-        (:func:`_into_a_task`), is moved into a task, and only there opens
-        the request deadline around the rest of the handler.
-        """
+    def _step(self, frame: Frame, context: ConnectionContext):
+        """Start one admitted request, in its own context, and answer it if
+        its handler returns before it first waits; else the coroutine
+        (:meth:`_resume`) that carries the parked handler on in a task."""
         started = time.perf_counter()
-        with self.tracer.trace(
-            context.request_id, "server.handle", frame=type(frame).__name__
-        ) as handle_span:
-            self._in_flight += 1
-            try:
-                if self.fault_hook is None:
-                    handler = self.handle(frame, context)
-                else:
-                    handler = self._hooked(frame, context)
-                try:
-                    waiting_on = handler.send(None)
-                except StopIteration as done:
-                    response = done.value
-                else:
-                    await _into_a_task()
-                    # The deadline is an entry in this server's queue, not
-                    # a timer of its own; the hook sits inside it on
-                    # purpose: a stall long enough to blow the deadline is
-                    # answered with TIMEOUT like any slow handler, which is
-                    # exactly the failure chaos wants to provoke.
-                    with self._deadlines.after(self.request_timeout_s):
-                        response = await _resumed(handler, waiting_on)
-                if logger.isEnabledFor(logging.DEBUG):
-                    logger.debug(
-                        "request served",
-                        extra={"ctx": self._request_ctx(frame, context)},
-                    )
-            except Exception as error:
-                response = self._error_response(
-                    error, frame, context, handle_span
-                )
-            finally:
-                self._in_flight -= 1
-                # Exemplars only for sampled requests: the linked trace
-                # must actually exist in the span logs.
-                self._handle_seconds.observe(
-                    time.perf_counter() - started,
-                    exemplar=(
-                        context.request_id if handle_span.recorded else None
-                    ),
-                )
+        scope = None
+        span = NOOP_SPAN
+        if self.tracer.sink is not None:
+            scope = self.tracer.trace(
+                context.request_id, "server.handle", frame=type(frame).__name__
+            )
+            span = scope.__enter__()
+        self._in_flight += 1
+        if self.fault_hook is None:
+            handler = self.handle(frame, context)
+        else:
+            handler = self._hooked(frame, context)
+        try:
+            waiting_on = handler.send(None)
+        except StopIteration as done:
+            response = done.value
+        except Exception as error:
+            response = self._error_response(error, frame, context, span)
+        except BaseException as error:
+            self._finish(None, frame, context, started, scope, span, error)
+            raise
+        else:
+            return self._resume(
+                handler, waiting_on, frame, context, started, scope, span
+            )
+        self._finish(response, frame, context, started, scope, span)
+        return None
+
+    async def _resume(
+        self, handler, waiting_on, frame, context, started, scope, span
+    ) -> None:
+        """The rest of a request whose handler waited, in its one task."""
+        try:
+            # The deadline is an entry in this server's queue, not a timer
+            # of its own, opened only now that the handler waits; the hook
+            # sits inside it on purpose: a stall long enough to blow the
+            # deadline is answered with TIMEOUT like any slow handler,
+            # which is exactly the failure chaos wants to provoke.
+            with self._deadlines.after(self.request_timeout_s):
+                response = await _resumed(handler, waiting_on)
+        except Exception as error:
+            response = self._error_response(error, frame, context, span)
+        except BaseException as error:
+            self._finish(None, frame, context, started, scope, span, error)
+            raise
+        self._finish(response, frame, context, started, scope, span)
+
+    def _finish(
+        self, response, frame, context, started, scope, span, error=None
+    ) -> None:
+        """Close one request's books and span, then answer it; ``error``
+        ends a request left unanswered (its task cancelled under it).
+        Handlers answer with frames, never with an ``ErrorResponse``."""
+        served = error is None and not isinstance(response, ErrorResponse)
+        if served and logger.isEnabledFor(logging.DEBUG):
+            ctx = self._request_ctx(frame, context)
+            logger.debug("request served", extra={"ctx": ctx})
+        self._in_flight -= 1
+        # Exemplars only for sampled requests: the linked trace must
+        # actually exist in the span logs.
+        self._handle_seconds.observe(
+            time.perf_counter() - started,
+            exemplar=context.request_id if span.recorded else None,
+        )
+        if scope is not None:
+            leave(scope, error)
         self._respond(context, response)
 
     async def _hooked(

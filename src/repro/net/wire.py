@@ -98,6 +98,7 @@ __all__ = [
     "SubscribeResponse",
     "UpdateRequest",
     "UpdateResponse",
+    "decode_checked",
     "decode_frame",
     "decode_traced",
     "encode_frame",
@@ -132,6 +133,10 @@ class FrameType(enum.IntEnum):
     STATS = 9
     STATS_RESULT = 10
     INVALIDATE_BATCH = 11
+
+
+#: A hit's frame types as ints: an enum member lookup is a call on 3.11.
+_QUERY, _RESULT = int(FrameType.QUERY), int(FrameType.RESULT)
 
 
 class ErrorCode(enum.IntEnum):
@@ -537,12 +542,6 @@ def _decode_query(payload: bytes) -> QueryRequest:
     return frame
 
 
-def _decode_result(payload: bytes) -> QueryResponse:
-    body = payload[1:]
-    envelope = _result_frames.get(body, _read_result_body, payload, body)
-    return QueryResponse(envelope, payload[0] != 0)
-
-
 def _read_result_body(payload: bytes, body: bytes) -> ResultEnvelope:
     reader = _Reader(payload)  # offsets in errors count the hit flag
     reader.u8()
@@ -662,10 +661,12 @@ def _read_shard_topology(reader: _Reader) -> tuple[tuple[str, ...], int]:
 
 
 def _decode_payload(frame_type: int, payload: bytes) -> Frame:
-    if frame_type == FrameType.QUERY:
+    if frame_type == _QUERY:
         return _query_requests.get(payload, _decode_query, payload)
-    if frame_type == FrameType.RESULT:
-        return _decode_result(payload)
+    if frame_type == _RESULT:
+        body = payload[1:]
+        envelope = _result_frames.get(body, _read_result_body, payload, body)
+        return QueryResponse(envelope, payload[0] != 0)
     reader = _Reader(payload)
     if frame_type == FrameType.UPDATE:
         origin = reader.opt_text()
@@ -729,18 +730,6 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
     return frame
 
 
-def _encode_request_id(request_id: str | None) -> bytes:
-    if request_id is None:
-        return b""
-    encoded = request_id.encode()
-    if len(encoded) > MAX_REQUEST_ID_BYTES:
-        raise WireError(
-            f"request id of {len(encoded)} bytes exceeds "
-            f"limit {MAX_REQUEST_ID_BYTES}"
-        )
-    return encoded
-
-
 def _decode_request_id(raw: bytes) -> str | None:
     if not raw:
         return None
@@ -759,13 +748,13 @@ def encode_frame(
     """Serialize one frame, header (and optional request id) included."""
     if isinstance(frame, QueryRequest):
         envelope = frame.envelope
-        frame_type = FrameType.QUERY
+        frame_type = _QUERY
         payload = _query_payloads.get_pinned(
             id(envelope), envelope, _query_payload, envelope
         )
     elif isinstance(frame, QueryResponse) and frame.result.payload is not None:
         # A result re-sent as it arrived: only the hit flag is new.
-        frame_type = FrameType.RESULT
+        frame_type = _RESULT
         payload = (b"\x01" if frame.cache_hit else b"\x00") + frame.result.payload
     else:
         writer = _Writer()
@@ -775,13 +764,24 @@ def encode_frame(
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds limit {max_frame}"
         )
-    rid = _encode_request_id(request_id)
+    rid = b"" if request_id is None else request_id.encode()
+    if len(rid) > MAX_REQUEST_ID_BYTES:
+        raise WireError(
+            f"request id of {len(rid)} bytes exceeds "
+            f"limit {MAX_REQUEST_ID_BYTES}"
+        )
     header = _HEADER.pack(MAGIC, VERSION, frame_type, len(rid), len(payload))
-    return header + rid + payload
+    return b"".join((header, rid, payload))
 
 
-def _check_header(header: bytes, *, max_frame: int) -> tuple[int, int, int]:
-    magic, version, frame_type, rid_length, length = _HEADER.unpack(header)
+def _check_header(
+    data, offset: int = 0, *, max_frame: int
+) -> tuple[int, int, int]:
+    """Check the header at ``offset`` of ``data``: its type, rid and
+    payload lengths."""
+    magic, version, frame_type, rid_length, length = _HEADER.unpack_from(
+        data, offset
+    )
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -809,17 +809,22 @@ def decode_traced(
         raise WireError(
             f"truncated header: {len(data)} of {HEADER_SIZE} bytes"
         )
-    frame_type, rid_length, length = _check_header(
-        data[:HEADER_SIZE], max_frame=max_frame
-    )
-    start = HEADER_SIZE + rid_length
-    if len(data) != start + length:
+    _, rid_length, length = _check_header(data, max_frame=max_frame)
+    if len(data) != HEADER_SIZE + rid_length + length:
         raise WireError(
             f"frame length mismatch: header says {rid_length}+{length}, "
             f"have {len(data) - HEADER_SIZE}"
         )
+    return decode_checked(data)
+
+
+def decode_checked(data: bytes) -> tuple[Frame, str | None]:
+    """:func:`decode_traced` of a frame whose header and length are
+    checked already, as :class:`~repro.net.framing.FrameConnection` checks
+    every frame it cuts: the header is not parsed a second time."""
+    start = HEADER_SIZE + data[4]
     request_id = _decode_request_id(data[HEADER_SIZE:start])
-    return _decode_payload(frame_type, data[start:]), request_id
+    return _decode_payload(data[3], data[start:]), request_id
 
 
 def decode_frame(data: bytes, *, max_frame: int = MAX_FRAME_BYTES) -> Frame:

@@ -57,7 +57,11 @@ DEFAULT_LATENCY_BOUNDS = log_buckets()
 
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total.
+
+    A request path may add to ``value`` in place (``counter.value += 1``)
+    and so keep the count without a call.
+    """
 
     __slots__ = ("name", "value")
 
@@ -72,26 +76,31 @@ class Counter:
 
 
 class Gauge:
-    """An instantaneous value; optionally backed by a sampling callable."""
+    """An instantaneous value; optionally backed by a sampling callable.
 
-    __slots__ = ("name", "_value", "_fn")
+    A settable gauge's ``level`` may also be moved in place
+    (``gauge.level += 1``): a request path keeps a gauge that way without
+    a call.
+    """
+
+    __slots__ = ("name", "level", "_fn")
 
     def __init__(self, name: str, fn: Callable[[], float] | None = None) -> None:
         self.name = name
-        self._value = 0.0
+        self.level = 0.0
         self._fn = fn
 
     @property
     def value(self) -> float:
-        return float(self._fn()) if self._fn is not None else self._value
+        return float(self._fn()) if self._fn is not None else self.level
 
     def set(self, value: float) -> None:
         self._require_settable()
-        self._value = value
+        self.level = value
 
     def inc(self, amount: float = 1.0) -> None:
         self._require_settable()
-        self._value += amount
+        self.level += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)

@@ -44,11 +44,13 @@ from pathlib import Path
 from typing import IO, Iterator
 
 __all__ = [
+    "ACTIVE",
     "NOOP_SPAN",
     "Span",
     "SpanRecorder",
     "SpanSink",
     "current_trace_id",
+    "leave",
     "span",
     "trace_sampled",
 ]
@@ -245,8 +247,11 @@ def trace_sampled(trace_id: str, rate: float) -> bool:
     return int.from_bytes(digest, "big") < int(rate * 2**64)
 
 
-#: (recorder, span) active in the current asyncio task, or None.
-_ACTIVE: ContextVar[tuple["SpanRecorder", Span] | None] = ContextVar(
+#: (recorder, span) active in the current asyncio task, or None.  A
+#: request path tests ``ACTIVE.get() is None`` before it opens a
+#: :func:`span`, and so pays one context-variable read and no call when no
+#: trace is active.
+ACTIVE: ContextVar[tuple["SpanRecorder", Span] | None] = ContextVar(
     "repro_active_span", default=None
 )
 
@@ -296,9 +301,9 @@ class SpanRecorder:
         client call inside a server handler), the new span becomes its
         child so one node's spans form a proper tree.
         """
-        if not self.sampled(trace_id):
+        if self.sink is None or not self.sampled(trace_id):
             return NOOP_SPAN
-        active = _ACTIVE.get()
+        active = ACTIVE.get()
         parent_id = (
             active[1].span_id
             if active is not None and active[1].trace_id == trace_id
@@ -359,7 +364,7 @@ def _recording(
         start_s=time.time(),
         attrs=_clean_attrs(attrs) if attrs else {},
     )
-    token = _ACTIVE.set((recorder, current))
+    token = ACTIVE.set((recorder, current))
     started = time.perf_counter()
     try:
         yield current
@@ -368,7 +373,7 @@ def _recording(
         raise
     finally:
         current.duration_s = time.perf_counter() - started
-        _ACTIVE.reset(token)
+        ACTIVE.reset(token)
         recorder.sink.emit(current)
 
 
@@ -382,14 +387,27 @@ def span(
     sampled trace is active the cost is one ContextVar read and the
     shared :data:`NOOP_SPAN` comes back.
     """
-    active = _ACTIVE.get()
+    active = ACTIVE.get()
     if active is None:
         return NOOP_SPAN
     recorder, parent = active
     return _recording(recorder, parent.trace_id, parent.span_id, name, attrs)
 
 
+def leave(
+    scope: AbstractContextManager, error: BaseException | None = None
+) -> None:
+    """Leave a span scope entered by hand (``scope.__enter__()``), as a
+    ``with`` block would on its way out: ``error`` is what ends it, if
+    anything.  For request paths that enter a span only when tracing is on
+    and so cannot wrap the request in a ``with``."""
+    if error is None:
+        scope.__exit__(None, None, None)
+    else:
+        scope.__exit__(type(error), error, error.__traceback__)
+
+
 def current_trace_id() -> str | None:
     """The trace id of the span active in this task, if any."""
-    active = _ACTIVE.get()
+    active = ACTIVE.get()
     return active[1].trace_id if active is not None else None
