@@ -843,12 +843,7 @@ def _cmd_serve_home(args, out) -> int:
     # The backend seam: memory serves the generated instance directly;
     # sqlite copies it into a durable store — unless --db-path already
     # holds data, in which case the file's contents win (restart).
-    if args.backend == "memory":
-        database = instance.database
-    else:
-        database = wrap_database(
-            args.backend, instance.database, path=args.db_path
-        )
+    database = wrap_database(args.backend, instance.database, path=args.db_path)
     home = HomeServer(
         args.app,
         database,

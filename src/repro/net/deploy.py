@@ -288,8 +288,7 @@ class Deployment:
         for recorder in self.tracers.values():
             recorder.close()
         for home in self.homes:
-            if isinstance(home.database, SqliteBackend):
-                home.database.close()
+            home.database.close()
 
     async def restart(self, name: str) -> None:
         """Kill and restart the home (``"home"``) or one node, same port.

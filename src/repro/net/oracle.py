@@ -46,7 +46,7 @@ from repro.errors import (
 )
 from repro.net.chaos import ChaosLog, FaultEvent, FaultPlan
 from repro.net.deploy import Deployment, eventually
-from repro.storage.backends import InMemoryBackend, wrap_database
+from repro.storage.backends import wrap_database
 from repro.storage.database import Database
 from repro.storage.rows import sort_key
 from repro.templates.registry import TemplateRegistry
@@ -165,19 +165,14 @@ class ChaosTopology(Deployment):
         self.policy = policy
         keyring = keyring or Keyring(app_id)
         self.codec = EnvelopeCodec(keyring)
-        #: The live system's master copy (the caller's database is cloned,
-        #: so the reference model can clone the same pristine state).
-        #: ``backend="sqlite"`` puts the master behind a durable
-        #: :class:`~repro.storage.backends.SqliteBackend` at ``db_path``;
-        #: the reference model then runs on an :class:`InMemoryBackend` so
-        #: both sides share the canonical ORDER BY/LIMIT semantics (a raw
-        #: Database reference would false-positive on tie order).
-        if backend == "memory":
-            home_database = database.clone()
-            self.reference_database = home_database
-        else:
-            home_database = wrap_database(backend, database, path=db_path)
-            self.reference_database = InMemoryBackend(database.clone())
+        #: The live system's master copy is a copy of the caller's
+        #: database (``backend="sqlite"`` puts it in a durable
+        #: :class:`~repro.storage.backends.SqliteBackend` at ``db_path``);
+        #: the reference model clones the same pristine state.  A raw
+        #: Database is the reference for every backend: they all return
+        #: the executor's one result order, ties and LIMIT cut-offs included.
+        home_database = wrap_database(backend, database.clone(), path=db_path)
+        self.reference_database = database
         super().__init__(
             HomeServer(app_id, home_database, registry, policy, keyring),
             nodes=nodes,
@@ -201,8 +196,8 @@ class ChaosTopology(Deployment):
 class _Reference:
     """The trusted sequential model: one database, applied in ack order.
 
-    Takes a raw :class:`Database` or any backend — whatever the topology
-    says mirrors the live home's query semantics (`reference_database`).
+    A clone of the topology's pristine raw :class:`Database`
+    (`reference_database`), whatever backend the live home runs on.
     """
 
     def __init__(self, database) -> None:

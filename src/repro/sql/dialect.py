@@ -9,9 +9,12 @@ as inline text — and derives DDL from a :class:`~repro.schema.Schema`.
 Semantics are the in-memory engine's, not stock SQLite's, so three rules
 shape the output:
 
-* **No compiled ORDER BY / LIMIT.**  Ordering is canonicalized in Python
-  by the backend layer (:mod:`repro.storage.backends.base`) so that both
-  engines break ties identically; the compiler refuses ordered selects.
+* **One result order.**  ORDER BY and LIMIT compile to the executor's
+  documented order (:mod:`repro.storage.executor`, "Result order"): each
+  key ``ASC NULLS LAST`` or ``DESC NULLS FIRST``, ties broken by each FROM
+  binding's primary key (all its columns when it has none), aggregate
+  output by its select positions — :func:`~repro.storage.rows.sort_key`
+  order, which SQLite matches once NULLS LAST is spelled out (3.30+).
 * **Validation mirrors the executor.**  Unknown tables/columns, ambiguous
   bare columns, duplicate FROM bindings, aggregate/GROUP BY shape errors
   and unbound parameters raise the same exception types the in-memory
@@ -166,16 +169,13 @@ class SqliteDialect:
     # -- SELECT --------------------------------------------------------------
 
     def compile_select(self, select: Select) -> CompiledSelect:
-        """Compile an order/limit-free SELECT.
+        """Compile a SELECT, its ORDER BY and LIMIT included.
 
         Raises the same exception types the in-memory executor would for a
-        malformed statement; ordered selects are the backend layer's job
-        (it strips ORDER BY/LIMIT before calling this).
+        malformed statement.
         """
-        if select.order_by or select.limit is not None:
-            raise ExecutionError(
-                "compile_select takes canonical (order/limit-free) selects"
-            )
+        if isinstance(select.limit, Parameter):
+            raise ExecutionError("unbound parameter in LIMIT")
         scope = _Scope(self.schema, select)
         params: list[Scalar] = []
         aggregate = select.has_aggregate() or bool(select.group_by)
@@ -197,7 +197,51 @@ class SqliteDialect:
             sql += " GROUP BY " + ", ".join(
                 scope.sql_of(ref) for ref in select.group_by
             )
+        if select.order_by or select.limit is not None:
+            if aggregate:
+                order = self._aggregate_order(select, columns)
+            else:
+                order = self._plain_order(scope, select)
+            sql += " ORDER BY " + ", ".join(order)
+        if select.limit is not None:
+            sql += " LIMIT ?"
+            params.append(select.limit)
         return CompiledSelect(sql, tuple(params), tuple(columns))
+
+    def _plain_order(self, scope: _Scope, select: Select) -> list[str]:
+        """The ORDER BY keys, then each binding's key (whole row if keyless)."""
+        order = [
+            scope.sql_of(item.column)
+            + (" DESC NULLS FIRST" if item.descending else " NULLS LAST")
+            for item in select.order_by
+        ]
+        for binding, table_name in zip(scope.bindings, scope.tables):
+            table = self.schema.table(table_name)
+            for name in table.primary_key or table.column_names:
+                order.append(f"{_quote(binding)}.{_quote(name)} NULLS LAST")
+        return order
+
+    @staticmethod
+    def _aggregate_order(select: Select, columns: list[str]) -> list[str]:
+        """The ORDER BY keys by output position, then the whole output row."""
+        order = []
+        for item in select.order_by:
+            name = item.column.qualified()
+            if name not in columns:
+                raise ExecutionError(
+                    f"ORDER BY column {name!r} must appear in the "
+                    "aggregate select list"
+                )
+            position = columns.index(name) + 1
+            order.append(
+                f"{position} DESC NULLS FIRST"
+                if item.descending
+                else f"{position} NULLS LAST"
+            )
+        order.extend(
+            f"{index} NULLS LAST" for index in range(1, len(columns) + 1)
+        )
+        return order
 
     def _plain_items(
         self, scope: _Scope, select: Select

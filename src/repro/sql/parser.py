@@ -309,7 +309,12 @@ class _Parser:
             return None
         token = self._advance()
         if token.type is TokenType.INTEGER:
-            return int(token.value)
+            limit = int(token.value)
+            if limit < 0:
+                raise ParseError(
+                    f"LIMIT must not be negative, got {limit}", token.position
+                )
+            return limit
         if token.type is TokenType.PARAMETER:
             self._pos -= 1  # _make_parameter path needs no token re-read
             self._advance()

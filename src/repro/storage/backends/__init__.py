@@ -2,16 +2,17 @@
 
 The home server only needs a small surface from its database — execute a
 bound SELECT, apply a bound update, clone/snapshot for the oracle, a
-monotone version stamp.  :class:`Backend` captures that surface;
-:class:`InMemoryBackend` adapts the existing pure-Python engine and
-:class:`SqliteBackend` compiles the same dialect to stdlib SQLite for
-durable, million-row masters.  ``create_backend`` is the registry the CLI
-and harnesses go through (``--backend {memory,sqlite}``).
+monotone version stamp.  :class:`Backend` captures that surface; the
+pure-Python :class:`~repro.storage.database.Database` is the ``memory``
+backend as it stands, and :class:`SqliteBackend` compiles the same
+dialect to stdlib SQLite for durable, million-row masters.
+``create_backend`` is the registry the CLI and harnesses go through
+(``--backend {memory,sqlite}``).
 
-Both backends share one canonical ORDER BY/LIMIT semantics (see
-:mod:`repro.storage.backends.base`), which is what makes them
-row-for-row interchangeable — the differential parity suite holds them
-to it.
+Both return ordered results in the executor's one documented order
+(SQLite by compiling it into the SQL), which is what makes them row-for-row
+interchangeable — the differential parity suites hold them to it, order
+included.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from pathlib import Path
 
 from repro.errors import WorkloadError
 from repro.schema.schema import Schema
-from repro.storage.backends.base import Backend, CanonicalOrderer
-from repro.storage.backends.memory import InMemoryBackend
+from repro.storage.backends.base import Backend
 from repro.storage.backends.sqlite import SqliteBackend
 from repro.storage.database import Database
 
 __all__ = [
     "BACKENDS",
     "Backend",
-    "CanonicalOrderer",
-    "InMemoryBackend",
     "SqliteBackend",
     "create_backend",
     "wrap_database",
@@ -49,7 +47,7 @@ def create_backend(
 ) -> Backend:
     """Build an empty backend of the given kind over ``schema``."""
     if kind == "memory":
-        return InMemoryBackend.create(
+        return Database(
             schema,
             enforce_foreign_keys=enforce_foreign_keys,
             strict_model=strict_model,
@@ -71,12 +69,12 @@ def wrap_database(
 ) -> Backend:
     """Put a generated in-memory database behind a backend of ``kind``.
 
-    ``memory`` wraps the database in place; ``sqlite`` copies it into a
+    ``memory`` serves the database itself; ``sqlite`` copies it into a
     SQLite store at ``path`` (or in memory) — unless the path already
     holds data, in which case the durable contents win (restart survival).
     """
     if kind == "memory":
-        return InMemoryBackend(database)
+        return database
     if kind == "sqlite":
         return SqliteBackend.from_database(database, path=path)
     raise WorkloadError(

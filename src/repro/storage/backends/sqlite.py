@@ -13,9 +13,10 @@ Three decisions follow from it:
   indexed point SELECTs.  SQLite's own FK enforcement stays off
   (``PRAGMA foreign_keys = OFF``) because its semantics differ from the
   paper's model — e.g. modifications are never FK-checked there.
-* **Ordering is canonicalized in Python** via the shared
-  :class:`~repro.storage.backends.base.CanonicalOrderer`, so ORDER BY tie
-  order and LIMIT cutoffs cannot depend on SQLite scan order.
+* **Ordering is compiled into the SQL.**  The dialect emits ORDER BY and
+  LIMIT by the in-memory executor's own rule (ties broken by FROM-order
+  primary key), so tie order and LIMIT cutoffs are the memory engine's
+  row for row and never depend on SQLite's scan order.
 * **Modifications carry an effective-change guard** (``AND NOT (col IS ?
   ...)``) so ``rowcount`` counts only rows the update actually changed,
   like the in-memory engine — the invalidation layer keys off that count.
@@ -43,7 +44,6 @@ from repro.schema.schema import Schema
 from repro.schema.table import TableSchema
 from repro.sql.ast import Delete, Insert, Select, Statement, Update
 from repro.sql.dialect import SqliteDialect
-from repro.storage.backends.base import CanonicalOrderer
 from repro.storage.database import Database
 from repro.storage.dml import (
     _check_modification_model,
@@ -81,7 +81,6 @@ class SqliteBackend:
         self.strict_model = strict_model
         self.path = Path(path) if path is not None else None
         self._dialect = SqliteDialect(schema)
-        self._orderer = CanonicalOrderer()
         self._connection = sqlite3.connect(
             str(self.path) if self.path is not None else ":memory:",
             isolation_level=None,  # autocommit: each DML is durable on return
@@ -93,8 +92,8 @@ class SqliteBackend:
         for ddl in self._dialect.create_schema():
             self._connection.execute(ddl)
         self._version = 0
-        # Compiled SQL per core-select identity; cores are themselves
-        # memoized by the orderer's plans, so popular statements compile once.
+        # Compiled SQL per statement identity; bound statements are shared
+        # (template binding is memoized), so popular statements compile once.
         self._compiled = BoundedMemo("storage.sqlite_compiled", 2048)
 
     @classmethod
@@ -195,18 +194,15 @@ class SqliteBackend:
     def execute(self, select: Select) -> ResultSet:
         """Execute a fully-bound query and return its result."""
         with trace_span("storage.execute", backend=self.name):
-            return self._orderer.execute(select, self._run_core)
-
-    def _run_core(self, core: Select) -> ResultSet:
-        compiled = self._compiled.get_pinned(
-            id(core), core, self._dialect.compile_select, core
-        )
-        cursor = self._connection.execute(compiled.sql, compiled.params)
-        return ResultSet(
-            columns=compiled.columns,
-            rows=tuple(cursor.fetchall()),
-            ordered=False,
-        )
+            compiled = self._compiled.get_pinned(
+                id(select), select, self._dialect.compile_select, select
+            )
+            cursor = self._connection.execute(compiled.sql, compiled.params)
+            return ResultSet(
+                columns=compiled.columns,
+                rows=tuple(cursor.fetchall()),
+                ordered=bool(select.order_by) or select.limit is not None,
+            )
 
     # -- updates -------------------------------------------------------------
 

@@ -29,6 +29,9 @@ __all__ = ["Database"]
 class Database:
     """Mutable in-memory database over an immutable :class:`Schema`.
 
+    It is also the ``memory`` storage backend, as it stands
+    (:class:`~repro.storage.backends.Backend`).
+
     Args:
         schema: The relational schema.
         enforce_foreign_keys: Check FK existence on INSERT (and restrict
@@ -37,6 +40,9 @@ class Database:
         strict_model: Enforce the paper's modification model (equality on
             the full primary key, non-key assignments only).
     """
+
+    #: Registry name of this backend kind.
+    name = "memory"
 
     def __init__(
         self,
@@ -160,6 +166,9 @@ class Database:
                 indexes.add(table, row)
         self._indexes = indexes
         self._version += 1
+
+    def close(self) -> None:
+        """Nothing to release (the :class:`Backend` protocol's close)."""
 
     def __deepcopy__(self, memo) -> "Database":
         clone = self.clone()

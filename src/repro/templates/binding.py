@@ -89,9 +89,10 @@ def bind(statement: Statement, params: Sequence[Scalar]) -> Statement:
         limit = statement.limit
         if isinstance(limit, Parameter):
             bound_limit = params[limit.index]
-            if not isinstance(bound_limit, int):
+            if not isinstance(bound_limit, int) or bound_limit < 0:
                 raise BindingError(
-                    f"LIMIT parameter must bind to an int, got {bound_limit!r}"
+                    "LIMIT parameter must bind to a non-negative int, "
+                    f"got {bound_limit!r}"
                 )
             limit = bound_limit
         return Select(

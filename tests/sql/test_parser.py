@@ -261,6 +261,13 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("SELECT a FROM t LIMIT 'x'")
 
+    def test_negative_limit(self):
+        # The executor would slice rows[:-1] and SQLite read it as "no
+        # limit": the dialect has no meaning for it, so it never parses.
+        with pytest.raises(ParseError, match="negative"):
+            parse("SELECT toy_id FROM toys LIMIT -1")
+        assert parse("SELECT toy_id FROM toys LIMIT 0").limit == 0
+
     def test_missing_operand(self):
         with pytest.raises(ParseError):
             parse("SELECT a FROM t WHERE x =")

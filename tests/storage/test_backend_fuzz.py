@@ -3,7 +3,8 @@
 Generates type-correct statement sequences over the toystore schema —
 inserts with colliding keys, FK-violating and FK-restricted deletes,
 strict-model updates, SPJ/ORDER BY/LIMIT/aggregate queries — and drives
-them through both engines in lockstep.  Values stay type-correct for
+them through the raw Database and SQLite in lockstep, ordered results
+compared row for row.  Values stay type-correct for
 their columns: SQLite's type affinity makes cross-type comparisons
 engine-defined, which the dialect deliberately does not paper over.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.schema import Column, ColumnType, ForeignKey, Schema, TableSchema
 from repro.sql.ast import Select
 from repro.sql.parser import parse
-from repro.storage.backends import InMemoryBackend, SqliteBackend
+from repro.storage.backends import SqliteBackend
 from repro.storage.database import Database
 
 from tests.storage.backend_utils import assert_results_match, assert_states_match
@@ -121,10 +122,23 @@ def statements():
         st.sampled_from(["", " DESC"]),
         st.integers(min_value=0, max_value=8),
     )
+    # ORDER BY keys that repeat across the LIMIT cut-off (the seed's 12
+    # toys share 4 names and a few quantities), projected without the
+    # key that breaks their ties.
+    query_tied = st.builds(
+        "SELECT {} FROM toys ORDER BY {} LIMIT {}".format,
+        st.sampled_from(["toy_name", "qty", "toy_name, qty", "*"]),
+        st.sampled_from([
+            "toy_name", "toy_name DESC", "qty", "qty DESC",
+            "toy_name DESC, qty", "qty, toy_name DESC",
+        ]),
+        st.integers(min_value=0, max_value=13),
+    )
     query_join = st.builds(
         "SELECT cust_name, number FROM customers, credit_card "
-        "WHERE cust_id = cid ORDER BY cust_name{}".format,
+        "WHERE cust_id = cid ORDER BY cust_name{}{}".format,
         st.sampled_from(["", " DESC"]),
+        st.sampled_from(["", " LIMIT 1", " LIMIT 2"]),
     )
     query_aggregate = st.builds(
         "SELECT {}(qty) FROM toys WHERE qty {} {}".format,
@@ -133,22 +147,28 @@ def statements():
         qtys,
     )
     query_group = st.builds(
-        "SELECT toy_name, COUNT(*) FROM toys GROUP BY toy_name".format
+        "SELECT toy_name, COUNT(*) FROM toys GROUP BY toy_name{}".format,
+        st.sampled_from(["", " ORDER BY toy_name DESC LIMIT 2", " LIMIT 3"]),
     )
     return st.one_of(
         insert_toy, insert_customer, insert_card,
         delete_toy, delete_toys_range, delete_customer, delete_card,
         update_qty, update_name,
-        query_filter, query_ordered, query_join, query_aggregate, query_group,
+        query_filter, query_ordered, query_tied, query_join,
+        query_aggregate, query_group,
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(statements(), min_size=1, max_size=25))
+# A tie on toy_name the primary key breaks one way and the projected row
+# the other: ('toy3', 21) by the executor's rule, ('toy3', 3) by the row.
+@example(["SELECT toy_name, qty FROM toys WHERE qty > 0 "
+          "ORDER BY toy_name DESC LIMIT 1"])
 def test_statement_streams_agree(sql_statements):
     schema = make_schema()
     database = seeded_database(schema)
-    memory_backend = InMemoryBackend(database.clone())
+    memory_backend = database.clone()
     sqlite_backend = SqliteBackend.from_database(database)
     try:
         for index, sql in enumerate(sql_statements):

@@ -1,8 +1,9 @@
 """Differential parity: both backends replay identical generated traces.
 
 For each benchmark application a trace is recorded once and driven
-through an :class:`InMemoryBackend` and a :class:`SqliteBackend` in
-lockstep.  Every query must return an equivalent ResultSet, every update
+through a raw :class:`~repro.storage.database.Database` and a
+:class:`SqliteBackend` in lockstep.  Every query must return an
+equivalent ResultSet (row for row, in order, when ordered), every update
 the same affected count (or the same exception type), and the final table
 contents must be multiset-equal — the backend seam's contract.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.storage.backends import InMemoryBackend, SqliteBackend
+from repro.storage.backends import SqliteBackend
 from repro.workloads import get_application
 from repro.workloads.apps.toystore import toystore_spec
 from repro.workloads.trace import record_trace
@@ -47,7 +48,7 @@ def test_trace_parity(app):
     trace = record_trace(instance.sampler, 40, seed=11, application=app)
     trace.bind(spec.registry)
 
-    memory_backend = InMemoryBackend(instance.database.clone())
+    memory_backend = instance.database.clone()
     sqlite_backend = SqliteBackend.from_database(instance.database)
     try:
         queries = updates = 0

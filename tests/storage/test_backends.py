@@ -1,7 +1,8 @@
 """Unit tests for the storage-backend subsystem itself.
 
 Covers the registry, durable reopen, clone/snapshot isolation, version
-stamps, and the canonical ORDER BY/LIMIT semantics both engines share.
+stamps, and the one ORDER BY/LIMIT order both engines return: the
+executor's, ties broken by FROM-order primary key (whole row if keyless).
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from repro.schema import Column, ColumnType, Schema, TableSchema
 from repro.sql.parser import parse
 from repro.storage.backends import (
     BACKENDS,
-    InMemoryBackend,
     SqliteBackend,
     create_backend,
     wrap_database,
 )
 from repro.storage.database import Database
 
+from tests.storage import test_dml_edges
 from tests.storage.backend_utils import assert_results_match
 
 
@@ -34,7 +35,15 @@ def make_schema() -> Schema:
                     Column("rank", ColumnType.INTEGER, nullable=True),
                 ),
                 primary_key=("item_id",),
-            )
+            ),
+            TableSchema(  # keyless: ties break by the whole stored row
+                "visits",
+                (
+                    Column("page", ColumnType.TEXT),
+                    Column("hits", ColumnType.INTEGER, nullable=True),
+                    Column("ms", ColumnType.INTEGER),
+                ),
+            ),
         ]
     )
 
@@ -48,6 +57,16 @@ ROWS = [
     (6, "c", 2),
 ]
 
+#: Ties on ``page`` whose ``hits`` order is the reverse of their ``ms``
+#: order, so a tie-break by the projected row would cut LIMIT elsewhere.
+VISITS = [
+    ("home", 1, 9),
+    ("home", 2, 5),
+    ("cart", None, 4),
+    ("cart", 1, 7),
+    ("cart", 1, 7),
+]
+
 
 def make_backend(kind, tmp_path=None):
     path = None
@@ -55,6 +74,7 @@ def make_backend(kind, tmp_path=None):
         path = tmp_path / "items.db"
     backend = create_backend(kind, make_schema(), path=path)
     backend.load("items", ROWS)
+    backend.load("visits", VISITS)
     return backend
 
 
@@ -63,7 +83,7 @@ def make_backend(kind, tmp_path=None):
 
 def test_registry_kinds():
     assert BACKENDS == ("memory", "sqlite")
-    assert isinstance(create_backend("memory", make_schema()), InMemoryBackend)
+    assert isinstance(create_backend("memory", make_schema()), Database)
     assert isinstance(create_backend("sqlite", make_schema()), SqliteBackend)
     with pytest.raises(WorkloadError):
         create_backend("postgres", make_schema())
@@ -73,9 +93,8 @@ def test_registry_kinds():
 
 def test_wrap_database_memory_is_in_place():
     database = Database(make_schema())
-    backend = wrap_database("memory", database)
-    backend.apply(parse("INSERT INTO items (item_id, grp, rank) VALUES (1, 'a', 1)"))
-    assert database.row_count("items") == 1  # same engine, not a copy
+    assert wrap_database("memory", database) is database
+    database.close()  # the protocol's close: nothing to release
 
 
 def test_wrap_database_sqlite_copies(tmp_path):
@@ -165,7 +184,7 @@ def test_snapshot_restore_round_trip(kind, tmp_path):
         backend.close()
 
 
-# -- canonical ordering -------------------------------------------------------
+# -- result order -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -177,34 +196,63 @@ def test_order_by_ties_and_limit_are_deterministic(kind, tmp_path):
             parse("SELECT grp FROM items WHERE rank > 0 ORDER BY rank LIMIT 3")
         )
         assert result.ordered
-        # rank=1 ties ('a' id2, 'b' id3) break by the full-row tie-break,
-        # then rank=2 ties ('b' id4, 'c' id6) — cut at 3 rows.
+        # rank=1 ties ('a' id2, 'b' id3) break by primary key, then
+        # rank=2 ties ('b' id4, 'c' id6) — cut at 3 rows.
         assert result.rows == (("a",), ("b",), ("b",))
     finally:
         backend.close()
 
 
-def test_backends_agree_on_order_by_edge_cases(tmp_path):
-    memory_backend = make_backend("memory")
-    sqlite_backend = make_backend("sqlite", tmp_path)
-    try:
-        for sql in [
-            "SELECT grp FROM items ORDER BY rank DESC",
-            "SELECT grp FROM items ORDER BY rank, grp DESC LIMIT 4",
-            "SELECT * FROM items ORDER BY grp DESC, rank LIMIT 5",
-            "SELECT grp, COUNT(*) FROM items GROUP BY grp ORDER BY grp DESC",
-            "SELECT rank, COUNT(*) FROM items GROUP BY rank ORDER BY rank",
-            "SELECT item_id FROM items LIMIT 0",
-            "SELECT item_id FROM items WHERE rank = 99 ORDER BY item_id",
-        ]:
+def test_backends_agree_on_order_by_edge_cases():
+    """The raw Database and SQLite agree row for row, order included."""
+
+    def items(kind):
+        database = _database_with(ROWS)
+        database.load("visits", VISITS)
+        if kind == "memory":
+            return database
+        return SqliteBackend.from_database(database)
+
+    children = test_dml_edges.make_backend
+    cases = [
+        (items, "SELECT grp FROM items ORDER BY rank DESC"),
+        (items, "SELECT grp FROM items ORDER BY rank, grp DESC LIMIT 4"),
+        (items, "SELECT * FROM items ORDER BY grp DESC, rank LIMIT 5"),
+        (items, "SELECT grp, COUNT(*) FROM items GROUP BY grp ORDER BY grp DESC"),
+        (items, "SELECT rank, COUNT(*) FROM items GROUP BY rank ORDER BY rank"),
+        (items, "SELECT rank, COUNT(*) FROM items GROUP BY rank LIMIT 2"),
+        (items, "SELECT item_id FROM items LIMIT 0"),
+        (items, "SELECT item_id FROM items WHERE rank = 99 ORDER BY item_id"),
+        # Ties the primary key breaks against the projected row's order.
+        (items, "SELECT rank FROM items ORDER BY grp LIMIT 1"),
+        (items, "SELECT rank FROM items ORDER BY grp DESC LIMIT 2"),
+        (items, "SELECT grp FROM items LIMIT 3"),
+        # A keyless table: ties break by the whole stored row.
+        (items, "SELECT ms FROM visits ORDER BY page DESC LIMIT 1"),
+        (items, "SELECT ms FROM visits ORDER BY page LIMIT 2"),
+        (items, "SELECT page FROM visits ORDER BY hits DESC LIMIT 3"),
+        (items, "SELECT ms FROM visits LIMIT 4"),
+        (items, "SELECT v.ms, i.item_id FROM visits v, items i "
+                "WHERE v.hits = i.rank ORDER BY i.grp LIMIT 3"),
+        # NULL-bearing keys, ascending (NULLs last) and descending (first).
+        (children, "SELECT cid FROM children ORDER BY score"),
+        (children, "SELECT cid FROM children ORDER BY score DESC LIMIT 2"),
+        (children, "SELECT cid, score FROM children ORDER BY pid LIMIT 3"),
+        (children, "SELECT cid FROM children ORDER BY pid DESC, score"),
+        (children, "SELECT pid, COUNT(*) FROM children GROUP BY pid "
+                   "ORDER BY pid DESC"),
+    ]
+    for make, sql in cases:
+        memory_backend, sqlite_backend = make("memory"), make("sqlite")
+        try:
             select = parse(sql)
+            memory_result = memory_backend.execute(select)
             assert_results_match(
-                memory_backend.execute(select),
-                sqlite_backend.execute(select),
-                sql,
+                memory_result, sqlite_backend.execute(select), sql
             )
-    finally:
-        sqlite_backend.close()
+            assert memory_result.ordered
+        finally:
+            sqlite_backend.close()
 
 
 @pytest.mark.parametrize("kind", BACKENDS)

@@ -20,7 +20,7 @@ from repro.errors import (
 )
 from repro.schema import Column, ColumnType, ForeignKey, Schema, TableSchema
 from repro.sql.parser import parse
-from repro.storage.backends import InMemoryBackend, SqliteBackend
+from repro.storage.backends import SqliteBackend
 from repro.storage.database import Database
 from repro.storage.rows import sort_key
 
@@ -55,7 +55,7 @@ def make_backend(kind: str):
         "children", [(10, 1, 5), (11, 1, None), (12, 2, 7), (13, None, 9)]
     )
     if kind == "memory":
-        return InMemoryBackend(database)
+        return database
     return SqliteBackend.from_database(database)
 
 

@@ -45,6 +45,11 @@ class TestBind:
         with pytest.raises(BindingError, match="int"):
             bind(parse("SELECT a FROM t LIMIT ?"), ["ten"])
 
+    def test_bind_limit_rejects_negative(self):
+        with pytest.raises(BindingError, match="non-negative"):
+            bind(parse("SELECT a FROM t LIMIT ?"), [-1])
+        assert bind(parse("SELECT a FROM t LIMIT ?"), [0]).limit == 0
+
     def test_bind_insert(self):
         bound = bind(parse("INSERT INTO t (a, b) VALUES (?, ?)"), [1, "x"])
         assert to_sql(bound) == "INSERT INTO t (a, b) VALUES (1, 'x')"
