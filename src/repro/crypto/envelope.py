@@ -184,8 +184,8 @@ class ResultEnvelope:
     app_id: str
     plaintext: ResultSet | None = None
     ciphertext: bytes | None = None
-    #: The whole result-envelope body as it arrived on the wire (app id,
-    #: ``view`` blob, ciphertext blob), kept so a cached result is re-sent
+    #: The whole result-envelope body as it arrived on the wire (kind, app
+    #: id, ``view`` rows or ciphertext), kept so a cached result is re-sent
     #: as those bytes; ``None`` for a result sealed here.  Like
     #: :attr:`Envelope.statement`, not part of the value: never compared.
     payload: bytes | None = field(default=None, compare=False, repr=False)

@@ -38,7 +38,6 @@ from repro.net.chaos import (
     FaultEvent,
     FaultKind,
     FaultPlan,
-    make_fault_hook,
 )
 from repro.net.client import (
     RetryPolicy,
@@ -147,7 +146,6 @@ __all__ = [
     "find_knee",
     "flash_crowd_trace",
     "make_arrivals",
-    "make_fault_hook",
     "run_chaos",
     "run_open_load",
     "run_scenario",

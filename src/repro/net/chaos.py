@@ -6,16 +6,12 @@ so the same :class:`FaultPlan` seed produces the *same* fault schedule on
 every run regardless of scheduling jitter — which is what makes a failing
 chaos run replayable.
 
-Faults are injected at two points:
-
-* :class:`ChaosProxy` — an in-process TCP proxy spliced into a link
-  (client→DSSP or DSSP→home).  It understands the wire framing just enough
-  to act on whole frames: **drop** (swallow the frame and sever the
-  connection, as real TCP must), **delay** (hold the frame), **duplicate**
-  (send a request twice; the extra response is swallowed on the way back),
-  and **truncate** (forward a prefix, then sever).
-* Server/client ``fault_hook``\\s — deterministic processing stalls inside
-  a node, driving request timeouts without touching the network.
+Frame faults are injected by :class:`ChaosProxy`, an in-process TCP proxy
+spliced into a link (client→DSSP or DSSP→home).  It understands the wire
+framing just enough to act on whole frames: **drop** (swallow the frame
+and sever the connection, as real TCP must), **delay** (hold the frame),
+**duplicate** (send a request twice; the extra response is swallowed on
+the way back), and **truncate** (forward a prefix, then sever).
 
 Node **kill/restart** events are not frame faults: the plan schedules them
 at operation indices (``kill_every``) and the harness (the oracle runner
@@ -47,7 +43,6 @@ __all__ = [
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
-    "make_fault_hook",
 ]
 
 logger = logging.getLogger(__name__)
@@ -68,7 +63,6 @@ class FaultKind(enum.Enum):
     DUPLICATE = "duplicate"
     TRUNCATE = "truncate"
     KILL = "kill"
-    STALL = "stall"
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.value
@@ -79,7 +73,7 @@ class FaultDecision:
     """One plan verdict; ``PASS`` decisions are not logged."""
 
     kind: FaultKind
-    #: Seconds to hold the frame (DELAY) or stall the handler (STALL).
+    #: Seconds to hold the frame (DELAY).
     delay_s: float = 0.0
     #: Fraction of the frame's bytes to forward before severing (TRUNCATE).
     keep_fraction: float = 0.0
@@ -133,7 +127,6 @@ class FaultPlan:
     delay_rate: float = 0.0
     duplicate_rate: float = 0.0
     truncate_rate: float = 0.0
-    stall_rate: float = 0.0
     max_delay_s: float = 0.05
     #: Kill a node every this many operations (None: never).
     kill_every: int | None = None
@@ -199,18 +192,6 @@ class FaultPlan:
                 self.seed, "truncate", link, direction, frame_type, index
             )
             return FaultDecision(FaultKind.TRUNCATE, keep_fraction=fraction)
-        return FaultDecision(FaultKind.PASS)
-
-    def decide_stall(self, server_id: str, index: int) -> FaultDecision:
-        """Processing stall for a server's ``index``-th handled request."""
-        if self.stall_rate <= 0.0:
-            return FaultDecision(FaultKind.PASS)
-        roll = _unit(self.seed, "stall", server_id, index)
-        if roll < self.stall_rate:
-            fraction = _unit(self.seed, "stall-len", server_id, index)
-            return FaultDecision(
-                FaultKind.STALL, delay_s=fraction * self.max_delay_s
-            )
         return FaultDecision(FaultKind.PASS)
 
     def kill_target(self, op_index: int) -> str | None:
@@ -540,33 +521,3 @@ class ChaosProxy:
                 detail=detail,
             )
         )
-
-
-def make_fault_hook(plan: FaultPlan, server_id: str, log: ChaosLog):
-    """Deterministic processing-stall hook for a ``WireServer``.
-
-    The returned coroutine function matches the ``fault_hook`` signature
-    (``frame, request_id``) and stalls the handler per
-    :meth:`FaultPlan.decide_stall`, with its own per-server index.
-    """
-    state = {"index": 0}
-
-    async def hook(frame, request_id: str | None) -> None:
-        index = state["index"]
-        state["index"] = index + 1
-        decision = plan.decide_stall(server_id, index)
-        if decision.kind is FaultKind.STALL:
-            log.append(
-                FaultEvent(
-                    link=server_id,
-                    direction="op",
-                    frame_type=0,
-                    index=index,
-                    kind=FaultKind.STALL.value,
-                    request_id=request_id,
-                    detail=f"{decision.delay_s * 1000:.1f}ms",
-                )
-            )
-            await asyncio.sleep(decision.delay_s)
-
-    return hook

@@ -201,11 +201,6 @@ class WireServer:
         )
         return self.address
 
-    async def serve_forever(self) -> None:
-        """Block until cancelled (after :meth:`start`)."""
-        assert self._server is not None
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
         """Stop accepting, close every live connection, run cleanups.
 

@@ -1,6 +1,6 @@
 """Length-prefixed binary wire protocol for the DSSP service layer.
 
-Framing, protocol version 3 (all integers big-endian)::
+Framing, protocol version 4 (all integers big-endian)::
 
     +-------+---------+------------+---------+--------------+========+=========+
     | magic | version | frame type | rid len | payload len  |  rid   | payload |
@@ -12,38 +12,47 @@ Framing, protocol version 3 (all integers big-endian)::
 per logical request (:func:`repro.obs.new_request_id`), servers echo it on
 the response, and a DSSP node forwards the *same* id on its miss/update
 hop to the home server, so one id correlates the whole request path.
-Earlier versions are rejected, not translated: version 1 had no rid slot,
-and a version 2 envelope carried its statement as SQL text beside a
-sender-supplied cache key — accepting one would accept the claims version
-3 exists to make inexpressible.
+Earlier versions are rejected, not translated: version 1 had no rid slot;
+a version 2 envelope carried its statement as SQL text beside a
+sender-supplied cache key, and accepting one would accept the claims
+version 3 existed to make inexpressible; version 3 gave every envelope
+field a presence flag, so its bytes could say shapes no level names.
 
-Payloads are sequences of primitive fields: ``u8``/``u32`` integers,
-length-prefixed UTF-8 strings, length-prefixed byte strings, and optionals
-(a one-byte presence flag followed by the value).  A statement travels as
-``(template name, parameters)`` and nothing else — query and update
-envelopes share one layout::
+A payload is one fixed part — a precompiled :class:`struct.Struct` of
+the frame's flags, level, kind, counts and the lengths of its variable
+fields — then those variable fields' bytes, in order.  A byte of the
+fixed part says which variable fields there are.  A statement travels as
+``(template name, parameters)`` and nothing else, and the level byte
+picks its envelope's layout (query and update envelopes share them)::
 
-    app_id  level  [template_name]  [params]  [sealed_statement]  [sealed_params]
-     text    u8       opt text      opt blob      opt blob           opt blob
+    blind       level  len(app)  len(stmt)                app  sealed stmt
+    template    level  len(app)  len(name)  len(params)   app  name  sealed params
+    stmt, view  level  len(app)  len(name)  len(params)   app  name  params
+                 u8      u32       u32        u32
 
 ``params`` is the canonical JSON array of
 :func:`repro.crypto.envelope.encode_params` — the same bytes the
 ``template`` level encrypts into ``sealed_params``.  Nothing here parses
 or renders SQL: each receiver binds the pair through the template registry
-it already holds, and derives the cache key from the decoded fields.
+it already holds, and derives the cache key from the decoded fields.  A
+result body is ``kind  len(app)  len(body)  app  body`` (u8, u32, u32):
+kind 0 is the ``view`` rows as :func:`serialize_result` writes them, kind
+1 their ciphertext.  An optional string (an update's origin, a batch
+entry's trace id) stores its length plus one, so 0 says absent.
 
 Security invariant: the wire *is* the envelope, minus its bound-AST slot —
-the codec writes the six fields above and no other, and envelopes carry
+and a field the level withholds has no slot to travel in.  Envelopes carry
 plaintext only for what their exposure level permits (see
-:mod:`repro.crypto.envelope`).  The DSSP-visible bytes of a sealed
-envelope on the wire are therefore exactly the DSSP-visible fields in
-memory; nothing is opened or re-sealed en route.  Decode refuses any
-envelope whose shape and level byte disagree and any parameter that is
-not a scalar.
+:mod:`repro.crypto.envelope`); the encoder refuses an envelope whose set
+fields are not the ones its level names, and never drops one.  The
+DSSP-visible bytes of a sealed envelope on the wire are therefore exactly
+the DSSP-visible fields in memory; nothing is opened or re-sealed en
+route.  Decode refuses any parameter that is not a scalar.
 
 Every decode error raises :class:`~repro.errors.WireError` (the ``BAD_FRAME``
 wire code): truncated or oversized frames, bad magic/version, unknown frame
-types, trailing bytes, and malformed envelopes.
+types or levels, a flag byte other than 0 or 1, lengths that run past the
+payload, trailing bytes, and malformed envelopes.
 
 A repeat costs a lookup, both ways.  A QUERY payload and a RESULT body
 are decoded once per distinct byte string (``wire.query_envelopes``,
@@ -107,7 +116,7 @@ __all__ = [
 ]
 
 MAGIC = b"DW"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct(">2sBBBI")
 HEADER_SIZE = _HEADER.size
 #: Default ceiling on payload size; a frame claiming more is rejected
@@ -182,17 +191,11 @@ class SubscribeRequest:
     """DSSP → home: open the invalidation-stream channel.
 
     ``supports_batch`` advertises that the subscriber understands
-    ``INVALIDATE_BATCH`` frames.  It is encoded as a trailing capability
-    byte emitted *only when set*, so a subscriber that does not batch
-    produces bytes identical to the pre-batching protocol and an old
-    home simply never sees the field.
-
-    ``shards``/``vnodes`` declare the sharded topology the subscriber is
-    part of: the full ring membership plus the virtual-node count, enough
-    for the home to rebuild the placement ring and narrow its fan-out to
-    owning shards.  Encoded after the capability byte and emitted only
-    when ``shards`` is non-empty (the capability byte is then always
-    written, as 0 or 1, so the trailing fields stay unambiguous).
+    ``INVALIDATE_BATCH`` frames.  ``shards``/``vnodes`` declare the sharded
+    topology the subscriber is part of: the full ring membership plus the
+    virtual-node count, enough for the home to rebuild the placement ring
+    and narrow its fan-out to owning shards; ``()`` and 0 when unsharded.
+    Every field travels in every frame.
     """
 
     node_id: str
@@ -223,12 +226,9 @@ class SubscribeResponse:
     """Answer to a :class:`SubscribeRequest`; the channel stays open.
 
     ``batch_enabled`` confirms the home will coalesce pushes into
-    ``INVALIDATE_BATCH`` frames on this channel; same trailing-byte
-    encoding as :class:`SubscribeRequest.supports_batch`.
-    ``shard_filtered`` confirms the home accepted the declared shard
-    topology and will narrow invalidation fan-out to owning shards; a
-    second trailing byte, emitted only when set (the batch byte is then
-    always written so positions stay unambiguous).
+    ``INVALIDATE_BATCH`` frames on this channel; ``shard_filtered``
+    confirms it accepted the declared shard topology and will narrow
+    invalidation fan-out to owning shards.
     """
 
     app_ids: tuple[str, ...]
@@ -308,157 +308,30 @@ Frame = (
 )
 
 
-# -- primitive field codecs ------------------------------------------------------
-
+# -- layouts ---------------------------------------------------------------------
 
 _U32 = struct.Struct(">I")
-_pack_u32 = _U32.pack
-_unpack_u32 = _U32.unpack_from
-
-
-class _Writer:
-    __slots__ = ("_buf",)
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def u8(self, value: int) -> None:
-        try:
-            self._buf.append(value)
-        except ValueError:
-            raise WireError(f"u8 field value {value} out of range") from None
-
-    def u32(self, value: int) -> None:
-        try:
-            self._buf += _pack_u32(value)
-        except struct.error:
-            raise WireError(f"u32 field value {value} out of range") from None
-
-    def blob(self, value: bytes) -> None:
-        self.u32(len(value))
-        self._buf += value
-
-    def text(self, value: str) -> None:
-        self.blob(value.encode())
-
-    def opt_blob(self, value: bytes | None) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.blob(value)
-
-    def opt_text(self, value: str | None) -> None:
-        self.opt_blob(None if value is None else value.encode())
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
-
-
-class _Reader:
-    """One pass over a payload; every field is bounds-checked inline."""
-
-    __slots__ = ("_data", "_pos", "_end")
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-        self._end = len(data)
-
-    def _truncated(self, count: int, pos: int) -> WireError:
-        return WireError(
-            f"truncated payload: wanted {count} bytes at offset "
-            f"{pos}, have {self._end - pos}"
-        )
-
-    def u8(self) -> int:
-        pos = self._pos
-        if pos >= self._end:
-            raise self._truncated(1, pos)
-        self._pos = pos + 1
-        return self._data[pos]
-
-    def u32(self) -> int:
-        pos = self._pos
-        if pos + 4 > self._end:
-            raise self._truncated(4, pos)
-        self._pos = pos + 4
-        return _unpack_u32(self._data, pos)[0]
-
-    def blob(self) -> bytes:
-        pos = self._pos
-        start = pos + 4
-        if start > self._end:
-            raise self._truncated(4, pos)
-        end = start + _unpack_u32(self._data, pos)[0]
-        if end > self._end:
-            raise self._truncated(end - start, start)
-        self._pos = end
-        return self._data[start:end]
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode()
-        except UnicodeDecodeError as error:
-            raise WireError(f"invalid UTF-8 in string field: {error}") from error
-
-    def opt_blob(self) -> bytes | None:
-        pos = self._pos
-        if pos >= self._end:
-            raise self._truncated(1, pos)
-        flag = self._data[pos]
-        self._pos = pos + 1
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise WireError(f"bad presence flag {flag}")
-        return self.blob()
-
-    def opt_text(self) -> str | None:
-        raw = self.opt_blob()
-        if raw is None:
-            return None
-        try:
-            return raw.decode()
-        except UnicodeDecodeError as error:
-            raise WireError(f"invalid UTF-8 in string field: {error}") from error
-
-    def at_end(self) -> bool:
-        """True when the payload is exhausted (for trailing optionals)."""
-        return self._pos == self._end
-
-    def done(self) -> None:
-        if self._pos != self._end:
-            raise WireError(f"{self._end - self._pos} trailing bytes after payload")
-
-
-# -- envelope codecs -------------------------------------------------------------
+#: Envelope fixed parts; the level byte that leads both picks one.
+_BLIND = struct.Struct(">BII")  # level, len(app), len(sealed statement)
+_NAMED = struct.Struct(">BIII")  # level, len(app), len(name), len(params)
+#: A result body: kind, len(app), len(rows or ciphertext).
+_RESULT_BODY = struct.Struct(">BII")
+_ROWS, _SEALED = 0, 1
+#: batch, vnodes, len(node id), app-id count, shard count.
+_SUBSCRIBE = struct.Struct(">BIIII")
+#: batch, shard filtered, app-id count.
+_SUBSCRIBED = struct.Struct(">BBI")
+_UPDATE_ACK = struct.Struct(">II")  # rows affected, invalidated
+_ERROR = struct.Struct(">BI")  # code, len(message)
+_STATS_RESULT = struct.Struct(">II")  # len(node id), len(payload)
+#: Ceiling on the strings of one list field (app ids, shards).
+_MAX_LIST = 4096
 
 _LEVELS = {int(level): level for level in ExposureLevel}
-
-
-def _read_level(reader: _Reader) -> ExposureLevel:
-    raw = reader.u8()
-    level = _LEVELS.get(raw)
-    if level is None:
-        raise WireError(f"unknown exposure level {raw}")
-    return level
-
-
-def _write_envelope(writer: _Writer, envelope: Envelope) -> None:
-    writer.text(envelope.app_id)
-    writer.u8(int(envelope.level))
-    writer.opt_text(envelope.template_name)
-    writer.opt_blob(
-        None if envelope.params is None else encode_params(envelope.params)
-    )
-    writer.opt_blob(envelope.sealed_statement)
-    writer.opt_blob(envelope.sealed_params)
-
-
-#: level → which of (template_name, params, sealed_statement, sealed_params)
-#: an envelope at that level carries: the level names the sealed part.
-_SHAPES = {
+#: level -> which of (template_name, params, sealed_statement,
+#: sealed_params) an envelope at that level sets: the level names the
+#: sealed part, and its layout has a slot for exactly these.
+_CARRIES = {
     ExposureLevel.BLIND: (False, False, True, False),
     ExposureLevel.TEMPLATE: (True, False, False, True),
     ExposureLevel.STMT: (True, True, False, False),
@@ -466,45 +339,183 @@ _SHAPES = {
 }
 
 
-def _read_envelope(reader: _Reader, kind: type[Envelope]):
-    """One envelope, refused unless its shape is the one its level names."""
-    app_id = reader.text()
-    level = _read_level(reader)
-    template_name = reader.opt_text()
-    raw_params = reader.opt_blob()
-    sealed_statement = reader.opt_blob()
-    sealed_params = reader.opt_blob()
-    shape = (
-        template_name is not None,
-        raw_params is not None,
-        sealed_statement is not None,
-        sealed_params is not None,
-    )
-    if shape != _SHAPES[level]:
+def _overrun(end: int, size: int) -> WireError:
+    """The error for a payload of ``size`` bytes whose fields end at ``end``."""
+    if end > size:
+        return WireError(f"truncated payload: fields end at {end}, have {size}")
+    return WireError(f"{size - end} trailing bytes after payload")
+
+
+def _text(data: bytes, start: int, end: int) -> str:
+    """The string in ``data[start:end]``, once that slice fits ``data``."""
+    if end > len(data):
+        raise _overrun(end, len(data))
+    return data[start:end].decode()
+
+
+def _flag(byte: int) -> bool:
+    """A one-byte flag: 0 or 1, and no other byte says either."""
+    if byte > 1:
+        raise WireError(f"bad flag byte {byte}")
+    return byte == 1
+
+
+# -- encoding --------------------------------------------------------------------
+
+
+def _envelope_bytes(envelope: Envelope) -> bytes:
+    """An envelope in its level's layout, refused — never trimmed — unless
+    the fields it sets are the ones that layout has slots for."""
+    level = envelope.level
+    if (
+        envelope.template_name is not None,
+        envelope.params is not None,
+        envelope.sealed_statement is not None,
+        envelope.sealed_params is not None,
+    ) != _CARRIES[level]:
         raise WireError(
             f"envelope fields do not fit exposure level {level.name.lower()!r}"
         )
+    app = envelope.app_id.encode()
+    if level is ExposureLevel.BLIND:
+        sealed = envelope.sealed_statement
+        return _BLIND.pack(level, len(app), len(sealed)) + app + sealed
+    name = envelope.template_name.encode()
+    if level is ExposureLevel.TEMPLATE:
+        body = envelope.sealed_params
+    else:
+        body = encode_params(envelope.params)
+    fixed = _NAMED.pack(level, len(app), len(name), len(body))
+    return b"".join((fixed, app, name, body))
+
+
+def _result_body(result: ResultEnvelope) -> bytes:
+    if (result.plaintext is None) == (result.ciphertext is None):
+        raise WireError("a result carries exactly one of rows and ciphertext")
+    if result.plaintext is None:
+        kind, body = _SEALED, result.ciphertext
+    else:
+        kind, body = _ROWS, serialize_result(result.plaintext)
+    app = result.app_id.encode()
+    return _RESULT_BODY.pack(kind, len(app), len(body)) + app + body
+
+
+def _opt_text(value: str | None) -> bytes:
+    """An optional string: its length plus one (0 says absent), its bytes."""
+    if value is None:
+        return bytes(_U32.size)
+    raw = value.encode()
+    return _U32.pack(len(raw) + 1) + raw
+
+
+def _texts(values: tuple[str, ...]) -> bytes:
+    """A list of strings (its count is in the fixed part): each one's
+    length, then its bytes."""
+    encoded = [value.encode() for value in values]
+    return b"".join(_U32.pack(len(raw)) + raw for raw in encoded)
+
+
+def _encode_payload(frame: Frame) -> tuple[int, bytes]:
+    if isinstance(frame, QueryResponse):
+        hit = b"\x01" if frame.cache_hit else b"\x00"
+        return _RESULT, hit + _result_body(frame.result)
+    if isinstance(frame, UpdateRequest):
+        payload = _opt_text(frame.origin) + _envelope_bytes(frame.envelope)
+        return FrameType.UPDATE, payload
+    if isinstance(frame, UpdateResponse):
+        payload = _UPDATE_ACK.pack(frame.rows_affected, frame.invalidated)
+        return FrameType.UPDATE_ACK, payload
+    if isinstance(frame, InvalidationPush):
+        return FrameType.INVALIDATE, _envelope_bytes(frame.envelope)
+    if isinstance(frame, InvalidationBatch):
+        payload = _U32.pack(len(frame.entries)) + b"".join(
+            _opt_text(entry_rid) + _envelope_bytes(envelope)
+            for entry_rid, envelope in frame.entries
+        )
+        return FrameType.INVALIDATE_BATCH, payload
+    if isinstance(frame, SubscribeRequest):
+        node = frame.node_id.encode()
+        counts = len(node), len(frame.app_ids), len(frame.shards)
+        fixed = _SUBSCRIBE.pack(frame.supports_batch, frame.vnodes, *counts)
+        payload = fixed + node + _texts(frame.app_ids) + _texts(frame.shards)
+        return FrameType.SUBSCRIBE, payload
+    if isinstance(frame, SubscribeResponse):
+        fixed = _SUBSCRIBED.pack(
+            frame.batch_enabled, frame.shard_filtered, len(frame.app_ids)
+        )
+        return FrameType.SUBSCRIBED, fixed + _texts(frame.app_ids)
+    if isinstance(frame, ErrorResponse):
+        message = frame.message.encode()
+        return FrameType.ERROR, _ERROR.pack(frame.code, len(message)) + message
+    if isinstance(frame, StatsRequest):
+        return FrameType.STATS, b""
+    if isinstance(frame, StatsResponse):
+        node, text = frame.node_id.encode(), frame.payload.encode()
+        fixed = _STATS_RESULT.pack(len(node), len(text))
+        return FrameType.STATS_RESULT, fixed + node + text
+    raise WireError(f"cannot encode {type(frame).__name__}")
+
+
+# -- decoding --------------------------------------------------------------------
+
+# A payload is cut by the lengths its fixed part holds: a ``struct.error``
+# (a fixed part past the end) and a ``UnicodeDecodeError`` (a string field)
+# are turned into ``WireError`` once, in :func:`decode_checked`.
+
+
+def _read_envelope(data: bytes, pos: int, kind: type[Envelope]):
+    """The envelope at ``pos`` of ``data``, and the offset after it."""
+    if pos >= len(data):
+        raise _overrun(pos + 1, len(data))
+    level = _LEVELS.get(data[pos])
+    if level is None:
+        raise WireError(f"unknown exposure level {data[pos]}")
+    if level is ExposureLevel.BLIND:
+        _, app_length, length = _BLIND.unpack_from(data, pos)
+        app_at = pos + _BLIND.size
+        name_at = body_at = app_at + app_length
+    else:
+        _, app_length, name_length, length = _NAMED.unpack_from(data, pos)
+        app_at = pos + _NAMED.size
+        name_at = app_at + app_length
+        body_at = name_at + name_length
+    end = body_at + length
+    if end > len(data):
+        raise _overrun(end, len(data))
+    app_id = data[app_at:name_at].decode()
+    body = data[body_at:end]
+    if level is ExposureLevel.BLIND:
+        return kind(app_id, level, sealed_statement=body), end
+    name = data[name_at:body_at].decode()
+    if level is ExposureLevel.TEMPLATE:
+        return kind(app_id, level, name, sealed_params=body), end
     if level is ExposureLevel.VIEW and kind is UpdateEnvelope:
         raise WireError("update envelopes have no 'view' level")
-    params = None
-    if raw_params is not None:
-        try:
-            params = decode_params(raw_params)
-        except ValueError as error:
-            raise WireError(f"bad statement parameters: {error}") from error
-    return kind(
-        app_id, level, template_name, params, sealed_params, sealed_statement
-    )
+    try:
+        params = decode_params(body)
+    except ValueError as error:
+        raise WireError(f"bad statement parameters: {error}") from error
+    return kind(app_id, level, name, params), end
 
 
-def _write_result_envelope(writer: _Writer, envelope: ResultEnvelope) -> None:
-    writer.text(envelope.app_id)
-    writer.opt_blob(
-        None
-        if envelope.plaintext is None
-        else serialize_result(envelope.plaintext)
-    )
-    writer.opt_blob(envelope.ciphertext)
+def _read_opt_text(data: bytes, pos: int) -> tuple[str | None, int]:
+    (stored,) = _U32.unpack_from(data, pos)
+    pos += _U32.size
+    if stored == 0:
+        return None, pos
+    end = pos + stored - 1
+    return _text(data, pos, end), end
+
+
+def _read_texts(data: bytes, pos: int, count: int) -> tuple[tuple[str, ...], int]:
+    if count > _MAX_LIST:
+        raise WireError(f"implausible string count {count}")
+    values = []
+    for _ in range(count):
+        (length,) = _U32.unpack_from(data, pos)
+        pos += _U32.size + length
+        values.append(_text(data, pos - length, pos))
+    return tuple(values), pos
 
 
 # What the sender sends is a pure function of what it has (the cipher is
@@ -528,136 +539,29 @@ _result_frames = BoundedMemo("wire.result_frames", 2048)
 _query_payloads = BoundedMemo("wire.query_payloads", 2048)
 
 
-def _parse_view(raw: bytes):
+def _decode_query(payload: bytes) -> QueryRequest:
+    envelope, end = _read_envelope(payload, 0, QueryEnvelope)
+    if end != len(payload):
+        raise _overrun(end, len(payload))
+    return QueryRequest(envelope)
+
+
+def _read_result(body: bytes) -> ResultEnvelope:
+    kind, app_length, length = _RESULT_BODY.unpack_from(body)
+    start = _RESULT_BODY.size + app_length
+    end = start + length
+    if end != len(body):
+        raise _overrun(end, len(body))
+    app_id = body[_RESULT_BODY.size : start].decode()
+    if kind == _SEALED:
+        return ResultEnvelope(app_id, ciphertext=body[start:], payload=body)
+    if kind != _ROWS:
+        raise WireError(f"unknown result kind {kind}")
     try:
-        return deserialize_result(raw)
+        rows = deserialize_result(body[start:])
     except CryptoError as error:
         raise WireError(str(error)) from error
-
-
-def _decode_query(payload: bytes) -> QueryRequest:
-    reader = _Reader(payload)
-    frame = QueryRequest(_read_envelope(reader, QueryEnvelope))
-    reader.done()
-    return frame
-
-
-def _read_result_body(payload: bytes, body: bytes) -> ResultEnvelope:
-    reader = _Reader(payload)  # offsets in errors count the hit flag
-    reader.u8()
-    app_id = reader.text()
-    raw = reader.opt_blob()
-    plaintext = None if raw is None else _parse_view(raw)
-    ciphertext = reader.opt_blob()
-    reader.done()
-    return ResultEnvelope(
-        app_id=app_id, plaintext=plaintext, ciphertext=ciphertext, payload=body
-    )
-
-
-def _query_payload(envelope: QueryEnvelope) -> bytes:
-    writer = _Writer()
-    _write_envelope(writer, envelope)
-    return writer.getvalue()
-
-
-# -- frame codecs ----------------------------------------------------------------
-
-
-def _write_payload(writer: _Writer, frame: Frame) -> FrameType:
-    if isinstance(frame, UpdateRequest):
-        writer.opt_text(frame.origin)
-        _write_envelope(writer, frame.envelope)
-        return FrameType.UPDATE
-    if isinstance(frame, SubscribeRequest):
-        writer.text(frame.node_id)
-        writer.u32(len(frame.app_ids))
-        for app_id in frame.app_ids:
-            writer.text(app_id)
-        if frame.shards:
-            if frame.vnodes < 1:
-                raise WireError("shard topology requires vnodes >= 1")
-            writer.u8(1 if frame.supports_batch else 0)
-            writer.u32(frame.vnodes)
-            writer.u32(len(frame.shards))
-            for shard in frame.shards:
-                writer.text(shard)
-        elif frame.supports_batch:
-            writer.u8(1)
-        return FrameType.SUBSCRIBE
-    if isinstance(frame, QueryResponse):
-        writer.u8(1 if frame.cache_hit else 0)
-        _write_result_envelope(writer, frame.result)
-        return FrameType.RESULT
-    if isinstance(frame, UpdateResponse):
-        writer.u32(frame.rows_affected)
-        writer.u32(frame.invalidated)
-        return FrameType.UPDATE_ACK
-    if isinstance(frame, SubscribeResponse):
-        writer.u32(len(frame.app_ids))
-        for app_id in frame.app_ids:
-            writer.text(app_id)
-        if frame.shard_filtered:
-            writer.u8(1 if frame.batch_enabled else 0)
-            writer.u8(1)
-        elif frame.batch_enabled:
-            writer.u8(1)
-        return FrameType.SUBSCRIBED
-    if isinstance(frame, InvalidationPush):
-        _write_envelope(writer, frame.envelope)
-        return FrameType.INVALIDATE
-    if isinstance(frame, InvalidationBatch):
-        writer.u32(len(frame.entries))
-        for entry_rid, envelope in frame.entries:
-            writer.opt_text(entry_rid)
-            _write_envelope(writer, envelope)
-        return FrameType.INVALIDATE_BATCH
-    if isinstance(frame, ErrorResponse):
-        writer.u8(int(frame.code))
-        writer.text(frame.message)
-        return FrameType.ERROR
-    if isinstance(frame, StatsRequest):
-        return FrameType.STATS
-    if isinstance(frame, StatsResponse):
-        writer.text(frame.node_id)
-        writer.text(frame.payload)
-        return FrameType.STATS_RESULT
-    raise WireError(f"cannot encode {type(frame).__name__}")
-
-
-def _read_app_ids(reader: _Reader) -> tuple[str, ...]:
-    count = reader.u32()
-    if count > 4096:
-        raise WireError(f"implausible app-id count {count}")
-    return tuple(reader.text() for _ in range(count))
-
-
-def _read_capability(reader: _Reader) -> bool:
-    """Trailing optional capability byte; absent means unsupported.
-
-    Pre-batching peers end the payload here, so absence (not a zero
-    byte) is the backward-compatible "no" — emitters write the byte
-    unset (0) only when a later trailing field forces its presence.
-    """
-    if reader.at_end():
-        return False
-    flag = reader.u8()
-    if flag not in (0, 1):
-        raise WireError(f"bad capability byte {flag}")
-    return flag == 1
-
-
-def _read_shard_topology(reader: _Reader) -> tuple[tuple[str, ...], int]:
-    """Trailing shard-topology fields; absent means unsharded."""
-    if reader.at_end():
-        return (), 0
-    vnodes = reader.u32()
-    if vnodes < 1:
-        raise WireError(f"implausible vnode count {vnodes}")
-    count = reader.u32()
-    if count == 0 or count > 4096:
-        raise WireError(f"implausible shard count {count}")
-    return tuple(reader.text() for _ in range(count)), vnodes
+    return ResultEnvelope(app_id, plaintext=rows, payload=body)
 
 
 def _decode_payload(frame_type: int, payload: bytes) -> Frame:
@@ -665,68 +569,67 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
         return _query_requests.get(payload, _decode_query, payload)
     if frame_type == _RESULT:
         body = payload[1:]
-        envelope = _result_frames.get(body, _read_result_body, payload, body)
-        return QueryResponse(envelope, payload[0] != 0)
-    reader = _Reader(payload)
+        envelope = _result_frames.get(body, _read_result, body)
+        hit = payload[0]
+        if hit > 1:  # as _flag does, with no call on a hit's path
+            raise WireError(f"bad flag byte {hit}")
+        return QueryResponse(envelope, hit == 1)
     if frame_type == FrameType.UPDATE:
-        origin = reader.opt_text()
-        frame: Frame = UpdateRequest(
-            _read_envelope(reader, UpdateEnvelope), origin=origin
-        )
-    elif frame_type == FrameType.SUBSCRIBE:
-        node_id = reader.text()
-        app_ids = _read_app_ids(reader)
-        supports_batch = _read_capability(reader)
-        shards, vnodes = _read_shard_topology(reader)
-        frame = SubscribeRequest(
-            node_id,
-            app_ids,
-            supports_batch=supports_batch,
-            shards=shards,
-            vnodes=vnodes,
-        )
+        origin, end = _read_opt_text(payload, 0)
+        envelope, end = _read_envelope(payload, end, UpdateEnvelope)
+        frame: Frame = UpdateRequest(envelope, origin=origin)
     elif frame_type == FrameType.UPDATE_ACK:
-        frame = UpdateResponse(reader.u32(), reader.u32())
-    elif frame_type == FrameType.SUBSCRIBED:
-        app_ids = _read_app_ids(reader)
-        batch_enabled = _read_capability(reader)
-        frame = SubscribeResponse(
-            app_ids,
-            batch_enabled=batch_enabled,
-            shard_filtered=_read_capability(reader),
-        )
+        frame = UpdateResponse(*_UPDATE_ACK.unpack_from(payload))
+        end = _UPDATE_ACK.size
     elif frame_type == FrameType.INVALIDATE:
-        frame = InvalidationPush(_read_envelope(reader, UpdateEnvelope))
+        envelope, end = _read_envelope(payload, 0, UpdateEnvelope)
+        frame = InvalidationPush(envelope)
     elif frame_type == FrameType.INVALIDATE_BATCH:
-        count = reader.u32()
-        if count == 0 or count > MAX_BATCH_ENTRIES:
+        (count,) = _U32.unpack_from(payload)
+        if not 0 < count <= MAX_BATCH_ENTRIES:
             raise WireError(f"implausible batch entry count {count}")
-        frame = InvalidationBatch(
-            tuple(
-                (reader.opt_text(), _read_envelope(reader, UpdateEnvelope))
-                for _ in range(count)
-            )
-        )
+        entries, end = [], _U32.size
+        for _ in range(count):
+            entry_rid, end = _read_opt_text(payload, end)
+            envelope, end = _read_envelope(payload, end, UpdateEnvelope)
+            entries.append((entry_rid, envelope))
+        frame = InvalidationBatch(tuple(entries))
+    elif frame_type == FrameType.SUBSCRIBE:
+        batch, vnodes, node_length, apps, shards = _SUBSCRIBE.unpack_from(payload)
+        end = _SUBSCRIBE.size + node_length
+        node_id = _text(payload, _SUBSCRIBE.size, end)
+        app_ids, end = _read_texts(payload, end, apps)
+        shard_ids, end = _read_texts(payload, end, shards)
+        batch = _flag(batch)
+        frame = SubscribeRequest(node_id, app_ids, batch, shard_ids, vnodes)
+    elif frame_type == FrameType.SUBSCRIBED:
+        batch, filtered, apps = _SUBSCRIBED.unpack_from(payload)
+        app_ids, end = _read_texts(payload, _SUBSCRIBED.size, apps)
+        frame = SubscribeResponse(app_ids, _flag(batch), _flag(filtered))
     elif frame_type == FrameType.ERROR:
-        code_id = reader.u8()
+        code_id, length = _ERROR.unpack_from(payload)
         try:
             code = ErrorCode(code_id)
         except ValueError:
             raise WireError(f"unknown error code {code_id}") from None
-        frame = ErrorResponse(code, reader.text())
+        end = _ERROR.size + length
+        frame = ErrorResponse(code, _text(payload, _ERROR.size, end))
     elif frame_type == FrameType.STATS:
-        frame = StatsRequest()
+        frame, end = StatsRequest(), 0
     elif frame_type == FrameType.STATS_RESULT:
-        node_id = reader.text()
-        payload = reader.text()
+        node_length, length = _STATS_RESULT.unpack_from(payload)
+        start = _STATS_RESULT.size + node_length
+        end = start + length
+        text = _text(payload, start, end)
         try:
-            json.loads(payload)
+            json.loads(text)
         except ValueError as error:
             raise WireError(f"stats payload is not JSON: {error}") from error
-        frame = StatsResponse(node_id, payload)
+        frame = StatsResponse(payload[_STATS_RESULT.size : start].decode(), text)
     else:
         raise WireError(f"unknown frame type {frame_type}")
-    reader.done()
+    if end != len(payload):
+        raise _overrun(end, len(payload))
     return frame
 
 
@@ -750,16 +653,17 @@ def encode_frame(
         envelope = frame.envelope
         frame_type = _QUERY
         payload = _query_payloads.get_pinned(
-            id(envelope), envelope, _query_payload, envelope
+            id(envelope), envelope, _envelope_bytes, envelope
         )
     elif isinstance(frame, QueryResponse) and frame.result.payload is not None:
         # A result re-sent as it arrived: only the hit flag is new.
         frame_type = _RESULT
         payload = (b"\x01" if frame.cache_hit else b"\x00") + frame.result.payload
     else:
-        writer = _Writer()
-        frame_type = _write_payload(writer, frame)
-        payload = writer.getvalue()
+        try:
+            frame_type, payload = _encode_payload(frame)
+        except struct.error as error:
+            raise WireError(f"field value out of range: {error}") from None
     if len(payload) > max_frame:
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds limit {max_frame}"
@@ -806,9 +710,7 @@ def decode_traced(
             trailing bytes.
     """
     if len(data) < HEADER_SIZE:
-        raise WireError(
-            f"truncated header: {len(data)} of {HEADER_SIZE} bytes"
-        )
+        raise WireError(f"truncated header: {len(data)} of {HEADER_SIZE} bytes")
     _, rid_length, length = _check_header(data, max_frame=max_frame)
     if len(data) != HEADER_SIZE + rid_length + length:
         raise WireError(
@@ -824,7 +726,12 @@ def decode_checked(data: bytes) -> tuple[Frame, str | None]:
     every frame it cuts: the header is not parsed a second time."""
     start = HEADER_SIZE + data[4]
     request_id = _decode_request_id(data[HEADER_SIZE:start])
-    return _decode_payload(data[3], data[start:]), request_id
+    try:
+        return _decode_payload(data[3], data[start:]), request_id
+    except struct.error as error:
+        raise WireError(f"truncated payload: {error}") from None
+    except UnicodeDecodeError as error:
+        raise WireError(f"invalid UTF-8 in string field: {error}") from error
 
 
 def decode_frame(data: bytes, *, max_frame: int = MAX_FRAME_BYTES) -> Frame:
@@ -841,10 +748,8 @@ def peek_raw(data: bytes) -> tuple[int, str | None]:
     validated, as :class:`~repro.net.framing.FrameConnection` does before
     it hands out a frame.
     """
-    rid_length = data[4]
-    return data[3], _decode_request_id(
-        data[HEADER_SIZE : HEADER_SIZE + rid_length]
-    )
+    rid = data[HEADER_SIZE : HEADER_SIZE + data[4]]
+    return data[3], _decode_request_id(rid)
 
 
 # -- sending ---------------------------------------------------------------------

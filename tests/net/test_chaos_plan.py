@@ -20,7 +20,6 @@ from repro.net.chaos import (
     FaultKind,
     FaultPlan,
     _FlowState,
-    make_fault_hook,
 )
 from repro.net.home_server import UpdateDedup
 from repro.net.wire import FrameType, UpdateResponse
@@ -106,16 +105,6 @@ class TestFaultPlan:
             assert decision.kind is FaultKind.TRUNCATE
             assert 0.0 <= decision.keep_fraction < 1.0
 
-    def test_stall_disabled_by_default(self):
-        plan = FaultPlan(seed=0)
-        assert plan.decide_stall("dssp-0", 0).kind is FaultKind.PASS
-
-    def test_stall_certain_and_bounded(self):
-        plan = FaultPlan(seed=5, stall_rate=1.0, max_delay_s=0.02)
-        decision = plan.decide_stall("dssp-0", 7)
-        assert decision.kind is FaultKind.STALL
-        assert 0.0 <= decision.delay_s <= 0.02
-
     def test_kill_schedule_round_robins_targets(self):
         plan = FaultPlan(
             seed=0, kill_every=4, kill_targets=("dssp-0", "home")
@@ -175,26 +164,6 @@ class TestChaosLog:
         log.append(self.event(0, "drop"))
         log.append(self.event(1, "drop"))
         assert metrics.counter("chaos.drop").value == 2
-
-
-class TestFaultHook:
-    async def test_stall_hook_logs_and_advances_index(self):
-        plan = FaultPlan(seed=9, stall_rate=1.0, max_delay_s=0.001)
-        log = ChaosLog()
-        hook = make_fault_hook(plan, "dssp-0", log)
-        await hook(None, "rid-1")
-        await hook(None, "rid-2")
-        events = log.canonical()
-        assert [e.kind for e in events] == ["stall", "stall"]
-        assert [e.index for e in events] == [0, 1]
-        assert events[0].link == "dssp-0"
-        assert events[0].request_id == "rid-1"
-
-    async def test_quiet_hook_logs_nothing(self):
-        log = ChaosLog()
-        hook = make_fault_hook(FaultPlan(seed=9), "dssp-0", log)
-        await hook(None, "rid-1")
-        assert len(log) == 0
 
 
 class TestUpdateDedup:

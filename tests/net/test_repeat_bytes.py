@@ -40,14 +40,15 @@ def _clear_wire_memos() -> None:
         memo._data.clear()
 
 
-def _result_frame(plaintext: bytes | None, ciphertext=None, hit=True) -> bytes:
-    """A RESULT frame whose plaintext slot holds exactly ``plaintext``."""
-    writer = wire._Writer()
-    writer.u8(1 if hit else 0)
-    writer.text("toystore")
-    writer.opt_blob(plaintext)
-    writer.opt_blob(ciphertext)
-    payload = writer.getvalue()
+def _result_frame(body: bytes, kind=wire._ROWS, hit=True) -> bytes:
+    """A RESULT frame whose rows (or ciphertext) are exactly ``body``."""
+    app = b"toystore"
+    payload = (
+        (b"\x01" if hit else b"\x00")
+        + wire._RESULT_BODY.pack(kind, len(app), len(body))
+        + app
+        + body
+    )
     header = wire._HEADER.pack(
         wire.MAGIC, wire.VERSION, wire.FrameType.RESULT, 0, len(payload)
     )
@@ -178,7 +179,7 @@ CORPUS = [
     *ENCODED,
     _result_frame(b'{"columns":["qty"],"ordered":true,"rows":[[10],[null]]}'),
     _result_frame(b'{ "columns" : ["qty"], "rows": [[1]], "ordered": false }'),
-    _result_frame(b'{"columns":[],"ordered":false,"rows":[]}', b"sealed", False),
+    _result_frame(b"sealed", wire._SEALED, hit=False),
     *MALFORMED_ENVELOPES.values(),
 ]
 
@@ -300,9 +301,8 @@ class TestSendSideBytes:
         [
             ResultEnvelope(app_id="toystore", plaintext=RESULT),
             ResultEnvelope(app_id="toystore", ciphertext=b"sealed"),
-            ResultEnvelope(app_id="toystore"),
         ],
-        ids=["view", "sealed", "empty"],
+        ids=["view", "sealed"],
     )
     def test_a_hit_re_sends_the_frame_encoding_would_make(self, envelope):
         """A result as a home sends it, received by a DSSP and answered

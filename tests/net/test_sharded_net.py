@@ -115,6 +115,7 @@ class TestDeclaredTopologyIsChecked:
         [
             (("n2", "n3"), DEFAULT_VNODES, "not in its declared shard set"),
             (("n1", "n2"), DEFAULT_VNODES // 2, "vnodes"),
+            (("n1", "n2"), 0, "vnodes"),
         ],
     )
     async def test_home_refuses(

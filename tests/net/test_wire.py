@@ -41,7 +41,6 @@ from repro.storage.rows import ResultSet
 _text = st.text(max_size=40)
 _opt_text = st.none() | _text
 _blob = st.binary(max_size=60)
-_opt_blob = st.none() | _blob
 _levels = st.sampled_from(list(ExposureLevel))
 _update_levels = st.sampled_from(
     [ExposureLevel.BLIND, ExposureLevel.TEMPLATE, ExposureLevel.STMT]
@@ -96,11 +95,10 @@ def result_sets(draw) -> ResultSet:
 
 @st.composite
 def result_envelopes(draw) -> ResultEnvelope:
-    return ResultEnvelope(
-        app_id=draw(_text),
-        plaintext=draw(st.none() | result_sets()),
-        ciphertext=draw(_opt_blob),
-    )
+    """Every result the wire can carry: rows or their ciphertext."""
+    if draw(st.booleans()):
+        return ResultEnvelope(app_id=draw(_text), plaintext=draw(result_sets()))
+    return ResultEnvelope(app_id=draw(_text), ciphertext=draw(_blob))
 
 
 _json_values = st.none() | st.integers(-(2**31), 2**31) | st.text(max_size=12)
@@ -357,20 +355,21 @@ class TestRejection:
             decode_frame(bytes(as_push))
 
 
-class TestWriterIntegers:
+def _raw(frame_type, payload: bytes) -> bytes:
+    """A frame around ``payload``, its bytes exactly as given."""
+    header = wire._HEADER.pack(
+        wire.MAGIC, wire.VERSION, frame_type, 0, len(payload)
+    )
+    return header + payload
+
+
+BLIND_QUERY = wire._BLIND.pack(ExposureLevel.BLIND, 1, 1) + b"at"
+
+
+class TestIntegerFields:
     """An integer field that does not fit is a ``WireError`` at encode
-    time — never a silently truncated byte, never a bare ``OverflowError``
+    time — never a silently truncated byte, never a bare ``struct.error``
     (which ``WireServer._respond`` does not catch)."""
-
-    @pytest.mark.parametrize("value", [256, 511, -1, 2**64])
-    def test_u8_out_of_range(self, value):
-        with pytest.raises(WireError, match="u8 field"):
-            wire._Writer().u8(value)
-
-    @pytest.mark.parametrize("value", [2**32, -1, 2**70])
-    def test_u32_out_of_range(self, value):
-        with pytest.raises(WireError, match="u32 field"):
-            wire._Writer().u32(value)
 
     @pytest.mark.parametrize(
         "frame",
@@ -379,87 +378,173 @@ class TestWriterIntegers:
             UpdateResponse(rows_affected=-1, invalidated=0),
             UpdateResponse(rows_affected=0, invalidated=2**32),
             SubscribeRequest("n", ("a",), shards=("n",), vnodes=2**32),
+            SubscribeRequest("n", ("a",), vnodes=-1),
         ],
     )
     def test_frames_with_unencodable_integers(self, frame):
         with pytest.raises(WireError, match="out of range"):
             encode_frame(frame)
 
-    @given(st.integers(0, 255), st.integers(0, 2**32 - 1))
-    def test_every_value_in_range_is_written_exactly(self, small, large):
-        writer = wire._Writer()
-        writer.u8(small)
-        writer.u32(large)
-        reader = wire._Reader(writer.getvalue())
-        assert (reader.u8(), reader.u32()) == (small, large)
-        reader.done()
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_every_value_in_range_is_written_exactly(self, rows, invalidated):
+        frame = UpdateResponse(rows, invalidated)
+        raw = encode_frame(frame)
+        assert raw[wire.HEADER_SIZE :] == rows.to_bytes(4, "big") + (
+            invalidated.to_bytes(4, "big")
+        )
+        assert decode_frame(raw) == frame
 
 
-class TestReaderErrors:
-    """The single-pass reader says what the per-field ``_take`` said."""
+class TestDecodeErrors:
+    """A payload is cut by the lengths its fixed part holds; what a cut
+    that does not fit the payload says."""
 
     @pytest.mark.parametrize(
-        "data, read, message",
+        "frame_type, payload, message",
         [
-            (b"", "u8", "wanted 1 bytes at offset 0, have 0"),
-            (b"\x00\x00\x01", "u32", "wanted 4 bytes at offset 0, have 3"),
-            (b"\x00\x00", "blob", "wanted 4 bytes at offset 0, have 2"),
-            (b"\x00\x00\x00\x05ab", "blob", "wanted 5 bytes at offset 4, have 2"),
-            (b"", "opt_blob", "wanted 1 bytes at offset 0, have 0"),
-            (b"\x02", "opt_blob", "bad presence flag 2"),
-            (b"\x00\x00\x00\x01\xff", "text", "invalid UTF-8"),
+            (FrameType.QUERY, b"", "^truncated payload: fields end at 1, have 0$"),
+            (FrameType.QUERY, b"\x00\x00\x00", "^truncated payload: unpack_from"),
+            (
+                FrameType.QUERY,
+                BLIND_QUERY[:-1],
+                "^truncated payload: fields end at 11, have 10$",
+            ),
+            (FrameType.QUERY, BLIND_QUERY + b"\x00", "^1 trailing bytes after"),
+            (FrameType.QUERY, b"\x09" + BLIND_QUERY[1:], "^unknown exposure level 9$"),
+            (FrameType.QUERY, BLIND_QUERY.replace(b"a", b"\xff"), "invalid UTF-8"),
+            (
+                FrameType.UPDATE,
+                (3).to_bytes(4, "big") + b"ab",
+                "^truncated payload: fields end at 7, have 6$",
+            ),
+            (
+                FrameType.UPDATE,
+                (2).to_bytes(4, "big") + b"\xff" + BLIND_QUERY,
+                "invalid UTF-8",
+            ),
+            (
+                FrameType.RESULT,
+                b"\x00" + wire._RESULT_BODY.pack(2, 1, 0) + b"a",
+                "^unknown result kind 2$",
+            ),
+            (
+                FrameType.RESULT,
+                b"\x00" + wire._RESULT_BODY.pack(1, 1, 2) + b"a",
+                "^truncated payload: fields end at 12, have 10$",
+            ),
+            (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(False, 0, 0, 4097, 0),
+                "^implausible string count 4097$",
+            ),
+            (
+                FrameType.SUBSCRIBED,
+                wire._SUBSCRIBED.pack(False, False, 1) + (5).to_bytes(4, "big"),
+                "^truncated payload: fields end at 15, have 10$",
+            ),
+            (
+                FrameType.UPDATE,
+                (5).to_bytes(4, "big") + b"\xff",
+                "^truncated payload: fields end at 8, have 5$",
+            ),
+            (
+                FrameType.RESULT,
+                b"\x02" + wire._RESULT_BODY.pack(1, 1, 0) + b"a",
+                "^bad flag byte 2$",
+            ),
+            (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(7, 0, 0, 0, 0),
+                "^bad flag byte 7$",
+            ),
+            (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(0, 0, 3, 0, 0) + b"\xff",
+                "^truncated payload: fields end at 20, have 18$",
+            ),
+            (FrameType.SUBSCRIBED, wire._SUBSCRIBED.pack(2, 0, 0), "^bad flag byte 2$"),
+            (
+                FrameType.SUBSCRIBED,
+                wire._SUBSCRIBED.pack(0, 255, 0),
+                "^bad flag byte 255$",
+            ),
+            (
+                FrameType.SUBSCRIBED,
+                wire._SUBSCRIBED.pack(0, 0, 1) + (5).to_bytes(4, "big") + b"\xff",
+                "^truncated payload: fields end at 15, have 11$",
+            ),
+            (
+                FrameType.ERROR,
+                wire._ERROR.pack(1, 4) + b"\xff",
+                "^truncated payload: fields end at 9, have 6$",
+            ),
+            (
+                FrameType.STATS_RESULT,
+                wire._STATS_RESULT.pack(1, 5) + b"n{",
+                "^truncated payload: fields end at 14, have 10$",
+            ),
+            (FrameType.UPDATE_ACK, bytes(7), "^truncated payload: unpack_from"),
+            (
+                FrameType.STATS_RESULT,
+                wire._STATS_RESULT.pack(1, 2) + b"n{}!",
+                "^1 trailing bytes after payload$",
+            ),
         ],
     )
-    def test_error_texts(self, data, read, message):
+    def test_error_texts(self, frame_type, payload, message):
         with pytest.raises(WireError, match=message):
-            getattr(wire._Reader(data), read)()
-
-    def test_trailing_bytes(self):
-        reader = wire._Reader(b"\x01\x02")
-        reader.u8()
-        with pytest.raises(WireError, match="^1 trailing bytes after payload$"):
-            reader.done()
-
-    def test_unknown_level(self):
-        with pytest.raises(WireError, match="^unknown exposure level 9$"):
-            wire._read_level(wire._Reader(b"\x09"))
+            decode_frame(_raw(frame_type, payload))
 
 
-class TestBatchCapability:
-    """The trailing capability byte must not disturb pre-batching peers."""
+class TestResultKind:
+    """A result is rows or their ciphertext, never both and never neither:
+    such a result has no layout, so a client's ``open_result`` never meets
+    one (it would fail there with a bare ``AssertionError``)."""
 
-    def test_default_subscribe_is_byte_identical_to_pre_batch_layout(self):
-        off = encode_frame(SubscribeRequest("n1", ("app",)))
-        on = encode_frame(SubscribeRequest("n1", ("app",), supports_batch=True))
-        # The flag is emitted only when set: default frames carry no
-        # trace of the capability, advertising appends exactly one byte.
-        assert on[wire.HEADER_SIZE :] == off[wire.HEADER_SIZE :] + b"\x01"
-        assert decode_frame(off) == SubscribeRequest("n1", ("app",))
-        assert decode_frame(on).supports_batch is True
+    ROWS = ResultSet(columns=("a",), rows=((1,),))
 
-    def test_default_subscribed_is_byte_identical_to_pre_batch_layout(self):
-        off = encode_frame(SubscribeResponse(("app",)))
-        on = encode_frame(SubscribeResponse(("app",), batch_enabled=True))
-        assert on[wire.HEADER_SIZE :] == off[wire.HEADER_SIZE :] + b"\x01"
-        assert decode_frame(off) == SubscribeResponse(("app",))
-        assert decode_frame(on).batch_enabled is True
+    @pytest.mark.parametrize(
+        "result",
+        [
+            ResultEnvelope(app_id="a"),
+            ResultEnvelope(app_id="a", plaintext=ROWS, ciphertext=b"sealed"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_both_or_neither_is_a_wire_error(self, result):
+        with pytest.raises(WireError):
+            decode_frame(encode_frame(QueryResponse(result, False)))
 
-    def test_bad_capability_byte_rejected(self):
-        encoded = bytearray(
-            encode_frame(SubscribeRequest("n1", ("app",), supports_batch=True))
-        )
-        encoded[-1] = 7
-        with pytest.raises(WireError, match="capability"):
-            decode_frame(bytes(encoded))
+    @pytest.mark.parametrize("kind", [2, 3, 255])
+    def test_any_other_kind_is_refused_at_decode(self, kind):
+        body = wire._RESULT_BODY.pack(kind, 1, 2) + b"ab!"
+        with pytest.raises(WireError, match=f"^unknown result kind {kind}$"):
+            decode_frame(_raw(FrameType.RESULT, b"\x01" + body))
 
 
-class TestShardTopology:
-    """Shard declarations ride behind the capability byte, invisibly to
-    unsharded peers."""
+class TestSubscribeLayout:
+    """Every SUBSCRIBE / SUBSCRIBED field travels in every frame, in its
+    fixed slot: a field is never read from its absence."""
 
-    def test_unsharded_subscribe_carries_no_topology_bytes(self):
+    def test_flags_and_topology_move_no_byte(self):
         plain = encode_frame(SubscribeRequest("n1", ("app",)))
-        decoded = decode_frame(plain)
+        batched = encode_frame(
+            SubscribeRequest("n1", ("app",), supports_batch=True)
+        )
+        assert len(plain) == len(batched)
+        assert decode_frame(plain) == SubscribeRequest("n1", ("app",))
+        assert decode_frame(batched).supports_batch is True
+
+    def test_subscribed_flags_move_no_byte(self):
+        sizes = {
+            len(encode_frame(SubscribeResponse(("app",), batch, filtered)))
+            for batch in (False, True)
+            for filtered in (False, True)
+        }
+        assert len(sizes) == 1
+
+    def test_unsharded_subscribe_decodes_without_topology(self):
+        decoded = decode_frame(encode_frame(SubscribeRequest("n1", ("app",))))
         assert decoded.shards == ()
         assert decoded.vnodes == 0
 
@@ -473,9 +558,7 @@ class TestShardTopology:
         )
         assert decode_frame(encode_frame(frame)) == frame
 
-    def test_sharded_subscribe_without_batch_keeps_positions(self):
-        # The capability byte must be written (as 0) when topology
-        # follows, or the decoder would read vnodes as a capability.
+    def test_sharded_subscribe_without_batch_round_trips(self):
         frame = SubscribeRequest(
             "dssp-0", ("toystore",), shards=("dssp-0",), vnodes=8
         )
@@ -483,12 +566,6 @@ class TestShardTopology:
         assert decoded.supports_batch is False
         assert decoded.shards == ("dssp-0",)
         assert decoded.vnodes == 8
-
-    def test_shards_require_vnodes(self):
-        with pytest.raises(WireError, match="vnodes"):
-            encode_frame(
-                SubscribeRequest("n1", ("app",), shards=("n1",), vnodes=0)
-            )
 
     def test_shard_filtered_response_round_trips(self):
         frame = SubscribeResponse(

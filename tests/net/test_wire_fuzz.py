@@ -21,6 +21,7 @@ from repro.analysis.exposure import ExposureLevel
 from repro.crypto.envelope import QueryEnvelope, ResultEnvelope, UpdateEnvelope
 from repro.errors import WireError
 from repro.net import wire
+from repro.storage.rows import ResultSet
 from tests.net import streams
 
 SAMPLE_FRAMES = [
@@ -43,10 +44,41 @@ SAMPLE_FRAMES = [
             "toystore", ExposureLevel.TEMPLATE, "U1", sealed_params=b"token"
         )
     ),
+    wire.QueryRequest(
+        QueryEnvelope(
+            "toystore", ExposureLevel.TEMPLATE, "Q1", sealed_params=b"token"
+        )
+    ),
+    wire.InvalidationBatch(
+        (
+            ("rid-a", UpdateEnvelope("toystore", ExposureLevel.STMT, "U1", (5,))),
+            (
+                None,
+                UpdateEnvelope(
+                    "toystore", ExposureLevel.BLIND, sealed_statement=b"u"
+                ),
+            ),
+        )
+    ),
     wire.SubscribeRequest("dssp-1", ("toystore", "bboard")),
+    wire.SubscribeRequest(
+        "dssp-0",
+        ("toystore",),
+        supports_batch=True,
+        shards=("dssp-0", "dssp-1"),
+        vnodes=64,
+    ),
+    wire.SubscribeResponse(("toystore",), batch_enabled=True, shard_filtered=True),
     wire.QueryResponse(
         ResultEnvelope(app_id="toystore", ciphertext=b"sealed"),
         cache_hit=True,
+    ),
+    wire.QueryResponse(
+        ResultEnvelope(
+            app_id="toystore",
+            plaintext=ResultSet(("qty", "name"), ((10, "a"), (None, "b"))),
+        ),
+        cache_hit=False,
     ),
     wire.UpdateResponse(rows_affected=3, invalidated=2),
     wire.ErrorResponse(wire.ErrorCode.OVERLOADED, "shed"),
@@ -167,71 +199,116 @@ def test_samples_round_trip():
         assert peeked_rid == request_id
 
 
-# -- malformed envelopes: well-framed, but shape, level or parameters lie ---------
+# -- malformed envelopes: well-framed, but level, parameters or lengths lie ------
 
 BLIND, TEMPLATE, STMT, VIEW = (int(level) for level in ExposureLevel)
+APP = b"toystore"
 
 
-def _envelope_frame(
-    level,
-    name=None,
-    params=None,
-    sealed_statement=None,
-    sealed_params=None,
-    frame_type=wire.FrameType.QUERY,
-) -> bytes:
-    """A frame whose envelope fields are written exactly as given."""
-    writer = wire._Writer()
-    writer.text("toystore")
-    writer.u8(level)
-    writer.opt_text(name)
-    writer.opt_blob(params)
-    writer.opt_blob(sealed_statement)
-    writer.opt_blob(sealed_params)
-    payload = writer.getvalue()
+def _frame(payload: bytes, frame_type=wire.FrameType.QUERY) -> bytes:
+    """A frame around ``payload``, its bytes exactly as given."""
     header = wire._HEADER.pack(
         wire.MAGIC, wire.VERSION, frame_type, 0, len(payload)
     )
     return header + payload
 
 
+def _envelope(level, name=None, body=b"") -> bytes:
+    """An envelope in the layout ``name`` picks: blind without one."""
+    if name is None:
+        return wire._BLIND.pack(level, len(APP), len(body)) + APP + body
+    fixed = wire._NAMED.pack(level, len(APP), len(name), len(body))
+    return fixed + APP + name + body
+
+
+def _envelope_frame(level, name=None, body=b"", frame_type=wire.FrameType.QUERY):
+    return _frame(_envelope(level, name, body), frame_type)
+
+
+GOOD_STMT = _envelope(STMT, b"Q2", b"[5]")
+
 MALFORMED_ENVELOPES = {
-    # exactly one of params / sealed_params / sealed_statement, named by level
-    "blind-with-name": _envelope_frame(BLIND, "Q2", sealed_statement=b"t"),
-    "blind-with-params": _envelope_frame(BLIND, params=b"[5]", sealed_statement=b"t"),
-    "blind-sealing-params": _envelope_frame(BLIND, sealed_params=b"t"),
-    "blind-empty": _envelope_frame(BLIND),
-    "template-without-name": _envelope_frame(TEMPLATE, sealed_params=b"t"),
-    "template-with-clear-params": _envelope_frame(
-        TEMPLATE, "Q2", params=b"[5]", sealed_params=b"t"
-    ),
-    "template-sealing-statement": _envelope_frame(
-        TEMPLATE, "Q2", sealed_statement=b"t"
-    ),
-    "stmt-without-params": _envelope_frame(STMT, "Q2"),
-    "stmt-without-name": _envelope_frame(STMT, params=b"[5]"),
-    "stmt-with-sealed-params-too": _envelope_frame(
-        STMT, "Q2", params=b"[5]", sealed_params=b"t"
-    ),
-    "stmt-shaped-as-blind": _envelope_frame(STMT, sealed_statement=b"t"),
-    "view-shaped-as-template": _envelope_frame(VIEW, "Q2", sealed_params=b"t"),
-    "unknown-level": _envelope_frame(9, "Q2", params=b"[5]"),
+    "unknown-level": _envelope_frame(9, b"Q2", b"[5]"),
     "view-update": _envelope_frame(
-        VIEW, "U1", params=b"[5]", frame_type=wire.FrameType.INVALIDATE
+        VIEW, b"U1", b"[5]", frame_type=wire.FrameType.INVALIDATE
     ),
     # each parameter is int | float | str | None
-    "params-boolean": _envelope_frame(STMT, "Q2", params=b"[true]"),
-    "params-nested-list": _envelope_frame(STMT, "Q2", params=b"[[5]]"),
-    "params-object-member": _envelope_frame(STMT, "Q2", params=b'[{"a":1}]'),
-    "params-nan": _envelope_frame(STMT, "Q2", params=b"[NaN]"),
-    "params-infinity": _envelope_frame(STMT, "Q2", params=b"[-Infinity]"),
-    "params-overflowing-float": _envelope_frame(STMT, "Q2", params=b"[1e999]"),
-    "params-not-an-array": _envelope_frame(STMT, "Q2", params=b'{"a":1}'),
-    "params-bare-scalar": _envelope_frame(STMT, "Q2", params=b"5"),
-    "params-not-json": _envelope_frame(STMT, "Q2", params=b"[5,"),
-    "params-not-utf8": _envelope_frame(STMT, "Q2", params=b'["\xff"]'),
-    "params-too-deep": _envelope_frame(STMT, "Q2", params=b"[" * 100_000),
+    "params-boolean": _envelope_frame(STMT, b"Q2", b"[true]"),
+    "params-nested-list": _envelope_frame(STMT, b"Q2", b"[[5]]"),
+    "params-object-member": _envelope_frame(STMT, b"Q2", b'[{"a":1}]'),
+    "params-nan": _envelope_frame(STMT, b"Q2", b"[NaN]"),
+    "params-infinity": _envelope_frame(STMT, b"Q2", b"[-Infinity]"),
+    "params-overflowing-float": _envelope_frame(STMT, b"Q2", b"[1e999]"),
+    "params-not-an-array": _envelope_frame(STMT, b"Q2", b'{"a":1}'),
+    "params-bare-scalar": _envelope_frame(STMT, b"Q2", b"5"),
+    "params-not-json": _envelope_frame(STMT, b"Q2", b"[5,"),
+    "params-not-utf8": _envelope_frame(STMT, b"Q2", b'["\xff"]'),
+    "params-too-deep": _envelope_frame(STMT, b"Q2", b"[" * 100_000),
+    # a length in the fixed part runs past the payload, or stops short of it
+    "app-overruns": _frame(wire._BLIND.pack(BLIND, 99, 1) + APP + b"t"),
+    "sealed-statement-overruns": _frame(
+        wire._BLIND.pack(BLIND, len(APP), 2**32 - 1) + APP + b"t"
+    ),
+    "name-overruns": _frame(wire._NAMED.pack(STMT, len(APP), 9, 3) + APP + b"Q2[5]"),
+    "params-overrun": _frame(wire._NAMED.pack(STMT, len(APP), 2, 4) + APP + b"Q2[5]"),
+    "sealed-params-overrun": _frame(
+        wire._NAMED.pack(TEMPLATE, len(APP), 2, 6) + APP + b"Q1token"[:-1]
+    ),
+    "fixed-part-cut": _frame(GOOD_STMT[: wire._NAMED.size - 1]),
+    "trailing-byte": _frame(GOOD_STMT + b"\x00"),
+    "origin-overruns": _frame(
+        (99).to_bytes(4, "big") + GOOD_STMT, wire.FrameType.UPDATE
+    ),
+    "update-trailing-byte": _frame(
+        bytes(4) + GOOD_STMT + b"\x00", wire.FrameType.UPDATE
+    ),
+    "batch-entry-overruns": _frame(
+        (2).to_bytes(4, "big") + bytes(4) + GOOD_STMT,
+        wire.FrameType.INVALIDATE_BATCH,
+    ),
+    "batch-trailing-byte": _frame(
+        (1).to_bytes(4, "big") + bytes(4) + GOOD_STMT + b"\x00",
+        wire.FrameType.INVALIDATE_BATCH,
+    ),
 }
+
+
+#: Shapes no level names: each level's layout has no slot for them, so
+#: they cannot be written down as bytes at all; the encoder refuses them.
+MISFIT_SHAPES = {
+    "blind-with-name": (BLIND, "Q2", None, None, b"t"),
+    "blind-with-params": (BLIND, None, (5,), None, b"t"),
+    "blind-sealing-params": (BLIND, None, None, b"t", None),
+    "blind-empty": (BLIND, None, None, None, None),
+    "template-without-name": (TEMPLATE, None, None, b"t", None),
+    "template-with-clear-params": (TEMPLATE, "Q2", (5,), b"t", None),
+    "template-sealing-statement": (TEMPLATE, "Q2", None, None, b"t"),
+    "stmt-without-params": (STMT, "Q2", None, None, None),
+    "stmt-without-name": (STMT, None, (5,), None, None),
+    "stmt-with-sealed-params-too": (STMT, "Q2", (5,), b"t", None),
+    "stmt-shaped-as-blind": (STMT, None, None, None, b"t"),
+    "view-shaped-as-template": (VIEW, "Q2", None, b"t", None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MISFIT_SHAPES))
+def test_a_misfit_shape_is_refused_before_any_byte_is_sent(label):
+    level, name, params, sealed_params, sealed_statement = MISFIT_SHAPES[label]
+    fields = (
+        "toystore",
+        ExposureLevel(level),
+        name,
+        params,
+        sealed_params,
+        sealed_statement,
+    )
+    for frame in (
+        wire.QueryRequest(QueryEnvelope(*fields)),
+        wire.UpdateRequest(UpdateEnvelope(*fields), origin="dssp-0"),
+        wire.InvalidationBatch(((None, UpdateEnvelope(*fields)),)),
+    ):
+        with pytest.raises(WireError, match="do not fit exposure level"):
+            wire.encode_frame(frame)
 
 
 @pytest.mark.parametrize("label", sorted(MALFORMED_ENVELOPES))
@@ -242,7 +319,10 @@ def test_malformed_envelope_is_a_wire_error(label):
 
 def test_the_malformed_table_builder_can_build_a_good_frame():
     """Sanity: the cases above fail for their stated reason, not framing."""
-    frame, _ = wire.decode_traced(_envelope_frame(STMT, "Q2", params=b"[5, 1.5]"))
+    frame, _ = wire.decode_traced(_envelope_frame(STMT, b"Q2", b"[5, 1.5]"))
     assert frame.envelope == QueryEnvelope(
         "toystore", ExposureLevel.STMT, "Q2", (5, 1.5)
     )
+    batch = (1).to_bytes(4, "big") + bytes(4) + GOOD_STMT
+    wire.decode_traced(_frame(bytes(4) + GOOD_STMT, wire.FrameType.UPDATE))
+    wire.decode_traced(_frame(batch, wire.FrameType.INVALIDATE_BATCH))
