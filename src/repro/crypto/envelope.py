@@ -123,6 +123,12 @@ class Envelope:
     #: is not part of the envelope's value: never compared, never encoded,
     #: so no receiver across a wire sees it and none consults it.
     statement: Statement | None = field(default=None, compare=False, repr=False)
+    #: The envelope's bytes as it arrived on the wire, set only by the
+    #: decoder once they passed its checks, so a receiver that sends it on
+    #: (a DSSP's forward, the home's push) re-sends those bytes; ``None``
+    #: for an envelope sealed here.  Like :attr:`statement`, not part of
+    #: the value: never compared.
+    payload: bytes | None = field(default=None, compare=False, repr=False)
 
     @property
     def template_visible(self) -> bool:

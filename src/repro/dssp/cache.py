@@ -267,10 +267,11 @@ class ViewCache:
         # The key names its application and (when visible) its template,
         # so a refresh always lands in the bucket it is already in.
         if entry.key not in self._entries:
-            self._index(entry)
+            self._index(entry, envelope.params)
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        self._maybe_evict()
+        if self._capacity is not None and len(self._entries) > self._capacity:
+            self._evict()
         return entry
 
     def invalidate(self, key: tuple) -> bool:
@@ -283,7 +284,11 @@ class ViewCache:
 
     def invalidate_many(self, keys: Iterable[tuple]) -> int:
         """Drop several entries; returns how many existed."""
-        return sum(1 for key in list(keys) if self.invalidate(key))
+        count = 0
+        for key in list(keys):
+            if self.invalidate(key):
+                count += 1
+        return count
 
     def invalidate_bucket(self, app_id: str, template_name: str | None) -> int:
         """Drop a whole template bucket; returns the number of entries."""
@@ -310,19 +315,19 @@ class ViewCache:
 
     # -- index maintenance -----------------------------------------------------
 
-    def _index(self, entry: CacheEntry) -> None:
+    def _index(self, entry: CacheEntry, params) -> None:
+        """File a new entry under its bucket, its application and — for
+        its predicate index — the values ``params`` (the envelope's,
+        ``None`` where sealed) bind its indexable attributes to."""
         self._buckets.setdefault(
             (entry.app_id, entry.template_name), set()
         ).add(entry.key)
         self._app_keys.setdefault(entry.app_id, set()).add(entry.key)
-        if entry.template_name is not None:
-            self._index_predicate(entry)
-
-    def _index_predicate(self, entry: CacheEntry) -> None:
+        if entry.template_name is None:
+            return
         indexer = self._indexers.get(entry.app_id)
         if indexer is None:
             return  # unaccounted: the size guard disables narrowing
-        assert entry.template_name is not None
         attrs = indexer.query_attributes(entry.template_name)
         if attrs is None:
             return  # template pins no attribute: its plans sweep
@@ -334,7 +339,7 @@ class ViewCache:
         values = (
             None
             if entry.statement is None
-            else indexer.entry_values(entry.template_name, entry.statement)
+            else indexer.entry_values(entry.template_name, params)
         )
         if values is None:
             # Statement hidden (template-level entry) or unextractable:
@@ -406,9 +411,8 @@ class ViewCache:
         if posting.size <= 0:
             del self._predicate[bucket_id]
 
-    def _maybe_evict(self) -> None:
-        if self._capacity is None or len(self._entries) <= self._capacity:
-            return
+    def _evict(self) -> None:
+        """Drop least recently used entries down to the capacity."""
         started = time.perf_counter() if self._stats is not None else 0.0
         evicted = 0
         while len(self._entries) > self._capacity:

@@ -17,6 +17,7 @@ from repro.crypto.envelope import (
 )
 from repro.crypto.keyring import Keyring
 from repro.errors import CacheError
+from repro.obs.trace import ACTIVE
 from repro.obs.trace import span as trace_span
 from repro.storage.database import Database
 from repro.templates.registry import TemplateRegistry
@@ -59,6 +60,11 @@ class HomeServer:
         The result is sealed at the *query template's* policy level, so the
         DSSP learns its contents only if the template is at ``view``.
         """
+        if ACTIVE.get() is None:
+            select = self.codec.open_query(envelope, self.registry)
+            result = self.database.execute(select)
+            self.queries_served += 1
+            return self.codec.seal_result(result, self._result_level(envelope))
         with trace_span("home.crypto_open"):
             select = self.codec.open_query(envelope, self.registry)
         with trace_span("home.db_execute") as execute_span:
@@ -71,6 +77,11 @@ class HomeServer:
 
     def apply_update(self, envelope: UpdateEnvelope) -> int:
         """Apply an update to the master copy; returns rows affected."""
+        if ACTIVE.get() is None:
+            statement = self.codec.open_update(envelope, self.registry)
+            affected = self.database.apply(statement)
+            self.updates_applied += 1
+            return affected
         with trace_span("home.crypto_open"):
             statement = self.codec.open_update(envelope, self.registry)
         with trace_span("home.db_apply") as apply_span:

@@ -220,7 +220,7 @@ class InvalidationEngine:
         if stats is not None:
             stats.updates += 1
 
-        if not envelope.template_visible:
+        if envelope.template_name is None:
             # Blind update: Property 1 — everything of this app must go.
             count = cache.invalidate_app(app_id)
             if stats is not None:

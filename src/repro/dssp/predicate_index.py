@@ -12,8 +12,9 @@ This module is the analysis half of that index:
 
 * :class:`PredicateIndexer` decides, per query template, which attributes
   are *indexable* — (table, column) pairs that **every** binding of the
-  table pins with an equality against a constant — and extracts the bound
-  values from a statement at cache-insert time;
+  table pins with an equality against a constant — and reads an entry's
+  bound values from its parameters at cache-insert time, through the
+  positions those pins take, compiled once per template;
 * :func:`update_pinned_columns` names the columns an update *template*
   pins, which the invalidation plans intersect with a query's indexable
   attributes once, at registration
@@ -139,10 +140,17 @@ class PredicateIndexer:
 
     def __init__(self, registry: TemplateRegistry) -> None:
         self._attrs: dict[str, frozenset[Attr]] = {}
+        #: template -> per indexable attribute: (attr, the constants its
+        #: pins name in the template, the positions of the parameters
+        #: they name), compiled once so an admission reads parameters.
+        self._positions: dict[str, tuple] = {}
         for query in registry.queries:
             attrs = indexable_attributes(query.select, registry.schema)
             if attrs:
                 self._attrs[query.name] = attrs
+                self._positions[query.name] = _pin_positions(
+                    query.select, attrs
+                )
 
     def query_attributes(self, template_name: str) -> frozenset[Attr] | None:
         """Indexable attributes of one query template; None = not indexed.
@@ -153,43 +161,49 @@ class PredicateIndexer:
         return self._attrs.get(template_name)
 
     def entry_values(
-        self, template_name: str, statement: Select
+        self, template_name: str, params: tuple[Scalar, ...]
     ) -> dict[Attr, frozenset[Scalar]] | None:
-        """Bound values of the template's indexable attributes.
+        """Bound values of the template's indexable attributes, for the
+        instance bound with ``params``; None when the template is not
+        indexed.
 
         Self-joins contribute one value per binding (the entry matches a
-        pinned update value if *any* binding does).  Returns None when the
-        template is not indexed or the statement does not carry a literal for
-        every indexable attribute on every binding — the entry then stays
-        an always-candidate.
+        pinned update value if *any* binding does).  Every binding of an
+        indexed attribute's table pins it (:func:`indexable_attributes`),
+        so every instance carries a value for each.
         """
-        attrs = self.query_attributes(template_name)
-        if attrs is None:
+        positions = self._positions.get(template_name)
+        if positions is None:
             return None
-        scope = {ref.binding: ref.name for ref in statement.tables}
-        per_binding: dict[tuple[str, str], set[Scalar]] = {}
-        for ref, constant in _equality_pins(statement.where):
-            if not isinstance(constant, Literal):
-                continue
-            for binding, table in scope.items():
-                if (table, ref.column) not in attrs:
-                    continue
-                if ref.table is not None and ref.table != binding:
-                    continue
-                per_binding.setdefault((binding, ref.column), set()).add(
-                    constant.value
-                )
         values: dict[Attr, frozenset[Scalar]] = {}
-        for table, column in attrs:
-            bindings = [b for b, t in scope.items() if t == table]
-            collected: set[Scalar] = set()
-            for binding in bindings:
-                bound = per_binding.get((binding, column))
-                if not bound:
-                    return None  # a binding without its pin: refuse entry
-                collected |= bound
-            values[(table, column)] = frozenset(collected)
+        for attr, constants, indices in positions:
+            values[attr] = constants.union(map(params.__getitem__, indices))
         return values
+
+
+def _pin_positions(select: Select, attrs: frozenset[Attr]) -> tuple:
+    """Per attribute of ``attrs``: ``(attr, constants, indices)`` — the
+    literals and the parameter positions its equality pins name, over every
+    binding of its table (the operands a bound instance carries as
+    literals)."""
+    scope = {ref.binding: ref.name for ref in select.tables}
+    constants: dict[Attr, set[Scalar]] = {attr: set() for attr in attrs}
+    indices: dict[Attr, set[int]] = {attr: set() for attr in attrs}
+    for ref, constant in _equality_pins(select.where):
+        for binding, table in scope.items():
+            attr = (table, ref.column)
+            if attr not in attrs:
+                continue
+            if ref.table is not None and ref.table != binding:
+                continue
+            if isinstance(constant, Parameter):
+                indices[attr].add(constant.index)
+            else:
+                constants[attr].add(constant.value)
+    return tuple(
+        (attr, frozenset(constants[attr]), tuple(sorted(indices[attr])))
+        for attr in sorted(attrs)
+    )
 
 
 def update_pinned_columns(

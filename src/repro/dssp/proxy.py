@@ -192,28 +192,36 @@ class DsspNode:
         self.cache.put(envelope, result, bound)
         return result
 
-    def epoch(self, app_id: str) -> int:
-        """The application's invalidation epoch, read before a remote fill.
+    def lease(self, envelope: QueryEnvelope) -> tuple:
+        """What a remote fill of ``envelope`` needs, taken before it
+        leaves: an opaque token for :meth:`admit`.
 
-        Every invalidation pass and flush for the application moves it, so
-        a fill that finds it moved may hold rows one of them was there to
-        drop — the lease idea of memcache (Nishtala et al., NSDI 2013).
+        It holds the query bound as :meth:`visible` binds it, and the
+        application's invalidation epoch.  Every invalidation pass and
+        flush for the application moves the epoch, so a fill that finds it
+        moved may hold rows one of them was there to drop — the lease idea
+        of memcache (Nishtala et al., NSDI 2013).
+
+        Raises:
+            TemplateError, BindingError: as :meth:`visible`.
         """
-        return self._tenant(app_id).epoch
+        tenant = self._tenant(envelope.app_id)
+        return tenant, tenant.epoch, envelope.bound(tenant.registry)
 
     def admit(
-        self, envelope: QueryEnvelope, result: ResultEnvelope, epoch: int
+        self, envelope: QueryEnvelope, result: ResultEnvelope, lease: tuple
     ) -> None:
         """Cache a result fetched from a *remote* home (service layer).
 
-        ``epoch`` is :meth:`epoch` as read before the fill left.  If an
+        ``lease`` is :meth:`lease` as taken before the fill left.  If an
         invalidation ran since, the result is not kept (the caller still
         serves it) and ``stats.fill_refused`` counts it.
         """
-        if self._tenant(envelope.app_id).epoch != epoch:
+        tenant, epoch, bound = lease
+        if tenant.epoch != epoch:
             self.stats.fill_refused += 1
             return
-        self.cache.put(envelope, result, self.visible(envelope))
+        self.cache.put(envelope, result, bound)
 
     def forward_update(self, envelope: UpdateEnvelope) -> int:
         """Phase 1 of an update: application at the home server."""
@@ -223,6 +231,13 @@ class DsspNode:
         """Phase 2 of an update: the DSSP-side invalidation pass."""
         tenant = self._tenant(envelope.app_id)
         tenant.epoch += 1
+        if ACTIVE.get() is None:
+            started = time.perf_counter()
+            count = tenant.engine.process_update(
+                envelope, self.cache, self.stats
+            )
+            self.stats.invalidation_time_s += time.perf_counter() - started
+            return count
         with trace_span("dssp.invalidate") as invalidate_span:
             started = time.perf_counter()
             count = tenant.engine.process_update(

@@ -27,9 +27,12 @@ connection of their own.
 Stepping: a request is one coroutine, every attempt included, returned by
 :meth:`WireClient.query` / :meth:`~WireClient.update`; it returns the
 decoded answer frame.  Its future's deadline is a dictionary entry and
-``client.in_flight`` a field moved in place: no object, no call.  With no
-span sink and no active trace, tracing costs one attribute test and one
-context-variable read.
+``client.in_flight`` a field moved in place: no object, no call.  A
+server that forwards through this client (a DSSP to its home) may park
+the handler awaiting a reply on the channel (``_Channel.park``): the
+read that resolves the reply's future then steps the handler on itself,
+with no task and no loop turn.  With no span sink and no active trace,
+tracing costs one attribute test and one context-variable read.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import json
 import random
 import time
 from collections import deque
-from collections.abc import Awaitable
+from collections.abc import Awaitable, Callable
 from dataclasses import dataclass
 
 from repro.crypto.envelope import QueryEnvelope, UpdateEnvelope
@@ -240,7 +243,9 @@ class _Channel:
     leaves; :meth:`_on_frame`, called from the connection's read, resolves
     whichever future a response's id names — responses may arrive in any
     order.  ``window`` bounds the requests holding a slot: a count plus a
-    deque of parked senders, each freed slot handed to the longest-parked.
+    deque of waiting senders, each freed slot handed to the longest-waiting.
+    A handler a server parked on a reply (:meth:`park`) is stepped on by
+    the read that resolves it.
     Overflow is a typed, provably-unsent ``TIMEOUT``.  The end of the
     connection's input fails every pending future with
     ``NetConnectionError`` (fate unknown, ``sent=True``) and the next
@@ -252,10 +257,15 @@ class _Channel:
             raise ValueError(f"request window must be >= 1, got {window}")
         self._client = client
         self.window = window
-        #: Slots held: by requests, and by parked senders handed one.
+        #: Slots held: by requests, and by waiting senders handed one.
         self._used = 0
         self._waiters: deque[asyncio.Future] = deque()
         self._pending: dict[str, asyncio.Future] = {}
+        #: The reply future :meth:`_write` made last, until :meth:`park`
+        #: takes it: the one a sender that awaits its reply at once yields.
+        self._written: asyncio.Future | None = None
+        #: Reply future -> how to step on the handler parked on it.
+        self._parked: dict[asyncio.Future, Callable[[], None]] = {}
         self._connection: FrameConnection | None = None
         self._connect_lock = asyncio.Lock()
         self._closed = False
@@ -346,14 +356,39 @@ class _Channel:
         deadlines.due[future] = when
         if when < deadlines.armed_for:
             deadlines.arm(when)
+        self._written = future
         return future
 
+    def park(self, future: asyncio.Future, resume: Callable[[], None]) -> bool:
+        """Have ``resume()`` step on a handler that waits on ``future`` with
+        no task, if ``future`` is the reply this channel wrote last (the
+        one a sender awaiting its reply at once yields); else False.
+
+        The reply resumes it from inside the read that delivers it
+        (:meth:`_on_frame`).  Any other end of the wait — the connection
+        lost, the request deadline — fails the future, whose done callback
+        resumes it one loop turn later.
+        """
+        if future is not self._written:
+            return False
+        self._written = None
+        self._parked[future] = resume
+        future.add_done_callback(self._wake)
+        return True
+
+    def _wake(self, future: asyncio.Future) -> None:
+        resume = self._parked.pop(future, None)
+        if resume is not None:
+            resume()
+
     def settle(self, request_id: str, future: asyncio.Future) -> None:
-        """End one request's wait, however it ended: forget its future and
-        deadline, and hand its slot on."""
+        """End one request's wait, however it ended: forget its future,
+        deadline and parked handler, and hand its slot on."""
         if self._pending.get(request_id) is future:
             del self._pending[request_id]
         self._client._deadlines.due.pop(future, None)
+        if self._parked:  # a parked handler cancelled where it waited
+            self._parked.pop(future, None)
         if future.done() and not future.cancelled():
             future.exception()  # mark retrieved on racing failures
         if self._waiters:
@@ -424,7 +459,8 @@ class _Channel:
             return self._connection
 
     def _on_frame(self, raw: bytes) -> None:
-        """One response, from inside the read: resolve its sender."""
+        """One response, from inside the read: resolve its sender, and
+        step on the handler parked on it, if one is."""
         client = self._client
         if client._frame_observer is not None:
             client._frame_observer(raw)
@@ -437,6 +473,13 @@ class _Channel:
             # request's future.
             self._unmatched.inc()
             return
+        if self._parked:
+            resume = self._parked.pop(future, None)
+            if resume is not None:
+                future.remove_done_callback(self._wake)
+                future.set_result(frame)
+                resume()
+                return
         future.set_result(frame)
 
     def _on_end(self, connection: FrameConnection, error) -> None:

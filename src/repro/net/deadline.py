@@ -23,7 +23,9 @@ A deadline comes in two kinds, sharing the queue and its timer:
   future with a deadline.  The owner adds the entry, arms the queue if
   the entry is due before :attr:`~DeadlineQueue.armed_for`, and pops the
   entry when the wait ends — dictionary operations and one comparison,
-  no call.
+  no call.  The queue uses only the future's ``done()`` and
+  ``set_exception()``: a server's request parked on a forward's reply
+  is such an entry, and failing it cancels the parked handler.
 """
 
 from __future__ import annotations

@@ -198,6 +198,7 @@ class DsspNetServer(WireServer):
                 tracer=self.tracer,
             )
             self._home_clients[address] = client
+            self._forward_channels.append(client._channel)
         return client
 
     # -- lifecycle ---------------------------------------------------------
@@ -227,6 +228,7 @@ class DsspNetServer(WireServer):
         for client in self._home_clients.values():
             await client.aclose()
         self._home_clients.clear()
+        self._forward_channels.clear()
         await super().stop()
 
     # -- request handling --------------------------------------------------
@@ -240,12 +242,12 @@ class DsspNetServer(WireServer):
             cached = self.node.lookup(envelope)  # validates tenancy
             if cached is not None:
                 return QueryResponse(result=cached, cache_hit=True)
-            # A name or arity the registry lacks is refused here, not a hop on.
-            self.node.visible(envelope)
+            # Taken before the forward leaves: the statement bound once (a
+            # name or arity the registry lacks is refused here, not a hop
+            # on), and the epoch an invalidation applied while the forward
+            # is in flight moves.
+            lease = self.node.lease(envelope)
             client = self._home_client(envelope.app_id)
-            # Read before the forward leaves: an invalidation applied while it
-            # is in flight may have been for rows the home's answer still has.
-            epoch = self.node.epoch(envelope.app_id)
             # The client's trace id rides the forwarded hop, so the home's
             # log records correlate with the originating request.
             forward = client.query(envelope, request_id=context.request_id)
@@ -284,7 +286,7 @@ class DsspNetServer(WireServer):
             )
         placement = self.placement
         if placement is None or placement.owns(self.node_id, envelope):
-            self.node.admit(envelope, answer.result, epoch)
+            self.node.admit(envelope, answer.result, lease)
         else:
             # Serving pass-through keeps home-side shard filtering sound:
             # the home only pushes invalidations to the owning shard, so a
@@ -314,10 +316,13 @@ class DsspNetServer(WireServer):
     ) -> None:
         """Invalidate for one pushed update; failures log, never kill."""
         try:
-            # Per-entry trace id: the push span joins the trace of the
-            # update that caused it, on whichever node receives it.
-            with self.tracer.trace(request_id, "dssp.stream_apply"):
+            if self.tracer.sink is None:
                 self.node.invalidate_for(envelope)
+            else:
+                # Per-entry trace id: the push span joins the trace of the
+                # update that caused it, on whichever node receives it.
+                with self.tracer.trace(request_id, "dssp.stream_apply"):
+                    self.node.invalidate_for(envelope)
             self.stream_pushes_applied += 1
             self._stream_pushes.inc()
         except ReproError:

@@ -60,6 +60,7 @@ from repro.net.wire import (
     UpdateRequest,
     UpdateResponse,
 )
+from repro.obs.trace import ACTIVE
 from repro.obs.trace import span as trace_span
 
 __all__ = ["HomeNetServer", "UpdateDedup"]
@@ -270,7 +271,13 @@ class HomeNetServer(WireServer):
             response = UpdateResponse(rows_affected=rows, invalidated=0)
             if request_id is not None:
                 self.update_dedup.put(request_id, identity, response)
-            self._fan_out(frame, request_id=request_id)
+            if ACTIVE.get() is None:
+                self._fan_out(frame, request_id)
+            else:
+                with trace_span("home.fanout_enqueue") as fanout_span:
+                    enqueued, filtered = self._fan_out(frame, request_id)
+                    fanout_span.set("enqueued", enqueued)
+                    fanout_span.set("filtered", filtered)
             return response
         if isinstance(frame, SubscribeRequest):
             return self._subscribe(frame, context)
@@ -363,10 +370,11 @@ class HomeNetServer(WireServer):
             sender.cancel()
 
     def _fan_out(
-        self, request: UpdateRequest, *, request_id: str | None = None
-    ) -> None:
+        self, request: UpdateRequest, request_id: str | None
+    ) -> tuple[int, int]:
         """Enqueue the completed update for every subscribed node but the
-        origin; the senders deliver asynchronously.
+        origin; the senders deliver asynchronously.  Returns the pushes
+        enqueued and those the subscribers' shard topology filtered out.
 
         The origin DSSP invalidates synchronously before acknowledging its
         client, so pushing to it as well would only double-count.  Never
@@ -374,43 +382,41 @@ class HomeNetServer(WireServer):
         """
         app_id = request.envelope.app_id
         push = InvalidationPush(envelope=request.envelope)
-        with trace_span("home.fanout_enqueue") as fanout_span:
-            enqueued = filtered = 0
-            for subscriber in list(self._subscribers):
-                if app_id not in subscriber.app_ids:
-                    continue
-                if request.origin is not None and subscriber.node_id == request.origin:
-                    continue
-                placement = subscriber.placement
-                if placement is not None and (
-                    subscriber.node_id
-                    not in placement.recipients(request.envelope)
-                ):
-                    self.pushes_filtered += 1
-                    filtered += 1
-                    self._pushes_filtered.inc()
-                    continue
-                try:
-                    subscriber.queue.put_nowait((push, request_id))
-                    enqueued += 1
-                    self._pushes_enqueued.inc()
-                except asyncio.QueueFull:
-                    self._subscribers_dropped.inc()
-                    logger.warning(
-                        "subscriber stalled with %d pushes pending; dropping",
-                        subscriber.queue.qsize(),
-                        extra={
-                            "ctx": {
-                                "server": self.server_id,
-                                "node_id": subscriber.node_id,
-                                "app_id": app_id,
-                                "request_id": request_id,
-                            }
-                        },
-                    )
-                    self._drop(subscriber)
-            fanout_span.set("enqueued", enqueued)
-            fanout_span.set("filtered", filtered)
+        enqueued = filtered = 0
+        for subscriber in list(self._subscribers):
+            if app_id not in subscriber.app_ids:
+                continue
+            if request.origin is not None and subscriber.node_id == request.origin:
+                continue
+            placement = subscriber.placement
+            if placement is not None and (
+                subscriber.node_id
+                not in placement.recipients(request.envelope)
+            ):
+                self.pushes_filtered += 1
+                filtered += 1
+                self._pushes_filtered.inc()
+                continue
+            try:
+                subscriber.queue.put_nowait((push, request_id))
+                enqueued += 1
+                self._pushes_enqueued.inc()
+            except asyncio.QueueFull:
+                self._subscribers_dropped.inc()
+                logger.warning(
+                    "subscriber stalled with %d pushes pending; dropping",
+                    subscriber.queue.qsize(),
+                    extra={
+                        "ctx": {
+                            "server": self.server_id,
+                            "node_id": subscriber.node_id,
+                            "app_id": app_id,
+                            "request_id": request_id,
+                        }
+                    },
+                )
+                self._drop(subscriber)
+        return enqueued, filtered
 
     def _coalesce(
         self, entries: list[tuple[InvalidationPush, str | None]]

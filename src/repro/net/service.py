@@ -10,11 +10,16 @@ servers with the same operational envelope:
   The server steps the subclass's ``handle`` coroutine itself, from that
   callback, until it first has to wait: one that never waits (a DSSP
   hit, every home request) is answered with one write, no task and no
-  other coroutine; one that waits is carried on in a task of its own, so
-  many requests can be in flight on one connection and responses may
-  return out of order.  The wire request id is the pipelining id — every
-  response carries the id of the request it answers, and the client
-  matches on it.  With no span sink, tracing costs an attribute test.
+  other coroutine.  One that waits for the reply to a forward it sent
+  on one of the server's client channels (a DSSP's miss or update) is
+  parked on that reply and stepped on from the read that brings it —
+  still no task, in the request's own copied context.  One that waits
+  on anything else (a retry backoff, a window slot, a connect, a fault
+  hook) is carried on in a task of its own.  So many requests can be in
+  flight on one connection and responses may return out of order.  The
+  wire request id is the pipelining id — every response carries the id
+  of the request it answers, and the client matches on it.  With no span
+  sink, tracing costs an attribute test.
 * **Bounded in-flight backpressure**: at most ``max_in_flight`` requests
   execute at once across all connections; excess requests are shed
   immediately with ``OVERLOADED`` rather than queued without bound, so a
@@ -22,8 +27,9 @@ servers with the same operational envelope:
 * **Per-request timeout**: a request that cannot finish within
   ``request_timeout_s`` is cancelled and answered with ``TIMEOUT``.  The
   deadline is opened only when a handler waits, as an entry in the
-  server's one :class:`~repro.net.deadline.DeadlineQueue` — a request that
-  waits costs one task and no timer, one that does not costs neither.
+  server's one :class:`~repro.net.deadline.DeadlineQueue` — the parked
+  request itself, or the task scope of the task that carries it on — so
+  no request costs a timer.
 * **Bounded write buffers**: answers are written without waiting for the
   peer, and a connection stops reading while its write buffer is above
   high water, so a peer that never reads cannot make the server buffer
@@ -41,6 +47,8 @@ import json
 import logging
 import time
 import types
+from collections.abc import Coroutine
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -98,6 +106,57 @@ def _resumed(coroutine, waiting_on):
             return done.value
 
 
+@dataclass(eq=False, slots=True)  # identity semantics: a set member, a key
+class _Waiting:
+    """A request whose handler waits: what answering it needs, held until
+    it is answered.
+
+    Waiting on a forward's reply it has no task: the client channel the
+    reply comes in on steps it on (:meth:`WireServer._advance`).  It is
+    then also a future-kind entry of its server's
+    :class:`~repro.net.deadline.DeadlineQueue`, which fails a pending
+    future at its deadline with ``set_exception``: failing this one
+    cancels the handler where it waits, as a task scope's expiry cancels
+    its task.  Waiting on anything else, it is carried on in :attr:`task`.
+    """
+
+    server: WireServer
+    handler: Coroutine
+    frame: Frame
+    context: ConnectionContext
+    started: float
+    scope: AbstractContextManager | None
+    span: object
+    request_context: contextvars.Context
+    #: The connection's waiting requests, this one among them.
+    waiting: set
+    #: Loop instant by which it must be answered.
+    deadline: float
+    expired: bool = False
+    #: The task carrying it on, if it waits on anything else: held here
+    #: because the loop keeps tasks weakly.
+    task: asyncio.Task | None = None
+    #: Made only for a connection that waits for this request to end.
+    finished: asyncio.Future | None = None
+
+    def done(self) -> bool:
+        """Never, while it is an entry of the deadline queue."""
+        return False
+
+    def set_exception(self, error: BaseException) -> None:
+        """The deadline passed: cancel the handler where it waits."""
+        self.expired = True
+        self.request_context.run(
+            self.server._advance, self, asyncio.CancelledError()
+        )
+
+    def finish_waiter(self) -> asyncio.Future:
+        """A future done once the request has been answered."""
+        if self.finished is None:
+            self.finished = asyncio.get_running_loop().create_future()
+        return self.finished
+
+
 @dataclass(eq=False)  # identity semantics: contexts live in a set
 class ConnectionContext:
     """Per-connection state handed to frame handlers."""
@@ -148,6 +207,9 @@ class WireServer:
         self._server: asyncio.AbstractServer | None = None
         self._in_flight = 0
         self._deadlines = DeadlineQueue()
+        #: The client channels this server forwards requests on (a DSSP's
+        #: to its homes): a handler waiting on one's reply has no task.
+        self._forward_channels: list = []
         self._contexts: set[ConnectionContext] = set()
         #: Tasks winding down connections whose input ended.
         self._closers: set[asyncio.Task] = set()
@@ -219,20 +281,21 @@ class WireServer:
     # -- connections -------------------------------------------------------
 
     def _accept(self) -> FrameConnection:
-        """Protocol factory: one framed connection, its context, its tasks."""
-        tasks: set[asyncio.Task] = set()
+        """Protocol factory: one framed connection, its context, and its
+        requests in flight that wait."""
+        waiting: set[_Waiting] = set()
         context = ConnectionContext(writer=None)
         connection = ServedConnection(
             max_frame=self.max_frame,
-            on_frame=partial(self._on_frame, context, tasks),
-            on_end=lambda error: self._on_end(error, context, tasks),
+            on_frame=partial(self._on_frame, context, waiting),
+            on_end=lambda error: self._on_end(error, context, waiting),
         )
         context.writer = connection
         self._contexts.add(context)
         return connection
 
     def _on_frame(
-        self, connection: ConnectionContext, tasks: set, raw: bytes
+        self, connection: ConnectionContext, waiting: set, raw: bytes
     ) -> None:
         """One complete frame, called from the read: decode it once (the
         connection checked its header), count it, and start the request
@@ -275,20 +338,18 @@ class WireServer:
             self._respond(context, self._shed(frame, context, app_counters))
             return
         request_context = contextvars.copy_context()
-        rest = request_context.run(self._step, frame, context)
-        if rest is not None:
-            task = asyncio.create_task(rest, context=request_context)
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+        request_context.run(
+            self._step, frame, context, request_context, waiting
+        )
 
     def _on_end(
         self,
         error: BaseException | None,
         context: ConnectionContext,
-        tasks: set,
+        waiting: set,
     ) -> None:
         closer = asyncio.create_task(
-            self._finish_connection(error, context, tasks)
+            self._finish_connection(error, context, waiting)
         )
         self._closers.add(closer)
         closer.add_done_callback(self._closers.discard)
@@ -297,7 +358,7 @@ class WireServer:
         self,
         error: BaseException | None,
         context: ConnectionContext,
-        tasks: set,
+        waiting: set,
     ) -> None:
         """The connection's input ended: answer, drain handlers, clean up."""
         if isinstance(error, WireError):
@@ -310,12 +371,15 @@ class WireServer:
             self._respond(
                 context, ErrorResponse(ErrorCode.BAD_FRAME, str(error))
             )
-        if tasks:
+        if waiting:
             # Let in-flight handlers finish (each is bounded by the
             # request timeout) so their effects and responses are not
             # lost to a racing disconnect — matching the sequential
             # protocol, where a read-side EOF never aborted a handler.
-            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.gather(
+                *(request.finish_waiter() for request in waiting),
+                return_exceptions=True,
+            )
         self._contexts.discard(context)
         await self._close_context(context)
 
@@ -392,10 +456,17 @@ class WireServer:
             f"more than {self._max_in_flight} requests in flight",
         )
 
-    def _step(self, frame: Frame, context: ConnectionContext):
+    def _step(
+        self,
+        frame: Frame,
+        context: ConnectionContext,
+        request_context: contextvars.Context,
+        waiting: set,
+    ) -> None:
         """Start one admitted request, in its own context, and answer it if
-        its handler returns before it first waits; else the coroutine
-        (:meth:`_resume`) that carries the parked handler on in a task."""
+        its handler returns before it first waits; else hand the handler
+        to :meth:`_wait`, which keeps it in ``waiting`` (the connection's
+        requests in flight) until it is answered."""
         started = time.perf_counter()
         scope = None
         span = NOOP_SPAN
@@ -419,36 +490,121 @@ class WireServer:
             self._finish(None, frame, context, started, scope, span, error)
             raise
         else:
-            return self._resume(
-                handler, waiting_on, frame, context, started, scope, span
+            request = _Waiting(
+                self,
+                handler,
+                frame,
+                context,
+                started,
+                scope,
+                span,
+                request_context,
+                waiting,
+                asyncio.get_running_loop().time() + self.request_timeout_s,
             )
+            waiting.add(request)
+            self._wait(request, waiting_on)
+            return
         self._finish(response, frame, context, started, scope, span)
-        return None
 
-    async def _resume(
-        self, handler, waiting_on, frame, context, started, scope, span
-    ) -> None:
-        """The rest of a request whose handler waited, in its one task."""
+    def _wait(self, request: _Waiting, waiting_on) -> None:
+        """``request``'s handler yielded ``waiting_on``.  The reply to a
+        forward on one of :attr:`_forward_channels` is waited for with no
+        task: the read that delivers it steps the handler on
+        (:meth:`_advance`), and the request's deadline is an entry in this
+        server's queue.  Anything else — a backoff, a window slot, a
+        connect, a fault hook — is waited for in a task of its own
+        (:meth:`_resume`)."""
+        resume = partial(request.request_context.run, self._advance, request)
+        for channel in self._forward_channels:
+            if channel.park(waiting_on, resume):
+                deadlines = self._deadlines
+                deadlines.due[request] = when = request.deadline
+                if when < deadlines.armed_for:
+                    deadlines.arm(when)
+                return
+        request.task = asyncio.create_task(
+            self._resume(request, waiting_on), context=request.request_context
+        )
+
+    def _advance(self, request: _Waiting, error=None) -> None:
+        """Step a parked handler on, in its request's context: its reply
+        came or failed, or ``error`` — its deadline's cancellation — is
+        thrown in where it waits.
+
+        This runs inside another connection's read (or a timer), so no
+        exception leaves it but an interpreter exit or interrupt: the
+        handler's own cancellation ends the request unanswered, as it
+        would end a task.
+        """
+        self._deadlines.due.pop(request, None)
+        handler = request.handler
         try:
-            # The deadline is an entry in this server's queue, not a timer
-            # of its own, opened only now that the handler waits; the hook
-            # sits inside it on purpose: a stall long enough to blow the
-            # deadline is answered with TIMEOUT like any slow handler,
-            # which is exactly the failure chaos wants to provoke.
-            with self._deadlines.after(self.request_timeout_s):
-                response = await _resumed(handler, waiting_on)
-        except Exception as error:
-            response = self._error_response(error, frame, context, span)
-        except BaseException as error:
-            self._finish(None, frame, context, started, scope, span, error)
+            if error is None:
+                waiting_on = handler.send(None)
+            else:
+                waiting_on = handler.throw(error)
+        except StopIteration as done:
+            response = done.value
+        except Exception as failure:
+            response = self._error_response(
+                failure, request.frame, request.context, request.span
+            )
+        except asyncio.CancelledError as cancelled:
+            if not request.expired:
+                self._done(request, None, cancelled)
+                return
+            response = self._error_response(
+                TimeoutError(), request.frame, request.context, request.span
+            )
+        except BaseException as failure:
+            self._done(request, None, failure)
             raise
-        self._finish(response, frame, context, started, scope, span)
+        else:
+            self._wait(request, waiting_on)
+            return
+        self._done(request, response)
+
+    async def _resume(self, request: _Waiting, waiting_on) -> None:
+        """The rest of a request whose handler waits on something other
+        than a forward's reply, in its one task."""
+        remaining = request.deadline - asyncio.get_running_loop().time()
+        try:
+            # The hook sits inside the deadline on purpose: a stall long
+            # enough to blow the deadline is answered with TIMEOUT like
+            # any slow handler, which is exactly the failure chaos wants
+            # to provoke.
+            with self._deadlines.after(remaining):
+                response = await _resumed(request.handler, waiting_on)
+        except Exception as error:
+            response = self._error_response(
+                error, request.frame, request.context, request.span
+            )
+        except BaseException as error:
+            self._done(request, None, error)
+            raise
+        self._done(request, response)
+
+    def _done(self, request: _Waiting, response, error=None) -> None:
+        """:meth:`_finish` a request that waited, and let go of it."""
+        request.waiting.discard(request)
+        self._finish(
+            response,
+            request.frame,
+            request.context,
+            request.started,
+            request.scope,
+            request.span,
+            error,
+        )
+        if request.finished is not None:
+            request.finished.set_result(None)
 
     def _finish(
         self, response, frame, context, started, scope, span, error=None
     ) -> None:
         """Close one request's books and span, then answer it; ``error``
-        ends a request left unanswered (its task cancelled under it).
+        ends a request left unanswered (its handler cancelled under it).
         Handlers answer with frames, never with an ``ErrorResponse``."""
         served = error is None and not isinstance(response, ErrorResponse)
         if served and logger.isEnabledFor(logging.DEBUG):

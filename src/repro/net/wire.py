@@ -57,10 +57,13 @@ payload, trailing bytes, and malformed envelopes.
 A repeat costs a lookup, both ways.  A QUERY payload and a RESULT body
 are decoded once per distinct byte string (``wire.query_envelopes``,
 ``wire.result_frames``), every check running on the miss and nothing
-refused being stored.  A query envelope is encoded once per envelope
-object (``wire.query_payloads``), and a decoded result envelope keeps its
-body as received (:attr:`ResultEnvelope.payload`), so a DSSP re-sends a
-cached result as one flag byte plus the bytes it arrived as.
+refused being stored.  A query envelope sealed here is encoded once per
+envelope object (``wire.query_payloads``).  A decoded envelope keeps its
+bytes as received (:attr:`Envelope.payload`), so a DSSP forwards a miss or
+an update, and the home pushes an update, as the bytes they arrived as;
+and a decoded result envelope keeps its body as received
+(:attr:`ResultEnvelope.payload`), so a DSSP re-sends a cached result as
+one flag byte plus the bytes it arrived as.
 """
 
 from __future__ import annotations
@@ -365,7 +368,10 @@ def _flag(byte: int) -> bool:
 
 def _envelope_bytes(envelope: Envelope) -> bytes:
     """An envelope in its level's layout, refused — never trimmed — unless
-    the fields it sets are the ones that layout has slots for."""
+    the fields it sets are the ones that layout has slots for; a decoded
+    envelope is re-sent as the bytes it arrived as."""
+    if envelope.payload is not None:
+        return envelope.payload
     level = envelope.level
     if (
         envelope.template_name is not None,
@@ -484,18 +490,23 @@ def _read_envelope(data: bytes, pos: int, kind: type[Envelope]):
         raise _overrun(end, len(data))
     app_id = data[app_at:name_at].decode()
     body = data[body_at:end]
+    received = data[pos:end]  # all of ``data`` (no copy) for a QUERY
     if level is ExposureLevel.BLIND:
-        return kind(app_id, level, sealed_statement=body), end
+        envelope = kind(app_id, level, sealed_statement=body, payload=received)
+        return envelope, end
     name = data[name_at:body_at].decode()
     if level is ExposureLevel.TEMPLATE:
-        return kind(app_id, level, name, sealed_params=body), end
+        envelope = kind(
+            app_id, level, name, sealed_params=body, payload=received
+        )
+        return envelope, end
     if level is ExposureLevel.VIEW and kind is UpdateEnvelope:
         raise WireError("update envelopes have no 'view' level")
     try:
         params = decode_params(body)
     except ValueError as error:
         raise WireError(f"bad statement parameters: {error}") from error
-    return kind(app_id, level, name, params), end
+    return kind(app_id, level, name, params, payload=received), end
 
 
 def _read_opt_text(data: bytes, pos: int) -> tuple[str | None, int]:
@@ -532,10 +543,10 @@ _query_requests = BoundedMemo("wire.query_envelopes", 2048)
 #: which keeps that same bytes object as its payload: one entry, and one
 #: copy of the bytes, serves a result whether it arrives as a hit or not.
 _result_frames = BoundedMemo("wire.result_frames", 2048)
-#: ``id(query envelope)`` -> its QUERY payload, the envelope pinned.  An
-#: envelope is immutable, and the ones sent again are shared objects: a
-#: client's come from ``crypto.seal_query``, a DSSP's forwards from
-#: ``wire.query_envelopes``.
+#: ``id(query envelope)`` -> its QUERY payload, the envelope pinned, for
+#: envelopes sealed in this process (a decoded one keeps its payload).  An
+#: envelope is immutable, and a client's sent again are shared objects,
+#: from ``crypto.seal_query``.
 _query_payloads = BoundedMemo("wire.query_payloads", 2048)
 
 
@@ -652,9 +663,11 @@ def encode_frame(
     if isinstance(frame, QueryRequest):
         envelope = frame.envelope
         frame_type = _QUERY
-        payload = _query_payloads.get_pinned(
-            id(envelope), envelope, _envelope_bytes, envelope
-        )
+        payload = envelope.payload  # a forward: the bytes it arrived as
+        if payload is None:
+            payload = _query_payloads.get_pinned(
+                id(envelope), envelope, _envelope_bytes, envelope
+            )
     elif isinstance(frame, QueryResponse) and frame.result.payload is not None:
         # A result re-sent as it arrived: only the hit flag is new.
         frame_type = _RESULT
@@ -725,7 +738,11 @@ def decode_checked(data: bytes) -> tuple[Frame, str | None]:
     checked already, as :class:`~repro.net.framing.FrameConnection` checks
     every frame it cuts: the header is not parsed a second time."""
     start = HEADER_SIZE + data[4]
-    request_id = _decode_request_id(data[HEADER_SIZE:start])
+    try:  # _decode_request_id, without a call on every frame's path
+        rid = data[HEADER_SIZE:start]
+        request_id = rid.decode() if rid else None
+    except UnicodeDecodeError as error:
+        raise WireError(f"invalid UTF-8 in request id: {error}") from error
     try:
         return _decode_payload(data[3], data[start:]), request_id
     except struct.error as error:

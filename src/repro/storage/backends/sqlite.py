@@ -39,6 +39,7 @@ from repro.errors import (
     PrimaryKeyViolation,
 )
 from repro.obs.memo import BoundedMemo
+from repro.obs.trace import ACTIVE
 from repro.obs.trace import span as trace_span
 from repro.schema.schema import Schema
 from repro.schema.table import TableSchema
@@ -193,16 +194,21 @@ class SqliteBackend:
 
     def execute(self, select: Select) -> ResultSet:
         """Execute a fully-bound query and return its result."""
+        if ACTIVE.get() is None:
+            return self._execute(select)
         with trace_span("storage.execute", backend=self.name):
-            compiled = self._compiled.get_pinned(
-                id(select), select, self._dialect.compile_select, select
-            )
-            cursor = self._connection.execute(compiled.sql, compiled.params)
-            return ResultSet(
-                columns=compiled.columns,
-                rows=tuple(cursor.fetchall()),
-                ordered=bool(select.order_by) or select.limit is not None,
-            )
+            return self._execute(select)
+
+    def _execute(self, select: Select) -> ResultSet:
+        compiled = self._compiled.get_pinned(
+            id(select), select, self._dialect.compile_select, select
+        )
+        cursor = self._connection.execute(compiled.sql, compiled.params)
+        return ResultSet(
+            columns=compiled.columns,
+            rows=tuple(cursor.fetchall()),
+            ordered=bool(select.order_by) or select.limit is not None,
+        )
 
     # -- updates -------------------------------------------------------------
 

@@ -112,6 +112,7 @@ class TestOneRepresentation:
             "sealed_params",
             "sealed_statement",
             "statement",
+            "payload",
         }
         assert not names & {
             "cache_key", "opaque_id", "template_sql", "statement_sql"

@@ -199,8 +199,9 @@ class CacheMachine(RuleBasedStateMachine):
             name = entry.template_name
             if name is None or self.indexer.query_attributes(name) is None:
                 continue  # blind or refused bucket: unindexed
+            # A stmt-level key is (app, template, params).
             values = entry.statement and self.indexer.entry_values(
-                name, entry.statement
+                name, entry.key[2]
             )
             expected += sum(map(len, values.values())) if values else 1
         assert self.cache.index_postings() == expected

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from functools import partial
 
+import pytest
+
 from repro.analysis.exposure import ExposureLevel
 from repro.dssp import DsspCluster, PredicateIndexer
 from repro.dssp.invalidation import PlanKind
 from repro.dssp.predicate_index import update_pinned_values
-from repro.templates import UpdateTemplate
+from repro.sql.ast import ColumnRef, ComparisonOp
+from repro.templates import QueryTemplate, TemplateRegistry, UpdateTemplate
+from repro.workloads import get_application
 
 from tests.dssp.index_utils import (
     REGISTRY,
@@ -47,6 +51,46 @@ def _update(node, home, name, params, **route):
 
 def _pins(name, params):
     return update_pinned_values(REGISTRY.update(name).bind(params).statement)
+
+
+#: A self-join pinning ``name`` on both bindings, one by a literal.
+_SELF_JOIN = QueryTemplate.from_sql(
+    "pair",
+    "SELECT a.item_id FROM items a, items b "
+    "WHERE a.category = b.category AND a.name = ? AND b.name = 'c' "
+    "AND stock = ?",
+)
+
+
+def _walked_values(indexer, name, statement):
+    """The bound values of ``name``'s indexable attributes, found by
+    walking the bound AST: what admission read before its positions were
+    compiled, kept as their reference."""
+    attrs = indexer.query_attributes(name)
+    scope = {ref.binding: ref.name for ref in statement.tables}
+    per_binding: dict = {}
+    for comparison in statement.where:
+        if comparison.is_join() or comparison.op is not ComparisonOp.EQ:
+            continue
+        if isinstance(comparison.left, ColumnRef):
+            ref, constant = comparison.left, comparison.right
+        else:
+            ref, constant = comparison.right, comparison.left
+        for binding, table in scope.items():
+            if (table, ref.column) not in attrs:
+                continue
+            if ref.table is not None and ref.table != binding:
+                continue
+            per_binding.setdefault((binding, ref.column), set()).add(
+                constant.value
+            )
+    values = {}
+    for table, column in attrs:
+        collected: set = set()
+        for binding in (b for b, t in scope.items() if t == table):
+            collected |= per_binding[(binding, column)]
+        values[(table, column)] = frozenset(collected)
+    return values
 
 
 def _candidates(node, query_name, update_name, params):
@@ -82,7 +126,7 @@ class TestIndexerAnalysis:
         assert indexer.query_attributes("total") == {("items", "name")}
         assert indexer.query_attributes("percat") == {("items", "name")}
         bound = REGISTRY.query("percat").bind(["b"])
-        assert indexer.entry_values("percat", bound.select) == {
+        assert indexer.entry_values("percat", bound.params) == {
             ("items", "name"): frozenset({"b"})
         }
 
@@ -92,10 +136,39 @@ class TestIndexerAnalysis:
     def test_unknown_template_refused(self):
         assert PredicateIndexer(REGISTRY).query_attributes("nope") is None
 
+    @pytest.mark.parametrize("app", ["auction", "bboard", "bookstore", "shop"])
+    def test_compiled_positions_read_what_the_bound_statement_pins(self, app):
+        """Admission reads parameters through positions compiled once; the
+        values must be the ones walking each bound AST finds (self-joins,
+        unqualified columns and template literals included)."""
+        if app == "shop":
+            registry = TemplateRegistry(
+                REGISTRY.schema, queries=[*REGISTRY.queries, _SELF_JOIN]
+            )
+        else:
+            registry = get_application(app).registry
+        indexer = PredicateIndexer(registry)
+        indexed = [
+            template
+            for template in registry.queries
+            if indexer.query_attributes(template.name) is not None
+        ]
+        assert indexed
+        for template in indexed:
+            for seed in range(3):
+                params = tuple(
+                    seed * 7 + i if i % 2 else f"v{seed}{i}"
+                    for i in range(template.parameter_count)
+                )
+                bound = template.bind(params).select
+                assert indexer.entry_values(template.name, params) == (
+                    _walked_values(indexer, template.name, bound)
+                ), template.name
+
     def test_entry_values_extracts_bound_literals(self):
         indexer = PredicateIndexer(REGISTRY)
         bound = REGISTRY.query("multi").bind(["x", "b"])
-        values = indexer.entry_values("multi", bound.select)
+        values = indexer.entry_values("multi", bound.params)
         assert values == {
             ("items", "category"): frozenset({"x"}),
             ("items", "name"): frozenset({"b"}),

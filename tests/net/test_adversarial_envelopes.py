@@ -68,12 +68,11 @@ class Hops:
         envelope = _over_the_wire(QueryRequest(envelope)).envelope
         cached = self.node.lookup(envelope)
         if cached is None:
-            self.node.visible(envelope)
-            epoch = self.node.epoch(envelope.app_id)
+            lease = self.node.lease(envelope)
             forwarded = _over_the_wire(QueryRequest(envelope)).envelope
             answer = self.home.serve_query(forwarded)
             cached = _over_the_wire(QueryResponse(answer, False)).result
-            self.node.admit(envelope, cached, epoch)
+            self.node.admit(envelope, cached, lease)
         return _over_the_wire(QueryResponse(cached, True)).result
 
     def update(self, envelope: UpdateEnvelope) -> int:

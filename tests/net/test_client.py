@@ -381,11 +381,11 @@ class TestRetryExhaustion:
 
         async def serve(reader, writer):
             nonlocal requests_seen
-            while True:
-                frame = await streams.read_frame(reader)
-                if frame is None:
-                    break
-                requests_seen += 1  # swallow it: no reply, ever
+            try:
+                while await streams.read_frame(reader) is not None:
+                    requests_seen += 1  # swallow it: no reply, ever
+            finally:
+                writer.close()
 
         server = await asyncio.start_server(serve, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]

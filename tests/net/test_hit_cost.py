@@ -10,6 +10,12 @@ any machine.  The bookstore runs behind the one
 :class:`~repro.net.deploy.Deployment`, 100 distinct queries are warmed,
 and then 500 hits, 200 misses (queries not asked before) and 200 updates
 are served, each path counted on its own.
+
+A miss or an update costs one hop more than a hit and nothing else: no
+task (the DSSP's handler is stepped on from the read that brings the
+home's answer), no call into the tracer while tracing is off, and no
+second encoding of the envelope the DSSP was given (its forward re-sends
+the bytes it arrived as).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from pathlib import Path
 
 import repro
 import repro.net.wire
+import repro.obs.trace
 from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.crypto.envelope import EnvelopeCodec
@@ -32,18 +39,21 @@ from tests.net.test_request_budget import TaskCounts
 
 SRC = str(Path(repro.__file__).parent)
 WIRE = repro.net.wire.__file__
+TRACE = repro.obs.trace.__file__
+ENVELOPE_BYTES = repro.net.wire._envelope_bytes.__code__
 WARM, HITS, MISSES, UPDATES = 100, 500, 200, 200
-#: Per request, at most: calls into ``src/repro``, the share of them made
-#: in ``net/wire.py``, and the tasks created, by owner.  Each call bound
-#: sits at most 15 % above the count on Python 3.11: 38, 168.1 and 211.8
-#: calls, 10, 26.7 and 33.0 of them in the codec, once each frame layout
-#: became one struct.  A hit creates no task; a miss and an update wait
-#: for the home in one DSSP task, and the home answers from inside its
-#: read, without one.
+#: Per request: at most so many calls into ``src/repro`` and in
+#: ``net/wire.py`` among them, the tasks created, by owner, and the event
+#: loop's turns.  Each call bound sits at most 15 % above the count on
+#: Python 3.11: 36, 126.8 and 183.5 calls, 8, 21.7 and 29.0 of them in the
+#: codec.  No request creates a task: a hit is answered from the read that
+#: brings it, a miss and an update from the read that brings the home's
+#: answer, and the home answers from inside its read.  So a hit takes
+#: three turns (client, DSSP, client) and a miss or an update five.
 BUDGETS = {
-    "hit": (50, 11, {}),
-    "miss": (190, 30, {"dssp-0": 1.0}),
-    "update": (240, 36, {"dssp-0": 1.0}),
+    "hit": (41, 9, {}, 3),
+    "miss": (145, 24, {}, 5),
+    "update": (211, 33, {}, 5),
 }
 
 
@@ -80,35 +90,52 @@ def bookstore():
 
 class CallCounter:
     """A profile function counting ``call`` events in ``src/repro``, and
-    among them those in the wire codec."""
+    among them those in the wire codec, those in the tracer, and the
+    envelope encodings."""
 
     def __init__(self) -> None:
         self.calls = 0
         self.wire = 0
+        self.trace = 0
+        self.envelope_encodings = 0
 
     def __call__(self, frame, event, arg) -> None:
         if event == "call":
-            filename = frame.f_code.co_filename
+            code = frame.f_code
+            filename = code.co_filename
             if filename.startswith(SRC):
                 self.calls += 1
                 self.wire += filename == WIRE
+                self.trace += filename == TRACE
+                self.envelope_encodings += code is ENVELOPE_BYTES
 
 
 async def cost(operation, count: int):
-    """``operation(0..count-1)``'s calls, codec calls and tasks by owner,
-    each per operation."""
+    """``operation(0..count-1)``'s calls, codec calls, tasks by owner and
+    loop turns, each per operation, and its call counter."""
     loop = asyncio.get_running_loop()
     tasks, counter = TaskCounts(), CallCounter()
+    turns = 0
+    run_once = loop._run_once
+
+    def counting_run_once() -> None:
+        nonlocal turns
+        turns += 1
+        run_once()
+
     loop.set_task_factory(tasks)
+    loop._run_once = counting_run_once
     sys.setprofile(counter)
     try:
         for index in range(count):
             await operation(index)
     finally:
         sys.setprofile(None)
+        del loop._run_once
         loop.set_task_factory(None)
     per_owner = {owner: n / count for owner, n in tasks.by_owner.items()}
-    return counter.calls / count, counter.wire / count, per_owner
+    calls, wire = counter.calls / count, counter.wire / count
+    return calls, wire, per_owner, turns / count, counter
 
 
 async def test_hits_misses_and_updates_stay_within_their_budgets():
@@ -135,8 +162,14 @@ async def test_hits_misses_and_updates_stay_within_their_budgets():
             "miss": await cost(miss, MISSES),
             "update": await cost(update, UPDATES),
         }
-    for path, (calls, wire_calls, tasks) in measured.items():
-        most_calls, most_wire_calls, budgeted_tasks = BUDGETS[path]
+    for path, (calls, wire_calls, tasks, turns, counter) in measured.items():
+        most_calls, most_wire_calls, budgeted_tasks, budgeted_turns = (
+            BUDGETS[path]
+        )
         assert calls <= most_calls, (path, measured)
         assert wire_calls <= most_wire_calls, (path, measured)
         assert tasks == budgeted_tasks, (path, measured)
+        assert turns == budgeted_turns, (path, measured)
+        assert counter.trace == 0, (path, "calls into the tracer")
+    # The client's sealed query is encoded; the DSSP's forward of it is not.
+    assert measured["miss"][4].envelope_encodings == MISSES

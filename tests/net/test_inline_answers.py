@@ -4,23 +4,35 @@ A server steps each request from the connection's read callback until
 its handler first waits (see :mod:`repro.net.service`).  A request
 answered there costs no task, but it is the same request: it is counted
 per application, traced, logged and timed exactly as one that waited.
-One that waits moves into a task that runs in the same copied context,
-so a handler parked inside a span never becomes the ambient parent of the
-next frame read on its connection, and it still gets the request
-deadline.  And a server that answers from the read must stop reading
-when its answers stop draining.
+One that waits — parked on its forward's reply and stepped on from the
+read that brings it, or carried on in a task — runs in the same copied
+context, so a handler parked inside a span never becomes the ambient
+parent of the next frame read on its connection, and it still gets the
+request deadline; whatever ends the wait for a reply (the reply, the
+deadline, the home connection lost, the handler's own failure) answers
+the client as it did when the wait was a task's.  And a server that
+answers from the read must stop reading when its answers stop draining.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.exposure import ExposureLevel
+from repro.crypto.envelope import QueryEnvelope, ResultEnvelope
+from repro.dssp import DsspNode
 from repro.dssp.invalidation import StrategyClass
-from repro.errors import NetTimeoutError
-from repro.net import RetryPolicy, WireClient, wire
+from repro.errors import (
+    HomeUnreachableError,
+    NetError,
+    NetTimeoutError,
+    ReproError,
+)
+from repro.net import DsspNetServer, RetryPolicy, WireClient, wire
 from repro.net.service import WireServer
 from repro.obs import SpanSink
 from tests.net import streams
@@ -133,6 +145,128 @@ class TestInlineHit:
             for span in sink.spans
             if span.name == "dssp.cache_lookup"
         ] == ["parked-miss"]
+
+
+QUERY = QueryEnvelope("toystore", ExposureLevel.STMT, "Q2", (1,))
+
+
+async def home_answering_once(hang_up: bool):
+    """A home that answers the first query it reads with a sealed result,
+    then reads request frames and never answers; with ``hang_up``, it
+    closes the connection at the first it does not answer."""
+    answered = False
+
+    async def serve(reader, writer):
+        nonlocal answered
+        try:
+            while (traced := await streams.read_traced(reader)) is not None:
+                frame, request_id = traced
+                if not isinstance(frame, wire.QueryRequest):
+                    continue  # the node's subscribe: left unanswered
+                if answered and hang_up:
+                    return
+                if not answered:
+                    answered = True
+                    result = ResultEnvelope("toystore", ciphertext=b"rows")
+                    writer.write(
+                        wire.encode_frame(
+                            wire.QueryResponse(result, cache_hit=False),
+                            request_id=request_id,
+                        )
+                    )
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(serve, "127.0.0.1", 0)
+
+
+async def second_miss(toystore, hang_up: bool, **dssp_options):
+    """Two misses through a DSSP whose home is
+    ``home_answering_once(hang_up)``: the first opens the home channel,
+    so the second waits for its reply parked on it.  The second's
+    exception, how long it took, and the DSSP's books after it (requests
+    in flight, the home channel's pending replies)."""
+    home = await home_answering_once(hang_up)
+    server = DsspNetServer(DsspNode(), **dssp_options)
+    server.register_application(
+        "toystore", toystore, home.sockets[0].getsockname()
+    )
+    host, port = await server.start()
+    client = WireClient(host, port, retry=RetryPolicy(attempts=1))
+    try:
+        await client.query(QUERY)
+        started = asyncio.get_running_loop().time()
+        with pytest.raises(ReproError) as raised:
+            await client.query(replace(QUERY, params=(2,)))
+        took = asyncio.get_running_loop().time() - started
+        (home_client,) = server._home_clients.values()
+        channel = home_client._channel
+        books = (server._in_flight, channel._pending)
+    finally:
+        await client.aclose()
+        await server.stop()
+        home.close()
+        await home.wait_closed()
+    return raised.value, took, books
+
+
+class TestParkedForward:
+    """A miss waits for its forward's reply with no task; whatever ends
+    that wait answers the client as a task's end did."""
+
+    async def test_a_home_that_never_answers_times_out_at_the_dssp(
+        self, toystore
+    ):
+        error, took, books = await second_miss(
+            toystore, hang_up=False, request_timeout_s=0.2
+        )
+        assert isinstance(error, NetTimeoutError)
+        assert "exceeded 0.2s" in str(error)  # the DSSP's, not the home's
+        assert took < 5.0  # the home channel's own deadline is 30 s
+        assert books == (0, {})
+
+    @pytest.mark.parametrize("attempts", [1, 2])
+    async def test_a_home_connection_lost_mid_forward_is_miss_forwarded(
+        self, toystore, attempts
+    ):
+        """Lost with the miss parked on it, the connection wakes the miss;
+        a second attempt waits out its backoff in a task."""
+        error, _, books = await second_miss(
+            toystore,
+            hang_up=True,
+            home_retry=RetryPolicy(
+                attempts=attempts, backoff_s=0.001, max_backoff_s=0.002
+            ),
+        )
+        assert isinstance(error, HomeUnreachableError)
+        assert books == (0, {})
+
+    async def test_an_admission_that_raises_answers_typed_and_spares_the_home(
+        self, toystore, toystore_db
+    ):
+        topology = Topology(toystore, toystore_db, StrategyClass.MSIS, nodes=1)
+        async with topology as top:
+            client = top.clients[0]
+            node = top.nodes[0]
+            q2 = toystore.query("Q2")
+
+            def refuse(*args):
+                raise RuntimeError("admission failed")
+
+            await client.query(top.seal_query(q2.bind([1])))
+            (home_client,) = top.dssp_nets[0]._home_clients.values()
+            connection = home_client._channel._connection
+            node.admit = refuse
+            with pytest.raises(NetError, match="admission failed"):
+                await client.query(top.seal_query(q2.bind([2])))
+            del node.admit
+            # The home connection the failed miss came back on still
+            # serves the next forward, which is admitted.
+            outcome = await client.query(top.seal_query(q2.bind([3])))
+            assert outcome.cache_hit is False and len(node.cache) == 2
+            assert home_client._channel._connection is connection
 
 
 class TestWaitingRequests:

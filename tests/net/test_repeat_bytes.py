@@ -9,9 +9,9 @@ and a hit is only ever an exact repeat — so warm decoding must equal cold
 decoding, byte string for byte string, outcome for outcome.
 
 The send side mirrors it: ``wire.query_payloads`` encodes a query
-envelope once per envelope object, and a decoded result is re-sent as
-the bytes it arrived as — neither may ever put other bytes on the wire
-than encoding from scratch would.
+envelope once per envelope object, and a decoded envelope or result is
+re-sent as the bytes it arrived as — none may ever put other bytes on the
+wire than encoding from scratch would.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto import EnvelopeCodec, Keyring
-from repro.crypto.envelope import QueryEnvelope, ResultEnvelope
+from repro.crypto.envelope import QueryEnvelope, ResultEnvelope, UpdateEnvelope
 from repro.errors import CryptoError, WireError
 from repro.net import wire
 from repro.storage.rows import ResultSet
@@ -295,6 +295,52 @@ class TestSendSideBytes:
         raw = wire.encode_frame(wire.QueryRequest(mine))
         assert wire.decode_frame(raw).envelope == mine
         assert wire._query_payloads._data[id(mine)][0] is mine
+
+    @pytest.mark.parametrize("level", list(ExposureLevel), ids=str)
+    def test_a_forward_re_sends_the_envelope_bytes_it_was_given(self, level):
+        """A query forwarded, an update forwarded under the DSSP's origin,
+        and the update pushed on, alone and batched: each re-sends the
+        envelope as it arrived, and those are the bytes encoding it from
+        scratch makes.  The kept bytes are not part of the value."""
+        name = {ExposureLevel.BLIND: None}.get(level, "Q2")
+        fields = {
+            ExposureLevel.BLIND: {"sealed_statement": b"\x01sealed"},
+            ExposureLevel.TEMPLATE: {"sealed_params": b"\x02sealed"},
+        }.get(level, {"params": (5, "x", None)})
+        query = QueryEnvelope("toystore", level, name, **fields)
+        update = replace(
+            UpdateEnvelope("toystore", min(level, ExposureLevel.STMT), name),
+            **fields,
+        )
+        sent = [
+            (wire.QueryRequest(query), lambda e: wire.QueryRequest(e)),
+            (
+                wire.UpdateRequest(update),
+                lambda e: wire.UpdateRequest(e, origin="dssp-0"),
+            ),
+            (wire.InvalidationPush(update), wire.InvalidationPush),
+            (
+                wire.InvalidationBatch((("u1", update), (None, update))),
+                None,
+            ),
+        ]
+        for frame, send_on in sent:
+            received = wire.decode_frame(wire.encode_frame(frame))
+            if send_on is None:
+                envelopes = [envelope for _, envelope in received.entries]
+                resent = wire.InvalidationBatch(
+                    tuple(zip(("u1", None), envelopes))
+                )
+                fresh = frame
+            else:
+                envelopes = [received.envelope]
+                resent = send_on(received.envelope)
+                fresh = send_on(frame.envelope)
+            for envelope in envelopes:
+                assert envelope.payload is not None
+                assert envelope == replace(envelope, payload=None)
+                assert repr(envelope) == repr(replace(envelope, payload=None))
+            assert wire.encode_frame(resent) == wire.encode_frame(fresh)
 
     @pytest.mark.parametrize(
         "envelope",

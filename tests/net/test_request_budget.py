@@ -1,10 +1,11 @@
 """The wire tier's fixed per-request budget: a request that waits for
-nothing costs no task, one that waits costs one, and none costs a timer.
+nothing or for a forward's reply costs no task, and none costs a timer.
 
 A server answers a request inline, from the connection's read callback,
 until its handler first waits: a DSSP hit and every home request cost no
-task; a DSSP miss or update costs the one task its forward waits in.  On
-the client side the budget is zero tasks: responses resolve their senders
+task.  A DSSP miss or update waits for its forward's reply with no task
+either: the read that brings the home's answer steps it on.  On the
+client side the budget is zero tasks: responses resolve their senders
 from the connection's read callback.
 
 Everything here is a count or a typed outcome — no wall-clock thresholds.
@@ -70,7 +71,7 @@ def count_timers(loop) -> list:
 
 
 class TestTaskBudget:
-    async def test_hits_cost_no_task_misses_and_updates_one_and_no_timer(
+    async def test_hits_misses_and_updates_cost_no_task_and_no_timer(
         self, toystore, toystore_db
     ):
         topology = Topology(toystore, toystore_db, StrategyClass.MSIS)
@@ -99,13 +100,12 @@ class TestTaskBudget:
             for toy_id in range(2, 2 + N):
                 outcome = await client.query(top.seal_query(q2.bind([toy_id])))
                 assert outcome.cache_hit is False
-            # The DSSP's forward waits in one task; the home answers inline.
-            assert counts.by_owner == {"dssp-0": N}
+            # The DSSP's forward waits in no task; the home answers inline.
+            assert counts.by_owner == {}
 
-            counts.by_owner.clear()
             for toy_id in range(2, 2 + N):
                 await client.update(top.seal_update(u1.bind([toy_id])))
-            assert counts.by_owner == {"dssp-0": N}
+            assert counts.by_owner == {}
             assert timers == []
 
 
