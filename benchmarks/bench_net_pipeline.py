@@ -12,16 +12,18 @@ topology (one home server, two DSSP nodes, asyncio sockets end to end):
   interpreter, not the protocol.  Under injected latency the serial
   client pays the stall once per request; the pipelined client overlaps
   up to ``window`` stalls per connection, which is exactly the claim.
-* **Invalidation batch coalescing** — a burst of updates with distinct
-  target rows fanned out to a subscriber once with batching (coalesce
-  dwell enabled) and once with singleton frames, counting frames on the
-  wire per delivered invalidation from the home's own push metrics.
+* **Invalidation batch coalescing** — a pipelined burst of updates with
+  distinct target rows, all in flight at once on one client, fanned out
+  to a subscriber, counting frames on the wire per delivered invalidation
+  from the home's own push metrics.  The home's sender coalesces whatever
+  its queue holds when it wakes, with no dwell, so the burst the home
+  reads in one go leaves in few frames.
 
 The JSON artifact (``results/BENCH_net_pipeline.json``) is committed and
-checked by this module's :func:`gate`: the pipelined speedup and the
-batched frame ratio are regression-gated against this baseline, so a
-transport change that quietly serializes the window or un-batches the
-stream turns the build red.
+checked by this module's :func:`gate`: the pipelined speedup is
+regression-gated against this baseline and the frame ratio is held under
+a ceiling, so a transport change that quietly serializes the window or
+un-batches the stream turns the build red.
 """
 
 from __future__ import annotations
@@ -59,37 +61,18 @@ SERVICE_LATENCY_S = 0.02
 #: tolerance absorbs shared-runner noise but catches a serialized window.
 SPEEDUP_FLOOR = 2.0
 SPEEDUP_TOLERANCE = 0.6
-#: Most frames per delivered invalidation the batched stream may send.
+#: Most frames per delivered invalidation the burst's fan-out may send.
 FANOUT_CEILING = 0.5
 
-#: Fan-out measurement: one burst of updates, each hitting a different
-#: item row, so every update produces a distinct invalidation.
+#: Fan-out measurement: one pipelined burst of updates, each hitting a
+#: different item row, so every update produces a distinct invalidation.
 FANOUT_BURST = 24
-FANOUT_COALESCE_S = 0.05
 
 MODES = (
-    # name, pipeline window (None = one page in flight per virtual
-    # client), batched fan-out
-    ("serial", None, False),
-    ("pipelined", PIPELINE, False),
-    ("pipelined_batched", PIPELINE, True),
+    # name, pipeline window (None = one page in flight per virtual client)
+    ("serial", None),
+    ("pipelined", PIPELINE),
 )
-
-
-class _PushFraming(Deployment):
-    """The benchmark's own home setting: how the fan-out is framed."""
-
-    def __init__(self, *args, batched: bool, coalesce_s: float = 0.0, **kw):
-        super().__init__(*args, **kw)
-        self.batched = batched
-        self.coalesce_s = coalesce_s
-
-    def home_server(self, **options):
-        return super().home_server(
-            batch_pushes=self.batched,
-            push_coalesce_s=self.coalesce_s,
-            **options,
-        )
 
 
 def _home(spec):
@@ -104,16 +87,15 @@ def _home(spec):
     return home, policy, EnvelopeCodec(keyring)
 
 
-async def _measure_mode(spec, trace_json: str, pipeline, batched, **tracing):
+async def _measure_mode(spec, trace_json: str, pipeline, **tracing):
     """One load run; ``tracing`` (``span_dir``, ``trace_sample``) goes to
     the deployment (``bench_tracing_overhead`` replays this same run)."""
     home, policy, codec = _home(spec)
-    async with _PushFraming(
+    async with Deployment(
         home,
         nodes=NODES,
         service_latency_s=SERVICE_LATENCY_S,
         pipeline=pipeline,
-        batched=batched,
         **tracing,
     ) as fleet:
         trace = Trace.from_json(trace_json).bind(spec.registry)
@@ -127,29 +109,31 @@ async def _measure_mode(spec, trace_json: str, pipeline, batched, **tracing):
         return report.with_invalidations(fleet.sum_invalidations())
 
 
-async def _measure_fanout(spec, *, batched: bool) -> dict:
+async def _measure_fanout(spec) -> dict:
     """Frames on the wire per delivered invalidation, one subscriber.
 
     A burst of ``setStock`` updates — each against a different item row —
-    lands on the home back to back.  With coalescing the dwell drains the
-    burst into few INVALIDATE_BATCH frames; without it every invalidation
-    rides its own frame (ratio exactly 1.0).
+    is issued pipelined on one client whose connection is already open,
+    so every update is in flight at once and the home's sender, when it
+    wakes, finds them queued and ships them in few INVALIDATE_BATCH
+    frames.
     """
     home, policy, _ = _home(spec)
-    async with _PushFraming(
-        home,
-        batched=batched,
-        coalesce_s=FANOUT_COALESCE_S if batched else 0.0,
-    ) as fleet:
-        updater = WireClient(*fleet.home_net.address)
+    async with Deployment(home) as fleet:
+        updater = WireClient(*fleet.home_net.address, pipeline=FANOUT_BURST)
         try:
+            await updater.stats()  # open the connection before the burst
             template = spec.registry.update("setStock")
+            updates = []
             for index in range(FANOUT_BURST):
                 bound = template.bind([100 + index, index + 1])
                 sealed = home.codec.seal_update(
                     bound, policy.update_level("setStock")
                 )
-                await updater.update(sealed, request_id=f"stock-{index}")
+                updates.append(
+                    updater.update(sealed, request_id=f"stock-{index}")
+                )
+            await asyncio.gather(*updates)
         finally:
             await updater.aclose()
         node_server = fleet.servers[0]
@@ -176,15 +160,9 @@ def _experiment() -> dict:
 
     async def run_all():
         modes = {}
-        for name, pipeline, batched in MODES:
-            modes[name] = await _measure_mode(
-                spec, trace_json, pipeline, batched
-            )
-        fanout = {
-            "batched": await _measure_fanout(spec, batched=True),
-            "unbatched": await _measure_fanout(spec, batched=False),
-        }
-        return modes, fanout
+        for name, pipeline in MODES:
+            modes[name] = await _measure_mode(spec, trace_json, pipeline)
+        return modes, await _measure_fanout(spec)
 
     modes, fanout = asyncio.run(run_all())
     serial = modes["serial"].throughput_pages_s
@@ -201,7 +179,6 @@ def _experiment() -> dict:
         "modes": {
             name: {
                 "pipeline": report.pipeline,
-                "batched": name.endswith("batched"),
                 "throughput_pages_s": report.throughput_pages_s,
                 "p50_ms": report.p50_s * 1000,
                 "p90_ms": report.p90_s * 1000,
@@ -214,9 +191,6 @@ def _experiment() -> dict:
         },
         "speedup_pipelined_vs_serial": (
             modes["pipelined"].throughput_pages_s / serial
-        ),
-        "speedup_batched_vs_serial": (
-            modes["pipelined_batched"].throughput_pages_s / serial
         ),
         "fanout": fanout,
     }
@@ -240,13 +214,12 @@ def _render(result: dict) -> str:
         f"speedup pipelined vs serial: "
         f"{result['speedup_pipelined_vs_serial']:.2f}x"
     )
-    for kind in ("batched", "unbatched"):
-        fan = result["fanout"][kind]
-        lines.append(
-            f"fan-out {kind:<9}: {fan['frames']} frames / "
-            f"{fan['invalidations']} invalidations = "
-            f"{fan['frames_per_invalidation']:.3f} frames/invalidation"
-        )
+    fan = result["fanout"]
+    lines.append(
+        f"fan-out: {fan['frames']} frames / "
+        f"{fan['invalidations']} invalidations = "
+        f"{fan['frames_per_invalidation']:.3f} frames/invalidation"
+    )
     return "\n".join(lines)
 
 
@@ -273,21 +246,10 @@ def gate(fresh: dict, baseline: dict | None) -> list[str]:
                 f"{baseline['speedup_pipelined_vs_serial']:.2f}x x "
                 f"{SPEEDUP_TOLERANCE})"
             )
-    batched = fresh["fanout"]["batched"]["frames_per_invalidation"]
-    unbatched = fresh["fanout"]["unbatched"]["frames_per_invalidation"]
-    if unbatched != 1.0:
+    fanout = fresh["fanout"]["frames_per_invalidation"]
+    if fanout > FANOUT_CEILING:
         failures.append(
-            f"unbatched fan-out sent {unbatched:.3f} frames/invalidation, "
-            "not exactly one"
-        )
-    if not batched < unbatched:
-        failures.append(
-            f"batched fan-out ({batched:.3f} frames/invalidation) is not "
-            f"below unbatched ({unbatched:.3f})"
-        )
-    if batched > FANOUT_CEILING:
-        failures.append(
-            f"batched fan-out {batched:.3f} frames/invalidation exceeds "
+            f"burst fan-out {fanout:.3f} frames/invalidation exceeds "
             f"the ceiling of {FANOUT_CEILING:.3f}"
         )
     return failures

@@ -59,7 +59,6 @@ async def _measure(spec, trace_json: str, span_dir: Path | None):
         spec,
         trace_json,
         PIPELINE,
-        batched=True,
         span_dir=span_dir,
         trace_sample=SAMPLE_RATE,
     )

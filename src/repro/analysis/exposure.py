@@ -193,16 +193,6 @@ class ExposurePolicy:
             1 for level in self._queries.values() if level < ExposureLevel.VIEW
         )
 
-    def encrypted_parameter_counts(self) -> tuple[int, int]:
-        """(queries, updates) whose parameters are encrypted (level < stmt)."""
-        queries = sum(
-            1 for level in self._queries.values() if level < ExposureLevel.STMT
-        )
-        updates = sum(
-            1 for level in self._updates.values() if level < ExposureLevel.STMT
-        )
-        return queries, updates
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExposurePolicy):
             return NotImplemented

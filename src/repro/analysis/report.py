@@ -36,18 +36,6 @@ class CharacterizationSummary:
     b_eq_a_c_lt_b: int
     b_eq_a_c_eq_b: int
 
-    @property
-    def zero_fraction(self) -> float:
-        """Fraction of pairs with A = B = C = 0."""
-        if not self.total_pairs:
-            return 0.0
-        return self.zero / self.total_pairs
-
-    @property
-    def free_equalities(self) -> int:
-        """Pairs where B = A and/or C = B holds (exposure reducible)."""
-        return self.zero + self.b_lt_a_c_eq_b + self.b_eq_a_c_lt_b + self.b_eq_a_c_eq_b
-
 
 def summarize_characterization(
     application: str, characterization: IpmCharacterization

@@ -70,12 +70,18 @@ def encode_params(params: tuple[Scalar, ...]) -> bytes:
 def decode_params(data: bytes) -> tuple[Scalar, ...]:
     """Inverse of :func:`encode_params`, for bytes nobody authenticated.
 
+    The bytes are UTF-8, as every other string on the wire is: decoding
+    them first spares ``json`` guessing their encoding on every call.
+
     Raises:
-        ValueError: not a JSON array of ``int | float | str | None`` —
-            booleans, containers and non-finite floats are refused.
+        ValueError: not UTF-8, or not a JSON array of ``int | float | str |
+            None`` — booleans, containers and non-finite floats are
+            refused.
     """
     try:
-        params = json.loads(data)
+        params = json.loads(data.decode())
+    except UnicodeDecodeError as error:
+        raise ValueError(f"parameters are not UTF-8: {error}") from None
     except RecursionError:
         raise ValueError("parameters nest too deeply") from None
     if type(params) is not list:

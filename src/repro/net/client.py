@@ -21,8 +21,8 @@ take a slot within the request timeout fails with a typed ``TIMEOUT``
 any order: the connection's read callback matches each to its sender
 through a pending map of per-request futures, so a request costs no task.
 A response that arrives after its request gave up is counted and dropped;
-it never resolves another request.  Subscriptions open a dedicated
-connection of their own.
+it never resolves another request.  A subscription opens a dedicated
+connection of its own, called back the same way.
 
 Stepping: a request is one coroutine, every attempt included, returned by
 :meth:`WireClient.query` / :meth:`~WireClient.update`; it returns the
@@ -85,6 +85,8 @@ __all__ = [
     "exception_for",
 ]
 
+#: Ceiling on dialing the server, for every connection a client opens.
+CONNECT_TIMEOUT_S = 5.0
 #: Error codes meaning "the server never processed the request".
 _UNPROCESSED_CODES = frozenset({ErrorCode.OVERLOADED})
 #: Additional codes safe to retry when the request is idempotent.
@@ -156,84 +158,66 @@ class RetryPolicy:
         return self._rng.uniform(floor, ceiling)  # type: ignore[attr-defined]
 
 
-class Subscription:
-    """An open invalidation-stream channel (DSSP side).
+class Subscription(FrameConnection):
+    """An open invalidation-stream channel (DSSP side), called back like
+    the request channel: each ``INVALIDATE`` or ``INVALIDATE_BATCH`` frame
+    goes to ``on_push(frame, request_id)`` from inside the read that
+    brings it, so a push is applied with no task and no loop turn.  The
+    request id is the trace id of the update that caused a singleton push
+    (``None`` when it arrived untraced, and for a batch, whose entries
+    carry their own).
 
-    Iterate :meth:`events` to receive
-    :class:`~repro.net.wire.InvalidationPush` frames — and, when the
-    channel negotiated batching (``batch_enabled``),
-    :class:`~repro.net.wire.InvalidationBatch` frames a consumer applies
-    atomically; iteration ends when the server closes the channel.  The
-    channel is its own pull-mode connection: the stream's pace is the
-    consumer's, bounded by the connection's read backlog.
+    The first frame answers the ``SUBSCRIBE``: ``SUBSCRIBED`` completes
+    :meth:`WireClient.subscribe`, an ``ERROR`` fails it with the typed
+    error it maps to.  Any later frame that is not a push ends the stream
+    as the connection's end does; :meth:`wait_ended` returns why (``None``
+    when the home closed it cleanly).
     """
 
-    def __init__(
-        self, connection: FrameConnection, *, max_frame: int, observer=None
-    ) -> None:
-        self._connection = connection
-        self._max_frame = max_frame
-        self._observer = observer
-        self.app_ids: tuple[str, ...] = ()
-        self.batch_enabled = False
-        #: The home accepted this subscriber's shard topology and narrows
-        #: invalidation fan-out to owning shards.
-        self.shard_filtered = False
-
-    async def _handshake(self, request: SubscribeRequest) -> None:
-        """Send the SUBSCRIBE and take the home's terms from its answer."""
-        await wire.write_frame(
-            self._connection,
-            request,
-            max_frame=self._max_frame,
-            observer=self._observer,
+    def __init__(self, *, max_frame: int, on_push, observer=None) -> None:
+        super().__init__(
+            max_frame=max_frame, on_frame=self._frame, on_end=self._end
         )
-        response, _ = await self._receive()
-        if isinstance(response, ErrorResponse):
-            raise exception_for(response)
-        if not isinstance(response, SubscribeResponse):
-            raise WireError(
-                f"expected SUBSCRIBED frame, got {type(response).__name__}"
-            )
-        self.app_ids = response.app_ids
-        self.batch_enabled = response.batch_enabled
-        self.shard_filtered = response.shard_filtered
+        self._on_push = on_push
+        self._observer = observer
+        self._subscribed = self._loop.create_future()
+        self._stream_end = self._loop.create_future()
 
-    async def _receive(self) -> tuple[Frame, str | None]:
-        raw = await self._connection.receive()
-        if raw is None:
-            raise NetConnectionError("server closed the connection")
+    def _frame(self, raw: bytes) -> None:
         if self._observer is not None:
             self._observer(raw)
-        return wire.decode_checked(raw)
-
-    async def events(self):
-        """Yield ``(frame, request_id)`` pairs until the channel closes.
-
-        ``frame`` is an :class:`~repro.net.wire.InvalidationPush` or — on
-        a batching channel — an :class:`~repro.net.wire.InvalidationBatch`
-        (whose per-entry ids carry the tracing; its own id is ``None``).
-        The request id is the trace id of the update that caused the push
-        (``None`` when the update arrived untraced), so a node can log
-        stream invalidations correlated with their originating request.
-        """
-        while True:
-            try:
-                frame, request_id = await self._receive()
-            except NetConnectionError:
-                return
-            if isinstance(frame, (InvalidationPush, InvalidationBatch)):
-                yield frame, request_id
-            elif isinstance(frame, ErrorResponse):
-                raise exception_for(frame)
-            else:
+        frame, request_id = wire.decode_checked(raw)
+        if isinstance(frame, ErrorResponse):
+            raise exception_for(frame)
+        if not self._subscribed.done():
+            if not isinstance(frame, SubscribeResponse):
                 raise WireError(
-                    f"unexpected {type(frame).__name__} on subscription channel"
+                    f"expected SUBSCRIBED frame, got {type(frame).__name__}"
                 )
+            self._subscribed.set_result(None)
+        elif isinstance(frame, (InvalidationPush, InvalidationBatch)):
+            self._on_push(frame, request_id)
+        else:
+            raise WireError(
+                f"unexpected {type(frame).__name__} on subscription channel"
+            )
+
+    def _end(self, error: BaseException | None) -> None:
+        self.close()
+        if not self._subscribed.done():
+            self._subscribed.set_exception(
+                error or NetConnectionError("server closed the connection")
+            )
+        if not self._stream_end.done():
+            self._stream_end.set_result(error)
+
+    async def wait_ended(self) -> BaseException | None:
+        """Wait for the stream's end; what ended it, ``None`` if clean."""
+        return await self._stream_end
 
     async def aclose(self) -> None:
-        self._connection.close()
-        await self._connection.wait_closed()
+        self.close()
+        await self.wait_closed()
 
 
 class _Channel:
@@ -532,7 +516,6 @@ class WireClient:
         port: int,
         *,
         pool_size: int = 4,
-        connect_timeout_s: float = 5.0,
         request_timeout_s: float = 30.0,
         retry: RetryPolicy | None = None,
         max_frame: int = wire.MAX_FRAME_BYTES,
@@ -545,7 +528,6 @@ class WireClient:
         self.host = host
         self.port = port
         self._retry = retry or RetryPolicy()
-        self._connect_timeout_s = connect_timeout_s
         self._request_timeout_s = request_timeout_s
         self._max_frame = max_frame
         self._frame_observer = frame_observer
@@ -610,39 +592,31 @@ class WireClient:
         self,
         node_id: str,
         app_ids: tuple[str, ...],
+        on_push,
         *,
-        supports_batch: bool = False,
         shards: tuple[str, ...] = (),
-        vnodes: int = 0,
     ) -> Subscription:
-        """Open a dedicated invalidation-stream channel.
-
-        ``supports_batch`` advertises that this subscriber understands
-        ``INVALIDATE_BATCH`` frames; the returned subscription's
-        ``batch_enabled`` reports whether the home agreed.
-        ``shards``/``vnodes`` declare the subscriber's sharded topology
-        (ring membership + virtual nodes); ``shard_filtered`` on the
-        subscription reports whether the home will narrow fan-out with it.
-        """
-        connection = await self._dial(
-            lambda: FrameConnection(max_frame=self._max_frame)
-        )
-        subscription = Subscription(
-            connection,
-            max_frame=self._max_frame,
-            observer=self._frame_observer,
+        """Open a dedicated invalidation-stream channel whose pushes go to
+        ``on_push`` (see :class:`Subscription`); returns once the home
+        acknowledged it.  ``shards`` declares the subscriber's sharded
+        topology (the ring membership, ``node_id`` among it)."""
+        subscription = await self._dial(
+            lambda: Subscription(
+                max_frame=self._max_frame,
+                on_push=on_push,
+                observer=self._frame_observer,
+            )
         )
         try:
-            await subscription._handshake(
-                SubscribeRequest(
-                    node_id,
-                    app_ids,
-                    supports_batch=supports_batch,
-                    shards=shards,
-                    vnodes=vnodes,
-                )
+            await wire.write_frame(
+                subscription,
+                SubscribeRequest(node_id, app_ids, shards),
+                max_frame=self._max_frame,
+                observer=self._frame_observer,
             )
+            await subscription._subscribed
         except BaseException:
+            subscription._subscribed.cancel()  # nobody will await it now
             await subscription.aclose()
             raise
         return subscription
@@ -667,7 +641,7 @@ class WireClient:
         done: set = set()
         try:
             done, _ = await asyncio.wait(
-                (connecting,), timeout=self._connect_timeout_s
+                (connecting,), timeout=CONNECT_TIMEOUT_S
             )
         finally:
             if not done:  # timed out, or this caller was cancelled

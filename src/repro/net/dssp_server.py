@@ -15,13 +15,13 @@ Invalidation arrives two ways, mirroring :class:`~repro.dssp.cluster.DsspCluster
   its cache before acknowledging the client, so a client never re-reads its
   own stale write through the same node;
 * **asynchronously** over the home's invalidation stream for updates that
-  entered through other nodes.  The subscription channel reconnects with
-  backoff if it drops, and on (re)connect the node flushes its cache for
-  the affected applications — pushes may have been missed while detached.
-  The node always advertises ``INVALIDATE_BATCH`` support on subscribe
-  (the home decides whether to batch); a coalesced batch is applied
-  atomically — every entry invalidated in one synchronous sweep with no
-  await in between, so no query can observe a half-applied batch.
+  entered through other nodes.  Each push is applied from inside the read
+  that brings it (:class:`~repro.net.client.Subscription`), with no task;
+  a coalesced batch is applied atomically — every entry invalidated in one
+  synchronous sweep, so no query can observe a half-applied batch.  The
+  stream's one task re-subscribes when the channel ends, and on every
+  (re)connect the node flushes its cache for the affected applications —
+  pushes may have been missed while detached.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import logging
 
 from repro.dssp.placement import Placement
 from repro.dssp.proxy import DsspNode
-from repro.dssp.ring import DEFAULT_VNODES
 from repro.errors import (
     HomeUnreachableError,
     NetConnectionError,
@@ -46,6 +45,7 @@ from repro.net.service import ConnectionContext, WireServer
 from repro.net.wire import (
     Frame,
     InvalidationBatch,
+    InvalidationPush,
     QueryRequest,
     QueryResponse,
     StatsRequest,
@@ -71,10 +71,9 @@ _TRANSPORT_FAILURES = (
     ConnectionError,
     OSError,
 )
-#: Failures that end one subscription attempt or one live stream, never
-#: the task keeping the stream alive.  An ``ERROR(UNKNOWN_APP)`` frame
-#: maps back to an :class:`UnknownApplicationError`, which is not a
-#: ``NetError``.
+#: Failures that end one subscription attempt, never the task keeping
+#: the stream alive.  An ``ERROR(UNKNOWN_APP)`` frame maps back to an
+#: :class:`UnknownApplicationError`, which is not a ``NetError``.
 _STREAM_FAILURES = (
     NetError,
     UnknownApplicationError,
@@ -311,6 +310,26 @@ class DsspNetServer(WireServer):
 
     # -- invalidation stream -----------------------------------------------
 
+    def _on_push(
+        self,
+        frame: InvalidationPush | InvalidationBatch,
+        request_id: str | None,
+        stream_ctx: dict,
+    ) -> None:
+        """Apply one pushed frame, from inside the read that brought it.
+
+        A batch is atomic on the event loop: every entry is applied in one
+        synchronous sweep, so no concurrently served query can observe it
+        half-applied.
+        """
+        if isinstance(frame, InvalidationBatch):
+            for entry_rid, envelope in frame.entries:
+                self._apply_push(envelope, entry_rid, stream_ctx)
+            self._stream_batches.inc()
+            self._stream_batch_size.observe(len(frame.entries))
+        else:
+            self._apply_push(frame.envelope, request_id, stream_ctx)
+
     def _apply_push(
         self, envelope, request_id: str | None, stream_ctx: dict
     ) -> None:
@@ -340,8 +359,18 @@ class DsspNetServer(WireServer):
     async def _stream_loop(
         self, home: tuple[str, int], app_ids: tuple[str, ...]
     ) -> None:
-        """Keep one invalidation-stream subscription alive with backoff."""
+        """Keep one invalidation-stream subscription alive: subscribe (with
+        backoff while refused), flush, and wait for the channel to end."""
         shards = () if self.placement is None else self.placement.node_ids
+        stream_ctx = {
+            "server": self.server_id,
+            "home": f"{home[0]}:{home[1]}",
+            "app_ids": ",".join(app_ids),
+        }
+
+        def on_push(frame, request_id) -> None:
+            self._on_push(frame, request_id, stream_ctx)
+
         attempt = 0
         while True:
             client = self._home_clients.get(home)
@@ -353,18 +382,9 @@ class DsspNetServer(WireServer):
                         if addr == home
                     )
                 )
-            stream_ctx = {
-                "server": self.server_id,
-                "home": f"{home[0]}:{home[1]}",
-                "app_ids": ",".join(app_ids),
-            }
             try:
                 subscription = await client.subscribe(
-                    self.node_id,
-                    app_ids,
-                    supports_batch=True,
-                    shards=shards,
-                    vnodes=DEFAULT_VNODES if shards else 0,
+                    self.node_id, app_ids, on_push, shards=shards
                 )
             except _STREAM_FAILURES as error:
                 self.stream_subscribe_failures += 1
@@ -405,29 +425,15 @@ class DsspNetServer(WireServer):
                 self.node.flush(app_id)
             self.stream_flushes += 1
             try:
-                async for event, request_id in subscription.events():
-                    if isinstance(event, InvalidationBatch):
-                        # Atomic on the event loop: every entry is applied
-                        # in one synchronous sweep, so no concurrently
-                        # served query can observe a half-applied batch.
-                        for entry_rid, envelope in event.entries:
-                            self._apply_push(envelope, entry_rid, stream_ctx)
-                        self._stream_batches.inc()
-                        self._stream_batch_size.observe(len(event.entries))
-                    else:
-                        self._apply_push(
-                            event.envelope, request_id, stream_ctx
-                        )
-            except _STREAM_FAILURES as error:
-                # A garbled or error frame mid-stream must not kill this
-                # task — that would leave the node serving a cache nobody
-                # invalidates.  Treat it like a dropped channel: close,
-                # reconnect, flush.
+                error = await subscription.wait_ended()
+            finally:
+                await subscription.aclose()
+            if error is not None:
+                # A garbled or error frame mid-stream ends the channel
+                # like a drop does: reconnect and flush, never leave the
+                # node serving a cache nobody invalidates.
                 logger.warning(
                     "invalidation stream failed (%s); reconnecting",
                     error,
                     extra={"ctx": stream_ctx},
                 )
-            finally:
-                await subscription.aclose()
-            # events() ended: channel dropped; loop to reconnect.

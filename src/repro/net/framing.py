@@ -9,12 +9,12 @@ frames out of it with :mod:`repro.net.wire`'s header check (each
 header's only check: :func:`~repro.net.wire.decode_checked` decodes a
 cut frame), and gives each frame's raw bytes to its owner:
 
-* request traffic — a **server**'s accepted connections and a
-  **client**'s request channel — passes ``on_frame`` / ``on_end`` and is
-  called back from the read itself: no reader task on either end;
-* a **subscription** and each half of a chaos proxy's pair pass neither
-  and pull with :meth:`receive`; frames not taken yet wait in a queue
-  bounded by :data:`READ_BACKLOG_BYTES` through ``pause_reading()``.
+* a **server**'s accepted connections, a **client**'s request channel
+  and a DSSP node's **subscription** pass ``on_frame`` / ``on_end`` and
+  are called back from the read itself: no reader task on any end;
+* each half of a chaos proxy's pair passes neither and pulls with
+  :meth:`receive`; frames not taken yet wait in a queue bounded by
+  :data:`READ_BACKLOG_BYTES` through ``pause_reading()``.
 
 Every socket in ``src/`` is one of these.  The writing half is
 ``write`` / ``writable`` / ``drain`` / ``close`` / ``wait_closed``: a
@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.errors import WireError
+from repro.errors import ReproError, WireError
 from repro.net import wire
 from repro.net.wire import HEADER_SIZE
 
@@ -64,8 +64,10 @@ class FrameConnection(asyncio.BufferedProtocol):
     Args:
         max_frame: Largest payload a header may announce.
         on_frame: ``on_frame(raw)`` for each complete frame, in order, from
-            inside the read.  A :class:`~repro.errors.WireError` it raises
-            ends the input exactly like a malformed header.
+            inside the read.  A :class:`~repro.errors.ReproError` it raises
+            (a :class:`~repro.errors.WireError`, or the typed error an
+            ``ERROR`` frame maps to) ends the input exactly like a
+            malformed header.
         on_end: ``on_end(error)`` once, when no more frames will come:
             ``None`` for a clean EOF between frames, a ``WireError`` for a
             malformed header or an EOF inside a frame, the transport's
@@ -165,7 +167,7 @@ class FrameConnection(asyncio.BufferedProtocol):
                 start = self._start = start + need
                 need = self._need = None
                 self._on_frame(raw)
-        except WireError as error:
+        except ReproError as error:
             self._end_input(error)
             return
         if start == end and need is None and len(view) == INITIAL_BUFFER_BYTES:

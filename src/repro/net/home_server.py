@@ -17,20 +17,19 @@ instances behind the wire protocol:
 * ``SUBSCRIBE`` frames register a DSSP node's long-lived stream channel.
 
 Fan-out is decoupled from the update request path: the ack never waits for
-pushes.  Each subscriber has a bounded send queue drained by its own sender
-task with a per-send timeout; a subscriber that stalls (full TCP buffer,
-dead peer) is dropped by *closing its channel*, so the node's
-reconnect-and-flush safety net restores correctness, and one stuck node can
-neither delay the update ack nor starve the other subscribers.
+pushes.  Each subscriber has a bounded send queue
+(:data:`PUSH_QUEUE_SIZE`) drained by its own sender task with a per-send
+timeout; a subscriber that stalls (full TCP buffer, dead peer) is dropped
+by *closing its channel*, so the node's reconnect-and-flush safety net
+restores correctness, and one stuck node can neither delay the update ack
+nor starve the other subscribers.
 
-Subscribers that advertise batching (``SubscribeRequest.supports_batch``)
-get their queue *coalesced*: whatever has accumulated behind the head
-push is drained into one ``INVALIDATE_BATCH`` frame, deduplicating
-repeated envelope identities, so a burst of updates costs a
-stalled-but-recovering subscriber one frame instead of one per update.
-Non-batching subscribers keep receiving byte-identical singleton
-``INVALIDATE`` frames — coalescing is per-channel, negotiated, and never
-changes *which* invalidations are delivered, only their framing.
+Each time a sender wakes it *coalesces* whatever its queue holds into one
+frame, deduplicating literal repeats of an envelope identity: one survivor
+ships as a plain ``INVALIDATE``, several as one ``INVALIDATE_BATCH``.  The
+sender never waits for a batch to form, so coalescing changes only how a
+backlog is framed, never *which* invalidations are delivered or when the
+first of them leaves.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from collections.abc import Iterable
 from repro.crypto.envelope import UpdateEnvelope
 from repro.dssp.homeserver import HomeServer
 from repro.dssp.placement import Placement
-from repro.dssp.ring import DEFAULT_VNODES
 from repro.errors import UnknownApplicationError, WireError
 from repro.net import wire
 from repro.net.service import ConnectionContext, WireServer
@@ -66,6 +64,10 @@ from repro.obs.trace import span as trace_span
 __all__ = ["HomeNetServer", "UpdateDedup"]
 
 logger = logging.getLogger(__name__)
+
+#: Pending pushes a subscriber may accumulate before it is considered
+#: stalled and dropped.
+PUSH_QUEUE_SIZE = 256
 
 
 class UpdateDedup:
@@ -132,23 +134,18 @@ class _Subscriber:
         node_id: str,
         app_ids: frozenset[str],
         context: ConnectionContext,
-        queue_size: int,
-        *,
-        batch_enabled: bool = False,
-        placement: Placement | None = None,
+        placement: Placement | None,
     ) -> None:
         self.node_id = node_id
         self.app_ids = app_ids
         self.context = context
-        #: Negotiated: this channel may receive INVALIDATE_BATCH frames.
-        self.batch_enabled = batch_enabled
-        #: The subscriber's declared shard topology, when the home agreed
-        #: to narrow fan-out with it (None on unsharded channels).
+        #: The subscriber's declared shard topology, which narrows its
+        #: fan-out (None on unsharded channels).
         self.placement = placement
         #: Pending (push, request id) pairs; the id is the trace id of the
         #: update that caused the push, so invalidations stay correlatable.
         self.queue: asyncio.Queue[tuple[InvalidationPush, str | None]] = (
-            asyncio.Queue(maxsize=queue_size)
+            asyncio.Queue(maxsize=PUSH_QUEUE_SIZE)
         )
         self.sender: asyncio.Task | None = None
 
@@ -166,17 +163,8 @@ class HomeNetServer(WireServer):
     Args:
         homes: The application home server(s) this endpoint masters.
         host/port: Bind address (port 0 picks an ephemeral port).
-        push_queue_size: Pending pushes a subscriber may accumulate before
-            it is considered stalled and dropped.
         push_timeout_s: Ceiling on one push write; a subscriber whose
             socket cannot take a frame within this window is dropped.
-        batch_pushes: Master switch for coalescing; when False the home
-            answers every subscriber with ``batch_enabled=False`` and
-            sends only singleton frames, whatever the peer advertised.
-        push_coalesce_s: Optional dwell after the head push before the
-            queue is drained into a batch (0 disables).  A small dwell
-            lets a burst of independent updates land in one frame at the
-            cost of that much added push latency.
         Remaining keyword arguments are the
         :class:`~repro.net.service.WireServer` operational knobs.
     """
@@ -187,19 +175,13 @@ class HomeNetServer(WireServer):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        push_queue_size: int = 256,
         push_timeout_s: float = 5.0,
-        batch_pushes: bool = True,
-        push_coalesce_s: float = 0.0,
         update_dedup: UpdateDedup | None = None,
         **kwargs,
     ) -> None:
         kwargs.setdefault("server_id", "home")
         super().__init__(host, port, **kwargs)
-        self._push_queue_size = push_queue_size
         self._push_timeout_s = push_timeout_s
-        self._batch_pushes = batch_pushes
-        self._push_coalesce_s = push_coalesce_s
         self.update_dedup = update_dedup or UpdateDedup()
         if isinstance(homes, HomeServer):
             homes = [homes]
@@ -318,38 +300,25 @@ class HomeNetServer(WireServer):
         if frame.shards:
             placement = self._shard_placement(frame, homes)
         subscriber = _Subscriber(
-            frame.node_id,
-            frozenset(frame.app_ids),
-            context,
-            self._push_queue_size,
-            batch_enabled=frame.supports_batch and self._batch_pushes,
-            placement=placement,
+            frame.node_id, frozenset(frame.app_ids), context, placement
         )
         subscriber.sender = asyncio.create_task(self._push_loop(subscriber))
         self._subscribers.append(subscriber)
         context.on_close(lambda: self._unsubscribe(subscriber))
-        return SubscribeResponse(
-            app_ids=tuple(sorted(subscriber.app_ids)),
-            batch_enabled=subscriber.batch_enabled,
-            shard_filtered=placement is not None,
-        )
+        return SubscribeResponse()
 
     @staticmethod
     def _shard_placement(
         frame: SubscribeRequest, homes: list[HomeServer]
     ) -> Placement:
         """The subscriber's declared topology as a conservative placement:
-        integrity constraints off, so the home never filters a push a
-        constraint-less subscriber would have applied."""
+        the fleet's one ring, and integrity constraints off, so the home
+        never filters a push a constraint-less subscriber would have
+        applied."""
         if frame.node_id not in frame.shards:
             raise WireError(
                 f"subscriber {frame.node_id!r} is not in its declared "
                 f"shard set {sorted(frame.shards)}"
-            )
-        if frame.vnodes != DEFAULT_VNODES:
-            raise WireError(
-                f"subscriber {frame.node_id!r} declared {frame.vnodes} "
-                f"vnodes per shard; the fleet places with {DEFAULT_VNODES}"
             )
         placement = Placement(frame.shards, sharded=True)
         for home in homes:
@@ -425,8 +394,7 @@ class HomeNetServer(WireServer):
 
         Deduplicates literal re-pushes of the same envelope identity
         — only exact repeats, never two distinct updates — then picks the
-        cheapest framing: a singleton ``INVALIDATE`` for one survivor
-        (byte-identical to the unbatched protocol), an
+        cheapest framing: a plain ``INVALIDATE`` for one survivor, an
         ``INVALIDATE_BATCH`` otherwise.  Returns the frame, the request
         id to put in its header, and the invalidations it delivers.
         """
@@ -445,23 +413,16 @@ class HomeNetServer(WireServer):
         return InvalidationBatch(tuple(deduped)), None, len(deduped)
 
     async def _push_loop(self, subscriber: _Subscriber) -> None:
-        """Drain one subscriber's queue onto its channel until it dies.
-
-        On a batching channel, everything queued behind the head push
-        (plus anything arriving during the optional coalesce dwell) goes
-        out as one frame.
-        """
+        """Drain one subscriber's queue onto its channel until it dies:
+        each wake sends everything queued by then as one frame."""
         try:
             while True:
                 entries = [await subscriber.queue.get()]
-                if subscriber.batch_enabled:
-                    if self._push_coalesce_s > 0.0:
-                        await asyncio.sleep(self._push_coalesce_s)
-                    while len(entries) < wire.MAX_BATCH_ENTRIES:
-                        try:
-                            entries.append(subscriber.queue.get_nowait())
-                        except asyncio.QueueEmpty:
-                            break
+                while len(entries) < wire.MAX_BATCH_ENTRIES:
+                    try:
+                        entries.append(subscriber.queue.get_nowait())
+                    except asyncio.QueueEmpty:
+                        break
                 frame, request_id, delivered = self._coalesce(entries)
                 send_wall = time.time()
                 send_started = time.perf_counter()

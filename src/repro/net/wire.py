@@ -1,6 +1,6 @@
 """Length-prefixed binary wire protocol for the DSSP service layer.
 
-Framing, protocol version 4 (all integers big-endian)::
+Framing, protocol version 5 (all integers big-endian)::
 
     +-------+---------+------------+---------+--------------+========+=========+
     | magic | version | frame type | rid len | payload len  |  rid   | payload |
@@ -16,12 +16,18 @@ Earlier versions are rejected, not translated: version 1 had no rid slot;
 a version 2 envelope carried its statement as SQL text beside a
 sender-supplied cache key, and accepting one would accept the claims
 version 3 existed to make inexpressible; version 3 gave every envelope
-field a presence flag, so its bytes could say shapes no level names.
+field a presence flag, so its bytes could say shapes no level names;
+version 4's ``SUBSCRIBE`` negotiated a batching flag and a vnode count
+that had one accepted value each.
 
 A payload is one fixed part — a precompiled :class:`struct.Struct` of
 the frame's flags, level, kind, counts and the lengths of its variable
 fields — then those variable fields' bytes, in order.  A byte of the
-fixed part says which variable fields there are.  A statement travels as
+fixed part says which variable fields there are.  ``SUBSCRIBE`` says
+only what varies between subscribers: ``len(node)  count(apps)
+count(shards)`` (u32 each), the node id, then each app id and shard id
+as its u32 length and bytes; ``SUBSCRIBED`` is a bare acknowledgement,
+no payload at all.  A statement travels as
 ``(template name, parameters)`` and nothing else, and the level byte
 picks its envelope's layout (query and update envelopes share them)::
 
@@ -51,7 +57,7 @@ route.  Decode refuses any parameter that is not a scalar.
 
 Every decode error raises :class:`~repro.errors.WireError` (the ``BAD_FRAME``
 wire code): truncated or oversized frames, bad magic/version, unknown frame
-types or levels, a flag byte other than 0 or 1, lengths that run past the
+types or levels, a hit flag other than 0 or 1, lengths that run past the
 payload, trailing bytes, and malformed envelopes.
 
 A repeat costs a lookup, both ways.  A QUERY payload and a RESULT body
@@ -119,7 +125,7 @@ __all__ = [
 ]
 
 MAGIC = b"DW"
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct(">2sBBBI")
 HEADER_SIZE = _HEADER.size
 #: Default ceiling on payload size; a frame claiming more is rejected
@@ -193,19 +199,15 @@ class UpdateRequest:
 class SubscribeRequest:
     """DSSP → home: open the invalidation-stream channel.
 
-    ``supports_batch`` advertises that the subscriber understands
-    ``INVALIDATE_BATCH`` frames.  ``shards``/``vnodes`` declare the sharded
-    topology the subscriber is part of: the full ring membership plus the
-    virtual-node count, enough for the home to rebuild the placement ring
-    and narrow its fan-out to owning shards; ``()`` and 0 when unsharded.
-    Every field travels in every frame.
+    ``shards`` declares the sharded topology the subscriber is part of,
+    the full ring membership: the home rebuilds the placement ring from it
+    (with the fleet's one vnode count) and narrows its fan-out to owning
+    shards; ``()`` when unsharded.
     """
 
     node_id: str
     app_ids: tuple[str, ...]
-    supports_batch: bool = False
     shards: tuple[str, ...] = ()
-    vnodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -226,17 +228,8 @@ class UpdateResponse:
 
 @dataclass(frozen=True)
 class SubscribeResponse:
-    """Answer to a :class:`SubscribeRequest`; the channel stays open.
-
-    ``batch_enabled`` confirms the home will coalesce pushes into
-    ``INVALIDATE_BATCH`` frames on this channel; ``shard_filtered``
-    confirms it accepted the declared shard topology and will narrow
-    invalidation fan-out to owning shards.
-    """
-
-    app_ids: tuple[str, ...]
-    batch_enabled: bool = False
-    shard_filtered: bool = False
+    """Answer to a :class:`SubscribeRequest`: the home took the channel,
+    and pushes follow on it.  A refusal is an ``ERROR`` frame instead."""
 
 
 @dataclass(frozen=True)
@@ -320,10 +313,8 @@ _NAMED = struct.Struct(">BIII")  # level, len(app), len(name), len(params)
 #: A result body: kind, len(app), len(rows or ciphertext).
 _RESULT_BODY = struct.Struct(">BII")
 _ROWS, _SEALED = 0, 1
-#: batch, vnodes, len(node id), app-id count, shard count.
-_SUBSCRIBE = struct.Struct(">BIIII")
-#: batch, shard filtered, app-id count.
-_SUBSCRIBED = struct.Struct(">BBI")
+#: len(node id), app-id count, shard count.
+_SUBSCRIBE = struct.Struct(">III")
 _UPDATE_ACK = struct.Struct(">II")  # rows affected, invalidated
 _ERROR = struct.Struct(">BI")  # code, len(message)
 _STATS_RESULT = struct.Struct(">II")  # len(node id), len(payload)
@@ -354,13 +345,6 @@ def _text(data: bytes, start: int, end: int) -> str:
     if end > len(data):
         raise _overrun(end, len(data))
     return data[start:end].decode()
-
-
-def _flag(byte: int) -> bool:
-    """A one-byte flag: 0 or 1, and no other byte says either."""
-    if byte > 1:
-        raise WireError(f"bad flag byte {byte}")
-    return byte == 1
 
 
 # -- encoding --------------------------------------------------------------------
@@ -442,14 +426,11 @@ def _encode_payload(frame: Frame) -> tuple[int, bytes]:
     if isinstance(frame, SubscribeRequest):
         node = frame.node_id.encode()
         counts = len(node), len(frame.app_ids), len(frame.shards)
-        fixed = _SUBSCRIBE.pack(frame.supports_batch, frame.vnodes, *counts)
+        fixed = _SUBSCRIBE.pack(*counts)
         payload = fixed + node + _texts(frame.app_ids) + _texts(frame.shards)
         return FrameType.SUBSCRIBE, payload
     if isinstance(frame, SubscribeResponse):
-        fixed = _SUBSCRIBED.pack(
-            frame.batch_enabled, frame.shard_filtered, len(frame.app_ids)
-        )
-        return FrameType.SUBSCRIBED, fixed + _texts(frame.app_ids)
+        return FrameType.SUBSCRIBED, b""
     if isinstance(frame, ErrorResponse):
         message = frame.message.encode()
         return FrameType.ERROR, _ERROR.pack(frame.code, len(message)) + message
@@ -582,7 +563,7 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
         body = payload[1:]
         envelope = _result_frames.get(body, _read_result, body)
         hit = payload[0]
-        if hit > 1:  # as _flag does, with no call on a hit's path
+        if hit > 1:
             raise WireError(f"bad flag byte {hit}")
         return QueryResponse(envelope, hit == 1)
     if frame_type == FrameType.UPDATE:
@@ -606,17 +587,14 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
             entries.append((entry_rid, envelope))
         frame = InvalidationBatch(tuple(entries))
     elif frame_type == FrameType.SUBSCRIBE:
-        batch, vnodes, node_length, apps, shards = _SUBSCRIBE.unpack_from(payload)
+        node_length, apps, shards = _SUBSCRIBE.unpack_from(payload)
         end = _SUBSCRIBE.size + node_length
         node_id = _text(payload, _SUBSCRIBE.size, end)
         app_ids, end = _read_texts(payload, end, apps)
         shard_ids, end = _read_texts(payload, end, shards)
-        batch = _flag(batch)
-        frame = SubscribeRequest(node_id, app_ids, batch, shard_ids, vnodes)
+        frame = SubscribeRequest(node_id, app_ids, shard_ids)
     elif frame_type == FrameType.SUBSCRIBED:
-        batch, filtered, apps = _SUBSCRIBED.unpack_from(payload)
-        app_ids, end = _read_texts(payload, _SUBSCRIBED.size, apps)
-        frame = SubscribeResponse(app_ids, _flag(batch), _flag(filtered))
+        frame, end = SubscribeResponse(), 0
     elif frame_type == FrameType.ERROR:
         code_id, length = _ERROR.unpack_from(payload)
         try:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.errors import SchemaError, UnknownColumnError, UnknownTableError
+from repro.errors import SchemaError, UnknownTableError
 from repro.schema.attribute import Attribute
 from repro.schema.constraints import ForeignKey
 from repro.schema.table import TableSchema
@@ -79,28 +79,6 @@ class Schema:
         """Resolve ``table.column`` to an :class:`Attribute`, validating both."""
         return self.table(table).attribute(column)
 
-    def resolve_column(self, column: str, tables: Iterable[str]) -> Attribute:
-        """Resolve an unqualified column against candidate base tables.
-
-        Args:
-            column: Bare column name from a statement.
-            tables: Base-table names in scope (FROM clause, aliases resolved).
-
-        Raises:
-            UnknownColumnError: if the column matches no table in scope or is
-                ambiguous across several.
-        """
-        matches = [
-            name for name in tables if self.table(name).has_column(column)
-        ]
-        if not matches:
-            raise UnknownColumnError(column)
-        if len(set(matches)) > 1:
-            raise SchemaError(
-                f"column {column!r} is ambiguous across tables {sorted(set(matches))}"
-            )
-        return Attribute(matches[0], column)
-
     # -- constraint views --------------------------------------------------------
 
     def foreign_keys_into(self, table: str) -> tuple[tuple[str, ForeignKey], ...]:
@@ -111,10 +89,3 @@ class Schema:
                 if foreign_key.ref_table == table:
                     incoming.append((owner.name, foreign_key))
         return tuple(incoming)
-
-    def all_attributes(self) -> frozenset[Attribute]:
-        """Return every attribute in the schema."""
-        result: set[Attribute] = set()
-        for table in self._tables.values():
-            result |= table.attributes()
-        return frozenset(result)

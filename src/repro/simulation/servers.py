@@ -29,16 +29,6 @@ class Station:
         self.jobs_completed = 0
         self.busy_time = 0.0
 
-    @property
-    def queue_length(self) -> int:
-        """Jobs waiting (not yet in service)."""
-        return len(self._queue)
-
-    @property
-    def busy_workers(self) -> int:
-        """Workers currently serving a job."""
-        return self._busy
-
     def submit(self, service_time: float, done: Callable[[], None]) -> None:
         """Enqueue a job; ``done`` runs when service completes."""
         if self._busy < self._workers:

@@ -53,6 +53,4 @@ class Backend(Protocol):
 
     def snapshot(self) -> dict[str, tuple[Row, ...]]: ...
 
-    def restore(self, snapshot: dict[str, tuple[Row, ...]]) -> None: ...
-
     def close(self) -> None: ...

@@ -319,20 +319,6 @@ class SqliteBackend:
         """Return an immutable copy of all table contents."""
         return {name: self.rows(name) for name in self.schema.table_names}
 
-    def restore(self, snapshot: dict[str, tuple[Row, ...]]) -> None:
-        """Replace all table contents with a snapshot taken earlier."""
-        self._connection.execute("BEGIN")
-        try:
-            for name, rows in snapshot.items():
-                table = self.schema.table(name)
-                self._connection.execute(f'DELETE FROM "{table.name}"')
-                self._insert_rows(table, rows)
-        except BaseException:
-            self._connection.execute("ROLLBACK")
-            raise
-        self._connection.execute("COMMIT")
-        self._version += 1
-
     def close(self) -> None:
         """Release the connection (safe to call more than once)."""
         self._connection.close()

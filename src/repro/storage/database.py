@@ -153,20 +153,6 @@ class Database:
             for name, rows in self._indexes.tables.items()
         }
 
-    def restore(self, snapshot: dict[str, tuple[Row, ...]]) -> None:
-        """Replace all table contents with a snapshot taken earlier.
-
-        Raises:
-            PrimaryKeyViolation: if the snapshot repeats a primary key; the
-                current contents are then left as they were.
-        """
-        indexes = DatabaseIndexes(self.schema)
-        for table, rows in snapshot.items():
-            for row in rows:
-                indexes.add(table, row)
-        self._indexes = indexes
-        self._version += 1
-
     def close(self) -> None:
         """Nothing to release (the :class:`Backend` protocol's close)."""
 

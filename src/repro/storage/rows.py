@@ -108,15 +108,3 @@ class ResultSet:
             and self.ordered == other.ordered
             and self.signature() == other.signature()
         )
-
-    def column_values(self, column: str) -> tuple[Scalar, ...]:
-        """Return all values of the named output column, in row order.
-
-        Raises:
-            KeyError: if the column is not part of this result.
-        """
-        try:
-            position = self.columns.index(column)
-        except ValueError:
-            raise KeyError(column) from None
-        return tuple(row[position] for row in self.rows)

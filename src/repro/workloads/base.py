@@ -79,10 +79,6 @@ class PageSampler:
         page = rng.choices(self._pages, weights=self._weights, k=1)[0]
         return page.build(self, rng)
 
-    def page_names(self) -> list[str]:
-        """Names of the interaction classes in the mix."""
-        return [p.name for p in self._pages]
-
     # -- binding helpers ------------------------------------------------------
 
     def query(self, name: str, *params) -> Operation:

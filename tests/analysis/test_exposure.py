@@ -102,13 +102,6 @@ class TestPolicy:
         with pytest.raises(AnalysisError):
             policy.query_level("nope")
 
-    def test_encrypted_parameter_counts(self, toystore):
-        policy = ExposurePolicy.maximum_exposure(toystore)
-        policy = policy.with_query_level("Q1", ExposureLevel.TEMPLATE)
-        policy = policy.with_update_level("U2", ExposureLevel.TEMPLATE)
-        queries, updates = policy.encrypted_parameter_counts()
-        assert (queries, updates) == (1, 1)
-
     def test_equality(self, toystore):
         assert ExposurePolicy.maximum_exposure(
             toystore

@@ -9,7 +9,9 @@ from repro.crypto import EnvelopeCodec, Keyring, QueryEnvelope, UpdateEnvelope
 from repro.crypto.cipher import encrypt
 from repro.crypto.envelope import (
     ResultEnvelope,
+    decode_params,
     deserialize_result,
+    encode_params,
     serialize_result,
 )
 from repro.errors import BindingError, CryptoError, TemplateError
@@ -275,6 +277,30 @@ class TestResultEnvelopes:
         result = ResultSet(("a", "b", "c"), ((1, 1.5, "x"), (None, 2.0, "y''z")))
         opened = codec.open_result(codec.seal_result(result, ExposureLevel.BLIND))
         assert opened.rows == result.rows
+
+
+class TestDecodeParams:
+    """Parameter bytes are UTF-8 JSON; any other bytes are refused with
+    the ``ValueError`` malformed JSON gets."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'["x"',
+            b'["\xff"]',
+            '["x"]'.encode("utf-16"),
+            '["x"]'.encode("utf-16-le"),
+            '["x"]'.encode("utf-32"),
+        ],
+        ids=["bad-json", "bad-utf8", "utf16", "utf16-le", "utf32"],
+    )
+    def test_refused(self, data):
+        with pytest.raises(ValueError):
+            decode_params(data)
+
+    def test_utf8_round_trips(self):
+        params = (1, "caf\u00e9", None, 2.5)
+        assert decode_params(encode_params(params)) == params
 
 
 class TestMalformedResultPayloads:

@@ -11,6 +11,7 @@ error text matches the buffered protocol's word for word.
 :class:`FakeTransport` / :func:`feed` drive a ``FrameConnection`` the way
 a selector transport does (``get_buffer`` / ``buffer_updated``), so
 framing and flow control are asserted as calls, not timing.
+:func:`subscribe` opens an invalidation stream whose pushes a test awaits.
 """
 
 from __future__ import annotations
@@ -117,3 +118,13 @@ async def write_frame(
     """Send one frame on a stream writer and wait for it to drain."""
     writer.write(wire.encode_frame(frame, request_id=request_id))
     await writer.drain()
+
+
+async def subscribe(client, node_id: str, app_ids: tuple[str, ...], **kwargs):
+    """An invalidation-stream subscription, and the queue its pushes land
+    in as ``(frame, request_id)`` pairs, in arrival order."""
+    pushes: asyncio.Queue = asyncio.Queue()
+    subscription = await client.subscribe(
+        node_id, app_ids, lambda *push: pushes.put_nowait(push), **kwargs
+    )
+    return subscription, pushes

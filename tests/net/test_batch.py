@@ -1,11 +1,11 @@
-"""Invalidation batch coalescing: negotiation, no-loss framing, dedup.
+"""Invalidation batch coalescing: no-loss framing, dedup, atomic apply.
 
-Coalescing changes only the *framing* of the invalidation stream, never
-its content: across any sequence of INVALIDATE / INVALIDATE_BATCH frames,
-every fanned-out invalidation arrives exactly once (modulo literal
-re-pushes of the same update, which dedup to one).  Negotiation is per
-channel — an old-style subscriber on the same home keeps receiving
-singleton frames.
+The home's sender coalesces whatever its queue holds when it wakes, so a
+pipelined burst of updates — read by the home in one go — leaves as one
+frame.  Coalescing changes only the *framing* of the invalidation stream,
+never its content: across any sequence of INVALIDATE / INVALIDATE_BATCH
+frames, every fanned-out invalidation arrives exactly once (modulo literal
+re-pushes of the same update, which dedup to one).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.net import (
     WireClient,
     eventually,
 )
+from tests.net import streams
 
 
 def make_home(registry, database):
@@ -42,32 +43,35 @@ def make_home(registry, database):
     )
 
 
+async def updater_for(host, port) -> WireClient:
+    """A client whose connection is already open, so a burst it issues
+    leaves in one loop turn: every update is in flight at once."""
+    client = WireClient(host, port, pipeline=8)
+    await client.stats()
+    return client
+
+
 async def burst(client, home, policy, registry, toy_ids, *, prefix="op"):
-    """Apply one update per toy id, back to back, via ``client``."""
+    """Apply one update per toy id, all pipelined on ``client``: the home
+    reads them in one go, and its sender finds them all queued."""
+    updates = []
     for index, toy_id in enumerate(toy_ids):
         bound = registry.update("U1").bind([toy_id])
         sealed = home.codec.seal_update(bound, policy.update_level("U1"))
-        await client.update(sealed, request_id=f"{prefix}-{index}")
+        updates.append(client.update(sealed, request_id=f"{prefix}-{index}"))
+    await asyncio.gather(*updates)
 
 
-async def collect_events(subscription, count, *, timeout_s=5.0):
-    """Gather stream events until ``count`` invalidations have arrived."""
+async def collect_events(pushes: asyncio.Queue, count, *, timeout_s=5.0):
+    """Gather stream frames until ``count`` invalidations have arrived."""
     events = []
     delivered = 0
-
-    async def pump():
-        nonlocal delivered
-        async for frame, request_id in subscription.events():
-            events.append(frame)
-            delivered += (
-                len(frame.entries)
-                if isinstance(frame, InvalidationBatch)
-                else 1
-            )
-            if delivered >= count:
-                return
-
-    await asyncio.wait_for(pump(), timeout_s)
+    while delivered < count:
+        frame, _ = await asyncio.wait_for(pushes.get(), timeout_s)
+        events.append(frame)
+        delivered += (
+            len(frame.entries) if isinstance(frame, InvalidationBatch) else 1
+        )
     return events
 
 
@@ -82,63 +86,28 @@ def delivered_identities(events) -> list[tuple]:
     return ids
 
 
-class TestNegotiation:
-    async def test_batching_is_the_and_of_both_sides(
-        self, simple_toystore, toystore_db
-    ):
-        home, _ = make_home(simple_toystore, toystore_db.clone())
-        batching = HomeNetServer(home)
-        legacy = HomeNetServer(home, batch_pushes=False)
-        host_b, port_b = await batching.start()
-        host_l, port_l = await legacy.start()
-        client = WireClient(host_b, port_b)
-        legacy_client = WireClient(host_l, port_l)
-        try:
-            on = await client.subscribe(
-                "n1", ("toystore",), supports_batch=True
-            )
-            off = await client.subscribe("n2", ("toystore",))
-            refused = await legacy_client.subscribe(
-                "n3", ("toystore",), supports_batch=True
-            )
-            assert on.batch_enabled is True
-            assert off.batch_enabled is False
-            assert refused.batch_enabled is False
-            for subscription in (on, off, refused):
-                await subscription.aclose()
-        finally:
-            await client.aclose()
-            await legacy_client.aclose()
-            await batching.stop()
-            await legacy.stop()
-
-
 class TestCoalescing:
     async def test_burst_coalesces_into_one_batch_frame(
         self, simple_toystore, toystore_db
     ):
-        """With a coalesce dwell, a burst of distinct updates arrives as a
-        single INVALIDATE_BATCH carrying each invalidation exactly once,
-        with its originating trace id on the entry."""
+        """A pipelined burst of distinct updates arrives as a single
+        INVALIDATE_BATCH carrying each invalidation exactly once, with its
+        originating trace id on the entry."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
-        server = HomeNetServer(home, push_coalesce_s=0.15)
+        server = HomeNetServer(home)
         host, port = await server.start()
         subscriber = WireClient(host, port)
-        updater = WireClient(host, port)
+        updater = await updater_for(host, port)
         try:
-            subscription = await subscriber.subscribe(
-                "node", ("toystore",), supports_batch=True
+            subscription, pushes = await streams.subscribe(
+                subscriber, "node", ("toystore",)
             )
             toy_ids = [5, 6, 7, 8]
-            await burst(
-                updater, home, policy, simple_toystore, toy_ids
-            )
-            events = await collect_events(subscription, len(toy_ids))
-            batches = [
-                e for e in events if isinstance(e, InvalidationBatch)
-            ]
-            assert len(events) == 1 and len(batches) == 1
-            entry_rids = [rid for rid, _ in batches[0].entries]
+            await burst(updater, home, policy, simple_toystore, toy_ids)
+            events = await collect_events(pushes, len(toy_ids))
+            assert len(events) == 1
+            assert isinstance(events[0], InvalidationBatch)
+            entry_rids = [rid for rid, _ in events[0].entries]
             assert entry_rids == [f"op-{i}" for i in range(len(toy_ids))]
             assert len(delivered_identities(events)) == len(toy_ids)
             metrics = server.metrics.snapshot()
@@ -156,22 +125,23 @@ class TestCoalescing:
         """Two separated bursts arrive as separate frames; the union of
         all frames is every invalidation exactly once, in order."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
-        server = HomeNetServer(home, push_coalesce_s=0.1)
+        server = HomeNetServer(home)
         host, port = await server.start()
         subscriber = WireClient(host, port)
-        updater = WireClient(host, port)
+        updater = await updater_for(host, port)
         try:
-            subscription = await subscriber.subscribe(
-                "node", ("toystore",), supports_batch=True
+            subscription, pushes = await streams.subscribe(
+                subscriber, "node", ("toystore",)
             )
             await burst(
                 updater, home, policy, simple_toystore, [5, 6], prefix="a"
             )
-            first = await collect_events(subscription, 2)
+            first = await collect_events(pushes, 2)
             await burst(
                 updater, home, policy, simple_toystore, [7, 8], prefix="b"
             )
-            second = await collect_events(subscription, 2)
+            second = await collect_events(pushes, 2)
+            assert len(first) == len(second) == 1
             ids = delivered_identities(first + second)
             assert len(ids) == 4
             assert len(set(ids)) == 4  # nothing doubled across the split
@@ -185,27 +155,29 @@ class TestCoalescing:
         self, simple_toystore, toystore_db
     ):
         """The same envelope identity queued twice collapses to one
-        entry — and a one-survivor coalesce uses the singleton framing,
-        byte-identical to the unbatched protocol."""
+        entry — and a one-survivor coalesce ships as a plain INVALIDATE."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
-        server = HomeNetServer(home, push_coalesce_s=0.15)
+        server = HomeNetServer(home)
         host, port = await server.start()
         subscriber = WireClient(host, port)
-        updater = WireClient(host, port)
+        updater = await updater_for(host, port)
         try:
-            subscription = await subscriber.subscribe(
-                "node", ("toystore",), supports_batch=True
+            subscription, pushes = await streams.subscribe(
+                subscriber, "node", ("toystore",)
             )
             bound = simple_toystore.update("U1").bind([5])
             sealed = home.codec.seal_update(bound, policy.update_level("U1"))
             # Distinct request ids: both updates apply (not request-level
             # duplicates), but they push the same invalidation twice.
-            await updater.update(sealed, request_id="first")
-            await updater.update(sealed, request_id="second")
-            events = await collect_events(subscription, 1)
+            await asyncio.gather(
+                updater.update(sealed, request_id="first"),
+                updater.update(sealed, request_id="second"),
+            )
+            events = await collect_events(pushes, 1)
             assert len(events) == 1
             assert isinstance(events[0], InvalidationPush)
             await asyncio.sleep(0.05)  # nothing else may follow
+            assert pushes.empty()
             metrics = server.metrics.snapshot()
             assert metrics["counters"]["home.push_dedup_dropped"] == 1
             assert metrics["counters"]["home.pushes_sent"] == 1
@@ -215,50 +187,42 @@ class TestCoalescing:
             await updater.aclose()
             await server.stop()
 
-    async def test_mixed_subscribers_see_the_same_invalidations(
+    async def test_every_subscriber_sees_the_same_invalidations(
         self, simple_toystore, toystore_db
     ):
-        """Framing is per channel: a legacy subscriber gets singletons,
-        a batching one gets a batch — identical content either way."""
+        """Each channel has its own sender and queue; the invalidations
+        a burst delivers are identical on every one."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
-        server = HomeNetServer(home, push_coalesce_s=0.15)
+        server = HomeNetServer(home)
         host, port = await server.start()
-        batching_client = WireClient(host, port)
-        legacy_client = WireClient(host, port)
-        updater = WireClient(host, port)
+        first_client = WireClient(host, port)
+        second_client = WireClient(host, port)
+        updater = await updater_for(host, port)
         try:
-            batching = await batching_client.subscribe(
-                "new-node", ("toystore",), supports_batch=True
+            first, first_pushes = await streams.subscribe(
+                first_client, "node-a", ("toystore",)
             )
-            legacy = await legacy_client.subscribe("old-node", ("toystore",))
+            second, second_pushes = await streams.subscribe(
+                second_client, "node-b", ("toystore",)
+            )
             toy_ids = [5, 6, 7]
-            await burst(
-                updater, home, policy, simple_toystore, toy_ids
+            await burst(updater, home, policy, simple_toystore, toy_ids)
+            first_events = await collect_events(first_pushes, len(toy_ids))
+            second_events = await collect_events(second_pushes, len(toy_ids))
+            assert len(delivered_identities(first_events)) == len(toy_ids)
+            assert delivered_identities(first_events) == (
+                delivered_identities(second_events)
             )
-            batched_events = await collect_events(batching, len(toy_ids))
-            legacy_events = await collect_events(legacy, len(toy_ids))
-            assert all(
-                isinstance(e, InvalidationPush) for e in legacy_events
-            )
-            assert len(legacy_events) == len(toy_ids)
-            assert delivered_identities(batched_events) == (
-                delivered_identities(legacy_events)
-            )
-            await batching.aclose()
-            await legacy.aclose()
+            await first.aclose()
+            await second.aclose()
         finally:
-            await batching_client.aclose()
-            await legacy_client.aclose()
+            await first_client.aclose()
+            await second_client.aclose()
             await updater.aclose()
             await server.stop()
 
 
-class CoalescingDeployment(Deployment):
-    def home_server(self, **options):
-        return super().home_server(push_coalesce_s=0.15, **options)
-
-
-class TestNodeAppliesBatches:
+class TestNodeAppliesPushes:
     async def test_dssp_node_applies_every_batch_entry(
         self, simple_toystore, toystore_db
     ):
@@ -266,16 +230,14 @@ class TestNodeAppliesBatches:
         every entry toward stream_pushes_applied (the oracle's convergence
         accounting), with the batch metrics recording the coalescing."""
         home, policy = make_home(simple_toystore, toystore_db.clone())
-        async with CoalescingDeployment(home) as fleet:
+        async with Deployment(home) as fleet:
             node_server = fleet.servers[0]
-            updater = WireClient(*fleet.home_net.address)
+            updater = await updater_for(*fleet.home_net.address)
             try:
                 toy_ids = [5, 6, 7, 8]
                 # Updates arrive directly at the home with a foreign
                 # origin, so the stream must deliver all of them here.
-                await burst(
-                    updater, home, policy, simple_toystore, toy_ids
-                )
+                await burst(updater, home, policy, simple_toystore, toy_ids)
                 await eventually(
                     lambda: node_server.stream_pushes_applied
                     == len(toy_ids)
@@ -287,3 +249,29 @@ class TestNodeAppliesBatches:
                 )
             finally:
                 await updater.aclose()
+
+    async def test_a_push_is_applied_from_the_read_with_no_task(
+        self, simple_toystore, toystore_db
+    ):
+        """The node applies a pushed update inside the read that brings
+        it: no task is woken to run the invalidation."""
+        home, policy = make_home(simple_toystore, toystore_db.clone())
+        async with Deployment(home) as fleet:
+            node_server = fleet.servers[0]
+            node = node_server.node
+            tasks = []
+
+            def invalidate_for(envelope, _inner=node.invalidate_for):
+                tasks.append(asyncio.current_task())
+                return _inner(envelope)
+
+            node.invalidate_for = invalidate_for
+            updater = await updater_for(*fleet.home_net.address)
+            try:
+                await burst(updater, home, policy, simple_toystore, [5])
+                await eventually(
+                    lambda: node_server.stream_pushes_applied == 1
+                )
+            finally:
+                await updater.aclose()
+            assert tasks == [None]

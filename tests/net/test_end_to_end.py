@@ -26,8 +26,9 @@ from repro.net import (
     WireClient,
     eventually,
 )
-from repro.net.wire import ErrorCode, ErrorResponse, QueryRequest
+from repro.net.wire import ErrorCode, ErrorResponse, FrameType, QueryRequest
 from repro.obs.trace import SpanRecorder, SpanSink
+from tests.net.test_wire import _raw
 
 
 FAST_RESUBSCRIBE = RetryPolicy(attempts=1_000, backoff_s=0.01, max_backoff_s=0.05)
@@ -274,6 +275,51 @@ class TestEndToEnd:
             await eventually(lambda: dssp.stream_flushes == 2)
             [stream] = dssp._stream_tasks
             assert not stream.done()
+            await eventually(lambda: home_net.subscriber_count == 1)
+        finally:
+            await dssp.stop()
+            await home_net.stop()
+
+    async def test_an_undecodable_push_ends_the_stream_and_resubscribes(
+        self, simple_toystore, toystore_db, caplog
+    ):
+        """A push frame the node cannot decode ends the stream where it
+        is read; the node warns, resubscribes and flushes again."""
+
+        class GarblingHome(HomeNetServer):
+            """Follows the first SUBSCRIBED with an INVALIDATE whose
+            envelope names no exposure level."""
+
+            garbled = False
+
+            def _subscribe(self, frame, context):
+                response = super()._subscribe(frame, context)
+                if not self.garbled:
+                    self.garbled = True
+                    # An exposure level no layout has, written after the
+                    # SUBSCRIBED this handler's answer becomes.
+                    raw = _raw(FrameType.INVALIDATE, b"\x09")
+                    asyncio.get_running_loop().call_soon(
+                        context.writer.write, raw
+                    )
+                return response
+
+        caplog.set_level(logging.WARNING, logger="repro.net.dssp_server")
+        home = mtis_home(simple_toystore, toystore_db.clone())
+        home_net = GarblingHome(home)
+        dssp = DsspNetServer(DsspNode(), subscribe_retry=FAST_RESUBSCRIBE)
+        try:
+            address = await home_net.start()
+            dssp.register_application("toystore", simple_toystore, address)
+            await dssp.start()
+            await eventually(lambda: dssp.stream_flushes == 2)
+            assert dssp.stream_pushes_applied == 0
+            [stream] = dssp._stream_tasks
+            assert not stream.done()
+            assert any(
+                "unknown exposure level 9" in record.getMessage()
+                for record in caplog.records
+            )
             await eventually(lambda: home_net.subscriber_count == 1)
         finally:
             await dssp.stop()

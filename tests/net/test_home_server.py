@@ -62,8 +62,12 @@ class TestFanOutDecoupling:
         ok_client = WireClient(host, port)
         updater = WireClient(host, port)
         try:
-            stuck_sub = await stuck_client.subscribe("stuck", ("toystore",))
-            ok_sub = await ok_client.subscribe("ok", ("toystore",))
+            stuck_sub, _ = await streams.subscribe(
+                stuck_client, "stuck", ("toystore",)
+            )
+            ok_sub, ok_pushes = await streams.subscribe(
+                ok_client, "ok", ("toystore",)
+            )
             assert server.subscriber_count == 2
 
             bound = simple_toystore.update("U1").bind([5])
@@ -77,22 +81,13 @@ class TestFanOutDecoupling:
             assert ack.rows_affected == 1
 
             # The healthy subscriber still receives its push.
-            async def first_push():
-                async for push, _ in ok_sub.events():
-                    return push
-                return None
-
-            push = await asyncio.wait_for(first_push(), 2.0)
+            push, _ = await asyncio.wait_for(ok_pushes.get(), 2.0)
             assert isinstance(push, InvalidationPush)
             assert push.envelope.app_id == "toystore"
 
             # The stuck subscriber is dropped by closing its channel, so
             # its stream ends — the node-side reconnect-flush can fire.
-            async def stream_ended():
-                async for _ in stuck_sub.events():
-                    pass
-
-            await asyncio.wait_for(stream_ended(), 2.0)
+            assert await asyncio.wait_for(stuck_sub.wait_ended(), 2.0) is None
             assert server.subscriber_count == 1
             await stuck_sub.aclose()
             await ok_sub.aclose()
@@ -114,8 +109,12 @@ class TestFanOutDecoupling:
         ok_client = WireClient(host, port)
         updater = WireClient(host, port)
         try:
-            dead_sub = await dead_client.subscribe("dead", ("toystore",))
-            ok_sub = await ok_client.subscribe("ok", ("toystore",))
+            dead_sub, _ = await streams.subscribe(
+                dead_client, "dead", ("toystore",)
+            )
+            ok_sub, ok_pushes = await streams.subscribe(
+                ok_client, "ok", ("toystore",)
+            )
             await dead_sub.aclose()  # peer goes away without unsubscribing
 
             for toy_id in (5, 7):
@@ -124,15 +123,8 @@ class TestFanOutDecoupling:
                     home.codec.seal_update(bound, policy.update_level("U1"))
                 )
 
-            async def pushes(count):
-                received = []
-                async for push, _ in ok_sub.events():
-                    received.append(push)
-                    if len(received) == count:
-                        return received
-
-            received = await asyncio.wait_for(pushes(2), 2.0)
-            assert len(received) == 2
+            for _ in range(2):
+                await asyncio.wait_for(ok_pushes.get(), 2.0)
             await ok_sub.aclose()
         finally:
             await dead_client.aclose()
@@ -154,7 +146,9 @@ class TestUpdateIdempotency:
         host, port = await server.start()
         subscriber = WireClient(host, port)
         try:
-            subscription = await subscriber.subscribe("other", ("toystore",))
+            subscription, pushes = await streams.subscribe(
+                subscriber, "other", ("toystore",)
+            )
             bound = simple_toystore.update("U1").bind([5])
             sealed = home.codec.seal_update(bound, policy.update_level("U1"))
             raw = wire.encode_frame(
@@ -179,11 +173,10 @@ class TestUpdateIdempotency:
 
             # Exactly one push reaches the stream; a second would make
             # every non-origin node double-count the invalidation.
-            events = subscription.events()
-            push, _ = await asyncio.wait_for(anext(events), 2.0)
+            push, _ = await asyncio.wait_for(pushes.get(), 2.0)
             assert isinstance(push, InvalidationPush)
             with pytest.raises(asyncio.TimeoutError):  # the stream is silent
-                await asyncio.wait_for(anext(events), 0.05)
+                await asyncio.wait_for(pushes.get(), 0.05)
             await subscription.aclose()
         finally:
             await subscriber.aclose()

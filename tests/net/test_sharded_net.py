@@ -16,7 +16,7 @@ from repro.analysis.exposure import ExposurePolicy
 from repro.dssp import DsspNode
 from repro.dssp.invalidation import StrategyClass
 from repro.dssp.placement import Placement, bucket_key
-from repro.dssp.ring import DEFAULT_VNODES, HashRing
+from repro.dssp.ring import HashRing
 from repro.errors import WireError
 from repro.net import (
     DsspNetServer,
@@ -29,6 +29,7 @@ from repro.net import (
 from repro.net.chaos import FaultPlan
 from repro.workloads.trace import Trace
 from tests.net.test_end_to_end import Topology
+from tests.net import streams
 from tests.net.test_home_server import make_home
 
 
@@ -108,35 +109,23 @@ class TestShardedRouting:
 
 class TestDeclaredTopologyIsChecked:
     """The home refuses a declared topology it cannot place by: a node
-    outside its own shard set, or a ring with another vnode count."""
+    outside its own shard set."""
 
-    @pytest.mark.parametrize(
-        "shards, vnodes, refusal",
-        [
-            (("n2", "n3"), DEFAULT_VNODES, "not in its declared shard set"),
-            (("n1", "n2"), DEFAULT_VNODES // 2, "vnodes"),
-            (("n1", "n2"), 0, "vnodes"),
-        ],
-    )
-    async def test_home_refuses(
-        self, simple_toystore, toystore_db, shards, vnodes, refusal
-    ):
+    async def test_home_refuses(self, simple_toystore, toystore_db):
         home, _ = make_home(simple_toystore, toystore_db.clone())
         server = HomeNetServer(home)
         client = WireClient(*await server.start())
         try:
-            with pytest.raises(WireError, match=refusal):
-                await client.subscribe(
-                    "n1", ("toystore",), shards=shards, vnodes=vnodes
+            with pytest.raises(WireError, match="not in its declared shard"):
+                await streams.subscribe(
+                    client, "n1", ("toystore",), shards=("n2", "n3")
                 )
             assert server.subscriber_count == 0
-            accepted = await client.subscribe(
-                "n1",
-                ("toystore",),
-                shards=("n1", "n2"),
-                vnodes=DEFAULT_VNODES,
+            accepted, _ = await streams.subscribe(
+                client, "n1", ("toystore",), shards=("n1", "n2")
             )
-            assert accepted.shard_filtered is True
+            [subscriber] = server.stats_snapshot()["subscribers"]
+            assert subscriber["shard_filtered"] is True
             await accepted.aclose()
         finally:
             await client.aclose()

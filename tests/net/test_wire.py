@@ -120,17 +120,10 @@ def frames(draw):
     if kind is FrameType.UPDATE:
         return UpdateRequest(draw(update_envelopes()), origin=draw(_opt_text))
     if kind is FrameType.SUBSCRIBE:
-        sharded = draw(st.booleans())
         return SubscribeRequest(
             draw(_text),
             tuple(draw(st.lists(_text, max_size=4))),
-            supports_batch=draw(st.booleans()),
-            shards=(
-                tuple(draw(st.lists(_text, min_size=1, max_size=4)))
-                if sharded
-                else ()
-            ),
-            vnodes=draw(st.integers(1, 256)) if sharded else 0,
+            shards=tuple(draw(st.lists(_text, max_size=4))),
         )
     if kind is FrameType.RESULT:
         return QueryResponse(draw(result_envelopes()), draw(st.booleans()))
@@ -139,11 +132,7 @@ def frames(draw):
             draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
         )
     if kind is FrameType.SUBSCRIBED:
-        return SubscribeResponse(
-            tuple(draw(st.lists(_text, max_size=4))),
-            batch_enabled=draw(st.booleans()),
-            shard_filtered=draw(st.booleans()),
-        )
+        return SubscribeResponse()
     if kind is FrameType.INVALIDATE:
         return InvalidationPush(draw(update_envelopes()))
     if kind is FrameType.INVALIDATE_BATCH:
@@ -328,7 +317,7 @@ class TestRejection:
         with pytest.raises(WireError, match="exceeds"):
             encode_frame(frame, max_frame=10)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_earlier_versions_rejected_alike(self, version):
         encoded = bytearray(encode_frame(ErrorResponse(ErrorCode.INTERNAL, "")))
         encoded[2] = version
@@ -344,6 +333,21 @@ class TestRejection:
         corrupted = encode_frame(frame).replace(b'["marker"]', b'["marker"[')
         with pytest.raises(WireError, match="parameters"):
             decode_frame(corrupted)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            b'["marker"[',  # not JSON
+            b'["\xff"]',  # not UTF-8
+            '["marker"]'.encode("utf-16"),  # JSON, but UTF-16
+            b'["\xed\xa0\x80"]',  # a UTF-8-encoded lone surrogate
+        ],
+    )
+    def test_params_that_are_not_utf8_json_rejected_alike(self, params):
+        fixed = wire._NAMED.pack(ExposureLevel.STMT, 1, 2, len(params))
+        raw = _raw(FrameType.QUERY, fixed + b"a" + b"Q2" + params)
+        with pytest.raises(WireError, match="^bad statement parameters: "):
+            decode_frame(raw)
 
     def test_view_level_update_rejected(self):
         query_frame = encode_frame(
@@ -377,8 +381,6 @@ class TestIntegerFields:
             UpdateResponse(rows_affected=2**32, invalidated=0),
             UpdateResponse(rows_affected=-1, invalidated=0),
             UpdateResponse(rows_affected=0, invalidated=2**32),
-            SubscribeRequest("n", ("a",), shards=("n",), vnodes=2**32),
-            SubscribeRequest("n", ("a",), vnodes=-1),
         ],
     )
     def test_frames_with_unencodable_integers(self, frame):
@@ -434,14 +436,10 @@ class TestDecodeErrors:
             ),
             (
                 FrameType.SUBSCRIBE,
-                wire._SUBSCRIBE.pack(False, 0, 0, 4097, 0),
+                wire._SUBSCRIBE.pack(0, 4097, 0),
                 "^implausible string count 4097$",
             ),
-            (
-                FrameType.SUBSCRIBED,
-                wire._SUBSCRIBED.pack(False, False, 1) + (5).to_bytes(4, "big"),
-                "^truncated payload: fields end at 15, have 10$",
-            ),
+            (FrameType.SUBSCRIBED, b"\x00", "^1 trailing bytes after payload$"),
             (
                 FrameType.UPDATE,
                 (5).to_bytes(4, "big") + b"\xff",
@@ -454,24 +452,8 @@ class TestDecodeErrors:
             ),
             (
                 FrameType.SUBSCRIBE,
-                wire._SUBSCRIBE.pack(7, 0, 0, 0, 0),
-                "^bad flag byte 7$",
-            ),
-            (
-                FrameType.SUBSCRIBE,
-                wire._SUBSCRIBE.pack(0, 0, 3, 0, 0) + b"\xff",
-                "^truncated payload: fields end at 20, have 18$",
-            ),
-            (FrameType.SUBSCRIBED, wire._SUBSCRIBED.pack(2, 0, 0), "^bad flag byte 2$"),
-            (
-                FrameType.SUBSCRIBED,
-                wire._SUBSCRIBED.pack(0, 255, 0),
-                "^bad flag byte 255$",
-            ),
-            (
-                FrameType.SUBSCRIBED,
-                wire._SUBSCRIBED.pack(0, 0, 1) + (5).to_bytes(4, "big") + b"\xff",
-                "^truncated payload: fields end at 15, have 11$",
+                wire._SUBSCRIBE.pack(3, 0, 0) + b"\xff",
+                "^truncated payload: fields end at 15, have 13$",
             ),
             (
                 FrameType.ERROR,
@@ -523,57 +505,24 @@ class TestResultKind:
 
 
 class TestSubscribeLayout:
-    """Every SUBSCRIBE / SUBSCRIBED field travels in every frame, in its
-    fixed slot: a field is never read from its absence."""
-
-    def test_flags_and_topology_move_no_byte(self):
-        plain = encode_frame(SubscribeRequest("n1", ("app",)))
-        batched = encode_frame(
-            SubscribeRequest("n1", ("app",), supports_batch=True)
-        )
-        assert len(plain) == len(batched)
-        assert decode_frame(plain) == SubscribeRequest("n1", ("app",))
-        assert decode_frame(batched).supports_batch is True
-
-    def test_subscribed_flags_move_no_byte(self):
-        sizes = {
-            len(encode_frame(SubscribeResponse(("app",), batch, filtered)))
-            for batch in (False, True)
-            for filtered in (False, True)
-        }
-        assert len(sizes) == 1
+    """SUBSCRIBE says only what varies between subscribers; SUBSCRIBED is
+    a bare acknowledgement."""
 
     def test_unsharded_subscribe_decodes_without_topology(self):
         decoded = decode_frame(encode_frame(SubscribeRequest("n1", ("app",))))
+        assert decoded == SubscribeRequest("n1", ("app",))
         assert decoded.shards == ()
-        assert decoded.vnodes == 0
 
     def test_sharded_subscribe_round_trips(self):
         frame = SubscribeRequest(
-            "dssp-0",
-            ("toystore",),
-            supports_batch=True,
-            shards=("dssp-0", "dssp-1", "dssp-2"),
-            vnodes=64,
+            "dssp-0", ("toystore",), shards=("dssp-0", "dssp-1", "dssp-2")
         )
         assert decode_frame(encode_frame(frame)) == frame
 
-    def test_sharded_subscribe_without_batch_round_trips(self):
-        frame = SubscribeRequest(
-            "dssp-0", ("toystore",), shards=("dssp-0",), vnodes=8
-        )
-        decoded = decode_frame(encode_frame(frame))
-        assert decoded.supports_batch is False
-        assert decoded.shards == ("dssp-0",)
-        assert decoded.vnodes == 8
-
-    def test_shard_filtered_response_round_trips(self):
-        frame = SubscribeResponse(
-            ("toystore",), batch_enabled=True, shard_filtered=True
-        )
-        assert decode_frame(encode_frame(frame)) == frame
-        unfiltered = SubscribeResponse(("toystore",), batch_enabled=True)
-        assert decode_frame(encode_frame(unfiltered)) == unfiltered
+    def test_subscribed_has_no_payload(self):
+        raw = encode_frame(SubscribeResponse())
+        assert len(raw) == wire.HEADER_SIZE
+        assert decode_frame(raw) == SubscribeResponse()
 
 
 class TestBatchFrame:

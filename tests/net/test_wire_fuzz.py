@@ -61,14 +61,8 @@ SAMPLE_FRAMES = [
         )
     ),
     wire.SubscribeRequest("dssp-1", ("toystore", "bboard")),
-    wire.SubscribeRequest(
-        "dssp-0",
-        ("toystore",),
-        supports_batch=True,
-        shards=("dssp-0", "dssp-1"),
-        vnodes=64,
-    ),
-    wire.SubscribeResponse(("toystore",), batch_enabled=True, shard_filtered=True),
+    wire.SubscribeRequest("dssp-0", ("toystore",), shards=("dssp-0", "dssp-1")),
+    wire.SubscribeResponse(),
     wire.QueryResponse(
         ResultEnvelope(app_id="toystore", ciphertext=b"sealed"),
         cache_hit=True,

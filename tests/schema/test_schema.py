@@ -144,19 +144,6 @@ class TestSchema:
             ("orders", ForeignKey("toy", "toys", "toy_id")),
         )
 
-    def test_resolve_column_unique(self):
-        schema = Schema([make_table()])
-        assert schema.resolve_column("qty", ["toys"]) == Attribute("toys", "qty")
-
-    def test_resolve_column_missing(self):
-        schema = Schema([make_table()])
-        with pytest.raises(UnknownColumnError):
-            schema.resolve_column("ghost", ["toys"])
-
-    def test_all_attributes(self):
-        schema = Schema([make_table()])
-        assert len(schema.all_attributes()) == 3
-
     def test_attribute_ordering_and_str(self):
         a = Attribute("toys", "qty")
         b = Attribute("toys", "toy_id")

@@ -77,14 +77,14 @@ class TestStation:
         sim.run_until(10.0)
         assert done == [1.0, 1.0]
 
-    def test_queue_length_and_busy(self):
+    def test_jobs_queue_behind_the_one_worker(self):
         sim = Simulator()
         station = Station(sim, workers=1)
+        done = []
         for _ in range(3):
-            station.submit(1.0, lambda: None)
-        assert station.busy_workers == 1
-        assert station.queue_length == 2
+            station.submit(1.0, lambda: done.append(sim.now))
         sim.run_until(10.0)
+        assert done == [1.0, 2.0, 3.0]
         assert station.jobs_completed == 3
 
     def test_utilization(self):

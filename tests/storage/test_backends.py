@@ -168,22 +168,6 @@ def test_clone_is_isolated(kind, tmp_path):
         backend.close()
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_snapshot_restore_round_trip(kind, tmp_path):
-    backend = make_backend(kind, tmp_path)
-    try:
-        before = backend.snapshot()
-        version = backend.version
-        backend.apply(parse("DELETE FROM items WHERE item_id = 3"))
-        backend.apply(parse("UPDATE items SET rank = 0 WHERE item_id = 4"))
-        assert backend.snapshot() != before
-        backend.restore(before)
-        assert backend.snapshot() == before
-        assert backend.version > version  # restore is a change
-    finally:
-        backend.close()
-
-
 # -- result order -------------------------------------------------------------
 
 
@@ -303,17 +287,5 @@ def test_load_rejects_duplicate_primary_key(kind, tmp_path):
             parse("SELECT grp FROM items WHERE item_id <= 2 AND item_id >= 2")
         )
         assert point.rows == ranged.rows == (("a",),)
-    finally:
-        backend.close()
-
-
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_restore_rejects_duplicate_primary_key(kind, tmp_path):
-    backend = make_backend(kind, tmp_path)
-    try:
-        before = backend.snapshot()
-        with pytest.raises(PrimaryKeyViolation):
-            backend.restore({"items": ((1, "x", 1), (1, "y", 2))})
-        assert backend.snapshot() == before  # refused whole
     finally:
         backend.close()

@@ -51,13 +51,6 @@ class TestCloning:
 
 
 class TestSnapshots:
-    def test_snapshot_restore(self, toystore_db):
-        snapshot = toystore_db.snapshot()
-        toystore_db.apply(parse("DELETE FROM toys"))
-        assert toystore_db.row_count("toys") == 0
-        toystore_db.restore(snapshot)
-        assert toystore_db.row_count("toys") == 8
-
     def test_snapshot_is_immutable_copy(self, toystore_db):
         snapshot = toystore_db.snapshot()
         toystore_db.apply(parse("DELETE FROM toys"))

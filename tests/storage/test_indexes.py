@@ -142,13 +142,6 @@ class TestIndexMaintainedThroughDml:
             parse("SELECT qty FROM toys WHERE toy_id = 1")
         ).rows == ()
 
-    def test_restore_rebuilds_index(self, toystore_db):
-        snapshot = toystore_db.snapshot()
-        toystore_db.apply(parse("DELETE FROM toys"))
-        toystore_db.restore(snapshot)
-        result = toystore_db.execute(parse("SELECT qty FROM toys WHERE toy_id = 3"))
-        assert result.rows == ((6,),)
-
 
 class TestFastPathEquivalence:
     """Point queries via the index return exactly what a scan returns."""

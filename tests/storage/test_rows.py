@@ -45,16 +45,6 @@ class TestEquivalence:
         assert result.empty
         assert len(result) == 0
 
-    def test_column_values(self):
-        result = ResultSet(("a", "b"), ((1, "x"), (2, "y")))
-        assert result.column_values("b") == ("x", "y")
-
-    def test_column_values_unknown_raises(self):
-        import pytest
-
-        with pytest.raises(KeyError):
-            ResultSet(("a",), ()).column_values("b")
-
 
 class TestLazySignature:
     """Only ``equivalent`` reads the signature, so only it pays for one."""

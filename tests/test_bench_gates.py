@@ -44,12 +44,8 @@ MUTATIONS = [
      ("speedup_pipelined_vs_serial",), 1.99, False),
     ("net_pipeline", "regressed", "baseline",
      ("speedup_pipelined_vs_serial",), lambda v: v * 2, True),
-    ("net_pipeline", "not exactly one", "fresh",
-     ("fanout", "unbatched", "frames_per_invalidation"), 1.5, False),
-    ("net_pipeline", "not below unbatched", "fresh",
-     ("fanout", "batched", "frames_per_invalidation"), 1.0, False),
     ("net_pipeline", "exceeds the ceiling", "fresh",
-     ("fanout", "batched", "frames_per_invalidation"), 0.51, False),
+     ("fanout", "frames_per_invalidation"), 0.51, False),
     ("tracing_overhead", "errors", "fresh",
      ("modes", "traced_1pct", "errors"), 1, False),
     ("tracing_overhead", "recorded 0 spans", "fresh",

@@ -38,13 +38,6 @@ class TestPageSampler:
             page = sampler.sample_page(rng)
             assert not page[0].is_update
 
-    def test_page_names(self, simple_toystore):
-        pages = [
-            PageClass("a", 1.0, lambda s, rng: []),
-            PageClass("b", 1.0, lambda s, rng: []),
-        ]
-        assert PageSampler(simple_toystore, pages).page_names() == ["a", "b"]
-
     def test_helper_binding(self, simple_toystore):
         pages = [PageClass("x", 1.0, lambda s, rng: [])]
         sampler = PageSampler(simple_toystore, pages)
