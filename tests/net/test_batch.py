@@ -62,6 +62,16 @@ async def burst(client, home, policy, registry, toy_ids, *, prefix="op"):
     await asyncio.gather(*updates)
 
 
+def sealed_updates(home, policy, registry, toy_ids):
+    """One sealed ``U1`` envelope per toy id."""
+    return [
+        home.codec.seal_update(
+            registry.update("U1").bind([toy_id]), policy.update_level("U1")
+        )
+        for toy_id in toy_ids
+    ]
+
+
 async def collect_events(pushes: asyncio.Queue, count, *, timeout_s=5.0):
     """Gather stream frames until ``count`` invalidations have arrived."""
     events = []
@@ -275,3 +285,55 @@ class TestNodeAppliesPushes:
             finally:
                 await updater.aclose()
             assert tasks == [None]
+
+
+class TestCoalesceFraming:
+    """What one wake of a sender makes of the entries it drained."""
+
+    async def test_one_entry_ships_as_a_plain_push_under_its_trace_id(
+        self, simple_toystore, toystore_db
+    ):
+        home, policy = make_home(simple_toystore, toystore_db.clone())
+        server = HomeNetServer(home)
+        [envelope] = sealed_updates(home, policy, simple_toystore, [5])
+        frame, request_id, delivered = server._coalesce(
+            [(InvalidationPush(envelope), "op-0")]
+        )
+        assert frame == InvalidationPush(envelope)
+        assert (request_id, delivered) == ("op-0", 1)
+
+    async def test_several_entries_ship_as_one_batch_in_queue_order(
+        self, simple_toystore, toystore_db
+    ):
+        home, policy = make_home(simple_toystore, toystore_db.clone())
+        server = HomeNetServer(home)
+        envelopes = sealed_updates(home, policy, simple_toystore, [7, 5, 6])
+        entries = [
+            (InvalidationPush(envelope), f"op-{index}")
+            for index, envelope in enumerate(envelopes)
+        ]
+        frame, request_id, delivered = server._coalesce(entries)
+        assert frame == InvalidationBatch(
+            tuple((rid, push.envelope) for push, rid in entries)
+        )
+        assert (request_id, delivered) == (None, 3)
+
+    async def test_only_literal_repeats_collapse(
+        self, simple_toystore, toystore_db
+    ):
+        """A repeat of an identity keeps its first entry and trace id; two
+        distinct updates never merge."""
+        home, policy = make_home(simple_toystore, toystore_db.clone())
+        server = HomeNetServer(home)
+        five, six = sealed_updates(home, policy, simple_toystore, [5, 6])
+        frame, request_id, delivered = server._coalesce(
+            [
+                (InvalidationPush(five), "a"),
+                (InvalidationPush(six), "b"),
+                (InvalidationPush(five), "c"),
+            ]
+        )
+        assert frame == InvalidationBatch((("a", five), ("b", six)))
+        assert (request_id, delivered) == (None, 2)
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["home.push_dedup_dropped"] == 1

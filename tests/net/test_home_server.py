@@ -17,7 +17,13 @@ from repro.analysis.exposure import ExposurePolicy
 from repro.crypto import Keyring
 from repro.dssp import HomeServer
 from repro.dssp.invalidation import StrategyClass
-from repro.net import HomeNetServer, InvalidationPush, WireClient, wire
+from repro.net import (
+    HomeNetServer,
+    InvalidationPush,
+    WireClient,
+    home_server,
+    wire,
+)
 from repro.net.wire import UpdateRequest, UpdateResponse
 from tests.net import streams
 
@@ -129,6 +135,45 @@ class TestFanOutDecoupling:
         finally:
             await dead_client.aclose()
             await ok_client.aclose()
+            await updater.aclose()
+            await server.stop()
+
+    async def test_a_full_push_queue_drops_its_subscriber(
+        self, simple_toystore, toystore_db
+    ):
+        """A subscriber whose sender is stuck accumulates pushes up to
+        ``PUSH_QUEUE_SIZE``; the next update drops it by closing its
+        channel instead of queueing without bound or delaying the ack."""
+        home, policy = make_home(simple_toystore, toystore_db.clone())
+        server = StickyHome(home, stuck_nodes={"stuck"}, push_timeout_s=60)
+        host, port = await server.start()
+        stuck_client = WireClient(host, port)
+        updater = WireClient(host, port)
+        try:
+            stuck_sub, _ = await streams.subscribe(
+                stuck_client, "stuck", ("toystore",)
+            )
+            bound = simple_toystore.update("U1").bind([5])
+            sealed = home.codec.seal_update(bound, policy.update_level("U1"))
+            # The first push is taken by the sender, which then hangs; the
+            # rest fill the queue to its bound.
+            for index in range(1 + home_server.PUSH_QUEUE_SIZE):
+                await updater.update(sealed, request_id=f"fill-{index}")
+            assert server.subscriber_count == 1
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["home.subscribers_dropped"] == 0
+
+            ack = await asyncio.wait_for(
+                updater.update(sealed, request_id="overflow"), 2.0
+            )
+            assert isinstance(ack, UpdateResponse)
+            assert server.subscriber_count == 0
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["home.subscribers_dropped"] == 1
+            assert await asyncio.wait_for(stuck_sub.wait_ended(), 2.0) is None
+            await stuck_sub.aclose()
+        finally:
+            await stuck_client.aclose()
             await updater.aclose()
             await server.stop()
 

@@ -456,6 +456,28 @@ class TestDecodeErrors:
                 "^truncated payload: fields end at 15, have 13$",
             ),
             (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(1, 0, 4097) + b"n",
+                "^implausible string count 4097$",
+            ),
+            (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(1, 0, 1) + b"n",
+                "^truncated payload: unpack_from",
+            ),
+            (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(1, 0, 1) + b"n" + (5).to_bytes(4, "big")
+                + b"\xff",
+                "^truncated payload: fields end at 22, have 18$",
+            ),
+            (
+                FrameType.SUBSCRIBE,
+                wire._SUBSCRIBE.pack(1, 1, 0) + b"n" + (1).to_bytes(4, "big")
+                + b"a!",
+                "^1 trailing bytes after payload$",
+            ),
+            (
                 FrameType.ERROR,
                 wire._ERROR.pack(1, 4) + b"\xff",
                 "^truncated payload: fields end at 9, have 6$",
